@@ -42,8 +42,8 @@ from .vectors import (
     dual_norm,
     dual_pair,
     format_scalar,
-    linear_combination,
     norm,
+    signed_sums,
 )
 
 EXIT_OK = 0
@@ -150,6 +150,8 @@ def _load_json(path: str):
         raise InvalidInput(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInput("input JSON nests too deeply") from None
 
 
 def _parse_set_input(obj, norm_flag: str | None):
@@ -363,11 +365,7 @@ def _run_series(args):
     )
     if tail.M < series.horizon:
         stop = min(tail.M + 8, series.horizon)
-        window = series.terms[tail.M : stop]
-        from itertools import product
-
-        for signs in product((1, -1), repeat=len(window)):
-            total = linear_combination(zip(signs, window))
+        for total in signed_sums(series.terms[tail.M : stop]):
             replay.append(
                 {
                     "kind": "norm_le",
@@ -418,10 +416,7 @@ def _run_one_sided(args):
         )
     diff = sets.difference_set(expr)
     if diff is not None and len(xs) <= 10:
-        from itertools import product
-
-        for signs in product((1, -1), repeat=len(xs)):
-            total = linear_combination(zip(signs, xs))
+        for total in signed_sums(xs):
             replay.append(_contains_entry(diff, total))
     return {"sequence": [v.to_json() for v in xs]}, replay, "ok"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .indexes import SearchStrategy, default_pool, delta0, delta_lower, delta_upper
 from .sets import (
-    Box,
     FinitePoints,
     SetExpr,
     contains,
@@ -185,49 +184,32 @@ def _dual_ball_lp(
         # dual ball is the l1 ball: f = u - w, sum(u + w) + t = 1
         nvars = 2 * c + 1
         rows = [[Fraction(1)] * (2 * c) + [Fraction(1)]]
-        rhs = [Fraction(1)]
-        for v in span:
-            row = [Fraction(0)] * nvars
-            for i, x in v.items():
-                row[idx[i]] = x
-                row[c + idx[i]] = -x
-            rows.append(row)
-            rhs.append(Fraction(0))
-        obj = [Fraction(0)] * nvars
-        for i, x in objective.items():
-            obj[idx[i]] = x
-            obj[c + idx[i]] = -x
-        res = exactlp.solve_lp(obj, rows, rhs)
-        if res.status != exactlp.OPTIMAL:
-            return None
-        f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
     else:
         # dual ball is the sup ball: f = u - w with u_i + w_i + s_i = 1
         nvars = 3 * c
         rows = []
-        rhs = []
         for p in range(c):
             row = [Fraction(0)] * nvars
             row[p] = Fraction(1)
             row[c + p] = Fraction(1)
             row[2 * c + p] = Fraction(1)
             rows.append(row)
-            rhs.append(Fraction(1))
-        for v in span:
-            row = [Fraction(0)] * nvars
-            for i, x in v.items():
-                row[idx[i]] = x
-                row[c + idx[i]] = -x
-            rows.append(row)
-            rhs.append(Fraction(0))
-        obj = [Fraction(0)] * nvars
-        for i, x in objective.items():
-            obj[idx[i]] = x
-            obj[c + idx[i]] = -x
-        res = exactlp.solve_lp(obj, rows, rhs)
-        if res.status != exactlp.OPTIMAL:
-            return None
-        f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
+    rhs = [Fraction(1)] * len(rows)
+    for v in span:
+        row = [Fraction(0)] * nvars
+        for i, x in v.items():
+            row[idx[i]] = x
+            row[c + idx[i]] = -x
+        rows.append(row)
+        rhs.append(Fraction(0))
+    obj = [Fraction(0)] * nvars
+    for i, x in objective.items():
+        obj[idx[i]] = x
+        obj[c + idx[i]] = -x
+    res = exactlp.solve_lp(obj, rows, rhs)
+    if res.status != exactlp.OPTIMAL:
+        return None
+    f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
     dn = dual_norm(f, kind)
     if dn == 0:
         return None
@@ -385,17 +367,6 @@ def extract_c0_sequence(
     )
 
 
-def _box_shifted_inclusion(inner: Box, shift: SparseVec, outer: Box) -> bool:
-    """Exact check that shift +- inner is contained in outer (boxes)."""
-    coords = {i for i, _ in inner.overrides} | {i for i, _ in outer.overrides}
-    coords |= set(shift.support)
-    if inner.default_radius > outer.default_radius:
-        return False
-    return all(
-        abs(shift.get(i)) + inner.radius(i) <= outer.radius(i) for i in coords
-    )
-
-
 def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8) -> dict:
     """Re-check every transcript condition; exact where closed forms allow.
 
@@ -435,8 +406,9 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
         shift = t.x0 if n == 1 else t.steps[n - 2].x
         inner = reduced(step.set_before)
         outer = reduced(prev_expr)
-        if isinstance(inner, Box) and isinstance(outer, Box):
-            entry["nested"] = _box_shifted_inclusion(inner, shift, outer)
+        nested = inner.exact_shift_inclusion(shift, outer)
+        if nested is not None:
+            entry["nested"] = nested
             entry["nested_level"] = "exact"
         else:
             ok = True
@@ -450,11 +422,8 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
             report["ok"] = False
 
         # condition (d): the functional is small on the next set
-        nxt_flat = reduced(nxt)
-        if isinstance(nxt_flat, Box):
-            cap = sum(
-                (abs(x) * nxt_flat.radius(i) for i, x in step.f.items()), Fraction(0)
-            )
+        cap = reduced(nxt).exact_abs_sup(step.f)
+        if cap is not None:
             entry["small_on_next"] = cap < t.eta
             entry["small_on_next_level"] = "exact"
         else:
@@ -659,7 +628,7 @@ def one_sided_sequence(
     out: list[SparseVec] = []
     threshold = as_length(eps, kind)
     for n in range(1, steps + 1):
-        d = _fat_direction(reduced(expr), family, threshold, kind)
+        d = reduced(expr).one_sided_direction(family, threshold, kind)
         if d is None:
             raise SequenceStalled(n, out)
         for member in family:
@@ -672,54 +641,10 @@ def one_sided_sequence(
     return out
 
 
-def _fat_direction(
-    flat: SetExpr, family: list[SparseVec], threshold: Fraction, kind: NormKind
-) -> Optional[SparseVec]:
-    """A direction d with member + d in the set for the whole family."""
-    if isinstance(flat, Box):
-        if flat.default_radius == 0:
-            return None
-        floor = flat.max_override_coord
-        for member in family:
-            floor = max(floor, member.max_support)
-        d = unit(floor + 1, flat.default_radius)
-        return d if norm(d, kind) >= threshold else None
-    if isinstance(flat, FinitePoints):
-        pool = set(flat.points)
-        best = None
-        best_key = None
-        for p in flat.points:
-            d = p - family[0]
-            if d.is_zero or norm(d, kind) < threshold:
-                continue
-            if all((m + d) in pool for m in family):
-                key = (-norm(d, kind), d.sort_key())
-                if best_key is None or key < best_key:
-                    best, best_key = d, key
-        return best
-    from .sets import SignSums
-
-    if isinstance(flat, SignSums):
-        used: set[int] = set()
-        for member in family:
-            used |= set(member.support)
-        for t in flat.terms:
-            if t.is_zero or any(i in used for i in t.support):
-                continue
-            if norm(t, kind) < threshold:
-                continue
-            if all(contains(flat, m + t) for m in family):
-                return t
-        return None
-    return None
-
-
 def _verify_sign_sums(expr: SetExpr, xs: list[SparseVec], kind: NormKind) -> None:
-    from itertools import product as _product
-
     diff = difference_set(expr)
     cap = diameter(expr, kind).upper if diff is None else None
-    patterns = _product((1, -1), repeat=len(xs)) if len(xs) <= 16 else None
+    patterns = product((1, -1), repeat=len(xs)) if len(xs) <= 16 else None
     if patterns is None:
         rng = random.Random(7)
         patterns = (

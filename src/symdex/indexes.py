@@ -12,76 +12,26 @@ certified zero, distinguishable by its kind tag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidInput, SymdexError, WitnessNotMember
 from .sets import (
-    AbsConvHull,
     BoundPair,
-    Box,
-    FinitePoints,
-    Intersect,
-    Negate,
+    LowerCertificate,
     SetExpr,
-    SignSums,
-    Symmetrized,
-    Translate,
+    _plain_lower,
     contains,
     diameter,
+    enumerate_members,
     free_direction,
     reduced,
+    sample_members,
     symmetrize,
 )
-from .series import SignMode
-from .vectors import (
-    NormKind,
-    SparseVec,
-    ZERO,
-    as_length,
-    half_length,
-    norm,
-    unit,
-)
-
-
-@dataclass(frozen=True)
-class LowerCertificate:
-    """Replayable lower-bound evidence for a delta index.
-
-    ``value`` is in the carried norm convention (squared for EUCLID);
-    ``plain_value`` is a rational lower bound in plain length units.
-    ``uniform`` marks certificates that answer witness lists of every
-    length, which is what makes them carry over to delta-infinity.
-    ``conditional`` marks certificates whose challenge replay needs
-    spare room in the model (a fresh series index); such values hold for
-    the unbounded-horizon reading but not for every witness list of the
-    finite model, so aggregate bounds downgrade them to zero.
-    """
-
-    kind: str
-    value: Fraction
-    plain_value: Fraction
-    uniform: bool
-    data: dict = field(default_factory=dict)
-    conditional: bool = False
-
-    @property
-    def unconditional_value(self) -> Fraction:
-        return Fraction(0) if self.conditional else self.value
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": str(self.value),
-            "plain_value": str(self.plain_value),
-            "uniform": self.uniform,
-            "conditional": self.conditional,
-            "data": self.data,
-        }
-
+from .vectors import NormKind, SparseVec, half_length, norm
 
 ZERO_CERT = LowerCertificate("none", Fraction(0), Fraction(0), True)
 
@@ -135,41 +85,7 @@ class SearchStrategy:
 
 def default_pool(expr: SetExpr) -> tuple[SparseVec, ...]:
     """A small deterministic witness pool of members of the set."""
-    flat = reduced(expr)
-    if isinstance(flat, Box):
-        pool = {ZERO}
-        for i, r in flat.overrides:
-            if r > 0:
-                pool.add(unit(i, r))
-                pool.add(unit(i, -r))
-        return tuple(sorted(pool, key=lambda p: p.sort_key()))
-    if isinstance(flat, FinitePoints):
-        return flat.points
-    if isinstance(flat, SignSums):
-        pool = set()
-        if flat.mode is SignMode.SUBSETS:
-            pool.add(ZERO)
-        acc = ZERO
-        for t in flat.terms:
-            acc = acc + t
-            pool.add(acc)
-        return tuple(sorted(pool, key=lambda p: p.sort_key()))
-    if isinstance(flat, AbsConvHull):
-        pool = {ZERO}
-        for p in flat.points:
-            pool.add(p)
-            pool.add(-p)
-        return tuple(sorted(pool, key=lambda p: p.sort_key()))
-    if isinstance(flat, Translate):
-        return tuple(p + flat.by for p in default_pool(flat.base))
-    if isinstance(flat, Negate):
-        return tuple(-p for p in default_pool(flat.base))
-    if isinstance(flat, Intersect):
-        return tuple(p for p in default_pool(flat.parts[0]) if contains(flat, p))
-    if isinstance(flat, Symmetrized):
-        pool = [ZERO]
-        return tuple(pool)
-    raise InvalidInput(f"unknown set expression {type(flat).__name__}")
+    return reduced(expr).default_pool()
 
 
 def delta0(expr: SetExpr, kind: NormKind, seed: int = 0) -> BoundPair:
@@ -300,71 +216,13 @@ def delta_lower(expr: SetExpr, N: int, kind: NormKind) -> DeltaResult:
     """
     if N < 0:
         raise InvalidInput("delta_lower needs N >= 0")
-    cert = _lower_certificate(reduced(expr), kind)
+    cert = reduced(expr).lower_certificate(kind)
     return DeltaResult(
         N=N,
         bound=BoundPair(cert.value, None),
         upper_witnesses=(),
         lower_certificate=cert,
     )
-
-
-def _lower_certificate(flat: SetExpr, kind: NormKind) -> LowerCertificate:
-    if isinstance(flat, Box):
-        r = flat.default_radius
-        if r == 0:
-            return LowerCertificate("none", Fraction(0), Fraction(0), True)
-        return LowerCertificate(
-            "fresh_coordinate",
-            as_length(r, kind),
-            r,
-            True,
-            {"radius": str(r)},
-        )
-    if isinstance(flat, FinitePoints):
-        return LowerCertificate("finite_extreme", Fraction(0), Fraction(0), True)
-    if isinstance(flat, SignSums):
-        if flat.mode is not SignMode.SUBSETS:
-            return LowerCertificate(
-                "none", Fraction(0), Fraction(0), True, {"reason": "prefix_mode"}
-            )
-        norms = [norm(t, kind) for t in flat.terms if not t.is_zero]
-        if not norms:
-            return LowerCertificate("none", Fraction(0), Fraction(0), True)
-        value = min(norms)
-        plain = _plain_lower(value, kind)
-        return LowerCertificate(
-            "fresh_series_index",
-            value,
-            plain,
-            True,
-            {"requires_fresh_index": True, "horizon": flat.horizon},
-            conditional=True,
-        )
-    if isinstance(flat, (Translate, Negate)):
-        return _lower_certificate(flat.base, kind)
-    if isinstance(flat, Symmetrized):
-        # flattening failed; only the trivial bound is certified
-        return LowerCertificate("none", Fraction(0), Fraction(0), True)
-    if isinstance(flat, (AbsConvHull, Intersect)):
-        return LowerCertificate("none", Fraction(0), Fraction(0), True)
-    raise InvalidInput(f"unknown set expression {type(flat).__name__}")
-
-
-def _plain_lower(value: Fraction, kind: NormKind) -> Fraction:
-    """Rational plain-length lower bound of a carried magnitude."""
-    if kind is not NormKind.EUCLID:
-        return value
-    if value == 0:
-        return Fraction(0)
-    # floor of sqrt(value) with denominator 10^6
-    import math
-
-    scale = 10 ** 6
-    num = value.numerator * scale * scale
-    den = value.denominator
-    root = math.isqrt(num // den)
-    return Fraction(root, scale)
 
 
 def challenge_lower(
@@ -542,57 +400,39 @@ def separation_alpha_lower(
     if count < 2:
         return BoundPair(Fraction(0), None)
     flat = reduced(expr)
-    if isinstance(flat, Box) and flat.default_radius > 0:
-        r = flat.default_radius
-        start = flat.max_override_coord
-        coords = [start + j for j in range(1, count + 1)]
-        family = []
-        for j in range(count):
-            entries = {coords[i]: r for i in range(j)}
-            entries[coords[j]] = -r
-            family.append(SparseVec(entries))
-        s = min(norm(a - b, kind) for a, b in combinations(family, 2))
-        value = half_length(s, kind)
-        return BoundPair(
-            value,
-            None,
-            lower_witness={
-                "family": [v.to_json() for v in family],
-                "separation": str(s),
-            },
-        )
-    from .sets import enumerate_members, sample_members
-
-    members = enumerate_members(flat, 4096)
-    if members is None:
-        rng = random.Random(seed)
-        members = tuple(sample_members(flat, rng, 32))
-    pts = list(members)
-    if len(pts) < count:
-        return BoundPair(Fraction(0), None)
-    total = 1
-    for j in range(count):
-        total = total * (len(pts) - j) // (j + 1)
-    best_family = None
-    best_s = Fraction(0)
-    if total <= budget:
-        for family in combinations(pts, count):
-            s = min(norm(a - b, kind) for a, b in combinations(family, 2))
-            if s > best_s:
-                best_s, best_family = s, family
+    best_family = flat.separated_family(count)
+    if best_family is not None:
+        best_s = min(norm(a - b, kind) for a, b in combinations(best_family, 2))
     else:
-        family = [pts[0]]
-        while len(family) < count:
-            far = max(
-                pts,
-                key=lambda p: (min(norm(p - c, kind) for c in family), p.sort_key()),
-            )
-            if far in family:
-                break
-            family.append(far)
-        if len(family) == count:
-            best_family = tuple(family)
-            best_s = min(norm(a - b, kind) for a, b in combinations(family, 2))
+        members = enumerate_members(flat, 4096)
+        if members is None:
+            rng = random.Random(seed)
+            members = tuple(sample_members(flat, rng, 32))
+        pts = list(members)
+        if len(pts) < count:
+            return BoundPair(Fraction(0), None)
+        total = 1
+        for j in range(count):
+            total = total * (len(pts) - j) // (j + 1)
+        best_s = Fraction(0)
+        if total <= budget:
+            for family in combinations(pts, count):
+                s = min(norm(a - b, kind) for a, b in combinations(family, 2))
+                if s > best_s:
+                    best_s, best_family = s, family
+        else:
+            family = [pts[0]]
+            while len(family) < count:
+                far = max(
+                    pts,
+                    key=lambda p: (min(norm(p - c, kind) for c in family), p.sort_key()),
+                )
+                if far in family:
+                    break
+                family.append(far)
+            if len(family) == count:
+                best_family = tuple(family)
+                best_s = min(norm(a - b, kind) for a, b in combinations(family, 2))
     if best_family is None:
         return BoundPair(Fraction(0), None)
     value = half_length(best_s, kind)

@@ -19,8 +19,8 @@ from .vectors import (
     SparseVec,
     as_length,
     as_scalar,
-    linear_combination,
     norm,
+    signed_sums,
 )
 
 
@@ -74,11 +74,12 @@ class SeriesSpec:
         if not isinstance(obj, dict):
             raise InvalidInput("series JSON must be an object")
         try:
-            terms = tuple(SparseVec.from_json(t) for t in obj["terms"])
-            kind = NormKind.parse(obj["norm"])
+            terms, kind, label = obj["terms"], NormKind.parse(obj["norm"]), obj.get("label", "")
         except KeyError as exc:
             raise InvalidInput(f"series JSON missing field {exc}") from None
-        return cls(terms=terms, norm=kind, label=obj.get("label", ""))
+        if not isinstance(terms, list) or not isinstance(label, str):
+            raise InvalidInput("series JSON needs a list of terms and a string label")
+        return cls(terms=tuple(SparseVec.from_json(t) for t in terms), norm=kind, label=label)
 
 
 @dataclass
@@ -115,9 +116,8 @@ def wuc_bound(s: SeriesSpec, budget: int = 2 ** 20) -> Fraction:
         return max(column.values(), default=Fraction(0))
 
     if s.disjoint_supports():
-        if kind is NormKind.SUM:
-            return sum((norm(t, kind) for t in s.terms), Fraction(0))
-        return sum((norm(t, kind) for t in s.terms), Fraction(0))  # squared values add
+        # sum norms add; so do squared Euclidean norms
+        return sum((norm(t, kind) for t in s.terms), Fraction(0))
 
     h = s.horizon
     coords = sorted({i for t in s.terms for i in t.support})
@@ -136,12 +136,7 @@ def wuc_bound(s: SeriesSpec, budget: int = 2 ** 20) -> Fraction:
         return best
     if 2 ** h > budget:
         raise BudgetExceeded("wuc_bound sign-pattern enumeration over budget")
-    best = Fraction(0)
-    for signs in product((1, -1), repeat=h):
-        value = norm(linear_combination(zip(signs, s.terms)), kind)
-        if value > best:
-            best = value
-    return best
+    return max(norm(d, kind) for d in signed_sums(s.terms))
 
 
 def sign_sum_set(s: SeriesSpec, mode: SignMode):
@@ -161,13 +156,7 @@ def brute_tail_sup(s: SeriesSpec, start: int, stop: int) -> Fraction:
         raise InvalidInput(f"bad tail window [{start}, {stop}] for horizon {s.horizon}")
     if stop - start > 20:
         raise BudgetExceeded("brute_tail_sup window wider than 20 terms")
-    window = s.terms[start - 1 : stop]
-    best = Fraction(0)
-    for signs in product((1, -1), repeat=len(window)):
-        value = norm(linear_combination(zip(signs, window)), s.norm)
-        if value > best:
-            best = value
-    return best
+    return max(norm(d, s.norm) for d in signed_sums(s.terms[start - 1 : stop]))
 
 
 def _witness_cover_index(s: SeriesSpec, w: SparseVec) -> int | None:
@@ -246,8 +235,7 @@ def unconditional_tail_bound(
                 raise NotAchievable(
                     "tail replay exceeded epsilon despite small diameter", best=best
                 )
-            for signs in product((1, -1), repeat=stop - m):
-                d = linear_combination(zip(signs, s.terms[m:stop]))
+            for d in signed_sums(s.terms[m:stop]):
                 if not sets.contains(sym, d):
                     raise NotAchievable(
                         "a tail sign sum left the symmetrized set", best=best

@@ -11,15 +11,24 @@ points x -- are the central construction. Symmetrizing a box yields a
 box again (radii shrink by the witness coordinates), and nested
 symmetrizations flatten into a single witness list, so the common
 lineages stay in closed form.
+
+Each variant is a subclass of :class:`SetExpr` that carries its own case
+of every operation as a method. The module functions (``contains``,
+``diameter``, ``sup_functional``, ``free_direction``, ...) are the entry
+points. Where an operation has a public module function, methods reach
+sub-expressions through it, so nested calls are cached and observed the
+same way as top-level ones.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from math import isqrt
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from . import exactlp
 from .errors import (
@@ -37,21 +46,28 @@ from .vectors import (
     NormKind,
     ScalarLike,
     SparseVec,
+    as_length,
     as_scalar,
     double_length,
     dual_pair,
     format_scalar,
     linear_combination,
     norm,
+    signed_sums,
     unit,
 )
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_NODE_BUDGET = 200_000
 
+# Deepest set nesting that set_from_json accepts. Parsing and every set
+# operation recurse through a module function and a method per level, so
+# this keeps the stack well under Python's default limit of 1000 frames.
+MAX_SET_DEPTH = 200
+
 
 # ---------------------------------------------------------------------------
-# certified intervals
+# certified intervals and lower certificates
 
 
 @dataclass(frozen=True)
@@ -95,12 +111,185 @@ class BoundPair:
         }
 
 
+@dataclass(frozen=True)
+class LowerCertificate:
+    """Replayable lower-bound evidence for a delta index.
+
+    ``value`` is in the carried norm convention (squared for EUCLID);
+    ``plain_value`` is a rational lower bound in plain length units.
+    ``uniform`` marks certificates that answer witness lists of every
+    length, which is what makes them carry over to delta-infinity.
+    ``conditional`` marks certificates whose challenge replay needs
+    spare room in the model (a fresh series index); such values hold for
+    the unbounded-horizon reading but not for every witness list of the
+    finite model, so aggregate bounds downgrade them to zero.
+    """
+
+    kind: str
+    value: Fraction
+    plain_value: Fraction
+    uniform: bool
+    data: dict = field(default_factory=dict)
+    conditional: bool = False
+
+    @property
+    def unconditional_value(self) -> Fraction:
+        return Fraction(0) if self.conditional else self.value
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "value": str(self.value),
+            "plain_value": str(self.plain_value),
+            "uniform": self.uniform,
+            "conditional": self.conditional,
+            "data": self.data,
+        }
+
+
+def _plain_lower(value: Fraction, kind: NormKind) -> Fraction:
+    """Rational plain-length lower bound of a carried magnitude."""
+    if kind is not NormKind.EUCLID:
+        return value
+    if value == 0:
+        return Fraction(0)
+    # floor of sqrt(value) with denominator 10^6
+    scale = 10 ** 6
+    num = value.numerator * scale * scale
+    den = value.denominator
+    root = isqrt(num // den)
+    return Fraction(root, scale)
+
+
+# ---------------------------------------------------------------------------
+# the variant interface
+
+
+class SetExpr(ABC):
+    """A bounded subset of c00 with decidable membership.
+
+    A variant implements the abstract methods and overrides the defaults
+    that do not fit it. Methods are the per-variant cases of the module
+    functions; callers use the module functions.
+    """
+
+    tag: ClassVar[str]
+
+    @abstractmethod
+    def to_json(self) -> dict:
+        """Tagged JSON form (see :func:`set_to_json`)."""
+
+    @classmethod
+    @abstractmethod
+    def from_json(cls, obj: dict) -> "SetExpr":
+        """Parse the JSON form carrying this class's tag; malformed fields
+        raise :class:`InvalidInput`."""
+
+    @abstractmethod
+    def contains(self, v: SparseVec) -> bool:
+        """Exact membership."""
+
+    @abstractmethod
+    def sup_functional(self, f: Functional) -> BoundPair:
+        """Certified interval for sup of ``f`` over the set."""
+
+    @abstractmethod
+    def relevant_coords(self) -> set[int]:
+        """Coordinates on which the set differs from its fresh behaviour."""
+
+    @abstractmethod
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        """Certified diameter interval of this (already reduced) set."""
+
+    @abstractmethod
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        """A small deterministic witness pool of members (reduced set)."""
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> "SetExpr":
+        """The symmetrization at the witnesses ``ws``, flattened where a
+        closed form exists."""
+        return Symmetrized(self, tuple(ws))
+
+    def reduced(self) -> "SetExpr":
+        """The set with every flattenable symmetrization flattened."""
+        return self
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        """Every member, or None when the set is not enumerable within
+        ``budget`` (uncached; see :func:`enumerate_members`)."""
+        return None
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        """A likely member drawn from ``rng``, or None without a sampler."""
+        return None
+
+    def fresh_abs_sup(self) -> Fraction:
+        """sup |v_i| at any coordinate i beyond every relevant support."""
+        return Fraction(0)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        """Unchecked candidate for :func:`free_direction` on a reduced set;
+        None when the variant has no free-direction family."""
+        return None
+
+    def one_sided_direction(
+        self, family: list[SparseVec], threshold: Fraction, kind: NormKind
+    ) -> Optional[SparseVec]:
+        """A direction d of norm at least ``threshold`` with member + d in
+        the set for the whole family, or None."""
+        return None
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        """Lower certificate for every delta_N of this reduced set."""
+        return LowerCertificate("none", Fraction(0), Fraction(0), True)
+
+    def separated_family(self, count: int) -> Optional[list[SparseVec]]:
+        """``count`` members from a family that extends to any count, or None."""
+        return None
+
+    def coordinate_relaxation(self) -> "Box":
+        """See :func:`coordinate_relaxation` (reduced set)."""
+        raise InvalidInput("coordinate relaxation expects a symmetrized set")
+
+    def difference_set(self) -> Optional["SetExpr"]:
+        """See :func:`difference_set` (reduced set)."""
+        members = enumerate_members(self, 4096)
+        if members is None:
+            return None
+        return FinitePoints(tuple({a - b for a in members for b in members}))
+
+    def exact_shift_inclusion(self, shift: SparseVec, outer: "SetExpr") -> Optional[bool]:
+        """Whether shift +- (this set) lies inside ``outer``, where a closed
+        form decides it; None otherwise."""
+        return None
+
+    def exact_abs_sup(self, f: Functional) -> Optional[Fraction]:
+        """sup |f| over the set by a closed form, or None."""
+        return None
+
+    def symmetrized_closed_form(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
+        """Exact diameter of ``sym`` (whose base is this set) by a closed
+        form tried before enumeration, or None."""
+        return None
+
+    def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
+        """Exact diameter of ``sym`` (whose base is this set) by linear
+        programming, tried after enumeration, or None."""
+        return None
+
+    def symmetrized_sup(self, sym: "Symmetrized", f: Functional) -> Optional[BoundPair]:
+        """Exact sup of ``f`` over ``sym`` (whose base is this set), or None."""
+        return None
+
+
 # ---------------------------------------------------------------------------
 # expression variants
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(SetExpr):
     """{v : |v_i| <= r_i for all i} with r_i = override or default radius.
 
     Diagonal-operator images of the unit ball are exactly these boxes;
@@ -109,6 +298,7 @@ class Box:
     equal sets compare equal.
     """
 
+    tag: ClassVar[str] = "box"
     default_radius: Fraction
     overrides: tuple[tuple[int, Fraction], ...] = ()
 
@@ -149,9 +339,165 @@ class Box:
         smallest = min([self.default_radius] + [r for _, r in self.overrides])
         return None if smallest == 0 else Fraction(1) / smallest
 
+    def to_json(self) -> dict:
+        return {
+            "type": self.tag,
+            "default_radius": format_scalar(self.default_radius),
+            "overrides": {str(i): format_scalar(r) for i, r in self.overrides},
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Box":
+        raw = obj.get("overrides", {})
+        if not isinstance(raw, dict):
+            raise InvalidInput("box overrides must be an object")
+        overrides = {}
+        for key, value in raw.items():
+            try:
+                coord = int(key)
+            except (TypeError, ValueError):
+                raise InvalidInput(f"bad box coordinate {key!r}") from None
+            overrides[coord] = as_scalar(value)
+        return cls(as_scalar(obj["default_radius"]), tuple(overrides.items()))
+
+    def contains(self, v: SparseVec) -> bool:
+        return all(abs(x) <= self.radius(i) for i, x in v.items())
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        coords = sorted({i for w in ws for i in w.support})
+        overrides = self.override_map()
+        for i in coords:
+            base_r = self.radius(i)
+            shrunk = min(base_r - abs(w.get(i)) for w in ws)
+            overrides[i] = max(shrunk, Fraction(0))
+        return Box(self.default_radius, tuple(overrides.items()))
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        if self.default_radius == 0 and all(r == 0 for _, r in self.overrides):
+            return (ZERO,)
+        return None
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        coords = [i for i, _ in self.overrides]
+        top = self.max_override_coord
+        coords.extend(range(top + 1, top + 4))
+        chosen = rng.sample(coords, k=min(len(coords), rng.randint(1, 3)))
+        entries = {}
+        for i in sorted(chosen):
+            r = self.radius(i)
+            entries[i] = r * Fraction(rng.randint(-4, 4), 4)
+        return SparseVec(entries)
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        value = sum((abs(x) * self.radius(i) for i, x in f.items()), Fraction(0))
+        return BoundPair(value, value, upper_witness={"rule": "box"})
+
+    def fresh_abs_sup(self) -> Fraction:
+        return self.default_radius
+
+    def relevant_coords(self) -> set[int]:
+        return {i for i, _ in self.overrides}
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        radii = [r for _, r in self.overrides]
+        if kind is NormKind.SUP:
+            top = max([self.default_radius] + radii)
+            value = 2 * top
+            return BoundPair(value, value, upper_witness={"rule": "box_sup"})
+        if self.default_radius > 0:
+            raise UnboundedDiameter(
+                "box with positive default radius is unbounded in this norm"
+            )
+        if kind is NormKind.SUM:
+            value = 2 * sum(radii, Fraction(0))
+            return BoundPair(value, value, upper_witness={"rule": "box_sum"})
+        value = 4 * sum((r * r for r in radii), Fraction(0))
+        return BoundPair(value, value, upper_witness={"rule": "box_euclid_sq"})
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        if self.default_radius == 0:
+            return None
+        fresh = max(self.max_override_coord, floor)
+        for w in ws:
+            fresh = max(fresh, w.max_support)
+        scale = (1 - shrink) * self.default_radius
+        return unit(fresh + 1, scale)
+
+    def one_sided_direction(
+        self, family: list[SparseVec], threshold: Fraction, kind: NormKind
+    ) -> Optional[SparseVec]:
+        if self.default_radius == 0:
+            return None
+        floor = self.max_override_coord
+        for member in family:
+            floor = max(floor, member.max_support)
+        d = unit(floor + 1, self.default_radius)
+        return d if norm(d, kind) >= threshold else None
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        pool = {ZERO}
+        for i, r in self.overrides:
+            if r > 0:
+                pool.add(unit(i, r))
+                pool.add(unit(i, -r))
+        return tuple(sorted(pool, key=lambda p: p.sort_key()))
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        r = self.default_radius
+        if r == 0:
+            return super().lower_certificate(kind)
+        return LowerCertificate(
+            "fresh_coordinate",
+            as_length(r, kind),
+            r,
+            True,
+            {"radius": str(r)},
+        )
+
+    def separated_family(self, count: int) -> Optional[list[SparseVec]]:
+        # fresh-coordinate walk: member j is r on the first j fresh
+        # coordinates and -r on the next one
+        r = self.default_radius
+        if r <= 0:
+            return None
+        start = self.max_override_coord
+        coords = [start + j for j in range(1, count + 1)]
+        family = []
+        for j in range(count):
+            entries = {coords[i]: r for i in range(j)}
+            entries[coords[j]] = -r
+            family.append(SparseVec(entries))
+        return family
+
+    def coordinate_relaxation(self) -> "Box":
+        return self
+
+    def difference_set(self) -> SetExpr:
+        return Box(
+            2 * self.default_radius,
+            tuple((i, 2 * r) for i, r in self.overrides),
+        )
+
+    def exact_shift_inclusion(self, shift: SparseVec, outer: SetExpr) -> Optional[bool]:
+        # the closed form needs both sides to be boxes
+        if not isinstance(outer, Box):
+            return None
+        coords = {i for i, _ in self.overrides} | {i for i, _ in outer.overrides}
+        coords |= set(shift.support)
+        if self.default_radius > outer.default_radius:
+            return False
+        return all(abs(shift.get(i)) + self.radius(i) <= outer.radius(i) for i in coords)
+
+    def exact_abs_sup(self, f: Functional) -> Optional[Fraction]:
+        # a box is symmetric about zero, so sup |f| = sup f
+        return sup_functional(f, self).upper
+
 
 @dataclass(frozen=True)
-class FinitePoints:
+class FinitePoints(SetExpr):
+    tag: ClassVar[str] = "finite"
     points: tuple[SparseVec, ...]
 
     def __post_init__(self):
@@ -160,9 +506,80 @@ class FinitePoints:
             raise InvalidInput("finite point set must be nonempty")
         object.__setattr__(self, "points", pts)
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "points": [p.to_json() for p in self.points]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "FinitePoints":
+        return cls(_json_vectors(obj, "points"))
+
+    def contains(self, v: SparseVec) -> bool:
+        return v in self.points
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        return self.points
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        return self.points[rng.randrange(len(self.points))]
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        best = None
+        arg = None
+        for p in self.points:
+            v = dual_pair(f, p)
+            if best is None or v > best:
+                best, arg = v, p
+        return BoundPair(best, best, lower_witness={"point": arg.to_json()})
+
+    def relevant_coords(self) -> set[int]:
+        return {i for p in self.points for i in p.support}
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        return _pairwise_diameter(self.points, kind)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        if not ws:
+            return None
+        pool = set(self.points)
+        best: Optional[SparseVec] = None
+        best_key = None
+        for p in self.points:
+            d = _canonical_sign(p - ws[0])
+            if d.is_zero or (floor and any(i <= floor for i in d.support)):
+                continue
+            if all((w + d) in pool and (w - d) in pool for w in ws):
+                key = (-norm(d, kind), d.sort_key())
+                if best_key is None or key < best_key:
+                    best, best_key = d, key
+        return best
+
+    def one_sided_direction(
+        self, family: list[SparseVec], threshold: Fraction, kind: NormKind
+    ) -> Optional[SparseVec]:
+        pool = set(self.points)
+        best = None
+        best_key = None
+        for p in self.points:
+            d = p - family[0]
+            if d.is_zero or norm(d, kind) < threshold:
+                continue
+            if all((m + d) in pool for m in family):
+                key = (-norm(d, kind), d.sort_key())
+                if best_key is None or key < best_key:
+                    best, best_key = d, key
+        return best
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        return self.points
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        return LowerCertificate("finite_extreme", Fraction(0), Fraction(0), True)
+
 
 @dataclass(frozen=True)
-class SignSums:
+class SignSums(SetExpr):
     """Sign sums of a series: prefixes with all signs, or signed subsets.
 
     The subset mode contains the empty sum, so it always holds the zero
@@ -170,6 +587,7 @@ class SignSums:
     raises :class:`DepthExceeded` rather than approximating.
     """
 
+    tag: ClassVar[str] = "sign_sums"
     series: SeriesSpec
     mode: SignMode
     horizon: int
@@ -185,33 +603,483 @@ class SignSums:
     def terms(self) -> tuple[SparseVec, ...]:
         return self.series.terms[: self.horizon]
 
+    def to_json(self) -> dict:
+        out = {
+            "type": self.tag,
+            "mode": self.mode.value,
+            "horizon": self.horizon,
+            "series": self.series.to_json(),
+        }
+        if self.node_budget != DEFAULT_NODE_BUDGET:
+            out["node_budget"] = self.node_budget
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SignSums":
+        return cls(
+            series=SeriesSpec.from_json(obj["series"]),
+            mode=SignMode.parse(obj["mode"]),
+            horizon=_json_int(obj["horizon"], "horizon"),
+            node_budget=_json_int(obj.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
+        )
+
+    def coefficients(self, v: SparseVec) -> Optional[list[Fraction]]:
+        """Unique term coefficients of ``v``, when term supports are disjoint.
+
+        Returns None when the series has overlapping supports or ``v`` does
+        not decompose over the terms at all.
+        """
+        if not self.series.disjoint_supports():
+            return None
+        coeffs: list[Fraction] = []
+        covered: set[int] = set()
+        for t in self.terms:
+            if t.is_zero:
+                coeffs.append(Fraction(0))
+                continue
+            i0, x0 = next(iter(t.items()))
+            c = v.get(i0) / x0
+            for i, x in t.items():
+                if v.get(i) != c * x:
+                    return None
+                covered.add(i)
+            coeffs.append(c)
+        if any(i not in covered for i in v.support):
+            return None
+        return coeffs
+
+    def contains(self, v: SparseVec) -> bool:
+        coeffs = self.coefficients(v)
+        if coeffs is not None:
+            allowed = (Fraction(-1), Fraction(0), Fraction(1))
+            if any(c not in allowed for c in coeffs):
+                return False
+            if self.mode is SignMode.SUBSETS:
+                return True
+            # prefixes: every nonzero term up to the last used index must carry +-1
+            last = 0
+            for n, (c, t) in enumerate(zip(coeffs, self.terms), start=1):
+                if c != 0:
+                    last = n
+            cut = max(last, 1)
+            return all(
+                c != 0 or t.is_zero for c, t in zip(coeffs[:cut], self.terms[:cut])
+            )
+
+        # bounded search with coordinatewise pruning
+        terms = self.terms
+        h = len(terms)
+        suffix: list[dict[int, Fraction]] = [dict() for _ in range(h + 1)]
+        for n in range(h - 1, -1, -1):
+            acc = dict(suffix[n + 1])
+            for i, x in terms[n].items():
+                acc[i] = acc.get(i, Fraction(0)) + abs(x)
+            suffix[n] = acc
+        budget = self.node_budget
+        nodes = 0
+
+        def viable(residual: dict[int, Fraction], k: int) -> bool:
+            bound = suffix[k]
+            return all(abs(x) <= bound.get(i, Fraction(0)) for i, x in residual.items())
+
+        def step(residual: dict[int, Fraction], coeff: Fraction, term: SparseVec):
+            out = dict(residual)
+            for i, x in term.items():
+                q = out.get(i, Fraction(0)) - coeff * x
+                if q == 0:
+                    out.pop(i, None)
+                else:
+                    out[i] = q
+            return out
+
+        prefix_mode = self.mode is SignMode.PREFIXES
+
+        def search(residual: dict[int, Fraction], k: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise DepthExceeded(f"sign-sum membership search exceeded {budget} nodes")
+            if prefix_mode:
+                if k >= 1 and not residual:
+                    return True
+                if k == h:
+                    return False
+                if not viable(residual, k):
+                    return False
+                for c in (Fraction(1), Fraction(-1)):
+                    if search(step(residual, c, terms[k]), k + 1):
+                        return True
+                return False
+            if not residual:
+                return True
+            if k == h or not viable(residual, k):
+                return False
+            for c in (Fraction(1), Fraction(-1), Fraction(0)):
+                if search(step(residual, c, terms[k]), k + 1):
+                    return True
+            return False
+
+        return search(dict(v.items()), 0)
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        terms = self.terms
+        h = len(terms)
+        count = 3 ** h if self.mode is SignMode.SUBSETS else 2 ** (h + 1) - 2
+        if count > budget:
+            return None
+        values: set[SparseVec] = set()
+        if self.mode is SignMode.SUBSETS:
+            for coeffs in product((1, -1, 0), repeat=h):
+                values.add(linear_combination(zip(coeffs, terms)))
+        else:
+            for m in range(1, h + 1):
+                values.update(signed_sums(terms[:m]))
+        return tuple(sorted(values, key=lambda p: p.sort_key()))
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        coeffs: list[int]
+        if self.mode is SignMode.SUBSETS:
+            coeffs = [rng.choice((-1, 0, 1)) for _ in self.terms]
+        else:
+            m = rng.randint(1, self.horizon)
+            coeffs = [rng.choice((-1, 1)) for _ in range(m)]
+        return linear_combination(zip(coeffs, self.terms))
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        value = sum((abs(dual_pair(f, t)) for t in self.terms), Fraction(0))
+        return BoundPair(value, value, upper_witness={"rule": "column_sums"})
+
+    def relevant_coords(self) -> set[int]:
+        return {i for t in self.terms for i in t.support}
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        terms = self.terms
+        if kind is NormKind.SUP:
+            column: dict[int, Fraction] = {}
+            for t in terms:
+                for i, x in t.items():
+                    column[i] = column.get(i, Fraction(0)) + abs(x)
+            if not column:
+                return _symmetric_pair_bound(Fraction(0), ZERO, kind)
+            coord = max(column, key=lambda i: (column[i], -i))
+            signs = [
+                1 if t.get(coord) >= 0 else -1 if t.get(coord) != 0 else 0 for t in terms
+            ]
+            if self.mode is SignMode.PREFIXES:
+                signs = [s if s != 0 else 1 for s in signs]
+            return _symmetric_pair_bound(
+                column[coord], linear_combination(zip(signs, terms)), kind
+            )
+        if self.series.disjoint_supports():
+            total = sum((norm(t, kind) for t in terms), Fraction(0))
+            return _symmetric_pair_bound(total, linear_combination((1, t) for t in terms), kind)
+        members = enumerate_members(self, enum_budget)
+        if members is None:
+            raise BudgetExceeded("sign-sum enumeration over budget for this norm")
+        arg = max(members, key=lambda p: (norm(p, kind), p.sort_key()))
+        return _symmetric_pair_bound(norm(arg, kind), arg, kind)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        used: set[int] = set()
+        for w in ws:
+            used |= set(w.support)
+        candidates = []
+        for n, t in enumerate(self.terms, start=1):
+            if t.is_zero or any(i in used or i <= floor for i in t.support):
+                continue
+            candidates.append((-norm(t, kind), n, t))
+        for _, _, t in sorted(candidates, key=lambda c: (c[0], c[1])):
+            d = _canonical_sign(t)
+            if all(
+                contains(self, w + d) and contains(self, w - d) for w in ws
+            ) and contains(self, d):
+                return d
+        return None
+
+    def one_sided_direction(
+        self, family: list[SparseVec], threshold: Fraction, kind: NormKind
+    ) -> Optional[SparseVec]:
+        used: set[int] = set()
+        for member in family:
+            used |= set(member.support)
+        for t in self.terms:
+            if t.is_zero or any(i in used for i in t.support):
+                continue
+            if norm(t, kind) < threshold:
+                continue
+            if all(contains(self, m + t) for m in family):
+                return t
+        return None
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        pool = set()
+        if self.mode is SignMode.SUBSETS:
+            pool.add(ZERO)
+        acc = ZERO
+        for t in self.terms:
+            acc = acc + t
+            pool.add(acc)
+        return tuple(sorted(pool, key=lambda p: p.sort_key()))
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        if self.mode is not SignMode.SUBSETS:
+            return LowerCertificate(
+                "none", Fraction(0), Fraction(0), True, {"reason": "prefix_mode"}
+            )
+        norms = [norm(t, kind) for t in self.terms if not t.is_zero]
+        if not norms:
+            return super().lower_certificate(kind)
+        value = min(norms)
+        return LowerCertificate(
+            "fresh_series_index",
+            value,
+            _plain_lower(value, kind),
+            True,
+            {"requires_fresh_index": True, "horizon": self.horizon},
+            conditional=True,
+        )
+
+    def symmetrized_closed_form(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
+        # In subset mode with disjoint supports the symmetrized set is
+        # exactly the signed subset sums over the series indices that no
+        # witness touches. Prefix-mode members must stay prefixes, which
+        # this closed form cannot see.
+        if self.mode is not SignMode.SUBSETS or not self.series.disjoint_supports():
+            return None
+        used: set[int] = set()
+        for w in sym.witnesses:
+            coeffs = self.coefficients(w)
+            if coeffs is None:
+                return None
+            used |= {n for n, c in enumerate(coeffs, start=1) if c != 0}
+        terms = [
+            t for n, t in enumerate(self.terms, start=1) if n not in used and not t.is_zero
+        ]
+        if not terms:
+            return BoundPair(Fraction(0), Fraction(0), lower_witness={"pair": [{}, {}]})
+        if kind is NormKind.SUP:
+            top = max(norm(t, kind) for t in terms)
+            arg = max(terms, key=lambda t: (norm(t, kind), t.sort_key()))
+        else:
+            top = sum((norm(t, kind) for t in terms), Fraction(0))
+            arg = linear_combination((1, t) for t in terms)
+        return _symmetric_pair_bound(top, arg, kind)
+
 
 @dataclass(frozen=True)
-class Translate:
-    base: "SetExpr"
+class Translate(SetExpr):
+    tag: ClassVar[str] = "translate"
+    base: SetExpr
     by: SparseVec
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "base": set_to_json(self.base), "by": self.by.to_json()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Translate":
+        return cls(set_from_json(obj["base"]), SparseVec.from_json(obj["by"]))
+
+    def contains(self, v: SparseVec) -> bool:
+        return contains(self.base, v - self.by)
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        return self.base.symmetrize_reduce([w - self.by for w in ws])
+
+    def reduced(self) -> SetExpr:
+        return Translate(reduced(self.base), self.by)
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        base = enumerate_members(self.base, budget)
+        if base is None:
+            return None
+        return tuple(sorted({p + self.by for p in base}, key=lambda p: p.sort_key()))
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        cand = self.base.sample_candidate(rng)
+        return None if cand is None else cand + self.by
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        inner = sup_functional(f, self.base)
+        shift = dual_pair(f, self.by)
+        lo = None if inner.lower is None else inner.lower + shift
+        hi = None if inner.upper is None else inner.upper + shift
+        return BoundPair(lo, hi, inner.lower_witness, inner.upper_witness)
+
+    def fresh_abs_sup(self) -> Fraction:
+        return self.base.fresh_abs_sup()
+
+    def relevant_coords(self) -> set[int]:
+        return relevant_coords(self.base) | set(self.by.support)
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        return diameter(self.base, kind, seed, enum_budget)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        return self.base.two_sided_direction([w - self.by for w in ws], kind, shrink, floor)
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        return tuple(p + self.by for p in self.base.default_pool())
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        return self.base.lower_certificate(kind)
+
 
 @dataclass(frozen=True)
-class Negate:
-    base: "SetExpr"
+class Negate(SetExpr):
+    tag: ClassVar[str] = "negate"
+    base: SetExpr
+
+    def to_json(self) -> dict:
+        return {"type": self.tag, "base": set_to_json(self.base)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Negate":
+        return cls(set_from_json(obj["base"]))
+
+    def contains(self, v: SparseVec) -> bool:
+        return contains(self.base, -v)
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        return self.base.symmetrize_reduce([-w for w in ws])
+
+    def reduced(self) -> SetExpr:
+        return Negate(reduced(self.base))
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        base = enumerate_members(self.base, budget)
+        if base is None:
+            return None
+        return tuple(sorted({-p for p in base}, key=lambda p: p.sort_key()))
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        cand = self.base.sample_candidate(rng)
+        return None if cand is None else -cand
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        return sup_functional(-f, self.base)
+
+    def fresh_abs_sup(self) -> Fraction:
+        return self.base.fresh_abs_sup()
+
+    def relevant_coords(self) -> set[int]:
+        return relevant_coords(self.base)
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        return diameter(self.base, kind, seed, enum_budget)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        return self.base.two_sided_direction([-w for w in ws], kind, shrink, floor)
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        return tuple(-p for p in self.base.default_pool())
+
+    def lower_certificate(self, kind: NormKind) -> LowerCertificate:
+        return self.base.lower_certificate(kind)
 
 
 @dataclass(frozen=True)
-class Intersect:
-    parts: tuple["SetExpr", ...]
+class Intersect(SetExpr):
+    tag: ClassVar[str] = "intersect"
+    parts: tuple[SetExpr, ...]
 
     def __post_init__(self):
         if not self.parts:
             raise InvalidInput("intersection needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "parts": [set_to_json(p) for p in self.parts]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Intersect":
+        return cls(tuple(set_from_json(p) for p in _json_list(obj, "parts")))
+
+    def contains(self, v: SparseVec) -> bool:
+        return all(contains(p, v) for p in self.parts)
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        return Intersect(tuple(p.symmetrize_reduce(ws) for p in self.parts))
+
+    def reduced(self) -> SetExpr:
+        return Intersect(tuple(reduced(p) for p in self.parts))
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        for part in self.parts:
+            base = enumerate_members(part, budget)
+            if base is not None:
+                return tuple(p for p in base if contains(self, p))
+        return None
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        return self.parts[0].sample_candidate(rng)
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        uppers = [sup_functional(f, p).upper for p in self.parts]
+        finite = [u for u in uppers if u is not None]
+        upper = min(finite) if finite else None
+        rng = random.Random(17)
+        values = [dual_pair(f, v) for v in sample_members(self, rng)]
+        lower = max(values) if values else None
+        if lower is not None and upper is not None and lower > upper:
+            raise SymdexError("intersection sup certificates are inconsistent")
+        return BoundPair(lower, upper)
+
+    def fresh_abs_sup(self) -> Fraction:
+        return min(p.fresh_abs_sup() for p in self.parts)
+
+    def relevant_coords(self) -> set[int]:
+        out: set[int] = set()
+        for p in self.parts:
+            out |= relevant_coords(p)
+        return out
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        members = enumerate_members(self, enum_budget)
+        if members is not None and len(members) <= 2048:
+            return _pairwise_diameter(members, kind)
+        uppers = []
+        for p in self.parts:
+            try:
+                d = diameter(p, kind, seed, enum_budget)
+            except UnboundedDiameter:
+                continue
+            if d.upper is not None:
+                uppers.append(d.upper)
+        if not uppers:
+            raise UnboundedDiameter("no part of the intersection is certified bounded")
+        lower, wit = _sampled_lower(self, kind, seed)
+        return BoundPair(lower, min(uppers), lower_witness=wit)
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        for part in self.parts:
+            d = part.two_sided_direction(ws, kind, shrink, floor)
+            if d is None or d.is_zero:
+                continue
+            ok = all(
+                contains(self, w + d) and contains(self, w - d) for w in ws
+            )
+            if ok and contains(self, d) and contains(self, -d):
+                return d
+        return None
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        return tuple(p for p in self.parts[0].default_pool() if contains(self, p))
+
 
 @dataclass(frozen=True)
-class Symmetrized:
+class Symmetrized(SetExpr):
     """Intersection of (base - x) and (x - base) over the witness list."""
 
-    base: "SetExpr"
+    tag: ClassVar[str] = "symmetrized"
+    base: SetExpr
     witnesses: tuple[SparseVec, ...]
 
     def __post_init__(self):
@@ -220,11 +1088,144 @@ class Symmetrized:
             raise InvalidInput("symmetrized set needs at least one witness")
         object.__setattr__(self, "witnesses", ws)
 
+    def to_json(self) -> dict:
+        return {
+            "type": self.tag,
+            "base": set_to_json(self.base),
+            "witnesses": [w.to_json() for w in self.witnesses],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Symmetrized":
+        base = set_from_json(obj["base"])
+        witnesses = _json_vectors(obj, "witnesses")
+        for w in witnesses:
+            if not contains(base, w):
+                raise WitnessNotMember(f"witness {w!r} is not a member of the base set")
+        return cls(base, witnesses)
+
+    def contains(self, v: SparseVec) -> bool:
+        return all(
+            contains(self.base, w + v) and contains(self.base, w - v)
+            for w in self.witnesses
+        )
+
+    def _witness_sums(self, ws: list[SparseVec]) -> list[SparseVec]:
+        """Witnesses of the flattened symmetrization at ``ws``: every v + w
+        and v - w over this set's witnesses v."""
+        merged = {v + w for v in self.witnesses for w in ws}
+        merged |= {v - w for v in self.witnesses for w in ws}
+        return sorted(merged, key=lambda u: u.sort_key())
+
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        return self.base.symmetrize_reduce(self._witness_sums(ws))
+
+    def reduced(self) -> SetExpr:
+        return reduced(self.base).symmetrize_reduce(list(self.witnesses))
+
+    def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        base = enumerate_members(self.base, budget)
+        if base is None:
+            return None
+        pool = set(base)
+        w0 = self.witnesses[0]
+        members = []
+        for p in base:
+            d = p - w0
+            if all((w + d) in pool and (w - d) in pool for w in self.witnesses):
+                members.append(d)
+        return tuple(sorted(members, key=lambda p: p.sort_key()))
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        cand = self.base.sample_candidate(rng)
+        return None if cand is None else cand - self.witnesses[0]
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        flat = reduced(self)
+        if flat != self:  # the base flattens: use the flattened form
+            return sup_functional(f, flat)
+        exact = self.base.symmetrized_sup(self, f)
+        if exact is not None:
+            return exact
+        sup_base = sup_functional(f, self.base).upper
+        inf_base = sup_functional(-f, self.base).upper  # = -inf(f, base)
+        upper = None
+        for w in self.witnesses:
+            val = dual_pair(f, w)
+            cands = []
+            if sup_base is not None:
+                cands.append(sup_base - val)
+            if inf_base is not None:
+                cands.append(inf_base + val)
+            for c in cands:
+                if upper is None or c < upper:
+                    upper = c
+        rng = random.Random(17)
+        lower = Fraction(0)  # zero always belongs to a symmetrized set
+        for v in sample_members(self, rng):
+            value = dual_pair(f, v)
+            if value > lower:
+                lower = value
+        if upper is not None and lower > upper:
+            raise SymdexError("symmetrized sup certificates are inconsistent")
+        return BoundPair(lower, upper)
+
+    def fresh_abs_sup(self) -> Fraction:
+        return self.base.fresh_abs_sup()
+
+    def relevant_coords(self) -> set[int]:
+        out = relevant_coords(self.base)
+        for w in self.witnesses:
+            out |= set(w.support)
+        return out
+
+    def coordinate_relaxation(self) -> "Box":
+        coords = relevant_coords(self)
+        default = self.base.fresh_abs_sup()
+        overrides = {}
+        for i in sorted(coords):
+            cap = _abs_coordinate_sup(self.base, i)
+            r = min(cap - abs(w.get(i)) for w in self.witnesses)
+            overrides[i] = max(r, Fraction(0))
+        return Box(default, tuple(overrides.items()))
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        closed = self.base.symmetrized_closed_form(self, kind)
+        if closed is not None:
+            return closed
+        members = enumerate_members(self, enum_budget)
+        if members is not None:
+            top = Fraction(0)
+            arg = ZERO
+            for d in members:
+                v = norm(d, kind)
+                if v > top:
+                    top, arg = v, d
+            return _symmetric_pair_bound(top, arg, kind)
+        extent = self.base.symmetrized_lp_extent(self, kind)
+        if extent is not None:
+            return extent
+        upper = coordinate_relaxation(self).diameter(kind, seed, enum_budget).upper
+        lower, wit = _sampled_lower(self, kind, seed)
+        if upper is not None and lower > upper:
+            raise SymdexError("symmetrized diameter certificates are inconsistent")
+        return BoundPair(lower, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
+
+    def two_sided_direction(
+        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
+    ) -> Optional[SparseVec]:
+        merged = self._witness_sums(ws) if ws else list(self.witnesses)
+        return self.base.two_sided_direction(merged, kind, shrink, floor)
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        return (ZERO,)
+
 
 @dataclass(frozen=True)
-class AbsConvHull:
+class AbsConvHull(SetExpr):
     """Absolutely convex hull of finitely many points."""
 
+    tag: ClassVar[str] = "abs_conv_hull"
     points: tuple[SparseVec, ...]
 
     def __post_init__(self):
@@ -233,239 +1234,204 @@ class AbsConvHull:
             raise InvalidInput("hull needs at least one generator")
         object.__setattr__(self, "points", pts)
 
+    def to_json(self) -> dict:
+        return {"type": self.tag, "points": [p.to_json() for p in self.points]}
 
-SetExpr = (
-    Box | FinitePoints | SignSums | Translate | Negate | Intersect | Symmetrized | AbsConvHull
-)
+    @classmethod
+    def from_json(cls, obj: dict) -> "AbsConvHull":
+        return cls(_json_vectors(obj, "points"))
+
+    def contains(self, v: SparseVec) -> bool:
+        points = self.points
+        coords = sorted({i for p in points for i in p.support} | set(v.support))
+        k = len(points)
+        rows: list[list[Fraction]] = []
+        rhs: list[Fraction] = []
+        for i in coords:
+            rows.append(
+                [p.get(i) for p in points]
+                + [-p.get(i) for p in points]
+                + [Fraction(0)]
+            )
+            rhs.append(v.get(i))
+        rows.append([Fraction(1)] * (2 * k) + [Fraction(1)])
+        rhs.append(Fraction(1))
+        return exactlp.feasible_point(rows, rhs) is not None
+
+    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
+        weights = [rng.randint(-3, 3) for _ in self.points]
+        total = sum(abs(w) for w in weights)
+        if total == 0:
+            return ZERO
+        return linear_combination(zip([Fraction(w, total) for w in weights], self.points))
+
+    def sup_functional(self, f: Functional) -> BoundPair:
+        value = max(abs(dual_pair(f, p)) for p in self.points)
+        return BoundPair(value, value, upper_witness={"rule": "generator_max"})
+
+    def relevant_coords(self) -> set[int]:
+        return {i for p in self.points for i in p.support}
+
+    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+        top = max(norm(p, kind) for p in self.points)
+        arg = max(self.points, key=lambda p: (norm(p, kind), p.sort_key()))
+        return _symmetric_pair_bound(top, arg, kind)
+
+    def default_pool(self) -> tuple[SparseVec, ...]:
+        pool = {ZERO}
+        for p in self.points:
+            pool.add(p)
+            pool.add(-p)
+        return tuple(sorted(pool, key=lambda p: p.sort_key()))
+
+    def _symmetrized_max(
+        self, witnesses: Sequence[SparseVec], objective: dict[int, Fraction]
+    ) -> tuple[Fraction, SparseVec]:
+        """Exact max of a linear objective over the symmetrization of the
+        hull at the witnesses, with an attaining member."""
+        points = self.points
+        coords = sorted(
+            {i for p in points for i in p.support}
+            | {i for w in witnesses for i in w.support}
+            | set(objective)
+        )
+        if not coords:
+            return Fraction(0), ZERO
+        idx = {i: pos for pos, i in enumerate(coords)}
+        c_count = len(coords)
+        k = len(points)
+        block = 2 * k + 1
+        nvars = 2 * c_count + 2 * len(witnesses) * block
+        rows: list[list[Fraction]] = []
+        rhs: list[Fraction] = []
+        for wi, w in enumerate(witnesses):
+            for si, sgn in enumerate((1, -1)):
+                offset = 2 * c_count + (2 * wi + si) * block
+                for i in coords:
+                    row = [Fraction(0)] * nvars
+                    row[idx[i]] = Fraction(-sgn)
+                    row[c_count + idx[i]] = Fraction(sgn)
+                    for j, p in enumerate(points):
+                        row[offset + j] = p.get(i)
+                        row[offset + k + j] = -p.get(i)
+                    rows.append(row)
+                    rhs.append(w.get(i))
+                row = [Fraction(0)] * nvars
+                for j in range(2 * k):
+                    row[offset + j] = Fraction(1)
+                row[offset + 2 * k] = Fraction(1)
+                rows.append(row)
+                rhs.append(Fraction(1))
+        obj = [Fraction(0)] * nvars
+        for i, coeff in objective.items():
+            if i in idx:
+                obj[idx[i]] = coeff
+                obj[c_count + idx[i]] = -coeff
+        res = exactlp.solve_lp(obj, rows, rhs)
+        if res.status != exactlp.OPTIMAL:
+            raise WitnessNotMember("hull symmetrization witnesses are not all members")
+        d = SparseVec({coords[c]: res.x[c] - res.x[c_count + c] for c in range(c_count)})
+        return res.value, d
+
+    def symmetrized_lp_extent(self, sym: Symmetrized, kind: NormKind) -> Optional[BoundPair]:
+        # polyhedral norms only: the max norm is a max of linear objectives
+        if kind not in (NormKind.SUP, NormKind.SUM):
+            return None
+        coords = sorted(relevant_coords(sym))
+        best = Fraction(0)
+        arg = ZERO
+        if kind is NormKind.SUP:
+            objectives = [{i: Fraction(sgn)} for i in coords for sgn in (1, -1)]
+        else:
+            if len(coords) > 14:
+                raise BudgetExceeded("hull symmetrized diameter needs too many sign patterns")
+            objectives = (
+                {i: Fraction(s) for i, s in zip(coords, signs)}
+                for signs in product((1, -1), repeat=len(coords))
+            )
+        for objective in objectives:
+            value, d = self._symmetrized_max(sym.witnesses, objective)
+            if value > best:
+                best, arg = value, d
+        return _symmetric_pair_bound(best, arg, kind)
+
+    def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
+        value, arg = self._symmetrized_max(sym.witnesses, dict(f.items()))
+        return BoundPair(value, value, lower_witness={"point": arg.to_json()})
 
 
 # ---------------------------------------------------------------------------
 # JSON forms
 
+_SET_TYPES: dict[str, type[SetExpr]] = {
+    cls.tag: cls
+    for cls in (Box, FinitePoints, SignSums, Translate, Negate, Intersect, Symmetrized, AbsConvHull)
+}
+
 
 def set_to_json(expr: SetExpr) -> dict:
-    if isinstance(expr, Box):
-        return {
-            "type": "box",
-            "default_radius": format_scalar(expr.default_radius),
-            "overrides": {str(i): format_scalar(r) for i, r in expr.overrides},
-        }
-    if isinstance(expr, FinitePoints):
-        return {"type": "finite", "points": [p.to_json() for p in expr.points]}
-    if isinstance(expr, SignSums):
-        out = {
-            "type": "sign_sums",
-            "mode": expr.mode.value,
-            "horizon": expr.horizon,
-            "series": expr.series.to_json(),
-        }
-        if expr.node_budget != DEFAULT_NODE_BUDGET:
-            out["node_budget"] = expr.node_budget
-        return out
-    if isinstance(expr, Translate):
-        return {"type": "translate", "base": set_to_json(expr.base), "by": expr.by.to_json()}
-    if isinstance(expr, Negate):
-        return {"type": "negate", "base": set_to_json(expr.base)}
-    if isinstance(expr, Intersect):
-        return {"type": "intersect", "parts": [set_to_json(p) for p in expr.parts]}
-    if isinstance(expr, Symmetrized):
-        return {
-            "type": "symmetrized",
-            "base": set_to_json(expr.base),
-            "witnesses": [w.to_json() for w in expr.witnesses],
-        }
-    if isinstance(expr, AbsConvHull):
-        return {"type": "abs_conv_hull", "points": [p.to_json() for p in expr.points]}
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
+    return expr.to_json()
 
 
 def set_from_json(obj) -> SetExpr:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInput("set JSON must be an object with a 'type' tag")
     tag = obj["type"]
+    cls = _SET_TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise InvalidInput(f"unknown set type {tag!r}")
+    if _set_depth(obj) > MAX_SET_DEPTH:
+        raise InvalidInput(f"set JSON nests deeper than {MAX_SET_DEPTH} levels")
     try:
-        if tag == "box":
-            overrides = {
-                int(k): as_scalar(v) for k, v in obj.get("overrides", {}).items()
-            }
-            return Box(as_scalar(obj["default_radius"]), tuple(overrides.items()))
-        if tag == "finite":
-            return FinitePoints(tuple(SparseVec.from_json(p) for p in obj["points"]))
-        if tag == "sign_sums":
-            series = SeriesSpec.from_json(obj["series"])
-            return SignSums(
-                series=series,
-                mode=SignMode.parse(obj["mode"]),
-                horizon=int(obj["horizon"]),
-                node_budget=int(obj.get("node_budget", DEFAULT_NODE_BUDGET)),
-            )
-        if tag == "translate":
-            return Translate(set_from_json(obj["base"]), SparseVec.from_json(obj["by"]))
-        if tag == "negate":
-            return Negate(set_from_json(obj["base"]))
-        if tag == "intersect":
-            return Intersect(tuple(set_from_json(p) for p in obj["parts"]))
-        if tag == "symmetrized":
-            base = set_from_json(obj["base"])
-            witnesses = tuple(SparseVec.from_json(w) for w in obj["witnesses"])
-            for w in witnesses:
-                if not contains(base, w):
-                    raise WitnessNotMember(f"witness {w!r} is not a member of the base set")
-            return Symmetrized(base, witnesses)
-        if tag == "abs_conv_hull":
-            return AbsConvHull(tuple(SparseVec.from_json(p) for p in obj["points"]))
+        return cls.from_json(obj)
     except KeyError as exc:
         raise InvalidInput(f"set JSON missing field {exc}") from None
-    raise InvalidInput(f"unknown set type {tag!r}")
+
+
+def _set_depth(obj: dict) -> int:
+    """Levels of tagged objects from ``obj`` down, counted up to one past
+    the limit (iterative, so any nesting is safe to measure)."""
+    depth, level = 0, [obj]
+    while level and depth <= MAX_SET_DEPTH:
+        depth += 1
+        nested = []
+        for node in level:
+            for value in node.values():
+                for item in value if isinstance(value, list) else (value,):
+                    if isinstance(item, dict) and "type" in item:
+                        nested.append(item)
+        level = nested
+    return depth
+
+
+def _json_list(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise InvalidInput(f"set JSON field {key!r} must be a list")
+    return value
+
+
+def _json_vectors(obj: dict, key: str) -> tuple[SparseVec, ...]:
+    return tuple(SparseVec.from_json(p) for p in _json_list(obj, key))
+
+
+def _json_int(value, key: str) -> int:
+    """An integer field, given as a JSON integer or a decimal string."""
+    if not isinstance(value, (int, str)) or isinstance(value, bool):
+        raise InvalidInput(f"set JSON field {key!r} must be an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidInput(f"set JSON field {key!r} must be an integer") from None
 
 
 # ---------------------------------------------------------------------------
-# membership
+# membership and symmetrization
 
 
 def contains(expr: SetExpr, v: SparseVec) -> bool:
     """Exact membership test."""
-    if isinstance(expr, Box):
-        return all(abs(x) <= expr.radius(i) for i, x in v.items())
-    if isinstance(expr, FinitePoints):
-        return v in expr.points
-    if isinstance(expr, SignSums):
-        return _signsum_contains(expr, v)
-    if isinstance(expr, Translate):
-        return contains(expr.base, v - expr.by)
-    if isinstance(expr, Negate):
-        return contains(expr.base, -v)
-    if isinstance(expr, Intersect):
-        return all(contains(p, v) for p in expr.parts)
-    if isinstance(expr, Symmetrized):
-        return all(
-            contains(expr.base, w + v) and contains(expr.base, w - v)
-            for w in expr.witnesses
-        )
-    if isinstance(expr, AbsConvHull):
-        return _hull_contains(expr.points, v)
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
-
-
-def _signsum_coeffs(expr: SignSums, v: SparseVec) -> Optional[list[Fraction]]:
-    """Unique term coefficients of ``v``, when term supports are disjoint.
-
-    Returns None when the series has overlapping supports or ``v`` does
-    not decompose over the terms at all.
-    """
-    if not expr.series.disjoint_supports():
-        return None
-    coeffs: list[Fraction] = []
-    covered: set[int] = set()
-    for t in expr.terms:
-        if t.is_zero:
-            coeffs.append(Fraction(0))
-            continue
-        i0, x0 = next(iter(t.items()))
-        c = v.get(i0) / x0
-        for i, x in t.items():
-            if v.get(i) != c * x:
-                return None
-            covered.add(i)
-        coeffs.append(c)
-    if any(i not in covered for i in v.support):
-        return None
-    return coeffs
-
-
-def _signsum_contains(expr: SignSums, v: SparseVec) -> bool:
-    coeffs = _signsum_coeffs(expr, v)
-    if coeffs is not None:
-        allowed = (Fraction(-1), Fraction(0), Fraction(1))
-        if any(c not in allowed for c in coeffs):
-            return False
-        if expr.mode is SignMode.SUBSETS:
-            return True
-        # prefixes: every nonzero term up to the last used index must carry +-1
-        last = 0
-        for n, (c, t) in enumerate(zip(coeffs, expr.terms), start=1):
-            if c != 0:
-                last = n
-        cut = max(last, 1)
-        return all(
-            c != 0 or t.is_zero for c, t in zip(coeffs[:cut], expr.terms[:cut])
-        )
-
-    # bounded search with coordinatewise pruning
-    terms = expr.terms
-    h = len(terms)
-    suffix: list[dict[int, Fraction]] = [dict() for _ in range(h + 1)]
-    for n in range(h - 1, -1, -1):
-        acc = dict(suffix[n + 1])
-        for i, x in terms[n].items():
-            acc[i] = acc.get(i, Fraction(0)) + abs(x)
-        suffix[n] = acc
-    budget = expr.node_budget
-    nodes = 0
-
-    def viable(residual: dict[int, Fraction], k: int) -> bool:
-        bound = suffix[k]
-        return all(abs(x) <= bound.get(i, Fraction(0)) for i, x in residual.items())
-
-    def step(residual: dict[int, Fraction], coeff: Fraction, term: SparseVec):
-        out = dict(residual)
-        for i, x in term.items():
-            q = out.get(i, Fraction(0)) - coeff * x
-            if q == 0:
-                out.pop(i, None)
-            else:
-                out[i] = q
-        return out
-
-    prefix_mode = expr.mode is SignMode.PREFIXES
-
-    def search(residual: dict[int, Fraction], k: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise DepthExceeded(f"sign-sum membership search exceeded {budget} nodes")
-        if prefix_mode:
-            if k >= 1 and not residual:
-                return True
-            if k == h:
-                return False
-            if not viable(residual, k):
-                return False
-            for c in (Fraction(1), Fraction(-1)):
-                if search(step(residual, c, terms[k]), k + 1):
-                    return True
-            return False
-        if not residual:
-            return True
-        if k == h or not viable(residual, k):
-            return False
-        for c in (Fraction(1), Fraction(-1), Fraction(0)):
-            if search(step(residual, c, terms[k]), k + 1):
-                return True
-        return False
-
-    return search(dict(v.items()), 0)
-
-
-def _hull_contains(points: Sequence[SparseVec], v: SparseVec) -> bool:
-    coords = sorted({i for p in points for i in p.support} | set(v.support))
-    k = len(points)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in coords:
-        rows.append(
-            [p.get(i) for p in points]
-            + [-p.get(i) for p in points]
-            + [Fraction(0)]
-        )
-        rhs.append(v.get(i))
-    rows.append([Fraction(1)] * (2 * k) + [Fraction(1)])
-    rhs.append(Fraction(1))
-    return exactlp.feasible_point(rows, rhs) is not None
-
-
-# ---------------------------------------------------------------------------
-# symmetrization (with eager flattening)
+    return expr.contains(v)
 
 
 def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
@@ -480,42 +1446,12 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
     for w in ws:
         if not contains(expr, w):
             raise WitnessNotMember(f"witness {w!r} is not a member of the set")
-    return _symmetrize_reduce(expr, ws)
-
-
-def _symmetrize_reduce(expr: SetExpr, ws: list[SparseVec]) -> SetExpr:
-    if isinstance(expr, Box):
-        coords = sorted({i for w in ws for i in w.support})
-        overrides = expr.override_map()
-        for i in coords:
-            base_r = expr.radius(i)
-            shrunk = min(base_r - abs(w.get(i)) for w in ws)
-            overrides[i] = max(shrunk, Fraction(0))
-        return Box(expr.default_radius, tuple(overrides.items()))
-    if isinstance(expr, Translate):
-        return _symmetrize_reduce(expr.base, [w - expr.by for w in ws])
-    if isinstance(expr, Negate):
-        return _symmetrize_reduce(expr.base, [-w for w in ws])
-    if isinstance(expr, Symmetrized):
-        merged = {v + w for v in expr.witnesses for w in ws}
-        merged |= {v - w for v in expr.witnesses for w in ws}
-        return _symmetrize_reduce(expr.base, sorted(merged, key=lambda u: u.sort_key()))
-    if isinstance(expr, Intersect):
-        return Intersect(tuple(_symmetrize_reduce(p, ws) for p in expr.parts))
-    return Symmetrized(expr, tuple(ws))
+    return expr.symmetrize_reduce(ws)
 
 
 def reduced(expr: SetExpr) -> SetExpr:
     """Recursively flatten symmetrized nodes that have closed forms."""
-    if isinstance(expr, Symmetrized):
-        return _symmetrize_reduce(reduced(expr.base), list(expr.witnesses))
-    if isinstance(expr, Translate):
-        return Translate(reduced(expr.base), expr.by)
-    if isinstance(expr, Negate):
-        return Negate(reduced(expr.base))
-    if isinstance(expr, Intersect):
-        return Intersect(tuple(reduced(p) for p in expr.parts))
-    return expr
+    return expr.reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -539,63 +1475,8 @@ def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optio
 
 
 def _enumerate_members_raw(expr: SetExpr, budget: int) -> Optional[tuple[SparseVec, ...]]:
-    if isinstance(expr, FinitePoints):
-        return expr.points
-    if isinstance(expr, Box):
-        if expr.default_radius == 0 and all(r == 0 for _, r in expr.overrides):
-            return (ZERO,)
-        return None
-    if isinstance(expr, SignSums):
-        terms = expr.terms
-        h = len(terms)
-        count = 3 ** h if expr.mode is SignMode.SUBSETS else 2 ** (h + 1) - 2
-        if count > budget:
-            return None
-        values: set[SparseVec] = set()
-        if expr.mode is SignMode.SUBSETS:
-            for coeffs in product((1, -1, 0), repeat=h):
-                values.add(linear_comb(coeffs, terms))
-        else:
-            for m in range(1, h + 1):
-                for signs in product((1, -1), repeat=m):
-                    values.add(linear_comb(signs, terms[:m]))
-        return tuple(sorted(values, key=lambda p: p.sort_key()))
-    if isinstance(expr, Translate):
-        base = enumerate_members(expr.base, budget)
-        if base is None:
-            return None
-        return tuple(sorted({p + expr.by for p in base}, key=lambda p: p.sort_key()))
-    if isinstance(expr, Negate):
-        base = enumerate_members(expr.base, budget)
-        if base is None:
-            return None
-        return tuple(sorted({-p for p in base}, key=lambda p: p.sort_key()))
-    if isinstance(expr, Intersect):
-        for part in expr.parts:
-            base = enumerate_members(part, budget)
-            if base is not None:
-                keep = tuple(p for p in base if contains(expr, p))
-                return keep
-        return None
-    if isinstance(expr, Symmetrized):
-        base = enumerate_members(expr.base, budget)
-        if base is None:
-            return None
-        pool = set(base)
-        w0 = expr.witnesses[0]
-        members = []
-        for p in base:
-            d = p - w0
-            if all((w + d) in pool and (w - d) in pool for w in expr.witnesses):
-                members.append(d)
-        return tuple(sorted(members, key=lambda p: p.sort_key()))
-    if isinstance(expr, AbsConvHull):
-        return None
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
-
-
-def linear_comb(coeffs: Sequence[ScalarLike], terms: Sequence[SparseVec]) -> SparseVec:
-    return linear_combination(zip(coeffs, terms))
+    """The enumeration cache's miss path."""
+    return expr.members(budget)
 
 
 def sample_members(expr: SetExpr, rng: random.Random, count: int = 16) -> list[SparseVec]:
@@ -619,51 +1500,10 @@ def sample_members(expr: SetExpr, rng: random.Random, count: int = 16) -> list[S
     for _ in range(count * 4):
         if len(found) >= count:
             break
-        cand = _sample_candidate(expr, rng)
+        cand = expr.sample_candidate(rng)
         if cand is not None:
             push(cand)
     return found
-
-
-def _sample_candidate(expr: SetExpr, rng: random.Random) -> Optional[SparseVec]:
-    if isinstance(expr, Box):
-        coords = [i for i, _ in expr.overrides]
-        top = expr.max_override_coord
-        coords.extend(range(top + 1, top + 4))
-        chosen = rng.sample(coords, k=min(len(coords), rng.randint(1, 3)))
-        entries = {}
-        for i in sorted(chosen):
-            r = expr.radius(i)
-            entries[i] = r * Fraction(rng.randint(-4, 4), 4)
-        return SparseVec(entries)
-    if isinstance(expr, SignSums):
-        coeffs: list[int]
-        if expr.mode is SignMode.SUBSETS:
-            coeffs = [rng.choice((-1, 0, 1)) for _ in expr.terms]
-        else:
-            m = rng.randint(1, expr.horizon)
-            coeffs = [rng.choice((-1, 1)) for _ in range(m)]
-        return linear_comb(coeffs, expr.terms[: len(coeffs)])
-    if isinstance(expr, AbsConvHull):
-        weights = [rng.randint(-3, 3) for _ in expr.points]
-        total = sum(abs(w) for w in weights)
-        if total == 0:
-            return ZERO
-        return linear_comb([Fraction(w, total) for w in weights], expr.points)
-    if isinstance(expr, Translate):
-        cand = _sample_candidate(expr.base, rng)
-        return None if cand is None else cand + expr.by
-    if isinstance(expr, Negate):
-        cand = _sample_candidate(expr.base, rng)
-        return None if cand is None else -cand
-    if isinstance(expr, Intersect):
-        return _sample_candidate(expr.parts[0], rng)
-    if isinstance(expr, Symmetrized):
-        cand = _sample_candidate(expr.base, rng)
-        return None if cand is None else cand - expr.witnesses[0]
-    if isinstance(expr, FinitePoints):
-        return expr.points[rng.randrange(len(expr.points))]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -676,73 +1516,7 @@ def sup_functional(f: Functional, expr: SetExpr) -> BoundPair:
     Exact (lower == upper) for boxes, finite sets, sign sums, hulls,
     their translates/negations, and hull-based symmetrized sets.
     """
-    if isinstance(expr, Box):
-        value = sum((abs(x) * expr.radius(i) for i, x in f.items()), Fraction(0))
-        return BoundPair(value, value, upper_witness={"rule": "box"})
-    if isinstance(expr, FinitePoints):
-        best = None
-        arg = None
-        for p in expr.points:
-            v = dual_pair(f, p)
-            if best is None or v > best:
-                best, arg = v, p
-        return BoundPair(best, best, lower_witness={"point": arg.to_json()})
-    if isinstance(expr, SignSums):
-        value = sum((abs(dual_pair(f, t)) for t in expr.terms), Fraction(0))
-        return BoundPair(value, value, upper_witness={"rule": "column_sums"})
-    if isinstance(expr, Translate):
-        inner = sup_functional(f, expr.base)
-        shift = dual_pair(f, expr.by)
-        lo = None if inner.lower is None else inner.lower + shift
-        hi = None if inner.upper is None else inner.upper + shift
-        return BoundPair(lo, hi, inner.lower_witness, inner.upper_witness)
-    if isinstance(expr, Negate):
-        return sup_functional(-f, expr.base)
-    if isinstance(expr, AbsConvHull):
-        value = max(abs(dual_pair(f, p)) for p in expr.points)
-        return BoundPair(value, value, upper_witness={"rule": "generator_max"})
-    if isinstance(expr, Intersect):
-        uppers = [sup_functional(f, p).upper for p in expr.parts]
-        finite = [u for u in uppers if u is not None]
-        upper = min(finite) if finite else None
-        rng = random.Random(17)
-        values = [dual_pair(f, v) for v in sample_members(expr, rng)]
-        lower = max(values) if values else None
-        if lower is not None and upper is not None and lower > upper:
-            raise SymdexError("intersection sup certificates are inconsistent")
-        return BoundPair(lower, upper)
-    if isinstance(expr, Symmetrized):
-        flat = reduced(expr)
-        if not isinstance(flat, Symmetrized):
-            return sup_functional(f, flat)
-        if isinstance(flat.base, AbsConvHull):
-            value, arg = _symmetrized_hull_max(
-                flat.base.points, flat.witnesses, dict(f.items())
-            )
-            return BoundPair(value, value, lower_witness={"point": arg.to_json()})
-        sup_base = sup_functional(f, flat.base).upper
-        inf_base = sup_functional(-f, flat.base).upper  # = -inf(f, base)
-        upper = None
-        for w in flat.witnesses:
-            val = dual_pair(f, w)
-            cands = []
-            if sup_base is not None:
-                cands.append(sup_base - val)
-            if inf_base is not None:
-                cands.append(inf_base + val)
-            for c in cands:
-                if upper is None or c < upper:
-                    upper = c
-        rng = random.Random(17)
-        lower = Fraction(0)  # zero always belongs to a symmetrized set
-        for v in sample_members(flat, rng):
-            value = dual_pair(f, v)
-            if value > lower:
-                lower = value
-        if upper is not None and lower > upper:
-            raise SymdexError("symmetrized sup certificates are inconsistent")
-        return BoundPair(lower, upper)
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
+    return expr.sup_functional(f)
 
 
 def _abs_coordinate_sup(expr: SetExpr, coord: int) -> Fraction:
@@ -754,46 +1528,9 @@ def _abs_coordinate_sup(expr: SetExpr, coord: int) -> Fraction:
     return max(plus, minus)
 
 
-def _fresh_abs_sup(expr: SetExpr) -> Fraction:
-    """Abs coordinate sup at any coordinate beyond every relevant support."""
-    if isinstance(expr, Box):
-        return expr.default_radius
-    if isinstance(expr, (FinitePoints, SignSums, AbsConvHull)):
-        return Fraction(0)
-    if isinstance(expr, (Translate, Negate)):
-        return _fresh_abs_sup(expr.base)
-    if isinstance(expr, Intersect):
-        return min(_fresh_abs_sup(p) for p in expr.parts)
-    if isinstance(expr, Symmetrized):
-        return _fresh_abs_sup(expr.base)
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
-
-
 def relevant_coords(expr: SetExpr) -> set[int]:
     """Coordinates on which the expression differs from its fresh behaviour."""
-    if isinstance(expr, Box):
-        return {i for i, _ in expr.overrides}
-    if isinstance(expr, FinitePoints):
-        return {i for p in expr.points for i in p.support}
-    if isinstance(expr, SignSums):
-        return {i for t in expr.terms for i in t.support}
-    if isinstance(expr, AbsConvHull):
-        return {i for p in expr.points for i in p.support}
-    if isinstance(expr, Translate):
-        return relevant_coords(expr.base) | set(expr.by.support)
-    if isinstance(expr, Negate):
-        return relevant_coords(expr.base)
-    if isinstance(expr, Intersect):
-        out: set[int] = set()
-        for p in expr.parts:
-            out |= relevant_coords(p)
-        return out
-    if isinstance(expr, Symmetrized):
-        out = relevant_coords(expr.base)
-        for w in expr.witnesses:
-            out |= set(w.support)
-        return out
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
+    return expr.relevant_coords()
 
 
 def coordinate_relaxation(expr: SetExpr) -> Box:
@@ -803,20 +1540,7 @@ def coordinate_relaxation(expr: SetExpr) -> Box:
     coordinates; this is the workhorse upper bound for diameters of
     symmetrized sets without a closed form.
     """
-    flat = reduced(expr)
-    if isinstance(flat, Box):
-        return flat
-    if not isinstance(flat, Symmetrized):
-        raise InvalidInput("coordinate relaxation expects a symmetrized set")
-    base = flat.base
-    coords = relevant_coords(flat)
-    default = _fresh_abs_sup(base)
-    overrides = {}
-    for i in sorted(coords):
-        cap = _abs_coordinate_sup(base, i)
-        r = min(cap - abs(w.get(i)) for w in flat.witnesses)
-        overrides[i] = max(r, Fraction(0))
-    return Box(default, tuple(overrides.items()))
+    return reduced(expr).coordinate_relaxation()
 
 
 # ---------------------------------------------------------------------------
@@ -830,67 +1554,19 @@ def diameter(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> BoundPair:
     """Certified diameter interval (Euclidean values carried squared)."""
-    flat = reduced(expr)
-    if isinstance(flat, Box):
-        return _box_diameter(flat, kind)
-    if isinstance(flat, (Translate, Negate)):
-        return diameter(flat.base, kind, seed, enum_budget)
-    if isinstance(flat, AbsConvHull):
-        top = max(norm(p, kind) for p in flat.points)
-        arg = max(flat.points, key=lambda p: (norm(p, kind), p.sort_key()))
-        value = double_length(top, kind)
-        return BoundPair(
-            value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]}
-        )
-    if isinstance(flat, SignSums):
-        top, arg = _signsum_max_norm(flat, kind, enum_budget)
-        value = double_length(top, kind)
-        return BoundPair(
-            value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]}
-        )
-    if isinstance(flat, FinitePoints):
-        return _pairwise_diameter(flat.points, kind)
-    if isinstance(flat, Intersect):
-        members = enumerate_members(flat, enum_budget)
-        if members is not None and len(members) <= 2048:
-            return _pairwise_diameter(members, kind)
-        uppers = []
-        for p in flat.parts:
-            try:
-                d = diameter(p, kind, seed, enum_budget)
-            except UnboundedDiameter:
-                continue
-            if d.upper is not None:
-                uppers.append(d.upper)
-        if not uppers:
-            raise UnboundedDiameter("no part of the intersection is certified bounded")
-        rng = random.Random(seed)
-        samples = sample_members(flat, rng)
-        lower, wit = _best_pair(samples, kind)
-        return BoundPair(lower, min(uppers), lower_witness=wit)
-    if isinstance(flat, Symmetrized):
-        return _symmetrized_diameter(flat, kind, seed, enum_budget)
-    raise InvalidInput(f"unknown set expression {type(flat).__name__}")
+    return reduced(expr).diameter(kind, seed, enum_budget)
 
 
-def _box_diameter(box: Box, kind: NormKind) -> BoundPair:
-    radii = [r for _, r in box.overrides]
-    if kind is NormKind.SUP:
-        top = max([box.default_radius] + radii)
-        value = 2 * top
-        return BoundPair(value, value, upper_witness={"rule": "box_sup"})
-    if box.default_radius > 0:
-        raise UnboundedDiameter(
-            "box with positive default radius is unbounded in this norm"
-        )
-    if kind is NormKind.SUM:
-        value = 2 * sum(radii, Fraction(0))
-        return BoundPair(value, value, upper_witness={"rule": "box_sum"})
-    value = 4 * sum((r * r for r in radii), Fraction(0))
-    return BoundPair(value, value, upper_witness={"rule": "box_euclid_sq"})
+def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> BoundPair:
+    """Exact diameter of a set symmetric about zero whose largest member
+    norm ``top`` is attained at ``arg``, witnessed by the pair +-arg."""
+    value = double_length(top, kind)
+    return BoundPair(value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]})
 
 
 def _pairwise_diameter(points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
+    """Exact diameter of a finite point list, witnessed by its farthest
+    pair; a lone point witnesses zero paired with itself."""
     best = Fraction(0)
     wit = None
     pts = list(points)
@@ -904,196 +1580,11 @@ def _pairwise_diameter(points: Sequence[SparseVec], kind: NormKind) -> BoundPair
     return BoundPair(best, best, lower_witness=wit)
 
 
-def _best_pair(points: Sequence[SparseVec], kind: NormKind):
-    best = Fraction(0)
-    wit = None
-    pts = list(points)
-    for a, b in combinations(pts, 2):
-        d = norm(a - b, kind)
-        if d > best:
-            best = d
-            wit = {"pair": [a.to_json(), b.to_json()]}
-    return best, wit
-
-
-def _signsum_max_norm(expr: SignSums, kind: NormKind, enum_budget: int):
-    """Exact max norm over the sign-sum set, with an attaining member."""
-    terms = expr.terms
-    if kind is NormKind.SUP:
-        column: dict[int, Fraction] = {}
-        for t in terms:
-            for i, x in t.items():
-                column[i] = column.get(i, Fraction(0)) + abs(x)
-        if not column:
-            return Fraction(0), ZERO
-        coord = max(column, key=lambda i: (column[i], -i))
-        signs = [
-            1 if t.get(coord) >= 0 else -1 if t.get(coord) != 0 else 0 for t in terms
-        ]
-        if expr.mode is SignMode.PREFIXES:
-            signs = [s if s != 0 else 1 for s in signs]
-        return column[coord], linear_comb(signs, terms)
-    if expr.series.disjoint_supports():
-        total = sum((norm(t, kind) for t in terms), Fraction(0))
-        return total, linear_comb([1] * len(terms), terms)
-    members = enumerate_members(expr, enum_budget)
-    if members is None:
-        raise BudgetExceeded("sign-sum enumeration over budget for this norm")
-    arg = max(members, key=lambda p: (norm(p, kind), p.sort_key()))
-    return norm(arg, kind), arg
-
-
-def _symmetrized_witness_complement(flat: Symmetrized) -> Optional[list[int]]:
-    """Series indices untouched by every witness (disjoint-support series).
-
-    Only valid in subset mode, where the symmetrized set is exactly the
-    signed subset sums over these indices; prefix-mode members must stay
-    prefixes, which this closed form cannot see.
-    """
-    base = flat.base
-    if (
-        not isinstance(base, SignSums)
-        or base.mode is not SignMode.SUBSETS
-        or not base.series.disjoint_supports()
-    ):
-        return None
-    used: set[int] = set()
-    for w in flat.witnesses:
-        coeffs = _signsum_coeffs(base, w)
-        if coeffs is None:
-            return None
-        used |= {n for n, c in enumerate(coeffs, start=1) if c != 0}
-    return [
-        n
-        for n, t in enumerate(base.terms, start=1)
-        if n not in used and not t.is_zero
-    ]
-
-
-def _symmetrized_diameter(
-    flat: Symmetrized, kind: NormKind, seed: int, enum_budget: int
-) -> BoundPair:
-    base = flat.base
-    comp = _symmetrized_witness_complement(flat)
-    if comp is not None:
-        terms = [base.terms[n - 1] for n in comp]
-        if not terms:
-            return BoundPair(Fraction(0), Fraction(0), lower_witness={"pair": [{}, {}]})
-        if kind is NormKind.SUP:
-            top = max(norm(t, kind) for t in terms)
-            arg = max(terms, key=lambda t: (norm(t, kind), t.sort_key()))
-        else:
-            top = sum((norm(t, kind) for t in terms), Fraction(0))
-            arg = linear_comb([1] * len(terms), terms)
-        value = double_length(top, kind)
-        return BoundPair(
-            value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]}
-        )
-    members = enumerate_members(flat, enum_budget)
-    if members is not None:
-        top = Fraction(0)
-        arg = ZERO
-        for d in members:
-            v = norm(d, kind)
-            if v > top:
-                top, arg = v, d
-        value = double_length(top, kind)
-        return BoundPair(
-            value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]}
-        )
-    if isinstance(base, AbsConvHull) and kind in (NormKind.SUP, NormKind.SUM):
-        top, arg = _symmetrized_hull_extent(flat, kind)
-        value = double_length(top, kind)
-        return BoundPair(
-            value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]}
-        )
-    relax = coordinate_relaxation(flat)
-    upper = _box_diameter(relax, kind).upper
-    rng = random.Random(seed)
-    samples = sample_members(flat, rng)
-    lower, wit = _best_pair(samples, kind)
-    if upper is not None and lower > upper:
-        raise SymdexError("symmetrized diameter certificates are inconsistent")
-    return BoundPair(lower, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
-
-
-# ---------------------------------------------------------------------------
-# hull-based symmetrized sets via exact LP
-
-
-def _symmetrized_hull_max(
-    points: Sequence[SparseVec],
-    witnesses: Sequence[SparseVec],
-    objective: dict[int, Fraction],
-):
-    """Exact max of a linear objective over a hull-based symmetrized set."""
-    coords = sorted(
-        {i for p in points for i in p.support}
-        | {i for w in witnesses for i in w.support}
-        | set(objective)
-    )
-    if not coords:
-        return Fraction(0), ZERO
-    idx = {i: pos for pos, i in enumerate(coords)}
-    c_count = len(coords)
-    k = len(points)
-    block = 2 * k + 1
-    nvars = 2 * c_count + 2 * len(witnesses) * block
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for wi, w in enumerate(witnesses):
-        for si, sgn in enumerate((1, -1)):
-            offset = 2 * c_count + (2 * wi + si) * block
-            for i in coords:
-                row = [Fraction(0)] * nvars
-                row[idx[i]] = Fraction(-sgn)
-                row[c_count + idx[i]] = Fraction(sgn)
-                for j, p in enumerate(points):
-                    row[offset + j] = p.get(i)
-                    row[offset + k + j] = -p.get(i)
-                rows.append(row)
-                rhs.append(w.get(i))
-            row = [Fraction(0)] * nvars
-            for j in range(2 * k):
-                row[offset + j] = Fraction(1)
-            row[offset + 2 * k] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(1))
-    obj = [Fraction(0)] * nvars
-    for i, coeff in objective.items():
-        if i in idx:
-            obj[idx[i]] = coeff
-            obj[c_count + idx[i]] = -coeff
-    res = exactlp.solve_lp(obj, rows, rhs)
-    if res.status != exactlp.OPTIMAL:
-        raise WitnessNotMember("hull symmetrization witnesses are not all members")
-    d = SparseVec({coords[c]: res.x[c] - res.x[c_count + c] for c in range(c_count)})
-    return res.value, d
-
-
-def _symmetrized_hull_extent(flat: Symmetrized, kind: NormKind):
-    """Exact max norm over a hull-based symmetrized set (SUP/SUM norms)."""
-    points = flat.base.points
-    coords = sorted(relevant_coords(flat))
-    best = Fraction(0)
-    arg = ZERO
-    if kind is NormKind.SUP:
-        for i in coords:
-            for sgn in (1, -1):
-                value, d = _symmetrized_hull_max(
-                    points, flat.witnesses, {i: Fraction(sgn)}
-                )
-                if value > best:
-                    best, arg = value, d
-        return best, arg
-    if len(coords) > 14:
-        raise BudgetExceeded("hull symmetrized diameter needs too many sign patterns")
-    for signs in product((1, -1), repeat=len(coords)):
-        objective = {i: Fraction(s) for i, s in zip(coords, signs)}
-        value, d = _symmetrized_hull_max(points, flat.witnesses, objective)
-        if value > best:
-            best, arg = value, d
-    return best, arg
+def _sampled_lower(expr: SetExpr, kind: NormKind, seed: int) -> tuple[Fraction, object]:
+    """Certified lower end of the diameter from seeded member samples and
+    its witness pair; a zero lower end carries no witness."""
+    found = _pairwise_diameter(sample_members(expr, random.Random(seed)), kind)
+    return found.lower, found.lower_witness if found.lower > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1614,7 @@ def free_direction(
     for w in ws:
         if not contains(expr, w):
             raise WitnessNotMember(f"witness {w!r} is not a member of the set")
-    d = _free_direction_raw(reduced(expr), ws, kind, shrink_q, floor)
+    d = reduced(expr).two_sided_direction(ws, kind, shrink_q, floor)
     if d is None or d.is_zero:
         return None
     for w in ws:
@@ -1139,93 +1630,10 @@ def _canonical_sign(d: SparseVec) -> SparseVec:
     return d
 
 
-def _free_direction_raw(
-    expr: SetExpr, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-) -> Optional[SparseVec]:
-    if isinstance(expr, Box):
-        if expr.default_radius == 0:
-            return None
-        fresh = max(expr.max_override_coord, floor)
-        for w in ws:
-            fresh = max(fresh, w.max_support)
-        scale = (1 - shrink) * expr.default_radius
-        return unit(fresh + 1, scale)
-    if isinstance(expr, FinitePoints):
-        if not ws:
-            return None
-        pool = set(expr.points)
-        best: Optional[SparseVec] = None
-        best_key = None
-        for p in expr.points:
-            d = _canonical_sign(p - ws[0])
-            if d.is_zero or (floor and any(i <= floor for i in d.support)):
-                continue
-            if all((w + d) in pool and (w - d) in pool for w in ws):
-                key = (-norm(d, kind), d.sort_key())
-                if best_key is None or key < best_key:
-                    best, best_key = d, key
-        return best
-    if isinstance(expr, SignSums):
-        used: set[int] = set()
-        for w in ws:
-            used |= set(w.support)
-        candidates = []
-        for n, t in enumerate(expr.terms, start=1):
-            if t.is_zero or any(i in used or i <= floor for i in t.support):
-                continue
-            candidates.append((-norm(t, kind), n, t))
-        for _, _, t in sorted(candidates, key=lambda c: (c[0], c[1])):
-            d = _canonical_sign(t)
-            if all(
-                contains(expr, w + d) and contains(expr, w - d) for w in ws
-            ) and contains(expr, d):
-                return d
-        return None
-    if isinstance(expr, Translate):
-        return _free_direction_raw(expr.base, [w - expr.by for w in ws], kind, shrink, floor)
-    if isinstance(expr, Negate):
-        return _free_direction_raw(expr.base, [-w for w in ws], kind, shrink, floor)
-    if isinstance(expr, Symmetrized):
-        inner: set[SparseVec] = set()
-        if ws:
-            for v in expr.witnesses:
-                for w in ws:
-                    inner.add(v + w)
-                    inner.add(v - w)
-        else:
-            inner = set(expr.witnesses)
-        merged = sorted(inner, key=lambda u: u.sort_key())
-        return _free_direction_raw(expr.base, merged, kind, shrink, floor)
-    if isinstance(expr, Intersect):
-        for part in expr.parts:
-            d = _free_direction_raw(part, ws, kind, shrink, floor)
-            if d is None or d.is_zero:
-                continue
-            ok = all(
-                contains(expr, w + d) and contains(expr, w - d) for w in ws
-            )
-            if ok and contains(expr, d) and contains(expr, -d):
-                return d
-        return None
-    if isinstance(expr, AbsConvHull):
-        return None
-    raise InvalidInput(f"unknown set expression {type(expr).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # difference sets (for sign-sum verification)
 
 
 def difference_set(expr: SetExpr) -> Optional[SetExpr]:
     """Closed form of {a - b : a, b in the set}, where available."""
-    flat = reduced(expr)
-    if isinstance(flat, Box):
-        return Box(
-            2 * flat.default_radius,
-            tuple((i, 2 * r) for i, r in flat.overrides),
-        )
-    members = enumerate_members(flat, 4096)
-    if members is not None:
-        diffs = {a - b for a in members for b in members}
-        return FinitePoints(tuple(diffs))
-    return None
+    return reduced(expr).difference_set()

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInput
 
@@ -212,6 +213,13 @@ def linear_combination(terms: Iterable[tuple[ScalarLike, SparseVec]]) -> SparseV
             else:
                 acc[i] = q
     return SparseVec(acc)
+
+
+def signed_sums(terms: Sequence[SparseVec]) -> Iterator[SparseVec]:
+    """Every +-1 combination of the terms, in ``itertools.product((1, -1), ...)``
+    order over the sign patterns (reports list them in this order)."""
+    for signs in product((1, -1), repeat=len(terms)):
+        yield linear_combination(zip(signs, terms))
 
 
 def norm(v: SparseVec, kind: NormKind) -> Fraction:

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 from symdex.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, decimal_string, main, verify_replay
+from symdex.sets import MAX_SET_DEPTH
 
 BOX_OVERRIDE = {"type": "box", "default_radius": "1", "overrides": {"1": "2"}}
 PLAIN_BOX = {"type": "box", "default_radius": "1", "overrides": {}}
@@ -124,6 +125,43 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["delta", "--in", str(bad), "--out", str(out)]) == EXIT_INVALID
     missing_type = write(tmp_path / "m.json", {"default_radius": "1"})
     assert main(["delta", "--in", missing_type, "--out", str(out)]) == EXIT_INVALID
+    sign_sums = {"type": "sign_sums", "mode": "subsets", "horizon": "x", "series": GEOMETRIC}
+    malformed = [
+        {"type": "finite", "points": 5},
+        sign_sums,
+        {"type": "box", "default_radius": "1", "overrides": [["1", "2"]]},
+    ]
+    for n, obj in enumerate(malformed):
+        infile = write(tmp_path / f"malformed{n}.json", obj)
+        assert main(["delta", "--in", infile, "--out", str(out)]) == EXIT_INVALID
+
+
+def nested_set(depth: int) -> dict:
+    """A unit box under ``depth - 1`` alternating negations and translations."""
+    expr = PLAIN_BOX
+    for level in range(depth - 1):
+        if level % 2:
+            expr = {"type": "translate", "base": expr, "by": {"1": "1"}}
+        else:
+            expr = {"type": "negate", "base": expr}
+    return expr
+
+
+def test_nesting_limit(tmp_path):
+    out = tmp_path / "out.json"
+    infile = write(tmp_path / "deep.json", nested_set(MAX_SET_DEPTH))
+    assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_OK
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"]["failed"] == []
+
+    too_deep = write(tmp_path / "too_deep.json", nested_set(MAX_SET_DEPTH + 1))
+    assert main(["delta", "--in", too_deep, "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    # deeper than the JSON decoder's recursion limit: written by hand
+    leaf = json.dumps(PLAIN_BOX)
+    very_deep = tmp_path / "very_deep.json"
+    very_deep.write_text('{"type": "negate", "base": ' * 1199 + leaf + "}" * 1199)
+    assert main(["delta", "--in", str(very_deep), "--out", str(out), "--n", "1"]) == EXIT_INVALID
 
 
 def test_budget_exit_code(tmp_path):

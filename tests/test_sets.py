@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from symdex import (
@@ -18,6 +18,7 @@ from symdex import (
     SignMode,
     SignSums,
     SparseVec,
+    SymdexError,
     Symmetrized,
     Translate,
     UnboundedDiameter,
@@ -357,6 +358,56 @@ def test_set_json_rejects_nonmember_witness():
     }
     with pytest.raises(WitnessNotMember):
         set_from_json(raw)
+
+
+# JSON-like values whose objects carry each variant's own fields under
+# valid, unknown ("bogus") and non-string type tags
+SET_FIELDS = {
+    "box": ("default_radius", "overrides"),
+    "finite": ("points",),
+    "sign_sums": ("series", "mode", "horizon", "node_budget"),
+    "translate": ("base", "by"),
+    "negate": ("base",),
+    "intersect": ("parts",),
+    "symmetrized": ("base", "witnesses"),
+    "abs_conv_hull": ("points",),
+    "bogus": ("base", "points"),
+}
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["1", "-1/2", "0", "x", "", "subsets", "prefixes", "sup", "sum"])
+)
+
+
+def _json_containers(children):
+    def fields(names):
+        return st.fixed_dictionaries({}, optional={name: children for name in names})
+
+    def tagged(tag):
+        return fields(SET_FIELDS[tag]).map(lambda obj: {**obj, "type": tag})
+
+    return (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(["1", "2", "x"]), children, max_size=2)
+        | fields(("terms", "norm", "label"))
+        | st.sampled_from(sorted(SET_FIELDS)).flatmap(tagged)
+        | st.builds(lambda obj, tag: {**obj, "type": tag}, fields(("base",)), children)
+    )
+
+
+json_values = st.recursive(json_scalars, _json_containers, max_leaves=16)
+
+
+@settings(max_examples=400)
+@given(json_values)
+def test_set_from_json_raises_only_library_errors(obj):
+    try:
+        set_from_json(obj)
+    except SymdexError:
+        pass
 
 
 def test_symmetrized_hull_euclid_interval():
