@@ -184,7 +184,7 @@ def _run_delta(args):
         rows.append(res.to_json())
         for w in res.upper_witnesses:
             replay.append(_contains_entry(expr, w))
-        if res.N >= 1 and res.lower_certificate and res.lower_certificate.value > 0:
+        if res.N >= 1 and res.lower_certificate and res.lower_certificate.unconditional_value > 0:
             d = indexes.challenge_lower(
                 res.lower_certificate, expr, list(res.upper_witnesses), kind
             )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -644,21 +644,26 @@ def one_sided_sequence(
 def _verify_sign_sums(expr: SetExpr, xs: list[SparseVec], kind: NormKind) -> None:
     diff = difference_set(expr)
     cap = diameter(expr, kind).upper if diff is None else None
-    patterns = product((1, -1), repeat=len(xs)) if len(xs) <= 16 else None
-    if patterns is None:
+    # every partial sum +-x_1 +- ... +- x_m, each distinct one checked once
+    partials: set[SparseVec] = set()
+    if len(xs) <= 16:
+        level = {ZERO}
+        for x in xs:
+            level = {p + x for p in level} | {p - x for p in level}
+            partials |= level
+    else:
         rng = random.Random(7)
-        patterns = (
-            tuple(rng.choice((1, -1)) for _ in xs) for _ in range(4096)
-        )
-    for signs in patterns:
-        running = ZERO
-        for sign, x in zip(signs, xs):
-            running = running + x.scale(sign)
-            if diff is not None:
-                if not contains(diff, running):
-                    raise SymdexError("a partial sign sum left the difference set")
-            elif cap is not None and norm(running, kind) > cap:
-                raise SymdexError("a partial sign sum exceeded the diameter bound")
+        for _ in range(4096):
+            running = ZERO
+            for x in xs:
+                running = running + x.scale(rng.choice((1, -1)))
+                partials.add(running)
+    for partial in partials:
+        if diff is not None:
+            if not contains(diff, partial):
+                raise SymdexError("a partial sign sum left the difference set")
+        elif cap is not None and norm(partial, kind) > cap:
+            raise SymdexError("a partial sign sum exceeded the diameter bound")
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,25 @@ relaxation or a closed form).
 
 Symmetrized sets -- intersections of (A - x) and (x - A) over witness
 points x -- are the central construction. Symmetrizing a box yields a
-box again (radii shrink by the witness coordinates), and nested
-symmetrizations flatten into a single witness list, so the common
-lineages stay in closed form.
+box again (radii shrink by the witness coordinates), subset sign sums
+with disjoint term supports yield subset sign sums with the used terms
+zeroed, and nested symmetrizations flatten into a single witness list,
+so the common lineages stay in closed form.
 
 Each variant is a subclass of :class:`SetExpr` that carries its own case
 of every operation as a method. The module functions (``contains``,
 ``diameter``, ``sup_functional``, ``free_direction``, ...) are the entry
 points. Where an operation has a public module function, methods reach
 sub-expressions through it, so nested calls are cached and observed the
-same way as top-level ones.
+same way as top-level ones; ``diameter`` methods, which run on a set
+the module function has already reduced, call their parts' methods.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
@@ -267,11 +269,6 @@ class SetExpr(ABC):
 
     def exact_abs_sup(self, f: Functional) -> Optional[Fraction]:
         """sup |f| over the set by a closed form, or None."""
-        return None
-
-    def symmetrized_closed_form(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
-        """Exact diameter of ``sym`` (whose base is this set) by a closed
-        form tried before enumeration, or None."""
         return None
 
     def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
@@ -841,31 +838,26 @@ class SignSums(SetExpr):
             conditional=True,
         )
 
-    def symmetrized_closed_form(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
-        # In subset mode with disjoint supports the symmetrized set is
-        # exactly the signed subset sums over the series indices that no
-        # witness touches. Prefix-mode members must stay prefixes, which
-        # this closed form cannot see.
-        if self.mode is not SignMode.SUBSETS or not self.series.disjoint_supports():
-            return None
+    def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
+        # In subset mode with disjoint supports, at member witnesses (term
+        # coefficients in {-1, 0, 1}), the symmetrized set is the signed
+        # subset sums over the series indices no witness uses: those terms
+        # become zero. Prefix-mode members must stay prefixes instead.
+        if self.mode is not SignMode.SUBSETS:
+            return super().symmetrize_reduce(ws)
         used: set[int] = set()
-        for w in sym.witnesses:
+        for w in ws:
             coeffs = self.coefficients(w)
-            if coeffs is None:
-                return None
-            used |= {n for n, c in enumerate(coeffs, start=1) if c != 0}
-        terms = [
-            t for n, t in enumerate(self.terms, start=1) if n not in used and not t.is_zero
-        ]
-        if not terms:
-            return BoundPair(Fraction(0), Fraction(0), lower_witness={"pair": [{}, {}]})
-        if kind is NormKind.SUP:
-            top = max(norm(t, kind) for t in terms)
-            arg = max(terms, key=lambda t: (norm(t, kind), t.sort_key()))
-        else:
-            top = sum((norm(t, kind) for t in terms), Fraction(0))
-            arg = linear_combination((1, t) for t in terms)
-        return _symmetric_pair_bound(top, arg, kind)
+            if coeffs is None or any(c not in (-1, 0, 1) for c in coeffs):
+                return super().symmetrize_reduce(ws)
+            used |= {n for n, c in enumerate(coeffs) if c != 0}
+        terms = tuple(ZERO if n in used else t for n, t in enumerate(self.series.terms))
+        return replace(self, series=replace(self.series, terms=terms))
+
+    def coordinate_relaxation(self) -> "Box":
+        # the relaxation of a flattened symmetrization: column sums
+        coords = sorted(self.relevant_coords())
+        return Box(Fraction(0), tuple((i, _abs_coordinate_sup(self, i)) for i in coords))
 
 
 @dataclass(frozen=True)
@@ -914,7 +906,7 @@ class Translate(SetExpr):
         return relevant_coords(self.base) | set(self.by.support)
 
     def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
-        return diameter(self.base, kind, seed, enum_budget)
+        return self.base.diameter(kind, seed, enum_budget)
 
     def two_sided_direction(
         self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
@@ -969,7 +961,7 @@ class Negate(SetExpr):
         return relevant_coords(self.base)
 
     def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
-        return diameter(self.base, kind, seed, enum_budget)
+        return self.base.diameter(kind, seed, enum_budget)
 
     def two_sided_direction(
         self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
@@ -1046,7 +1038,7 @@ class Intersect(SetExpr):
         uppers = []
         for p in self.parts:
             try:
-                d = diameter(p, kind, seed, enum_budget)
+                d = p.diameter(kind, seed, enum_budget)
             except UnboundedDiameter:
                 continue
             if d.upper is not None:
@@ -1190,9 +1182,6 @@ class Symmetrized(SetExpr):
         return Box(default, tuple(overrides.items()))
 
     def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
-        closed = self.base.symmetrized_closed_form(self, kind)
-        if closed is not None:
-            return closed
         members = enumerate_members(self, enum_budget)
         if members is not None:
             top = Fraction(0)
@@ -1438,7 +1427,9 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
     """The symmetrized set of ``expr`` with respect to the witness list.
 
     Boxes (also translated/negated/nested symmetrized boxes) flatten to a
-    closed-form box. An empty witness list returns the set unchanged.
+    closed-form box, and subset-mode sign sums with disjoint term supports
+    to sign sums with the used terms zeroed. An empty witness list returns
+    the set unchanged.
     """
     ws = sorted(set(witnesses), key=lambda w: w.sort_key())
     if not ws:

@@ -214,3 +214,26 @@ def test_cli_strategy_variants(tmp_path):
         rows = out.read_text().splitlines()
         assert rows[1].split(",")[:3] == ["0", "2", "2"]
         assert rows[2].split(",")[:3] == ["1", "1", "1"]
+
+
+def test_delta_on_subset_sign_sums_replays(tmp_path):
+    # the best witness list uses every series index, so the conditional
+    # fresh-index certificate has nothing to answer with; delta must not
+    # replay a lower bound its curve does not claim
+    signs = {
+        "type": "sign_sums",
+        "mode": "subsets",
+        "horizon": 3,
+        "series": {"norm": "sup", "terms": [{"1": "1"}, {"2": "1/2"}, {"3": "1/4"}]},
+    }
+    inputs = {
+        "plain": signs,
+        "negate": {"type": "negate", "base": signs},
+        "symmetrized": {"type": "symmetrized", "base": signs, "witnesses": [{"1": "1"}]},
+    }
+    for name, obj in inputs.items():
+        infile = write(tmp_path / f"{name}.json", obj)
+        out, verdict = tmp_path / f"{name}_report.json", tmp_path / f"{name}_verdict.json"
+        assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_OK, name
+        assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK, name
+        assert json.loads(verdict.read_text())["result"]["failed"] == [], name

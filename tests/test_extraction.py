@@ -36,6 +36,7 @@ from symdex import (
     validate_transcript,
     verify_basis_inequality,
 )
+from symdex import extraction
 from symdex.bruteforce import brute_delta1_zero_witness
 from util import ALL_NORMS, as_dicts, random_finite_points
 
@@ -223,6 +224,22 @@ def test_one_sided_box():
     for signs in product((1, -1), repeat=4):
         total = sum((x.scale(s) for s, x in zip(signs, xs)), ZERO)
         assert norm(total, NormKind.SUP) <= diameter(BOX, NormKind.SUP).upper
+
+
+def test_verify_sign_sums_checks_each_partial_sum_once(monkeypatch):
+    checked = []
+    real = extraction.contains
+
+    def counting(expr, v):
+        checked.append(v)
+        return real(expr, v)
+
+    monkeypatch.setattr(extraction, "contains", counting)
+    xs = [unit(1), unit(2), unit(3), unit(4)]
+    extraction._verify_sign_sums(BOX, xs, NormKind.SUP)
+    assert len(checked) == len(set(checked))
+    # every partial sum +-x_1 +- ... +-x_m, m = 1..4
+    assert len(checked) == 2 + 4 + 8 + 16
 
 
 def test_one_sided_stalls_when_epsilon_too_big():

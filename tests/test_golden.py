@@ -1,5 +1,6 @@
-"""Golden reports: the demo scenarios and one ``delta`` request per set
-variant the demo never reaches must reproduce byte for byte.
+"""Golden reports: the demo scenarios, one ``delta`` request per set
+variant the demo never reaches, and one ``extract`` request on subset
+sign sums must reproduce byte for byte.
 
 The sha256 digests pin every report and oracle verdict; the outputs do
 not depend on ``PYTHONHASHSEED``. A change that alters any report byte
@@ -62,6 +63,20 @@ VARIANT_INPUTS = {
     },
 }
 
+# extraction on subset sign sums: every step set is a flattened sign-sum set
+SUBSET_SUMS_6 = {
+    "type": "sign_sums",
+    "mode": "subsets",
+    "horizon": 6,
+    "series": {
+        "norm": "sup",
+        "label": "mixed6",
+        "terms": [
+            {"1": "1"}, {"2": "1", "3": "-1/2"}, {"4": "1/2"}, {"5": "1"}, {"6": "3/4"}, {"7": "1"}
+        ],
+    },
+}
+
 DEMO_DIGESTS = {
     "delta_curve.csv": "0029e5bc865d8b2c1aff5d5e5f682c83ce8c2db832265419516e786e65c97e6d",
     "delta_curve.json": "7648fb7a1cb120a0f8b9a263f4b28d6c63536b82d638de4568e8b0e5bffb9f88",
@@ -109,6 +124,11 @@ VARIANT_DIGESTS = {
     ),
 }
 
+SUBSET_EXTRACT_DIGESTS = (
+    "705a6333b1c2fe11782deb79f9aaeb1265cd7c2b3782759eb775eb2ec70167bb",
+    "34053371bb5baeb4067d061464db7588e37ddebdd6f6db24c9a3ccba2b27098c",
+)
+
 
 def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -154,3 +174,13 @@ def test_demo_reports_are_golden(tmp_path, monkeypatch):
 
 def test_variant_delta_reports_are_golden(tmp_path):
     assert variant_digests(tmp_path) == VARIANT_DIGESTS
+
+
+def test_subset_sign_sum_extract_report_is_golden(tmp_path):
+    infile = tmp_path / "subset_sums6.json"
+    infile.write_text(json.dumps(SUBSET_SUMS_6))
+    report, verdict = tmp_path / "report.json", tmp_path / "verdict.json"
+    argv = ["extract", "--in", str(infile), "--n", "4", "--epsilon", "1/10", "--seed", "0"]
+    assert main(argv + ["--out", str(report)]) == EXIT_OK
+    assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
+    assert (_sha256(report), _sha256(verdict)) == SUBSET_EXTRACT_DIGESTS

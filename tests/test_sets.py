@@ -34,8 +34,9 @@ from symdex import (
     symmetrize,
     unit,
 )
-from symdex.sets import enumerate_members, sample_members
-from util import finite_sets, norm_kinds
+from symdex.bruteforce import brute_diameter, brute_symmetrized
+from symdex.sets import enumerate_members, reduced, sample_members
+from util import ALL_NORMS, finite_sets, norm_kinds
 
 
 def canonical_series(h, kind=NormKind.SUP):
@@ -471,3 +472,74 @@ def test_symmetrized_prefix_mode_uses_true_membership():
 
     for obj in pair:
         assert contains(sym, SV.from_json(obj))
+
+
+# ---------------------------------------------------------------------------
+# flattened subset sign sums
+
+
+nonzero_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(
+    lambda q: q != 0
+)
+# term n lives on coordinates 2n - 1 and 2n, so supports are disjoint;
+# an empty term is the zero vector
+disjoint_terms = st.lists(
+    st.dictionaries(st.integers(0, 1), nonzero_fractions, max_size=2), min_size=1, max_size=5
+).map(
+    lambda raw: tuple(
+        SparseVec({2 * n + 1 + k: x for k, x in entries.items()})
+        for n, entries in enumerate(raw)
+    )
+)
+
+
+@settings(deadline=None)
+@given(disjoint_terms, st.data())
+def test_subset_sign_sum_symmetrization_flattens(terms, data):
+    expr = SignSums(SeriesSpec(terms, NormKind.SUP, "disjoint"), SignMode.SUBSETS, len(terms))
+    members = list(enumerate_members(expr))
+    count = data.draw(st.integers(1, 3))
+    ws = [members[data.draw(st.integers(0, len(members) - 1))] for _ in range(count)]
+    sym = symmetrize(expr, ws)
+    assert isinstance(sym, SignSums)
+    expected = brute_symmetrized([dict(m.items()) for m in members], [dict(w.items()) for w in ws])
+    assert set(enumerate_members(sym)) == {SparseVec(p) for p in expected}
+    for kind in ALL_NORMS:
+        bound = diameter(sym, kind)
+        assert bound.exact and bound.upper == brute_diameter(expected, kind)
+
+
+def test_sign_sum_symmetrization_falls_back_outside_subset_disjoint_case():
+    prefixes = SignSums(canonical_series(3), SignMode.PREFIXES, 3)
+    assert isinstance(symmetrize(prefixes, [unit(1)]), Symmetrized)
+    overlapping = SeriesSpec((unit(1), unit(1) + unit(2), unit(3)), NormKind.SUP)
+    overlap_expr = SignSums(overlapping, SignMode.SUBSETS, 3)
+    assert isinstance(symmetrize(overlap_expr, [unit(1)]), Symmetrized)
+
+    subsets = SignSums(canonical_series(3), SignMode.SUBSETS, 3)
+    # a non-member witness leaves the symmetrization empty: no flattening
+    assert isinstance(reduced(Symmetrized(subsets, (unit(1, 2),))), Symmetrized)
+    flat = reduced(Symmetrized(subsets, (unit(1), unit(1) - unit(2))))
+    zeroed = SeriesSpec((ZERO, ZERO, unit(3)), NormKind.SUP, "canonical")
+    assert flat == SignSums(zeroed, SignMode.SUBSETS, 3)
+    # the relaxation keeps its value through the flattening
+    assert coordinate_relaxation(Symmetrized(subsets, (unit(1),))) == Box(
+        F(0), ((2, F(1)), (3, F(1)))
+    )
+
+
+def test_diameter_reduces_a_chain_once(monkeypatch):
+    calls = []
+    for cls in (Box, FinitePoints, SignSums, Translate, Negate, Intersect, Symmetrized, AbsConvHull):
+        real = cls.reduced
+
+        def counting(self, _real=real):
+            calls.append(self)
+            return _real(self)
+
+        monkeypatch.setattr(cls, "reduced", counting)
+    expr = Box(F(0), ((1, F(1)),))
+    for level in range(200):
+        expr = Translate(expr, unit(1, F(1, 2))) if level % 2 == 0 else Negate(expr)
+    assert diameter(expr, NormKind.SUP).upper == 2
+    assert len(calls) <= 201
