@@ -298,6 +298,7 @@ class Box(SetExpr):
     tag: ClassVar[str] = "box"
     default_radius: Fraction
     overrides: tuple[tuple[int, Fraction], ...] = ()
+    _radii: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         default = as_scalar(self.default_radius)
@@ -315,15 +316,13 @@ class Box(SetExpr):
                 cleaned[coord] = r
         object.__setattr__(self, "default_radius", default)
         object.__setattr__(self, "overrides", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "_radii", dict(self.overrides))
 
     def radius(self, coord: int) -> Fraction:
-        for i, r in self.overrides:
-            if i == coord:
-                return r
-        return self.default_radius
+        return self._radii.get(coord, self.default_radius)
 
     def override_map(self) -> dict[int, Fraction]:
-        return dict(self.overrides)
+        return dict(self._radii)
 
     @property
     def max_override_coord(self) -> int:
@@ -1273,20 +1272,12 @@ class AbsConvHull(SetExpr):
             pool.add(-p)
         return tuple(sorted(pool, key=lambda p: p.sort_key()))
 
-    def _symmetrized_max(
-        self, witnesses: Sequence[SparseVec], objective: dict[int, Fraction]
-    ) -> tuple[Fraction, SparseVec]:
-        """Exact max of a linear objective over the symmetrization of the
-        hull at the witnesses, with an attaining member."""
+    def _symmetrized_start(
+        self, witnesses: Sequence[SparseVec], coords: list[int]
+    ) -> exactlp.FeasibleStart:
+        """Phase-1 start of the LP over the symmetrization at the witnesses;
+        ``coords`` covers the generators and witnesses."""
         points = self.points
-        coords = sorted(
-            {i for p in points for i in p.support}
-            | {i for w in witnesses for i in w.support}
-            | set(objective)
-        )
-        if not coords:
-            return Fraction(0), ZERO
-        idx = {i: pos for pos, i in enumerate(coords)}
         c_count = len(coords)
         k = len(points)
         block = 2 * k + 1
@@ -1296,10 +1287,10 @@ class AbsConvHull(SetExpr):
         for wi, w in enumerate(witnesses):
             for si, sgn in enumerate((1, -1)):
                 offset = 2 * c_count + (2 * wi + si) * block
-                for i in coords:
+                for pos, i in enumerate(coords):
                     row = [Fraction(0)] * nvars
-                    row[idx[i]] = Fraction(-sgn)
-                    row[c_count + idx[i]] = Fraction(sgn)
+                    row[pos] = Fraction(-sgn)
+                    row[c_count + pos] = Fraction(sgn)
                     for j, p in enumerate(points):
                         row[offset + j] = p.get(i)
                         row[offset + k + j] = -p.get(i)
@@ -1311,14 +1302,24 @@ class AbsConvHull(SetExpr):
                 row[offset + 2 * k] = Fraction(1)
                 rows.append(row)
                 rhs.append(Fraction(1))
-        obj = [Fraction(0)] * nvars
-        for i, coeff in objective.items():
-            if i in idx:
-                obj[idx[i]] = coeff
-                obj[c_count + idx[i]] = -coeff
-        res = exactlp.solve_lp(obj, rows, rhs)
-        if res.status != exactlp.OPTIMAL:
+        start = exactlp.phase_one(rows, rhs, nvars)
+        if start is None:
             raise WitnessNotMember("hull symmetrization witnesses are not all members")
+        return start
+
+    @staticmethod
+    def _symmetrized_max(
+        start: exactlp.FeasibleStart, coords: list[int], objective: dict[int, Fraction]
+    ) -> tuple[Fraction, SparseVec]:
+        """Exact max of a linear objective over the symmetrization from
+        its phase-1 start, with an attaining member."""
+        c_count = len(coords)
+        obj = [Fraction(0)] * start.n
+        for pos, i in enumerate(coords):
+            if i in objective:
+                obj[pos] = objective[i]
+                obj[c_count + pos] = -objective[i]
+        res = exactlp.phase_two(start, obj)
         d = SparseVec({coords[c]: res.x[c] - res.x[c_count + c] for c in range(c_count)})
         return res.value, d
 
@@ -1329,23 +1330,30 @@ class AbsConvHull(SetExpr):
         coords = sorted(relevant_coords(sym))
         best = Fraction(0)
         arg = ZERO
+        if not coords:
+            return _symmetric_pair_bound(best, arg, kind)
+        # sym is centrally symmetric, so -s scores as s does; in product
+        # order s (first sign +1) comes first and keeps the strict maximum
         if kind is NormKind.SUP:
-            objectives = [{i: Fraction(sgn)} for i in coords for sgn in (1, -1)]
+            objectives = [{i: Fraction(1)} for i in coords]
         else:
             if len(coords) > 14:
                 raise BudgetExceeded("hull symmetrized diameter needs too many sign patterns")
             objectives = (
-                {i: Fraction(s) for i, s in zip(coords, signs)}
-                for signs in product((1, -1), repeat=len(coords))
+                {i: Fraction(s) for i, s in zip(coords, (1,) + signs)}
+                for signs in product((1, -1), repeat=len(coords) - 1)
             )
+        start = self._symmetrized_start(sym.witnesses, coords)
         for objective in objectives:
-            value, d = self._symmetrized_max(sym.witnesses, objective)
+            value, d = self._symmetrized_max(start, coords, objective)
             if value > best:
                 best, arg = value, d
         return _symmetric_pair_bound(best, arg, kind)
 
     def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
-        value, arg = self._symmetrized_max(sym.witnesses, dict(f.items()))
+        coords = sorted(relevant_coords(sym) | set(f.support))
+        start = self._symmetrized_start(sym.witnesses, coords)
+        value, arg = self._symmetrized_max(start, coords, dict(f.items()))
         return BoundPair(value, value, lower_witness={"point": arg.to_json()})
 
 

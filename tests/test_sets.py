@@ -28,6 +28,7 @@ from symdex import (
     coordinate_relaxation,
     diameter,
     free_direction,
+    linear_combination,
     set_from_json,
     set_to_json,
     sup_functional,
@@ -35,6 +36,7 @@ from symdex import (
     unit,
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
+from symdex.exactlp import solve_lp
 from symdex.sets import enumerate_members, reduced, sample_members
 from util import ALL_NORMS, finite_sets, norm_kinds
 
@@ -214,6 +216,71 @@ def test_symmetrized_hull_diameter_is_exact_zero_at_generator():
     sym = symmetrize(hull, [unit(1)])
     bound = diameter(sym, NormKind.SUM)
     assert bound.exact and bound.upper == 0
+
+
+def reference_hull_extent(hull, witnesses, kind):
+    """Largest member norm of the hull's symmetrization and the first
+    member attaining it: every sign objective (both halves) through a
+    fresh ``solve_lp`` on the membership rows."""
+    coords = sorted(
+        {i for p in hull.points for i in p.support} | {i for w in witnesses for i in w.support}
+    )
+    if kind is NormKind.SUP:
+        objectives = [{i: s} for i in coords for s in (1, -1)]
+    else:
+        objectives = [dict(zip(coords, signs)) for signs in product((1, -1), repeat=len(coords))]
+    c, k = len(coords), len(hull.points)
+    nvars = 2 * c + 2 * len(witnesses) * (2 * k + 1)
+    rows, rhs = [], []
+    offset = 2 * c
+    for w in witnesses:
+        for sgn in (1, -1):
+            for pos, i in enumerate(coords):
+                row = [F(0)] * nvars
+                row[pos], row[c + pos] = F(-sgn), F(sgn)
+                for j, p in enumerate(hull.points):
+                    row[offset + j], row[offset + k + j] = p.get(i), -p.get(i)
+                rows.append(row)
+                rhs.append(w.get(i))
+            rows.append([F(0)] * offset + [F(1)] * (2 * k + 1) + [F(0)] * (nvars - offset - 2 * k - 1))
+            rhs.append(F(1))
+            offset += 2 * k + 1
+    best, arg = F(0), ZERO
+    for objective in objectives:
+        obj = [F(objective.get(i, 0)) for i in coords]
+        res = solve_lp(obj + [-a for a in obj] + [F(0)] * (nvars - 2 * c), rows, rhs)
+        if res.value > best:
+            best = res.value
+            arg = SparseVec({i: res.x[pos] - res.x[c + pos] for pos, i in enumerate(coords)})
+    return best, arg
+
+
+hull_entries = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+
+@st.composite
+def hulls_with_witnesses(draw):
+    dim = draw(st.integers(2, 3))
+    vec = st.lists(hull_entries, min_size=dim, max_size=dim).map(
+        lambda xs: SparseVec({i + 1: x for i, x in enumerate(xs)})
+    )
+    hull = AbsConvHull(tuple(draw(st.lists(vec, min_size=2, max_size=4, unique=True))))
+    witnesses = []
+    for _ in range(draw(st.integers(1, 2))):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(hull.points), max_size=len(hull.points)))
+        total = max(sum(abs(w) for w in weights), draw(st.sampled_from([1, 2, 4])))
+        witnesses.append(linear_combination(zip([F(w, total) for w in weights], hull.points)))
+    return hull, witnesses
+
+
+@settings(max_examples=25, deadline=None)
+@given(hulls_with_witnesses(), st.sampled_from([NormKind.SUP, NormKind.SUM]))
+def test_symmetrized_hull_diameter_matches_every_objective(hw, kind):
+    hull, witnesses = hw
+    bound = diameter(symmetrize(hull, witnesses), kind)
+    best, arg = reference_hull_extent(hull, sorted(set(witnesses), key=lambda w: w.sort_key()), kind)
+    assert bound.lower == bound.upper == 2 * best
+    assert bound.lower_witness == {"pair": [arg.to_json(), (-arg).to_json()]}
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +474,27 @@ json_values = st.recursive(json_scalars, _json_containers, max_leaves=16)
 def test_set_from_json_raises_only_library_errors(obj):
     try:
         set_from_json(obj)
+    except SymdexError:
+        pass
+
+
+# series objects whose fields are mostly well formed, so that parsing
+# reaches the terms and their entries
+json_terms = st.dictionaries(st.sampled_from(["1", "2", "0", "-1", "x"]), json_scalars, max_size=2)
+series_json = json_values | st.fixed_dictionaries(
+    {
+        "terms": st.lists(json_terms, max_size=3) | json_values,
+        "norm": st.sampled_from(["sup", "sum", " Euclid ", "max"]) | json_scalars,
+    },
+    optional={"label": st.just("geometric") | json_values},
+)
+
+
+@settings(max_examples=400)
+@given(series_json)
+def test_series_from_json_raises_only_library_errors(obj):
+    try:
+        SeriesSpec.from_json(obj)
     except SymdexError:
         pass
 
