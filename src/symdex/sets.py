@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -1456,7 +1457,11 @@ def reduced(expr: SetExpr) -> SetExpr:
 # ---------------------------------------------------------------------------
 # enumeration and sampling
 
-_ENUM_CACHE: dict[tuple, Optional[tuple[SparseVec, ...]]] = {}
+# Least-recently-used enumerations, keyed by (expr, budget). The bound
+# keeps a long-lived process from holding every set it ever enumerated;
+# a single request reuses a few dozen entries, far below it.
+ENUM_CACHE_SIZE = 512
+_ENUM_CACHE: OrderedDict[tuple, Optional[tuple[SparseVec, ...]]] = OrderedDict()
 
 
 def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optional[tuple[SparseVec, ...]]:
@@ -1467,9 +1472,12 @@ def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optio
     """
     key = (expr, budget)
     if key in _ENUM_CACHE:
+        _ENUM_CACHE.move_to_end(key)
         return _ENUM_CACHE[key]
     result = _enumerate_members_raw(expr, budget)
     _ENUM_CACHE[key] = result
+    if len(_ENUM_CACHE) > ENUM_CACHE_SIZE:
+        _ENUM_CACHE.popitem(last=False)
     return result
 
 

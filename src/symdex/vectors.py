@@ -8,6 +8,15 @@ Euclidean magnitudes (norms, dual norms, distances) are always carried
 as exact squares so every comparison stays inside rational arithmetic;
 ``as_length`` lifts a plain threshold into that convention and
 ``half_length`` halves a carried magnitude.
+
+``SparseVec`` has two constructors. The public ``SparseVec(...)``
+validates and accumulates caller and JSON input. The trusted
+``SparseVec._canonical(data)`` stores a dict that is already canonical:
+every key a positive ``int``, every value a nonzero ``Fraction``. All
+arithmetic in this module (``+``, ``-``, unary ``-``, ``scale``,
+``linear_combination``) builds such dicts directly and goes through
+``_canonical``, so a result is never re-validated. Both constructors
+sort the items once and leave the hash to be computed on first use.
 """
 
 from __future__ import annotations
@@ -24,15 +33,27 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 
+# Shared zero returned by lookups that miss; Fractions are immutable.
+_ZERO_SCALAR = Fraction(0)
+
+
 def as_scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction, 'p/q' or plain decimal string to an exact rational.
+
+    Strings in exponent notation are rejected: ``Fraction("1e-100000000")``
+    would build a denominator with 10^8 digits, so one input scalar could
+    run a request without bound.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            raise InvalidInput(f"exponent notation is not accepted: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"not a rational: {value!r}") from exc
     raise InvalidInput(f"not a rational: {value!r}")
@@ -82,6 +103,11 @@ class SparseVec:
 
     Duplicate coordinates in the input are accumulated; zero entries are
     dropped, so equal vectors always have equal representations.
+
+    Invariant (checked by ``__init__``, trusted by ``_canonical``):
+    ``_entries`` maps positive ``int`` coordinates to nonzero ``Fraction``
+    values, ``_items`` is ``sorted(_entries.items())``, and ``_hash`` is
+    None until ``__hash__`` first computes ``hash(_items)``.
     """
 
     __slots__ = ("_entries", "_items", "_hash")
@@ -92,20 +118,33 @@ class SparseVec:
         for coord, value in pairs:
             if not isinstance(coord, int) or isinstance(coord, bool) or coord < 1:
                 raise InvalidInput(f"coordinate must be a positive integer, got {coord!r}")
-            q = data.get(coord, Fraction(0)) + as_scalar(value)
+            q = data.get(coord, _ZERO_SCALAR) + as_scalar(value)
             if q == 0:
                 data.pop(coord, None)
             else:
                 data[coord] = q
         self._entries = data
         self._items = tuple(sorted(data.items()))
-        self._hash = hash(self._items)
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, data: dict[int, Fraction]) -> "SparseVec":
+        """Wrap a dict that already satisfies the class invariant, unchecked.
+
+        The dict is owned by the result from then on; callers build a
+        fresh one and never touch it again.
+        """
+        vec = object.__new__(cls)
+        vec._entries = data
+        vec._items = tuple(sorted(data.items()))
+        vec._hash = None
+        return vec
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(self._items)
 
     def get(self, coord: int) -> Fraction:
-        return self._entries.get(coord, Fraction(0))
+        return self._entries.get(coord, _ZERO_SCALAR)
 
     def __getitem__(self, coord: int) -> Fraction:
         return self.get(coord)
@@ -131,29 +170,36 @@ class SparseVec:
         return isinstance(other, SparseVec) and self._items == other._items
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._items)
+        return h
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        out = dict(self._entries)
-        for i, x in other._items:
-            q = out.get(i, Fraction(0)) + x
-            if q == 0:
-                out.pop(i, None)
-            else:
-                out[i] = q
-        return SparseVec(out)
+        return SparseVec._canonical(_add_into(dict(self._entries), other._items))
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
-        return self + (-other)
+        out = dict(self._entries)
+        for i, x in other._items:
+            q = out.get(i)
+            if q is None:
+                out[i] = -x
+            else:
+                q -= x
+                if q:
+                    out[i] = q
+                else:
+                    del out[i]
+        return SparseVec._canonical(out)
 
     def __neg__(self) -> "SparseVec":
-        return SparseVec({i: -x for i, x in self._items})
+        return SparseVec._canonical({i: -x for i, x in self._items})
 
     def scale(self, factor: ScalarLike) -> "SparseVec":
         c = as_scalar(factor)
         if c == 0:
             return ZERO
-        return SparseVec({i: c * x for i, x in self._items})
+        return SparseVec._canonical({i: c * x for i, x in self._items})
 
     def __rmul__(self, factor: ScalarLike) -> "SparseVec":
         return self.scale(factor)
@@ -177,6 +223,22 @@ class SparseVec:
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}: {x}" for i, x in self._items)
         return f"SparseVec({{{inner}}})"
+
+
+def _add_into(acc: dict[int, Fraction], items: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """Add nonzero (coordinate, value) pairs into a canonical dict in place,
+    dropping every coordinate whose sum cancels; returns ``acc``."""
+    for i, x in items:
+        q = acc.get(i)
+        if q is None:
+            acc[i] = x
+        else:
+            q += x
+            if q:
+                acc[i] = q
+            else:
+                del acc[i]
+    return acc
 
 
 ZERO = SparseVec()
@@ -206,13 +268,14 @@ def linear_combination(terms: Iterable[tuple[ScalarLike, SparseVec]]) -> SparseV
         c = as_scalar(coeff)
         if c == 0:
             continue
-        for i, x in vec.items():
-            q = acc.get(i, Fraction(0)) + c * x
-            if q == 0:
-                acc.pop(i, None)
-            else:
-                acc[i] = q
-    return SparseVec(acc)
+        if c == 1:
+            scaled = vec._items
+        elif c == -1:
+            scaled = [(i, -x) for i, x in vec._items]
+        else:
+            scaled = [(i, c * x) for i, x in vec._items]
+        _add_into(acc, scaled)
+    return SparseVec._canonical(acc)
 
 
 def signed_sums(terms: Sequence[SparseVec]) -> Iterator[SparseVec]:
@@ -225,16 +288,17 @@ def signed_sums(terms: Sequence[SparseVec]) -> Iterator[SparseVec]:
 def norm(v: SparseVec, kind: NormKind) -> Fraction:
     """Exact norm; Euclidean value is returned squared."""
     if kind is NormKind.SUP:
-        return max((abs(x) for _, x in v.items()), default=Fraction(0))
+        return max((abs(x) for _, x in v._items), default=_ZERO_SCALAR)
     if kind is NormKind.SUM:
-        return sum((abs(x) for _, x in v.items()), Fraction(0))
-    return sum((x * x for _, x in v.items()), Fraction(0))
+        return sum((abs(x) for _, x in v._items), _ZERO_SCALAR)
+    return sum((x * x for _, x in v._items), _ZERO_SCALAR)
 
 
 def dual_pair(f: Functional, v: SparseVec) -> Fraction:
     """Exact pairing sum(f_i * v_i) over the common support."""
-    a, b = (f, v) if len(f.support) <= len(v.support) else (v, f)
-    return sum((x * b.get(i) for i, x in a.items()), Fraction(0))
+    a, b = (f, v) if len(f._items) <= len(v._items) else (v, f)
+    other = b._entries
+    return sum((x * other[i] for i, x in a._items if i in other), _ZERO_SCALAR)
 
 
 def dual_norm(f: Functional, kind: NormKind) -> Fraction:

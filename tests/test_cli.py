@@ -136,6 +136,13 @@ def test_invalid_input_exit_code(tmp_path):
         assert main(["delta", "--in", infile, "--out", str(out)]) == EXIT_INVALID
 
 
+def test_exponent_scalar_is_invalid_input(tmp_path):
+    out = tmp_path / "out.json"
+    huge = {"type": "finite", "points": [{"1": "1e-100000000"}, {"2": "1"}]}
+    infile = write(tmp_path / "huge.json", huge)
+    assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_INVALID
+
+
 def nested_set(depth: int) -> dict:
     """A unit box under ``depth - 1`` alternating negations and translations."""
     expr = PLAIN_BOX

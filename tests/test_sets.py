@@ -37,7 +37,8 @@ from symdex import (
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
 from symdex.exactlp import solve_lp
-from symdex.sets import enumerate_members, reduced, sample_members
+from symdex import sets as sets_module
+from symdex.sets import ENUM_CACHE_SIZE, enumerate_members, reduced, sample_members
 from util import ALL_NORMS, finite_sets, norm_kinds
 
 
@@ -372,6 +373,25 @@ def test_free_direction_soundness(points, data, kind):
 
 # ---------------------------------------------------------------------------
 # enumeration, sampling, JSON
+
+
+def test_enumeration_cache_is_bounded_and_least_recently_used():
+    cache = sets_module._ENUM_CACHE
+    cache.clear()
+    exprs = [FinitePoints((unit(1, k), unit(2, -k))) for k in range(1, ENUM_CACHE_SIZE + 41)]
+    first = [enumerate_members(expr, 10) for expr in exprs[:2]]
+    for expr in exprs[2:ENUM_CACHE_SIZE]:
+        enumerate_members(expr, 10)
+    assert len(cache) == ENUM_CACHE_SIZE
+    enumerate_members(exprs[0], 10)  # a hit makes it the most recent entry
+    for expr in exprs[ENUM_CACHE_SIZE:]:
+        enumerate_members(expr, 10)
+        assert len(cache) <= ENUM_CACHE_SIZE
+    assert (exprs[0], 10) in cache
+    assert (exprs[1], 10) not in cache
+    assert enumerate_members(exprs[1], 10) == first[1]
+    assert set(first[1]) == set(exprs[1].points)
+    cache.clear()
 
 
 def test_enumerate_members_sign_sums():

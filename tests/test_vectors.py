@@ -1,5 +1,8 @@
+import time
 from fractions import Fraction as F
+from itertools import product
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -16,7 +19,8 @@ from symdex import (
     norm,
     unit,
 )
-from util import norm_kinds, sparse_vecs
+from symdex.vectors import signed_sums
+from util import coords, norm_kinds, small_fractions, sparse_vecs
 
 
 def test_linear_combination_cancellation():
@@ -121,3 +125,103 @@ def test_as_scalar_parses_strings():
     assert as_scalar("-3") == F(-3)
     with pytest.raises(InvalidInput):
         as_scalar("seven")
+
+
+def test_as_scalar_accepts_integers_ratios_and_plain_decimals():
+    assert as_scalar(" 7 ") == F(7)
+    assert as_scalar("-3/4") == F(-3, 4)
+    assert as_scalar("0.125") == F(1, 8)
+    assert as_scalar("-.5") == F(-1, 2)
+
+
+@pytest.mark.parametrize("text", ["1e-100000000", "1E-100000000", "2.5e3", "1e5", " 3E+2 "])
+def test_as_scalar_rejects_exponent_notation(text):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput):
+        as_scalar(text)
+    assert time.perf_counter() - start < 1.0
+
+
+# -- differential check of the arithmetic kernel ---------------------------
+#
+# Every result built by the trusted constructor must be indistinguishable
+# from the validating constructor applied to plain-dict arithmetic.
+
+raw_vecs = st.dictionaries(coords, small_fractions, max_size=5)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two vectors whose shared coordinates often cancel under + or -."""
+    u = SparseVec(draw(raw_vecs))
+    entries = draw(raw_vecs)
+    for i, x in u.items():
+        pick = draw(st.sampled_from(("keep", "cancel_add", "cancel_sub")))
+        if pick == "cancel_add":
+            entries[i] = -x
+        elif pick == "cancel_sub":
+            entries[i] = x
+    return u, SparseVec(entries)
+
+
+def reference(terms) -> SparseVec:
+    """sum(c * v) by plain dict arithmetic, then the validating constructor."""
+    acc: dict = {}
+    for c, v in terms:
+        for i, x in v.items():
+            acc[i] = acc.get(i, 0) + F(c) * x
+    return SparseVec(acc)
+
+
+def assert_same_vector(result: SparseVec, expected: SparseVec) -> None:
+    assert result == expected
+    assert hash(result) == hash(expected) == hash(tuple(sorted(dict(expected.items()).items())))
+    assert list(result.items()) == list(expected.items())
+    assert result.sort_key() == expected.sort_key()
+    assert result.support == expected.support
+    assert result.max_support == expected.max_support
+    assert result.is_zero == (not expected.support)
+    assert all(type(x) is F and x != 0 for x in result._entries.values())
+    assert list(result.items()) == sorted(result._entries.items())
+
+
+def snapshot(v: SparseVec):
+    return tuple(v.items()), dict(v._entries), hash(v)
+
+
+@given(cancelling_pairs(), small_fractions)
+def test_kernel_arithmetic_matches_dict_reference(pair, c):
+    u, v = pair
+    before = snapshot(u), snapshot(v)
+    assert_same_vector(u + v, reference([(1, u), (1, v)]))
+    assert_same_vector(u - v, reference([(1, u), (-1, v)]))
+    assert_same_vector(v - u, reference([(1, v), (-1, u)]))
+    assert_same_vector(u - u, ZERO)
+    assert_same_vector(-u, reference([(-1, u)]))
+    assert_same_vector(u.scale(c), reference([(c, u)]))
+    assert_same_vector(c * v, reference([(c, v)]))
+    assert_same_vector(u.scale(0), ZERO)
+    assert (snapshot(u), snapshot(v)) == before
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.sampled_from((0, 1, -1, 2)), small_fractions), raw_vecs.map(SparseVec)),
+        max_size=5,
+    )
+)
+def test_linear_combination_matches_dict_reference(terms):
+    before = [snapshot(v) for _, v in terms]
+    assert_same_vector(linear_combination(terms), reference(terms))
+    assert [snapshot(v) for _, v in terms] == before
+
+
+@given(st.lists(raw_vecs.map(SparseVec), max_size=4))
+def test_signed_sums_match_dict_reference(terms):
+    before = [snapshot(v) for v in terms]
+    sums = list(signed_sums(terms))
+    patterns = list(product((1, -1), repeat=len(terms)))
+    assert len(sums) == len(patterns)
+    for result, signs in zip(sums, patterns):
+        assert_same_vector(result, reference(zip(signs, terms)))
+    assert [snapshot(v) for v in terms] == before
