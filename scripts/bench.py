@@ -10,8 +10,8 @@ library only.
     python scripts/bench.py --out results.json   # also write it as JSON
     python scripts/bench.py --src OTHER/src      # time another checkout
 
-Each figure is the median over ``--repeats`` timed batches of
-``--batch`` calls on seeded random operands whose supports half overlap.
+Each figure is the median over REPEATS timed batches of BATCH calls on
+random operands, drawn with seed SEED, whose supports half overlap.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from fractions import Fraction
 from pathlib import Path
 
 SIZES = (4, 16)
+BATCH = 200  # calls per timed batch
+REPEATS = 31  # timed batches per figure
+SEED = 5
 
 
 def random_vec(vectors, rng: random.Random, size: int, offset: int):
@@ -43,11 +46,11 @@ def timed(calls):
     return sample
 
 
-def kernel_samples(vectors, size: int, batch: int, rng: random.Random) -> dict:
-    """{kernel name: sample function timing ``batch`` calls} for one size."""
-    left = [random_vec(vectors, rng, size, 0) for _ in range(batch)]
-    right = [random_vec(vectors, rng, size, size // 2) for _ in range(batch)]
-    factors = [Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)) for _ in range(batch)]
+def kernel_samples(vectors, size: int, rng: random.Random) -> dict:
+    """{kernel name: sample function timing BATCH calls} for one size."""
+    left = [random_vec(vectors, rng, size, 0) for _ in range(BATCH)]
+    right = [random_vec(vectors, rng, size, size // 2) for _ in range(BATCH)]
+    factors = [Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)) for _ in range(BATCH)]
     pairs = list(zip(left, right))
     norm, dual_pair, kinds = vectors.norm, vectors.dual_pair, vectors.NormKind
 
@@ -71,15 +74,15 @@ def kernel_samples(vectors, size: int, batch: int, rng: random.Random) -> dict:
     }
 
 
-def measure(vectors, batch: int, repeats: int, seed: int) -> dict:
+def measure(vectors) -> dict:
     """{kernel name: {size: median us per call}}."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     results: dict[str, dict[str, float]] = {}
     for size in SIZES:
-        for name, sample in kernel_samples(vectors, size, batch, rng).items():
+        for name, sample in kernel_samples(vectors, size, rng).items():
             sample()  # warm up
-            ns = statistics.median(sample() for _ in range(repeats))
-            results.setdefault(name, {})[str(size)] = round(ns / batch / 1000, 3)
+            ns = statistics.median(sample() for _ in range(REPEATS))
+            results.setdefault(name, {})[str(size)] = round(ns / BATCH / 1000, 3)
     return results
 
 
@@ -88,17 +91,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the symdex package to time")
     parser.add_argument("--out", type=Path, help="also write the results to this JSON file")
-    parser.add_argument("--batch", type=int, default=200, help="calls per timed batch")
-    parser.add_argument("--repeats", type=int, default=31, help="timed batches per figure")
-    parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.batch < 1 or args.repeats < 1:
-        parser.error("--batch and --repeats must be positive")
 
     sys.path.insert(0, str(args.src))
     from symdex import vectors
 
-    kernels = measure(vectors, args.batch, args.repeats, args.seed)
+    kernels = measure(vectors)
     print(f"{'kernel':<12}" + "".join(f"{f'{size} entries':>14}" for size in SIZES) + "   (median us per call)")
     for name, by_size in kernels.items():
         print(f"{name:<12}" + "".join(f"{by_size[str(size)]:>14.2f}" for size in SIZES))
@@ -106,9 +104,9 @@ def main(argv=None) -> int:
         report = {
             "layer": "kernels",
             "unit": "us per call, median",
-            "batch": args.batch,
-            "repeats": args.repeats,
-            "seed": args.seed,
+            "batch": BATCH,
+            "repeats": REPEATS,
+            "seed": SEED,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "kernels": kernels,

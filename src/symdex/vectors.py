@@ -51,7 +51,7 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if "e" in text or "E" in text:
-            raise InvalidInput(f"exponent notation is not accepted: {value!r}")
+            raise InvalidInput(f"not a rational (exponent notation is not accepted): {value!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
