@@ -1,27 +1,37 @@
 #!/usr/bin/env python3
-"""Time the exact-arithmetic kernels of ``symdex.vectors``.
+"""Time the exact-arithmetic kernels of ``symdex.vectors`` and the CLI.
 
-For 4- and 16-entry vectors this prints the median time per call, in
+Kernels: for 4- and 16-entry vectors, the median time per call, in
 microseconds, of SparseVec add, sub, neg and scale, the first hash of a
-fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``. Standard
+fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
+
+CLI: for every request of ``scripts/run_demo.py``, the median time in
+milliseconds of ``symdex.cli.main``, the median time of the ``oracle``
+replay of its JSON report, and the report size in bytes. Standard
 library only.
 
-    python scripts/bench.py                      # print the table
-    python scripts/bench.py --out results.json   # also write it as JSON
+    python scripts/bench.py                      # print the tables
+    python scripts/bench.py --out results.json   # also write them as JSON
     python scripts/bench.py --src OTHER/src      # time another checkout
 
-Each figure is the median over REPEATS timed batches of BATCH calls on
-random operands, drawn with seed SEED, whose supports half overlap.
+Each kernel figure is the median over REPEATS timed batches of BATCH
+calls on random operands, drawn with seed SEED, whose supports half
+overlap. Each CLI figure is the median over CLI_REPEATS calls, each
+started with an empty enumeration cache, as a fresh process has.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +40,8 @@ SIZES = (4, 16)
 BATCH = 200  # calls per timed batch
 REPEATS = 31  # timed batches per figure
 SEED = 5
+CLI_REPEATS = 15  # timed calls per CLI figure
+DEMO = Path(__file__).resolve().parent / "run_demo.py"
 
 
 def random_vec(vectors, rng: random.Random, size: int, offset: int):
@@ -86,6 +98,46 @@ def measure(vectors) -> dict:
     return results
 
 
+def median_ms(call, before) -> float:
+    """Median ms of ``call()`` over CLI_REPEATS runs after one warm-up;
+    ``before()`` runs ahead of each, outside the timer."""
+    samples = []
+    for _ in range(CLI_REPEATS + 1):
+        before()
+        start = time.perf_counter_ns()
+        code = call()
+        samples.append(time.perf_counter_ns() - start)
+        if code != 0:
+            raise SystemExit(f"bench: a CLI request exited {code}")
+    return round(statistics.median(samples[1:]) / 1e6, 3)
+
+
+def measure_cli() -> dict:
+    """{report name: {"main_ms", "oracle_ms", "report_bytes"}} over the
+    requests of run_demo.py (CSV reports have no oracle replay)."""
+    spec = importlib.util.spec_from_file_location("run_demo", DEMO)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
+    from symdex import sets
+
+    cache = getattr(sets, "_ENUM_CACHE", {})
+    results: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        work = Path(tmp)
+        for name, payload in demo.INPUTS.items():
+            (work / name).write_text(json.dumps(payload, indent=2) + "\n")
+        for outname, argv in demo.REQUESTS:
+            report = work / outname
+            request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report), "--seed", "0"]
+            row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear)}
+            row["report_bytes"] = report.stat().st_size
+            if outname.endswith(".json"):
+                replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
+                row["oracle_ms"] = median_ms(lambda: demo.main(replay), cache.clear)
+            results[outname] = row
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
@@ -100,16 +152,25 @@ def main(argv=None) -> int:
     print(f"{'kernel':<12}" + "".join(f"{f'{size} entries':>14}" for size in SIZES) + "   (median us per call)")
     for name, by_size in kernels.items():
         print(f"{name:<12}" + "".join(f"{by_size[str(size)]:>14.2f}" for size in SIZES))
+    cli = measure_cli()
+    print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}   (median)")
+    for name, row in cli.items():
+        oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
+        print(f"{name:<22}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}")
     if args.out:
         report = {
-            "layer": "kernels",
-            "unit": "us per call, median",
+            "units": {
+                "kernels": "us per call, median",
+                "cli": "ms per call, median; report size in bytes",
+            },
             "batch": BATCH,
             "repeats": REPEATS,
+            "cli_repeats": CLI_REPEATS,
             "seed": SEED,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "kernels": kernels,
+            "cli": cli,
         }
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

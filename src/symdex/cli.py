@@ -171,11 +171,11 @@ def _strategy(args, expr) -> indexes.SearchStrategy:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (result, replay, outcome)
+# command handlers; each takes the parsed input, which the report embeds
+# and so must stay unmodified, and returns (result, replay, outcome)
 
 
-def _run_delta(args):
-    obj = _load_json(args.infile)
+def _run_delta(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     curve = indexes.delta_curve(expr, args.n, _strategy(args, expr), kind, seed=args.seed)
     replay: list[dict] = []
@@ -204,8 +204,7 @@ def _run_delta(args):
     return {"curve": rows, "norm": kind.value}, replay, "ok"
 
 
-def _run_extract(args):
-    obj = _load_json(args.infile)
+def _run_extract(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     epsilon = as_scalar(args.epsilon)
     outcome = "ok"
@@ -264,8 +263,7 @@ def _run_extract(args):
     return result, replay, outcome
 
 
-def _run_refine(args):
-    obj = _load_json(args.infile)
+def _run_refine(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     epsilon = as_scalar(args.epsilon)
     try:
@@ -295,8 +293,7 @@ def _run_refine(args):
     return result, replay, "ok"
 
 
-def _run_tree(args):
-    obj = _load_json(args.infile)
+def _run_tree(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     epsilon = as_scalar(args.epsilon)
     try:
@@ -326,8 +323,7 @@ def _run_tree(args):
     return {"tree": tree.to_json()}, replay, "ok"
 
 
-def _run_series(args):
-    obj = _load_json(args.infile)
+def _run_series(args, obj):
     series = series_mod.SeriesSpec.from_json(obj)
     epsilon = as_scalar(args.epsilon)
     wuc = series_mod.wuc_bound(series)
@@ -377,8 +373,7 @@ def _run_series(args):
     return result, replay, "ok"
 
 
-def _run_extreme(args):
-    obj = _load_json(args.infile)
+def _run_extreme(args, obj):
     expr, kind, point = _parse_set_input(obj, args.norm)
     if point is None:
         raise InvalidInput("extreme command needs an envelope with a 'point' field")
@@ -396,8 +391,7 @@ def _run_extreme(args):
     return result, replay, "ok"
 
 
-def _run_one_sided(args):
-    obj = _load_json(args.infile)
+def _run_one_sided(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     epsilon = as_scalar(args.epsilon)
     try:
@@ -421,8 +415,7 @@ def _run_one_sided(args):
     return {"sequence": [v.to_json() for v in xs]}, replay, "ok"
 
 
-def _run_oracle(args):
-    report = _load_json(args.infile)
+def _run_oracle(args, report):
     failures = verify_replay(report)
     result = {
         "checked": len(report.get("replay", [])),
@@ -487,34 +480,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symdex",
         description="Symmetrization indexes and structure extraction for bounded sequence sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--in", dest="infile", required=True)
-        cmd.add_argument("--out", dest="outfile", required=True)
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--n", type=int, default=4)
-        cmd.add_argument("--epsilon", default="1/10")
-        cmd.add_argument("--depth", type=int, default=3)
-        cmd.add_argument(
-            "--strategy", choices=("exhaustive", "greedy", "beam"), default="exhaustive"
-        )
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--budget", type=int, default=200_000)
-        cmd.add_argument("--norm", choices=("sup", "sum", "euclid"), default=None)
-        cmd.add_argument("--decimal", type=int, default=None)
+    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("--in", dest="infile", required=True)
+    parser.add_argument("--out", dest="outfile", required=True)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--n", type=int, default=4)
+    parser.add_argument("--epsilon", default="1/10")
+    parser.add_argument("--depth", type=int, default=3)
+    parser.add_argument("--strategy", choices=("exhaustive", "greedy", "beam"), default="exhaustive")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=200_000)
+    parser.add_argument("--norm", choices=("sup", "sum", "euclid"), default=None)
+    parser.add_argument("--decimal", type=int, default=None)
     return parser
+
+
+PARSER = build_parser()
 
 
 def run(args) -> int:
     handler = HANDLERS[args.command]
     try:
-        result, replay, outcome = handler(args)
-    except (InvalidInput, KeyError) as exc:
-        print(f"symdex: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except UnboundedDiameter as exc:
-        # the request asks for a quantity the model says is infinite
+        obj = _load_json(args.infile)
+        result, replay, outcome = handler(args, obj)
+    except (InvalidInput, KeyError, UnboundedDiameter) as exc:
+        # UnboundedDiameter: the request asks for a quantity the model says is infinite
         print(f"symdex: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceeded as exc:
@@ -528,7 +518,7 @@ def run(args) -> int:
         "version": __version__,
         "command": args.command,
         "request": {
-            "input": _load_json(args.infile),
+            "input": obj,
             "parameters": {
                 "n": args.n,
                 "epsilon": args.epsilon,
@@ -557,9 +547,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
+    return run(PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -353,18 +353,13 @@ def extract_c0_sequence(
             raise ExtractionStalled(n, partial(), "no admissible functional")
         steps.append(TranscriptStep(x=x_n, f=f_n, set_before=current))
         current = symmetrize(current, [x_n])
+    return partial()
 
-    floor = delta_lower(expr, 2 ** N, kind).lower_certificate.plain_value
-    return ExtractionTranscript(
-        base_set=expr,
-        kind=kind,
-        epsilon=eps,
-        eta=eta,
-        x0=start,
-        steps=steps,
-        delta_lower_at_2N=floor,
-        final_set=current,
-    )
+
+# the per-step conditions; a transcript is ok when every step meets all of them
+STEP_FLAGS = (
+    "unit_norm", "orthogonal", "member", "near_sup", "above_index_floor", "nested", "small_on_next",
+)
 
 
 def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8) -> dict:
@@ -374,31 +369,21 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
     achieved for the sampled conditions.
     """
     rng = random.Random(seed)
-    report: dict = {"ok": True, "steps": []}
+    steps: list[dict] = []
 
     for n, step in enumerate(t.steps, start=1):
         entry: dict = {"n": n}
         entry["unit_norm"] = dual_norm(step.f, t.kind) == 1
-        if not entry["unit_norm"]:
-            report["ok"] = False
         entry["orthogonal"] = all(
             dual_pair(step.f, t.steps[k].x) == 0 for k in range(n - 1)
         )
-        if not entry["orthogonal"]:
-            report["ok"] = False
         entry["member"] = contains(step.set_before, step.x)
-        if not entry["member"]:
-            report["ok"] = False
 
         value = dual_pair(step.f, step.x)
         sup = sup_functional(step.f, step.set_before).upper
         entry["near_sup"] = sup is not None and value > sup - t.eta
-        if not entry["near_sup"]:
-            report["ok"] = False
         floor = delta_lower(t.base_set, 2 ** n, t.kind).lower_certificate.plain_value
         entry["above_index_floor"] = value > floor - 2 * t.eta
-        if not entry["above_index_floor"]:
-            report["ok"] = False
 
         nxt = t.steps[n].set_before if n < len(t.steps) else t.final_set
         # condition (a): prev_x +- (this set) inside the previous set
@@ -418,8 +403,6 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
                     break
             entry["nested"] = ok
             entry["nested_level"] = "sampled"
-        if not entry["nested"]:
-            report["ok"] = False
 
         # condition (d): the functional is small on the next set
         cap = reduced(nxt).exact_abs_sup(step.f)
@@ -432,11 +415,10 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
                 for z in sample_members(nxt, rng, probes)
             )
             entry["small_on_next_level"] = "sampled"
-        if not entry["small_on_next"]:
-            report["ok"] = False
 
-        report["steps"].append(entry)
-    return report
+        steps.append(entry)
+    ok = all(entry[flag] for entry in steps for flag in STEP_FLAGS)
+    return {"ok": ok, "steps": steps}
 
 
 def verify_basis_inequality(

@@ -11,6 +11,7 @@ certified zero, distinguishable by its kind tag.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,10 +356,7 @@ def kcenter_radius(
         return max(min(norm(p - c, kind) for c in centers) for p in pts)
 
     if exact:
-        total = 1
-        n = len(pts)
-        for j in range(k):
-            total = total * (n - j) // (j + 1)
+        total = math.comb(len(pts), k)
         if total > budget:
             raise BudgetExceeded(f"kcenter exact enumeration of {total} subsets")
         best = None
@@ -411,9 +409,7 @@ def separation_alpha_lower(
         pts = list(members)
         if len(pts) < count:
             return BoundPair(Fraction(0), None)
-        total = 1
-        for j in range(count):
-            total = total * (len(pts) - j) // (j + 1)
+        total = math.comb(len(pts), count)
         best_s = Fraction(0)
         if total <= budget:
             for family in combinations(pts, count):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 from . import exactlp
 from .errors import (
@@ -689,34 +689,31 @@ class SignSums(SetExpr):
                     out[i] = q
             return out
 
+        # Depth-first over term coefficients, on an explicit stack so the
+        # depth is not limited by the interpreter's recursion limit. A
+        # prefix sum needs at least one term; a subset sum may be empty.
         prefix_mode = self.mode is SignMode.PREFIXES
-
-        def search(residual: dict[int, Fraction], k: int) -> bool:
-            nonlocal nodes
+        signs = (Fraction(1), Fraction(-1)) + (() if prefix_mode else (Fraction(0),))
+        stack: list[tuple[dict[int, Fraction], int, Iterator[Fraction]]] = []
+        residual, k = dict(v.items()), 0
+        while True:
             nodes += 1
             if nodes > budget:
                 raise DepthExceeded(f"sign-sum membership search exceeded {budget} nodes")
-            if prefix_mode:
-                if k >= 1 and not residual:
-                    return True
-                if k == h:
-                    return False
-                if not viable(residual, k):
-                    return False
-                for c in (Fraction(1), Fraction(-1)):
-                    if search(step(residual, c, terms[k]), k + 1):
-                        return True
-                return False
-            if not residual:
+            if not residual and (k >= 1 or not prefix_mode):
                 return True
-            if k == h or not viable(residual, k):
+            if k < h and viable(residual, k):
+                stack.append((residual, k, iter(signs)))
+            # the next node: the next unvisited child of the deepest open node
+            while stack:
+                parent, depth, untried = stack[-1]
+                c = next(untried, None)
+                if c is not None:
+                    residual, k = step(parent, c, terms[depth]), depth + 1
+                    break
+                stack.pop()
+            else:
                 return False
-            for c in (Fraction(1), Fraction(-1), Fraction(0)):
-                if search(step(residual, c, terms[k]), k + 1):
-                    return True
-            return False
-
-        return search(dict(v.items()), 0)
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         terms = self.terms

@@ -1,6 +1,10 @@
+import argparse
 import json
 from fractions import Fraction as F
 
+import pytest
+
+from symdex import cli
 from symdex.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, decimal_string, main, verify_replay
 from symdex.sets import MAX_SET_DEPTH
 
@@ -244,3 +248,81 @@ def test_delta_on_subset_sign_sums_replays(tmp_path):
         assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_OK, name
         assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK, name
         assert json.loads(verdict.read_text())["result"]["failed"] == [], name
+
+
+def test_oracle_replays_a_deep_sign_sum_membership(tmp_path):
+    # 1,200 overlapping terms x_n = e_1 + e_2/n: the membership search for
+    # their sum goes 1,200 terms deep
+    series = {"norm": "sup", "terms": [{"1": "1", "2": f"1/{n}"} for n in range(1, 1201)]}
+    total = {"1": "1200", "2": str(sum(F(1, n) for n in range(1, 1201)))}
+    entry = {
+        "kind": "contains",
+        "set": {"type": "sign_sums", "mode": "subsets", "horizon": 1200, "series": series},
+        "vector": total,
+        "expected": True,
+    }
+    report = write(tmp_path / "report.json", {"replay": [entry]})
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", report, "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"checked": 1, "failed": []}
+
+
+# ---------------------------------------------------------------------------
+# the request pipeline
+
+
+@pytest.mark.parametrize("command", ["delta", "series", "oracle"])
+def test_request_reads_its_input_once(tmp_path, monkeypatch, command):
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    report = tmp_path / "report.json"
+    assert main(["delta", "--in", infile, "--out", str(report), "--n", "1"]) == EXIT_OK
+    series = write(tmp_path / "series.json", GEOMETRIC)
+    inputs = {"delta": infile, "series": series, "oracle": str(report)}
+    reads = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    out = tmp_path / "out.json"
+    assert main([command, "--in", inputs[command], "--out", str(out), "--epsilon", "1/8"]) == EXIT_OK
+    assert reads == [inputs[command]]
+    assert json.loads(out.read_text())["request"]["input"] == load(inputs[command])
+
+
+def test_request_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    assert main(["delta", "--in", infile, "--out", str(tmp_path / "out.json"), "--n", "1"]) == EXIT_OK
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate", "--in", "a.json", "--out", "b.json"], "invalid choice: 'frobnicate'"),
+        (["delta", "--out", "b.json"], "the following arguments are required: --in"),
+    ],
+    ids=["unknown_command", "missing_in"],
+)
+def test_malformed_command_line_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_options_before_the_command_parse_the_same(tmp_path):
+    infile = write(tmp_path / "box.json", BOX_OVERRIDE)
+    after, before = tmp_path / "after.json", tmp_path / "before.json"
+    options = ["--in", infile, "--n", "2", "--seed", "3"]
+    assert cli.PARSER.parse_args(["delta", *options, "--out", "x"]) == cli.PARSER.parse_args(
+        [*options, "--out", "x", "delta"]
+    )
+    assert main(["delta", *options, "--out", str(after)]) == EXIT_OK
+    assert main([*options, "--out", str(before), "delta"]) == EXIT_OK
+    assert after.read_bytes() == before.read_bytes()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -93,6 +94,117 @@ def test_sign_sums_budget_exhaustion():
     expr = SignSums(series, SignMode.SUBSETS, 11, node_budget=5)
     with pytest.raises(DepthExceeded):
         contains(expr, SparseVec({1: 11} | {n: 1 for n in range(2, 13)}))
+
+
+def harmonic_sign_sums(h, mode=SignMode.SUBSETS):
+    """Sign sums of x_n = e_1 + e_2/n: every pair of supports overlaps."""
+    terms = tuple(SparseVec({1: 1, 2: F(1, n)}) for n in range(1, h + 1))
+    return SignSums(SeriesSpec(terms, NormKind.SUP, "harmonic"), mode, h)
+
+
+@pytest.mark.parametrize("mode", list(SignMode))
+def test_sign_sums_search_deeper_than_the_recursion_limit(mode):
+    expr = harmonic_sign_sums(1200, mode)
+    assert contains(expr, linear_combination((1, t) for t in expr.terms))
+
+
+def recursive_sign_sum_search(expr, v):
+    """The recursive membership search ``SignSums.contains`` used before it
+    moved to an explicit stack, kept as the reference for the rewrite.
+
+    Returns (member, nodes visited); raises DepthExceeded at the node
+    that exceeds ``expr.node_budget``.
+    """
+    terms = expr.terms
+    h = len(terms)
+    suffix = [dict() for _ in range(h + 1)]
+    for n in range(h - 1, -1, -1):
+        acc = dict(suffix[n + 1])
+        for i, x in terms[n].items():
+            acc[i] = acc.get(i, F(0)) + abs(x)
+        suffix[n] = acc
+    nodes = 0
+
+    def viable(residual, k):
+        return all(abs(x) <= suffix[k].get(i, F(0)) for i, x in residual.items())
+
+    def step(residual, coeff, term):
+        out = dict(residual)
+        for i, x in term.items():
+            q = out.get(i, F(0)) - coeff * x
+            if q == 0:
+                out.pop(i, None)
+            else:
+                out[i] = q
+        return out
+
+    prefix_mode = expr.mode is SignMode.PREFIXES
+
+    def search(residual, k):
+        nonlocal nodes
+        nodes += 1
+        if nodes > expr.node_budget:
+            raise DepthExceeded(f"sign-sum membership search exceeded {expr.node_budget} nodes")
+        if prefix_mode:
+            if k >= 1 and not residual:
+                return True
+            if k == h:
+                return False
+            if not viable(residual, k):
+                return False
+            for c in (F(1), F(-1)):
+                if search(step(residual, c, terms[k]), k + 1):
+                    return True
+            return False
+        if not residual:
+            return True
+        if k == h or not viable(residual, k):
+            return False
+        for c in (F(1), F(-1), F(0)):
+            if search(step(residual, c, terms[k]), k + 1):
+                return True
+        return False
+
+    return search(dict(v.items()), 0), nodes
+
+
+def search_outcome(search, v):
+    try:
+        return search(v)
+    except DepthExceeded as exc:
+        return "DepthExceeded", str(exc)
+
+
+small_terms = st.dictionaries(
+    st.integers(1, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3
+).map(SparseVec)
+overlapping_series = (
+    st.lists(small_terms, min_size=2, max_size=5)
+    .map(lambda terms: SeriesSpec(tuple(terms), NormKind.SUP, "overlap"))
+    .filter(lambda s: not s.disjoint_supports())
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_series, st.sampled_from(list(SignMode)), st.integers(1, 40), st.data())
+def test_sign_sums_stack_search_matches_recursive_reference(series, mode, budget, data):
+    h = data.draw(st.integers(1, series.horizon))
+    terms = series.terms[:h]
+    combination = st.lists(st.sampled_from((-1, 0, 1)), min_size=h, max_size=h).map(
+        lambda cs: linear_combination(zip(cs, terms))
+    )
+    v = data.draw(st.one_of(combination, small_terms))
+    expr = SignSums(series, mode, h, node_budget=budget)
+    assert expr.coefficients(v) is None  # the search runs, not the disjoint closed form
+    # the stack search does not report its node count, so compare through
+    # the budget: the same verdict, or DepthExceeded at the same node
+    assert search_outcome(expr.contains, v) == search_outcome(
+        lambda w: recursive_sign_sum_search(expr, w)[0], v
+    )
+    member, nodes = recursive_sign_sum_search(replace(expr, node_budget=10 ** 6), v)
+    assert replace(expr, node_budget=nodes).contains(v) is member
+    with pytest.raises(DepthExceeded):
+        replace(expr, node_budget=nodes - 1).contains(v)
 
 
 def test_hull_membership_exact_feasibility():
