@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Time the exact-arithmetic kernels of ``symdex.vectors`` and the CLI.
+"""Time the exact-arithmetic kernels of ``symdex.vectors``, the hull LPs and the CLI.
 
 Kernels: for 4- and 16-entry vectors, the median time per call, in
 microseconds, of SparseVec add, sub, neg and scale, the first hash of a
 fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
+
+LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
+2-3 coordinates), the median time in microseconds of hull membership
+(``contains``), of the sup and sum ``diameter`` of a one-witness
+symmetrization and of ``sup_functional`` on it, and the rows x columns
+of the LP each builds (before phase 1 adds its artificial columns).
 
 CLI: for every request of ``scripts/run_demo.py``, the median time in
 milliseconds of ``symdex.cli.main``, the median time of the ``oracle``
@@ -16,8 +22,10 @@ library only.
 
 Each kernel figure is the median over REPEATS timed batches of BATCH
 calls on random operands, drawn with seed SEED, whose supports half
-overlap. Each CLI figure is the median over CLI_REPEATS calls, each
-started with an empty enumeration cache, as a fresh process has.
+overlap. Each LP figure is the median over LP_REPEATS calls on each of
+LP_HULLS random hulls per shape, drawn with seed SEED. Each LP and CLI
+call starts with an empty enumeration cache, as a fresh process has;
+each CLI figure is the median over CLI_REPEATS calls.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ BATCH = 200  # calls per timed batch
 REPEATS = 31  # timed batches per figure
 SEED = 5
 CLI_REPEATS = 15  # timed calls per CLI figure
+LP_SHAPES = tuple((k, c) for c in (2, 3) for k in (2, 3, 4))  # (generators, coordinates)
+LP_HULLS = 4  # random hulls per shape
+LP_REPEATS = 9  # timed calls per hull and LP figure
+LP_ENTRIES = tuple(Fraction(x) for x in ("0", "1", "-1", "2", "1/2", "-3/2"))
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
 
 
@@ -98,6 +110,80 @@ def measure(vectors) -> dict:
     return results
 
 
+def random_hull(symdex, rng: random.Random, k: int, c: int):
+    """A hull of ``k`` distinct generators over coordinates 1..c, a member
+    of it (the witness), a probe inside it, one likely outside, and a
+    functional over the same coordinates."""
+    def vec():
+        return symdex.SparseVec({i: rng.choice(LP_ENTRIES) for i in range(1, c + 1)})
+
+    gens: set = set()
+    while len(gens) < k:
+        gens.add(vec())
+    hull = symdex.AbsConvHull(tuple(gens))
+
+    def combination(scale: Fraction):
+        weights = [rng.randint(-2, 2) for _ in hull.points]
+        total = sum(abs(w) for w in weights) or 1
+        return symdex.linear_combination(zip([scale * Fraction(w, total) for w in weights], hull.points))
+
+    return hull, combination(Fraction(1)), [combination(Fraction(1, 2)), combination(Fraction(3, 2))], vec()
+
+
+def lp_tableaus(exactlp, call) -> list[list[int]]:
+    """[rows, columns] of each LP that ``call()`` hands to phase 1."""
+    phase_one, seen = exactlp.phase_one, []
+
+    def recording(a_eq, b_eq, n):
+        seen.append([len(a_eq), n])
+        return phase_one(a_eq, b_eq, n)
+
+    exactlp.phase_one = recording
+    try:
+        call()
+    finally:
+        exactlp.phase_one = phase_one
+    return seen
+
+
+def measure_lp() -> dict:
+    """{"<k>gen_<c>coord": figures} for each (k, c) of LP_SHAPES."""
+    import symdex
+    from symdex import exactlp, sets
+
+    cache = getattr(sets, "_ENUM_CACHE", {})
+    rng = random.Random(SEED)
+    results: dict[str, dict] = {}
+    for k, c in LP_SHAPES:
+        samples: dict[str, list[float]] = {}
+        for _ in range(LP_HULLS):
+            hull, witness, probes, f = random_hull(symdex, rng, k, c)
+            sym = symdex.symmetrize(hull, [witness])
+            calls = {
+                "contains": lambda: [symdex.contains(hull, v) for v in probes],
+                "diameter_sup": lambda: symdex.diameter(sym, symdex.NormKind.SUP),
+                "diameter_sum": lambda: symdex.diameter(sym, symdex.NormKind.SUM),
+                "sup_functional": lambda: symdex.sup_functional(f, sym),
+            }
+            for name, call in calls.items():
+                per_call = len(probes) if name == "contains" else 1
+                ns = []
+                for _ in range(LP_REPEATS + 1):
+                    cache.clear()
+                    start = time.perf_counter_ns()
+                    call()
+                    ns.append((time.perf_counter_ns() - start) / per_call)
+                samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
+        row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
+        # the tableau shape depends only on (k, c): read it off the last hull
+        cache.clear()
+        row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
+        cache.clear()
+        row["symmetrized_tableau"] = lp_tableaus(exactlp, calls["sup_functional"])[0]
+        results[f"{k}gen_{c}coord"] = row
+    return results
+
+
 def median_ms(call, before) -> float:
     """Median ms of ``call()`` over CLI_REPEATS runs after one warm-up;
     ``before()`` runs ahead of each, outside the timer."""
@@ -152,6 +238,14 @@ def main(argv=None) -> int:
     print(f"{'kernel':<12}" + "".join(f"{f'{size} entries':>14}" for size in SIZES) + "   (median us per call)")
     for name, by_size in kernels.items():
         print(f"{name:<12}" + "".join(f"{by_size[str(size)]:>14.2f}" for size in SIZES))
+    lp = measure_lp()
+    print(f"\n{'hull shape':<14}{'contains':>10}{'diam sup':>10}{'diam sum':>10}{'sup f':>10}"
+          f"{'contains LP':>13}{'sym LP':>9}   (median us; rows x columns)")
+    for name, row in lp.items():
+        print(f"{name:<14}" + "".join(f"{row[key]:>10.1f}" for key in
+                                      ("contains_us", "diameter_sup_us", "diameter_sum_us", "sup_functional_us"))
+              + "".join(f"{'x'.join(map(str, row[key])):>{w}}" for key, w in
+                        (("contains_tableau", 13), ("symmetrized_tableau", 9))))
     cli = measure_cli()
     print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}   (median)")
     for name, row in cli.items():
@@ -161,15 +255,19 @@ def main(argv=None) -> int:
         report = {
             "units": {
                 "kernels": "us per call, median",
+                "lp": "us per call, median; tableau as [rows, columns]",
                 "cli": "ms per call, median; report size in bytes",
             },
             "batch": BATCH,
             "repeats": REPEATS,
             "cli_repeats": CLI_REPEATS,
+            "lp_hulls": LP_HULLS,
+            "lp_repeats": LP_REPEATS,
             "seed": SEED,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "kernels": kernels,
+            "lp": lp,
             "cli": cli,
         }
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

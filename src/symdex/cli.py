@@ -51,6 +51,9 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
+# --decimal digits; far below Python's 4,300-digit limit on int-to-str
+MAX_DECIMAL = 1000
+
 
 def decimal_string(value: Fraction, digits: int) -> str:
     """Non-authoritative fixed-point display (round half up)."""
@@ -278,11 +281,7 @@ def _run_refine(args, obj):
         {
             "kind": "scalar_le",
             "left": format_scalar(d0.upper),
-            "right": format_scalar(
-                (1 + epsilon) * (1 + epsilon) * low.value
-                if kind is NormKind.EUCLID
-                else (1 + epsilon) * low.value
-            ),
+            "right": format_scalar(as_length(1 + epsilon, kind) * low.value),
         }
     ]
     result = {
@@ -475,6 +474,16 @@ def _format_csv(report: dict, digits: int | None) -> str:
     return buffer.getvalue()
 
 
+def _decimal_digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if not 0 <= digits <= MAX_DECIMAL:
+        raise argparse.ArgumentTypeError(f"expected an integer from 0 to {MAX_DECIMAL}, got {text!r}")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symdex",
@@ -491,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=200_000)
     parser.add_argument("--norm", choices=("sup", "sum", "euclid"), default=None)
-    parser.add_argument("--decimal", type=int, default=None)
+    parser.add_argument("--decimal", type=_decimal_digits, default=None)
     return parser
 
 

@@ -11,6 +11,9 @@ rows dropped) or reports the rows infeasible; ``phase_two`` maximizes one
 objective from a copy of it, so objectives over the same rows share one
 phase 1, and ``solve_lp`` is the two in turn. A pivot updates only the
 columns where the pivot row is nonzero, since adding zero is exact.
+
+A free (sign-unrestricted) vector enters a problem as ``u - w``:
+``free_columns`` writes its coefficients and ``free_value`` reads it back.
 """
 
 from __future__ import annotations
@@ -167,7 +170,13 @@ def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[F
     return phase_two(start, objective)
 
 
-def feasible_point(a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> list[Fraction] | None:
-    """A nonnegative solution of ``a_eq x = b_eq``, or None."""
-    start = phase_one(a_eq, b_eq, len(a_eq[0]) if a_eq else 0)
-    return None if start is None else _basic_point(start.n, start.tableau, start.basis)
+def free_columns(coeffs: list[Fraction]) -> list[Fraction]:
+    """Columns of a free vector written ``u - w`` with ``u, w >= 0``: the
+    coefficients on ``u``, then their negatives on ``w``."""
+    return list(coeffs) + [-c for c in coeffs]
+
+
+def free_value(x: list[Fraction], count: int) -> list[Fraction]:
+    """The free vector ``u - w`` of a point whose first ``2 * count``
+    columns are ``free_columns`` ones."""
+    return [x[c] - x[count + c] for c in range(count)]

@@ -179,37 +179,27 @@ def _dual_ball_lp(
     if not coords:
         return None
     c = len(coords)
-    idx = {i: pos for pos, i in enumerate(coords)}
+    zero, one = Fraction(0), Fraction(1)
     if kind is NormKind.SUP:
         # dual ball is the l1 ball: f = u - w, sum(u + w) + t = 1
-        nvars = 2 * c + 1
-        rows = [[Fraction(1)] * (2 * c) + [Fraction(1)]]
+        slack = 1
+        rows = [[one] * (2 * c + 1)]
     else:
         # dual ball is the sup ball: f = u - w with u_i + w_i + s_i = 1
-        nvars = 3 * c
+        slack = c
         rows = []
         for p in range(c):
-            row = [Fraction(0)] * nvars
-            row[p] = Fraction(1)
-            row[c + p] = Fraction(1)
-            row[2 * c + p] = Fraction(1)
-            rows.append(row)
-    rhs = [Fraction(1)] * len(rows)
+            e = [one if q == p else zero for q in range(c)]
+            rows.append(e + e + e)
+    rhs = [one] * len(rows)
     for v in span:
-        row = [Fraction(0)] * nvars
-        for i, x in v.items():
-            row[idx[i]] = x
-            row[c + idx[i]] = -x
-        rows.append(row)
-        rhs.append(Fraction(0))
-    obj = [Fraction(0)] * nvars
-    for i, x in objective.items():
-        obj[idx[i]] = x
-        obj[c + idx[i]] = -x
+        rows.append(exactlp.free_columns([v.get(i) for i in coords]) + [zero] * slack)
+        rhs.append(zero)
+    obj = exactlp.free_columns([objective.get(i) for i in coords]) + [zero] * slack
     res = exactlp.solve_lp(obj, rows, rhs)
     if res.status != exactlp.OPTIMAL:
         return None
-    f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
+    f = SparseVec(dict(zip(coords, exactlp.free_value(res.x, c))))
     dn = dual_norm(f, kind)
     if dn == 0:
         return None
@@ -477,8 +467,7 @@ def refine_almost_isometric(
     low = delta_lower(expr, 1, kind).lower_certificate
     if low.unconditional_value <= 0 or not low.uniform:
         raise InvalidInput("refinement needs a positive unconditional lower certificate")
-    factor = (1 + eps) * (1 + eps) if kind is NormKind.EUCLID else (1 + eps)
-    target = factor * low.value
+    target = as_length(1 + eps, kind) * low.value
     best = None
     for n in range(1, N_max + 1):
         up = delta_upper(expr, n, strategy, kind, seed=seed)

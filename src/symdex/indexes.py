@@ -157,44 +157,36 @@ def delta_upper(
         for size in range(1, min(N, len(pool)) + 1):
             for ws in combinations(pool, size):
                 consider(ws)
-    elif strategy.kind == "greedy":
-        restarts = max(1, strategy.restarts)
-        for restart in range(restarts):
-            current: list[SparseVec] = []
-            if restart > 0:
-                current.append(pool[(restart - 1) % len(pool)])
-                consider(current)
-            while len(current) < N:
-                best_step = None
-                for p in pool:
-                    if p in current:
-                        continue
-                    score = consider(current + [p])
-                    key = (score, p.sort_key())
-                    if best_step is None or key < best_step[0]:
-                        best_step = (key, p)
-                if best_step is None:
+    elif strategy.kind in ("greedy", "beam"):
+        # greedy is a width-1 beam per restart; restart r > 0 starts from
+        # one pool point, scored on its own first
+        if strategy.kind == "greedy":
+            width = 1
+            restarts = range(1, max(1, strategy.restarts))
+            starts = [()] + [(pool[(r - 1) % len(pool)],) for r in restarts]
+        else:
+            width = max(1, strategy.width)
+            starts = [()]
+        for start in starts:
+            if start:
+                consider(start)
+            states: list[tuple[SparseVec, ...]] = [start]
+            for _ in range(N - len(start)):
+                scored = []
+                seen_states = set()
+                for state in states:
+                    for p in pool:
+                        if p in state:
+                            continue
+                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
+                        if ws in seen_states:
+                            continue
+                        seen_states.add(ws)
+                        scored.append((consider(ws), _witness_key(ws), ws))
+                if not scored:
                     break
-                current.append(best_step[1])
-    elif strategy.kind == "beam":
-        width = max(1, strategy.width)
-        states: list[tuple[SparseVec, ...]] = [()]
-        for _ in range(N):
-            scored = []
-            seen_states = set()
-            for state in states:
-                for p in pool:
-                    if p in state:
-                        continue
-                    ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
-                    if ws in seen_states:
-                        continue
-                    seen_states.add(ws)
-                    scored.append((consider(ws), _witness_key(ws), ws))
-            if not scored:
-                break
-            scored.sort(key=lambda t: (t[0], t[1]))
-            states = [ws for _, _, ws in scored[:width]]
+                scored.sort(key=lambda t: (t[0], t[1]))
+                states = [ws for _, _, ws in scored[:width]]
     else:
         raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
 
@@ -376,8 +368,7 @@ def kcenter_radius(
         far = max(pts, key=lambda p: (min(norm(p - c, kind) for c in centers), p.sort_key()))
         centers.append(far)
     r = covering_radius(centers)
-    lower = r / 4 if kind is NormKind.EUCLID else r / 2
-    return BoundPair(lower, r, upper_witness={"centers": [c.to_json() for c in centers]})
+    return BoundPair(half_length(r, kind), r, upper_witness={"centers": [c.to_json() for c in centers]})
 
 
 def separation_alpha_lower(

@@ -1228,21 +1228,38 @@ class AbsConvHull(SetExpr):
         return cls(_json_vectors(obj, "points"))
 
     def contains(self, v: SparseVec) -> bool:
+        coords = sorted(self.relevant_coords() | set(v.support))
+        return exactlp.phase_one(*self._rows(coords, [(0, v)])) is not None
+
+    def _rows(
+        self, coords: list[int], targets: Sequence[tuple[int, SparseVec]]
+    ) -> tuple[list[list[Fraction]], list[Fraction], int]:
+        """Rows, right-hand sides and column count of the LP saying that
+        ``w + sgn*d`` lies in the hull for each ``(sgn, w)`` of ``targets``.
+
+        Columns: the free vector ``d`` over ``coords`` when some ``sgn`` is
+        nonzero, then a block per target of free generator weights and a
+        slack. Rows: per target, one per coordinate, then the weights' l1
+        row (the weights' absolute values and the slack sum to one).
+        """
         points = self.points
-        coords = sorted({i for p in points for i in p.support} | set(v.support))
-        k = len(points)
+        d_count = len(coords) if any(sgn for sgn, _ in targets) else 0
+        block = 2 * len(points) + 1
+        n = 2 * d_count + len(targets) * block
+        zero = Fraction(0)
         rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []
-        for i in coords:
-            rows.append(
-                [p.get(i) for p in points]
-                + [-p.get(i) for p in points]
-                + [Fraction(0)]
-            )
-            rhs.append(v.get(i))
-        rows.append([Fraction(1)] * (2 * k) + [Fraction(1)])
-        rhs.append(Fraction(1))
-        return exactlp.feasible_point(rows, rhs) is not None
+        for t, (sgn, w) in enumerate(targets):
+            before = [zero] * (t * block)
+            after = [zero] * ((len(targets) - t - 1) * block)
+            for pos, i in enumerate(coords):
+                shift = exactlp.free_columns([Fraction(-sgn) if c == pos else zero for c in range(d_count)])
+                weights = exactlp.free_columns([p.get(i) for p in points])
+                rows.append(shift + before + weights + [zero] + after)
+                rhs.append(w.get(i))
+            rows.append([zero] * (2 * d_count) + before + [Fraction(1)] * block + after)
+            rhs.append(Fraction(1))
+        return rows, rhs, n
 
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         weights = [rng.randint(-3, 3) for _ in self.points]
@@ -1275,32 +1292,8 @@ class AbsConvHull(SetExpr):
     ) -> exactlp.FeasibleStart:
         """Phase-1 start of the LP over the symmetrization at the witnesses;
         ``coords`` covers the generators and witnesses."""
-        points = self.points
-        c_count = len(coords)
-        k = len(points)
-        block = 2 * k + 1
-        nvars = 2 * c_count + 2 * len(witnesses) * block
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for wi, w in enumerate(witnesses):
-            for si, sgn in enumerate((1, -1)):
-                offset = 2 * c_count + (2 * wi + si) * block
-                for pos, i in enumerate(coords):
-                    row = [Fraction(0)] * nvars
-                    row[pos] = Fraction(-sgn)
-                    row[c_count + pos] = Fraction(sgn)
-                    for j, p in enumerate(points):
-                        row[offset + j] = p.get(i)
-                        row[offset + k + j] = -p.get(i)
-                    rows.append(row)
-                    rhs.append(w.get(i))
-                row = [Fraction(0)] * nvars
-                for j in range(2 * k):
-                    row[offset + j] = Fraction(1)
-                row[offset + 2 * k] = Fraction(1)
-                rows.append(row)
-                rhs.append(Fraction(1))
-        start = exactlp.phase_one(rows, rhs, nvars)
+        targets = [(sgn, w) for w in witnesses for sgn in (1, -1)]
+        start = exactlp.phase_one(*self._rows(coords, targets))
         if start is None:
             raise WitnessNotMember("hull symmetrization witnesses are not all members")
         return start
@@ -1311,14 +1304,9 @@ class AbsConvHull(SetExpr):
     ) -> tuple[Fraction, SparseVec]:
         """Exact max of a linear objective over the symmetrization from
         its phase-1 start, with an attaining member."""
-        c_count = len(coords)
-        obj = [Fraction(0)] * start.n
-        for pos, i in enumerate(coords):
-            if i in objective:
-                obj[pos] = objective[i]
-                obj[c_count + pos] = -objective[i]
-        res = exactlp.phase_two(start, obj)
-        d = SparseVec({coords[c]: res.x[c] - res.x[c_count + c] for c in range(c_count)})
+        obj = exactlp.free_columns([objective.get(i, Fraction(0)) for i in coords])
+        res = exactlp.phase_two(start, obj + [Fraction(0)] * (start.n - len(obj)))
+        d = SparseVec(dict(zip(coords, exactlp.free_value(res.x, len(coords)))))
         return res.value, d
 
     def symmetrized_lp_extent(self, sym: Symmetrized, kind: NormKind) -> Optional[BoundPair]:

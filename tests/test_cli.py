@@ -41,6 +41,28 @@ def test_delta_csv_decimal_column(tmp_path):
     assert rows[1].split(",")[4:] == ["2.000", "2.000"]
 
 
+THIRD_BOX = {"type": "box", "default_radius": "1/3", "overrides": {}}
+
+
+@pytest.mark.parametrize("digits", ["-1", "1001", "5000"])
+def test_decimal_out_of_range_exits_2(tmp_path, capsys, digits):
+    infile = write(tmp_path / "box.json", THIRD_BOX)
+    out = tmp_path / "delta.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "--in", infile, "--out", str(out), "--format", "csv", "--n", "1", "--decimal", digits])
+    assert exc.value.code == 2
+    assert f"argument --decimal: expected an integer from 0 to 1000, got '{digits}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decimal_at_the_bound(tmp_path):
+    infile = write(tmp_path / "box.json", THIRD_BOX)
+    out = tmp_path / "delta.csv"
+    argv = ["delta", "--in", infile, "--out", str(out), "--format", "csv", "--n", "1", "--decimal", "1000"]
+    assert main(argv) == EXIT_OK
+    assert out.read_text().splitlines()[1].split(",")[4:] == ["0." + "3" * 1000] * 2
+
+
 def test_extract_report_and_determinism(tmp_path):
     infile = write(tmp_path / "box.json", PLAIN_BOX)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,7 +7,8 @@ from symdex.exactlp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    feasible_point,
+    free_columns,
+    free_value,
     phase_one,
     phase_two,
     solve_lp,
@@ -52,10 +53,33 @@ def test_degenerate_redundant_rows():
     assert res.value == 1
 
 
+def feasible_point(rows, rhs):
+    """A nonnegative solution of ``rows x = rhs`` or None: the basic point
+    of the phase-1 start, read off as a zero objective's optimum."""
+    start = phase_one(rows, rhs, len(rows[0]) if rows else 0)
+    return None if start is None else phase_two(start, [F(0)] * start.n).x
+
+
 def test_feasible_point():
     x = feasible_point([[F(1), F(1)]], [F(1)])
     assert x is not None and x[0] + x[1] == 1
     assert feasible_point([[F(1)]], [F(-2)]) is None
+
+
+def test_free_columns_and_value():
+    assert free_columns([F(1), F(0), F(-2, 3)]) == [F(1), F(0), F(-2, 3), F(-1), F(0), F(2, 3)]
+    assert free_columns([]) == []
+    # u = (2, 0), w = (0, 5), then one more column
+    assert free_value([F(2), F(0), F(0), F(5), F(7)], 2) == [F(2), F(-5)]
+
+
+def test_free_vector_round_trip():
+    # max d1 - d2 with d = u - w free in the box |d_i| <= 1 (u_i + w_i + s_i = 1)
+    obj = free_columns([F(1), F(-1)]) + [F(0), F(0)]
+    rows = [[F(1), F(0), F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1), F(0), F(1)]]
+    res = solve_lp(obj, rows, [F(1), F(1)])
+    assert res.value == 2
+    assert free_value(res.x, 2) == [F(1), F(-1)]
 
 
 def test_exactness_with_awkward_fractions():

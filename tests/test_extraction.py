@@ -37,6 +37,7 @@ from symdex import (
     verify_basis_inequality,
 )
 from symdex import extraction
+from symdex.exactlp import OPTIMAL, solve_lp
 from symdex.bruteforce import brute_delta1_zero_witness
 from util import ALL_NORMS, as_dicts, random_finite_points
 
@@ -78,6 +79,64 @@ def test_orthogonal_functional_no_certificate():
     target = FinitePoints((unit(1),))
     with pytest.raises(NoCertificate):
         orthogonal_functional([unit(1)], target, F(1, 2), NormKind.SUP, certificate=unit(1))
+
+
+def reference_dual_ball_lp(span, objective, kind):
+    """The dual-ball LP with its columns placed by index: f = u - w over
+    the joint support, then one slack (sup) or one per coordinate (sum)."""
+    if kind is NormKind.EUCLID:
+        return None
+    coords = sorted({i for v in span for i in v.support} | set(objective.support))
+    if not coords:
+        return None
+    c = len(coords)
+    idx = {i: pos for pos, i in enumerate(coords)}
+    if kind is NormKind.SUP:
+        nvars = 2 * c + 1
+        rows = [[F(1)] * (2 * c) + [F(1)]]
+    else:
+        nvars = 3 * c
+        rows = []
+        for p in range(c):
+            row = [F(0)] * nvars
+            row[p] = row[c + p] = row[2 * c + p] = F(1)
+            rows.append(row)
+    rhs = [F(1)] * len(rows)
+    for v in span:
+        row = [F(0)] * nvars
+        for i, x in v.items():
+            row[idx[i]] = x
+            row[c + idx[i]] = -x
+        rows.append(row)
+        rhs.append(F(0))
+    obj = [F(0)] * nvars
+    for i, x in objective.items():
+        obj[idx[i]] = x
+        obj[c + idx[i]] = -x
+    res = solve_lp(obj, rows, rhs)
+    if res.status != OPTIMAL:
+        return None
+    f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
+    dn = dual_norm(f, kind)
+    return None if dn == 0 else f.scale(F(1) / dn)
+
+
+def test_dual_ball_lp_matches_index_placed_columns():
+    rng = random.Random(8)
+    entries = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+
+    def vec():
+        return SparseVec({i: rng.choice(entries) for i in rng.sample(range(1, 5), rng.randint(0, 3))})
+
+    found = 0
+    for _ in range(80):
+        span = [vec() for _ in range(rng.randint(0, 3))]
+        objective = vec()
+        for kind in (NormKind.SUP, NormKind.SUM):
+            f = extraction._dual_ball_lp(span, objective, kind)
+            assert f == reference_dual_ball_lp(span, objective, kind)
+            found += f is not None
+    assert found
 
 
 # ---------------------------------------------------------------------------

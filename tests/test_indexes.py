@@ -26,7 +26,9 @@ from symdex import (
     symmetrize,
     unit,
 )
+from symdex import indexes
 from symdex.bruteforce import brute_delta_upper, brute_delta1_zero_witness
+from symdex.sets import BoundPair
 from util import ALL_NORMS, as_dicts, random_finite_points, random_point
 
 TRIANGLE = FinitePoints((ZERO, unit(1), unit(2)))
@@ -219,6 +221,67 @@ def test_greedy_and_beam_never_beat_exhaustive():
             greedy = delta_upper(pts, 2, SearchStrategy.greedy(pool, restarts=2), kind).bound.upper
             beam = delta_upper(pts, 2, SearchStrategy.beam(pool, width=3), kind).bound.upper
             assert greedy >= exact and beam >= exact
+
+
+def reference_greedy(expr, N, pool, restarts, kind):
+    """The greedy search as a loop of its own: each round adds the pool
+    point whose list scores lowest (ties to the smaller point), and
+    restart r > 0 starts from the list of pool point r - 1 alone."""
+    pool = sorted(set(pool), key=lambda p: p.sort_key())
+    best_bound, best_ws = None, ()
+
+    def consider(ws):
+        nonlocal best_bound, best_ws
+        bound = indexes._delta_of(expr, ws, kind, 0)
+        score = indexes._score(bound)
+        if (
+            best_bound is None
+            or score < best_bound.upper
+            or (score == best_bound.upper and indexes._witness_key(ws) < indexes._witness_key(best_ws))
+        ):
+            best_bound = bound
+            best_ws = tuple(sorted(ws, key=lambda w: w.sort_key()))
+        return score
+
+    for restart in range(max(1, restarts)):
+        current = []
+        if restart > 0:
+            current.append(pool[(restart - 1) % len(pool)])
+            consider(current)
+        while len(current) < N:
+            best_step = None
+            for p in pool:
+                if p in current:
+                    continue
+                key = (consider(current + [p]), p.sort_key())
+                if best_step is None or key < best_step[0]:
+                    best_step = (key, p)
+            if best_step is None:
+                break
+            current.append(best_step[1])
+    bound = BoundPair(F(0), best_bound.upper, upper_witness=best_bound.to_json())
+    return indexes.DeltaResult(N=N, bound=bound, upper_witnesses=best_ws)
+
+
+def test_greedy_is_a_width_one_beam_per_restart():
+    # grid points, searched over the pool of those that are midpoints of
+    # two others: an extreme point would pin delta_1 to zero at once, and
+    # without one the restarts reach different lists
+    grid = [SparseVec({1: a, 2: b}) for a in range(5) for b in range(5)]
+    rng = random.Random(3)
+    for _ in range(30):
+        pts = rng.sample(grid, rng.randint(3, 16))
+        pool = [p for p in pts if any(a + b == p.scale(2) for a in pts for b in pts if a != b)]
+        if not pool:
+            continue
+        expr = FinitePoints(tuple(pts))
+        for kind in ALL_NORMS:
+            for restarts in (1, 2, 3):
+                for n in (1, 2, 3):
+                    got = delta_upper(expr, n, SearchStrategy.greedy(pool, restarts), kind)
+                    want = reference_greedy(expr, n, pool, restarts, kind)
+                    assert got == want
+                    assert got.to_json() == want.to_json()
 
 
 def test_sandwich_property():

@@ -37,7 +37,7 @@ from symdex import (
     unit,
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
-from symdex.exactlp import solve_lp
+from symdex.exactlp import INFEASIBLE, solve_lp
 from symdex import sets as sets_module
 from symdex.sets import ENUM_CACHE_SIZE, enumerate_members, reduced, sample_members
 from util import ALL_NORMS, finite_sets, norm_kinds
@@ -366,6 +366,38 @@ def reference_hull_extent(hull, witnesses, kind):
             best = res.value
             arg = SparseVec({i: res.x[pos] - res.x[c + pos] for pos, i in enumerate(coords)})
     return best, arg
+
+
+def reference_hull_contains(hull, v):
+    """Membership through dense rows: coefficients on the positive and the
+    negative generator weights, then a slack, and the weights' l1 row;
+    feasible when a fresh ``solve_lp`` of the zero objective is."""
+    coords = sorted({i for p in hull.points for i in p.support} | set(v.support))
+    k = len(hull.points)
+    rows = [[p.get(i) for p in hull.points] + [-p.get(i) for p in hull.points] + [F(0)] for i in coords]
+    rows.append([F(1)] * (2 * k + 1))
+    rhs = [v.get(i) for i in coords] + [F(1)]
+    return solve_lp([F(0)] * (2 * k + 1), rows, rhs).status != INFEASIBLE
+
+
+def test_hull_contains_matches_dense_rows():
+    rng = random.Random(31)
+    entries = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+    verdicts = []
+    for _ in range(60):
+        dim = rng.randint(2, 3)
+        gens = {SparseVec({i + 1: rng.choice(entries) for i in range(dim)}) for _ in range(rng.randint(2, 4))}
+        hull = AbsConvHull(tuple(gens))
+        probes = [SparseVec({i: rng.choice(entries) for i in range(1, dim + 2)})]
+        for scale in (F(1), F(1, 2), F(3, 2)):
+            weights = [rng.randint(-2, 2) for _ in hull.points]
+            total = sum(abs(w) for w in weights) or 1
+            probes.append(linear_combination(zip([scale * F(w, total) for w in weights], hull.points)))
+        for v in probes:
+            inside = contains(hull, v)
+            assert inside == reference_hull_contains(hull, v)
+            verdicts.append(inside)
+    assert True in verdicts and False in verdicts
 
 
 hull_entries = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
