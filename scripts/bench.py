@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the exact-arithmetic kernels of ``symdex.vectors``, the hull LPs and the CLI.
+"""Time the exact-arithmetic kernels of ``symdex.vectors``, the hull LPs, procedures and the CLI.
 
 Kernels: for 4- and 16-entry vectors, the median time per call, in
 microseconds, of SparseVec add, sub, neg and scale, the first hash of a
@@ -10,6 +10,13 @@ LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
 (``contains``), of the sup and sum ``diameter`` of a one-witness
 symmetrization and of ``sup_functional`` on it, and the rows x columns
 of the LP each builds (before phase 1 adds its artificial columns).
+
+Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
+coordinates under each norm, the median time in milliseconds of
+``eps_strong_extreme`` at every point of a set (one figure per set) and
+of ``delta_curve`` to N=2 with exhaustive search, and the number of
+``_segment_portion_distance`` calls the strong-extreme figures make over
+all PROC_SETS sets (counted by wrapping the function here).
 
 CLI: for every request of ``scripts/run_demo.py``, the median time in
 milliseconds of ``symdex.cli.main``, the median time of the ``oracle``
@@ -23,9 +30,11 @@ library only.
 Each kernel figure is the median over REPEATS timed batches of BATCH
 calls on random operands, drawn with seed SEED, whose supports half
 overlap. Each LP figure is the median over LP_REPEATS calls on each of
-LP_HULLS random hulls per shape, drawn with seed SEED. Each LP and CLI
-call starts with an empty enumeration cache, as a fresh process has;
-each CLI figure is the median over CLI_REPEATS calls.
+LP_HULLS random hulls per shape, drawn with seed SEED. Each procedure
+figure is the median over PROC_REPEATS calls on each of PROC_SETS random
+sets, drawn with seed SEED. Each LP, procedure and CLI call starts with
+an empty enumeration cache, as a fresh process has; each CLI figure is
+the median over CLI_REPEATS calls.
 """
 
 from __future__ import annotations
@@ -53,6 +62,11 @@ LP_SHAPES = tuple((k, c) for c in (2, 3) for k in (2, 3, 4))  # (generators, coo
 LP_HULLS = 4  # random hulls per shape
 LP_REPEATS = 9  # timed calls per hull and LP figure
 LP_ENTRIES = tuple(Fraction(x) for x in ("0", "1", "-1", "2", "1/2", "-3/2"))
+PROC_SIZES = (2, 4, 8)  # points per random finite set
+PROC_DIM = 4  # coordinates of the random points
+PROC_SETS = 6  # random sets per (size, norm)
+PROC_REPEATS = 5  # timed calls per set and procedure figure
+PROC_EPSILONS = tuple(Fraction(x) for x in ("1/4", "1/2", "1"))  # drawn per set
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
 
 
@@ -184,6 +198,62 @@ def measure_lp() -> dict:
     return results
 
 
+def random_finite_set(symdex, rng: random.Random, count: int):
+    """``count`` random points over coordinates 1..PROC_DIM (duplicates merge)."""
+    def vec():
+        support = rng.sample(range(1, PROC_DIM + 1), k=rng.randint(0, PROC_DIM))
+        return symdex.SparseVec({i: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for i in support})
+
+    return symdex.FinitePoints(tuple(vec() for _ in range(count)))
+
+
+def measure_procedures() -> dict:
+    """{"<n>pts_<norm>": figures} for each size of PROC_SIZES and each norm."""
+    import symdex
+    from symdex import extraction, sets
+
+    cache = getattr(sets, "_ENUM_CACHE", {})
+    scan, calls = extraction._segment_portion_distance, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    rng = random.Random(SEED)
+    results: dict[str, dict] = {}
+    for count in PROC_SIZES:
+        for kind in symdex.NormKind:
+            samples: dict[str, list[float]] = {}
+            segment_calls = 0
+            for _ in range(PROC_SETS):
+                points = random_finite_set(symdex, rng, count)
+                eps = rng.choice(PROC_EPSILONS)
+                pool = symdex.SearchStrategy.exhaustive(symdex.default_pool(points))
+                procedures = {
+                    "strong_extreme": lambda: [symdex.eps_strong_extreme(points, x, eps, kind) for x in points.points],
+                    "delta_curve": lambda: symdex.delta_curve(points, 2, pool, kind),
+                }
+                for name, call in procedures.items():
+                    ns = []
+                    for _ in range(PROC_REPEATS + 1):
+                        cache.clear()
+                        start = time.perf_counter_ns()
+                        call()
+                        ns.append(time.perf_counter_ns() - start)
+                    samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
+                calls[0] = 0
+                extraction._segment_portion_distance = counted
+                try:
+                    procedures["strong_extreme"]()
+                finally:
+                    extraction._segment_portion_distance = scan
+                segment_calls += calls[0]
+            row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
+            row["segment_calls"] = segment_calls
+            results[f"{count}pts_{kind.value}"] = row
+    return results
+
+
 def median_ms(call, before) -> float:
     """Median ms of ``call()`` over CLI_REPEATS runs after one warm-up;
     ``before()`` runs ahead of each, outside the timer."""
@@ -246,6 +316,11 @@ def main(argv=None) -> int:
                                       ("contains_us", "diameter_sup_us", "diameter_sum_us", "sup_functional_us"))
               + "".join(f"{'x'.join(map(str, row[key])):>{w}}" for key, w in
                         (("contains_tableau", 13), ("symmetrized_tableau", 9))))
+    procedures = measure_procedures()
+    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}"
+          f"   (median ms; segment scans over {PROC_SETS} sets)")
+    for name, row in procedures.items():
+        print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}{row['segment_calls']:>10}")
     cli = measure_cli()
     print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}   (median)")
     for name, row in cli.items():
@@ -256,6 +331,7 @@ def main(argv=None) -> int:
             "units": {
                 "kernels": "us per call, median",
                 "lp": "us per call, median; tableau as [rows, columns]",
+                "procedures": "ms per call, median; segment_calls summed over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes",
             },
             "batch": BATCH,
@@ -263,11 +339,14 @@ def main(argv=None) -> int:
             "cli_repeats": CLI_REPEATS,
             "lp_hulls": LP_HULLS,
             "lp_repeats": LP_REPEATS,
+            "proc_sets": PROC_SETS,
+            "proc_repeats": PROC_REPEATS,
             "seed": SEED,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "kernels": kernels,
             "lp": lp,
+            "procedures": procedures,
             "cli": cli,
         }
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

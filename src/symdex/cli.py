@@ -458,14 +458,14 @@ def _format_csv(report: dict, digits: int | None) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["N", "lower", "upper", "witnesses"]
-    if digits:
+    if digits is not None:
         header += ["lower_dec", "upper_dec"]
     writer.writerow(header)
     for row in rows:
         lower = row["bound"]["lower"] or "0"
         upper = row["bound"]["upper"] if row["bound"]["upper"] is not None else "inf"
         record = [row["N"], lower, upper, json.dumps(row["upper_witnesses"], sort_keys=True)]
-        if digits:
+        if digits is not None:
             record.append(decimal_string(as_scalar(lower), digits))
             record.append(
                 decimal_string(as_scalar(upper), digits) if upper != "inf" else "inf"

@@ -822,6 +822,28 @@ def _segment_portion_distance(
     return best
 
 
+def _gap_bound(d1: SparseVec, d2: SparseVec, kind: NormKind) -> Fraction:
+    """A rational lower bound on the distance from 0 to the segment [d1, d2].
+
+    Coordinate i of every segment point lies between d1_i and d2_i, so it
+    is at least as far from 0 as that interval: min(|d1_i|, |d2_i|) when
+    both share a sign, else 0. The gaps combine as the norm does (carried
+    square under euclid).
+    """
+    gaps = []
+    for i, u in d1.items():
+        v = d2.get(i)
+        if u > 0 and v > 0:
+            gaps.append(min(u, v))
+        elif u < 0 and v < 0:
+            gaps.append(-max(u, v))
+    if kind is NormKind.SUP:
+        return max(gaps, default=Fraction(0))
+    if kind is NormKind.SUM:
+        return sum(gaps, Fraction(0))
+    return sum((g * g for g in gaps), Fraction(0))
+
+
 def eps_strong_extreme(
     expr: FinitePoints, x: SparseVec, epsilon: ScalarLike, kind: NormKind
 ) -> tuple[bool, Fraction]:
@@ -833,6 +855,12 @@ def eps_strong_extreme(
     delta is that minimum (a certified rational lower bound of it when
     the Euclidean minimum is irrational); (True, 1) when no pair has a
     middle portion at all.
+
+    The search is translated so x sits at 0. A pair (x, a) has value
+    exactly epsilon (carried) when its portion is nonempty: the portion
+    end nearest x is epsilon away from it. Those pairs seed the minimum;
+    any other pair is skipped when its coordinatewise gap bound already
+    reaches the minimum, and a value <= 0 ends the search at once.
     """
     eps = as_scalar(epsilon)
     if eps <= 0:
@@ -841,17 +869,23 @@ def eps_strong_extreme(
         raise InvalidInput("strong extreme analysis needs a finite point set")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    values: list[_Value] = []
-    for a1, a2 in combinations(expr.points, 2):
-        v = _segment_portion_distance(x, a1, a2, eps, kind)
-        if v is not None:
-            values.append(v)
-    if not values:
-        return True, Fraction(1)
-    best = values[0]
-    for v in values[1:]:
-        if _value_cmp(v, best) < 0:
+    others = [p - x for p in expr.points if p != x]
+    reach = as_length(2 * eps, kind)
+    best: Optional[_Value] = None
+    if any(norm(d, kind) >= reach for d in others):
+        best = as_length(eps, kind)
+    # pairs keep their order, so of equal minima the first one found is
+    # kept, as its Q[sqrt(s)] form fixes the bisected lower bound
+    for d1, d2 in combinations(others, 2):
+        if best is not None and _value_cmp_rational(best, _gap_bound(d1, d2, kind)) <= 0:
+            continue
+        v = _segment_portion_distance(ZERO, d1, d2, eps, kind)
+        if v is None:
+            continue
+        if _value_cmp_rational(v, Fraction(0)) <= 0:
+            return False, Fraction(0)
+        if best is None or _value_cmp(v, best) < 0:
             best = v
-    if _value_cmp_rational(best, Fraction(0)) <= 0:
-        return False, Fraction(0)
+    if best is None:
+        return True, Fraction(1)
     return True, _value_lower_rational(best)

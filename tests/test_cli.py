@@ -63,6 +63,20 @@ def test_decimal_at_the_bound(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[4:] == ["0." + "3" * 1000] * 2
 
 
+def test_decimal_zero_adds_integer_columns(tmp_path):
+    infile = write(tmp_path / "box.json", THIRD_BOX)
+    out = tmp_path / "delta.csv"
+    argv = ["delta", "--in", infile, "--out", str(out), "--format", "csv", "--n", "1", "--decimal", "0"]
+    assert main(argv) == EXIT_OK
+    rows = out.read_text().splitlines()
+    assert rows[0] == "N,lower,upper,witnesses,lower_dec,upper_dec"
+    # both bounds are 1/3 at N = 0 and N = 1, which round to 0
+    assert [r.split(",")[:3] + r.split(",")[-2:] for r in rows[1:]] == [
+        ["0", "1/3", "1/3", "0", "0"],
+        ["1", "1/3", "1/3", "0", "0"],
+    ]
+
+
 def test_extract_report_and_determinism(tmp_path):
     infile = write(tmp_path / "box.json", PLAIN_BOX)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from symdex import (
     Box,
@@ -382,3 +384,98 @@ def test_eps_strong_extreme_euclid_irrational_boundary():
     flag, delta = eps_strong_extreme(pts, unit(2), F(1), NormKind.EUCLID)
     assert flag
     assert F(1, 5) < delta < F(11, 50)
+
+
+def reference_eps_strong_extreme(expr, x, epsilon, kind):
+    """The all-pairs strong-extreme test: every pair of points, x's pairs
+    included, is scored by the full candidate scan, then the minimum."""
+    eps = F(epsilon)
+    values = []
+    for a1, a2 in combinations(expr.points, 2):
+        v = extraction._segment_portion_distance(x, a1, a2, eps, kind)
+        if v is not None:
+            values.append(v)
+    if not values:
+        return True, F(1)
+    best = values[0]
+    for v in values[1:]:
+        if extraction._value_cmp(v, best) < 0:
+            best = v
+    if extraction._value_cmp_rational(best, F(0)) <= 0:
+        return False, F(0)
+    return True, extraction._value_lower_rational(best)
+
+
+STRONG_EPS = (F(1, 1000000), F(1, 4), F(1, 2), F(1), F(4))
+# a coarse grid of entries makes ties, shared coordinates and collinear
+# triples (x inside a segment) common
+grid_entries = st.sampled_from((F(-2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2), F(1), F(2)))
+strong_entries = st.one_of(
+    grid_entries, st.fractions(min_value=-8, max_value=8, max_denominator=4)
+)
+strong_sets = st.lists(
+    st.dictionaries(st.integers(1, 4), strong_entries, max_size=4).map(SparseVec),
+    min_size=1,
+    max_size=8,
+).map(lambda pts: FinitePoints(tuple(pts)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(strong_sets, st.sampled_from(ALL_NORMS), st.sampled_from(STRONG_EPS))
+def test_eps_strong_extreme_matches_all_pairs_reference(pts, kind, eps):
+    for x in pts.points:
+        assert eps_strong_extreme(pts, x, eps, kind) == reference_eps_strong_extreme(
+            pts, x, eps, kind
+        )
+
+
+def test_eps_strong_extreme_empty_portion_of_a_pair_with_x():
+    pair = FinitePoints((ZERO, unit(1)))
+    for kind in ALL_NORMS:
+        # length 1 = 2*eps: the portion is the midpoint, eps away from x
+        half = F(1, 4) if kind is NormKind.EUCLID else F(1, 2)
+        assert eps_strong_extreme(pair, ZERO, F(1, 2), kind) == (True, half)
+        # length 1 < 2*eps: no middle portion at all
+        assert eps_strong_extreme(pair, ZERO, F(3, 5), kind) == (True, F(1))
+        assert reference_eps_strong_extreme(pair, ZERO, F(3, 5), kind) == (True, F(1))
+    # x's pair with unit(1) is empty, the others are not
+    pts = FinitePoints((ZERO, unit(1), 4 * unit(2), unit(1) + 3 * unit(3)))
+    for kind in ALL_NORMS:
+        got = eps_strong_extreme(pts, ZERO, F(1), kind)
+        assert got == reference_eps_strong_extreme(pts, ZERO, F(1), kind)
+
+
+def test_eps_strong_extreme_gap_bound_is_carried():
+    # [(1/3, -3), (1/3, 3)] passes 1/3 from x = 0: the coordinate gap 1/3
+    # is the distance, and under euclid its square 1/9 lies below the
+    # seed eps^2 = 1/4 while the plain gap does not
+    pts = FinitePoints((ZERO, SparseVec({1: F(1, 3), 2: -3}), SparseVec({1: F(1, 3), 2: 3})))
+    want = {NormKind.SUP: F(1, 3), NormKind.SUM: F(1, 3), NormKind.EUCLID: F(1, 9)}
+    for kind in ALL_NORMS:
+        assert eps_strong_extreme(pts, ZERO, F(1, 2), kind) == (True, want[kind])
+        assert reference_eps_strong_extreme(pts, ZERO, F(1, 2), kind) == (True, want[kind])
+
+
+def test_eps_strong_extreme_irrational_boundary_matches_reference():
+    pts = FinitePoints((-unit(1), unit(1) + unit(2), unit(2)))
+    for x in pts.points:
+        want = reference_eps_strong_extreme(pts, x, F(1), NormKind.EUCLID)
+        assert eps_strong_extreme(pts, x, F(1), NormKind.EUCLID) == want
+
+
+def test_eps_strong_extreme_exits_on_a_segment_through_x(monkeypatch):
+    # x = 0 lies strictly inside [-e1, e1], the first pair without x
+    pts = FinitePoints((-unit(1), ZERO, unit(1), 5 * unit(2), 6 * unit(2), 7 * unit(2)))
+    calls = []
+    scan = extraction._segment_portion_distance
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(extraction, "_segment_portion_distance", counted)
+    for kind in ALL_NORMS:
+        calls.clear()
+        assert eps_strong_extreme(pts, ZERO, F(1, 2), kind) == (False, F(0))
+        assert len(calls) == 1
+        assert reference_eps_strong_extreme(pts, ZERO, F(1, 2), kind) == (False, F(0))

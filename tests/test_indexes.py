@@ -223,6 +223,18 @@ def test_greedy_and_beam_never_beat_exhaustive():
             assert greedy >= exact and beam >= exact
 
 
+def test_greedy_and_beam_never_beat_exhaustive_on_midpoint_pools():
+    for expr, pool in midpoint_grid_sets(random.Random(21), 12):
+        for kind in ALL_NORMS:
+            for n in (1, 2, 3):
+                exact = delta_upper(expr, n, SearchStrategy.exhaustive(pool), kind).bound.upper
+                greedy = delta_upper(expr, n, SearchStrategy.greedy(pool, restarts=2), kind).bound.upper
+                beam = delta_upper(expr, n, SearchStrategy.beam(pool, width=3), kind).bound.upper
+                assert greedy >= exact and beam >= exact
+                # no pool point is extreme, so delta_1 is not pinned to zero
+                assert n > 1 or exact > 0
+
+
 def reference_greedy(expr, N, pool, restarts, kind):
     """The greedy search as a loop of its own: each round adds the pool
     point whose list scores lowest (ties to the smaller point), and
@@ -263,18 +275,20 @@ def reference_greedy(expr, N, pool, restarts, kind):
     return indexes.DeltaResult(N=N, bound=bound, upper_witnesses=best_ws)
 
 
-def test_greedy_is_a_width_one_beam_per_restart():
-    # grid points, searched over the pool of those that are midpoints of
-    # two others: an extreme point would pin delta_1 to zero at once, and
-    # without one the restarts reach different lists
+def midpoint_grid_sets(rng, count):
+    """Grid sets with the pool of their points that are midpoints of two
+    others: an extreme point would pin delta_1 to zero at once, and
+    without one the strategies reach different lists."""
     grid = [SparseVec({1: a, 2: b}) for a in range(5) for b in range(5)]
-    rng = random.Random(3)
-    for _ in range(30):
+    for _ in range(count):
         pts = rng.sample(grid, rng.randint(3, 16))
         pool = [p for p in pts if any(a + b == p.scale(2) for a in pts for b in pts if a != b)]
-        if not pool:
-            continue
-        expr = FinitePoints(tuple(pts))
+        if pool:
+            yield FinitePoints(tuple(pts)), pool
+
+
+def test_greedy_is_a_width_one_beam_per_restart():
+    for expr, pool in midpoint_grid_sets(random.Random(3), 30):
         for kind in ALL_NORMS:
             for restarts in (1, 2, 3):
                 for n in (1, 2, 3):
