@@ -8,8 +8,11 @@ fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
 LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
 2-3 coordinates), the median time in microseconds of hull membership
 (``contains``), of the sup and sum ``diameter`` of a one-witness
-symmetrization and of ``sup_functional`` on it, and the rows x columns
-of the LP each builds (before phase 1 adds its artificial columns).
+symmetrization and of ``sup_functional`` on it, the rows x columns
+of the LP each builds (before phase 1 adds its artificial columns), and
+the phase-1 and phase-2 pivots each makes over all LP_HULLS hulls
+(counted by wrapping ``exactlp._pivot`` here; these counts do not depend
+on the machine, and equal counts show the same Bland path).
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -160,6 +163,33 @@ def lp_tableaus(exactlp, call) -> list[list[int]]:
     return seen
 
 
+def lp_pivots(exactlp, call) -> list[int]:
+    """[phase-1, phase-2] pivots that ``call()`` makes, counted by wrapping
+    ``exactlp._pivot``; artificial drive-outs count in phase 1."""
+    originals = {name: getattr(exactlp, name) for name in ("_pivot", "phase_one", "phase_two")}
+    counts, phase = [0, 0], [0]
+
+    def in_phase(index, solve):
+        def run(*args):
+            phase[0] = index
+            return solve(*args)
+        return run
+
+    def counted(*args):
+        counts[phase[0]] += 1
+        return originals["_pivot"](*args)
+
+    exactlp._pivot = counted
+    exactlp.phase_one = in_phase(0, originals["phase_one"])
+    exactlp.phase_two = in_phase(1, originals["phase_two"])
+    try:
+        call()
+    finally:
+        for name, fn in originals.items():
+            setattr(exactlp, name, fn)
+    return counts
+
+
 def measure_lp() -> dict:
     """{"<k>gen_<c>coord": figures} for each (k, c) of LP_SHAPES."""
     import symdex
@@ -170,6 +200,7 @@ def measure_lp() -> dict:
     results: dict[str, dict] = {}
     for k, c in LP_SHAPES:
         samples: dict[str, list[float]] = {}
+        pivots: dict[str, list[int]] = {}
         for _ in range(LP_HULLS):
             hull, witness, probes, f = random_hull(symdex, rng, k, c)
             sym = symdex.symmetrize(hull, [witness])
@@ -188,7 +219,12 @@ def measure_lp() -> dict:
                     call()
                     ns.append((time.perf_counter_ns() - start) / per_call)
                 samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
+                cache.clear()
+                counts = pivots.setdefault(name, [0, 0])
+                for index, count in enumerate(lp_pivots(exactlp, call)):
+                    counts[index] += count
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
+        row.update({f"{name}_pivots": counts for name, counts in pivots.items()})
         # the tableau shape depends only on (k, c): read it off the last hull
         cache.clear()
         row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
@@ -316,6 +352,12 @@ def main(argv=None) -> int:
                                       ("contains_us", "diameter_sup_us", "diameter_sum_us", "sup_functional_us"))
               + "".join(f"{'x'.join(map(str, row[key])):>{w}}" for key, w in
                         (("contains_tableau", 13), ("symmetrized_tableau", 9))))
+    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}"
+          f"   (phase-1/phase-2 pivots over {LP_HULLS} hulls)")
+    for name, row in lp.items():
+        print(f"{name:<14}" + "".join(f"{'/'.join(map(str, row[key])):>12}" for key in
+                                      ("contains_pivots", "diameter_sup_pivots", "diameter_sum_pivots",
+                                       "sup_functional_pivots")))
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}"
           f"   (median ms; segment scans over {PROC_SETS} sets)")
@@ -330,7 +372,7 @@ def main(argv=None) -> int:
         report = {
             "units": {
                 "kernels": "us per call, median",
-                "lp": "us per call, median; tableau as [rows, columns]",
+                "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] summed over lp_hulls hulls",
                 "procedures": "ms per call, median; segment_calls summed over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes",
             },

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from symdex import exactlp
 from symdex.exactlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -13,6 +14,7 @@ from symdex.exactlp import (
     phase_two,
     solve_lp,
 )
+from util import dense_phase_one, dense_solve_lp
 
 
 def test_simple_optimum():
@@ -90,110 +92,23 @@ def test_exactness_with_awkward_fractions():
 
 
 # ---------------------------------------------------------------------------
-# differential check against a dense two-phase simplex: every pivot
-# rescales its row and updates every column, and each solve runs its own
-# phase 1
+# differential checks against the dense Fraction simplex of tests/util.py
 
 
-def _dense_pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    inv = F(1) / piv
-    tableau[row] = [inv * a for a in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            prow = tableau[row]
-            tableau[r] = [a - factor * p for a, p in zip(line, prow)]
-    basis[row] = col
-
-
-def _dense_simplex(tableau, basis, cost):
-    m = len(tableau)
-    width = len(tableau[0])
-    while True:
-        reduced = list(cost)
-        offset = F(0)
-        for r in range(m):
-            cb = cost[basis[r]]
-            if cb != 0:
-                row = tableau[r]
-                for j in range(width - 1):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-                offset += cb * row[-1]
-        enter = next((j for j in range(width - 1) if reduced[j] > 0), -1)
-        if enter < 0:
-            return offset
-        leave = -1
-        best = None
-        for r in range(m):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave < 0:
-            return None
-        _dense_pivot(tableau, basis, leave, enter)
-
-
-def dense_solve_lp(objective, a_eq, b_eq):
-    n = len(objective)
-    m = len(a_eq)
-    if m == 0:
-        if any(c > 0 for c in objective):
-            return UNBOUNDED, None, None
-        return OPTIMAL, F(0), [F(0)] * n
-    tableau = []
-    for r in range(m):
-        row = list(a_eq[r])
-        rhs = b_eq[r]
-        if rhs < 0:
-            row = [-a for a in row]
-            rhs = -rhs
-        art = [F(0)] * m
-        art[r] = F(1)
-        tableau.append(row + art + [rhs])
-    basis = [n + r for r in range(m)]
-    value = _dense_simplex(tableau, basis, [F(0)] * n + [F(-1)] * m)
-    if value is None or value < 0:
-        return INFEASIBLE, None, None
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
-            if col is not None:
-                _dense_pivot(tableau, basis, r, col)
-    tableau2 = []
-    kept_basis = []
-    for r in range(m):
-        if basis[r] < n:
-            tableau2.append(tableau[r][:n] + [tableau[r][-1]])
-            kept_basis.append(basis[r])
-    if not tableau2:
-        if any(c > 0 for c in objective):
-            return UNBOUNDED, None, None
-        return OPTIMAL, F(0), [F(0)] * n
-    value = _dense_simplex(tableau2, kept_basis, list(objective))
-    if value is None:
-        return UNBOUNDED, None, None
-    x = [F(0)] * n
-    for r, b in enumerate(kept_basis):
-        x[b] = tableau2[r][-1]
-    return OPTIMAL, value, x
-
-
-entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3)])
+entries = st.sampled_from(
+    [F(0)] * 5 + [F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(5, 7), F(-3, 11), F(7, 4), F(-9, 2)]
+)
 
 
 @st.composite
 def lp_rows(draw):
-    """Equality rows with 1-5 columns, mostly zero entries (so phases stall,
-    degenerate and end infeasible or unbounded), and possibly a redundant
-    row: a combination of two drawn rows with the same combination of
-    right-hand sides (or a shifted one, which is infeasible)."""
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 4))
+    """Up to 6 equality rows with 1-8 columns, many zero entries (so
+    phases stall, degenerate and end infeasible or unbounded), and possibly
+    a redundant row: a combination of two drawn rows with the same
+    combination of right-hand sides (or a shifted one, which is
+    infeasible)."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 5))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
     rhs = draw(st.lists(entries, min_size=m, max_size=m))
     if m and draw(st.booleans()):
@@ -208,12 +123,27 @@ def _outcome(res):
     return res.status, res.value, res.x
 
 
+def assert_matches_dense_start(start, rows, rhs, n):
+    """The fraction-free start is the dense reference's: same kept basis,
+    and its integer rows over ``det > 0`` are the dense rows."""
+    dense = dense_phase_one(rows, rhs, n)
+    assert (start is None) == (dense is None)
+    if start is None:
+        return
+    dense_rows, dense_basis = dense
+    assert list(start.basis) == dense_basis
+    assert type(start.det) is int and start.det > 0
+    assert all(type(a) is int for row in start.tableau for a in row)
+    assert [[F(a, start.det) for a in row] for row in start.tableau] == dense_rows
+
+
 @settings(max_examples=300)
 @given(lp_rows(), st.data())
 def test_solve_lp_matches_dense_reference(lp, data):
     n, rows, rhs = lp
     objective = data.draw(st.lists(entries, min_size=n, max_size=n))
     assert _outcome(solve_lp(objective, rows, rhs)) == dense_solve_lp(objective, rows, rhs)
+    assert_matches_dense_start(phase_one(rows, rhs, n), rows, rhs, n)
     if rows:
         assert feasible_point(rows, rhs) == dense_solve_lp([F(0)] * n, rows, rhs)[2]
 
@@ -226,7 +156,32 @@ def test_phase_two_leaves_the_start_unchanged(lp, data):
     if start is None:
         assert solve_lp([F(0)] * n, rows, rhs).status == INFEASIBLE
         return
-    snapshot = (start.tableau, start.basis)
+    snapshot = (start.tableau, start.basis, start.det)
     for objective in data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=5)):
         assert _outcome(phase_two(start, objective)) == _outcome(solve_lp(objective, rows, rhs))
-        assert (start.tableau, start.basis) == snapshot
+        assert (start.tableau, start.basis, start.det) == snapshot
+
+
+def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
+    # x3 = 1 and 2 x2 + x3 = 1: phase 1 ends with the first row's
+    # artificial basic at 0 and a negative x2 entry in its row, so the
+    # drive-out negates that row before pivoting x2 in
+    rows = [[F(0), F(0), F(1)], [F(0), F(2), F(1)]]
+    rhs = [F(1), F(1)]
+    pivot, seen = exactlp._pivot, []
+
+    def recording(tableau, basis, row, col, det):
+        # a leaving column reads -det in its own row only once negated
+        seen.append((tableau[row][basis[row]] == -det, tableau[row][col]))
+        return pivot(tableau, basis, row, col, det)
+
+    monkeypatch.setattr(exactlp, "_pivot", recording)
+    start = phase_one(rows, rhs, 3)
+    assert (True, 2) in seen  # the drive-out pivot on the negated row
+    assert all(p > 0 for _, p in seen)
+    assert start.basis == (1, 2) and start.det == 2
+    assert start.tableau == ((0, 2, 0, 0), (0, 0, 2, 2))
+    assert_matches_dense_start(start, rows, rhs, 3)
+    objective = [F(0), F(1), F(1)]
+    expected = (OPTIMAL, F(1), [F(0), F(0), F(1)])
+    assert _outcome(phase_two(start, objective)) == dense_solve_lp(objective, rows, rhs) == expected

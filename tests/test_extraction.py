@@ -39,9 +39,9 @@ from symdex import (
     verify_basis_inequality,
 )
 from symdex import extraction
-from symdex.exactlp import OPTIMAL, solve_lp
+from symdex.exactlp import OPTIMAL
 from symdex.bruteforce import brute_delta1_zero_witness
-from util import ALL_NORMS, as_dicts, random_finite_points
+from util import ALL_NORMS, as_dicts, dense_solve_lp, random_finite_points
 
 BOX = Box(F(1))
 
@@ -85,7 +85,8 @@ def test_orthogonal_functional_no_certificate():
 
 def reference_dual_ball_lp(span, objective, kind):
     """The dual-ball LP with its columns placed by index: f = u - w over
-    the joint support, then one slack (sup) or one per coordinate (sum)."""
+    the joint support, then one slack (sup) or one per coordinate (sum),
+    solved by the dense reference simplex."""
     if kind is NormKind.EUCLID:
         return None
     coords = sorted({i for v in span for i in v.support} | set(objective.support))
@@ -115,10 +116,10 @@ def reference_dual_ball_lp(span, objective, kind):
     for i, x in objective.items():
         obj[idx[i]] = x
         obj[c + idx[i]] = -x
-    res = solve_lp(obj, rows, rhs)
-    if res.status != OPTIMAL:
+    status, _, x = dense_solve_lp(obj, rows, rhs)
+    if status != OPTIMAL:
         return None
-    f = SparseVec({coords[p]: res.x[p] - res.x[c + p] for p in range(c)})
+    f = SparseVec({coords[p]: x[p] - x[c + p] for p in range(c)})
     dn = dual_norm(f, kind)
     return None if dn == 0 else f.scale(F(1) / dn)
 

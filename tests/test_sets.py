@@ -37,10 +37,10 @@ from symdex import (
     unit,
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
-from symdex.exactlp import INFEASIBLE, solve_lp
+from symdex.exactlp import INFEASIBLE
 from symdex import sets as sets_module
 from symdex.sets import ENUM_CACHE_SIZE, enumerate_members, reduced, sample_members
-from util import ALL_NORMS, finite_sets, norm_kinds
+from util import ALL_NORMS, dense_solve_lp, finite_sets, norm_kinds
 
 
 def canonical_series(h, kind=NormKind.SUP):
@@ -333,8 +333,8 @@ def test_symmetrized_hull_diameter_is_exact_zero_at_generator():
 
 def reference_hull_extent(hull, witnesses, kind):
     """Largest member norm of the hull's symmetrization and the first
-    member attaining it: every sign objective (both halves) through a
-    fresh ``solve_lp`` on the membership rows."""
+    member attaining it: every sign objective (both halves) through the
+    dense reference simplex on the membership rows."""
     coords = sorted(
         {i for p in hull.points for i in p.support} | {i for w in witnesses for i in w.support}
     )
@@ -361,23 +361,23 @@ def reference_hull_extent(hull, witnesses, kind):
     best, arg = F(0), ZERO
     for objective in objectives:
         obj = [F(objective.get(i, 0)) for i in coords]
-        res = solve_lp(obj + [-a for a in obj] + [F(0)] * (nvars - 2 * c), rows, rhs)
-        if res.value > best:
-            best = res.value
-            arg = SparseVec({i: res.x[pos] - res.x[c + pos] for pos, i in enumerate(coords)})
+        _, value, x = dense_solve_lp(obj + [-a for a in obj] + [F(0)] * (nvars - 2 * c), rows, rhs)
+        if value > best:
+            best = value
+            arg = SparseVec({i: x[pos] - x[c + pos] for pos, i in enumerate(coords)})
     return best, arg
 
 
 def reference_hull_contains(hull, v):
     """Membership through dense rows: coefficients on the positive and the
     negative generator weights, then a slack, and the weights' l1 row;
-    feasible when a fresh ``solve_lp`` of the zero objective is."""
+    feasible when the dense reference simplex finds the zero objective so."""
     coords = sorted({i for p in hull.points for i in p.support} | set(v.support))
     k = len(hull.points)
     rows = [[p.get(i) for p in hull.points] + [-p.get(i) for p in hull.points] + [F(0)] for i in coords]
     rows.append([F(1)] * (2 * k + 1))
     rhs = [v.get(i) for i in coords] + [F(1)]
-    return solve_lp([F(0)] * (2 * k + 1), rows, rhs).status != INFEASIBLE
+    return dense_solve_lp([F(0)] * (2 * k + 1), rows, rhs)[0] != INFEASIBLE
 
 
 def test_hull_contains_matches_dense_rows():

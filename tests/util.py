@@ -1,4 +1,5 @@
-"""Shared strategies and seeded generators for the test suite."""
+"""Shared strategies, seeded generators and an independent dense LP
+reference for the test suite."""
 
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from symdex import FinitePoints, NormKind, SparseVec
+from symdex.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 ALL_NORMS = (NormKind.SUP, NormKind.SUM, NormKind.EUCLID)
 
@@ -34,3 +36,103 @@ def random_finite_points(
 
 def as_dicts(expr: FinitePoints) -> list[dict[int, Fraction]]:
     return [dict(p.items()) for p in expr.points]
+
+
+# ---------------------------------------------------------------------------
+# a dense two-phase simplex over ``Fraction``s, independent of
+# ``symdex.exactlp``: every pivot rescales its row and updates every
+# column, reduced costs are recomputed from the whole tableau at every
+# step, and each solve runs its own phase 1
+
+
+def _dense_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    inv = Fraction(1) / piv
+    tableau[row] = [inv * a for a in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            prow = tableau[row]
+            tableau[r] = [a - factor * p for a, p in zip(line, prow)]
+    basis[row] = col
+
+
+def _dense_simplex(tableau, basis, cost):
+    m = len(tableau)
+    width = len(tableau[0])
+    while True:
+        reduced = list(cost)
+        offset = Fraction(0)
+        for r in range(m):
+            cb = cost[basis[r]]
+            if cb != 0:
+                row = tableau[r]
+                for j in range(width - 1):
+                    if row[j] != 0:
+                        reduced[j] -= cb * row[j]
+                offset += cb * row[-1]
+        enter = next((j for j in range(width - 1) if reduced[j] > 0), -1)
+        if enter < 0:
+            return offset
+        leave = -1
+        best = None
+        for r in range(m):
+            a = tableau[r][enter]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return None
+        _dense_pivot(tableau, basis, leave, enter)
+
+
+def dense_phase_one(a_eq, b_eq, n):
+    """``(rows, basis)`` of a feasible start for ``a_eq x = b_eq``,
+    ``x >= 0`` (each row the ``n`` columns of ``B^-1 A``, then ``B^-1 b``;
+    redundant rows dropped), or None when the rows are infeasible."""
+    m = len(a_eq)
+    tableau = []
+    for r in range(m):
+        row = list(a_eq[r])
+        rhs = b_eq[r]
+        if rhs < 0:
+            row = [-a for a in row]
+            rhs = -rhs
+        art = [Fraction(0)] * m
+        art[r] = Fraction(1)
+        tableau.append(row + art + [rhs])
+    basis = [n + r for r in range(m)]
+    if m:
+        value = _dense_simplex(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+        if value is None or value < 0:
+            return None
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is not None:
+                _dense_pivot(tableau, basis, r, col)
+    kept = [r for r in range(m) if basis[r] < n]
+    return [tableau[r][:n] + [tableau[r][-1]] for r in kept], [basis[r] for r in kept]
+
+
+def dense_solve_lp(objective, a_eq, b_eq):
+    """``(status, value, x)`` of max ``objective . x`` subject to
+    ``a_eq x = b_eq``, ``x >= 0``."""
+    n = len(objective)
+    start = dense_phase_one(a_eq, b_eq, n)
+    if start is None:
+        return INFEASIBLE, None, None
+    tableau, basis = start
+    if not tableau:
+        if any(c > 0 for c in objective):
+            return UNBOUNDED, None, None
+        return OPTIMAL, Fraction(0), [Fraction(0)] * n
+    value = _dense_simplex(tableau, basis, list(objective))
+    if value is None:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        x[b] = tableau[r][-1]
+    return OPTIMAL, value, x
