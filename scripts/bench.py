@@ -17,14 +17,16 @@ on the machine, and equal counts show the same Bland path).
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
 ``eps_strong_extreme`` at every point of a set (one figure per set) and
-of ``delta_curve`` to N=2 with exhaustive search, and the number of
-``_segment_portion_distance`` calls the strong-extreme figures make over
-all PROC_SETS sets (counted by wrapping the function here).
+of ``delta_curve`` to N=2 with exhaustive search, the number of
+``_segment_portion_distance`` calls the strong-extreme figures make and
+the number of witness lists the ``delta_curve`` figures score (calls of
+``indexes._delta_of``), each over all PROC_SETS sets and counted by
+wrapping the function here.
 
 CLI: for every request of ``scripts/run_demo.py``, the median time in
 milliseconds of ``symdex.cli.main``, the median time of the ``oracle``
-replay of its JSON report, and the report size in bytes. Standard
-library only.
+replay of its JSON report, the report size in bytes and the witness
+lists the request scores (counted as above). Standard library only.
 
     python scripts/bench.py                      # print the tables
     python scripts/bench.py --out results.json   # also write them as JSON
@@ -243,24 +245,35 @@ def random_finite_set(symdex, rng: random.Random, count: int):
     return symdex.FinitePoints(tuple(vec() for _ in range(count)))
 
 
-def measure_procedures() -> dict:
-    """{"<n>pts_<norm>": figures} for each size of PROC_SIZES and each norm."""
-    import symdex
-    from symdex import extraction, sets
-
-    cache = getattr(sets, "_ENUM_CACHE", {})
-    scan, calls = extraction._segment_portion_distance, [0]
+def count_calls(module, name: str, call) -> int:
+    """How many times ``call()`` calls ``module.<name>``, counted by
+    wrapping it for the length of the call."""
+    original, calls = getattr(module, name), [0]
 
     def counted(*args):
         calls[0] += 1
-        return scan(*args)
+        return original(*args)
 
+    setattr(module, name, counted)
+    try:
+        call()
+    finally:
+        setattr(module, name, original)
+    return calls[0]
+
+
+def measure_procedures() -> dict:
+    """{"<n>pts_<norm>": figures} for each size of PROC_SIZES and each norm."""
+    import symdex
+    from symdex import extraction, indexes, sets
+
+    cache = getattr(sets, "_ENUM_CACHE", {})
     rng = random.Random(SEED)
     results: dict[str, dict] = {}
     for count in PROC_SIZES:
         for kind in symdex.NormKind:
             samples: dict[str, list[float]] = {}
-            segment_calls = 0
+            segment_calls = delta_calls = 0
             for _ in range(PROC_SETS):
                 points = random_finite_set(symdex, rng, count)
                 eps = rng.choice(PROC_EPSILONS)
@@ -277,15 +290,12 @@ def measure_procedures() -> dict:
                         call()
                         ns.append(time.perf_counter_ns() - start)
                     samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
-                calls[0] = 0
-                extraction._segment_portion_distance = counted
-                try:
-                    procedures["strong_extreme"]()
-                finally:
-                    extraction._segment_portion_distance = scan
-                segment_calls += calls[0]
+                segment_calls += count_calls(extraction, "_segment_portion_distance", procedures["strong_extreme"])
+                cache.clear()
+                delta_calls += count_calls(indexes, "_delta_of", procedures["delta_curve"])
             row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
             row["segment_calls"] = segment_calls
+            row["delta_calls"] = delta_calls
             results[f"{count}pts_{kind.value}"] = row
     return results
 
@@ -310,7 +320,7 @@ def measure_cli() -> dict:
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
-    from symdex import sets
+    from symdex import indexes, sets
 
     cache = getattr(sets, "_ENUM_CACHE", {})
     results: dict[str, dict] = {}
@@ -322,6 +332,8 @@ def measure_cli() -> dict:
             report = work / outname
             request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report), "--seed", "0"]
             row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear)}
+            cache.clear()
+            row["delta_calls"] = count_calls(indexes, "_delta_of", lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
@@ -359,22 +371,23 @@ def main(argv=None) -> int:
                                       ("contains_pivots", "diameter_sup_pivots", "diameter_sum_pivots",
                                        "sup_functional_pivots")))
     procedures = measure_procedures()
-    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}"
-          f"   (median ms; segment scans over {PROC_SETS} sets)")
+    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}"
+          f"   (median ms; segment scans and scored witness lists over {PROC_SETS} sets)")
     for name, row in procedures.items():
-        print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}{row['segment_calls']:>10}")
+        print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
+              f"{row['segment_calls']:>10}{row['delta_calls']:>8}")
     cli = measure_cli()
-    print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}   (median)")
+    print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}   (median; scored witness lists)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
-        print(f"{name:<22}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}")
+        print(f"{name:<22}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['delta_calls']:>8}")
     if args.out:
         report = {
             "units": {
                 "kernels": "us per call, median",
                 "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] summed over lp_hulls hulls",
-                "procedures": "ms per call, median; segment_calls summed over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes",
+                "procedures": "ms per call, median; segment_calls and delta_calls summed over proc_sets sets",
+                "cli": "ms per call, median; report size in bytes; delta_calls per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,

@@ -30,7 +30,7 @@ from .errors import (
     TreeStalled,
     WitnessNotMember,
 )
-from .indexes import SearchStrategy, default_pool, delta0, delta_lower, delta_upper
+from .indexes import SearchStrategy, _witness_search, default_pool, delta0, delta_lower
 from .sets import (
     FinitePoints,
     SetExpr,
@@ -60,6 +60,8 @@ from .vectors import (
     norm,
     unit,
 )
+
+MAX_TREE_DEPTH = 16  # a depth-d tree holds 2^d - 1 nodes
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def refine_almost_isometric(
 ) -> SetExpr:
     """A symmetrization whose delta_0 is within (1+epsilon) of the limit index.
 
-    Searches witness lists of growing length until the certified
+    Grows one witness search a list size at a time until the certified
     delta_0 upper bound meets (1+epsilon) times the certified limit
     lower bound; the result is the flattened symmetrized set, ready for
     extraction. Raises :class:`NotFound` with the best ratio achieved
@@ -469,21 +471,15 @@ def refine_almost_isometric(
         raise InvalidInput("refinement needs a positive unconditional lower certificate")
     target = as_length(1 + eps, kind) * low.value
     best = None
-    for n in range(1, N_max + 1):
-        up = delta_upper(expr, n, strategy, kind, seed=seed)
-        upper = up.bound.upper
-        if upper is None:
-            continue
-        ratio = upper / low.value
-        if best is None or ratio < best[0]:
-            best = (ratio, up)
-        if upper <= target:
-            return symmetrize(expr, up.upper_witnesses)
+    for bound, ws in _witness_search(expr, N_max, strategy, kind, seed):
+        best = (bound.upper / low.value, ws)
+        if bound.upper <= target:
+            return symmetrize(expr, ws)
     raise NotFound(
         f"no witness list within N_max={N_max} met the ratio target",
         best=None if best is None else {
             "ratio": format_scalar(best[0]),
-            "witnesses": [w.to_json() for w in best[1].upper_witnesses],
+            "witnesses": [w.to_json() for w in best[1]],
         },
     )
 
@@ -538,13 +534,15 @@ def build_eps_tree(
     Node n splits along a free direction u of norm at least epsilon:
     children are x_n - u and x_n + u, so the midpoint law is exact and
     siblings are at least 2*epsilon apart. Raises :class:`TreeStalled`
-    at the first node without such a direction.
+    at the first node without such a direction, and
+    :class:`InvalidInput` for a depth outside 1..MAX_TREE_DEPTH before
+    any node is allocated.
     """
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
-    if depth < 1:
-        raise InvalidInput("depth must be at least 1")
+    if not 1 <= depth <= MAX_TREE_DEPTH:
+        raise InvalidInput(f"depth must be from 1 to {MAX_TREE_DEPTH}")
     total = 2 ** depth - 1
     internal = 2 ** (depth - 1) - 1
     arr: list[Optional[SparseVec]] = [None] * (total + 1)

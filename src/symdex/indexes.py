@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidInput, SymdexError, WitnessNotMember
 from .sets import (
@@ -109,6 +109,71 @@ def _witness_key(ws: Sequence[SparseVec]) -> tuple:
     return (len(keys), keys)
 
 
+def _witness_search(
+    expr: SetExpr,
+    N: int,
+    strategy: SearchStrategy,
+    kind: NormKind,
+    seed: int,
+) -> Iterator[tuple[BoundPair, tuple[SparseVec, ...]]]:
+    """Yield, for n = 1..N, the best (bound, witness list) over every
+    searched list of size at most n.
+
+    One beam loop grows the lists a round per size: ``exhaustive`` keeps
+    every list, ``beam`` the ``width`` best and ``greedy`` the best one
+    per restart, where restart r > 0 starts from the single pool point
+    r - 1, a size-1 list. A search to n scores every list a search to
+    n - 1 scores, so the work for size n + 1 starts only when the caller
+    asks for it. Lists rank by (score, witness key), a total order, so
+    the order of scoring cannot change the result. For N < 1 nothing
+    is searched and the pool is not checked.
+    """
+    if N < 1:
+        return
+    pool = list(dict.fromkeys(strategy.pool))
+    for p in pool:
+        if not contains(expr, p):
+            raise WitnessNotMember(f"pool member {p!r} is not in the set")
+    pool.sort(key=lambda p: p.sort_key())
+    if not pool:
+        raise InvalidInput("witness pool is empty")
+    if strategy.kind == "exhaustive":
+        width, starts = None, [()]
+    elif strategy.kind == "beam":
+        width, starts = max(1, strategy.width), [()]
+    elif strategy.kind == "greedy":
+        width = 1
+        starts = [()] + [(pool[(r - 1) % len(pool)],) for r in range(1, max(1, strategy.restarts))]
+    else:
+        raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
+
+    best = None  # (rank, bound, witnesses)
+
+    def rank(ws: tuple[SparseVec, ...]) -> tuple:
+        nonlocal best
+        bound = _delta_of(expr, ws, kind, seed)
+        key = (_score(bound), _witness_key(ws))
+        if best is None or key < best[0]:
+            best = (key, bound, ws)
+        return key
+
+    beams = [[start] for start in starts]
+    for n in range(1, N + 1):
+        for b, states in enumerate(beams):
+            if states and len(states[0]) == n:  # a greedy restart's one-point start
+                rank(states[0])
+                continue
+            ranked = {}
+            for state in states:
+                for p in pool:
+                    if p not in state:
+                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
+                        if ws not in ranked:
+                            ranked[ws] = rank(ws)
+            beams[b] = sorted(ranked, key=ranked.__getitem__)[:width]
+        yield best[1], best[2]
+
+
 def delta_upper(
     expr: SetExpr,
     N: int,
@@ -120,81 +185,17 @@ def delta_upper(
 
     Witness lists are treated as sets of size at most N: repeating a
     witness never shrinks the intersection further. Exhaustive search
-    over the full point set of a finite set is exact.
+    over the full point set of a finite set is exact. This is the last
+    step of the search that :func:`delta_curve` reads step by step.
     """
     if N < 1:
         raise InvalidInput("delta_upper needs N >= 1")
-    pool = []
-    seen = set()
-    for p in strategy.pool:
-        if p in seen:
-            continue
-        seen.add(p)
-        if not contains(expr, p):
-            raise WitnessNotMember(f"pool member {p!r} is not in the set")
-        pool.append(p)
-    pool.sort(key=lambda p: p.sort_key())
-    if not pool:
-        raise InvalidInput("witness pool is empty")
-
-    best_bound: Optional[BoundPair] = None
-    best_ws: tuple[SparseVec, ...] = ()
-
-    def consider(ws: Sequence[SparseVec]) -> Fraction:
-        nonlocal best_bound, best_ws
-        bound = _delta_of(expr, ws, kind, seed)
-        score = _score(bound)
-        if (
-            best_bound is None
-            or score < best_bound.upper
-            or (score == best_bound.upper and _witness_key(ws) < _witness_key(best_ws))
-        ):
-            best_bound = bound
-            best_ws = tuple(sorted(ws, key=lambda w: w.sort_key()))
-        return score
-
-    if strategy.kind == "exhaustive":
-        for size in range(1, min(N, len(pool)) + 1):
-            for ws in combinations(pool, size):
-                consider(ws)
-    elif strategy.kind in ("greedy", "beam"):
-        # greedy is a width-1 beam per restart; restart r > 0 starts from
-        # one pool point, scored on its own first
-        if strategy.kind == "greedy":
-            width = 1
-            restarts = range(1, max(1, strategy.restarts))
-            starts = [()] + [(pool[(r - 1) % len(pool)],) for r in restarts]
-        else:
-            width = max(1, strategy.width)
-            starts = [()]
-        for start in starts:
-            if start:
-                consider(start)
-            states: list[tuple[SparseVec, ...]] = [start]
-            for _ in range(N - len(start)):
-                scored = []
-                seen_states = set()
-                for state in states:
-                    for p in pool:
-                        if p in state:
-                            continue
-                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
-                        if ws in seen_states:
-                            continue
-                        seen_states.add(ws)
-                        scored.append((consider(ws), _witness_key(ws), ws))
-                if not scored:
-                    break
-                scored.sort(key=lambda t: (t[0], t[1]))
-                states = [ws for _, _, ws in scored[:width]]
-    else:
-        raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
-
-    assert best_bound is not None
+    for bound, ws in _witness_search(expr, N, strategy, kind, seed):
+        pass
     return DeltaResult(
         N=N,
-        bound=BoundPair(Fraction(0), best_bound.upper, upper_witness=best_bound.to_json()),
-        upper_witnesses=best_ws,
+        bound=BoundPair(Fraction(0), bound.upper, upper_witness=bound.to_json()),
+        upper_witnesses=ws,
         lower_certificate=None,
     )
 
@@ -246,9 +247,10 @@ def delta_curve(
 ) -> list[DeltaResult]:
     """Delta results for N = 0..N_max; upper bounds are non-increasing.
 
-    Monotonicity is enforced by witness inheritance: the best witness
-    list found for N carries over to N+1. Lower bounds are certified
-    independently for every N.
+    Row N is step N of one witness search, whose best list over sizes at
+    most N can only improve as N grows, so row N equals
+    :func:`delta_upper` at N. The lower certificate does not depend on
+    N and is certified once.
     """
     if N_max < 0:
         raise InvalidInput("N_max must be nonnegative")
@@ -264,35 +266,27 @@ def delta_curve(
             ),
         )
     ]
-    prev_upper = base.upper
-    prev_ws: tuple[SparseVec, ...] = ()
-    for n in range(1, N_max + 1):
-        up = delta_upper(expr, n, strategy, kind, seed=seed)
-        upper = up.bound.upper
-        ws = up.upper_witnesses
-        if prev_upper is not None and n > 1 and (upper is None or upper > prev_upper):
-            upper = prev_upper
-            ws = prev_ws
-        low = delta_lower(expr, n, kind)
-        lower_value = low.lower_certificate.unconditional_value
-        if upper is not None and lower_value > upper:
+    cert = delta_lower(expr, N_max, kind).lower_certificate
+    lower_value = cert.unconditional_value
+    steps = _witness_search(expr, N_max, strategy, kind, seed)
+    for n, (bound, ws) in enumerate(steps, start=1):
+        if lower_value > bound.upper:
             raise SymdexError(
-                f"delta sandwich violated at N={n}: lower {lower_value} > upper {upper}"
+                f"delta sandwich violated at N={n}: lower {lower_value} > upper {bound.upper}"
             )
         results.append(
             DeltaResult(
                 N=n,
                 bound=BoundPair(
                     lower_value,
-                    upper,
-                    lower_witness=low.lower_certificate.to_json(),
-                    upper_witness=up.bound.upper_witness,
+                    bound.upper,
+                    lower_witness=cert.to_json(),
+                    upper_witness=bound.to_json(),
                 ),
                 upper_witnesses=ws,
-                lower_certificate=low.lower_certificate,
+                lower_certificate=cert,
             )
         )
-        prev_upper, prev_ws = upper, ws
     return results
 
 

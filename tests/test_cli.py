@@ -6,6 +6,7 @@ import pytest
 
 from symdex import cli
 from symdex.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, decimal_string, main, verify_replay
+from symdex.extraction import MAX_TREE_DEPTH
 from symdex.sets import MAX_SET_DEPTH
 
 BOX_OVERRIDE = {"type": "box", "default_radius": "1", "overrides": {"1": "2"}}
@@ -209,6 +210,18 @@ def test_nesting_limit(tmp_path):
     very_deep = tmp_path / "very_deep.json"
     very_deep.write_text('{"type": "negate", "base": ' * 1199 + leaf + "}" * 1199)
     assert main(["delta", "--in", str(very_deep), "--out", str(out), "--n", "1"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 64])
+def test_tree_depth_limit_exits_2(tmp_path, capsys, depth):
+    # rejected before the 2^depth node array is allocated
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    out = tmp_path / "tree.json"
+    assert main(["tree", "--in", infile, "--out", str(out), "--epsilon", "1", "--depth", str(depth)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"depth must be from 1 to {MAX_TREE_DEPTH}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_budget_exit_code(tmp_path):

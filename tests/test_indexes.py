@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from symdex import (
     SignMode,
     SignSums,
     SparseVec,
+    SymdexError,
     ZERO,
     challenge_lower,
     default_pool,
@@ -22,13 +24,16 @@ from symdex import (
     delta_lower,
     delta_upper,
     kcenter_radius,
+    refine_almost_isometric,
     separation_alpha_lower,
     symmetrize,
     unit,
 )
 from symdex import indexes
+from symdex.errors import InvalidInput, NotFound, WitnessNotMember
 from symdex.bruteforce import brute_delta_upper, brute_delta1_zero_witness
-from symdex.sets import BoundPair
+from symdex.sets import BoundPair, LowerCertificate, _plain_lower, contains
+from symdex.vectors import as_length, as_scalar, format_scalar
 from util import ALL_NORMS, as_dicts, random_finite_points, random_point
 
 TRIANGLE = FinitePoints((ZERO, unit(1), unit(2)))
@@ -296,6 +301,210 @@ def test_greedy_is_a_width_one_beam_per_restart():
                     want = reference_greedy(expr, n, pool, restarts, kind)
                     assert got == want
                     assert got.to_json() == want.to_json()
+
+
+def reference_delta_upper(expr, N, strategy, kind, seed=0):
+    """delta_upper as a search of its own for every N: exhaustive scores
+    the combinations of at most N pool points; greedy and beam grow lists
+    from their starts for N rounds."""
+    if N < 1:
+        raise InvalidInput("delta_upper needs N >= 1")
+    pool = []
+    seen = set()
+    for p in strategy.pool:
+        if p in seen:
+            continue
+        seen.add(p)
+        if not contains(expr, p):
+            raise WitnessNotMember(f"pool member {p!r} is not in the set")
+        pool.append(p)
+    pool.sort(key=lambda p: p.sort_key())
+    if not pool:
+        raise InvalidInput("witness pool is empty")
+    best_bound, best_ws = None, ()
+
+    def consider(ws):
+        nonlocal best_bound, best_ws
+        bound = indexes._delta_of(expr, ws, kind, seed)
+        score = indexes._score(bound)
+        if (
+            best_bound is None
+            or score < best_bound.upper
+            or (score == best_bound.upper and indexes._witness_key(ws) < indexes._witness_key(best_ws))
+        ):
+            best_bound = bound
+            best_ws = tuple(sorted(ws, key=lambda w: w.sort_key()))
+        return score
+
+    if strategy.kind == "exhaustive":
+        for size in range(1, min(N, len(pool)) + 1):
+            for ws in combinations(pool, size):
+                consider(ws)
+    else:
+        if strategy.kind == "greedy":
+            width = 1
+            restarts = range(1, max(1, strategy.restarts))
+            starts = [()] + [(pool[(r - 1) % len(pool)],) for r in restarts]
+        else:
+            width = max(1, strategy.width)
+            starts = [()]
+        for start in starts:
+            if start:
+                consider(start)
+            states = [start]
+            for _ in range(N - len(start)):
+                scored = []
+                seen_states = set()
+                for state in states:
+                    for p in pool:
+                        if p in state:
+                            continue
+                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
+                        if ws in seen_states:
+                            continue
+                        seen_states.add(ws)
+                        scored.append((consider(ws), indexes._witness_key(ws), ws))
+                if not scored:
+                    break
+                scored.sort(key=lambda t: (t[0], t[1]))
+                states = [ws for _, _, ws in scored[:width]]
+    bound = BoundPair(F(0), best_bound.upper, upper_witness=best_bound.to_json())
+    return indexes.DeltaResult(N=N, bound=bound, upper_witnesses=best_ws)
+
+
+def reference_delta_curve(expr, N_max, strategy, kind):
+    """The curve with row N built from its own reference_delta_upper(N)."""
+    if N_max < 0:
+        raise InvalidInput("N_max must be nonnegative")
+    base = delta0(expr, kind)
+    floor = base.lower or F(0)
+    zero_cert = LowerCertificate("diameter", floor, _plain_lower(floor, kind), False)
+    rows = [indexes.DeltaResult(N=0, bound=base, lower_certificate=zero_cert)]
+    for n in range(1, N_max + 1):
+        up = reference_delta_upper(expr, n, strategy, kind)
+        # the uppers never grow with N, so no row needs an earlier list
+        assert n == 1 or up.bound.upper <= rows[-1].bound.upper
+        cert = delta_lower(expr, n, kind).lower_certificate
+        lower = cert.unconditional_value
+        if lower > up.bound.upper:
+            raise SymdexError(f"delta sandwich violated at N={n}: lower {lower} > upper {up.bound.upper}")
+        bound = BoundPair(
+            lower, up.bound.upper, lower_witness=cert.to_json(), upper_witness=up.bound.upper_witness
+        )
+        rows.append(
+            indexes.DeltaResult(N=n, bound=bound, upper_witnesses=up.upper_witnesses, lower_certificate=cert)
+        )
+    return rows
+
+
+def reference_refine(expr, epsilon, strategy, N_max, kind):
+    """refine_almost_isometric as one reference_delta_upper per N."""
+    eps = as_scalar(epsilon)
+    if eps <= 0:
+        raise InvalidInput("epsilon must be positive")
+    low = delta_lower(expr, 1, kind).lower_certificate
+    if low.unconditional_value <= 0 or not low.uniform:
+        raise InvalidInput("refinement needs a positive unconditional lower certificate")
+    target = as_length(1 + eps, kind) * low.value
+    best = None
+    for n in range(1, N_max + 1):
+        up = reference_delta_upper(expr, n, strategy, kind)
+        ratio = up.bound.upper / low.value
+        if best is None or ratio < best[0]:
+            best = (ratio, up)
+        if up.bound.upper <= target:
+            return symmetrize(expr, up.upper_witnesses)
+    raise NotFound(
+        f"no witness list within N_max={N_max} met the ratio target",
+        best=None if best is None else {
+            "ratio": format_scalar(best[0]),
+            "witnesses": [w.to_json() for w in best[1].upper_witnesses],
+        },
+    )
+
+
+def outcome(call):
+    """What a call returns or raises, in comparable form."""
+    try:
+        return "ok", call()
+    except SymdexError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "best", None)
+
+
+def all_strategies(pool):
+    yield SearchStrategy.exhaustive(pool)
+    for restarts in (1, 2, 3):
+        yield SearchStrategy.greedy(pool, restarts)
+    for width in (1, 2, 3):
+        yield SearchStrategy.beam(pool, width)
+
+
+DIFFERENTIAL_BOXES = [
+    Box(F(1), ((1, F(2)),)),
+    Box(F(1), ((1, F(3)), (2, F(2)), (3, F(1, 2)))),
+    Box(F(0), ((1, F(2)), (2, F(1)), (3, F(3, 2)))),
+    Box(F(1, 2), ((2, F(1)), (4, F(5, 2)))),
+]
+
+
+def test_lazy_search_matches_a_search_per_n():
+    cases = list(midpoint_grid_sets(random.Random(5), 12))
+    cases += [(box, default_pool(box)) for box in DIFFERENTIAL_BOXES]
+    # off-axis members make the strategies reach different lists
+    box = DIFFERENTIAL_BOXES[0]
+    cases.append((box, default_pool(box) + (SparseVec({1: 1, 2: F(1, 2)}), unit(2, -1), unit(3, F(1, 3)))))
+    for expr, pool in cases:
+        for strategy in all_strategies(pool):
+            for kind in ALL_NORMS:
+                got = outcome(lambda: delta_curve(expr, 3, strategy, kind))
+                want = outcome(lambda: reference_delta_curve(expr, 3, strategy, kind))
+                assert got == want
+                if got[0] == "ok":
+                    assert [r.to_json() for r in got[1]] == [r.to_json() for r in want[1]]
+                    for n in (1, 2, 3):
+                        want = reference_delta_upper(expr, n, strategy, kind)
+                        assert delta_upper(expr, n, strategy, kind) == want
+                for n_max in (0, 1, 2, 3):
+                    for epsilon in (F(1, 10), F(1)):
+                        got = outcome(lambda: refine_almost_isometric(expr, epsilon, strategy, n_max, kind))
+                        assert got == outcome(lambda: reference_refine(expr, epsilon, strategy, n_max, kind))
+
+
+def test_curve_to_zero_searches_nothing():
+    box = Box(F(1), ((1, F(2)),))
+    for pool in ((), (unit(1, 5),)):  # empty, and not a member
+        for strategy in all_strategies(pool):
+            got = delta_curve(box, 0, strategy, NormKind.SUP)
+            want = reference_delta_curve(box, 0, strategy, NormKind.SUP)
+            assert got == want
+            assert [r.to_json() for r in got] == [r.to_json() for r in want]
+            with pytest.raises(NotFound) as miss:
+                refine_almost_isometric(box, F(1, 10), strategy, 0, NormKind.SUP)
+            assert miss.value.best is None
+            got = outcome(lambda: delta_curve(box, 1, strategy, NormKind.SUP))
+            assert got == outcome(lambda: reference_delta_curve(box, 1, strategy, NormKind.SUP))
+            assert got[0] in ("InvalidInput", "WitnessNotMember")
+
+
+def test_curve_scores_each_list_once(monkeypatch):
+    calls = []
+    scored = indexes._delta_of
+
+    def counted(*args):
+        calls.append(args)
+        return scored(*args)
+
+    monkeypatch.setattr(indexes, "_delta_of", counted)
+    box = Box(F(1), ((1, F(2)),))
+    delta_curve(box, 3, exhaustive(box), NormKind.SUP)
+    # three pool points: 3 + 3 + 1 lists, against 3 + 6 + 7 for a search per N
+    assert len(calls) == 7
+    calls.clear()
+    delta_curve(DIFFERENTIAL_BOXES[1], 3, exhaustive(DIFFERENTIAL_BOXES[1]), NormKind.SUP)
+    assert len(calls) == 7 + 21 + 35  # every list of at most 3 of the 7 pool points, once
+    calls.clear()
+    delta_upper(box, 1, SearchStrategy.greedy(default_pool(box), restarts=2), NormKind.SUP)
+    assert len(calls) == 3 + 1  # restart 1 scores its one-point start
 
 
 def test_sandwich_property():
