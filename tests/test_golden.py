@@ -124,6 +124,35 @@ VARIANT_DIGESTS = {
     ),
 }
 
+# x_n = e_n + e_{n+1}: neighbouring terms share a coordinate, so the
+# symmetrized sign-sum sets have no closed form. From horizon 12 on
+# (3^12 > 200,000) they are not enumerable either, and their diameters
+# take the relaxation upper end.
+OVERLAP12 = {
+    "norm": "sup",
+    "label": "overlap12",
+    "terms": [{str(n): "1", str(n + 1): "1"} for n in range(1, 13)],
+}
+
+OVERLAP12_REQUESTS = {
+    "series": (OVERLAP12, ["series", "--epsilon", "1/8", "--seed", "11"]),
+    "delta": (
+        {"type": "sign_sums", "mode": "subsets", "horizon": 12, "series": OVERLAP12},
+        ["delta", "--n", "1", "--seed", "0"],
+    ),
+}
+
+OVERLAP12_DIGESTS = {
+    "series": (
+        "f5d67f951f19c7499ad403e23d49e89089843d38db19a5efee6a057d3a4feb46",
+        "1c33b6c19be313b2c21e47cdbf6f6bcc2411b5cc0b9daca0bbf155462808a820",
+    ),
+    "delta": (
+        "a54ccffbe9f741e3a37aa193d3145750b62ba8035cbf5560dec0d5d061e4e478",
+        "98dbf66d74ba20358739b663e73aa0da75ae260ffcbad62180aa49ac6d191701",
+    ),
+}
+
 SUBSET_EXTRACT_DIGESTS = (
     "705a6333b1c2fe11782deb79f9aaeb1265cd7c2b3782759eb775eb2ec70167bb",
     "34053371bb5baeb4067d061464db7588e37ddebdd6f6db24c9a3ccba2b27098c",
@@ -184,3 +213,15 @@ def test_subset_sign_sum_extract_report_is_golden(tmp_path):
     assert main(argv + ["--out", str(report)]) == EXIT_OK
     assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
     assert (_sha256(report), _sha256(verdict)) == SUBSET_EXTRACT_DIGESTS
+
+
+def test_overlapping_sign_sum_reports_are_golden(tmp_path):
+    digests = {}
+    for name, (obj, (command, *flags)) in OVERLAP12_REQUESTS.items():
+        infile = tmp_path / f"{name}.json"
+        infile.write_text(json.dumps(obj))
+        report, verdict = tmp_path / f"report_{name}.json", tmp_path / f"verdict_{name}.json"
+        assert main([command, "--in", str(infile), *flags, "--out", str(report)]) == EXIT_OK
+        assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
+        digests[name] = (_sha256(report), _sha256(verdict))
+    assert digests == OVERLAP12_DIGESTS
