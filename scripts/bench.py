@@ -23,10 +23,12 @@ the number of witness lists the ``delta_curve`` figures score (calls of
 ``indexes._delta_of``), each over all PROC_SETS sets and counted by
 wrapping the function here.
 
-CLI: for every request of ``scripts/run_demo.py``, the median time in
-milliseconds of ``symdex.cli.main``, the median time of the ``oracle``
-replay of its JSON report, the report size in bytes and the witness
-lists the request scores (counted as above). Standard library only.
+CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
+the median time in milliseconds of ``symdex.cli.main``, the median time
+of the ``oracle`` replay of its JSON report, the report size in bytes,
+the witness lists the request scores (counted as above) and the sampled
+diameter lower ends it computes (calls of ``sets._sampled_lower``, each
+up to 64 sampled membership searches). Standard library only.
 
     python scripts/bench.py                      # print the tables
     python scripts/bench.py --out results.json   # also write them as JSON
@@ -39,7 +41,7 @@ LP_HULLS random hulls per shape, drawn with seed SEED. Each procedure
 figure is the median over PROC_REPEATS calls on each of PROC_SETS random
 sets, drawn with seed SEED. Each LP, procedure and CLI call starts with
 an empty enumeration cache, as a fresh process has; each CLI figure is
-the median over CLI_REPEATS calls.
+the median over CLI_REPEATS calls (SCALED_REPEATS for SCALED_REQUESTS).
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ BATCH = 200  # calls per timed batch
 REPEATS = 31  # timed batches per figure
 SEED = 5
 CLI_REPEATS = 15  # timed calls per CLI figure
+SCALED_REPEATS = 3  # timed calls per figure of a SCALED_REQUESTS request
 LP_SHAPES = tuple((k, c) for c in (2, 3) for k in (2, 3, 4))  # (generators, coordinates)
 LP_HULLS = 4  # random hulls per shape
 LP_REPEATS = 9  # timed calls per hull and LP figure
@@ -73,6 +76,24 @@ PROC_SETS = 6  # random sets per (size, norm)
 PROC_REPEATS = 5  # timed calls per set and procedure figure
 PROC_EPSILONS = tuple(Fraction(x) for x in ("1/4", "1/2", "1"))  # drawn per set
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
+
+# x_n = e_n + e_{n+1}, n = 1..12: neighbouring terms share a coordinate,
+# so the symmetrized sign-sum sets have no closed form, and with 3^12
+# subset sign sums they are not enumerable either
+OVERLAP12 = {
+    "norm": "sup",
+    "label": "overlap12",
+    "terms": [{str(n): "1", str(n + 1): "1"} for n in range(1, 13)],
+}
+SCALED_INPUTS = {
+    "overlap12.json": OVERLAP12,
+    "overlap12_subsets.json": {"type": "sign_sums", "mode": "subsets", "horizon": 12, "series": OVERLAP12},
+}
+SCALED_REQUESTS = [
+    ("series_overlap12.json", ["series", "--in", "overlap12.json", "--epsilon", "1/8", "--seed", "11"]),
+    ("delta_overlap12_n1.json", ["delta", "--in", "overlap12_subsets.json", "--n", "1", "--seed", "0"]),
+    ("delta_overlap12_n2.json", ["delta", "--in", "overlap12_subsets.json", "--n", "2", "--seed", "0"]),
+]
 
 
 def random_vec(vectors, rng: random.Random, size: int, offset: int):
@@ -245,21 +266,27 @@ def random_finite_set(symdex, rng: random.Random, count: int):
     return symdex.FinitePoints(tuple(vec() for _ in range(count)))
 
 
-def count_calls(module, name: str, call) -> int:
-    """How many times ``call()`` calls ``module.<name>``, counted by
-    wrapping it for the length of the call."""
-    original, calls = getattr(module, name), [0]
+def count_calls(call, *targets) -> list[int]:
+    """How many times ``call()`` calls ``module.<name>`` for each
+    ``(module, name)`` of ``targets``, counted by wrapping them for the
+    length of the call."""
+    originals = [getattr(module, name) for module, name in targets]
+    calls = [0] * len(targets)
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting(index):
+        def counted(*args):
+            calls[index] += 1
+            return originals[index](*args)
+        return counted
 
-    setattr(module, name, counted)
+    for index, (module, name) in enumerate(targets):
+        setattr(module, name, counting(index))
     try:
         call()
     finally:
-        setattr(module, name, original)
-    return calls[0]
+        for (module, name), original in zip(targets, originals):
+            setattr(module, name, original)
+    return calls
 
 
 def measure_procedures() -> dict:
@@ -290,9 +317,10 @@ def measure_procedures() -> dict:
                         call()
                         ns.append(time.perf_counter_ns() - start)
                     samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
-                segment_calls += count_calls(extraction, "_segment_portion_distance", procedures["strong_extreme"])
+                segment_calls += count_calls(
+                    procedures["strong_extreme"], (extraction, "_segment_portion_distance"))[0]
                 cache.clear()
-                delta_calls += count_calls(indexes, "_delta_of", procedures["delta_curve"])
+                delta_calls += count_calls(procedures["delta_curve"], (indexes, "_delta_of"))[0]
             row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
             row["segment_calls"] = segment_calls
             row["delta_calls"] = delta_calls
@@ -300,11 +328,11 @@ def measure_procedures() -> dict:
     return results
 
 
-def median_ms(call, before) -> float:
-    """Median ms of ``call()`` over CLI_REPEATS runs after one warm-up;
+def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
+    """Median ms of ``call()`` over ``repeats`` runs after one warm-up;
     ``before()`` runs ahead of each, outside the timer."""
     samples = []
-    for _ in range(CLI_REPEATS + 1):
+    for _ in range(repeats + 1):
         before()
         start = time.perf_counter_ns()
         code = call()
@@ -315,8 +343,9 @@ def median_ms(call, before) -> float:
 
 
 def measure_cli() -> dict:
-    """{report name: {"main_ms", "oracle_ms", "report_bytes"}} over the
-    requests of run_demo.py (CSV reports have no oracle replay)."""
+    """{report name: {"main_ms", "oracle_ms", "report_bytes", "delta_calls",
+    "sampled_lower_calls"}} over the requests of run_demo.py and of
+    SCALED_REQUESTS (CSV reports have no oracle replay)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
@@ -326,18 +355,21 @@ def measure_cli() -> dict:
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         work = Path(tmp)
-        for name, payload in demo.INPUTS.items():
+        for name, payload in {**demo.INPUTS, **SCALED_INPUTS}.items():
             (work / name).write_text(json.dumps(payload, indent=2) + "\n")
-        for outname, argv in demo.REQUESTS:
+        requests = [(outname, [*argv, "--seed", "0"], CLI_REPEATS) for outname, argv in demo.REQUESTS]
+        requests += [(outname, argv, SCALED_REPEATS) for outname, argv in SCALED_REQUESTS]
+        for outname, argv, repeats in requests:
             report = work / outname
-            request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report), "--seed", "0"]
-            row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear)}
+            request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report)]
+            row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear, repeats)}
             cache.clear()
-            row["delta_calls"] = count_calls(indexes, "_delta_of", lambda: demo.main(request))
+            row["delta_calls"], row["sampled_lower_calls"] = count_calls(
+                lambda: demo.main(request), (indexes, "_delta_of"), (sets, "_sampled_lower"))
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
-                row["oracle_ms"] = median_ms(lambda: demo.main(replay), cache.clear)
+                row["oracle_ms"] = median_ms(lambda: demo.main(replay), cache.clear, repeats)
             results[outname] = row
     return results
 
@@ -377,21 +409,24 @@ def main(argv=None) -> int:
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
               f"{row['segment_calls']:>10}{row['delta_calls']:>8}")
     cli = measure_cli()
-    print(f"\n{'report':<22}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}   (median; scored witness lists)")
+    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}"
+          "   (median; scored witness lists, sampled lower ends)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
-        print(f"{name:<22}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['delta_calls']:>8}")
+        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['delta_calls']:>8}"
+              f"{row['sampled_lower_calls']:>9}")
     if args.out:
         report = {
             "units": {
                 "kernels": "us per call, median",
                 "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] summed over lp_hulls hulls",
                 "procedures": "ms per call, median; segment_calls and delta_calls summed over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; delta_calls per request",
+                "cli": "ms per call, median; report size in bytes; delta_calls and sampled_lower_calls per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,
             "cli_repeats": CLI_REPEATS,
+            "scaled_repeats": SCALED_REPEATS,
             "lp_hulls": LP_HULLS,
             "lp_repeats": LP_REPEATS,
             "proc_sets": PROC_SETS,

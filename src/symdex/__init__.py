@@ -54,6 +54,7 @@ from .sets import (
     contains,
     coordinate_relaxation,
     diameter,
+    diameter_upper,
     enumerate_members,
     free_direction,
     set_from_json,

@@ -270,9 +270,7 @@ def _run_refine(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
     epsilon = as_scalar(args.epsilon)
     try:
-        refined = ext.refine_almost_isometric(
-            expr, epsilon, _strategy(args, expr), args.n, kind, seed=args.seed
-        )
+        refined = ext.refine_almost_isometric(expr, epsilon, _strategy(args, expr), args.n, kind)
     except NotFound as miss:
         return {"outcome": "not_found", "best": miss.best}, [], "not_found"
     low = indexes.delta_lower(expr, 1, kind).lower_certificate
@@ -377,11 +375,9 @@ def _run_extreme(args, obj):
     if point is None:
         raise InvalidInput("extreme command needs an envelope with a 'point' field")
     epsilon = as_scalar(args.epsilon)
-    flag = ext.eps_extreme(expr, point, epsilon, kind, seed=args.seed)
+    flag, bound = ext.extreme_diameter(expr, point, epsilon, kind, seed=args.seed)
     result = {"eps_extreme": flag, "epsilon": format_scalar(epsilon)}
     replay = [_contains_entry(expr, point)]
-    sym = sets.symmetrize(expr, [point])
-    bound = sets.diameter(sym, kind, seed=args.seed)
     result["symmetrized_diameter"] = bound.to_json()
     if isinstance(sets.reduced(expr), sets.FinitePoints):
         strong, delta = ext.eps_strong_extreme(sets.reduced(expr), point, epsilon, kind)

@@ -30,12 +30,14 @@ from .errors import (
     TreeStalled,
     WitnessNotMember,
 )
-from .indexes import SearchStrategy, _witness_search, default_pool, delta0, delta_lower
+from .indexes import SearchStrategy, _witness_search, default_pool, delta_lower
 from .sets import (
+    BoundPair,
     FinitePoints,
     SetExpr,
     contains,
     diameter,
+    diameter_upper,
     difference_set,
     free_direction,
     reduced,
@@ -56,6 +58,7 @@ from .vectors import (
     dual_norm,
     dual_pair,
     format_scalar,
+    half_length,
     linear_combination,
     norm,
     unit,
@@ -427,9 +430,10 @@ def verify_basis_inequality(
         raise InvalidInput("more coefficients than transcript steps")
     combo = linear_combination(zip(lams, (s.x for s in t.steps)))
     peak = max((abs(c) for c in lams), default=Fraction(0))
-    d0_upper = delta0(t.base_set, t.kind).upper
-    if d0_upper is None:
+    diam = diameter_upper(t.base_set, t.kind)
+    if diam is None:
         raise InvalidInput("base set has no certified diameter upper bound")
+    d0_upper = half_length(diam, t.kind)
     floor = t.delta_lower_at_2N - t.epsilon
     if t.kind is NormKind.EUCLID:
         nrm_sq = norm(combo, t.kind)
@@ -453,7 +457,6 @@ def refine_almost_isometric(
     strategy: SearchStrategy,
     N_max: int,
     kind: NormKind,
-    seed: int = 0,
 ) -> SetExpr:
     """A symmetrization whose delta_0 is within (1+epsilon) of the limit index.
 
@@ -471,7 +474,7 @@ def refine_almost_isometric(
         raise InvalidInput("refinement needs a positive unconditional lower certificate")
     target = as_length(1 + eps, kind) * low.value
     best = None
-    for bound, ws in _witness_search(expr, N_max, strategy, kind, seed):
+    for bound, ws in _witness_search(expr, N_max, strategy, kind, None):
         best = (bound.upper / low.value, ws)
         if bound.upper <= target:
             return symmetrize(expr, ws)
@@ -612,7 +615,7 @@ def one_sided_sequence(
 
 def _verify_sign_sums(expr: SetExpr, xs: list[SparseVec], kind: NormKind) -> None:
     diff = difference_set(expr)
-    cap = diameter(expr, kind).upper if diff is None else None
+    cap = diameter_upper(expr, kind) if diff is None else None
     # every partial sum +-x_1 +- ... +- x_m, each distinct one checked once
     partials: set[SparseVec] = set()
     if len(xs) <= 16:
@@ -643,6 +646,15 @@ def eps_extreme(
     expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind, seed: int = 0
 ) -> bool:
     """Whether the symmetrized set at x has diameter below 2*epsilon."""
+    return extreme_diameter(expr, x, epsilon, kind, seed)[0]
+
+
+def extreme_diameter(
+    expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind, seed: int = 0
+) -> tuple[bool, BoundPair]:
+    """:func:`eps_extreme` together with the diameter interval that
+    decides it; raises :class:`Inconclusive` when the interval straddles
+    2*epsilon."""
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
@@ -651,9 +663,9 @@ def eps_extreme(
     bound = diameter(symmetrize(expr, [x]), kind, seed=seed)
     threshold = as_length(2 * eps, kind)
     if bound.upper is not None and bound.upper < threshold:
-        return True
+        return True, bound
     if bound.lower is not None and bound.lower >= threshold:
-        return False
+        return False, bound
     raise Inconclusive(
         f"diameter interval [{bound.lower}, {bound.upper}] straddles {threshold}"
     )

@@ -89,12 +89,14 @@ def default_pool(expr: SetExpr) -> tuple[SparseVec, ...]:
     return reduced(expr).default_pool()
 
 
-def delta0(expr: SetExpr, kind: NormKind, seed: int = 0) -> BoundPair:
-    """Half the diameter, exactness preserved."""
+def delta0(expr: SetExpr, kind: NormKind, seed: Optional[int] = 0) -> BoundPair:
+    """Half the diameter, exactness preserved; ``seed`` as in :func:`diameter`."""
     return diameter(expr, kind, seed=seed).half(kind)
 
 
-def _delta_of(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind, seed: int) -> BoundPair:
+def _delta_of(
+    expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind, seed: Optional[int]
+) -> BoundPair:
     return delta0(symmetrize(expr, witnesses), kind, seed=seed)
 
 
@@ -114,7 +116,7 @@ def _witness_search(
     N: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: int,
+    seed: Optional[int],
 ) -> Iterator[tuple[BoundPair, tuple[SparseVec, ...]]]:
     """Yield, for n = 1..N, the best (bound, witness list) over every
     searched list of size at most n.
@@ -127,6 +129,12 @@ def _witness_search(
     asks for it. Lists rank by (score, witness key), a total order, so
     the order of scoring cannot change the result. For N < 1 nothing
     is searched and the pool is not checked.
+
+    Lists are scored by their upper ends, which sample nothing. A bound
+    that is not exact had a sampled lower end skipped; that end is
+    sampled with ``seed`` for a yielded list only, and never when
+    ``seed`` is None (the bounds then are as :func:`diameter` gives them
+    without a seed).
     """
     if N < 1:
         return
@@ -148,10 +156,11 @@ def _witness_search(
         raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
 
     best = None  # (rank, bound, witnesses)
+    completed = None  # the yielded list whose bound holds its sampled lower end
 
     def rank(ws: tuple[SparseVec, ...]) -> tuple:
         nonlocal best
-        bound = _delta_of(expr, ws, kind, seed)
+        bound = _delta_of(expr, ws, kind, None)
         key = (_score(bound), _witness_key(ws))
         if best is None or key < best[0]:
             best = (key, bound, ws)
@@ -171,7 +180,12 @@ def _witness_search(
                         if ws not in ranked:
                             ranked[ws] = rank(ws)
             beams[b] = sorted(ranked, key=ranked.__getitem__)[:width]
-        yield best[1], best[2]
+        key, bound, ws = best
+        if seed is not None and not bound.exact and ws != completed:
+            # scoring checked that the witnesses are members
+            bound = delta0(expr.symmetrize_reduce(list(ws)), kind, seed=seed)
+            best, completed = (key, bound, ws), ws
+        yield bound, ws
 
 
 def delta_upper(
@@ -179,14 +193,15 @@ def delta_upper(
     N: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: int = 0,
+    seed: Optional[int] = 0,
 ) -> DeltaResult:
     """Best (smallest) certified delta_0 over searched witness lists.
 
     Witness lists are treated as sets of size at most N: repeating a
     witness never shrinks the intersection further. Exhaustive search
     over the full point set of a finite set is exact. This is the last
-    step of the search that :func:`delta_curve` reads step by step.
+    step of the search that :func:`delta_curve` reads step by step; the
+    embedded bound's lower end is sampled as in :func:`diameter`.
     """
     if N < 1:
         raise InvalidInput("delta_upper needs N >= 1")
@@ -295,14 +310,13 @@ def delta_infinity_bounds(
     N_max: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: int = 0,
 ) -> BoundPair:
     """Bounds for the limit index: a uniform lower certificate is valid
     for every N, and any upper bound at finite N bounds the limit."""
     low = delta_lower(expr, N_max, kind)
     cert = low.lower_certificate
     lower = cert.unconditional_value if cert.uniform else Fraction(0)
-    up = delta_upper(expr, N_max, strategy, kind, seed=seed)
+    up = delta_upper(expr, N_max, strategy, kind, seed=None)
     return BoundPair(
         lower,
         up.bound.upper,

@@ -165,15 +165,25 @@ def _witness_cover_index(s: SeriesSpec, w: SparseVec) -> int | None:
     Every sign sum over indices beyond that M then recombines with the
     witness index-disjointly, which is what makes the tail argument sound
     even when term supports overlap. None when ``w`` is not a sign sum of
-    the series at all.
+    the series at all. A sign sum of the first M terms is one of the
+    first M + 1 too, so membership is monotone in M and bisection finds
+    it with O(log horizon) membership searches.
     """
     from . import sets
 
-    for m in range(1, s.horizon + 1):
-        expr = sets.SignSums(series=s, mode=SignMode.SUBSETS, horizon=m)
-        if sets.contains(expr, w):
-            return m
-    return None
+    def member(m: int) -> bool:
+        return sets.contains(sets.SignSums(series=s, mode=SignMode.SUBSETS, horizon=m), w)
+
+    if not member(s.horizon):
+        return None
+    lo, hi = 1, s.horizon  # member(hi) holds
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def unconditional_tail_bound(
@@ -224,10 +234,10 @@ def unconditional_tail_bound(
         if cover >= s.horizon:
             continue  # no tail left within the horizon; certifies nothing
         sym = sets.symmetrize(expr, [w])
-        diam = sets.diameter(sym, kind, enum_budget=enum_budget)
-        if best is None or diam.upper < best[0]:
-            best = (diam.upper, (w,))
-        if diam.upper is not None and diam.upper < bound:
+        diam = sets.diameter_upper(sym, kind, enum_budget=enum_budget)
+        if best is None or diam < best[0]:
+            best = (diam, (w,))
+        if diam is not None and diam < bound:
             m = cover
             stop = min(m + replay_window, s.horizon)
             tail_sup = brute_tail_sup(s, m + 1, stop)
@@ -243,7 +253,7 @@ def unconditional_tail_bound(
             return TailBound(
                 M=m,
                 witnesses=(w,),
-                diameter_upper=diam.upper,
+                diameter_upper=diam,
                 replayed_patterns=2 ** (stop - m),
                 notes={"mode": SignMode.SUBSETS.value, "tail_guarantee": "all_patterns"},
             )

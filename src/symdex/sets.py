@@ -201,8 +201,9 @@ class SetExpr(ABC):
         """Coordinates on which the set differs from its fresh behaviour."""
 
     @abstractmethod
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
-        """Certified diameter interval of this (already reduced) set."""
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+        """Certified diameter interval of this (already reduced) set; see
+        :func:`diameter` for ``seed``."""
 
     @abstractmethod
     def default_pool(self) -> tuple[SparseVec, ...]:
@@ -395,7 +396,7 @@ class Box(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for i, _ in self.overrides}
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         radii = [r for _, r in self.overrides]
         if kind is NormKind.SUP:
             top = max([self.default_radius] + radii)
@@ -531,7 +532,7 @@ class FinitePoints(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for p in self.points for i in p.support}
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return _pairwise_diameter(self.points, kind)
 
     def two_sided_direction(
@@ -746,7 +747,7 @@ class SignSums(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for t in self.terms for i in t.support}
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         terms = self.terms
         if kind is NormKind.SUP:
             column: dict[int, Fraction] = {}
@@ -902,7 +903,7 @@ class Translate(SetExpr):
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base) | set(self.by.support)
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, seed, enum_budget)
 
     def two_sided_direction(
@@ -957,7 +958,7 @@ class Negate(SetExpr):
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base)
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, seed, enum_budget)
 
     def two_sided_direction(
@@ -1028,21 +1029,21 @@ class Intersect(SetExpr):
             out |= relevant_coords(p)
         return out
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None and len(members) <= 2048:
             return _pairwise_diameter(members, kind)
         uppers = []
         for p in self.parts:
             try:
-                d = p.diameter(kind, seed, enum_budget)
+                upper = p.diameter(kind, None, enum_budget).upper
             except UnboundedDiameter:
                 continue
-            if d.upper is not None:
-                uppers.append(d.upper)
+            if upper is not None:
+                uppers.append(upper)
         if not uppers:
             raise UnboundedDiameter("no part of the intersection is certified bounded")
-        lower, wit = _sampled_lower(self, kind, seed)
+        lower, wit = (Fraction(0), None) if seed is None else _sampled_lower(self, kind, seed)
         return BoundPair(lower, min(uppers), lower_witness=wit)
 
     def two_sided_direction(
@@ -1178,7 +1179,7 @@ class Symmetrized(SetExpr):
             overrides[i] = max(r, Fraction(0))
         return Box(default, tuple(overrides.items()))
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None:
             top = Fraction(0)
@@ -1191,8 +1192,8 @@ class Symmetrized(SetExpr):
         extent = self.base.symmetrized_lp_extent(self, kind)
         if extent is not None:
             return extent
-        upper = coordinate_relaxation(self).diameter(kind, seed, enum_budget).upper
-        lower, wit = _sampled_lower(self, kind, seed)
+        upper = coordinate_relaxation(self).diameter(kind, None, enum_budget).upper
+        lower, wit = (Fraction(0), None) if seed is None else _sampled_lower(self, kind, seed)
         if upper is not None and lower > upper:
             raise SymdexError("symmetrized diameter certificates are inconsistent")
         return BoundPair(lower, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
@@ -1275,7 +1276,7 @@ class AbsConvHull(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for p in self.points for i in p.support}
 
-    def diameter(self, kind: NormKind, seed: int, enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         top = max(norm(p, kind) for p in self.points)
         arg = max(self.points, key=lambda p: (norm(p, kind), p.sort_key()))
         return _symmetric_pair_bound(top, arg, kind)
@@ -1542,11 +1543,26 @@ def coordinate_relaxation(expr: SetExpr) -> Box:
 def diameter(
     expr: SetExpr,
     kind: NormKind,
-    seed: int = 0,
+    seed: Optional[int] = 0,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> BoundPair:
-    """Certified diameter interval (Euclidean values carried squared)."""
+    """Certified diameter interval (Euclidean values carried squared).
+
+    Enumeration, an LP extent or a closed form gives an exact interval.
+    Otherwise (symmetrized and intersected sets without one) the upper
+    end is a relaxation and the lower end comes from members sampled with
+    ``seed``; ``seed=None`` samples nothing and leaves that lower end at
+    the certified zero, without a witness.
+    """
     return reduced(expr).diameter(kind, seed, enum_budget)
+
+
+def diameter_upper(
+    expr: SetExpr, kind: NormKind, enum_budget: int = DEFAULT_ENUM_BUDGET
+) -> Optional[Fraction]:
+    """The certified upper end of :func:`diameter` alone (None when
+    unbounded above), without sampling a lower end."""
+    return diameter(expr, kind, None, enum_budget).upper
 
 
 def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> BoundPair:

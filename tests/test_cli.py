@@ -5,7 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from symdex import cli
-from symdex.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, decimal_string, main, verify_replay
+from symdex.cli import (
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    decimal_string,
+    main,
+    verify_replay,
+)
 from symdex.extraction import MAX_TREE_DEPTH
 from symdex.sets import MAX_SET_DEPTH
 
@@ -144,6 +152,27 @@ def test_extreme_command_with_envelope(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["eps_extreme"] is True
     assert report["result"]["eps_strong_extreme"] is True
+
+
+def test_extreme_command_computes_one_diameter(tmp_path, monkeypatch):
+    from symdex.sets import Symmetrized
+
+    calls = []
+    diameter = Symmetrized.diameter
+    monkeypatch.setattr(Symmetrized, "diameter", lambda *args: calls.append(args) or diameter(*args))
+    hull = {"type": "abs_conv_hull", "points": [{"1": "1"}, {"2": "1"}]}
+    envelope = {"set": hull, "norm": "euclid", "point": {"1": "1"}}
+    infile = write(tmp_path / "extreme.json", envelope)
+    out = tmp_path / "extreme_report.json"
+    # the interval from one relaxation and one sample straddles 2*epsilon
+    assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "1/2"]) == EXIT_VIOLATION
+    assert len(calls) == 1 and not out.exists()
+    calls.clear()
+    assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "2"]) == EXIT_OK
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert report["result"]["eps_extreme"] is True
+    assert report["result"]["symmetrized_diameter"]["upper"] == "4"
 
 
 def test_refine_report(tmp_path):

@@ -30,10 +30,11 @@ from symdex import (
     unit,
 )
 from symdex import indexes
+from symdex import sets as sets_module
 from symdex.errors import InvalidInput, NotFound, WitnessNotMember
 from symdex.bruteforce import brute_delta_upper, brute_delta1_zero_witness
 from symdex.sets import BoundPair, LowerCertificate, _plain_lower, contains
-from symdex.vectors import as_length, as_scalar, format_scalar
+from symdex.vectors import as_length, as_scalar, format_scalar, linear_combination
 from util import ALL_NORMS, as_dicts, random_finite_points, random_point
 
 TRIANGLE = FinitePoints((ZERO, unit(1), unit(2)))
@@ -505,6 +506,38 @@ def test_curve_scores_each_list_once(monkeypatch):
     calls.clear()
     delta_upper(box, 1, SearchStrategy.greedy(default_pool(box), restarts=2), NormKind.SUP)
     assert len(calls) == 3 + 1  # restart 1 scores its one-point start
+
+
+def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):
+    # x_n = e_n + e_{n+1}: 3^12 sign patterns exceed the enumeration
+    # budget, so every symmetrization takes the relaxation upper end and a
+    # sampled lower end
+    terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 13))
+    expr = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap12"), SignMode.SUBSETS, 12)
+    pool = [
+        linear_combination((1, t) for t in terms[7:]),
+        terms[11],
+        linear_combination((1, t) for t in terms[1:6]),
+    ]
+    strategy = SearchStrategy.exhaustive(pool)
+    want = [reference_delta_upper(expr, n, strategy, NormKind.SUP) for n in (1, 2)]
+    # the rows yield different lists, and row 1 prints a positive sampled end
+    assert want[0].upper_witnesses != want[1].upper_witnesses
+    assert want[0].bound.upper_witness["lower"] != "0"
+    calls = []
+    sampled = sets_module._sampled_lower
+    monkeypatch.setattr(sets_module, "_sampled_lower", lambda *args: calls.append(args) or sampled(*args))
+    curve = delta_curve(expr, 2, strategy, NormKind.SUP)
+    assert len(calls) <= 2
+    for row, up in zip(curve[1:], want):
+        assert row.upper_witnesses == up.upper_witnesses
+        assert row.bound.upper == up.bound.upper
+        assert row.bound.upper_witness == up.bound.upper_witness
+    calls.clear()
+    got = delta_upper(expr, 2, strategy, NormKind.SUP)
+    assert len(calls) <= 2
+    assert got == want[1]
+    assert got.to_json() == want[1].to_json()
 
 
 def test_sandwich_property():

@@ -2,12 +2,15 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from symdex import (
     NormKind,
     NotAchievable,
     SeriesSpec,
     SignMode,
+    SignSums,
     SparseVec,
     ZERO,
     brute_tail_sup,
@@ -19,6 +22,7 @@ from symdex import (
     unit,
     wuc_bound,
 )
+from symdex.series import _witness_cover_index
 from symdex.sets import enumerate_members
 from symdex.vectors import linear_combination
 
@@ -175,3 +179,32 @@ def test_wuc_closed_form_matches_pattern_enumeration():
             for signs in product((1, -1), repeat=h)
         )
         assert closed == brute
+
+
+def linear_cover_index(s, w):
+    """The smallest subset-sum prefix holding ``w``, by trying every one."""
+    for m in range(1, s.horizon + 1):
+        if contains(SignSums(s, SignMode.SUBSETS, m), w):
+            return m
+    return None
+
+
+short_terms = st.dictionaries(
+    st.integers(1, 3), st.fractions(min_value=-2, max_value=2, max_denominator=2), max_size=2
+).map(SparseVec)
+overlapping_series = (
+    st.lists(short_terms, min_size=2, max_size=6)
+    .map(lambda terms: SeriesSpec(tuple(terms), NormKind.SUP, "overlap"))
+    .filter(lambda s: not s.disjoint_supports())
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_series, st.data())
+def test_cover_index_bisection_matches_linear_scan(s, data):
+    sign_sum = st.lists(
+        st.sampled_from((-1, 0, 1)), min_size=s.horizon, max_size=s.horizon
+    ).map(lambda cs: linear_combination(zip(cs, s.terms)))
+    # arbitrary short vectors are mostly not sign sums of the series
+    w = data.draw(st.one_of(sign_sum, short_terms))
+    assert _witness_cover_index(s, w) == linear_cover_index(s, w)

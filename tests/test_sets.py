@@ -28,6 +28,7 @@ from symdex import (
     contains,
     coordinate_relaxation,
     diameter,
+    diameter_upper,
     free_direction,
     linear_combination,
     set_from_json,
@@ -39,7 +40,13 @@ from symdex import (
 from symdex.bruteforce import brute_diameter, brute_symmetrized
 from symdex.exactlp import INFEASIBLE
 from symdex import sets as sets_module
-from symdex.sets import ENUM_CACHE_SIZE, enumerate_members, reduced, sample_members
+from symdex.sets import (
+    DEFAULT_ENUM_BUDGET,
+    ENUM_CACHE_SIZE,
+    enumerate_members,
+    reduced,
+    sample_members,
+)
 from util import ALL_NORMS, dense_solve_lp, finite_sets, norm_kinds
 
 
@@ -552,6 +559,86 @@ def test_enumerate_members_sign_sums():
     assert values == expected
     subsets = set(enumerate_members(SignSums(canonical_series(2), SignMode.SUBSETS, 2), 1000))
     assert subsets == expected | {ZERO, unit(2), -unit(2)}
+
+
+# ---------------------------------------------------------------------------
+# the upper-only diameter query
+
+
+def outcome(call):
+    """A call's value, or the name of the error it raised."""
+    try:
+        return call()
+    except SymdexError as exc:
+        return type(exc).__name__
+
+
+radii = st.fractions(min_value=0, max_value=2, max_denominator=2)
+boxes = st.builds(
+    Box,
+    st.sampled_from([F(0), F(1)]),
+    st.dictionaries(st.integers(1, 3), radii, max_size=2).map(lambda d: tuple(sorted(d.items()))),
+)
+leaf_sets = st.one_of(
+    boxes,
+    finite_sets,
+    st.builds(SignSums, overlapping_series, st.sampled_from(list(SignMode)), st.just(2)),
+    st.builds(lambda s: SignSums(s, SignMode.SUBSETS, s.horizon), overlapping_series),
+    st.lists(small_terms.filter(lambda v: not v.is_zero), min_size=1, max_size=3).map(
+        lambda pts: AbsConvHull(tuple(pts))
+    ),
+)
+
+
+@st.composite
+def symmetrized_sets(draw, bases):
+    base = draw(bases)
+    pool = list(reduced(base).default_pool()) or [ZERO]
+    ws = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    return Symmetrized(base, tuple(ws)) if all(contains(base, w) for w in ws) else base
+
+
+set_exprs = st.recursive(
+    leaf_sets,
+    lambda inner: st.one_of(
+        st.builds(Translate, inner, small_terms),
+        st.builds(Negate, inner),
+        st.lists(inner, min_size=1, max_size=2).map(lambda parts: Intersect(tuple(parts))),
+        # a box is never enumerable: the intersection takes its parts' uppers
+        st.tuples(symmetrized_sets(inner), boxes).map(Intersect),
+        symmetrized_sets(inner),
+    ),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_exprs, st.sampled_from([2, 8, DEFAULT_ENUM_BUDGET]), st.integers(0, 3))
+def test_diameter_upper_is_the_upper_end_of_diameter(expr, budget, seed):
+    # budgets 2 and 8 leave the sign sums and their symmetrizations
+    # unenumerable, so their diameters take the relaxation and samples
+    for kind in ALL_NORMS:
+        full = outcome(lambda: diameter(expr, kind, seed, budget))
+        upper = outcome(lambda: diameter_upper(expr, kind, budget))
+        assert upper == (full if isinstance(full, str) else full.upper)
+
+
+def test_diameter_upper_samples_no_member(monkeypatch):
+    terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 5))
+    series = SeriesSpec(terms, NormKind.SUP, "overlap")
+    base = SignSums(series, SignMode.SUBSETS, 4)
+    sym = Symmetrized(base, (series.terms[0],))
+    both = Intersect((sym, Box(F(0), ((1, F(1, 2)), (2, F(1, 4))))))
+    calls = []
+    sampled = sets_module._sampled_lower
+    monkeypatch.setattr(sets_module, "_sampled_lower", lambda *args: calls.append(args) or sampled(*args))
+    for expr in (sym, both):
+        for kind in ALL_NORMS:
+            diameter_upper(expr, kind, 8)
+    assert calls == []
+    full = diameter(both, NormKind.SUP, 0, 8)
+    assert len(calls) == 1  # the intersection's own lower end, not its parts'
+    assert full.upper == diameter_upper(both, NormKind.SUP, 8)
 
 
 def test_sample_members_are_members():
