@@ -12,23 +12,30 @@ symmetrization and of ``sup_functional`` on it, the rows x columns
 of the LP each builds (before phase 1 adds its artificial columns), and
 the phase-1 and phase-2 pivots each makes over all LP_HULLS hulls
 (counted by wrapping ``exactlp._pivot`` here; these counts do not depend
-on the machine, and equal counts show the same Bland path).
+on the machine, and equal counts show the same Bland path). It also
+counts the hull membership LPs (calls of ``AbsConvHull.contains``) that
+``delta_upper`` at N=1, with exhaustive search over ``default_pool``,
+makes over all LP_HULLS hulls.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
 ``eps_strong_extreme`` at every point of a set (one figure per set) and
 of ``delta_curve`` to N=2 with exhaustive search, the number of
-``_segment_portion_distance`` calls the strong-extreme figures make and
-the number of witness lists the ``delta_curve`` figures score (calls of
-``indexes._delta_of``), each over all PROC_SETS sets and counted by
-wrapping the function here.
+``_segment_portion_distance`` calls the strong-extreme figures make, and
+the number of witness lists and of ``SparseVec`` subtractions the
+``delta_curve`` figures make, each over all PROC_SETS sets. Functions are
+counted by wrapping them here; witness lists are counted where the
+search scores them, as calls of the ``rank`` function inside
+``indexes._witness_search`` (seen with ``sys.setprofile``), since lists
+scored from shared member sets never reach ``indexes._delta_of``.
 
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
-the witness lists the request scores (counted as above) and the sampled
-diameter lower ends it computes (calls of ``sets._sampled_lower``, each
-up to 64 sampled membership searches). Standard library only.
+the witness lists the request scores (counted at ``rank`` as above)
+and the sampled diameter lower ends it computes (calls of
+``sets._sampled_lower``, each up to 64 sampled membership searches).
+Standard library only.
 
     python scripts/bench.py                      # print the tables
     python scripts/bench.py --out results.json   # also write them as JSON
@@ -224,6 +231,7 @@ def measure_lp() -> dict:
     for k, c in LP_SHAPES:
         samples: dict[str, list[float]] = {}
         pivots: dict[str, list[int]] = {}
+        search_lps = 0
         for _ in range(LP_HULLS):
             hull, witness, probes, f = random_hull(symdex, rng, k, c)
             sym = symdex.symmetrize(hull, [witness])
@@ -246,8 +254,13 @@ def measure_lp() -> dict:
                 counts = pivots.setdefault(name, [0, 0])
                 for index, count in enumerate(lp_pivots(exactlp, call)):
                     counts[index] += count
+            cache.clear()
+            strategy = symdex.SearchStrategy.exhaustive(symdex.default_pool(hull))
+            search_lps += count_calls(
+                lambda: symdex.delta_upper(hull, 1, strategy, symdex.NormKind.SUP), (symdex.AbsConvHull, "contains"))[0]
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
         row.update({f"{name}_pivots": counts for name, counts in pivots.items()})
+        row["delta_upper_contains_lps"] = search_lps
         # the tableau shape depends only on (k, c): read it off the last hull
         cache.clear()
         row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
@@ -268,8 +281,8 @@ def random_finite_set(symdex, rng: random.Random, count: int):
 
 def count_calls(call, *targets) -> list[int]:
     """How many times ``call()`` calls ``module.<name>`` for each
-    ``(module, name)`` of ``targets``, counted by wrapping them for the
-    length of the call."""
+    ``(module, name)`` of ``targets`` (a class for a method), counted by
+    wrapping them for the length of the call."""
     originals = [getattr(module, name) for module, name in targets]
     calls = [0] * len(targets)
 
@@ -289,10 +302,32 @@ def count_calls(call, *targets) -> list[int]:
     return calls
 
 
+def scored_lists(call) -> int:
+    """How many witness lists ``call()`` scores: calls of the function
+    ``rank`` defined in ``symdex/indexes.py``, seen with ``sys.setprofile``
+    because it is local to the search."""
+    from symdex import indexes
+
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name == "rank" and code.co_filename == indexes.__file__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
 def measure_procedures() -> dict:
     """{"<n>pts_<norm>": figures} for each size of PROC_SIZES and each norm."""
     import symdex
-    from symdex import extraction, indexes, sets
+    from symdex import extraction, sets
 
     cache = getattr(sets, "_ENUM_CACHE", {})
     rng = random.Random(SEED)
@@ -300,7 +335,7 @@ def measure_procedures() -> dict:
     for count in PROC_SIZES:
         for kind in symdex.NormKind:
             samples: dict[str, list[float]] = {}
-            segment_calls = delta_calls = 0
+            segment_calls = lists = subs = 0
             for _ in range(PROC_SETS):
                 points = random_finite_set(symdex, rng, count)
                 eps = rng.choice(PROC_EPSILONS)
@@ -320,10 +355,13 @@ def measure_procedures() -> dict:
                 segment_calls += count_calls(
                     procedures["strong_extreme"], (extraction, "_segment_portion_distance"))[0]
                 cache.clear()
-                delta_calls += count_calls(procedures["delta_curve"], (indexes, "_delta_of"))[0]
+                lists += scored_lists(procedures["delta_curve"])
+                cache.clear()
+                subs += count_calls(procedures["delta_curve"], (symdex.SparseVec, "__sub__"))[0]
             row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
             row["segment_calls"] = segment_calls
-            row["delta_calls"] = delta_calls
+            row["scored_lists"] = lists
+            row["delta_curve_subs"] = subs
             results[f"{count}pts_{kind.value}"] = row
     return results
 
@@ -343,13 +381,13 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
 
 
 def measure_cli() -> dict:
-    """{report name: {"main_ms", "oracle_ms", "report_bytes", "delta_calls",
+    """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
     "sampled_lower_calls"}} over the requests of run_demo.py and of
     SCALED_REQUESTS (CSV reports have no oracle replay)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
-    from symdex import indexes, sets
+    from symdex import sets
 
     cache = getattr(sets, "_ENUM_CACHE", {})
     results: dict[str, dict] = {}
@@ -364,8 +402,9 @@ def measure_cli() -> dict:
             request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report)]
             row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear, repeats)}
             cache.clear()
-            row["delta_calls"], row["sampled_lower_calls"] = count_calls(
-                lambda: demo.main(request), (indexes, "_delta_of"), (sets, "_sampled_lower"))
+            row["scored_lists"] = scored_lists(lambda: demo.main(request))
+            cache.clear()
+            row["sampled_lower_calls"] = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"))[0]
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
@@ -396,32 +435,34 @@ def main(argv=None) -> int:
                                       ("contains_us", "diameter_sup_us", "diameter_sum_us", "sup_functional_us"))
               + "".join(f"{'x'.join(map(str, row[key])):>{w}}" for key, w in
                         (("contains_tableau", 13), ("symmetrized_tableau", 9))))
-    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}"
-          f"   (phase-1/phase-2 pivots over {LP_HULLS} hulls)")
+    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}{'search':>8}"
+          f"   (phase-1/phase-2 pivots and delta_upper membership LPs over {LP_HULLS} hulls)")
     for name, row in lp.items():
         print(f"{name:<14}" + "".join(f"{'/'.join(map(str, row[key])):>12}" for key in
                                       ("contains_pivots", "diameter_sup_pivots", "diameter_sum_pivots",
-                                       "sup_functional_pivots")))
+                                       "sup_functional_pivots")) + f"{row['delta_upper_contains_lps']:>8}")
     procedures = measure_procedures()
-    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}"
-          f"   (median ms; segment scans and scored witness lists over {PROC_SETS} sets)")
+    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
+          f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
     for name, row in procedures.items():
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
-              f"{row['segment_calls']:>10}{row['delta_calls']:>8}")
+              f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}"
           "   (median; scored witness lists, sampled lower ends)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
-        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['delta_calls']:>8}"
+        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
               f"{row['sampled_lower_calls']:>9}")
     if args.out:
         report = {
             "units": {
                 "kernels": "us per call, median",
-                "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] summed over lp_hulls hulls",
-                "procedures": "ms per call, median; segment_calls and delta_calls summed over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; delta_calls and sampled_lower_calls per request",
+                "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] and "
+                      "delta_upper_contains_lps summed over lp_hulls hulls",
+                "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
+                              "over proc_sets sets",
+                "cli": "ms per call, median; report size in bytes; scored_lists and sampled_lower_calls per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,

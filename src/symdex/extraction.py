@@ -809,27 +809,23 @@ def _segment_portion_distance(
     lo = eps / length
     hi = 1 - lo
     coords = sorted(set(c.support) | set(m.support))
-    candidates = {lo, hi}
+    breaks = []
     for i in coords:
         mi = m.get(i)
         if mi != 0:
-            candidates.add(c.get(i) / mi)
+            breaks.append(c.get(i) / mi)
     if kind is NormKind.SUP:
         for i, j in combinations(coords, 2):
             ci, cj = c.get(i), c.get(j)
             mi, mj = m.get(i), m.get(j)
             if mi - mj != 0:
-                candidates.add((ci - cj) / (mi - mj))
+                breaks.append((ci - cj) / (mi - mj))
             if mi + mj != 0:
-                candidates.add((ci + cj) / (mi + mj))
-    best = None
-    for lam in sorted(candidates):
-        if lam < lo or lam > hi:
-            continue
-        value = norm(c - m.scale(lam), kind)
-        if best is None or value < best:
-            best = value
-    return best
+                breaks.append((ci + cj) / (mi + mj))
+    # the norm is piecewise linear and convex in lambda: its minimum over
+    # [lo, hi] is at an end or at a breakpoint inside, tried in any order
+    candidates = {lo, hi}.union(lam for lam in breaks if lo <= lam <= hi)
+    return min(norm(c - m.scale(lam), kind) for lam in candidates)
 
 
 def _gap_bound(d1: SparseVec, d2: SparseVec, kind: NormKind) -> Fraction:

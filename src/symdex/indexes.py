@@ -20,17 +20,18 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidInput, SymdexError, WitnessNotMember
 from .sets import (
+    DEFAULT_ENUM_BUDGET,
     BoundPair,
     LowerCertificate,
     SetExpr,
     _plain_lower,
+    _symmetric_pair_bound,
     contains,
     diameter,
     enumerate_members,
     free_direction,
     reduced,
     sample_members,
-    symmetrize,
 )
 from .vectors import NormKind, SparseVec, half_length, norm
 
@@ -97,7 +98,9 @@ def delta0(expr: SetExpr, kind: NormKind, seed: Optional[int] = 0) -> BoundPair:
 def _delta_of(
     expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind, seed: Optional[int]
 ) -> BoundPair:
-    return delta0(symmetrize(expr, witnesses), kind, seed=seed)
+    """delta_0 of the symmetrization at a nonempty list of witnesses that
+    the caller has checked are members."""
+    return delta0(expr.symmetrize_reduce(list(witnesses)), kind, seed=seed)
 
 
 def _score(bound: BoundPair) -> Fraction:
@@ -135,6 +138,14 @@ def _witness_search(
     sampled with ``seed`` for a yielded list only, and never when
     ``seed`` is None (the bounds then are as :func:`diameter` gives them
     without a seed).
+
+    Sym(A; W + (p,)) is Sym(A; W) intersected with the one-witness set
+    S_p of :meth:`SetExpr.witness_members`, computed once per pool point.
+    So while every S_p of a list is known, a child list's members are its
+    parent's intersected with S_p, kept for the lists of the current beam
+    only, and its bound is the enumerated one of :func:`diameter`: the
+    pair +-d for the norm-largest member d, the first in ``sort_key``
+    order. Other lists are scored through :func:`_delta_of`.
     """
     if N < 1:
         return
@@ -155,12 +166,32 @@ def _witness_search(
     else:
         raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
 
+    # each S_p as positions in ``order``: norm-largest first, then sort_key
+    by_point = {p: expr.witness_members(p, DEFAULT_ENUM_BUDGET) for p in pool}
+    order = sorted(
+        {d for s in by_point.values() if s is not None for d in s},
+        key=lambda d: (-norm(d, kind), d.sort_key()),
+    )
+    place = {d: i for i, d in enumerate(order)}
+    one = {p: None if s is None else frozenset(map(place.__getitem__, s)) for p, s in by_point.items()}
+    held: dict[tuple[SparseVec, ...], Optional[frozenset[int]]] = {}  # the current beam's members
+
+    def grown(state: tuple[SparseVec, ...], p: SparseVec) -> Optional[frozenset[int]]:
+        if not state or one[p] is None:
+            return one[p]
+        parent = held[state]
+        return None if parent is None else parent & one[p]
+
     best = None  # (rank, bound, witnesses)
     completed = None  # the yielded list whose bound holds its sampled lower end
 
-    def rank(ws: tuple[SparseVec, ...]) -> tuple:
+    def rank(ws: tuple[SparseVec, ...], members: Optional[frozenset[int]]) -> tuple:
         nonlocal best
-        bound = _delta_of(expr, ws, kind, None)
+        if members is None:
+            bound = _delta_of(expr, ws, kind, None)
+        else:
+            arg = order[min(members)]
+            bound = _symmetric_pair_bound(norm(arg, kind), arg, kind).half(kind)
         key = (_score(bound), _witness_key(ws))
         if best is None or key < best[0]:
             best = (key, bound, ws)
@@ -168,22 +199,26 @@ def _witness_search(
 
     beams = [[start] for start in starts]
     for n in range(1, N + 1):
+        kept = {}
         for b, states in enumerate(beams):
             if states and len(states[0]) == n:  # a greedy restart's one-point start
-                rank(states[0])
+                kept[states[0]] = one[states[0][0]]
+                rank(states[0], kept[states[0]])
                 continue
-            ranked = {}
+            ranked, found = {}, {}
             for state in states:
                 for p in pool:
                     if p not in state:
                         ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
                         if ws not in ranked:
-                            ranked[ws] = rank(ws)
+                            found[ws] = grown(state, p)
+                            ranked[ws] = rank(ws, found[ws])
             beams[b] = sorted(ranked, key=ranked.__getitem__)[:width]
+            kept.update((ws, found[ws]) for ws in beams[b])
+        held = kept
         key, bound, ws = best
         if seed is not None and not bound.exact and ws != completed:
-            # scoring checked that the witnesses are members
-            bound = delta0(expr.symmetrize_reduce(list(ws)), kind, seed=seed)
+            bound = _delta_of(expr, ws, kind, seed)
             best, completed = (key, bound, ws), ws
         yield bound, ws
 

@@ -159,7 +159,7 @@ def brute_tail_sup(s: SeriesSpec, start: int, stop: int) -> Fraction:
     return max(norm(d, s.norm) for d in signed_sums(s.terms[start - 1 : stop]))
 
 
-def _witness_cover_index(s: SeriesSpec, w: SparseVec) -> int | None:
+def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int | None = None) -> int | None:
     """Smallest M such that ``w`` is a signed subset sum of the first M terms.
 
     Every sign sum over indices beyond that M then recombines with the
@@ -167,16 +167,20 @@ def _witness_cover_index(s: SeriesSpec, w: SparseVec) -> int | None:
     even when term supports overlap. None when ``w`` is not a sign sum of
     the series at all. A sign sum of the first M terms is one of the
     first M + 1 too, so membership is monotone in M and bisection finds
-    it with O(log horizon) membership searches.
+    it with O(log horizon) membership searches. ``known``, when given, is
+    an M already known to hold (the index k of a prefix sum ``w``), and
+    only [1, known] is searched.
     """
     from . import sets
 
     def member(m: int) -> bool:
         return sets.contains(sets.SignSums(series=s, mode=SignMode.SUBSETS, horizon=m), w)
 
-    if not member(s.horizon):
-        return None
-    lo, hi = 1, s.horizon  # member(hi) holds
+    if known is None:
+        if not member(s.horizon):
+            return None
+        known = s.horizon
+    lo, hi = 1, known  # member(hi) holds
     while lo < hi:
         mid = (lo + hi) // 2
         if member(mid):
@@ -214,16 +218,16 @@ def unconditional_tail_bound(
     bound = as_length(2 * eps, kind)
     expr = sign_sum_set(s, SignMode.SUBSETS)
 
+    prefix: dict[SparseVec, int] = {}  # each prefix sum at its first index
+    acc = SparseVec()
+    for k, t in enumerate(s.terms, start=1):
+        acc = acc + t
+        prefix.setdefault(acc, k)
     if pool is None:
-        prefix: list[SparseVec] = []
-        acc = SparseVec()
-        for t in s.terms:
-            acc = acc + t
-            prefix.append(acc)
-        pool = prefix
+        pool = list(prefix)
     covers: list[tuple[int, SparseVec]] = []
     for w in pool:
-        cover = _witness_cover_index(s, w)
+        cover = _witness_cover_index(s, w, prefix.get(w))
         if cover is None:
             raise InvalidInput("tail-bound pool member is not a sign sum of the series")
         covers.append((cover, w))

@@ -223,6 +223,25 @@ class SetExpr(ABC):
         ``budget`` (uncached; see :func:`enumerate_members`)."""
         return None
 
+    def witness_members(self, w: SparseVec, budget: int) -> Optional[frozenset[SparseVec]]:
+        """Members of the symmetrization at the one witness ``w``,
+        S_w = {p - w : p and 2w - p in the set}, where that symmetrization
+        stays a :class:`Symmetrized` set; None where it flattens to another
+        variant (boxes, disjoint subset sign sums, intersections) or the
+        set is not enumerable within ``budget`` (hulls, large sign sums).
+
+        Sym(A; W) is the intersection of S_w over the witnesses w in W, and
+        a list of witnesses whose S_w are all known does not flatten either.
+        """
+        if not isinstance(self.symmetrize_reduce([w]), Symmetrized):
+            return None
+        members = enumerate_members(self, budget)
+        if members is None:
+            return None
+        pool = set(members)
+        twice = w + w
+        return frozenset(p - w for p in members if twice - p in pool)
+
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         """A likely member drawn from ``rng``, or None without a sampler."""
         return None
@@ -1114,17 +1133,13 @@ class Symmetrized(SetExpr):
         return reduced(self.base).symmetrize_reduce(list(self.witnesses))
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
-        base = enumerate_members(self.base, budget)
-        if base is None:
+        flat = reduced(self)
+        if flat != self:
+            return enumerate_members(flat, budget)
+        ones = [self.base.witness_members(w, budget) for w in self.witnesses]
+        if any(one is None for one in ones):
             return None
-        pool = set(base)
-        w0 = self.witnesses[0]
-        members = []
-        for p in base:
-            d = p - w0
-            if all((w + d) in pool and (w - d) in pool for w in self.witnesses):
-                members.append(d)
-        return tuple(sorted(members, key=lambda p: p.sort_key()))
+        return tuple(sorted(frozenset.intersection(*ones), key=lambda p: p.sort_key()))
 
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         cand = self.base.sample_candidate(rng)

@@ -8,6 +8,8 @@ from symdex import (
     AbsConvHull,
     Box,
     FinitePoints,
+    Intersect,
+    Negate,
     NormKind,
     SearchStrategy,
     SeriesSpec,
@@ -15,6 +17,7 @@ from symdex import (
     SignSums,
     SparseVec,
     SymdexError,
+    Translate,
     ZERO,
     challenge_lower,
     default_pool,
@@ -573,3 +576,38 @@ def test_kcenter_greedy_within_factor_two():
             greedy = kcenter_radius(pts, k, False, kind)
             exact = kcenter_radius(pts, k, True, kind)
             assert greedy.lower <= exact.upper <= greedy.upper
+
+
+def test_search_scores_enumerable_lists_from_shared_member_sets(monkeypatch):
+    calls = []
+    scored = indexes._delta_of
+    monkeypatch.setattr(indexes, "_delta_of", lambda *args: calls.append(args) or scored(*args))
+    rng = random.Random(12)
+    cases, pairs = [], []
+    for _ in range(8):
+        pts = random_finite_points(rng, max_points=6, dim=3)
+        shifted = Translate(pts, random_point(rng, 3))
+        pairs.append((pts, shifted))
+        for expr in (pts, shifted, Negate(pts), symmetrize(pts, [pts.points[0]])):
+            cases.append((expr, default_pool(expr)))
+    # without an extreme point in the pool the best lists keep members
+    # other than zero, so their witness pairs are compared too
+    for expr, pool in midpoint_grid_sets(random.Random(5), 6):
+        cases.append((Translate(expr, unit(3)), [p + unit(3) for p in pool]))
+    for expr, pool in cases:
+        for kind in ALL_NORMS:
+            strategy = SearchStrategy.exhaustive(pool)
+            got = delta_curve(expr, 2, strategy, kind)
+            assert not calls  # no list went through _delta_of
+            want = reference_delta_curve(expr, 2, strategy, kind)
+            assert [r.to_json() for r in got] == [r.to_json() for r in want]
+            calls.clear()
+    # an intersection symmetrizes part by part, so its lists fall back
+    for pts, shifted in pairs:
+        expr = Intersect((pts, FinitePoints(pts.points + shifted.default_pool())))
+        strategy = SearchStrategy.exhaustive(pts.points)
+        got = delta_curve(expr, 2, strategy, NormKind.SUP)
+        assert calls
+        want = reference_delta_curve(expr, 2, strategy, NormKind.SUP)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        calls.clear()

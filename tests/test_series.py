@@ -208,3 +208,19 @@ def test_cover_index_bisection_matches_linear_scan(s, data):
     # arbitrary short vectors are mostly not sign sums of the series
     w = data.draw(st.one_of(sign_sum, short_terms))
     assert _witness_cover_index(s, w) == linear_cover_index(s, w)
+
+
+short_series = st.lists(short_terms, min_size=1, max_size=6).map(
+    lambda terms: SeriesSpec(tuple(terms), NormKind.SUP, "short")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_series)
+def test_cover_index_of_a_prefix_sum_matches_the_full_horizon_bisection(s):
+    acc = ZERO
+    for k, t in enumerate(s.terms, start=1):
+        acc = acc + t
+        full = _witness_cover_index(s, acc)
+        assert full is not None and full <= k
+        assert _witness_cover_index(s, acc, k) == full == linear_cover_index(s, acc)

@@ -43,11 +43,13 @@ from symdex import sets as sets_module
 from symdex.sets import (
     DEFAULT_ENUM_BUDGET,
     ENUM_CACHE_SIZE,
+    _symmetric_pair_bound,
     enumerate_members,
     reduced,
     sample_members,
 )
-from util import ALL_NORMS, dense_solve_lp, finite_sets, norm_kinds
+from symdex.vectors import double_length, norm
+from util import ALL_NORMS, dense_solve_lp, finite_sets, norm_kinds, reference_symmetrized_members
 
 
 def canonical_series(h, kind=NormKind.SUP):
@@ -882,3 +884,72 @@ def test_diameter_reduces_a_chain_once(monkeypatch):
         expr = Translate(expr, unit(1, F(1, 2))) if level % 2 == 0 else Negate(expr)
     assert diameter(expr, NormKind.SUP).upper == 2
     assert len(calls) <= 201
+
+
+# ---------------------------------------------------------------------------
+# one-witness member sets
+
+
+enumerable_bases = st.one_of(
+    finite_sets,
+    st.builds(Translate, finite_sets, small_terms),
+    st.builds(Negate, finite_sets),
+    # the second part holds the first, so the intersection has members
+    st.tuples(finite_sets, finite_sets).map(
+        lambda ab: Intersect((ab[0], FinitePoints(ab[0].points + ab[1].points)))
+    ),
+    symmetrized_sets(finite_sets),
+    # at most 3^5 members, within the default budget
+    st.builds(lambda s, mode: SignSums(s, mode, s.horizon), overlapping_series, st.sampled_from(list(SignMode))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumerable_bases, st.data())
+def test_witness_member_sets_intersect_to_the_symmetrized_members(base, data):
+    members = enumerate_members(base)
+    ws = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3))
+    want = reference_symmetrized_members(base, ws)
+    sym = Symmetrized(base, tuple(ws))
+    assert enumerate_members(sym) == tuple(sorted(want, key=lambda d: d.sort_key()))
+    ones = [base.witness_members(w, DEFAULT_ENUM_BUDGET) for w in ws]
+    if isinstance(base, Intersect):
+        assert ones == [None] * len(ws)  # it symmetrizes part by part
+    else:
+        assert frozenset.intersection(*ones) == want
+    for kind in ALL_NORMS:
+        top = max(norm(d, kind) for d in want)
+        arg = min((d for d in want if norm(d, kind) == top), key=lambda d: d.sort_key())
+        bound = diameter(sym, kind)
+        assert bound.upper == double_length(top, kind)
+        if not isinstance(base, Intersect):
+            assert bound == _symmetric_pair_bound(top, arg, kind)
+
+
+def test_witness_members_is_none_where_the_symmetrization_flattens():
+    box = Box(F(1), ((1, F(2)),))
+    disjoint = SignSums(canonical_series(3), SignMode.SUBSETS, 3)
+    points = FinitePoints((ZERO, unit(1), -unit(1)))
+    flattening = [
+        (box, unit(1)),
+        (Box(F(0)), ZERO),  # enumerable, but a box all the same
+        (Translate(box, unit(2)), unit(2)),
+        (Negate(box), -unit(1)),
+        (Symmetrized(box, (ZERO,)), unit(1)),
+        (disjoint, unit(1) - unit(3)),
+        (Translate(disjoint, unit(5)), unit(2) + unit(5)),
+        (Negate(disjoint), unit(2)),
+        (Intersect((points, box)), unit(1)),
+        (Intersect((points, points)), ZERO),
+    ]
+    for expr, w in flattening:
+        assert contains(expr, w)
+        assert expr.witness_members(w, DEFAULT_ENUM_BUDGET) is None
+        assert not isinstance(symmetrize(expr, [w]), Symmetrized)
+    # hulls and sets beyond the budget stay symmetrized, without a member list
+    terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 13))
+    overlap12 = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap12"), SignMode.SUBSETS, 12)
+    for expr, w in [(AbsConvHull((unit(1), unit(2))), unit(1)), (overlap12, terms[0])]:
+        assert expr.witness_members(w, DEFAULT_ENUM_BUDGET) is None
+        assert enumerate_members(symmetrize(expr, [w])) is None
+    assert points.witness_members(ZERO, DEFAULT_ENUM_BUDGET) == frozenset(points.points)

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from symdex import FinitePoints, NormKind, SparseVec
 from symdex.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from symdex.sets import DEFAULT_ENUM_BUDGET, enumerate_members
 
 ALL_NORMS = (NormKind.SUP, NormKind.SUM, NormKind.EUCLID)
 
@@ -36,6 +37,24 @@ def random_finite_points(
 
 def as_dicts(expr: FinitePoints) -> list[dict[int, Fraction]]:
     return [dict(p.items()) for p in expr.points]
+
+
+def reference_symmetrized_members(base, witnesses, budget=DEFAULT_ENUM_BUDGET):
+    """The members of Sym(base; witnesses) as ``Symmetrized.members``
+    listed them before the one-witness sets: every d = p - w0 over the
+    base members p with w + d and w - d members at every witness w; None
+    when the base is not enumerable within ``budget``."""
+    members = enumerate_members(base, budget)
+    if members is None:
+        return None
+    pool = set(members)
+    w0 = witnesses[0]
+    found = set()
+    for p in members:
+        d = p - w0
+        if all((w + d) in pool and (w - d) in pool for w in witnesses):
+            found.add(d)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
