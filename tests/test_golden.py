@@ -153,6 +153,36 @@ OVERLAP12_DIGESTS = {
     ),
 }
 
+# abs-convex hulls past ``delta --n 1``: the sum-norm hull above at N=2
+# and through extraction, and a rank-deficient hull (2 generators over 3
+# coordinates, so every membership LP has a redundant row)
+HULL_REQUESTS = {
+    "delta_n2": (VARIANT_INPUTS["abs_conv_hull"], ["delta", "--n", "2", "--seed", "0"]),
+    "extract_n3": (VARIANT_INPUTS["abs_conv_hull"], ["extract", "--epsilon", "1/10", "--n", "3", "--seed", "0"]),
+    "rank_deficient_delta_n2": (
+        {
+            "set": {"type": "abs_conv_hull", "points": [{"1": "1", "2": "1", "3": "1/2"}, {"1": "1/2", "2": "-1", "3": "1"}]},
+            "norm": "sup",
+        },
+        ["delta", "--n", "2", "--seed", "0"],
+    ),
+}
+
+HULL_DIGESTS = {
+    "delta_n2": (
+        "814fb0930c083a6b060e20c35bf136ea711afc3b74a199d13b611553a2ee39c9",
+        "07be464d735022afeabc37ce5aa57bf23e7201ddd7a4d9f6b4e87e568f4fc0ca",
+    ),
+    "extract_n3": (
+        "02f85649cf52e7a825bafac1e938cc6fe9487189e7f4b362cb3a1df6d049241f",
+        "afee30b4d56ac9a3fedc12b2fdbadbf57592d9921028c6ffdd998ae1267dfbe2",
+    ),
+    "rank_deficient_delta_n2": (
+        "0ba94ed94551547b162884925eea81f8761407d4273eaa2222e66d134b94d01d",
+        "4ce14d02bcb891cbabb9e2db5684a922e67e1f7e88806dda8f8604f7fd18db4e",
+    ),
+}
+
 SUBSET_EXTRACT_DIGESTS = (
     "705a6333b1c2fe11782deb79f9aaeb1265cd7c2b3782759eb775eb2ec70167bb",
     "34053371bb5baeb4067d061464db7588e37ddebdd6f6db24c9a3ccba2b27098c",
@@ -215,13 +245,22 @@ def test_subset_sign_sum_extract_report_is_golden(tmp_path):
     assert (_sha256(report), _sha256(verdict)) == SUBSET_EXTRACT_DIGESTS
 
 
-def test_overlapping_sign_sum_reports_are_golden(tmp_path):
+def request_digests(root: pathlib.Path, requests: dict) -> dict:
+    """Run each ``(input, [command, *flags])`` request and its oracle replay."""
     digests = {}
-    for name, (obj, (command, *flags)) in OVERLAP12_REQUESTS.items():
-        infile = tmp_path / f"{name}.json"
+    for name, (obj, (command, *flags)) in requests.items():
+        infile = root / f"{name}.json"
         infile.write_text(json.dumps(obj))
-        report, verdict = tmp_path / f"report_{name}.json", tmp_path / f"verdict_{name}.json"
+        report, verdict = root / f"report_{name}.json", root / f"verdict_{name}.json"
         assert main([command, "--in", str(infile), *flags, "--out", str(report)]) == EXIT_OK
         assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
         digests[name] = (_sha256(report), _sha256(verdict))
-    assert digests == OVERLAP12_DIGESTS
+    return digests
+
+
+def test_overlapping_sign_sum_reports_are_golden(tmp_path):
+    assert request_digests(tmp_path, OVERLAP12_REQUESTS) == OVERLAP12_DIGESTS
+
+
+def test_hull_reports_are_golden(tmp_path):
+    assert request_digests(tmp_path, HULL_REQUESTS) == HULL_DIGESTS
