@@ -8,14 +8,20 @@ fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
 LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
 2-3 coordinates), the median time in microseconds of hull membership
 (``contains``), of the sup and sum ``diameter`` of a one-witness
-symmetrization and of ``sup_functional`` on it, the rows x columns
-of the LP each builds (before phase 1 adds its artificial columns), and
-the phase-1 and phase-2 pivots each makes over all LP_HULLS hulls
-(counted by wrapping ``exactlp._pivot`` here; these counts do not depend
-on the machine, and equal counts show the same Bland path). It also
-counts the hull membership LPs (calls of ``AbsConvHull.contains``) that
-``delta_upper`` at N=1, with exhaustive search over ``default_pool``,
-makes over all LP_HULLS hulls.
+symmetrization and of ``sup_functional`` on it, each call on a new copy
+of the hull (a hull keeps warm LPs, and a ``hull_lp`` request builds its
+own), the rows x columns of the LP each hands to phase 1 (before phase 1
+adds its artificial columns), and the phase-1, phase-2 and warm dual
+pivots each makes over all LP_HULLS hulls. Pivots are counted by
+wrapping ``exactlp._pivot`` here: phase 1 is the integer core
+``exactlp._feasible_basis`` (``exactlp.phase_one`` in a checkout without
+it), phase 2 is ``phase_two`` and the primal solves of
+``WarmLp.maximum``, and dual pivots are those of
+``exactlp._dual_simplex``. These counts do not depend on the machine,
+and equal counts show the same Bland path. It also counts the hull
+membership LPs (calls of ``AbsConvHull.contains``) and the pivots that
+``delta_upper`` at N=1 under the sup norm, with exhaustive search over
+``default_pool``, makes over all LP_HULLS hulls.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -177,46 +183,62 @@ def random_hull(symdex, rng: random.Random, k: int, c: int):
     return hull, combination(Fraction(1)), [combination(Fraction(1, 2)), combination(Fraction(3, 2))], vec()
 
 
+def phase_one_core(exactlp) -> str:
+    """The name of the phase-1 function every LP goes through: the integer
+    core where the checkout has one, else ``phase_one``."""
+    return "_feasible_basis" if hasattr(exactlp, "_feasible_basis") else "phase_one"
+
+
 def lp_tableaus(exactlp, call) -> list[list[int]]:
     """[rows, columns] of each LP that ``call()`` hands to phase 1."""
-    phase_one, seen = exactlp.phase_one, []
+    name = phase_one_core(exactlp)
+    phase_one, seen = getattr(exactlp, name), []
 
-    def recording(a_eq, b_eq, n):
-        seen.append([len(a_eq), n])
-        return phase_one(a_eq, b_eq, n)
+    def recording(rows, rhs, n):
+        seen.append([len(rows), n])
+        return phase_one(rows, rhs, n)
 
-    exactlp.phase_one = recording
+    setattr(exactlp, name, recording)
     try:
         call()
     finally:
-        exactlp.phase_one = phase_one
+        setattr(exactlp, name, phase_one)
     return seen
 
 
 def lp_pivots(exactlp, call) -> list[int]:
-    """[phase-1, phase-2] pivots that ``call()`` makes, counted by wrapping
-    ``exactlp._pivot``; artificial drive-outs count in phase 1."""
-    originals = {name: getattr(exactlp, name) for name in ("_pivot", "phase_one", "phase_two")}
-    counts, phase = [0, 0], [0]
+    """[phase-1, phase-2, warm dual] pivots that ``call()`` makes, counted
+    by wrapping ``exactlp._pivot``; artificial drive-outs count in phase 1."""
+    warm = getattr(exactlp, "WarmLp", None)
+    phases = [(exactlp, phase_one_core(exactlp), 0), (exactlp, "phase_two", 1),
+              (warm, "maximum", 1), (exactlp, "_dual_simplex", 2)]
+    phases = [(owner, name, index) for owner, name, index in phases if hasattr(owner, name)]
+    originals = [getattr(owner, name) for owner, name, _ in phases]
+    pivot = exactlp._pivot
+    counts, phase = [0, 0, 0], [0]
 
     def in_phase(index, solve):
         def run(*args):
-            phase[0] = index
-            return solve(*args)
+            outer, phase[0] = phase[0], index
+            try:
+                return solve(*args)
+            finally:
+                phase[0] = outer
         return run
 
     def counted(*args):
         counts[phase[0]] += 1
-        return originals["_pivot"](*args)
+        return pivot(*args)
 
     exactlp._pivot = counted
-    exactlp.phase_one = in_phase(0, originals["phase_one"])
-    exactlp.phase_two = in_phase(1, originals["phase_two"])
+    for (owner, name, index), solve in zip(phases, originals):
+        setattr(owner, name, in_phase(index, solve))
     try:
         call()
     finally:
-        for name, fn in originals.items():
-            setattr(exactlp, name, fn)
+        exactlp._pivot = pivot
+        for (owner, name, _), solve in zip(phases, originals):
+            setattr(owner, name, solve)
     return counts
 
 
@@ -231,15 +253,23 @@ def measure_lp() -> dict:
     for k, c in LP_SHAPES:
         samples: dict[str, list[float]] = {}
         pivots: dict[str, list[int]] = {}
-        search_lps = 0
+        search_lps, search_pivots = 0, [0, 0, 0]
         for _ in range(LP_HULLS):
             hull, witness, probes, f = random_hull(symdex, rng, k, c)
-            sym = symdex.symmetrize(hull, [witness])
+            witnesses = symdex.symmetrize(hull, [witness]).witnesses
+
+            def contains():
+                fresh = symdex.AbsConvHull(hull.points)
+                return [symdex.contains(fresh, v) for v in probes]
+
+            def sym():
+                return symdex.Symmetrized(symdex.AbsConvHull(hull.points), witnesses)
+
             calls = {
-                "contains": lambda: [symdex.contains(hull, v) for v in probes],
-                "diameter_sup": lambda: symdex.diameter(sym, symdex.NormKind.SUP),
-                "diameter_sum": lambda: symdex.diameter(sym, symdex.NormKind.SUM),
-                "sup_functional": lambda: symdex.sup_functional(f, sym),
+                "contains": contains,
+                "diameter_sup": lambda: symdex.diameter(sym(), symdex.NormKind.SUP),
+                "diameter_sum": lambda: symdex.diameter(sym(), symdex.NormKind.SUM),
+                "sup_functional": lambda: symdex.sup_functional(f, sym()),
             }
             for name, call in calls.items():
                 per_call = len(probes) if name == "contains" else 1
@@ -251,16 +281,23 @@ def measure_lp() -> dict:
                     ns.append((time.perf_counter_ns() - start) / per_call)
                 samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
                 cache.clear()
-                counts = pivots.setdefault(name, [0, 0])
+                counts = pivots.setdefault(name, [0, 0, 0])
                 for index, count in enumerate(lp_pivots(exactlp, call)):
                     counts[index] += count
-            cache.clear()
             strategy = symdex.SearchStrategy.exhaustive(symdex.default_pool(hull))
-            search_lps += count_calls(
-                lambda: symdex.delta_upper(hull, 1, strategy, symdex.NormKind.SUP), (symdex.AbsConvHull, "contains"))[0]
+
+            def search():
+                return symdex.delta_upper(symdex.AbsConvHull(hull.points), 1, strategy, symdex.NormKind.SUP)
+
+            cache.clear()
+            search_lps += count_calls(search, (symdex.AbsConvHull, "contains"))[0]
+            cache.clear()
+            for index, count in enumerate(lp_pivots(exactlp, search)):
+                search_pivots[index] += count
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
         row.update({f"{name}_pivots": counts for name, counts in pivots.items()})
         row["delta_upper_contains_lps"] = search_lps
+        row["delta_upper_pivots"] = search_pivots
         # the tableau shape depends only on (k, c): read it off the last hull
         cache.clear()
         row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
@@ -435,12 +472,13 @@ def main(argv=None) -> int:
                                       ("contains_us", "diameter_sup_us", "diameter_sum_us", "sup_functional_us"))
               + "".join(f"{'x'.join(map(str, row[key])):>{w}}" for key, w in
                         (("contains_tableau", 13), ("symmetrized_tableau", 9))))
-    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}{'search':>8}"
-          f"   (phase-1/phase-2 pivots and delta_upper membership LPs over {LP_HULLS} hulls)")
+    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}{'search':>16}"
+          f"{'LPs':>6}   (phase-1/phase-2/dual pivots, and delta_upper membership LPs, over {LP_HULLS} hulls)")
     for name, row in lp.items():
         print(f"{name:<14}" + "".join(f"{'/'.join(map(str, row[key])):>12}" for key in
                                       ("contains_pivots", "diameter_sup_pivots", "diameter_sum_pivots",
-                                       "sup_functional_pivots")) + f"{row['delta_upper_contains_lps']:>8}")
+                                       "sup_functional_pivots"))
+              + f"{'/'.join(map(str, row['delta_upper_pivots'])):>16}{row['delta_upper_contains_lps']:>6}")
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
           f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
@@ -458,8 +496,9 @@ def main(argv=None) -> int:
         report = {
             "units": {
                 "kernels": "us per call, median",
-                "lp": "us per call, median; tableau as [rows, columns]; pivots as [phase 1, phase 2] and "
-                      "delta_upper_contains_lps summed over lp_hulls hulls",
+                "lp": "us per call on a new copy of the hull, median; tableau as [rows, columns]; pivots as "
+                      "[phase 1, phase 2, warm dual], delta_upper_pivots and delta_upper_contains_lps summed over "
+                      "lp_hulls hulls",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists and sampled_lower_calls per request",

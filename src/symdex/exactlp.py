@@ -2,11 +2,17 @@
 
 Problems here are tiny (hull memberships, unit-dual-ball functional
 searches), so a plain tableau with Bland's anti-cycling rule is plenty.
-The tableau is fraction-free: ``[A | b]`` is scaled by the lcm of its
-denominators to integers, and every pivot is a Bareiss (integer-
-preserving) step, so each row ``T`` stands for ``T / det`` with one common
-denominator ``det``, the basis determinant. Only results become
-``Fraction``s again; optima are exact.
+
+The core works on integer rows ``A`` and an integer right-hand side
+``b``. Its tableau is fraction-free: every pivot is a Bareiss (integer-
+preserving) step, so each row ``T`` stands for ``T / det`` with one
+common denominator ``det``, the basis determinant. ``phase_one`` and
+``solve_lp`` take ``Fraction`` rows and scale ``[A | b]`` by the lcm of
+its denominators; the hull LPs of ``sets`` build integer rows over one
+common scale themselves and call ``integer_phase_one``. Positive row and
+column scales change no Bland pivot, so every scale gives the same
+pivots and the same rational results. Only results become ``Fraction``s
+again; optima are exact.
 
 Standard form: maximize c.x subject to A x = b, x >= 0.
 
@@ -14,6 +20,16 @@ Standard form: maximize c.x subject to A x = b, x >= 0.
 rows dropped) or reports the rows infeasible; ``phase_two`` maximizes one
 objective from a copy of it, so objectives over the same rows share one
 phase 1, and ``solve_lp`` is the two in turn.
+
+A ``WarmLp`` solves one integer ``A`` for one ``b`` after another. It
+keeps each basis with its inverse ``det * B^-1``, which phase 1 builds
+in its artificial columns, so a new ``b`` costs one product ``B^-1 b``
+and dual-simplex pivots under Bland's rule until ``B^-1 b >= 0``. A
+redundant row stays in the tableau, and ``B^-1 b`` must stay 0 on it.
+Where a warm solve ends depends on the bases it starts from, so it
+answers only what no basis can change: whether ``b`` is feasible, and
+the optimum value of an objective. A vertex comes from ``phase_one``
+and ``phase_two``.
 
 A free (sign-unrestricted) vector enters a problem as ``u - w``:
 ``free_columns`` writes its coefficients and ``free_value`` reads it back.
@@ -24,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Optional, Sequence
 
 from .errors import InvalidInput
 
@@ -41,20 +58,29 @@ class LpResult:
 
 @dataclass(frozen=True)
 class FeasibleStart:
-    """Integer rows ``det * [B^-1 A | B^-1 b]`` of the kept constraints of
-    an LP with ``n`` columns, the basic column of each row, and ``det > 0``,
-    the common denominator of the rows."""
+    """Integer rows ``det * [B^-1 A | scale * B^-1 b]`` of the kept
+    constraints of an LP with ``n`` columns, the basic column of each
+    row, ``det > 0``, the common denominator of the rows, and ``scale``,
+    the factor the right-hand side was scaled by to integers."""
 
     n: int
     tableau: tuple[tuple[int, ...], ...]
     basis: tuple[int, ...]
     det: int
+    scale: int = 1
 
 
 def _integers(values, scale: int) -> list[int]:
     """``scale * v`` for each rational ``v``; ``scale`` is a multiple of
     every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _scaled(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational right-hand side as integers over the lcm of its
+    denominators, and that lcm."""
+    scale = lcm(*(v.denominator for v in rhs))
+    return _integers(rhs, scale), scale
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
@@ -75,71 +101,69 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: 
     return p
 
 
-def _simplex(tableau: list[list[int]], basis: list[int], cost: list[int], det: int):
-    """Maximize the integer ``cost`` over the tableau in place (Bland's
-    rule). Returns ``(det, v)`` with optimum ``v / det``, or None when
-    unbounded."""
-    # reduced costs det * (c_j - c_B . B^{-1} A_j), then -det * c_B . B^{-1} b
-    # last, kept as one more row so every pivot updates them with the rest
-    reduced = [det * c for c in cost] + [0]
+def _with_reduced_costs(tableau: list[list[int]], basis: list[int], cost: Sequence[int], det: int) -> None:
+    """Append the row ``det * (c_j - c_B . B^-1 A_j)``, then
+    ``-det * c_B . B^-1 b`` last, so every pivot updates it with the rest;
+    ``cost`` covers the leading columns, the others cost 0."""
+    reduced = [det * c for c in cost] + [0] * (len(tableau[0]) - len(cost) if tableau else 1)
     for row, b in zip(tableau, basis):
-        cb = cost[b]
+        cb = cost[b] if b < len(cost) else 0
         if cb:
             reduced = [q - cb * a for q, a in zip(reduced, row)]
     tableau.append(reduced)
-    try:
-        while True:
-            reduced = tableau[-1]
-            enter = next((j for j in range(len(cost)) if reduced[j] > 0), -1)
-            if enter < 0:
-                return det, -reduced[-1]
-            leave = -1
-            for r in range(len(basis)):  # every row but the reduced costs
-                row = tableau[r]
-                a = row[enter]
-                # the ratio row[-1] / a against the best num / den so far,
-                # compared by cross-multiplication (a, den > 0)
-                if a > 0 and (leave < 0 or row[-1] * den < num * a
-                              or (row[-1] * den == num * a and basis[r] < basis[leave])):
-                    leave, num, den = r, row[-1], a
-            if leave < 0:
-                return None  # unbounded
-            det = _pivot(tableau, basis, leave, enter, det)
-    finally:
-        tableau.pop()
 
 
-def phase_one(a_eq: list[list[Fraction]], b_eq: list[Fraction], n: int) -> FeasibleStart | None:
-    """A feasible start for ``a_eq x = b_eq``, ``x >= 0`` with ``n``
-    columns, or None when the rows are infeasible."""
-    m = len(a_eq)
-    for row in a_eq:
-        if len(row) != n:
-            raise InvalidInput("inconsistent LP row width")
-    if len(b_eq) != m:
-        raise InvalidInput("inconsistent LP right-hand side")
-    if m == 0:
-        return FeasibleStart(n, (), (), 1)
+def _simplex(tableau: list[list[int]], basis: list[int], columns: int, det: int) -> Optional[int]:
+    """Maximize over the tableau in place, whose last row holds the
+    reduced costs, by primal pivots under Bland's rule on the first
+    ``columns`` columns. Returns the new ``det``, with optimum
+    ``-tableau[-1][-1] / det``, or None when unbounded."""
+    while True:
+        reduced = tableau[-1]
+        enter = next((j for j in range(columns) if reduced[j] > 0), -1)
+        if enter < 0:
+            return det
+        leave = -1
+        for r in range(len(basis)):  # every row but the reduced costs
+            row = tableau[r]
+            a = row[enter]
+            # the ratio row[-1] / a against the best num / den so far,
+            # compared by cross-multiplication (a, den > 0)
+            if a > 0 and (leave < 0 or row[-1] * den < num * a
+                          or (row[-1] * den == num * a and basis[r] < basis[leave])):
+                leave, num, den = r, row[-1], a
+        if leave < 0:
+            return None  # unbounded
+        det = _pivot(tableau, basis, leave, enter, det)
 
-    # one scale for all of [A | b] (so the artificials and the phase-1
-    # objective scale alike and Bland's rule picks as over the rationals),
-    # b >= 0, then the artificial columns as the identity
-    scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
+
+def _feasible_basis(rows: Sequence[Sequence[int]], b: Sequence[int], n: int):
+    """Phase 1 on integer rows ``A x = b``: ``(tableau, basis, det)`` of a
+    feasible basis, or None when the rows are infeasible.
+
+    Each tableau row holds ``det * B^-1 [A | D | b]``, where the ``m``
+    middle columns are the artificials and ``D`` the diagonal of the
+    signs that made ``b >= 0``. A redundant row keeps its artificial
+    basic over ``A`` columns that are all zero.
+    """
+    m = len(rows)
+    # b >= 0, then the artificial columns as the identity (one scale for
+    # [A | b], so the artificials and the phase-1 objective scale alike)
     tableau: list[list[int]] = []
     for r in range(m):
-        row = _integers(a_eq[r], scale) + [0] * m + _integers([b_eq[r]], scale)
+        row = list(rows[r]) + [0] * m + [b[r]]
         if row[-1] < 0:
             row = [-a for a in row]
         row[n + r] = 1
         tableau.append(row)
     basis = [n + r for r in range(m)]
 
-    result = _simplex(tableau, basis, [0] * n + [-1] * m, 1)
-    if result is None or result[1] < 0:
+    _with_reduced_costs(tableau, basis, [0] * n + [-1] * m, 1)
+    det = _simplex(tableau, basis, n + m, 1)
+    if det is None or tableau.pop()[-1] > 0:
         return None
-    det = result[0]
 
-    # drive leftover artificials out of the basis (or drop redundant rows);
+    # drive leftover artificials out of the basis (or keep redundant rows);
     # a negative pivot is made positive by negating its row, so det stays > 0
     for r in range(m):
         if basis[r] >= n:
@@ -148,14 +172,38 @@ def phase_one(a_eq: list[list[Fraction]], b_eq: list[Fraction], n: int) -> Feasi
                 if tableau[r][col] < 0:
                     tableau[r] = [-a for a in tableau[r]]
                 det = _pivot(tableau, basis, r, col, det)
+    return tableau, basis, det
+
+
+def integer_phase_one(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int) -> FeasibleStart | None:
+    """A feasible start for integer rows ``A x = rhs``, ``x >= 0`` with
+    ``n`` columns and a rational ``rhs``, or None when infeasible."""
+    b, scale = _scaled(rhs)
+    found = _feasible_basis(rows, b, n)
+    if found is None:
+        return None
+    tableau, basis, det = found
     # an artificial still basic sits in a zero row: the constraint is redundant
-    kept = [r for r in range(m) if basis[r] < n]
+    kept = [r for r in range(len(rows)) if basis[r] < n]
     return FeasibleStart(
         n,
         tuple(tuple(tableau[r][:n]) + (tableau[r][-1],) for r in kept),
         tuple(basis[r] for r in kept),
         det,
+        scale,
     )
+
+
+def phase_one(a_eq: list[list[Fraction]], b_eq: list[Fraction], n: int) -> FeasibleStart | None:
+    """A feasible start for ``a_eq x = b_eq``, ``x >= 0`` with ``n``
+    columns, or None when the rows are infeasible."""
+    for row in a_eq:
+        if len(row) != n:
+            raise InvalidInput("inconsistent LP row width")
+    if len(b_eq) != len(a_eq):
+        raise InvalidInput("inconsistent LP right-hand side")
+    scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
+    return integer_phase_one([_integers(row, scale) for row in a_eq], _integers(b_eq, scale), n)
 
 
 def phase_two(start: FeasibleStart, objective: list[Fraction]) -> LpResult:
@@ -170,14 +218,14 @@ def phase_two(start: FeasibleStart, objective: list[Fraction]) -> LpResult:
     scale = lcm(*(c.denominator for c in objective))
     tableau = [list(row) for row in start.tableau]
     basis = list(start.basis)
-    result = _simplex(tableau, basis, _integers(objective, scale), start.det)
-    if result is None:
+    _with_reduced_costs(tableau, basis, _integers(objective, scale), start.det)
+    det = _simplex(tableau, basis, start.n, start.det)
+    if det is None:
         return LpResult(UNBOUNDED, None, None)
-    det, value = result
     x = [Fraction(0)] * start.n
     for row, b in zip(tableau, basis):
-        x[b] = Fraction(row[-1], det)
-    return LpResult(OPTIMAL, x, Fraction(value, det * scale))
+        x[b] = Fraction(row[-1], det * start.scale)
+    return LpResult(OPTIMAL, x, Fraction(-tableau[-1][-1], det * scale * start.scale))
 
 
 def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
@@ -186,6 +234,130 @@ def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[F
     if start is None:
         return LpResult(INFEASIBLE, None, None)
     return phase_two(start, objective)
+
+
+class _Basis:
+    """A basis of a ``WarmLp``: tableau rows ``det * B^-1 [A | I | b]``
+    (the middle columns are ``det * B^-1``), then the reduced costs of
+    an objective when the basis is optimal for one, the basic column of
+    each row, and ``det``."""
+
+    __slots__ = ("tableau", "basis", "det")
+
+    def __init__(self, tableau: list[list[int]], basis: list[int], det: int):
+        self.tableau, self.basis, self.det = tableau, basis, det
+
+    def copy(self) -> "_Basis":
+        return _Basis([list(row) for row in self.tableau], list(self.basis), self.det)
+
+
+def _dual_simplex(state: _Basis, n: int, objective: bool) -> bool:
+    """Pivot ``state`` back to ``B^-1 b >= 0`` by dual-simplex steps
+    under Bland's rule; False when ``b`` is infeasible.
+
+    The leaving row is the one with ``B^-1 b < 0`` whose basic column
+    comes first. The entering column is the first of the ``n`` columns
+    of ``A`` with a negative entry in that row; with an ``objective``
+    (the reduced costs as the last tableau row), the first of those with
+    the least ratio of reduced cost to entry, so the reduced costs stay
+    <= 0. The row is negated before the pivot, so ``det`` stays positive.
+    """
+    tableau, basis = state.tableau, state.basis
+    while True:
+        reduced = tableau[-1] if objective else None
+        leave = -1
+        for r in range(len(basis)):
+            if tableau[r][-1] < 0 and (leave < 0 or basis[r] < basis[leave]):
+                leave = r
+        if leave < 0:
+            return True
+        row = tableau[leave]
+        enter = -1
+        for j in range(n):
+            a = row[j]
+            if a < 0:
+                if reduced is None:
+                    enter = j
+                    break
+                # reduced[j] / a against the best num / den so far (a, den < 0)
+                if enter < 0 or reduced[j] * den < num * a:
+                    enter, num, den = j, reduced[j], a
+        if enter < 0:
+            return False  # the row sums nonnegative multiples of x to b < 0
+        tableau[leave] = [-a for a in row]
+        state.det = _pivot(tableau, basis, leave, enter, state.det)
+
+
+class WarmLp:
+    """``A x = b``, ``x >= 0`` over one integer matrix ``A`` with ``n``
+    columns, solved for one rational right-hand side ``b`` after another.
+
+    It keeps the last basis found feasible and, per objective, the last
+    basis found optimal. A new ``b`` starts from that basis; only the
+    first ``b`` runs phase 1. Answers do not depend on the bases kept:
+    ``feasible`` is whether ``b`` is feasible, and ``maximum`` the
+    optimum value alone (``x`` is None).
+    """
+
+    def __init__(self, rows: list[list[int]], n: int):
+        self.rows, self.n = rows, n
+        self._feasible: Optional[_Basis] = None
+        self._optimal: dict[tuple[int, ...], _Basis] = {}
+
+    def _load(self, state: _Basis, b: list[int]) -> bool:
+        """Set ``det * B^-1 b`` as the right-hand side of ``state``; False
+        when a redundant row's entry is not 0."""
+        n, rows = self.n, len(state.basis)
+        for r in range(rows):
+            line = state.tableau[r]
+            line[-1] = value = sum(a * v for a, v in zip(line[n:-1], b))
+            if value and state.basis[r] >= n:
+                return False
+        return True
+
+    def feasible(self, rhs: Sequence[Fraction]) -> bool:
+        """Whether ``A x = rhs`` has a solution ``x >= 0``."""
+        return self._feasible_for(_scaled(rhs)[0])
+
+    def _feasible_for(self, b: list[int]) -> bool:
+        state = self._feasible
+        if state is None:
+            found = _feasible_basis(self.rows, b, self.n)
+            if found is None:
+                return False
+            tableau, basis, det = found
+            # det * B^-1 D holds det * B^-1 once the signs D are undone
+            for r, v in enumerate(b):
+                if v < 0:
+                    for line in tableau:
+                        line[self.n + r] = -line[self.n + r]
+            self._feasible = _Basis(tableau, basis, det)
+            return True
+        return self._load(state, b) and _dual_simplex(state, self.n, False)
+
+    def maximum(self, rhs: Sequence[Fraction], cost: tuple[int, ...]) -> LpResult:
+        """The optimum value of ``cost . x`` over ``A x = rhs``, ``x >= 0``."""
+        b, scale = _scaled(rhs)
+        state = self._optimal.get(cost)
+        if state is None:
+            if not self._feasible_for(b):
+                return LpResult(INFEASIBLE, None, None)
+            state = self._feasible.copy()
+            _with_reduced_costs(state.tableau, state.basis, cost, state.det)
+            det = _simplex(state.tableau, state.basis, self.n, state.det)
+            if det is None:
+                return LpResult(UNBOUNDED, None, None)
+            state.det = det
+            self._optimal[cost] = state
+        else:
+            if not self._load(state, b):
+                return LpResult(INFEASIBLE, None, None)
+            state.tableau[-1][-1] = -sum(
+                cost[c] * line[-1] for c, line in zip(state.basis, state.tableau) if c < self.n
+            )
+            if not _dual_simplex(state, self.n, True):
+                return LpResult(INFEASIBLE, None, None)
+        return LpResult(OPTIMAL, None, Fraction(-state.tableau[-1][-1], state.det * scale))
 
 
 def free_columns(coeffs: list[Fraction]) -> list[Fraction]:

@@ -45,6 +45,7 @@ from .sets import (
     set_from_json,
     set_to_json,
     sup_functional,
+    sup_upper,
     symmetrize,
 )
 from .vectors import (
@@ -276,7 +277,7 @@ def _choose_step_functional(
         if any(dual_pair(f, x) != 0 for x in prev):
             return False
         value = dual_pair(f, x_n)
-        sup = sup_functional(f, current).upper
+        sup = sup_upper(f, current)
         if sup is None or not value > sup - eta:
             return False
         return value > floor_plain - 2 * eta
@@ -375,7 +376,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
         entry["member"] = contains(step.set_before, step.x)
 
         value = dual_pair(step.f, step.x)
-        sup = sup_functional(step.f, step.set_before).upper
+        sup = sup_upper(step.f, step.set_before)
         entry["near_sup"] = sup is not None and value > sup - t.eta
         floor = delta_lower(t.base_set, 2 ** n, t.kind).lower_certificate.plain_value
         entry["above_index_floor"] = value > floor - 2 * t.eta

@@ -134,10 +134,10 @@ def _witness_search(
     is searched and the pool is not checked.
 
     Lists are scored by their upper ends, which sample nothing. A bound
-    that is not exact had a sampled lower end skipped; that end is
-    sampled with ``seed`` for a yielded list only, and never when
-    ``seed`` is None (the bounds then are as :func:`diameter` gives them
-    without a seed).
+    that is not exact had a sampled lower end, or a hull's LP vertex,
+    skipped; the bound is computed again with ``seed`` for a yielded
+    list only, and never when ``seed`` is None (the bounds then are as
+    :func:`diameter` gives them without a seed).
 
     Sym(A; W + (p,)) is Sym(A; W) intersected with the one-witness set
     S_p of :meth:`SetExpr.witness_members`, computed once per pool point.

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 from . import exactlp
@@ -67,6 +67,10 @@ DEFAULT_NODE_BUDGET = 200_000
 # operation recurse through a module function and a method per level, so
 # this keeps the stack well under Python's default limit of 1000 frames.
 MAX_SET_DEPTH = 200
+
+# Entries an AbsConvHull keeps of its warm LPs and phase-1 starts (one
+# per row layout or witness list); a request uses a handful.
+HULL_LP_MEMO = 64
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +213,10 @@ class SetExpr(ABC):
     def default_pool(self) -> tuple[SparseVec, ...]:
         """A small deterministic witness pool of members (reduced set)."""
 
+    def sup_upper(self, f: Functional) -> Optional[Fraction]:
+        """See :func:`sup_upper`."""
+        return self.sup_functional(f).upper
+
     def symmetrize_reduce(self, ws: list[SparseVec]) -> "SetExpr":
         """The symmetrization at the witnesses ``ws``, flattened where a
         closed form exists."""
@@ -292,9 +300,11 @@ class SetExpr(ABC):
         """sup |f| over the set by a closed form, or None."""
         return None
 
-    def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind) -> Optional[BoundPair]:
+    def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind, vertex: bool) -> Optional[BoundPair]:
         """Exact diameter of ``sym`` (whose base is this set) by linear
-        programming, tried after enumeration, or None."""
+        programming, tried after enumeration, or None. Without ``vertex``
+        only the upper end need be exact, and the lower end may be the
+        certified zero without a witness."""
         return None
 
     def symmetrized_sup(self, sym: "Symmetrized", f: Functional) -> Optional[BoundPair]:
@@ -916,6 +926,10 @@ class Translate(SetExpr):
         hi = None if inner.upper is None else inner.upper + shift
         return BoundPair(lo, hi, inner.lower_witness, inner.upper_witness)
 
+    def sup_upper(self, f: Functional) -> Optional[Fraction]:
+        inner = sup_upper(f, self.base)
+        return None if inner is None else inner + dual_pair(f, self.by)
+
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
 
@@ -970,6 +984,9 @@ class Negate(SetExpr):
 
     def sup_functional(self, f: Functional) -> BoundPair:
         return sup_functional(-f, self.base)
+
+    def sup_upper(self, f: Functional) -> Optional[Fraction]:
+        return sup_upper(-f, self.base)
 
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
@@ -1029,15 +1046,17 @@ class Intersect(SetExpr):
         return self.parts[0].sample_candidate(rng)
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        uppers = [sup_functional(f, p).upper for p in self.parts]
-        finite = [u for u in uppers if u is not None]
-        upper = min(finite) if finite else None
+        upper = self.sup_upper(f)
         rng = random.Random(17)
         values = [dual_pair(f, v) for v in sample_members(self, rng)]
         lower = max(values) if values else None
         if lower is not None and upper is not None and lower > upper:
             raise SymdexError("intersection sup certificates are inconsistent")
         return BoundPair(lower, upper)
+
+    def sup_upper(self, f: Functional) -> Optional[Fraction]:
+        finite = [u for u in (sup_upper(f, p) for p in self.parts) if u is not None]
+        return min(finite) if finite else None
 
     def fresh_abs_sup(self) -> Fraction:
         return min(p.fresh_abs_sup() for p in self.parts)
@@ -1152,8 +1171,29 @@ class Symmetrized(SetExpr):
         exact = self.base.symmetrized_sup(self, f)
         if exact is not None:
             return exact
-        sup_base = sup_functional(f, self.base).upper
-        inf_base = sup_functional(-f, self.base).upper  # = -inf(f, base)
+        upper = self._relaxed_sup(f)
+        rng = random.Random(17)
+        lower = Fraction(0)  # zero always belongs to a symmetrized set
+        for v in sample_members(self, rng):
+            value = dual_pair(f, v)
+            if value > lower:
+                lower = value
+        if upper is not None and lower > upper:
+            raise SymdexError("symmetrized sup certificates are inconsistent")
+        return BoundPair(lower, upper)
+
+    def sup_upper(self, f: Functional) -> Optional[Fraction]:
+        flat = reduced(self)
+        if flat != self:
+            return sup_upper(f, flat)
+        exact = self.base.symmetrized_sup(self, f)
+        return self._relaxed_sup(f) if exact is None else exact.upper
+
+    def _relaxed_sup(self, f: Functional) -> Optional[Fraction]:
+        """sup f over the set is at most sup f - f(w) and -inf f + f(w)
+        over the base, at every witness w."""
+        sup_base = sup_upper(f, self.base)
+        inf_base = sup_upper(-f, self.base)  # = -inf(f, base)
         upper = None
         for w in self.witnesses:
             val = dual_pair(f, w)
@@ -1165,15 +1205,7 @@ class Symmetrized(SetExpr):
             for c in cands:
                 if upper is None or c < upper:
                     upper = c
-        rng = random.Random(17)
-        lower = Fraction(0)  # zero always belongs to a symmetrized set
-        for v in sample_members(self, rng):
-            value = dual_pair(f, v)
-            if value > lower:
-                lower = value
-        if upper is not None and lower > upper:
-            raise SymdexError("symmetrized sup certificates are inconsistent")
-        return BoundPair(lower, upper)
+        return upper
 
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
@@ -1204,7 +1236,7 @@ class Symmetrized(SetExpr):
                 if v > top:
                     top, arg = v, d
             return _symmetric_pair_bound(top, arg, kind)
-        extent = self.base.symmetrized_lp_extent(self, kind)
+        extent = self.base.symmetrized_lp_extent(self, kind, seed is not None)
         if extent is not None:
             return extent
         upper = coordinate_relaxation(self).diameter(kind, None, enum_budget).upper
@@ -1225,16 +1257,27 @@ class Symmetrized(SetExpr):
 
 @dataclass(frozen=True)
 class AbsConvHull(SetExpr):
-    """Absolutely convex hull of finitely many points."""
+    """Absolutely convex hull of finitely many points.
+
+    Its LPs have integer rows over ``_scale``, the lcm of the generators'
+    denominators. ``_lps`` keeps, per row layout, a warm LP that answers
+    membership and the values of symmetrized extents, and the phase-1
+    starts of symmetrizations, at most HULL_LP_MEMO entries. It is
+    private state, like ``SparseVec._hash``: equal hulls built
+    separately share nothing.
+    """
 
     tag: ClassVar[str] = "abs_conv_hull"
     points: tuple[SparseVec, ...]
+    _scale: int = field(init=False, repr=False, compare=False)
+    _lps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         pts = tuple(sorted(set(self.points), key=lambda p: p.sort_key()))
         if not pts:
             raise InvalidInput("hull needs at least one generator")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_scale", lcm(*(v.denominator for p in pts for _, v in p.items())))
 
     def to_json(self) -> dict:
         return {"type": self.tag, "points": [p.to_json() for p in self.points]}
@@ -1244,38 +1287,58 @@ class AbsConvHull(SetExpr):
         return cls(_json_vectors(obj, "points"))
 
     def contains(self, v: SparseVec) -> bool:
-        coords = sorted(self.relevant_coords() | set(v.support))
-        return exactlp.phase_one(*self._rows(coords, [(0, v)])) is not None
+        coords = tuple(sorted(self.relevant_coords() | set(v.support)))
+        return self._lp(coords, (0,)).feasible(self._rhs(coords, [v]))
 
-    def _rows(
-        self, coords: list[int], targets: Sequence[tuple[int, SparseVec]]
-    ) -> tuple[list[list[Fraction]], list[Fraction], int]:
-        """Rows, right-hand sides and column count of the LP saying that
-        ``w + sgn*d`` lies in the hull for each ``(sgn, w)`` of ``targets``.
+    def _memo(self, key: tuple, build):
+        """The memo entry ``key``, built by ``build()`` when missing; the
+        oldest entry goes when the memo is full."""
+        found = self._lps.get(key)
+        if found is None:
+            if len(self._lps) >= HULL_LP_MEMO:
+                del self._lps[next(iter(self._lps))]
+            found = self._lps[key] = build()
+        return found
+
+    def _lp(self, coords: tuple[int, ...], signs: tuple[int, ...]) -> exactlp.WarmLp:
+        """The warm LP over the rows saying that ``w + sgn*d`` lies in the
+        hull for one target ``(sgn, w)`` per entry of ``signs``.
 
         Columns: the free vector ``d`` over ``coords`` when some ``sgn`` is
         nonzero, then a block per target of free generator weights and a
         slack. Rows: per target, one per coordinate, then the weights' l1
-        row (the weights' absolute values and the slack sum to one).
+        row (the weights' absolute values and the slack sum to one). All
+        over ``_scale``; :meth:`_rhs` gives the right-hand side.
         """
-        points = self.points
-        d_count = len(coords) if any(sgn for sgn, _ in targets) else 0
-        block = 2 * len(points) + 1
-        n = 2 * d_count + len(targets) * block
-        zero = Fraction(0)
-        rows: list[list[Fraction]] = []
+
+        def build() -> exactlp.WarmLp:
+            scale = self._scale
+            d_count = len(coords) if any(signs) else 0
+            block = 2 * len(self.points) + 1
+            rows: list[list[int]] = []
+            for t, sgn in enumerate(signs):
+                before = [0] * (t * block)
+                after = [0] * ((len(signs) - t - 1) * block)
+                for pos, i in enumerate(coords):
+                    shift = [0] * (2 * d_count)
+                    if sgn:
+                        shift[pos], shift[d_count + pos] = -sgn * scale, sgn * scale
+                    weights = [int(p.get(i) * scale) for p in self.points]
+                    rows.append(shift + before + weights + [-a for a in weights] + [0] + after)
+                rows.append([0] * (2 * d_count) + before + [scale] * block + after)
+            return exactlp.WarmLp(rows, 2 * d_count + len(signs) * block)
+
+        return self._memo(("lp", coords, signs), build)
+
+    def _rhs(self, coords: tuple[int, ...], targets: Sequence[SparseVec]) -> list[Fraction]:
+        """The right-hand side of :meth:`_lp` for the target points, over
+        ``_scale``."""
+        scale = self._scale
         rhs: list[Fraction] = []
-        for t, (sgn, w) in enumerate(targets):
-            before = [zero] * (t * block)
-            after = [zero] * ((len(targets) - t - 1) * block)
-            for pos, i in enumerate(coords):
-                shift = exactlp.free_columns([Fraction(-sgn) if c == pos else zero for c in range(d_count)])
-                weights = exactlp.free_columns([p.get(i) for p in points])
-                rows.append(shift + before + weights + [zero] + after)
-                rhs.append(w.get(i))
-            rows.append([zero] * (2 * d_count) + before + [Fraction(1)] * block + after)
-            rhs.append(Fraction(1))
-        return rows, rhs, n
+        for w in targets:
+            rhs.extend(scale * w.get(i) for i in coords)
+            rhs.append(Fraction(scale))
+        return rhs
 
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         weights = [rng.randint(-3, 3) for _ in self.points]
@@ -1303,48 +1366,75 @@ class AbsConvHull(SetExpr):
             pool.add(-p)
         return tuple(sorted(pool, key=lambda p: p.sort_key()))
 
+    def _symmetrized(self, witnesses: Sequence[SparseVec], coords: tuple[int, ...]):
+        """The warm LP over the symmetrization at the witnesses and its
+        right-hand side; ``coords`` covers the generators and witnesses."""
+        lp = self._lp(coords, (1, -1) * len(witnesses))
+        return lp, self._rhs(coords, [w for w in witnesses for _ in (1, -1)])
+
     def _symmetrized_start(
-        self, witnesses: Sequence[SparseVec], coords: list[int]
+        self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...]
     ) -> exactlp.FeasibleStart:
-        """Phase-1 start of the LP over the symmetrization at the witnesses;
-        ``coords`` covers the generators and witnesses."""
-        targets = [(sgn, w) for w in witnesses for sgn in (1, -1)]
-        start = exactlp.phase_one(*self._rows(coords, targets))
-        if start is None:
-            raise WitnessNotMember("hull symmetrization witnesses are not all members")
-        return start
+        """Phase-1 start of the LP over the symmetrization at the witnesses,
+        kept for another objective over the same LP."""
+
+        def build():
+            lp, rhs = self._symmetrized(witnesses, coords)
+            start = exactlp.integer_phase_one(lp.rows, rhs, lp.n)
+            if start is None:
+                raise WitnessNotMember("hull symmetrization witnesses are not all members")
+            return start
+
+        return self._memo(("start", coords, witnesses), build)
 
     @staticmethod
     def _symmetrized_max(
-        start: exactlp.FeasibleStart, coords: list[int], objective: dict[int, Fraction]
+        start: exactlp.FeasibleStart, coords: tuple[int, ...], objective: Sequence[Fraction]
     ) -> tuple[Fraction, SparseVec]:
-        """Exact max of a linear objective over the symmetrization from
-        its phase-1 start, with an attaining member."""
-        obj = exactlp.free_columns([objective.get(i, Fraction(0)) for i in coords])
-        res = exactlp.phase_two(start, obj + [Fraction(0)] * (start.n - len(obj)))
+        """Exact max of a linear objective (its coefficients on ``coords``)
+        over the symmetrization from its phase-1 start, with an attaining
+        member."""
+        obj = exactlp.free_columns(list(objective))
+        res = exactlp.phase_two(start, obj + [0] * (start.n - len(obj)))
         d = SparseVec(dict(zip(coords, exactlp.free_value(res.x, len(coords)))))
         return res.value, d
 
-    def symmetrized_lp_extent(self, sym: Symmetrized, kind: NormKind) -> Optional[BoundPair]:
+    @staticmethod
+    def _extent_objectives(coords: tuple[int, ...], kind: NormKind) -> Iterable[tuple[int, ...]]:
+        """The objectives whose largest maximum over a symmetrization is
+        its largest member norm: the coordinates under ``sup``, the sign
+        patterns with first sign +1 under ``sum``. The set is centrally
+        symmetric, so -s scores as s does; in product order s comes first
+        and keeps the strict maximum."""
+        if kind is NormKind.SUP:
+            return [tuple(int(c == pos) for c in range(len(coords))) for pos in range(len(coords))]
+        if len(coords) > 14:
+            raise BudgetExceeded("hull symmetrized diameter needs too many sign patterns")
+        return ((1,) + signs for signs in product((1, -1), repeat=len(coords) - 1))
+
+    def symmetrized_lp_extent(self, sym: Symmetrized, kind: NormKind, vertex: bool) -> Optional[BoundPair]:
         # polyhedral norms only: the max norm is a max of linear objectives
         if kind not in (NormKind.SUP, NormKind.SUM):
             return None
-        coords = sorted(relevant_coords(sym))
+        coords = tuple(sorted(relevant_coords(sym)))
         best = Fraction(0)
         arg = ZERO
         if not coords:
             return _symmetric_pair_bound(best, arg, kind)
-        # sym is centrally symmetric, so -s scores as s does; in product
-        # order s (first sign +1) comes first and keeps the strict maximum
-        if kind is NormKind.SUP:
-            objectives = [{i: Fraction(1)} for i in coords]
-        else:
-            if len(coords) > 14:
-                raise BudgetExceeded("hull symmetrized diameter needs too many sign patterns")
-            objectives = (
-                {i: Fraction(s) for i, s in zip(coords, (1,) + signs)}
-                for signs in product((1, -1), repeat=len(coords) - 1)
-            )
+        objectives = self._extent_objectives(coords, kind)
+        if not vertex:
+            # values from warm LPs; with no positive value the vertex is
+            # zero, as the cold solves leave it
+            lp, rhs = self._symmetrized(sym.witnesses, coords)
+            pad = [0] * (lp.n - 2 * len(coords))
+            for objective in objectives:
+                res = lp.maximum(rhs, tuple(exactlp.free_columns(list(objective)) + pad))
+                if res.status != exactlp.OPTIMAL:
+                    raise WitnessNotMember("hull symmetrization witnesses are not all members")
+                best = max(best, res.value)
+            if best > 0:
+                return BoundPair(Fraction(0), double_length(best, kind))
+            return _symmetric_pair_bound(best, arg, kind)
         start = self._symmetrized_start(sym.witnesses, coords)
         for objective in objectives:
             value, d = self._symmetrized_max(start, coords, objective)
@@ -1353,9 +1443,9 @@ class AbsConvHull(SetExpr):
         return _symmetric_pair_bound(best, arg, kind)
 
     def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
-        coords = sorted(relevant_coords(sym) | set(f.support))
+        coords = tuple(sorted(relevant_coords(sym) | set(f.support)))
         start = self._symmetrized_start(sym.witnesses, coords)
-        value, arg = self._symmetrized_max(start, coords, dict(f.items()))
+        value, arg = self._symmetrized_max(start, coords, [f.get(i) for i in coords])
         return BoundPair(value, value, lower_witness={"point": arg.to_json()})
 
 
@@ -1527,10 +1617,16 @@ def sup_functional(f: Functional, expr: SetExpr) -> BoundPair:
     return expr.sup_functional(f)
 
 
+def sup_upper(f: Functional, expr: SetExpr) -> Optional[Fraction]:
+    """The certified upper end of :func:`sup_functional` alone (None when
+    unbounded above), without sampling members for a lower end."""
+    return expr.sup_upper(f)
+
+
 def _abs_coordinate_sup(expr: SetExpr, coord: int) -> Fraction:
     """Upper bound (exact where possible) on sup |v_coord| over the set."""
-    plus = sup_functional(unit(coord), expr).upper
-    minus = sup_functional(-unit(coord), expr).upper
+    plus = sup_upper(unit(coord), expr)
+    minus = sup_upper(-unit(coord), expr)
     if plus is None or minus is None:
         raise UnboundedDiameter(f"coordinate {coord} is unbounded")
     return max(plus, minus)
@@ -1567,7 +1663,10 @@ def diameter(
     Otherwise (symmetrized and intersected sets without one) the upper
     end is a relaxation and the lower end comes from members sampled with
     ``seed``; ``seed=None`` samples nothing and leaves that lower end at
-    the certified zero, without a witness.
+    the certified zero, without a witness. With ``seed=None`` the LP
+    extent of a hull's symmetrization is read off warm LPs, which give
+    its value but no attaining member: a positive value comes as the
+    upper end over that certified zero.
     """
     return reduced(expr).diameter(kind, seed, enum_budget)
 

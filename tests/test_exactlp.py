@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from symdex.exactlp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    WarmLp,
     free_columns,
     free_value,
     phase_one,
@@ -185,3 +187,70 @@ def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
     objective = [F(0), F(1), F(1)]
     expected = (OPTIMAL, F(1), [F(0), F(0), F(1)])
     assert _outcome(phase_two(start, objective)) == dense_solve_lp(objective, rows, rhs) == expected
+
+
+# ---------------------------------------------------------------------------
+# warm re-solves over one integer matrix
+
+
+@st.composite
+def warm_sequences(draw):
+    """Integer rows (from ``lp_rows``: duplicate entries, redundant rows)
+    and a sequence of right-hand sides over them: ``A x`` for drawn
+    ``x >= 0`` (feasible), the same shifted on one row (infeasible when
+    that row is redundant), arbitrary ones (often infeasible), and
+    repeats of earlier ones."""
+    n, rows, rhs = draw(lp_rows())
+    scale = lcm(*(a.denominator for row in rows for a in row))
+    rows = [[int(a * scale) for a in row] for row in rows]
+    sequence = [rhs]
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["point", "shifted", "any", "repeat"]))
+        if how == "repeat":
+            sequence.append(draw(st.sampled_from(sequence)))
+        elif how == "any" or not rows:
+            sequence.append(draw(st.lists(entries, min_size=len(rows), max_size=len(rows))))
+        else:
+            x = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(1, 3), F(5, 2)]), min_size=n, max_size=n))
+            b = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+            if how == "shifted":
+                b[draw(st.integers(0, len(b) - 1))] += draw(st.sampled_from([F(1), F(-1, 2)]))
+            sequence.append(b)
+    return n, rows, sequence
+
+
+@settings(max_examples=300, deadline=None)
+@given(warm_sequences(), st.data())
+def test_warm_solves_match_cold_and_dense_solves(lp, data):
+    n, rows, sequence = lp
+    frac_rows = [[F(a) for a in row] for row in rows]
+    costs = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=n, max_size=n),
+                               min_size=1, max_size=3))
+    warm = WarmLp(rows, n)
+    for b in sequence:
+        feasible = phase_one(frac_rows, b, n) is not None
+        assert feasible == (dense_solve_lp([F(0)] * n, frac_rows, b)[0] != INFEASIBLE)
+        # the feasibility question and each objective in a drawn order
+        for cost in data.draw(st.permutations([None] + [tuple(c) for c in costs])):
+            if cost is None:
+                assert warm.feasible(b) == feasible
+                continue
+            res = warm.maximum(b, cost)
+            cold = solve_lp([F(c) for c in cost], frac_rows, b)
+            assert (res.status, res.value) == (cold.status, cold.value)
+            assert (res.status, res.value) == dense_solve_lp([F(c) for c in cost], frac_rows, b)[:2]
+            assert res.x is None
+
+
+def test_warm_solve_checks_a_redundant_row():
+    # the second row is twice the first: any b with b2 != 2 b1 is infeasible,
+    # and phase 1 keeps the row with its artificial basic
+    rows = [[1, 1, 1], [2, 2, 2]]
+    warm = WarmLp(rows, 3)
+    assert warm.feasible([F(1), F(2)])
+    assert not warm.feasible([F(1), F(3)])
+    assert warm.feasible([F(1, 2), F(1)])
+    assert warm.maximum([F(1), F(2)], (1, 0, 0)).value == 1
+    assert warm.maximum([F(1), F(5, 2)], (1, 0, 0)).status == INFEASIBLE
+    assert warm.maximum([F(3), F(6)], (1, 0, 0)).value == 3
+    assert not warm.feasible([F(-1), F(-2)])  # consistent, but x >= 0 fails

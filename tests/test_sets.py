@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from symdex import (
     Intersect,
     Negate,
     NormKind,
+    SearchStrategy,
     SeriesSpec,
     SignMode,
     SignSums,
@@ -27,6 +29,8 @@ from symdex import (
     ZERO,
     contains,
     coordinate_relaxation,
+    delta0,
+    delta_curve,
     diameter,
     diameter_upper,
     free_direction,
@@ -34,6 +38,7 @@ from symdex import (
     set_from_json,
     set_to_json,
     sup_functional,
+    sup_upper,
     symmetrize,
     unit,
 )
@@ -437,6 +442,36 @@ def test_symmetrized_hull_diameter_matches_every_objective(hw, kind):
     assert bound.lower_witness == {"pair": [arg.to_json(), (-arg).to_json()]}
 
 
+@settings(max_examples=20, deadline=None)
+@given(hulls_with_witnesses(), hulls_with_witnesses(), st.sampled_from([NormKind.SUP, NormKind.SUM]))
+def test_hull_delta_report_does_not_depend_on_earlier_calls(hw, other, kind):
+    hull, witnesses = hw
+    # interior witnesses, so the rows print LP vertices, not the zero pair
+    strategy = SearchStrategy.exhaustive(witnesses + [ZERO])
+
+    def report(h):
+        return json.dumps([row.to_json() for row in delta_curve(h, 2, strategy, kind)], sort_keys=True)
+
+    fresh = report(AbsConvHull(hull.points))
+    used = AbsConvHull(hull.points)
+    # unrelated calls first: memberships, then full, upper-only and
+    # unseeded diameters and sups of other symmetrizations
+    for v in other[1] + list(other[0].points) + witnesses:
+        contains(used, v)
+    for ws in ([-witnesses[0]], [witnesses[-1].scale(F(1, 2)), used.points[0].scale(F(1, 3))]):
+        sym = symmetrize(used, ws)
+        for k in ALL_NORMS:
+            diameter(sym, k)
+            diameter(sym, k, None)
+            diameter_upper(sym, k)
+        sup_functional(unit(1), sym)
+    assert report(used) == fresh
+    # every printed bound is the cold one of a new hull
+    for row in json.loads(fresh)[1:]:
+        ws = [SparseVec.from_json(w) for w in row["upper_witnesses"]]
+        assert row["bound"]["upper_witness"] == delta0(symmetrize(AbsConvHull(hull.points), ws), kind).to_json()
+
+
 # ---------------------------------------------------------------------------
 # sup_functional
 
@@ -641,6 +676,37 @@ def test_diameter_upper_samples_no_member(monkeypatch):
     full = diameter(both, NormKind.SUP, 0, 8)
     assert len(calls) == 1  # the intersection's own lower end, not its parts'
     assert full.upper == diameter_upper(both, NormKind.SUP, 8)
+
+
+functionals = st.dictionaries(
+    st.integers(1, 5), st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3
+).map(SparseVec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_exprs, functionals)
+def test_sup_upper_is_the_upper_end_of_sup_functional(expr, f):
+    full = outcome(lambda: sup_functional(f, expr))
+    upper = outcome(lambda: sup_upper(f, expr))
+    assert upper == (full if isinstance(full, str) else full.upper)
+
+
+def test_sup_upper_samples_no_member(monkeypatch):
+    # overlapping terms: the symmetrized sign sums have no exact sup
+    terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 5))
+    base = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap"), SignMode.SUBSETS, 4)
+    sym = Symmetrized(base, (terms[0],))
+    both = Intersect((sym, Box(F(0), ((1, F(1, 2)), (2, F(1, 4))))))
+    f = SparseVec({1: F(1), 3: F(-1, 2)})
+    calls = []
+    sampled = sets_module.sample_members
+    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or sampled(*args))
+    for expr in (sym, both, Translate(sym, unit(5)), Negate(sym)):
+        sup_upper(f, expr)
+    assert calls == []
+    full = sup_functional(f, both)
+    assert len(calls) == 1  # the intersection's own lower end, not its parts'
+    assert full.upper == sup_upper(f, both)
 
 
 def test_sample_members_are_members():
