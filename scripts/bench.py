@@ -12,16 +12,19 @@ symmetrization and of ``sup_functional`` on it, each call on a new copy
 of the hull (a hull keeps warm LPs, and a ``hull_lp`` request builds its
 own), the rows x columns of the LP each hands to phase 1 (before phase 1
 adds its artificial columns), and the phase-1, phase-2 and warm dual
-pivots each makes over all LP_HULLS hulls. Pivots are counted by
-wrapping ``exactlp._pivot`` here: phase 1 is the integer core
-``exactlp._feasible_basis`` (``exactlp.phase_one`` in a checkout without
-it), phase 2 is ``phase_two`` and the primal solves of
-``WarmLp.maximum``, and dual pivots are those of
-``exactlp._dual_simplex``. These counts do not depend on the machine,
+pivots each makes over all LP_HULLS hulls, with the tableau cells those
+pivots update. Pivots are counted by wrapping ``exactlp._pivot`` here:
+phase 1 is every pivot inside ``exactlp._feasible_basis``, phase 2 every
+pivot of ``exactlp._simplex`` outside it, and dual pivots are those of
+``exactlp._dual_simplex``; the cells of a pivot are the rows x columns
+of the tableau it updates. These counts do not depend on the machine,
 and equal counts show the same Bland path. It also counts the hull
 membership LPs (calls of ``AbsConvHull.contains``) and the pivots that
 ``delta_upper`` at N=1 under the sup norm, with exhaustive search over
-``default_pool``, makes over all LP_HULLS hulls.
+``default_pool``, makes over all LP_HULLS hulls, and the pivots and
+cells of all requests of the ``hull_lp`` benchmark catalogue
+(``perfbench/hull_catalogue.json``), each on new hulls with an empty
+enumeration cache.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -70,6 +73,7 @@ import statistics
 import sys
 import tempfile
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +93,7 @@ PROC_SETS = 6  # random sets per (size, norm)
 PROC_REPEATS = 5  # timed calls per set and procedure figure
 PROC_EPSILONS = tuple(Fraction(x) for x in ("1/4", "1/2", "1"))  # drawn per set
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # x_n = e_n + e_{n+1}, n = 1..12: neighbouring terms share a coordinate,
 # so the symmetrized sign-sum sets have no closed form, and with 3^12
@@ -183,63 +188,84 @@ def random_hull(symdex, rng: random.Random, k: int, c: int):
     return hull, combination(Fraction(1)), [combination(Fraction(1, 2)), combination(Fraction(3, 2))], vec()
 
 
-def phase_one_core(exactlp) -> str:
-    """The name of the phase-1 function every LP goes through: the integer
-    core where the checkout has one, else ``phase_one``."""
-    return "_feasible_basis" if hasattr(exactlp, "_feasible_basis") else "phase_one"
-
-
 def lp_tableaus(exactlp, call) -> list[list[int]]:
     """[rows, columns] of each LP that ``call()`` hands to phase 1."""
-    name = phase_one_core(exactlp)
-    phase_one, seen = getattr(exactlp, name), []
+    phase_one, seen = exactlp._feasible_basis, []
 
     def recording(rows, rhs, n):
         seen.append([len(rows), n])
         return phase_one(rows, rhs, n)
 
-    setattr(exactlp, name, recording)
+    exactlp._feasible_basis = recording
     try:
         call()
     finally:
-        setattr(exactlp, name, phase_one)
+        exactlp._feasible_basis = phase_one
     return seen
 
 
 def lp_pivots(exactlp, call) -> list[int]:
     """[phase-1, phase-2, warm dual] pivots that ``call()`` makes, counted
-    by wrapping ``exactlp._pivot``; artificial drive-outs count in phase 1."""
-    warm = getattr(exactlp, "WarmLp", None)
-    phases = [(exactlp, phase_one_core(exactlp), 0), (exactlp, "phase_two", 1),
-              (warm, "maximum", 1), (exactlp, "_dual_simplex", 2)]
-    phases = [(owner, name, index) for owner, name, index in phases if hasattr(owner, name)]
-    originals = [getattr(owner, name) for owner, name, _ in phases]
+    by wrapping ``exactlp._pivot``, then the tableau cells they update.
+    Phase 1 is every pivot inside ``_feasible_basis`` (its ``_simplex``
+    and the artificial drive-outs)."""
+    phases = [("_feasible_basis", 0), ("_simplex", 1), ("_dual_simplex", 2)]
+    originals = [getattr(exactlp, name) for name, _ in phases]
     pivot = exactlp._pivot
-    counts, phase = [0, 0, 0], [0]
+    counts, phase = [0, 0, 0, 0], [None]
 
     def in_phase(index, solve):
         def run(*args):
-            outer, phase[0] = phase[0], index
+            outer = phase[0]
+            if outer is None:  # the outermost phase owns nested pivots
+                phase[0] = index
             try:
                 return solve(*args)
             finally:
                 phase[0] = outer
         return run
 
-    def counted(*args):
+    def counted(tableau, *args):
         counts[phase[0]] += 1
-        return pivot(*args)
+        counts[3] += len(tableau) * len(tableau[0])
+        return pivot(tableau, *args)
 
     exactlp._pivot = counted
-    for (owner, name, index), solve in zip(phases, originals):
-        setattr(owner, name, in_phase(index, solve))
+    for (name, index), solve in zip(phases, originals):
+        setattr(exactlp, name, in_phase(index, solve))
     try:
         call()
     finally:
         exactlp._pivot = pivot
-        for (owner, name, _), solve in zip(phases, originals):
-            setattr(owner, name, solve)
+        for (name, _), solve in zip(phases, originals):
+            setattr(exactlp, name, solve)
     return counts
+
+
+def add_pivots(total: list[int], counts: list[int]) -> None:
+    """Add ``lp_pivots`` figures to a running total."""
+    for index, count in enumerate(counts):
+        total[index] += count
+
+
+def measure_catalogue() -> dict:
+    """Pivots and cells of every request of the hull_lp catalogue, each
+    run as ``perfbench/workloads.py`` runs it, on new hulls with an
+    empty enumeration cache."""
+    import symdex
+    from symdex import exactlp, sets
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    lib = types.SimpleNamespace(symdex=symdex)
+    cache = getattr(sets, "_ENUM_CACHE", {})
+    instances = json.loads(workloads.HULL_CATALOGUE.read_text())["instances"]
+    total = [0, 0, 0, 0]
+    for instance in instances:
+        cache.clear()
+        add_pivots(total, lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance)))
+    return {"requests": len(instances), "pivots": total[:3], "cells": total[3]}
 
 
 def measure_lp() -> dict:
@@ -253,7 +279,7 @@ def measure_lp() -> dict:
     for k, c in LP_SHAPES:
         samples: dict[str, list[float]] = {}
         pivots: dict[str, list[int]] = {}
-        search_lps, search_pivots = 0, [0, 0, 0]
+        search_lps, search_pivots = 0, [0, 0, 0, 0]
         for _ in range(LP_HULLS):
             hull, witness, probes, f = random_hull(symdex, rng, k, c)
             witnesses = symdex.symmetrize(hull, [witness]).witnesses
@@ -281,9 +307,7 @@ def measure_lp() -> dict:
                     ns.append((time.perf_counter_ns() - start) / per_call)
                 samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
                 cache.clear()
-                counts = pivots.setdefault(name, [0, 0, 0])
-                for index, count in enumerate(lp_pivots(exactlp, call)):
-                    counts[index] += count
+                add_pivots(pivots.setdefault(name, [0, 0, 0, 0]), lp_pivots(exactlp, call))
             strategy = symdex.SearchStrategy.exhaustive(symdex.default_pool(hull))
 
             def search():
@@ -292,12 +316,11 @@ def measure_lp() -> dict:
             cache.clear()
             search_lps += count_calls(search, (symdex.AbsConvHull, "contains"))[0]
             cache.clear()
-            for index, count in enumerate(lp_pivots(exactlp, search)):
-                search_pivots[index] += count
+            add_pivots(search_pivots, lp_pivots(exactlp, search))
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
-        row.update({f"{name}_pivots": counts for name, counts in pivots.items()})
+        for name, counts in [*pivots.items(), ("delta_upper", search_pivots)]:
+            row[f"{name}_pivots"], row[f"{name}_cells"] = counts[:3], counts[3]
         row["delta_upper_contains_lps"] = search_lps
-        row["delta_upper_pivots"] = search_pivots
         # the tableau shape depends only on (k, c): read it off the last hull
         cache.clear()
         row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
@@ -479,6 +502,17 @@ def main(argv=None) -> int:
                                       ("contains_pivots", "diameter_sup_pivots", "diameter_sum_pivots",
                                        "sup_functional_pivots"))
               + f"{'/'.join(map(str, row['delta_upper_pivots'])):>16}{row['delta_upper_contains_lps']:>6}")
+    print(f"\n{'hull shape':<14}{'contains':>12}{'diam sup':>12}{'diam sum':>12}{'sup f':>12}{'search':>16}"
+          f"   (tableau cells the pivots update, over {LP_HULLS} hulls)")
+    for name, row in lp.items():
+        print(f"{name:<14}" + "".join(f"{row[key]:>12}" for key in
+                                      ("contains_cells", "diameter_sup_cells", "diameter_sum_cells",
+                                       "sup_functional_cells"))
+              + f"{row['delta_upper_cells']:>16}")
+    catalogue = measure_catalogue()
+    print(f"\nhull_lp catalogue: {catalogue['requests']} requests, "
+          f"{'/'.join(map(str, catalogue['pivots']))} phase-1/phase-2/dual pivots "
+          f"({sum(catalogue['pivots'])} in all), {catalogue['cells']} tableau cells")
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
           f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
@@ -497,8 +531,10 @@ def main(argv=None) -> int:
             "units": {
                 "kernels": "us per call, median",
                 "lp": "us per call on a new copy of the hull, median; tableau as [rows, columns]; pivots as "
-                      "[phase 1, phase 2, warm dual], delta_upper_pivots and delta_upper_contains_lps summed over "
-                      "lp_hulls hulls",
+                      "[phase 1, phase 2, warm dual] and cells as the rows x columns those pivots update, "
+                      "summed over lp_hulls hulls, as are delta_upper_contains_lps",
+                "catalogue": "pivots as [phase 1, phase 2, warm dual] and the cells they update, summed over "
+                             "every request of perfbench/hull_catalogue.json",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists and sampled_lower_calls per request",
@@ -516,6 +552,7 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "kernels": kernels,
             "lp": lp,
+            "catalogue": catalogue,
             "procedures": procedures,
             "cli": cli,
         }

@@ -1,35 +1,36 @@
-"""Exact-rational linear programming with a two-phase simplex.
+"""Exact-rational linear programming: one warm-started simplex engine.
 
 Problems here are tiny (hull memberships, unit-dual-ball functional
 searches), so a plain tableau with Bland's anti-cycling rule is plenty.
 
-The core works on integer rows ``A`` and an integer right-hand side
+The engine works on integer rows ``A`` and an integer right-hand side
 ``b``. Its tableau is fraction-free: every pivot is a Bareiss (integer-
 preserving) step, so each row ``T`` stands for ``T / det`` with one
-common denominator ``det``, the basis determinant. ``phase_one`` and
-``solve_lp`` take ``Fraction`` rows and scale ``[A | b]`` by the lcm of
-its denominators; the hull LPs of ``sets`` build integer rows over one
-common scale themselves and call ``integer_phase_one``. Positive row and
+common denominator ``det``, the basis determinant. Positive row and
 column scales change no Bland pivot, so every scale gives the same
 pivots and the same rational results. Only results become ``Fraction``s
 again; optima are exact.
 
 Standard form: maximize c.x subject to A x = b, x >= 0.
 
-``phase_one`` finds a feasible basis (artificials driven out, redundant
-rows dropped) or reports the rows infeasible; ``phase_two`` maximizes one
-objective from a copy of it, so objectives over the same rows share one
-phase 1, and ``solve_lp`` is the two in turn.
+A ``WarmLp`` solves one integer ``A`` for one ``b`` after another. The
+first ``b`` runs phase 1 from the all-artificial basis: leftover
+artificials are driven out, and a redundant row keeps its artificial
+basic over ``A`` columns that are all zero. Each objective then runs
+phase 2 from a copy of that feasible basis, Bland's primal pivots over
+the columns of ``A``, so redundant rows and artificial columns never
+enter or leave. Every basis is kept with its inverse ``det * B^-1``,
+which phase 1 builds in its artificial columns, so a later ``b`` costs
+one product ``B^-1 b`` and dual-simplex pivots under Bland's rule until
+``B^-1 b >= 0``; ``B^-1 b`` must stay 0 on a redundant row.
 
-A ``WarmLp`` solves one integer ``A`` for one ``b`` after another. It
-keeps each basis with its inverse ``det * B^-1``, which phase 1 builds
-in its artificial columns, so a new ``b`` costs one product ``B^-1 b``
-and dual-simplex pivots under Bland's rule until ``B^-1 b >= 0``. A
-redundant row stays in the tableau, and ``B^-1 b`` must stay 0 on it.
-Where a warm solve ends depends on the bases it starts from, so it
-answers only what no basis can change: whether ``b`` is feasible, and
-the optimum value of an objective. A vertex comes from ``phase_one``
-and ``phase_two``.
+Feasibility and optimum values do not depend on the basis a solve
+starts from, but the vertex it ends at does. So ``maximum`` returns the
+vertex ``x`` only while every ``b`` the LP has been given equals the
+first: until then its pivots are those of a cold two-phase solve, and
+``x`` is the Bland vertex. Once another ``b`` arrives, ``x`` is None
+for good. ``solve_lp`` scales ``Fraction`` rows ``[A | b]`` to integers
+and maximizes on a fresh ``WarmLp``.
 
 A free (sign-unrestricted) vector enters a problem as ``u - w``:
 ``free_columns`` writes its coefficients and ``free_value`` reads it back.
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InvalidInput
@@ -56,31 +58,17 @@ class LpResult:
     value: Fraction | None
 
 
-@dataclass(frozen=True)
-class FeasibleStart:
-    """Integer rows ``det * [B^-1 A | scale * B^-1 b]`` of the kept
-    constraints of an LP with ``n`` columns, the basic column of each
-    row, ``det > 0``, the common denominator of the rows, and ``scale``,
-    the factor the right-hand side was scaled by to integers."""
-
-    n: int
-    tableau: tuple[tuple[int, ...], ...]
-    basis: tuple[int, ...]
-    det: int
-    scale: int = 1
-
-
 def _integers(values, scale: int) -> list[int]:
     """``scale * v`` for each rational ``v``; ``scale`` is a multiple of
     every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _scaled(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """A rational right-hand side as integers over the lcm of its
-    denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in rhs))
-    return _integers(rhs, scale), scale
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integers over the lcm of their denominators, and
+    that lcm."""
+    scale = lcm(*(v.denominator for v in values))
+    return _integers(values, scale), scale
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
@@ -175,67 +163,6 @@ def _feasible_basis(rows: Sequence[Sequence[int]], b: Sequence[int], n: int):
     return tableau, basis, det
 
 
-def integer_phase_one(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int) -> FeasibleStart | None:
-    """A feasible start for integer rows ``A x = rhs``, ``x >= 0`` with
-    ``n`` columns and a rational ``rhs``, or None when infeasible."""
-    b, scale = _scaled(rhs)
-    found = _feasible_basis(rows, b, n)
-    if found is None:
-        return None
-    tableau, basis, det = found
-    # an artificial still basic sits in a zero row: the constraint is redundant
-    kept = [r for r in range(len(rows)) if basis[r] < n]
-    return FeasibleStart(
-        n,
-        tuple(tuple(tableau[r][:n]) + (tableau[r][-1],) for r in kept),
-        tuple(basis[r] for r in kept),
-        det,
-        scale,
-    )
-
-
-def phase_one(a_eq: list[list[Fraction]], b_eq: list[Fraction], n: int) -> FeasibleStart | None:
-    """A feasible start for ``a_eq x = b_eq``, ``x >= 0`` with ``n``
-    columns, or None when the rows are infeasible."""
-    for row in a_eq:
-        if len(row) != n:
-            raise InvalidInput("inconsistent LP row width")
-    if len(b_eq) != len(a_eq):
-        raise InvalidInput("inconsistent LP right-hand side")
-    scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
-    return integer_phase_one([_integers(row, scale) for row in a_eq], _integers(b_eq, scale), n)
-
-
-def phase_two(start: FeasibleStart, objective: list[Fraction]) -> LpResult:
-    """Maximize ``objective . x`` from a copy of a phase-1 start."""
-    if len(objective) != start.n:
-        raise InvalidInput("inconsistent LP row width")
-    if not start.tableau:
-        # only x >= 0; optimum is 0 unless some objective coefficient is positive
-        if any(c > 0 for c in objective):
-            return LpResult(UNBOUNDED, None, None)
-        return LpResult(OPTIMAL, [Fraction(0)] * start.n, Fraction(0))
-    scale = lcm(*(c.denominator for c in objective))
-    tableau = [list(row) for row in start.tableau]
-    basis = list(start.basis)
-    _with_reduced_costs(tableau, basis, _integers(objective, scale), start.det)
-    det = _simplex(tableau, basis, start.n, start.det)
-    if det is None:
-        return LpResult(UNBOUNDED, None, None)
-    x = [Fraction(0)] * start.n
-    for row, b in zip(tableau, basis):
-        x[b] = Fraction(row[-1], det * start.scale)
-    return LpResult(OPTIMAL, x, Fraction(-tableau[-1][-1], det * scale * start.scale))
-
-
-def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
-    """Maximize ``objective . x`` subject to ``a_eq x = b_eq``, ``x >= 0``."""
-    start = phase_one(a_eq, b_eq, len(objective))
-    if start is None:
-        return LpResult(INFEASIBLE, None, None)
-    return phase_two(start, objective)
-
-
 class _Basis:
     """A basis of a ``WarmLp``: tableau rows ``det * B^-1 [A | I | b]``
     (the middle columns are ``det * B^-1``), then the reduced costs of
@@ -294,15 +221,29 @@ class WarmLp:
 
     It keeps the last basis found feasible and, per objective, the last
     basis found optimal. A new ``b`` starts from that basis; only the
-    first ``b`` runs phase 1. Answers do not depend on the bases kept:
-    ``feasible`` is whether ``b`` is feasible, and ``maximum`` the
-    optimum value alone (``x`` is None).
+    first ``b`` runs phase 1. ``feasible`` is whether ``b`` is feasible,
+    and ``maximum`` the optimum value, with the vertex ``x`` only while
+    every ``b`` given so far equals the first.
     """
 
     def __init__(self, rows: list[list[int]], n: int):
         self.rows, self.n = rows, n
         self._feasible: Optional[_Basis] = None
-        self._optimal: dict[tuple[int, ...], _Basis] = {}
+        # per objective: its optimal basis and the objective over integers
+        self._optimal: dict[tuple[Fraction, ...], tuple[_Basis, list[int], int]] = {}
+        self._first: Optional[tuple[list[int], int]] = None
+        self._vertex = True
+
+    def _given(self, rhs: Sequence[Fraction]) -> tuple[list[int], int]:
+        """``rhs`` over integers and its scale (``_scaled``, which is one
+        per rational vector); a ``rhs`` other than the first ends the
+        vertex answers."""
+        scaled = _scaled(rhs)
+        if self._first is None:
+            self._first = scaled
+        elif self._vertex and scaled != self._first:
+            self._vertex = False
+        return scaled
 
     def _load(self, state: _Basis, b: list[int]) -> bool:
         """Set ``det * B^-1 b`` as the right-hand side of ``state``; False
@@ -310,14 +251,14 @@ class WarmLp:
         n, rows = self.n, len(state.basis)
         for r in range(rows):
             line = state.tableau[r]
-            line[-1] = value = sum(a * v for a, v in zip(line[n:-1], b))
+            line[-1] = value = sum(map(mul, line[n:-1], b))
             if value and state.basis[r] >= n:
                 return False
         return True
 
     def feasible(self, rhs: Sequence[Fraction]) -> bool:
         """Whether ``A x = rhs`` has a solution ``x >= 0``."""
-        return self._feasible_for(_scaled(rhs)[0])
+        return self._feasible_for(self._given(rhs)[0])
 
     def _feasible_for(self, b: list[int]) -> bool:
         state = self._feasible
@@ -335,29 +276,52 @@ class WarmLp:
             return True
         return self._load(state, b) and _dual_simplex(state, self.n, False)
 
-    def maximum(self, rhs: Sequence[Fraction], cost: tuple[int, ...]) -> LpResult:
-        """The optimum value of ``cost . x`` over ``A x = rhs``, ``x >= 0``."""
-        b, scale = _scaled(rhs)
-        state = self._optimal.get(cost)
-        if state is None:
+    def maximum(self, rhs: Sequence[Fraction], cost: Sequence[Fraction]) -> LpResult:
+        """The optimum of ``cost . x`` over ``A x = rhs``, ``x >= 0``, and
+        the vertex ``x`` while every right-hand side so far is ``rhs``."""
+        b, scale = self._given(rhs)
+        key = tuple(cost)
+        found = self._optimal.get(key)
+        if found is None:
             if not self._feasible_for(b):
                 return LpResult(INFEASIBLE, None, None)
+            c, cost_scale = _scaled(key)
             state = self._feasible.copy()
-            _with_reduced_costs(state.tableau, state.basis, cost, state.det)
+            _with_reduced_costs(state.tableau, state.basis, c, state.det)
             det = _simplex(state.tableau, state.basis, self.n, state.det)
             if det is None:
                 return LpResult(UNBOUNDED, None, None)
             state.det = det
-            self._optimal[cost] = state
+            self._optimal[key] = state, c, cost_scale
         else:
+            state, c, cost_scale = found
             if not self._load(state, b):
                 return LpResult(INFEASIBLE, None, None)
             state.tableau[-1][-1] = -sum(
-                cost[c] * line[-1] for c, line in zip(state.basis, state.tableau) if c < self.n
+                c[col] * line[-1] for col, line in zip(state.basis, state.tableau) if col < self.n
             )
             if not _dual_simplex(state, self.n, True):
                 return LpResult(INFEASIBLE, None, None)
-        return LpResult(OPTIMAL, None, Fraction(-state.tableau[-1][-1], state.det * scale))
+        x, den = None, state.det * scale
+        if self._vertex:
+            x = [Fraction(0)] * self.n
+            for line, col in zip(state.tableau, state.basis):
+                if col < self.n:
+                    x[col] = Fraction(line[-1], den)
+        return LpResult(OPTIMAL, x, Fraction(-state.tableau[-1][-1], den * cost_scale))
+
+
+def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
+    """Maximize ``objective . x`` subject to ``a_eq x = b_eq``, ``x >= 0``,
+    scaling ``[a_eq | b_eq]`` to integers by the lcm of its denominators."""
+    n = len(objective)
+    for row in a_eq:
+        if len(row) != n:
+            raise InvalidInput("inconsistent LP row width")
+    if len(b_eq) != len(a_eq):
+        raise InvalidInput("inconsistent LP right-hand side")
+    scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
+    return WarmLp([_integers(row, scale) for row in a_eq], n).maximum(_integers(b_eq, scale), objective)
 
 
 def free_columns(coeffs: list[Fraction]) -> list[Fraction]:

@@ -68,8 +68,8 @@ DEFAULT_NODE_BUDGET = 200_000
 # this keeps the stack well under Python's default limit of 1000 frames.
 MAX_SET_DEPTH = 200
 
-# Entries an AbsConvHull keeps of its warm LPs and phase-1 starts (one
-# per row layout or witness list); a request uses a handful.
+# Entries an AbsConvHull keeps of its warm LPs (one per row layout, and
+# one per witness list for vertices); a request uses a handful.
 HULL_LP_MEMO = 64
 
 
@@ -1261,10 +1261,10 @@ class AbsConvHull(SetExpr):
 
     Its LPs have integer rows over ``_scale``, the lcm of the generators'
     denominators. ``_lps`` keeps, per row layout, a warm LP that answers
-    membership and the values of symmetrized extents, and the phase-1
-    starts of symmetrizations, at most HULL_LP_MEMO entries. It is
-    private state, like ``SparseVec._hash``: equal hulls built
-    separately share nothing.
+    membership and the values of symmetrized extents, and per witness
+    list a warm LP over the same rows that returns vertices, at most
+    HULL_LP_MEMO entries. It is private state, like ``SparseVec._hash``:
+    equal hulls built separately share nothing.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
@@ -1366,38 +1366,35 @@ class AbsConvHull(SetExpr):
             pool.add(-p)
         return tuple(sorted(pool, key=lambda p: p.sort_key()))
 
-    def _symmetrized(self, witnesses: Sequence[SparseVec], coords: tuple[int, ...]):
-        """The warm LP over the symmetrization at the witnesses and its
-        right-hand side; ``coords`` covers the generators and witnesses."""
-        lp = self._lp(coords, (1, -1) * len(witnesses))
+    def _symmetrized(
+        self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], vertex: bool
+    ) -> tuple[exactlp.WarmLp, list[Fraction]]:
+        """The LP over the symmetrization at the witnesses and its
+        right-hand side; ``coords`` covers the generators and witnesses.
+        With ``vertex`` it is an LP over the same rows kept for this
+        witness list alone, so it is only ever given this right-hand side
+        and returns vertices."""
+        lp = layout = self._lp(coords, (1, -1) * len(witnesses))
+        if vertex:
+            lp = self._memo(("vertex", coords, witnesses), lambda: exactlp.WarmLp(layout.rows, layout.n))
         return lp, self._rhs(coords, [w for w in witnesses for _ in (1, -1)])
-
-    def _symmetrized_start(
-        self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...]
-    ) -> exactlp.FeasibleStart:
-        """Phase-1 start of the LP over the symmetrization at the witnesses,
-        kept for another objective over the same LP."""
-
-        def build():
-            lp, rhs = self._symmetrized(witnesses, coords)
-            start = exactlp.integer_phase_one(lp.rows, rhs, lp.n)
-            if start is None:
-                raise WitnessNotMember("hull symmetrization witnesses are not all members")
-            return start
-
-        return self._memo(("start", coords, witnesses), build)
 
     @staticmethod
     def _symmetrized_max(
-        start: exactlp.FeasibleStart, coords: tuple[int, ...], objective: Sequence[Fraction]
-    ) -> tuple[Fraction, SparseVec]:
-        """Exact max of a linear objective (its coefficients on ``coords``)
-        over the symmetrization from its phase-1 start, with an attaining
-        member."""
+        lp: exactlp.WarmLp, rhs: list[Fraction], objective: Sequence[Fraction]
+    ) -> exactlp.LpResult:
+        """Exact max of a linear objective (its coefficients on the
+        ``coords`` of :meth:`_symmetrized`) over the symmetrization."""
         obj = exactlp.free_columns(list(objective))
-        res = exactlp.phase_two(start, obj + [0] * (start.n - len(obj)))
-        d = SparseVec(dict(zip(coords, exactlp.free_value(res.x, len(coords)))))
-        return res.value, d
+        res = lp.maximum(rhs, obj + [0] * (lp.n - len(obj)))
+        if res.status != exactlp.OPTIMAL:
+            raise WitnessNotMember("hull symmetrization witnesses are not all members")
+        return res
+
+    @staticmethod
+    def _free_point(coords: tuple[int, ...], x: list[Fraction]) -> SparseVec:
+        """The member ``d`` of a vertex of :meth:`_symmetrized`."""
+        return SparseVec(dict(zip(coords, exactlp.free_value(x, len(coords)))))
 
     @staticmethod
     def _extent_objectives(coords: tuple[int, ...], kind: NormKind) -> Iterable[tuple[int, ...]]:
@@ -1417,36 +1414,25 @@ class AbsConvHull(SetExpr):
         if kind not in (NormKind.SUP, NormKind.SUM):
             return None
         coords = tuple(sorted(relevant_coords(sym)))
-        best = Fraction(0)
-        arg = ZERO
         if not coords:
-            return _symmetric_pair_bound(best, arg, kind)
+            return _symmetric_pair_bound(Fraction(0), ZERO, kind)
         objectives = self._extent_objectives(coords, kind)
-        if not vertex:
-            # values from warm LPs; with no positive value the vertex is
-            # zero, as the cold solves leave it
-            lp, rhs = self._symmetrized(sym.witnesses, coords)
-            pad = [0] * (lp.n - 2 * len(coords))
-            for objective in objectives:
-                res = lp.maximum(rhs, tuple(exactlp.free_columns(list(objective)) + pad))
-                if res.status != exactlp.OPTIMAL:
-                    raise WitnessNotMember("hull symmetrization witnesses are not all members")
-                best = max(best, res.value)
-            if best > 0:
-                return BoundPair(Fraction(0), double_length(best, kind))
-            return _symmetric_pair_bound(best, arg, kind)
-        start = self._symmetrized_start(sym.witnesses, coords)
+        lp, rhs = self._symmetrized(sym.witnesses, coords, vertex)
+        best, arg = Fraction(0), None
         for objective in objectives:
-            value, d = self._symmetrized_max(start, coords, objective)
-            if value > best:
-                best, arg = value, d
-        return _symmetric_pair_bound(best, arg, kind)
+            res = self._symmetrized_max(lp, rhs, objective)
+            if res.value > best:
+                best, arg = res.value, res.x
+        if best > 0 and not vertex:
+            return BoundPair(Fraction(0), double_length(best, kind))
+        # with no positive value the vertex is zero
+        return _symmetric_pair_bound(best, ZERO if arg is None else self._free_point(coords, arg), kind)
 
     def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
         coords = tuple(sorted(relevant_coords(sym) | set(f.support)))
-        start = self._symmetrized_start(sym.witnesses, coords)
-        value, arg = self._symmetrized_max(start, coords, [f.get(i) for i in coords])
-        return BoundPair(value, value, lower_witness={"point": arg.to_json()})
+        res = self._symmetrized_max(*self._symmetrized(sym.witnesses, coords, True), [f.get(i) for i in coords])
+        arg = self._free_point(coords, res.x)
+        return BoundPair(res.value, res.value, lower_witness={"point": arg.to_json()})
 
 
 # ---------------------------------------------------------------------------

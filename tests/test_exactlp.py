@@ -12,8 +12,6 @@ from symdex.exactlp import (
     WarmLp,
     free_columns,
     free_value,
-    phase_one,
-    phase_two,
     solve_lp,
 )
 from util import dense_phase_one, dense_solve_lp
@@ -59,9 +57,8 @@ def test_degenerate_redundant_rows():
 
 def feasible_point(rows, rhs):
     """A nonnegative solution of ``rows x = rhs`` or None: the basic point
-    of the phase-1 start, read off as a zero objective's optimum."""
-    start = phase_one(rows, rhs, len(rows[0]) if rows else 0)
-    return None if start is None else phase_two(start, [F(0)] * start.n).x
+    of the phase-1 basis, read off as a zero objective's optimum."""
+    return solve_lp([F(0)] * (len(rows[0]) if rows else 0), rows, rhs).x
 
 
 def test_feasible_point():
@@ -125,6 +122,26 @@ def _outcome(res):
     return res.status, res.value, res.x
 
 
+def integer_lp(rows, rhs, n):
+    """A ``WarmLp`` over ``rows`` scaled to integers as ``solve_lp``
+    scales them (one lcm over ``[A | b]``), and the scaled ``rhs``."""
+    scale = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
+    return WarmLp([[int(a * scale) for a in row] for row in rows], n), [b * scale for b in rhs]
+
+
+def feasible_start(rows, rhs, n):
+    """The engine's phase-1 basis for ``rows x = rhs`` without its
+    artificial columns and redundant rows: ``(tableau, basis, det)``,
+    each kept row the ``n`` columns of ``det * B^-1 A``, then
+    ``det * B^-1 b``; or None when the rows are infeasible."""
+    lp, b = integer_lp(rows, rhs, n)
+    if not lp.feasible(b):
+        return None
+    state = lp._feasible
+    kept = [r for r, col in enumerate(state.basis) if col < n]
+    return [state.tableau[r][:n] + [state.tableau[r][-1]] for r in kept], [state.basis[r] for r in kept], state.det
+
+
 def assert_matches_dense_start(start, rows, rhs, n):
     """The fraction-free start is the dense reference's: same kept basis,
     and its integer rows over ``det > 0`` are the dense rows."""
@@ -132,11 +149,12 @@ def assert_matches_dense_start(start, rows, rhs, n):
     assert (start is None) == (dense is None)
     if start is None:
         return
+    tableau, basis, det = start
     dense_rows, dense_basis = dense
-    assert list(start.basis) == dense_basis
-    assert type(start.det) is int and start.det > 0
-    assert all(type(a) is int for row in start.tableau for a in row)
-    assert [[F(a, start.det) for a in row] for row in start.tableau] == dense_rows
+    assert basis == dense_basis
+    assert type(det) is int and det > 0
+    assert all(type(a) is int for row in tableau for a in row)
+    assert [[F(a, det) for a in row] for row in tableau] == dense_rows
 
 
 @settings(max_examples=300)
@@ -145,23 +163,24 @@ def test_solve_lp_matches_dense_reference(lp, data):
     n, rows, rhs = lp
     objective = data.draw(st.lists(entries, min_size=n, max_size=n))
     assert _outcome(solve_lp(objective, rows, rhs)) == dense_solve_lp(objective, rows, rhs)
-    assert_matches_dense_start(phase_one(rows, rhs, n), rows, rhs, n)
+    assert_matches_dense_start(feasible_start(rows, rhs, n), rows, rhs, n)
     if rows:
         assert feasible_point(rows, rhs) == dense_solve_lp([F(0)] * n, rows, rhs)[2]
 
 
 @settings(max_examples=150)
 @given(lp_rows(), st.data())
-def test_phase_two_leaves_the_start_unchanged(lp, data):
+def test_objectives_at_one_rhs_leave_the_start_unchanged(lp, data):
     n, rows, rhs = lp
-    start = phase_one(rows, rhs, n)
-    if start is None:
+    warm, b = integer_lp(rows, rhs, n)
+    if not warm.feasible(b):
         assert solve_lp([F(0)] * n, rows, rhs).status == INFEASIBLE
         return
-    snapshot = (start.tableau, start.basis, start.det)
+    state = warm._feasible
+    snapshot = ([list(row) for row in state.tableau], list(state.basis), state.det)
     for objective in data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=5)):
-        assert _outcome(phase_two(start, objective)) == _outcome(solve_lp(objective, rows, rhs))
-        assert (start.tableau, start.basis, start.det) == snapshot
+        assert _outcome(warm.maximum(b, objective)) == _outcome(solve_lp(objective, rows, rhs))
+        assert (state.tableau, state.basis, state.det) == snapshot
 
 
 def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
@@ -178,15 +197,14 @@ def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
         return pivot(tableau, basis, row, col, det)
 
     monkeypatch.setattr(exactlp, "_pivot", recording)
-    start = phase_one(rows, rhs, 3)
+    start = feasible_start(rows, rhs, 3)
     assert (True, 2) in seen  # the drive-out pivot on the negated row
     assert all(p > 0 for _, p in seen)
-    assert start.basis == (1, 2) and start.det == 2
-    assert start.tableau == ((0, 2, 0, 0), (0, 0, 2, 2))
+    assert start == ([[0, 2, 0, 0], [0, 0, 2, 2]], [1, 2], 2)
     assert_matches_dense_start(start, rows, rhs, 3)
     objective = [F(0), F(1), F(1)]
     expected = (OPTIMAL, F(1), [F(0), F(0), F(1)])
-    assert _outcome(phase_two(start, objective)) == dense_solve_lp(objective, rows, rhs) == expected
+    assert _outcome(solve_lp(objective, rows, rhs)) == dense_solve_lp(objective, rows, rhs) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +244,11 @@ def test_warm_solves_match_cold_and_dense_solves(lp, data):
     frac_rows = [[F(a) for a in row] for row in rows]
     costs = data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=n, max_size=n),
                                min_size=1, max_size=3))
-    warm = WarmLp(rows, n)
+    warm, moved = WarmLp(rows, n), False
     for b in sequence:
-        feasible = phase_one(frac_rows, b, n) is not None
-        assert feasible == (dense_solve_lp([F(0)] * n, frac_rows, b)[0] != INFEASIBLE)
+        feasible = dense_solve_lp([F(0)] * n, frac_rows, b)[0] != INFEASIBLE
+        assert (feasible_start(frac_rows, b, n) is not None) == feasible
+        moved = moved or b != sequence[0]
         # the feasibility question and each objective in a drawn order
         for cost in data.draw(st.permutations([None] + [tuple(c) for c in costs])):
             if cost is None:
@@ -239,7 +258,7 @@ def test_warm_solves_match_cold_and_dense_solves(lp, data):
             cold = solve_lp([F(c) for c in cost], frac_rows, b)
             assert (res.status, res.value) == (cold.status, cold.value)
             assert (res.status, res.value) == dense_solve_lp([F(c) for c in cost], frac_rows, b)[:2]
-            assert res.x is None
+            assert res.x == (None if moved else cold.x)
 
 
 def test_warm_solve_checks_a_redundant_row():
@@ -254,3 +273,24 @@ def test_warm_solve_checks_a_redundant_row():
     assert warm.maximum([F(1), F(5, 2)], (1, 0, 0)).status == INFEASIBLE
     assert warm.maximum([F(3), F(6)], (1, 0, 0)).value == 3
     assert not warm.feasible([F(-1), F(-2)])  # consistent, but x >= 0 fails
+
+
+@settings(max_examples=300, deadline=None)
+@given(warm_sequences(), st.data())
+def test_warm_lp_returns_vertices_for_its_first_rhs_only(lp, data):
+    # the first right-hand side twice, the drawn ones, then the first again:
+    # x is the cold Bland vertex until another right-hand side arrives and
+    # None from then on, while the value always matches
+    n, rows, sequence = lp
+    frac_rows = [[F(a) for a in row] for row in rows]
+    sequence = [sequence[0], *sequence, sequence[0]]
+    costs = [tuple(c) for c in data.draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=n, max_size=n), min_size=1, max_size=3))]
+    warm, moved = WarmLp(rows, n), False
+    for b in sequence:
+        moved = moved or b != sequence[0]
+        for cost in costs:
+            status, value, x = dense_solve_lp([F(c) for c in cost], frac_rows, b)
+            res = warm.maximum(b, cost)
+            assert (res.status, res.value) == (status, value)
+            assert res.x == (None if moved else x)
