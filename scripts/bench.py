@@ -21,10 +21,11 @@ of the tableau it updates. These counts do not depend on the machine,
 and equal counts show the same Bland path. It also counts the hull
 membership LPs (calls of ``AbsConvHull.contains``) and the pivots that
 ``delta_upper`` at N=1 under the sup norm, with exhaustive search over
-``default_pool``, makes over all LP_HULLS hulls, and the pivots and
-cells of all requests of the ``hull_lp`` benchmark catalogue
+``default_pool``, makes over all LP_HULLS hulls, and the pivots, cells
+and scored witness lists (counted at ``_score`` as for the procedures
+below) of all requests of the ``hull_lp`` benchmark catalogue
 (``perfbench/hull_catalogue.json``), each on new hulls with an empty
-enumeration cache.
+enumeration cache, in all and per hull shape.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -34,14 +35,15 @@ of ``delta_curve`` to N=2 with exhaustive search, the number of
 the number of witness lists and of ``SparseVec`` subtractions the
 ``delta_curve`` figures make, each over all PROC_SETS sets. Functions are
 counted by wrapping them here; witness lists are counted where the
-search scores them, as calls of the ``rank`` function inside
-``indexes._witness_search`` (seen with ``sys.setprofile``), since lists
-scored from shared member sets never reach ``indexes._delta_of``.
+search scores them, as calls of ``indexes._score``, which ``rank``
+inside ``indexes._witness_search`` makes once per scored list: lists
+scored from shared member sets never reach ``indexes._delta_of``, and
+``rank`` also sees the lists it skips once the best list scores 0.
 
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
-the witness lists the request scores (counted at ``rank`` as above)
+the witness lists the request scores (counted at ``_score`` as above)
 and the sampled diameter lower ends it computes (calls of
 ``sets._sampled_lower``, each up to 64 sampled membership searches).
 Standard library only.
@@ -249,9 +251,10 @@ def add_pivots(total: list[int], counts: list[int]) -> None:
 
 
 def measure_catalogue() -> dict:
-    """Pivots and cells of every request of the hull_lp catalogue, each
-    run as ``perfbench/workloads.py`` runs it, on new hulls with an
-    empty enumeration cache."""
+    """Pivots, cells and scored witness lists of every request of the
+    hull_lp catalogue, each run as ``perfbench/workloads.py`` runs it, on
+    new hulls with an empty enumeration cache, in all and per hull shape
+    (the catalogue's ``shape``: coordinates, generators and norm)."""
     import symdex
     from symdex import exactlp, sets
 
@@ -261,11 +264,23 @@ def measure_catalogue() -> dict:
     lib = types.SimpleNamespace(symdex=symdex)
     cache = getattr(sets, "_ENUM_CACHE", {})
     instances = json.loads(workloads.HULL_CATALOGUE.read_text())["instances"]
-    total = [0, 0, 0, 0]
+    def empty() -> dict:
+        return {"requests": 0, "scored_lists": 0, "counts": [0, 0, 0, 0]}
+
+    total, shapes = empty(), {}
     for instance in instances:
         cache.clear()
-        add_pivots(total, lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance)))
-    return {"requests": len(instances), "pivots": total[:3], "cells": total[3]}
+        counts = lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance))
+        cache.clear()
+        scored = scored_lists(lambda: workloads.hull_request(lib, instance))
+        for row in (total, shapes.setdefault(instance["shape"], empty())):
+            row["requests"] += 1
+            row["scored_lists"] += scored
+            add_pivots(row["counts"], counts)
+    for row in (total, *shapes.values()):
+        counts = row.pop("counts")
+        row["pivots"], row["cells"] = counts[:3], counts[3]
+    return {**total, "shapes": dict(sorted(shapes.items()))}
 
 
 def measure_lp() -> dict:
@@ -363,25 +378,12 @@ def count_calls(call, *targets) -> list[int]:
 
 
 def scored_lists(call) -> int:
-    """How many witness lists ``call()`` scores: calls of the function
-    ``rank`` defined in ``symdex/indexes.py``, seen with ``sys.setprofile``
-    because it is local to the search."""
+    """How many witness lists ``call()`` scores: calls of
+    ``indexes._score``, which the search's ``rank`` makes once for each
+    list it scores and not for the lists it skips once the best scores 0."""
     from symdex import indexes
 
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        code = frame.f_code
-        if event == "call" and code.co_name == "rank" and code.co_filename == indexes.__file__:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return count
+    return count_calls(call, (indexes, "_score"))[0]
 
 
 def measure_procedures() -> dict:
@@ -510,9 +512,11 @@ def main(argv=None) -> int:
                                        "sup_functional_cells"))
               + f"{row['delta_upper_cells']:>16}")
     catalogue = measure_catalogue()
-    print(f"\nhull_lp catalogue: {catalogue['requests']} requests, "
-          f"{'/'.join(map(str, catalogue['pivots']))} phase-1/phase-2/dual pivots "
-          f"({sum(catalogue['pivots'])} in all), {catalogue['cells']} tableau cells")
+    print(f"\n{'hull_lp shape':<14}{'requests':>10}{'lists':>8}{'pivots':>18}{'cells':>10}"
+          "   (scored witness lists, phase-1/phase-2/dual pivots and tableau cells over the catalogue)")
+    for name, row in [*catalogue["shapes"].items(), ("all", catalogue)]:
+        print(f"{name:<14}{row['requests']:>10}{row['scored_lists']:>8}"
+              f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}")
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
           f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
@@ -533,8 +537,8 @@ def main(argv=None) -> int:
                 "lp": "us per call on a new copy of the hull, median; tableau as [rows, columns]; pivots as "
                       "[phase 1, phase 2, warm dual] and cells as the rows x columns those pivots update, "
                       "summed over lp_hulls hulls, as are delta_upper_contains_lps",
-                "catalogue": "pivots as [phase 1, phase 2, warm dual] and the cells they update, summed over "
-                             "every request of perfbench/hull_catalogue.json",
+                "catalogue": "scored witness lists, pivots as [phase 1, phase 2, warm dual] and the cells they "
+                             "update, summed over every request of perfbench/hull_catalogue.json and per shape",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists and sampled_lower_calls per request",

@@ -133,6 +133,13 @@ def _witness_search(
     the order of scoring cannot change the result. For N < 1 nothing
     is searched and the pool is not checked.
 
+    The search ends once its best list scores 0. A score is the upper
+    end of a delta_0 bound, never below 0, and the witness key starts
+    with the list length, so only a list of the same length with a
+    smaller key can still replace a zero best: no other list is scored,
+    no later round runs, and every larger n yields the same row. A list
+    that is skipped so cannot raise either.
+
     Lists are scored by their upper ends, which sample nothing. A bound
     that is not exact had a sampled lower end, or a hull's LP vertex,
     skipped; the bound is computed again with ``seed`` for a yielded
@@ -187,18 +194,24 @@ def _witness_search(
 
     def rank(ws: tuple[SparseVec, ...], members: Optional[frozenset[int]]) -> tuple:
         nonlocal best
+        order_key = _witness_key(ws)
+        if best is not None and best[0][0] == 0 and order_key >= best[0][1]:
+            return (Fraction(0), order_key)  # unscored: it cannot beat a zero best
         if members is None:
             bound = _delta_of(expr, ws, kind, None)
         else:
             arg = order[min(members)]
             bound = _symmetric_pair_bound(norm(arg, kind), arg, kind).half(kind)
-        key = (_score(bound), _witness_key(ws))
+        key = (_score(bound), order_key)
         if best is None or key < best[0]:
             best = (key, bound, ws)
         return key
 
     beams = [[start] for start in starts]
     for n in range(1, N + 1):
+        if best is not None and best[0][0] == 0:  # final: every later list is longer
+            yield best[1], best[2]
+            continue
         kept = {}
         for b, states in enumerate(beams):
             if states and len(states[0]) == n:  # a greedy restart's one-point start

@@ -1536,9 +1536,12 @@ def reduced(expr: SetExpr) -> SetExpr:
 
 # Least-recently-used enumerations, keyed by (expr, budget). The bound
 # keeps a long-lived process from holding every set it ever enumerated;
-# a single request reuses a few dozen entries, far below it.
+# a single request reuses a few dozen entries, far below it. Only sets
+# that enumerate are kept: a None costs a size check or a reduction to
+# find again, and keeping it would keep its key's set (a hull with its
+# warm LPs, say) alive.
 ENUM_CACHE_SIZE = 512
-_ENUM_CACHE: OrderedDict[tuple, Optional[tuple[SparseVec, ...]]] = OrderedDict()
+_ENUM_CACHE: OrderedDict[tuple, tuple[SparseVec, ...]] = OrderedDict()
 
 
 def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optional[tuple[SparseVec, ...]]:
@@ -1552,9 +1555,10 @@ def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optio
         _ENUM_CACHE.move_to_end(key)
         return _ENUM_CACHE[key]
     result = _enumerate_members_raw(expr, budget)
-    _ENUM_CACHE[key] = result
-    if len(_ENUM_CACHE) > ENUM_CACHE_SIZE:
-        _ENUM_CACHE.popitem(last=False)
+    if result is not None:
+        _ENUM_CACHE[key] = result
+        if len(_ENUM_CACHE) > ENUM_CACHE_SIZE:
+            _ENUM_CACHE.popitem(last=False)
     return result
 
 

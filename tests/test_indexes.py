@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -451,9 +452,19 @@ DIFFERENTIAL_BOXES = [
 ]
 
 
-def test_lazy_search_matches_a_search_per_n():
+# a generator's one-point list scores 0, so these searches end early
+DIFFERENTIAL_HULLS = [
+    AbsConvHull((SparseVec({1: 1, 2: 1}),)),
+    AbsConvHull((unit(1, 2), SparseVec({1: 1, 2: 1}))),
+]
+
+
+def test_lazy_search_matches_a_search_per_n(monkeypatch):
+    # the curve and the delta_upper checks share one reference search per N
+    monkeypatch.setitem(globals(), "reference_delta_upper", functools.cache(reference_delta_upper))
     cases = list(midpoint_grid_sets(random.Random(5), 12))
     cases += [(box, default_pool(box)) for box in DIFFERENTIAL_BOXES]
+    cases += [(hull, default_pool(hull)) for hull in DIFFERENTIAL_HULLS]
     # off-axis members make the strategies reach different lists
     box = DIFFERENTIAL_BOXES[0]
     cases.append((box, default_pool(box) + (SparseVec({1: 1, 2: F(1, 2)}), unit(2, -1), unit(3, F(1, 3)))))
@@ -509,6 +520,39 @@ def test_curve_scores_each_list_once(monkeypatch):
     calls.clear()
     delta_upper(box, 1, SearchStrategy.greedy(default_pool(box), restarts=2), NormKind.SUP)
     assert len(calls) == 3 + 1  # restart 1 scores its one-point start
+
+
+def test_zero_best_ends_the_search(monkeypatch):
+    scored, ranked = [], []
+    delta_of, witness_key = indexes._delta_of, indexes._witness_key
+    monkeypatch.setattr(indexes, "_delta_of", lambda *args: scored.append(args[1]) or delta_of(*args))
+    # rank keys every list it sees once, scored or not
+    monkeypatch.setattr(indexes, "_witness_key", lambda ws: ranked.append(ws) or witness_key(ws))
+    hull = DIFFERENTIAL_HULLS[1]
+    # zero and the inner member e_1 score above 0, the generator e_1 + e_2
+    # first scores 0, and the generator 2e_1 after it is never scored
+    pool = (ZERO, unit(1), SparseVec({1: 1, 2: 1}), unit(1, 2))
+    assert [delta_of(hull, [p], NormKind.SUP, None).upper > 0 for p in pool] == [True, True, False, False]
+    strategies = [
+        SearchStrategy.exhaustive(pool),
+        SearchStrategy.greedy(pool, restarts=2),
+        SearchStrategy.beam(pool, width=2),
+    ]
+    for strategy in strategies:
+        scored.clear()
+        ranked.clear()
+        rows = delta_curve(hull, 3, strategy, NormKind.SUP)
+        assert set(scored) == {(p,) for p in pool[:3]}  # no list of size 2 or 3
+        assert len(scored) == 3 + (strategy.kind == "greedy")  # restart 1 scores its start again
+        assert len(ranked) == len(pool) + (strategy.kind == "greedy")  # round 1 is the last round
+        assert rows[1].bound.upper == 0
+        assert rows[1].upper_witnesses == (pool[2],)
+        for row in rows[2:]:
+            assert row.bound == rows[1].bound
+            assert row.upper_witnesses == rows[1].upper_witnesses
+        scored.clear()
+        assert delta_upper(hull, 3, strategy, NormKind.SUP).upper_witnesses == (pool[2],)
+        assert len(scored) == 3 + (strategy.kind == "greedy")
 
 
 def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -29,8 +31,10 @@ from symdex import (
     ZERO,
     contains,
     coordinate_relaxation,
+    default_pool,
     delta0,
     delta_curve,
+    delta_upper,
     diameter,
     diameter_upper,
     free_direction,
@@ -580,6 +584,15 @@ def test_enumeration_cache_is_bounded_and_least_recently_used():
     assert enumerate_members(exprs[1], 10) == first[1]
     assert set(first[1]) == set(exprs[1].points)
     cache.clear()
+
+
+def test_enumeration_cache_keeps_no_set_that_does_not_enumerate():
+    hull = AbsConvHull((unit(1, 2), SparseVec({1: 1, 2: 1})))
+    delta_upper(hull, 1, SearchStrategy.exhaustive(default_pool(hull)), NormKind.SUP)
+    collected = weakref.ref(hull)
+    del hull
+    gc.collect()
+    assert collected() is None
 
 
 def test_enumerate_members_sign_sums():
