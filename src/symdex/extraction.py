@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt
-from typing import Optional, Sequence
+from itertools import combinations, count
+from math import isqrt, lcm
+from typing import Iterable, Optional, Sequence
 
 from . import exactlp
 from .errors import (
@@ -744,25 +744,19 @@ def _sqrt_upper(s: Fraction) -> Fraction:
     return Fraction(isqrt(n * d) + 1, d)
 
 
-def _make_value(a: Fraction, b: Fraction, s: Fraction) -> _Value:
-    """a + b*sqrt(s), simplified to a rational when it is one."""
-    if b == 0:
-        return a
-    rn, rd = isqrt(s.numerator), isqrt(s.denominator)
-    if rn * rn == s.numerator and rd * rd == s.denominator:
-        return a + b * Fraction(rn, rd)
-    return _Surd(a, b, s)
-
-
 def _value_lower_rational(v: _Value, iterations: int = 200) -> Fraction:
-    """A certified rational lower bound of a nonnegative value."""
+    """A certified rational lower bound of a nonnegative value, positive
+    when the value is: the bisection runs past ``iterations`` halvings
+    until its lower end leaves 0."""
     if isinstance(v, Fraction):
         return v
     if _value_cmp_rational(v, Fraction(0)) <= 0:
         return Fraction(0)
     hi = v.a + abs(v.b) * _sqrt_upper(v.s)
     lo = Fraction(0)
-    for _ in range(iterations):
+    for step in count():
+        if step >= iterations and lo > 0:
+            break
         mid = (lo + hi) / 2
         if _value_cmp_rational(v, mid) > 0:
             lo = mid
@@ -773,82 +767,103 @@ def _value_lower_rational(v: _Value, iterations: int = 200) -> Fraction:
     return lo
 
 
-def _segment_portion_distance(
-    x: SparseVec, a1: SparseVec, a2: SparseVec, eps: Fraction, kind: NormKind
-) -> Optional[_Value]:
-    """Distance from x to the middle portion of the segment [a1, a2].
+# -- the pair scan on integer points over one scale -------------------------
+#
+# Scaled values are a rational pair (numerator, positive denominator) or a
+# _Surd with integer a and s; both are L (sup, sum) or L^2 (euclid) times
+# the plain value, and compare as the plain values do.
 
-    The middle portion keeps the points at distance >= eps from both
-    endpoints; None when it is empty. The result is in the carried norm
-    convention; Euclidean boundary values live in Q[sqrt(s)].
+_Scaled = tuple[int, int] | _Surd
+
+
+def _scaled_cmp(v: _Scaled, w: _Scaled) -> int:
+    """Sign of v - w; rational pairs compare by cross-multiplying."""
+    if isinstance(v, tuple) and isinstance(w, tuple):
+        return _sign(v[0] * w[1] - w[0] * v[1])
+    return _value_cmp(*(Fraction(*u) if isinstance(u, tuple) else u for u in (v, w)))
+
+
+def _int_norm(v: Iterable[int], kind: NormKind) -> int:
+    """Norm of an integer vector in the carried convention."""
+    if kind is NormKind.SUP:
+        return max(map(abs, v), default=0)
+    if kind is NormKind.SUM:
+        return sum(map(abs, v))
+    return sum(t * t for t in v)
+
+
+def _scaled_surd(p: int, q: int, s: int) -> _Scaled:
+    """p + (q/s)*sqrt(s) for integers p, q and s > 0, as a rational pair
+    when it is rational."""
+    if q == 0:
+        return p, 1
+    r = isqrt(s)
+    if r * r == s:
+        return p * s + q * r, s
+    return _Surd(p, Fraction(q, s), s)
+
+
+def _segment_portion_distance(
+    d1: tuple[int, ...], d2: tuple[int, ...], eps: int, kind: NormKind
+) -> Optional[_Scaled]:
+    """Distance from 0 to the middle portion of the segment [d1, d2].
+
+    The points and eps are integers over one scale. The middle portion
+    keeps the points at distance >= eps from both endpoints; None when
+    it is empty. The result is in the carried norm convention; Euclidean
+    boundary values live in Q[sqrt(s)].
     """
-    m = a1 - a2
-    if m.is_zero:
-        return None
-    c = x - a2  # distance target: ||c - lambda*m||
+    c = [-v for v in d2]  # distance target: ||c - lambda*m||
+    m = [u - v for u, v in zip(d1, d2)]
     if kind is NormKind.EUCLID:
-        a_coef = norm(m, kind)  # squared length
-        if 4 * eps * eps > a_coef:
+        a = _int_norm(m, kind)  # squared length
+        ee = eps * eps
+        if 4 * ee > a:
             return None
-        b_coef = dual_pair(c, m)
-        c_coef = norm(c, kind)
-        lam_star = b_coef / a_coef
-        above_lo = lam_star > 0 and lam_star * lam_star * a_coef >= eps * eps
-        below_hi = (1 - lam_star) > 0 and (1 - lam_star) ** 2 * a_coef >= eps * eps
+        b = sum(u * v for u, v in zip(c, m))
+        # lambda* = b/a against the portion ends eps/|m| and 1 - eps/|m|
+        above_lo = b > 0 and b * b >= ee * a
+        below_hi = a - b > 0 and (a - b) ** 2 >= ee * a
+        c2 = _int_norm(c, kind)
         if above_lo and below_hi:
-            return c_coef - b_coef * b_coef / a_coef
+            return c2 * a - b * b, a
         if not above_lo:
-            return _make_value(c_coef + eps * eps, -2 * b_coef * eps / a_coef, a_coef)
-        return _make_value(
-            c_coef - 2 * b_coef + a_coef + eps * eps,
-            2 * eps * (b_coef - a_coef) / a_coef,
-            a_coef,
-        )
-    length = norm(m, kind)
+            return _scaled_surd(c2 + ee, -2 * b * eps, a)
+        return _scaled_surd(c2 - 2 * b + a + ee, 2 * eps * (b - a), a)
+    length = _int_norm(m, kind)
     if length < 2 * eps:
         return None
-    lo = eps / length
-    hi = 1 - lo
-    coords = sorted(set(c.support) | set(m.support))
-    breaks = []
-    for i in coords:
-        mi = m.get(i)
-        if mi != 0:
-            breaks.append(c.get(i) / mi)
+    cm = [(ci, mi) for ci, mi in zip(c, m) if ci or mi]
+    # lambda = p/q with q > 0, from the ends eps/length, 1 - eps/length
+    # and the breakpoints where a coordinate (pair) term changes sign
+    lams = {(eps, length), (length - eps, length)}
+    lams.update((ci, mi) if mi > 0 else (-ci, -mi) for ci, mi in cm if mi)
     if kind is NormKind.SUP:
-        for i, j in combinations(coords, 2):
-            ci, cj = c.get(i), c.get(j)
-            mi, mj = m.get(i), m.get(j)
-            if mi - mj != 0:
-                breaks.append((ci - cj) / (mi - mj))
-            if mi + mj != 0:
-                breaks.append((ci + cj) / (mi + mj))
+        for (ci, mi), (cj, mj) in combinations(cm, 2):
+            for p, q in ((ci - cj, mi - mj), (ci + cj, mi + mj)):
+                if q:
+                    lams.add((p, q) if q > 0 else (-p, -q))
     # the norm is piecewise linear and convex in lambda: its minimum over
-    # [lo, hi] is at an end or at a breakpoint inside, tried in any order
-    candidates = {lo, hi}.union(lam for lam in breaks if lo <= lam <= hi)
-    return min(norm(c - m.scale(lam), kind) for lam in candidates)
+    # [lo, hi] is at an end or at a breakpoint inside, tried in any order;
+    # at lambda = p/q it is ||q*c - p*m|| / q
+    best = None
+    for p, q in lams:
+        if eps * q <= p * length <= (length - eps) * q:
+            n = _int_norm([q * ci - p * mi for ci, mi in cm], kind)
+            if best is None or n * best[1] < best[0] * q:
+                best = n, q
+    return best
 
 
-def _gap_bound(d1: SparseVec, d2: SparseVec, kind: NormKind) -> Fraction:
-    """A rational lower bound on the distance from 0 to the segment [d1, d2].
+def _gap_bound(d1: tuple[int, ...], d2: tuple[int, ...], kind: NormKind) -> int:
+    """An integer lower bound on the distance from 0 to the segment [d1, d2].
 
     Coordinate i of every segment point lies between d1_i and d2_i, so it
     is at least as far from 0 as that interval: min(|d1_i|, |d2_i|) when
     both share a sign, else 0. The gaps combine as the norm does (carried
     square under euclid).
     """
-    gaps = []
-    for i, u in d1.items():
-        v = d2.get(i)
-        if u > 0 and v > 0:
-            gaps.append(min(u, v))
-        elif u < 0 and v < 0:
-            gaps.append(-max(u, v))
-    if kind is NormKind.SUP:
-        return max(gaps, default=Fraction(0))
-    if kind is NormKind.SUM:
-        return sum(gaps, Fraction(0))
-    return sum((g * g for g in gaps), Fraction(0))
+    return _int_norm([min(abs(u), abs(v)) for u, v in zip(d1, d2) if u * v > 0], kind)
 
 
 def eps_strong_extreme(
@@ -863,11 +878,15 @@ def eps_strong_extreme(
     the Euclidean minimum is irrational); (True, 1) when no pair has a
     middle portion at all.
 
-    The search is translated so x sits at 0. A pair (x, a) has value
-    exactly epsilon (carried) when its portion is nonempty: the portion
-    end nearest x is epsilon away from it. Those pairs seed the minimum;
-    any other pair is skipped when its coordinatewise gap bound already
-    reaches the minimum, and a value <= 0 ends the search at once.
+    The points and epsilon are scaled by the lcm L of their denominators
+    to integer tuples over one dense coordinate list, translated so x
+    sits at 0. The minimum is divided by L (L^2 under euclid) once at
+    the end, which gives an irrational one the same Q[sqrt(s)] form as a
+    scan in plain coordinates. A pair (x, a) has value exactly epsilon
+    (carried) when its portion is nonempty: the portion end nearest x is
+    epsilon away from it. Those pairs seed the minimum; any other pair
+    is skipped when its coordinatewise gap bound already reaches the
+    minimum, and a value <= 0 ends the search at once.
     """
     eps = as_scalar(epsilon)
     if eps <= 0:
@@ -876,23 +895,37 @@ def eps_strong_extreme(
         raise InvalidInput("strong extreme analysis needs a finite point set")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    others = [p - x for p in expr.points if p != x]
-    reach = as_length(2 * eps, kind)
-    best: Optional[_Value] = None
-    if any(norm(d, kind) >= reach for d in others):
-        best = as_length(eps, kind)
+    coords = sorted({i for p in expr.points for i in p.support})
+    scale = lcm(eps.denominator, *(v.denominator for p in expr.points for _, v in p.items()))
+
+    def scaled(p: SparseVec) -> list[int]:
+        return [v.numerator * (scale // v.denominator) for v in map(p.get, coords)]
+
+    origin = scaled(x)
+    points = [tuple(u - o for u, o in zip(scaled(p), origin)) for p in expr.points if p != x]
+    e = eps.numerator * (scale // eps.denominator)
+    best: Optional[_Scaled] = None
+    # _int_norm of a one-entry vector is the carried length of its entry
+    if any(_int_norm(d, kind) >= _int_norm((2 * e,), kind) for d in points):
+        best = _int_norm((e,), kind), 1
     # pairs keep their order, so of equal minima the first one found is
     # kept, as its Q[sqrt(s)] form fixes the bisected lower bound
-    for d1, d2 in combinations(others, 2):
-        if best is not None and _value_cmp_rational(best, _gap_bound(d1, d2, kind)) <= 0:
+    for d1, d2 in combinations(points, 2):
+        if best is not None and _scaled_cmp(best, (_gap_bound(d1, d2, kind), 1)) <= 0:
             continue
-        v = _segment_portion_distance(ZERO, d1, d2, eps, kind)
+        v = _segment_portion_distance(d1, d2, e, kind)
         if v is None:
             continue
-        if _value_cmp_rational(v, Fraction(0)) <= 0:
+        if _scaled_cmp(v, (0, 1)) <= 0:
             return False, Fraction(0)
-        if best is None or _value_cmp(v, best) < 0:
+        if best is None or _scaled_cmp(v, best) < 0:
             best = v
     if best is None:
         return True, Fraction(1)
-    return True, _value_lower_rational(best)
+    if isinstance(best, _Surd):
+        square = scale * scale
+        return True, _value_lower_rational(
+            _Surd(Fraction(best.a, square), best.b / scale, Fraction(best.s, square))
+        )
+    n, q = best
+    return True, Fraction(n, q * _int_norm((scale,), kind))

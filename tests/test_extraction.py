@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from symdex import (
 from symdex import extraction
 from symdex.exactlp import OPTIMAL
 from symdex.bruteforce import brute_delta1_zero_witness
-from util import ALL_NORMS, as_dicts, dense_solve_lp, random_finite_points
+from util import ALL_NORMS, as_dicts, dense_solve_lp, random_finite_points, segment_portion_distance
 
 BOX = Box(F(1))
 
@@ -393,7 +394,7 @@ def reference_eps_strong_extreme(expr, x, epsilon, kind):
     eps = F(epsilon)
     values = []
     for a1, a2 in combinations(expr.points, 2):
-        v = extraction._segment_portion_distance(x, a1, a2, eps, kind)
+        v = segment_portion_distance(x, a1, a2, eps, kind)
         if v is not None:
             values.append(v)
     if not values:
@@ -407,12 +408,16 @@ def reference_eps_strong_extreme(expr, x, epsilon, kind):
     return True, extraction._value_lower_rational(best)
 
 
-STRONG_EPS = (F(1, 1000000), F(1, 4), F(1, 2), F(1), F(4))
+# epsilons with numerators above 1 and entries with denominators up to 12
+# make the scan's common scale mix coprime factors
+STRONG_EPS = (F(1, 1000000), F(1, 4), F(1, 2), F(1), F(4), F(3, 7), F(5, 3), F(2, 9))
 # a coarse grid of entries makes ties, shared coordinates and collinear
 # triples (x inside a segment) common
 grid_entries = st.sampled_from((F(-2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2), F(1), F(2)))
 strong_entries = st.one_of(
-    grid_entries, st.fractions(min_value=-8, max_value=8, max_denominator=4)
+    grid_entries,
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
 )
 strong_sets = st.lists(
     st.dictionaries(st.integers(1, 4), strong_entries, max_size=4).map(SparseVec),
@@ -458,10 +463,31 @@ def test_eps_strong_extreme_gap_bound_is_carried():
 
 
 def test_eps_strong_extreme_irrational_boundary_matches_reference():
-    pts = FinitePoints((-unit(1), unit(1) + unit(2), unit(2)))
-    for x in pts.points:
-        want = reference_eps_strong_extreme(pts, x, F(1), NormKind.EUCLID)
-        assert eps_strong_extreme(pts, x, F(1), NormKind.EUCLID) == want
+    triple = (-unit(1), unit(1) + unit(2), unit(2))
+    for pts, eps in (
+        (FinitePoints(triple), F(1)),
+        (FinitePoints(tuple(p.scale(F(2, 3)) for p in triple)), F(5, 7)),
+    ):
+        for x in pts.points:
+            want = reference_eps_strong_extreme(pts, x, eps, NormKind.EUCLID)
+            assert eps_strong_extreme(pts, x, eps, NormKind.EUCLID) == want
+
+
+def test_eps_strong_extreme_keeps_a_tiny_irrational_minimum_positive():
+    # r = q/p with p^2 - 2q^2 = 1 puts the portion of the diagonal
+    # segment [-(r, r), (10 - r, 10 - r)] a squared distance below 1e-66
+    # from x = 0: 200 halvings alone leave its lower bound at 0
+    p = 34761632124320657
+    q = isqrt((p * p - 1) // 2)
+    assert p * p - 2 * q * q == 1
+    r = F(q, p)
+    ends = (SparseVec({1: -r, 2: -r}), SparseVec({1: 10 - r, 2: 10 - r}))
+    pts = FinitePoints((ZERO, *ends))
+    flag, delta = eps_strong_extreme(pts, ZERO, F(1), NormKind.EUCLID)
+    exact = segment_portion_distance(ZERO, *ends, F(1), NormKind.EUCLID)
+    assert flag
+    assert 0 < delta
+    assert extraction._value_cmp_rational(exact, delta) >= 0
 
 
 def test_eps_strong_extreme_exits_on_a_segment_through_x(monkeypatch):

@@ -1,13 +1,17 @@
-"""Shared strategies, seeded generators and an independent dense LP
-reference for the test suite."""
+"""Shared strategies, seeded generators, an independent dense LP
+reference and the Fraction segment scan for the test suite."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
+from typing import Optional
 
 import hypothesis.strategies as st
 
-from symdex import FinitePoints, NormKind, SparseVec
+from symdex import FinitePoints, NormKind, SparseVec, dual_pair, norm
 from symdex.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from symdex.extraction import _Surd, _Value
 from symdex.sets import DEFAULT_ENUM_BUDGET, enumerate_members
 
 ALL_NORMS = (NormKind.SUP, NormKind.SUM, NormKind.EUCLID)
@@ -155,3 +159,69 @@ def dense_solve_lp(objective, a_eq, b_eq):
     for r, b in enumerate(basis):
         x[b] = tableau[r][-1]
     return OPTIMAL, value, x
+
+
+def _make_value(a: Fraction, b: Fraction, s: Fraction) -> _Value:
+    """a + b*sqrt(s), simplified to a rational when it is one."""
+    if b == 0:
+        return a
+    rn, rd = isqrt(s.numerator), isqrt(s.denominator)
+    if rn * rn == s.numerator and rd * rd == s.denominator:
+        return a + b * Fraction(rn, rd)
+    return _Surd(a, b, s)
+
+
+def segment_portion_distance(
+    x: SparseVec, a1: SparseVec, a2: SparseVec, eps: Fraction, kind: NormKind
+) -> Optional[_Value]:
+    """Distance from x to the middle portion of the segment [a1, a2].
+
+    The middle portion keeps the points at distance >= eps from both
+    endpoints; None when it is empty. The result is in the carried norm
+    convention; Euclidean boundary values live in Q[sqrt(s)].
+    """
+    m = a1 - a2
+    if m.is_zero:
+        return None
+    c = x - a2  # distance target: ||c - lambda*m||
+    if kind is NormKind.EUCLID:
+        a_coef = norm(m, kind)  # squared length
+        if 4 * eps * eps > a_coef:
+            return None
+        b_coef = dual_pair(c, m)
+        c_coef = norm(c, kind)
+        lam_star = b_coef / a_coef
+        above_lo = lam_star > 0 and lam_star * lam_star * a_coef >= eps * eps
+        below_hi = (1 - lam_star) > 0 and (1 - lam_star) ** 2 * a_coef >= eps * eps
+        if above_lo and below_hi:
+            return c_coef - b_coef * b_coef / a_coef
+        if not above_lo:
+            return _make_value(c_coef + eps * eps, -2 * b_coef * eps / a_coef, a_coef)
+        return _make_value(
+            c_coef - 2 * b_coef + a_coef + eps * eps,
+            2 * eps * (b_coef - a_coef) / a_coef,
+            a_coef,
+        )
+    length = norm(m, kind)
+    if length < 2 * eps:
+        return None
+    lo = eps / length
+    hi = 1 - lo
+    coords = sorted(set(c.support) | set(m.support))
+    breaks = []
+    for i in coords:
+        mi = m.get(i)
+        if mi != 0:
+            breaks.append(c.get(i) / mi)
+    if kind is NormKind.SUP:
+        for i, j in combinations(coords, 2):
+            ci, cj = c.get(i), c.get(j)
+            mi, mj = m.get(i), m.get(j)
+            if mi - mj != 0:
+                breaks.append((ci - cj) / (mi - mj))
+            if mi + mj != 0:
+                breaks.append((ci + cj) / (mi + mj))
+    # the norm is piecewise linear and convex in lambda: its minimum over
+    # [lo, hi] is at an end or at a breakpoint inside, tried in any order
+    candidates = {lo, hi}.union(lam for lam in breaks if lo <= lam <= hi)
+    return min(norm(c - m.scale(lam), kind) for lam in candidates)
