@@ -36,9 +36,9 @@ the number of witness lists and of ``SparseVec`` subtractions the
 ``delta_curve`` figures make, each over all PROC_SETS sets. Functions are
 counted by wrapping them here; witness lists are counted where the
 search scores them, as calls of ``indexes._score``, which ``rank``
-inside ``indexes._witness_search`` makes once per scored list: lists
-scored from shared member sets never reach ``indexes._delta_of``, and
-``rank`` also sees the lists it skips once the best list scores 0.
+inside ``indexes._witness_search`` makes once per scored list, after
+its ``indexes._delta_of``: ``rank`` also sees the lists it skips once
+the best list scores 0.
 
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time

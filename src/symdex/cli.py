@@ -74,6 +74,8 @@ def decimal_string(value: Fraction, digits: int) -> str:
 
 def check_entry(entry: dict) -> bool:
     """Re-verify one replay entry with membership and exact arithmetic."""
+    if not isinstance(entry, dict):
+        raise InvalidInput("a replay entry must be a JSON object")
     kind = entry["kind"]
     if kind == "contains":
         expr = sets.set_from_json(entry["set"])
@@ -109,8 +111,13 @@ def check_entry(entry: dict) -> bool:
 
 def verify_replay(report: dict) -> list[int]:
     """Indices of replay entries that fail re-verification."""
+    if not isinstance(report, dict):
+        raise InvalidInput("a report must be a JSON object")
+    entries = report.get("replay", [])
+    if not isinstance(entries, list):
+        raise InvalidInput("a report's replay must be a list")
     failures = []
-    for pos, entry in enumerate(report.get("replay", [])):
+    for pos, entry in enumerate(entries):
         if not check_entry(entry):
             failures.append(pos)
     return failures

@@ -20,12 +20,10 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidInput, SymdexError, WitnessNotMember
 from .sets import (
-    DEFAULT_ENUM_BUDGET,
     BoundPair,
     LowerCertificate,
     SetExpr,
     _plain_lower,
-    _symmetric_pair_bound,
     contains,
     diameter,
     enumerate_members,
@@ -146,13 +144,11 @@ def _witness_search(
     list only, and never when ``seed`` is None (the bounds then are as
     :func:`diameter` gives them without a seed).
 
-    Sym(A; W + (p,)) is Sym(A; W) intersected with the one-witness set
-    S_p of :meth:`SetExpr.witness_members`, computed once per pool point.
-    So while every S_p of a list is known, a child list's members are its
-    parent's intersected with S_p, kept for the lists of the current beam
-    only, and its bound is the enumerated one of :func:`diameter`: the
-    pair +-d for the norm-largest member d, the first in ``sort_key``
-    order. Other lists are scored through :func:`_delta_of`.
+    Every list is scored through :func:`_delta_of`. Sym(A; W) is the
+    intersection of the one-witness sets S_p, p in W, and
+    :meth:`Symmetrized.members` takes each S_p from the enumeration
+    cache: it is built for the first scored list that holds p and shared
+    by every later list and caller at that point.
     """
     if N < 1:
         return
@@ -173,35 +169,15 @@ def _witness_search(
     else:
         raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
 
-    # each S_p as positions in ``order``: norm-largest first, then sort_key
-    by_point = {p: expr.witness_members(p, DEFAULT_ENUM_BUDGET) for p in pool}
-    order = sorted(
-        {d for s in by_point.values() if s is not None for d in s},
-        key=lambda d: (-norm(d, kind), d.sort_key()),
-    )
-    place = {d: i for i, d in enumerate(order)}
-    one = {p: None if s is None else frozenset(map(place.__getitem__, s)) for p, s in by_point.items()}
-    held: dict[tuple[SparseVec, ...], Optional[frozenset[int]]] = {}  # the current beam's members
-
-    def grown(state: tuple[SparseVec, ...], p: SparseVec) -> Optional[frozenset[int]]:
-        if not state or one[p] is None:
-            return one[p]
-        parent = held[state]
-        return None if parent is None else parent & one[p]
-
     best = None  # (rank, bound, witnesses)
     completed = None  # the yielded list whose bound holds its sampled lower end
 
-    def rank(ws: tuple[SparseVec, ...], members: Optional[frozenset[int]]) -> tuple:
+    def rank(ws: tuple[SparseVec, ...]) -> tuple:
         nonlocal best
         order_key = _witness_key(ws)
         if best is not None and best[0][0] == 0 and order_key >= best[0][1]:
             return (Fraction(0), order_key)  # unscored: it cannot beat a zero best
-        if members is None:
-            bound = _delta_of(expr, ws, kind, None)
-        else:
-            arg = order[min(members)]
-            bound = _symmetric_pair_bound(norm(arg, kind), arg, kind).half(kind)
+        bound = _delta_of(expr, ws, kind, None)
         key = (_score(bound), order_key)
         if best is None or key < best[0]:
             best = (key, bound, ws)
@@ -212,23 +188,18 @@ def _witness_search(
         if best is not None and best[0][0] == 0:  # final: every later list is longer
             yield best[1], best[2]
             continue
-        kept = {}
         for b, states in enumerate(beams):
             if states and len(states[0]) == n:  # a greedy restart's one-point start
-                kept[states[0]] = one[states[0][0]]
-                rank(states[0], kept[states[0]])
+                rank(states[0])
                 continue
-            ranked, found = {}, {}
+            ranked = {}
             for state in states:
                 for p in pool:
                     if p not in state:
                         ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
                         if ws not in ranked:
-                            found[ws] = grown(state, p)
-                            ranked[ws] = rank(ws, found[ws])
+                            ranked[ws] = rank(ws)
             beams[b] = sorted(ranked, key=ranked.__getitem__)[:width]
-            kept.update((ws, found[ws]) for ws in beams[b])
-        held = kept
         key, bound, ws = best
         if seed is not None and not bound.exact and ws != completed:
             bound = _delta_of(expr, ws, kind, seed)

@@ -231,25 +231,6 @@ class SetExpr(ABC):
         ``budget`` (uncached; see :func:`enumerate_members`)."""
         return None
 
-    def witness_members(self, w: SparseVec, budget: int) -> Optional[frozenset[SparseVec]]:
-        """Members of the symmetrization at the one witness ``w``,
-        S_w = {p - w : p and 2w - p in the set}, where that symmetrization
-        stays a :class:`Symmetrized` set; None where it flattens to another
-        variant (boxes, disjoint subset sign sums, intersections) or the
-        set is not enumerable within ``budget`` (hulls, large sign sums).
-
-        Sym(A; W) is the intersection of S_w over the witnesses w in W, and
-        a list of witnesses whose S_w are all known does not flatten either.
-        """
-        if not isinstance(self.symmetrize_reduce([w]), Symmetrized):
-            return None
-        members = enumerate_members(self, budget)
-        if members is None:
-            return None
-        pool = set(members)
-        twice = w + w
-        return frozenset(p - w for p in members if twice - p in pool)
-
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         """A likely member drawn from ``rng``, or None without a sampler."""
         return None
@@ -1155,10 +1136,23 @@ class Symmetrized(SetExpr):
         flat = reduced(self)
         if flat != self:
             return enumerate_members(flat, budget)
-        ones = [self.base.witness_members(w, budget) for w in self.witnesses]
-        if any(one is None for one in ones):
-            return None
-        return tuple(sorted(frozenset.intersection(*ones), key=lambda p: p.sort_key()))
+        if len(self.witnesses) == 1:  # S_w = {p - w : p and 2w - p in the base}
+            base = enumerate_members(self.base, budget)
+            if base is None:
+                return None
+            (w,) = self.witnesses
+            pool = set(base)
+            twice = w + w
+            return tuple(sorted((p - w for p in base if twice - p in pool), key=lambda d: d.sort_key()))
+        # Sym(A; W) is the intersection of the cached one-witness sets S_w
+        ones = []
+        for w in self.witnesses:
+            one = enumerate_members(Symmetrized(self.base, (w,)), budget)
+            if one is None:
+                return None
+            ones.append(one)
+        common = set(ones[0]).intersection(*ones[1:])
+        return tuple(d for d in ones[0] if d in common)
 
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         cand = self.base.sample_candidate(rng)

@@ -204,6 +204,9 @@ def test_invalid_input_exit_code(tmp_path):
     for n, obj in enumerate(malformed):
         infile = write(tmp_path / f"malformed{n}.json", obj)
         assert main(["delta", "--in", infile, "--out", str(out)]) == EXIT_INVALID
+    for n, report in enumerate([[1, 2], {"replay": 5}, {"replay": ["x"]}]):
+        infile = write(tmp_path / f"report{n}.json", report)
+        assert main(["oracle", "--in", infile, "--out", str(out)]) == EXIT_INVALID
 
 
 def test_exponent_scalar_is_invalid_input(tmp_path):

@@ -18,6 +18,7 @@ from symdex import (
     SignSums,
     SparseVec,
     SymdexError,
+    Symmetrized,
     Translate,
     ZERO,
     challenge_lower,
@@ -27,6 +28,7 @@ from symdex import (
     delta_infinity_bounds,
     delta_lower,
     delta_upper,
+    eps_extreme,
     kcenter_radius,
     refine_almost_isometric,
     separation_alpha_lower,
@@ -622,10 +624,31 @@ def test_kcenter_greedy_within_factor_two():
             assert greedy.lower <= exact.upper <= greedy.upper
 
 
-def test_search_scores_enumerable_lists_from_shared_member_sets(monkeypatch):
-    calls = []
-    scored = indexes._delta_of
-    monkeypatch.setattr(indexes, "_delta_of", lambda *args: calls.append(args) or scored(*args))
+def test_search_and_eps_extreme_share_one_witness_member_sets(monkeypatch):
+    # each S_x is enumerated once per set, by the first caller that needs
+    # it, and read from the enumeration cache by every later one
+    enumerated = []
+    raw = sets_module._enumerate_members_raw
+    monkeypatch.setattr(
+        sets_module, "_enumerate_members_raw", lambda expr, budget: enumerated.append(expr) or raw(expr, budget)
+    )
+    rng = random.Random(18)
+    for _ in range(6):
+        pts = random_finite_points(rng, max_points=6, dim=3)
+        sets_module._ENUM_CACHE.clear()
+        enumerated.clear()
+        for kind in ALL_NORMS:
+            delta_curve(pts, 2, SearchStrategy.exhaustive(default_pool(pts)), kind)
+            if kind is ALL_NORMS[0]:
+                searched = [e for e in enumerated if isinstance(e, Symmetrized) and len(e.witnesses) == 1]
+                assert searched  # the search builds S_x through the cache
+            for x in pts.points:
+                eps_extreme(pts, x, F(1, 2), kind)
+        singles = [e for e in enumerated if isinstance(e, Symmetrized) and len(e.witnesses) == 1]
+        assert len(singles) == len(set(singles))
+
+
+def test_search_scores_enumerable_lists_from_shared_member_sets():
     rng = random.Random(12)
     cases, pairs = [], []
     for _ in range(8):
@@ -642,16 +665,12 @@ def test_search_scores_enumerable_lists_from_shared_member_sets(monkeypatch):
         for kind in ALL_NORMS:
             strategy = SearchStrategy.exhaustive(pool)
             got = delta_curve(expr, 2, strategy, kind)
-            assert not calls  # no list went through _delta_of
             want = reference_delta_curve(expr, 2, strategy, kind)
             assert [r.to_json() for r in got] == [r.to_json() for r in want]
-            calls.clear()
-    # an intersection symmetrizes part by part, so its lists fall back
+    # an intersection symmetrizes part by part
     for pts, shifted in pairs:
         expr = Intersect((pts, FinitePoints(pts.points + shifted.default_pool())))
         strategy = SearchStrategy.exhaustive(pts.points)
         got = delta_curve(expr, 2, strategy, NormKind.SUP)
-        assert calls
         want = reference_delta_curve(expr, 2, strategy, NormKind.SUP)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
-        calls.clear()
