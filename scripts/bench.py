@@ -43,9 +43,11 @@ the best list scores 0.
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
-the witness lists the request scores (counted at ``_score`` as above)
-and the sampled diameter lower ends it computes (calls of
-``sets._sampled_lower``, each up to 64 sampled membership searches).
+the witness lists the request scores (counted at ``_score`` as above),
+the sampled diameter lower ends it computes (calls of
+``sets._sampled_lower``, each up to 64 sampled membership searches) and
+its member samples (calls of ``sets.sample_members``, counted through
+the names ``sets``, ``indexes`` and ``extraction`` call it by).
 Standard library only.
 
     python scripts/bench.py                      # print the tables
@@ -113,6 +115,11 @@ SCALED_REQUESTS = [
     ("series_overlap12.json", ["series", "--in", "overlap12.json", "--epsilon", "1/8", "--seed", "11"]),
     ("delta_overlap12_n1.json", ["delta", "--in", "overlap12_subsets.json", "--n", "1", "--seed", "0"]),
     ("delta_overlap12_n2.json", ["delta", "--in", "overlap12_subsets.json", "--n", "2", "--seed", "0"]),
+    # stalls after its first step; its functional choice, near_sup check
+    # and sampled validation probes run on symmetrized sets without a
+    # closed form
+    ("extract_overlap12_n4.json",
+     ["extract", "--in", "overlap12_subsets.json", "--epsilon", "1/10", "--n", "4", "--seed", "0"]),
 ]
 
 
@@ -444,12 +451,12 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
 
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
-    "sampled_lower_calls"}} over the requests of run_demo.py and of
-    SCALED_REQUESTS (CSV reports have no oracle replay)."""
+    "sampled_lower_calls", "sample_members_calls"}} over the requests of
+    run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
-    from symdex import sets
+    from symdex import extraction, indexes, sets
 
     cache = getattr(sets, "_ENUM_CACHE", {})
     results: dict[str, dict] = {}
@@ -466,7 +473,9 @@ def measure_cli() -> dict:
             cache.clear()
             row["scored_lists"] = scored_lists(lambda: demo.main(request))
             cache.clear()
-            row["sampled_lower_calls"] = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"))[0]
+            lower, *samples = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
+                                          *((module, "sample_members") for module in (sets, indexes, extraction)))
+            row["sampled_lower_calls"], row["sample_members_calls"] = lower, sum(samples)
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
@@ -524,12 +533,12 @@ def main(argv=None) -> int:
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
     cli = measure_cli()
-    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}"
-          "   (median; scored witness lists, sampled lower ends)")
+    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
+          "   (median; scored witness lists, sampled lower ends, member samples)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['sampled_lower_calls']:>9}")
+              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}")
     if args.out:
         report = {
             "units": {
@@ -541,7 +550,8 @@ def main(argv=None) -> int:
                              "update, summed over every request of perfbench/hull_catalogue.json and per shape",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; scored_lists and sampled_lower_calls per request",
+                "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls and "
+                       "sample_members_calls per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,

@@ -60,7 +60,6 @@ from .sets import (
     set_from_json,
     set_to_json,
     sup_functional,
-    sup_upper,
     symmetrize,
 )
 from .indexes import (

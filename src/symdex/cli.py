@@ -80,7 +80,10 @@ def check_entry(entry: dict) -> bool:
     if kind == "contains":
         expr = sets.set_from_json(entry["set"])
         v = SparseVec.from_json(entry["vector"])
-        return sets.contains(expr, v) == entry.get("expected", True)
+        expected = entry.get("expected", True)
+        if not isinstance(expected, bool):
+            raise InvalidInput("a contains entry's expected value must be true or false")
+        return sets.contains(expr, v) == expected
     if kind in ("norm_ge", "norm_le"):
         v = SparseVec.from_json(entry["vector"])
         value = norm(v, NormKind.parse(entry["norm"]))

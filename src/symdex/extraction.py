@@ -45,7 +45,6 @@ from .sets import (
     set_from_json,
     set_to_json,
     sup_functional,
-    sup_upper,
     symmetrize,
 )
 from .vectors import (
@@ -277,7 +276,7 @@ def _choose_step_functional(
         if any(dual_pair(f, x) != 0 for x in prev):
             return False
         value = dual_pair(f, x_n)
-        sup = sup_upper(f, current)
+        sup = sup_functional(f, current).upper
         if sup is None or not value > sup - eta:
             return False
         return value > floor_plain - 2 * eta
@@ -376,7 +375,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
         entry["member"] = contains(step.set_before, step.x)
 
         value = dual_pair(step.f, step.x)
-        sup = sup_upper(step.f, step.set_before)
+        sup = sup_functional(step.f, step.set_before).upper
         entry["near_sup"] = sup is not None and value > sup - t.eta
         floor = delta_lower(t.base_set, 2 ** n, t.kind).lower_certificate.plain_value
         entry["above_index_floor"] = value > floor - 2 * t.eta
@@ -661,7 +660,7 @@ def extreme_diameter(
         raise InvalidInput("epsilon must be positive")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    bound = diameter(symmetrize(expr, [x]), kind, seed=seed)
+    bound = diameter(expr.symmetrize_reduce([x]), kind, seed=seed)
     threshold = as_length(2 * eps, kind)
     if bound.upper is not None and bound.upper < threshold:
         return True, bound

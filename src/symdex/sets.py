@@ -3,8 +3,8 @@
 Every expression denotes a bounded subset of c00. Membership is exact;
 quantities that cannot be computed exactly come back as a
 :class:`BoundPair` interval whose endpoints are certified (the lower end
-by explicit member witnesses, the upper end by a coordinatewise
-relaxation or a closed form).
+by explicit member witnesses or the zero member, the upper end by a
+coordinatewise relaxation or a closed form).
 
 Symmetrized sets -- intersections of (A - x) and (x - A) over witness
 points x -- are the central construction. Symmetrizing a box yields a
@@ -54,6 +54,7 @@ from .vectors import (
     double_length,
     dual_pair,
     format_scalar,
+    fresh_coordinate,
     linear_combination,
     norm,
     signed_sums,
@@ -212,10 +213,6 @@ class SetExpr(ABC):
     @abstractmethod
     def default_pool(self) -> tuple[SparseVec, ...]:
         """A small deterministic witness pool of members (reduced set)."""
-
-    def sup_upper(self, f: Functional) -> Optional[Fraction]:
-        """See :func:`sup_upper`."""
-        return self.sup_functional(f).upper
 
     def symmetrize_reduce(self, ws: list[SparseVec]) -> "SetExpr":
         """The symmetrization at the witnesses ``ws``, flattened where a
@@ -427,21 +424,15 @@ class Box(SetExpr):
     ) -> Optional[SparseVec]:
         if self.default_radius == 0:
             return None
-        fresh = max(self.max_override_coord, floor)
-        for w in ws:
-            fresh = max(fresh, w.max_support)
         scale = (1 - shrink) * self.default_radius
-        return unit(fresh + 1, scale)
+        return unit(fresh_coordinate(ws, max(self.max_override_coord, floor)), scale)
 
     def one_sided_direction(
         self, family: list[SparseVec], threshold: Fraction, kind: NormKind
     ) -> Optional[SparseVec]:
         if self.default_radius == 0:
             return None
-        floor = self.max_override_coord
-        for member in family:
-            floor = max(floor, member.max_support)
-        d = unit(floor + 1, self.default_radius)
+        d = unit(fresh_coordinate(family, self.max_override_coord), self.default_radius)
         return d if norm(d, kind) >= threshold else None
 
     def default_pool(self) -> tuple[SparseVec, ...]:
@@ -907,10 +898,6 @@ class Translate(SetExpr):
         hi = None if inner.upper is None else inner.upper + shift
         return BoundPair(lo, hi, inner.lower_witness, inner.upper_witness)
 
-    def sup_upper(self, f: Functional) -> Optional[Fraction]:
-        inner = sup_upper(f, self.base)
-        return None if inner is None else inner + dual_pair(f, self.by)
-
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
 
@@ -965,9 +952,6 @@ class Negate(SetExpr):
 
     def sup_functional(self, f: Functional) -> BoundPair:
         return sup_functional(-f, self.base)
-
-    def sup_upper(self, f: Functional) -> Optional[Fraction]:
-        return sup_upper(-f, self.base)
 
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
@@ -1027,17 +1011,8 @@ class Intersect(SetExpr):
         return self.parts[0].sample_candidate(rng)
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        upper = self.sup_upper(f)
-        rng = random.Random(17)
-        values = [dual_pair(f, v) for v in sample_members(self, rng)]
-        lower = max(values) if values else None
-        if lower is not None and upper is not None and lower > upper:
-            raise SymdexError("intersection sup certificates are inconsistent")
-        return BoundPair(lower, upper)
-
-    def sup_upper(self, f: Functional) -> Optional[Fraction]:
-        finite = [u for u in (sup_upper(f, p) for p in self.parts) if u is not None]
-        return min(finite) if finite else None
+        finite = [u for u in (sup_functional(f, p).upper for p in self.parts) if u is not None]
+        return BoundPair(None, min(finite) if finite else None)
 
     def fresh_abs_sup(self) -> Fraction:
         return min(p.fresh_abs_sup() for p in self.parts)
@@ -1165,41 +1140,18 @@ class Symmetrized(SetExpr):
         exact = self.base.symmetrized_sup(self, f)
         if exact is not None:
             return exact
-        upper = self._relaxed_sup(f)
-        rng = random.Random(17)
-        lower = Fraction(0)  # zero always belongs to a symmetrized set
-        for v in sample_members(self, rng):
-            value = dual_pair(f, v)
-            if value > lower:
-                lower = value
-        if upper is not None and lower > upper:
-            raise SymdexError("symmetrized sup certificates are inconsistent")
-        return BoundPair(lower, upper)
-
-    def sup_upper(self, f: Functional) -> Optional[Fraction]:
-        flat = reduced(self)
-        if flat != self:
-            return sup_upper(f, flat)
-        exact = self.base.symmetrized_sup(self, f)
-        return self._relaxed_sup(f) if exact is None else exact.upper
-
-    def _relaxed_sup(self, f: Functional) -> Optional[Fraction]:
-        """sup f over the set is at most sup f - f(w) and -inf f + f(w)
-        over the base, at every witness w."""
-        sup_base = sup_upper(f, self.base)
-        inf_base = sup_upper(-f, self.base)  # = -inf(f, base)
-        upper = None
+        # sup f over the set is at most sup f - f(w) and -inf f + f(w)
+        # over the base, at every witness w; zero is always a member
+        sup_base = sup_functional(f, self.base).upper
+        inf_base = sup_functional(-f, self.base).upper  # = -inf(f, base)
+        cands = []
         for w in self.witnesses:
             val = dual_pair(f, w)
-            cands = []
             if sup_base is not None:
                 cands.append(sup_base - val)
             if inf_base is not None:
                 cands.append(inf_base + val)
-            for c in cands:
-                if upper is None or c < upper:
-                    upper = c
-        return upper
+        return BoundPair(Fraction(0), min(cands, default=None))
 
     def fresh_abs_sup(self) -> Fraction:
         return self.base.fresh_abs_sup()
@@ -1593,24 +1545,23 @@ def sample_members(expr: SetExpr, rng: random.Random, count: int = 16) -> list[S
 
 
 def sup_functional(f: Functional, expr: SetExpr) -> BoundPair:
-    """Certified interval for sup of the functional over the set.
+    """Certified interval for sup of the functional over the set; it
+    samples no member.
 
     Exact (lower == upper) for boxes, finite sets, sign sums, hulls,
-    their translates/negations, and hull-based symmetrized sets.
+    their translates/negations, and symmetrized sets that flatten to one
+    of these or whose base is a hull. Any other symmetrized set gets the
+    certified lower end 0 (zero is a member) under a relaxation upper
+    end, and an intersection gets the lower end None under the least
+    upper end of its parts.
     """
     return expr.sup_functional(f)
 
 
-def sup_upper(f: Functional, expr: SetExpr) -> Optional[Fraction]:
-    """The certified upper end of :func:`sup_functional` alone (None when
-    unbounded above), without sampling members for a lower end."""
-    return expr.sup_upper(f)
-
-
 def _abs_coordinate_sup(expr: SetExpr, coord: int) -> Fraction:
     """Upper bound (exact where possible) on sup |v_coord| over the set."""
-    plus = sup_upper(unit(coord), expr)
-    minus = sup_upper(-unit(coord), expr)
+    plus = sup_functional(unit(coord), expr).upper
+    minus = sup_functional(-unit(coord), expr).upper
     if plus is None or minus is None:
         raise UnboundedDiameter(f"coordinate {coord} is unbounded")
     return max(plus, minus)

@@ -348,6 +348,20 @@ def test_oracle_replays_a_deep_sign_sum_membership(tmp_path):
     assert json.loads(verdict.read_text())["result"] == {"checked": 1, "failed": []}
 
 
+@pytest.mark.parametrize(
+    "expected, code", [(True, EXIT_OK), (False, EXIT_VIOLATION), ("yes", EXIT_INVALID), (1, EXIT_INVALID)]
+)
+def test_oracle_contains_entry_needs_a_boolean_expected(tmp_path, expected, code):
+    entry = {
+        "kind": "contains",
+        "set": {"type": "finite", "points": [{"1": "1"}]},
+        "vector": {"1": "1"},
+        "expected": expected,
+    }
+    report = write(tmp_path / "report.json", {"replay": [entry]})
+    assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == code
+
+
 # ---------------------------------------------------------------------------
 # the request pipeline
 

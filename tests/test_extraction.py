@@ -378,6 +378,17 @@ def test_eps_extreme_inconclusive_on_interval_bounds():
         eps_extreme(hull, unit(1), F(1, 2), NormKind.EUCLID)
 
 
+def test_eps_extreme_checks_membership_once(monkeypatch):
+    from symdex import AbsConvHull
+
+    calls = []
+    contains_lp = AbsConvHull.contains
+    monkeypatch.setattr(AbsConvHull, "contains", lambda *args: calls.append(args) or contains_lp(*args))
+    hull = AbsConvHull((unit(1), unit(2)))
+    assert eps_extreme(hull, unit(1), 2, NormKind.SUP)
+    assert len(calls) == 1
+
+
 def test_eps_strong_extreme_euclid_irrational_boundary():
     # the only nonempty middle portion sits at an irrational (squared)
     # distance 2 - (4/5)sqrt(5); the returned witness is a certified

@@ -37,12 +37,12 @@ from symdex import (
     delta_upper,
     diameter,
     diameter_upper,
+    dual_pair,
     free_direction,
     linear_combination,
     set_from_json,
     set_to_json,
     sup_functional,
-    sup_upper,
     symmetrize,
     unit,
 )
@@ -696,15 +696,33 @@ functionals = st.dictionaries(
 ).map(SparseVec)
 
 
-@settings(max_examples=100, deadline=None)
+def exact_sup_variant(expr):
+    """Whether the sup_functional docstring calls the sup over ``expr``
+    exact: boxes, finite sets, sign sums, hulls, their translates and
+    negations, and symmetrized sets that flatten to one of these or have
+    a hull base."""
+    if isinstance(expr, (Translate, Negate)):
+        return exact_sup_variant(expr.base)
+    if isinstance(expr, Symmetrized):
+        flat = reduced(expr)
+        return isinstance(expr.base, AbsConvHull) if flat == expr else exact_sup_variant(flat)
+    return isinstance(expr, (Box, FinitePoints, SignSums, AbsConvHull))
+
+
+@settings(max_examples=150, deadline=None)
 @given(set_exprs, functionals)
-def test_sup_upper_is_the_upper_end_of_sup_functional(expr, f):
-    full = outcome(lambda: sup_functional(f, expr))
-    upper = outcome(lambda: sup_upper(f, expr))
-    assert upper == (full if isinstance(full, str) else full.upper)
+def test_sup_functional_brackets_the_members(expr, f):
+    bound = sup_functional(f, expr)
+    if exact_sup_variant(expr):
+        assert bound.lower is not None and bound.lower == bound.upper
+    members = enumerate_members(expr, 512)
+    if members:
+        top = max(dual_pair(f, v) for v in members)
+        assert bound.lower is None or bound.lower <= top
+        assert bound.upper is None or top <= bound.upper
 
 
-def test_sup_upper_samples_no_member(monkeypatch):
+def test_sup_functional_samples_no_member(monkeypatch):
     # overlapping terms: the symmetrized sign sums have no exact sup
     terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 5))
     base = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap"), SignMode.SUBSETS, 4)
@@ -714,12 +732,12 @@ def test_sup_upper_samples_no_member(monkeypatch):
     calls = []
     sampled = sets_module.sample_members
     monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or sampled(*args))
-    for expr in (sym, both, Translate(sym, unit(5)), Negate(sym)):
-        sup_upper(f, expr)
+    bounds = [sup_functional(f, expr) for expr in (sym, both, Translate(sym, unit(5)), Negate(sym))]
     assert calls == []
-    full = sup_functional(f, both)
-    assert len(calls) == 1  # the intersection's own lower end, not its parts'
-    assert full.upper == sup_upper(f, both)
+    # the certified lower ends: zero is in every symmetrized set, and an
+    # intersection has none
+    assert [b.lower for b in bounds] == [0, None, 0, 0]
+    assert bounds[1].upper == min(bounds[0].upper, sup_functional(f, both.parts[1]).upper)
 
 
 def test_sample_members_are_members():
@@ -846,8 +864,6 @@ def test_sup_functional_symmetrized_interval_is_sound():
     f = SparseVec({1: 1, 2: 1})
     bound = sup_functional(f, sym_expr)
     for v in enumerate_members(symmetrize(base, [ZERO]), 1000):
-        from symdex import dual_pair
-
         assert dual_pair(f, v) <= bound.upper
 
 
@@ -871,8 +887,6 @@ def test_sup_functional_translate_covariance(points, f_entries):
     shift = unit(2, F(1, 3))
     base = sup_functional(f, points)
     shifted = sup_functional(f, Translate(points, shift))
-    from symdex import dual_pair
-
     assert shifted.upper == base.upper + dual_pair(f, shift)
 
 
