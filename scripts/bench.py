@@ -45,10 +45,14 @@ the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
 the witness lists the request scores (counted at ``_score`` as above),
 the sampled diameter lower ends it computes (calls of
-``sets._sampled_lower``, each up to 64 sampled membership searches) and
-its member samples (calls of ``sets.sample_members``, counted through
-the names ``sets``, ``indexes`` and ``extraction`` call it by).
-Standard library only.
+``sets._sampled_lower``, each up to 64 sampled membership searches), its
+member samples (calls of ``sets.sample_members``, counted through the
+names ``sets``, ``indexes`` and ``extraction`` call it by), its sign-sum
+membership tests (calls of ``SignSums.contains``) and how many of them
+run the bounded depth-first search (calls of ``SignSums._search``; in a
+checkout without that method, the ``contains`` calls for which
+``SignSums.coefficients`` is None, as that version searched exactly
+then). Standard library only.
 
     python scripts/bench.py                      # print the tables
     python scripts/bench.py --out results.json   # also write them as JSON
@@ -99,6 +103,8 @@ PROC_EPSILONS = tuple(Fraction(x) for x in ("1/4", "1/2", "1"))  # drawn per set
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
+# x_n = e_n / 2^n, n = 1..15: disjoint supports, as the demo geometric series
+GEOMETRIC15 = {"norm": "sum", "label": "geometric15", "terms": [{str(n): f"1/{2 ** n}"} for n in range(1, 16)]}
 # x_n = e_n + e_{n+1}, n = 1..12: neighbouring terms share a coordinate,
 # so the symmetrized sign-sum sets have no closed form, and with 3^12
 # subset sign sums they are not enumerable either
@@ -108,10 +114,18 @@ OVERLAP12 = {
     "terms": [{str(n): "1", str(n + 1): "1"} for n in range(1, 13)],
 }
 SCALED_INPUTS = {
+    "geometric15.json": GEOMETRIC15,
+    "subset_sums12.json": {"set": {"type": "sign_sums", "mode": "subsets", "horizon": 12,
+                                   "series": {"norm": "sup", "label": "canonical12",
+                                              "terms": [{str(n): "1"} for n in range(1, 13)]}},
+                           "norm": "sup"},
     "overlap12.json": OVERLAP12,
     "overlap12_subsets.json": {"type": "sign_sums", "mode": "subsets", "horizon": 12, "series": OVERLAP12},
 }
 SCALED_REQUESTS = [
+    ("series_geometric15.json", ["series", "--in", "geometric15.json", "--epsilon", "1/256", "--seed", "0"]),
+    ("extract_subsets12_n8.json",
+     ["extract", "--in", "subset_sums12.json", "--epsilon", "1/10", "--n", "8", "--seed", "0"]),
     ("series_overlap12.json", ["series", "--in", "overlap12.json", "--epsilon", "1/8", "--seed", "11"]),
     ("delta_overlap12_n1.json", ["delta", "--in", "overlap12_subsets.json", "--n", "1", "--seed", "0"]),
     ("delta_overlap12_n2.json", ["delta", "--in", "overlap12_subsets.json", "--n", "2", "--seed", "0"]),
@@ -435,6 +449,28 @@ def measure_procedures() -> dict:
     return results
 
 
+def sign_sum_searches(call) -> tuple[int, int]:
+    """The ``SignSums.contains`` calls ``call()`` makes, and how many of
+    them run the bounded search (see the module docstring)."""
+    from symdex.sets import SignSums
+
+    if hasattr(SignSums, "_search"):
+        return tuple(count_calls(call, (SignSums, "contains"), (SignSums, "_search")))
+    searched: list[bool] = []
+    original = SignSums.contains
+
+    def counted(expr, v):
+        searched.append(expr.coefficients(v) is None)
+        return original(expr, v)
+
+    SignSums.contains = counted
+    try:
+        call()
+    finally:
+        SignSums.contains = original
+    return len(searched), sum(searched)
+
+
 def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
     """Median ms of ``call()`` over ``repeats`` runs after one warm-up;
     ``before()`` runs ahead of each, outside the timer."""
@@ -451,7 +487,8 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
 
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
-    "sampled_lower_calls", "sample_members_calls"}} over the requests of
+    "sampled_lower_calls", "sample_members_calls", "sign_sum_contains",
+    "sign_sum_searches"}} over the requests of
     run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
@@ -476,6 +513,8 @@ def measure_cli() -> dict:
             lower, *samples = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
                                           *((module, "sample_members") for module in (sets, indexes, extraction)))
             row["sampled_lower_calls"], row["sample_members_calls"] = lower, sum(samples)
+            cache.clear()
+            row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
@@ -534,11 +573,13 @@ def main(argv=None) -> int:
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
-          "   (median; scored witness lists, sampled lower ends, member samples)")
+          f"{'sign in':>9}{'search':>8}"
+          "   (median; scored witness lists, sampled lower ends, member samples, sign-sum contains and searches)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}")
+              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}"
+              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}")
     if args.out:
         report = {
             "units": {
@@ -550,8 +591,8 @@ def main(argv=None) -> int:
                              "update, summed over every request of perfbench/hull_catalogue.json and per shape",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls and "
-                       "sample_members_calls per request",
+                "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "
+                       "sample_members_calls, sign_sum_contains and sign_sum_searches per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,

@@ -43,24 +43,35 @@ class SeriesSpec:
     terms: tuple[SparseVec, ...]
     norm: NormKind
     label: str = ""
+    # coordinate -> its nonzero term entries (0-based term index, value), by index
+    columns: dict = field(init=False, repr=False, compare=False)
+    _disjoint: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
             raise InvalidInput("a series needs at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
+        columns: dict[int, list[tuple[int, Fraction]]] = {}
+        for n, t in enumerate(self.terms):
+            for i, x in t.items():
+                columns.setdefault(i, []).append((n, x))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_disjoint", all(len(entries) == 1 for entries in columns.values()))
 
     @property
     def horizon(self) -> int:
         return len(self.terms)
 
     def disjoint_supports(self) -> bool:
-        seen: set[int] = set()
-        for t in self.terms:
-            for i in t.support:
-                if i in seen:
-                    return False
-                seen.add(i)
-        return True
+        return self._disjoint
+
+    def column_sums(self, horizon: int) -> dict[int, Fraction]:
+        """Sum of |x_n(i)| over the first ``horizon`` terms, per coordinate they touch."""
+        sums = {}
+        for i, entries in self.columns.items():
+            if entries[0][0] < horizon:
+                sums[i] = sum((abs(x) for n, x in entries if n < horizon), Fraction(0))
+        return sums
 
     def to_json(self) -> dict:
         return {
@@ -109,11 +120,7 @@ def wuc_bound(s: SeriesSpec, budget: int = 2 ** 20) -> Fraction:
     """
     kind = s.norm
     if kind is NormKind.SUP:
-        column: dict[int, Fraction] = {}
-        for t in s.terms:
-            for i, x in t.items():
-                column[i] = column.get(i, Fraction(0)) + abs(x)
-        return max(column.values(), default=Fraction(0))
+        return max(s.column_sums(s.horizon).values(), default=Fraction(0))
 
     if s.disjoint_supports():
         # sum norms add; so do squared Euclidean norms
@@ -146,17 +153,22 @@ def sign_sum_set(s: SeriesSpec, mode: SignMode):
     return sets.SignSums(series=s, mode=mode, horizon=s.horizon)
 
 
+def _tail_sums(s: SeriesSpec, start: int, stop: int) -> list[SparseVec]:
+    """Every sign sum over the inclusive series positions [start, stop]."""
+    if not (1 <= start <= stop <= s.horizon):
+        raise InvalidInput(f"bad tail window [{start}, {stop}] for horizon {s.horizon}")
+    if stop - start > 20:
+        raise BudgetExceeded("brute_tail_sup window wider than 20 terms")
+    return list(signed_sums(s.terms[start - 1 : stop]))
+
+
 def brute_tail_sup(s: SeriesSpec, start: int, stop: int) -> Fraction:
     """Exact max over all sign patterns of the norm of sums over [start, stop].
 
     Both indices are inclusive series positions. Deliberately a plain
     enumeration so it can cross-check the harness.
     """
-    if not (1 <= start <= stop <= s.horizon):
-        raise InvalidInput(f"bad tail window [{start}, {stop}] for horizon {s.horizon}")
-    if stop - start > 20:
-        raise BudgetExceeded("brute_tail_sup window wider than 20 terms")
-    return max(norm(d, s.norm) for d in signed_sums(s.terms[start - 1 : stop]))
+    return max(norm(d, s.norm) for d in _tail_sums(s, start, stop))
 
 
 def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int | None = None) -> int | None:
@@ -244,12 +256,12 @@ def unconditional_tail_bound(
         if diam is not None and diam < bound:
             m = cover
             stop = min(m + replay_window, s.horizon)
-            tail_sup = brute_tail_sup(s, m + 1, stop)
-            if tail_sup > as_length(eps, kind):
+            tail = _tail_sums(s, m + 1, stop)
+            if max(norm(d, kind) for d in tail) > as_length(eps, kind):
                 raise NotAchievable(
                     "tail replay exceeded epsilon despite small diameter", best=best
                 )
-            for d in signed_sums(s.terms[m:stop]):
+            for d in tail:
                 if not sets.contains(sym, d):
                     raise NotAchievable(
                         "a tail sign sum left the symmetrized set", best=best

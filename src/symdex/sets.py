@@ -582,8 +582,10 @@ class SignSums(SetExpr):
     """Sign sums of a series: prefixes with all signs, or signed subsets.
 
     The subset mode contains the empty sum, so it always holds the zero
-    vector. ``node_budget`` caps the membership search; exceeding it
-    raises :class:`DepthExceeded` rather than approximating.
+    vector. With disjoint term supports, membership is decided exactly
+    from the series' coordinate table. Overlapping supports need a
+    search, and ``node_budget`` caps it; exceeding it raises
+    :class:`DepthExceeded` rather than approximating.
     """
 
     tag: ClassVar[str] = "sign_sums"
@@ -622,50 +624,42 @@ class SignSums(SetExpr):
             node_budget=_json_int(obj.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
         )
 
-    def coefficients(self, v: SparseVec) -> Optional[list[Fraction]]:
-        """Unique term coefficients of ``v``, when term supports are disjoint.
-
-        Returns None when the series has overlapping supports or ``v`` does
-        not decompose over the terms at all.
-        """
-        if not self.series.disjoint_supports():
+    def term_signs(self, v: SparseVec) -> Optional[dict[int, int]]:
+        """{0-based term index: +-1} when ``v`` is a signed sum of distinct
+        whole terms within the horizon; None when it is not. Only for
+        disjoint term supports, where each coordinate has one term entry."""
+        columns, horizon, signs = self.series.columns, self.horizon, {}
+        for i, x in v.items():
+            n, t = columns[i][0] if i in columns else (horizon, x)
+            # x == +-t on integers: both are Fractions in lowest terms
+            p, q = x.numerator, t.numerator
+            sign = 1 if p == q else -1 if p == -q else 0
+            if n >= horizon or not sign or x.denominator != t.denominator:
+                return None
+            if signs.setdefault(n, sign) != sign:
+                return None
+        # each coordinate of v lies in one touched term: v holds those terms
+        # whole exactly when their supports add up to v's
+        terms = self.series.terms
+        if sum(len(terms[n].support) for n in signs) != len(v.support):
             return None
-        coeffs: list[Fraction] = []
-        covered: set[int] = set()
-        for t in self.terms:
-            if t.is_zero:
-                coeffs.append(Fraction(0))
-                continue
-            i0, x0 = next(iter(t.items()))
-            c = v.get(i0) / x0
-            for i, x in t.items():
-                if v.get(i) != c * x:
-                    return None
-                covered.add(i)
-            coeffs.append(c)
-        if any(i not in covered for i in v.support):
-            return None
-        return coeffs
+        return signs
 
     def contains(self, v: SparseVec) -> bool:
-        coeffs = self.coefficients(v)
-        if coeffs is not None:
-            allowed = (Fraction(-1), Fraction(0), Fraction(1))
-            if any(c not in allowed for c in coeffs):
-                return False
-            if self.mode is SignMode.SUBSETS:
-                return True
-            # prefixes: every nonzero term up to the last used index must carry +-1
-            last = 0
-            for n, (c, t) in enumerate(zip(coeffs, self.terms), start=1):
-                if c != 0:
-                    last = n
-            cut = max(last, 1)
-            return all(
-                c != 0 or t.is_zero for c, t in zip(coeffs[:cut], self.terms[:cut])
-            )
+        if not self.series.disjoint_supports():
+            return self._search(v)
+        signs = self.term_signs(v)
+        if signs is None:
+            return False
+        if self.mode is SignMode.SUBSETS:
+            return True
+        # prefixes: every nonzero term up to the last used one carries +-1
+        cut = max(signs, default=0) + 1
+        return all(n in signs or self.terms[n].is_zero for n in range(cut))
 
-        # bounded search with coordinatewise pruning
+    def _search(self, v: SparseVec) -> bool:
+        """Membership by depth-first search over term coefficients, for
+        overlapping supports; ``node_budget`` caps its nodes."""
         terms = self.terms
         h = len(terms)
         suffix: list[dict[int, Fraction]] = [dict() for _ in range(h + 1)]
@@ -742,27 +736,27 @@ class SignSums(SetExpr):
         return linear_combination(zip(coeffs, self.terms))
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        value = sum((abs(dual_pair(f, t)) for t in self.terms), Fraction(0))
+        # sum of |f(t_n)| over the terms f touches, one table lookup per entry of f
+        pairs: dict[int, Fraction] = {}
+        for i, y in f.items():
+            for n, x in self.series.columns.get(i, ()):
+                if n < self.horizon:
+                    pairs[n] = pairs.get(n, Fraction(0)) + y * x
+        value = sum((abs(p) for p in pairs.values()), Fraction(0))
         return BoundPair(value, value, upper_witness={"rule": "column_sums"})
 
     def relevant_coords(self) -> set[int]:
-        return {i for t in self.terms for i in t.support}
+        return {i for i, entries in self.series.columns.items() if entries[0][0] < self.horizon}
 
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         terms = self.terms
         if kind is NormKind.SUP:
-            column: dict[int, Fraction] = {}
-            for t in terms:
-                for i, x in t.items():
-                    column[i] = column.get(i, Fraction(0)) + abs(x)
+            column = self.series.column_sums(self.horizon)
             if not column:
                 return _symmetric_pair_bound(Fraction(0), ZERO, kind)
             coord = max(column, key=lambda i: (column[i], -i))
-            signs = [
-                1 if t.get(coord) >= 0 else -1 if t.get(coord) != 0 else 0 for t in terms
-            ]
-            if self.mode is SignMode.PREFIXES:
-                signs = [s if s != 0 else 1 for s in signs]
+            # every term signed, a prefix of the whole horizon in either mode
+            signs = [-1 if t.get(coord) < 0 else 1 for t in terms]
             return _symmetric_pair_bound(
                 column[coord], linear_combination(zip(signs, terms)), kind
             )
@@ -842,21 +836,20 @@ class SignSums(SetExpr):
         # coefficients in {-1, 0, 1}), the symmetrized set is the signed
         # subset sums over the series indices no witness uses: those terms
         # become zero. Prefix-mode members must stay prefixes instead.
-        if self.mode is not SignMode.SUBSETS:
+        if self.mode is not SignMode.SUBSETS or not self.series.disjoint_supports():
             return super().symmetrize_reduce(ws)
         used: set[int] = set()
         for w in ws:
-            coeffs = self.coefficients(w)
-            if coeffs is None or any(c not in (-1, 0, 1) for c in coeffs):
+            signs = self.term_signs(w)
+            if signs is None:
                 return super().symmetrize_reduce(ws)
-            used |= {n for n, c in enumerate(coeffs) if c != 0}
+            used |= signs.keys()
         terms = tuple(ZERO if n in used else t for n, t in enumerate(self.series.terms))
         return replace(self, series=replace(self.series, terms=terms))
 
     def coordinate_relaxation(self) -> "Box":
         # the relaxation of a flattened symmetrization: column sums
-        coords = sorted(self.relevant_coords())
-        return Box(Fraction(0), tuple((i, _abs_coordinate_sup(self, i)) for i in coords))
+        return Box(Fraction(0), tuple(sorted(self.series.column_sums(self.horizon).items())))
 
 
 @dataclass(frozen=True)

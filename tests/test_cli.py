@@ -348,6 +348,23 @@ def test_oracle_replays_a_deep_sign_sum_membership(tmp_path):
     assert json.loads(verdict.read_text())["result"] == {"checked": 1, "failed": []}
 
 
+def test_oracle_decides_a_disjoint_sign_sum_non_member_within_a_small_node_budget(tmp_path):
+    # e_1 ... e_19, e_20 + e_21 with node_budget 20: the vector holds half of
+    # the last term's e_21, and the term table rejects it without a search
+    terms = [{str(n): "1"} for n in range(1, 20)] + [{"20": "1", "21": "1"}]
+    entry = {
+        "kind": "contains",
+        "set": {"type": "sign_sums", "mode": "subsets", "horizon": 20, "node_budget": 20,
+                "series": {"norm": "sup", "terms": terms}},
+        "vector": {**{str(n): "1" for n in range(1, 21)}, "21": "1/2"},
+        "expected": False,
+    }
+    report = write(tmp_path / "report.json", {"replay": [entry]})
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", report, "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"checked": 1, "failed": []}
+
+
 @pytest.mark.parametrize(
     "expected, code", [(True, EXIT_OK), (False, EXIT_VIOLATION), ("yes", EXIT_INVALID), (1, EXIT_INVALID)]
 )

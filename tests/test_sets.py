@@ -45,6 +45,7 @@ from symdex import (
     sup_functional,
     symmetrize,
     unit,
+    wuc_bound,
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
 from symdex.exactlp import INFEASIBLE
@@ -213,7 +214,7 @@ def test_sign_sums_stack_search_matches_recursive_reference(series, mode, budget
     )
     v = data.draw(st.one_of(combination, small_terms))
     expr = SignSums(series, mode, h, node_budget=budget)
-    assert expr.coefficients(v) is None  # the search runs, not the disjoint closed form
+    assert not series.disjoint_supports()  # the search runs, not the disjoint term table
     # the stack search does not report its node count, so compare through
     # the budget: the same verdict, or DepthExceeded at the same node
     assert search_outcome(expr.contains, v) == search_outcome(
@@ -223,6 +224,76 @@ def test_sign_sums_stack_search_matches_recursive_reference(series, mode, budget
     assert replace(expr, node_budget=nodes).contains(v) is member
     with pytest.raises(DepthExceeded):
         replace(expr, node_budget=nodes - 1).contains(v)
+
+
+def test_disjoint_sign_sums_reject_an_undecomposable_vector_without_search():
+    # e_1 ... e_19, e_20 + e_21: v holds half of the last term's e_21, so it
+    # is no sign sum; the term table says so without the bounded search
+    terms = tuple(unit(n) for n in range(1, 20)) + (unit(20) + unit(21),)
+    expr = SignSums(SeriesSpec(terms, NormKind.SUP, "split"), SignMode.SUBSETS, 20, node_budget=20)
+    v = linear_combination((1, t) for t in terms[:19]) + unit(20) + unit(21, F(1, 2))
+    assert not contains(expr, v)
+    assert contains(expr, v + unit(21, F(1, 2)))
+
+
+@st.composite
+def disjoint_series(draw):
+    """A series whose term supports are disjoint, over shuffled coordinates
+    1..12; a term may be zero, as the flattened terms of a symmetrization."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    coords = draw(st.permutations(range(1, 13)))
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
+    terms, used = [], 0
+    for size in sizes:
+        support = coords[used : used + size]
+        used += size
+        terms.append(SparseVec({i: draw(values) for i in support}))
+    return SeriesSpec(tuple(terms), NormKind.SUP, "disjoint")
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_series(), st.sampled_from(list(SignMode)), st.data())
+def test_disjoint_sign_sums_match_the_search_reference(series, mode, data):
+    h = data.draw(st.integers(1, series.horizon))
+    expr = SignSums(series, mode, h, node_budget=20)
+    # combinations of every term, beyond the horizon too, with +-1 and
+    # other multiples; or a small vector on coordinates of the terms and past them
+    combination = st.lists(
+        st.sampled_from((-1, 0, 1, 1, -1, 2, F(1, 2))), min_size=series.horizon, max_size=series.horizon
+    ).map(lambda cs: linear_combination(zip(cs, series.terms)))
+    stray = st.dictionaries(
+        st.integers(1, 14), st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3
+    ).map(SparseVec)
+    v = data.draw(st.one_of(combination, stray, combination.flatmap(lambda c: stray.map(c.__add__))))
+    member, _ = recursive_sign_sum_search(replace(expr, node_budget=10 ** 6), v)
+    assert contains(expr, v) is member
+    f = data.draw(stray)
+    assert sup_functional(f, expr).upper == sum((abs(dual_pair(f, t)) for t in expr.terms), F(0))
+
+
+def column_sum_diameter(expr):
+    """The sup-norm diameter of sign sums from plain column sums over the
+    terms: twice the largest, attained by the sum of every term with the
+    sign of its entry on that column (+1 where the entry is 0)."""
+    column = {}
+    for t in expr.terms:
+        for i, x in t.items():
+            column[i] = column.get(i, F(0)) + abs(x)
+    if not column:
+        return _symmetric_pair_bound(F(0), ZERO, NormKind.SUP)
+    coord = max(column, key=lambda i: (column[i], -i))
+    signs = [1 if t.get(coord) >= 0 else -1 for t in expr.terms]
+    return _symmetric_pair_bound(column[coord], linear_combination(zip(signs, expr.terms)), NormKind.SUP)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(disjoint_series(), overlapping_series), st.sampled_from(list(SignMode)), st.data())
+def test_sign_sum_column_sums_match_a_plain_reference(series, mode, data):
+    h = data.draw(st.integers(1, series.horizon))
+    expr = SignSums(series, mode, h)
+    assert diameter(expr, NormKind.SUP) == column_sum_diameter(expr)
+    whole = SignSums(series, mode, series.horizon)
+    assert wuc_bound(series) == column_sum_diameter(whole).upper / 2
 
 
 def test_hull_membership_exact_feasibility():
