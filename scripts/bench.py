@@ -47,7 +47,9 @@ the witness lists the request scores (counted at ``_score`` as above),
 the sampled diameter lower ends it computes (calls of
 ``sets._sampled_lower``, each up to 64 sampled membership searches), its
 member samples (calls of ``sets.sample_members``, counted through the
-names ``sets``, ``indexes`` and ``extraction`` call it by), its sign-sum
+names ``sets``, ``indexes`` and ``extraction`` call it by), its
+certified diameter upper ends (calls of ``diameter_upper``, counted
+through the names ``sets`` and ``extraction`` call it by), its sign-sum
 membership tests (calls of ``SignSums.contains``) and how many of them
 run the bounded depth-first search (calls of ``SignSums._search``; in a
 checkout without that method, the ``contains`` calls for which
@@ -383,9 +385,9 @@ def count_calls(call, *targets) -> list[int]:
     calls = [0] * len(targets)
 
     def counting(index):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[index] += 1
-            return originals[index](*args)
+            return originals[index](*args, **kwargs)
         return counted
 
     for index, (module, name) in enumerate(targets):
@@ -487,8 +489,8 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
 
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
-    "sampled_lower_calls", "sample_members_calls", "sign_sum_contains",
-    "sign_sum_searches"}} over the requests of
+    "sampled_lower_calls", "sample_members_calls", "diameter_upper_calls",
+    "sign_sum_contains", "sign_sum_searches"}} over the requests of
     run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
@@ -510,9 +512,11 @@ def measure_cli() -> dict:
             cache.clear()
             row["scored_lists"] = scored_lists(lambda: demo.main(request))
             cache.clear()
-            lower, *samples = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
-                                          *((module, "sample_members") for module in (sets, indexes, extraction)))
-            row["sampled_lower_calls"], row["sample_members_calls"] = lower, sum(samples)
+            lower, *counts = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
+                                         *((module, "sample_members") for module in (sets, indexes, extraction)),
+                                         *((module, "diameter_upper") for module in (sets, extraction)))
+            row["sampled_lower_calls"], row["sample_members_calls"] = lower, sum(counts[:3])
+            row["diameter_upper_calls"] = sum(counts[3:])
             cache.clear()
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
@@ -573,12 +577,13 @@ def main(argv=None) -> int:
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
-          f"{'sign in':>9}{'search':>8}"
-          "   (median; scored witness lists, sampled lower ends, member samples, sign-sum contains and searches)")
+          f"{'diam up':>9}{'sign in':>9}{'search':>8}"
+          "   (median; scored witness lists, sampled lower ends, member samples, diameter upper ends, "
+          "sign-sum contains and searches)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}"
+              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}{row['diameter_upper_calls']:>9}"
               f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}")
     if args.out:
         report = {
@@ -592,7 +597,8 @@ def main(argv=None) -> int:
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "
-                       "sample_members_calls, sign_sum_contains and sign_sum_searches per request",
+                       "sample_members_calls, diameter_upper_calls, sign_sum_contains and sign_sum_searches "
+                       "per request",
             },
             "batch": BATCH,
             "repeats": REPEATS,

@@ -14,7 +14,6 @@ from .errors import (
     ExtractionStalled,
     Inconclusive,
     InvalidInput,
-    NoCertificate,
     NotAchievable,
     NotFound,
     SequenceStalled,
@@ -70,10 +69,8 @@ from .indexes import (
     default_pool,
     delta0,
     delta_curve,
-    delta_infinity_bounds,
     delta_lower,
     delta_upper,
-    kcenter_radius,
     separation_alpha_lower,
 )
 from .extraction import (
@@ -84,7 +81,6 @@ from .extraction import (
     eps_strong_extreme,
     extract_c0_sequence,
     one_sided_sequence,
-    orthogonal_functional,
     refine_almost_isometric,
     validate_transcript,
     verify_basis_inequality,

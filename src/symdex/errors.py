@@ -32,10 +32,6 @@ class UnboundedDiameter(SymdexError):
     """The set has infinite diameter under the requested norm."""
 
 
-class NoCertificate(SymdexError):
-    """Neither construction path could produce the requested functional."""
-
-
 class Inconclusive(SymdexError):
     """A certified interval straddles the decision threshold."""
 

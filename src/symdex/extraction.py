@@ -1,4 +1,4 @@
-"""Constructive routines: sequence extraction, orthogonal functionals,
+"""Constructive routines: sequence extraction with its step functionals,
 almost-isometric refinement, dyadic trees and extreme-point analysis.
 
 The extraction loop peels a set by repeated symmetrization: each step
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count
 from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
@@ -23,7 +24,6 @@ from .errors import (
     ExtractionStalled,
     Inconclusive,
     InvalidInput,
-    NoCertificate,
     NotFound,
     SequenceStalled,
     SymdexError,
@@ -65,6 +65,7 @@ from .vectors import (
 )
 
 MAX_TREE_DEPTH = 16  # a depth-d tree holds 2^d - 1 nodes
+PROBES = 8  # members sampled per step condition without a closed form
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,11 @@ class ExtractionTranscript:
     @property
     def points(self) -> list[SparseVec]:
         return [s.x for s in self.steps]
+
+    @cached_property
+    def base_diameter_upper(self) -> Optional[Fraction]:
+        """Certified diameter upper end of the base set, computed once."""
+        return diameter_upper(self.base_set, self.kind)
 
     def to_json(self) -> dict:
         return {
@@ -154,7 +160,7 @@ def _default_start(expr: SetExpr) -> SparseVec:
 
 
 # ---------------------------------------------------------------------------
-# orthogonal functionals
+# step functionals
 
 
 def _fresh_functional_candidates(
@@ -211,55 +217,6 @@ def _dual_ball_lp(
     return f.scale(Fraction(1) / dn)
 
 
-def orthogonal_functional(
-    span: Sequence[SparseVec],
-    target: SetExpr,
-    lam: ScalarLike,
-    kind: NormKind,
-    certificate: Optional[SparseVec] = None,
-) -> Functional:
-    """A norm-one functional vanishing on the span with sup above ``lam``.
-
-    Tries a single fresh coordinate of the certificate direction first,
-    then an exact LP over the dual ball restricted to the joint support.
-    The certificate direction must be a member of the target set; when
-    omitted it is taken from the set's free-direction family.
-    """
-    lam_q = as_scalar(lam)
-    d = certificate
-    if d is None:
-        span_top = max((v.max_support for v in span), default=0)
-        d = free_direction(target, [], kind, floor=span_top)
-        if d is None:
-            d = free_direction(target, [], kind)
-        if d is None:
-            raise NoCertificate("no certificate direction available")
-    elif not contains(target, d):
-        raise WitnessNotMember("certificate direction is not a member of the target set")
-
-    for f in _fresh_functional_candidates(span, d):
-        if dual_pair(f, d) > lam_q:
-            return f
-        sup = sup_functional(f, target)
-        if sup.lower is not None and sup.lower > lam_q:
-            return f
-
-    f = _dual_ball_lp(span, d, kind)
-    if f is not None:
-        value = dual_pair(f, d)
-        if value > lam_q:
-            return f
-        sup = sup_functional(f, target)
-        if sup.lower is not None and sup.lower > lam_q:
-            return f
-    if kind is NormKind.EUCLID:
-        raise NoCertificate(
-            "no fresh coordinate; exact unit functionals in the Euclidean dual "
-            "need the sup or sum model"
-        )
-    raise NoCertificate(f"no functional with sup above {lam_q} was found")
-
-
 # ---------------------------------------------------------------------------
 # sequence extraction
 
@@ -272,6 +229,9 @@ def _choose_step_functional(
     floor_plain: Fraction,
     kind: NormKind,
 ) -> Optional[Functional]:
+    """The first admissible functional for x_n: a fresh unit coordinate,
+    else the exact LP over the dual ball vanishing on ``prev``."""
+
     def admissible(f: Functional) -> bool:
         if any(dual_pair(f, x) != 0 for x in prev):
             return False
@@ -357,7 +317,7 @@ STEP_FLAGS = (
 )
 
 
-def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8) -> dict:
+def validate_transcript(t: ExtractionTranscript, seed: int = 0) -> dict:
     """Re-check every transcript condition; exact where closed forms allow.
 
     Returns a report with per-step results and the verification level
@@ -392,7 +352,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
             entry["nested_level"] = "exact"
         else:
             ok = True
-            for z in sample_members(step.set_before, rng, probes):
+            for z in sample_members(step.set_before, rng, PROBES):
                 if not (contains(prev_expr, shift + z) and contains(prev_expr, shift - z)):
                     ok = False
                     break
@@ -407,7 +367,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0, probes: int = 8)
         else:
             entry["small_on_next"] = all(
                 abs(dual_pair(step.f, z)) < t.eta
-                for z in sample_members(nxt, rng, probes)
+                for z in sample_members(nxt, rng, PROBES)
             )
             entry["small_on_next_level"] = "sampled"
 
@@ -430,7 +390,7 @@ def verify_basis_inequality(
         raise InvalidInput("more coefficients than transcript steps")
     combo = linear_combination(zip(lams, (s.x for s in t.steps)))
     peak = max((abs(c) for c in lams), default=Fraction(0))
-    diam = diameter_upper(t.base_set, t.kind)
+    diam = t.base_diameter_upper
     if diam is None:
         raise InvalidInput("base set has no certified diameter upper bound")
     d0_upper = half_length(diam, t.kind)
@@ -743,10 +703,10 @@ def _sqrt_upper(s: Fraction) -> Fraction:
     return Fraction(isqrt(n * d) + 1, d)
 
 
-def _value_lower_rational(v: _Value, iterations: int = 200) -> Fraction:
+def _value_lower_rational(v: _Value) -> Fraction:
     """A certified rational lower bound of a nonnegative value, positive
-    when the value is: the bisection runs past ``iterations`` halvings
-    until its lower end leaves 0."""
+    when the value is: the bisection runs past 200 halvings until its
+    lower end leaves 0."""
     if isinstance(v, Fraction):
         return v
     if _value_cmp_rational(v, Fraction(0)) <= 0:
@@ -754,7 +714,7 @@ def _value_lower_rational(v: _Value, iterations: int = 200) -> Fraction:
     hi = v.a + abs(v.b) * _sqrt_upper(v.s)
     lo = Fraction(0)
     for step in count():
-        if step >= iterations and lo > 0:
+        if step >= 200 and lo > 0:
             break
         mid = (lo + hi) / 2
         if _value_cmp_rational(v, mid) > 0:

@@ -1,4 +1,4 @@
-"""Certified symmetrization indexes and covering-number proxy bounds.
+"""Certified symmetrization indexes and a covering-number proxy bound.
 
 delta_0 of a set is half its diameter; delta_N is the smallest delta_0
 over all symmetrizations with N witnesses. Upper bounds come from
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, InvalidInput, SymdexError, WitnessNotMember
+from .errors import InvalidInput, SymdexError, WitnessNotMember
 from .sets import (
     BoundPair,
     LowerCertificate,
@@ -324,94 +324,20 @@ def delta_curve(
     return results
 
 
-def delta_infinity_bounds(
-    expr: SetExpr,
-    N_max: int,
-    strategy: SearchStrategy,
-    kind: NormKind,
-) -> BoundPair:
-    """Bounds for the limit index: a uniform lower certificate is valid
-    for every N, and any upper bound at finite N bounds the limit."""
-    low = delta_lower(expr, N_max, kind)
-    cert = low.lower_certificate
-    lower = cert.unconditional_value if cert.uniform else Fraction(0)
-    up = delta_upper(expr, N_max, strategy, kind, seed=None)
-    return BoundPair(
-        lower,
-        up.bound.upper,
-        lower_witness=low.lower_certificate.to_json(),
-        upper_witness=[w.to_json() for w in up.upper_witnesses],
-    )
-
-
 # ---------------------------------------------------------------------------
-# covering and separation proxies
+# separation proxy
 
 
-def kcenter_radius(
-    points: Sequence[SparseVec],
-    k: int,
-    exact: bool,
-    kind: NormKind,
-    budget: int = 100_000,
-) -> BoundPair:
-    """Smallest radius of k balls centered at chosen points covering all.
-
-    Exact by enumeration of center subsets when requested and small;
-    otherwise the farthest-first greedy value with its 2-approximation
-    interval. Euclidean radii are carried squared (so the greedy lower
-    end is a quarter of the greedy value).
-    """
-    pts = list(points)
-    if not pts:
-        raise InvalidInput("kcenter needs at least one point")
-    if k < 1:
-        raise InvalidInput("kcenter needs k >= 1")
-    if k >= len(pts):
-        return BoundPair(Fraction(0), Fraction(0))
-    pts.sort(key=lambda p: p.sort_key())
-
-    def covering_radius(centers: Sequence[SparseVec]) -> Fraction:
-        return max(min(norm(p - c, kind) for c in centers) for p in pts)
-
-    if exact:
-        total = math.comb(len(pts), k)
-        if total > budget:
-            raise BudgetExceeded(f"kcenter exact enumeration of {total} subsets")
-        best = None
-        best_centers = None
-        for centers in combinations(pts, k):
-            r = covering_radius(centers)
-            if best is None or r < best:
-                best, best_centers = r, centers
-        return BoundPair(
-            best,
-            best,
-            upper_witness={"centers": [c.to_json() for c in best_centers]},
-        )
-
-    centers = [pts[0]]
-    while len(centers) < k:
-        far = max(pts, key=lambda p: (min(norm(p - c, kind) for c in centers), p.sort_key()))
-        centers.append(far)
-    r = covering_radius(centers)
-    return BoundPair(half_length(r, kind), r, upper_witness={"centers": [c.to_json() for c in centers]})
-
-
-def separation_alpha_lower(
-    expr: SetExpr,
-    count: int,
-    kind: NormKind,
-    budget: int = 20_000,
-    seed: int = 0,
-) -> BoundPair:
+def separation_alpha_lower(expr: SetExpr, count: int, kind: NormKind) -> BoundPair:
     """Half the separation of a constructed family of ``count`` members.
 
     A family of members with pairwise distance s obstructs coverings by
     balls of radius below s/2 at the family's scale; for boxes with a
     positive default radius the fresh-coordinate walk extends to any
     count, which is what makes the value a genuine covering lower bound.
-    May return zero when no construction family applies.
+    May return zero when no construction family applies. Otherwise the
+    best family of the members (or of 32 seeded samples) is searched for
+    up to 20,000 families, and built farthest first beyond that.
     """
     if count < 2:
         return BoundPair(Fraction(0), None)
@@ -422,14 +348,12 @@ def separation_alpha_lower(
     else:
         members = enumerate_members(flat, 4096)
         if members is None:
-            rng = random.Random(seed)
-            members = tuple(sample_members(flat, rng, 32))
+            members = tuple(sample_members(flat, random.Random(0), 32))
         pts = list(members)
         if len(pts) < count:
             return BoundPair(Fraction(0), None)
-        total = math.comb(len(pts), count)
         best_s = Fraction(0)
-        if total <= budget:
+        if math.comb(len(pts), count) <= 20_000:
             for family in combinations(pts, count):
                 s = min(norm(a - b, kind) for a, b in combinations(family, 2))
                 if s > best_s:

@@ -202,24 +202,19 @@ def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int | None = None) 
     return lo
 
 
-def unconditional_tail_bound(
-    s: SeriesSpec,
-    epsilon: ScalarLike,
-    pool: list[SparseVec] | None = None,
-    enum_budget: int = 200_000,
-    replay_window: int = 12,
-) -> TailBound:
+def unconditional_tail_bound(s: SeriesSpec, epsilon: ScalarLike, enum_budget: int = 200_000) -> TailBound:
     """Witness search certifying that late sign sums are uniformly small.
 
-    Searches for symmetrization witnesses inside the subset-mode sign-sum
-    set whose symmetrized set has diameter below twice ``epsilon``; every
-    sign sum over indices beyond the witnesses' reach then has norm at
-    most ``epsilon``, which is replayed by enumeration near the cut.
+    Searches the prefix sums of the series, members of the subset-mode
+    sign-sum set by construction, for a witness whose symmetrized set has
+    diameter below twice ``epsilon``; every sign sum over indices beyond
+    the witness's cover index then has norm at most ``epsilon``, which is
+    replayed by enumeration over the next 12 terms.
 
     Raises :class:`NotAchievable` (with the best attempt and a
-    free-direction certificate when one exists) if no witness list in the
-    pool works -- the expected outcome for series that carry a copy of
-    the canonical basis.
+    free-direction certificate when one exists) if no prefix sum works --
+    the expected outcome for series that carry a copy of the canonical
+    basis.
     """
     from . import indexes, sets  # deferred: avoids an import cycle
 
@@ -235,27 +230,21 @@ def unconditional_tail_bound(
     for k, t in enumerate(s.terms, start=1):
         acc = acc + t
         prefix.setdefault(acc, k)
-    if pool is None:
-        pool = list(prefix)
-    covers: list[tuple[int, SparseVec]] = []
-    for w in pool:
-        cover = _witness_cover_index(s, w, prefix.get(w))
-        if cover is None:
-            raise InvalidInput("tail-bound pool member is not a sign sum of the series")
-        covers.append((cover, w))
-    covers.sort(key=lambda cw: (cw[0], cw[1].sort_key()))
+    covers = sorted(
+        ((_witness_cover_index(s, w, k), w) for w, k in prefix.items()),
+        key=lambda cw: (cw[0], cw[1].sort_key()),
+    )
 
     best: tuple[Fraction, tuple[SparseVec, ...]] | None = None
-    for cover, w in covers:
-        if cover >= s.horizon:
+    for m, w in covers:
+        if m >= s.horizon:
             continue  # no tail left within the horizon; certifies nothing
-        sym = sets.symmetrize(expr, [w])
+        sym = expr.symmetrize_reduce([w])
         diam = sets.diameter_upper(sym, kind, enum_budget=enum_budget)
         if best is None or diam < best[0]:
             best = (diam, (w,))
         if diam is not None and diam < bound:
-            m = cover
-            stop = min(m + replay_window, s.horizon)
+            stop = min(m + 12, s.horizon)
             tail = _tail_sums(s, m + 1, stop)
             if max(norm(d, kind) for d in tail) > as_length(eps, kind):
                 raise NotAchievable(
@@ -276,7 +265,7 @@ def unconditional_tail_bound(
 
     cert = indexes.delta_lower(expr, 1, kind).lower_certificate
     raise NotAchievable(
-        "no witness list in the pool certifies the tail bound",
+        "no prefix sum certifies the tail bound",
         best=best,
         lower_certificate=cert if cert is not None and cert.value > 0 else None,
     )

@@ -47,7 +47,6 @@ from .vectors import (
     ZERO,
     Functional,
     NormKind,
-    ScalarLike,
     SparseVec,
     as_length,
     as_scalar,
@@ -236,9 +235,7 @@ class SetExpr(ABC):
         """sup |v_i| at any coordinate i beyond every relevant support."""
         return Fraction(0)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         """Unchecked candidate for :func:`free_direction` on a reduced set;
         None when the variant has no free-direction family."""
         return None
@@ -337,13 +334,6 @@ class Box(SetExpr):
     def max_override_coord(self) -> int:
         return self.overrides[-1][0] if self.overrides else 0
 
-    def diagonal_inverse_norm(self) -> Optional[Fraction]:
-        """Norm of the inverse of the diagonal operator whose unit-ball
-        image this box is: the reciprocal of the smallest radius. None
-        when some radius is zero (the operator is not invertible)."""
-        smallest = min([self.default_radius] + [r for _, r in self.overrides])
-        return None if smallest == 0 else Fraction(1) / smallest
-
     def to_json(self) -> dict:
         return {
             "type": self.tag,
@@ -419,13 +409,10 @@ class Box(SetExpr):
         value = 4 * sum((r * r for r in radii), Fraction(0))
         return BoundPair(value, value, upper_witness={"rule": "box_euclid_sq"})
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         if self.default_radius == 0:
             return None
-        scale = (1 - shrink) * self.default_radius
-        return unit(fresh_coordinate(ws, max(self.max_override_coord, floor)), scale)
+        return unit(fresh_coordinate(ws, self.max_override_coord), self.default_radius)
 
     def one_sided_direction(
         self, family: list[SparseVec], threshold: Fraction, kind: NormKind
@@ -536,9 +523,7 @@ class FinitePoints(SetExpr):
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return _pairwise_diameter(self.points, kind)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         if not ws:
             return None
         pool = set(self.points)
@@ -546,7 +531,7 @@ class FinitePoints(SetExpr):
         best_key = None
         for p in self.points:
             d = _canonical_sign(p - ws[0])
-            if d.is_zero or (floor and any(i <= floor for i in d.support)):
+            if d.is_zero:
                 continue
             if all((w + d) in pool and (w - d) in pool for w in ws):
                 key = (-norm(d, kind), d.sort_key())
@@ -769,15 +754,13 @@ class SignSums(SetExpr):
         arg = max(members, key=lambda p: (norm(p, kind), p.sort_key()))
         return _symmetric_pair_bound(norm(arg, kind), arg, kind)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         used: set[int] = set()
         for w in ws:
             used |= set(w.support)
         candidates = []
         for n, t in enumerate(self.terms, start=1):
-            if t.is_zero or any(i in used or i <= floor for i in t.support):
+            if t.is_zero or any(i in used for i in t.support):
                 continue
             candidates.append((-norm(t, kind), n, t))
         for _, _, t in sorted(candidates, key=lambda c: (c[0], c[1])):
@@ -900,10 +883,8 @@ class Translate(SetExpr):
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, seed, enum_budget)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
-        return self.base.two_sided_direction([w - self.by for w in ws], kind, shrink, floor)
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
+        return self.base.two_sided_direction([w - self.by for w in ws], kind)
 
     def default_pool(self) -> tuple[SparseVec, ...]:
         return tuple(p + self.by for p in self.base.default_pool())
@@ -955,10 +936,8 @@ class Negate(SetExpr):
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, seed, enum_budget)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
-        return self.base.two_sided_direction([-w for w in ws], kind, shrink, floor)
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
+        return self.base.two_sided_direction([-w for w in ws], kind)
 
     def default_pool(self) -> tuple[SparseVec, ...]:
         return tuple(-p for p in self.base.default_pool())
@@ -1033,11 +1012,9 @@ class Intersect(SetExpr):
         lower, wit = (Fraction(0), None) if seed is None else _sampled_lower(self, kind, seed)
         return BoundPair(lower, min(uppers), lower_witness=wit)
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         for part in self.parts:
-            d = part.two_sided_direction(ws, kind, shrink, floor)
+            d = part.two_sided_direction(ws, kind)
             if d is None or d.is_zero:
                 continue
             ok = all(
@@ -1184,11 +1161,9 @@ class Symmetrized(SetExpr):
             raise SymdexError("symmetrized diameter certificates are inconsistent")
         return BoundPair(lower, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
 
-    def two_sided_direction(
-        self, ws: list[SparseVec], kind: NormKind, shrink: Fraction, floor: int
-    ) -> Optional[SparseVec]:
+    def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         merged = self._witness_sums(ws) if ws else list(self.witnesses)
-        return self.base.two_sided_direction(merged, kind, shrink, floor)
+        return self.base.two_sided_direction(merged, kind)
 
     def default_pool(self) -> tuple[SparseVec, ...]:
         return (ZERO,)
@@ -1641,30 +1616,19 @@ def _sampled_lower(expr: SetExpr, kind: NormKind, seed: int) -> tuple[Fraction, 
 # free directions
 
 
-def free_direction(
-    expr: SetExpr,
-    witnesses: Sequence[SparseVec],
-    kind: NormKind,
-    shrink: ScalarLike = 0,
-    *,
-    floor: int = 0,
-) -> Optional[SparseVec]:
+def free_direction(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind) -> Optional[SparseVec]:
     """A direction d with w + d and w - d members for every witness.
 
     Returns the norm-largest candidate from the variant's deterministic
     family (canonical sign: first nonzero entry positive), or None when
     no nonzero candidate passes. The result replays through membership
-    checks alone. ``floor`` restricts candidates to supports strictly
-    beyond that coordinate (used to dodge a functional's span).
+    checks alone.
     """
-    shrink_q = as_scalar(shrink)
-    if not (0 <= shrink_q < 1):
-        raise InvalidInput("shrink must lie in [0, 1)")
     ws = list(witnesses)
     for w in ws:
         if not contains(expr, w):
             raise WitnessNotMember(f"witness {w!r} is not a member of the set")
-    d = reduced(expr).two_sided_direction(ws, kind, shrink_q, floor)
+    d = reduced(expr).two_sided_direction(ws, kind)
     if d is None or d.is_zero:
         return None
     for w in ws:

@@ -99,6 +99,27 @@ def test_extract_report_and_determinism(tmp_path):
     assert verify_replay(report) == []
 
 
+def test_extract_computes_the_base_diameter_once(tmp_path, monkeypatch):
+    # the 32 margin samples of a request share one base diameter, counted
+    # through the names that sets and extraction call it by
+    from symdex import extraction, sets
+
+    calls = []
+    diameter_upper = sets.diameter_upper
+    for module in (sets, extraction):
+        monkeypatch.setattr(
+            module, "diameter_upper", lambda *args, **kw: calls.append(args) or diameter_upper(*args, **kw)
+        )
+    finite = {"type": "finite", "points": [{}, {"1": "1"}, {"2": "1"}]}
+    for name, obj, n, outcome in (("box", PLAIN_BOX, "4", "ok"), ("finite", finite, "2", "stalled")):
+        infile, out = write(tmp_path / f"{name}.json", obj), tmp_path / f"{name}_report.json"
+        calls.clear()
+        assert main(["extract", "--in", infile, "--out", str(out), "--epsilon", "1/10", "--n", n]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["outcome"] == outcome and len(report["result"]["margin_samples"]) == 32
+        assert len(calls) == 1
+
+
 def test_series_report_and_oracle(tmp_path):
     infile = write(tmp_path / "series.json", GEOMETRIC)
     out = tmp_path / "series_report.json"

@@ -12,7 +12,6 @@ from symdex import (
     ExtractionStalled,
     ExtractionTranscript,
     FinitePoints,
-    NoCertificate,
     NormKind,
     NotFound,
     SearchStrategy,
@@ -26,15 +25,12 @@ from symdex import (
     delta0,
     diameter,
     dual_norm,
-    dual_pair,
     eps_extreme,
     eps_strong_extreme,
     extract_c0_sequence,
     norm,
     one_sided_sequence,
-    orthogonal_functional,
     refine_almost_isometric,
-    sup_functional,
     unit,
     validate_transcript,
     verify_basis_inequality,
@@ -52,36 +48,7 @@ def exhaustive(expr):
 
 
 # ---------------------------------------------------------------------------
-# orthogonal functionals
-
-
-def test_orthogonal_functional_fresh_path():
-    f = orthogonal_functional([unit(1)], BOX, F(1, 2), NormKind.SUP)
-    assert f == unit(2)
-    assert dual_pair(f, unit(1)) == 0
-    assert sup_functional(f, BOX).lower > F(1, 2)
-
-
-def test_orthogonal_functional_trivial():
-    target = FinitePoints((unit(1, 3),))
-    f = orthogonal_functional([], target, 2, NormKind.SUP, certificate=unit(1, 3))
-    assert f == unit(1)
-
-
-def test_orthogonal_functional_lp_path():
-    f = orthogonal_functional(
-        [unit(1) + unit(2)], BOX, F(1, 2), NormKind.SUP, certificate=unit(1) - unit(2)
-    )
-    assert f == SparseVec({1: F(1, 2), 2: F(-1, 2)})
-    assert dual_norm(f, NormKind.SUP) == 1
-    assert dual_pair(f, unit(1) + unit(2)) == 0
-    assert sup_functional(f, BOX).upper == 1
-
-
-def test_orthogonal_functional_no_certificate():
-    target = FinitePoints((unit(1),))
-    with pytest.raises(NoCertificate):
-        orthogonal_functional([unit(1)], target, F(1, 2), NormKind.SUP, certificate=unit(1))
+# step functionals
 
 
 def reference_dual_ball_lp(span, objective, kind):

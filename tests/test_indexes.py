@@ -25,11 +25,9 @@ from symdex import (
     default_pool,
     delta0,
     delta_curve,
-    delta_infinity_bounds,
     delta_lower,
     delta_upper,
     eps_extreme,
-    kcenter_radius,
     refine_almost_isometric,
     separation_alpha_lower,
     symmetrize,
@@ -113,17 +111,6 @@ def test_delta_curve_plain_box_all_ones():
     assert all(r.bound.lower == 1 and r.bound.upper == 1 for r in curve)
 
 
-def test_delta_infinity_examples():
-    box = Box(F(1))
-    bound = delta_infinity_bounds(box, 4, exhaustive(box), NormKind.SUP)
-    assert (bound.lower, bound.upper) == (1, 1)
-    tri = delta_infinity_bounds(TRIANGLE, 2, exhaustive(TRIANGLE), NormKind.SUP)
-    assert (tri.lower, tri.upper) == (0, 0)
-    over = Box(F(1), ((1, F(2)),))
-    b2 = delta_infinity_bounds(over, 2, exhaustive(over), NormKind.SUP)
-    assert (b2.lower, b2.upper) == (1, 1)
-
-
 def test_curve_monotone_uppers_random_sets():
     rng = random.Random(11)
     for _ in range(10):
@@ -156,23 +143,6 @@ def test_delta1_zero_on_every_finite_set():
             res = delta_upper(pts, 1, exhaustive(pts), kind)
             assert res.bound.upper == 0
             assert brute_delta1_zero_witness(as_dicts(pts), kind) is not None
-
-
-def test_kcenter_examples():
-    pts = [ZERO, unit(1), unit(1, 2)]
-    bound = kcenter_radius(pts, 1, True, NormKind.SUP)
-    assert bound.exact and bound.upper == 1
-    assert kcenter_radius(pts, 3, True, NormKind.SUP).upper == 0
-    quad = [unit(1), -unit(1), unit(2), -unit(2)]
-    assert kcenter_radius(quad, 2, True, NormKind.SUP).upper == 1
-
-
-def test_kcenter_greedy_interval():
-    pts = [ZERO, unit(1), unit(1, 2), unit(2, 3)]
-    bound = kcenter_radius(pts, 2, False, NormKind.SUP)
-    assert bound.lower == bound.upper / 2
-    exact = kcenter_radius(pts, 2, True, NormKind.SUP)
-    assert bound.lower <= exact.upper <= bound.upper
 
 
 def test_separation_examples():
@@ -603,25 +573,6 @@ def test_sandwich_property():
         low = delta_lower(box, n, NormKind.SUP).lower_certificate.unconditional_value
         up = delta_upper(box, n, exhaustive(box), NormKind.SUP).bound.upper
         assert low <= up
-
-
-def test_kcenter_budget_exceeded():
-    from symdex import BudgetExceeded
-
-    pts = [unit(i) for i in range(1, 12)]
-    with pytest.raises(BudgetExceeded):
-        kcenter_radius(pts, 5, True, NormKind.SUP, budget=10)
-
-
-def test_kcenter_greedy_within_factor_two():
-    rng = random.Random(45)
-    for _ in range(15):
-        pts = [random_point(rng, dim=3) for _ in range(rng.randint(3, 7))]
-        for kind in ALL_NORMS:
-            k = rng.randint(1, 2)
-            greedy = kcenter_radius(pts, k, False, kind)
-            exact = kcenter_radius(pts, k, True, kind)
-            assert greedy.lower <= exact.upper <= greedy.upper
 
 
 def test_search_and_eps_extreme_share_one_witness_member_sets(monkeypatch):

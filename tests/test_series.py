@@ -224,3 +224,22 @@ def test_cover_index_of_a_prefix_sum_matches_the_full_horizon_bisection(s):
         full = _witness_cover_index(s, acc)
         assert full is not None and full <= k
         assert _witness_cover_index(s, acc, k) == full == linear_cover_index(s, acc)
+
+
+def test_tail_bound_symmetrizes_at_its_checked_prefix_sums(tmp_path, monkeypatch):
+    # a prefix sum is a subset sum, so each witness is searched for its
+    # cover index only, not again before it is symmetrized
+    import hashlib
+    import json
+
+    from symdex.cli import main
+    from test_golden import OVERLAP12, OVERLAP12_DIGESTS
+
+    searches = []
+    search = SignSums._search
+    monkeypatch.setattr(SignSums, "_search", lambda *args: searches.append(args) or search(*args))
+    infile, report = tmp_path / "overlap12.json", tmp_path / "report.json"
+    infile.write_text(json.dumps(OVERLAP12))
+    assert main(["series", "--in", str(infile), "--epsilon", "1/8", "--seed", "11", "--out", str(report)]) == 0
+    assert len(searches) == 26
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == OVERLAP12_DIGESTS["series"][0]

@@ -618,11 +618,6 @@ def test_free_direction_singleton_none():
     assert free_direction(FinitePoints((unit(1),)), [unit(1)], NormKind.SUP) is None
 
 
-def test_free_direction_shrink_scales_box_direction():
-    d = free_direction(Box(F(2)), [ZERO], NormKind.SUP, shrink=F(1, 4))
-    assert d == unit(1, F(3, 2))
-
-
 @given(finite_sets, st.data(), norm_kinds)
 def test_free_direction_soundness(points, data, kind):
     w = points.points[data.draw(st.integers(0, len(points.points) - 1))]
@@ -936,12 +931,6 @@ def test_sup_functional_symmetrized_interval_is_sound():
     bound = sup_functional(f, sym_expr)
     for v in enumerate_members(symmetrize(base, [ZERO]), 1000):
         assert dual_pair(f, v) <= bound.upper
-
-
-def test_diagonal_inverse_norm():
-    assert Box(F(1)).diagonal_inverse_norm() == 1
-    assert Box(F(1), ((1, F(2)), (3, F(1, 2)))).diagonal_inverse_norm() == 2
-    assert Box(F(1), ((1, F(0)),)).diagonal_inverse_norm() is None
 
 
 @given(finite_sets, st.data())
