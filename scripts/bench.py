@@ -54,7 +54,11 @@ membership tests (calls of ``SignSums.contains``) and how many of them
 run the bounded depth-first search (calls of ``SignSums._search``; in a
 checkout without that method, the ``contains`` calls for which
 ``SignSums.coefficients`` is None, as that version searched exactly
-then). Standard library only.
+then). For each JSON report it also times the ``oracle`` replay and
+counts, for one replay, the set parses (calls of ``sets.set_from_json``,
+nested sets included), the vector parses (calls of
+``SparseVec.from_json``) and the bytes of the verdict it writes.
+Standard library only.
 
     python scripts/bench.py                      # print the tables
     python scripts/bench.py --out results.json   # also write them as JSON
@@ -75,6 +79,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import platform
@@ -379,15 +384,24 @@ def random_finite_set(symdex, rng: random.Random, count: int):
 
 def count_calls(call, *targets) -> list[int]:
     """How many times ``call()`` calls ``module.<name>`` for each
-    ``(module, name)`` of ``targets`` (a class for a method), counted by
-    wrapping them for the length of the call."""
-    originals = [getattr(module, name) for module, name in targets]
+    ``(module, name)`` of ``targets`` (a class for a method or a
+    classmethod), counted by wrapping them for the length of the call."""
+    originals = [inspect.getattr_static(module, name) for module, name in targets]
     calls = [0] * len(targets)
 
     def counting(index):
+        original = originals[index]
+        if isinstance(original, classmethod):
+            method = original.__func__
+
+            def counted_class(cls, *args, **kwargs):
+                calls[index] += 1
+                return method(cls, *args, **kwargs)
+            return classmethod(counted_class)
+
         def counted(*args, **kwargs):
             calls[index] += 1
-            return originals[index](*args, **kwargs)
+            return original(*args, **kwargs)
         return counted
 
     for index, (module, name) in enumerate(targets):
@@ -490,12 +504,15 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
     "sampled_lower_calls", "sample_members_calls", "diameter_upper_calls",
-    "sign_sum_contains", "sign_sum_searches"}} over the requests of
-    run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay)."""
+    "sign_sum_contains", "sign_sum_searches", "oracle_set_parses",
+    "oracle_vector_parses", "verdict_bytes"}} over the requests of
+    run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay,
+    so their rows have no oracle figures)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
     from symdex import extraction, indexes, sets
+    from symdex.vectors import SparseVec
 
     cache = getattr(sets, "_ENUM_CACHE", {})
     results: dict[str, dict] = {}
@@ -521,8 +538,13 @@ def measure_cli() -> dict:
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
-                replay = ["oracle", "--in", str(report), "--out", str(work / f"verdict_{outname}")]
+                verdict = work / f"verdict_{outname}"
+                replay = ["oracle", "--in", str(report), "--out", str(verdict)]
                 row["oracle_ms"] = median_ms(lambda: demo.main(replay), cache.clear, repeats)
+                cache.clear()
+                row["oracle_set_parses"], row["oracle_vector_parses"] = count_calls(
+                    lambda: demo.main(replay), (sets, "set_from_json"), (SparseVec, "from_json"))
+                row["verdict_bytes"] = verdict.stat().st_size
             results[outname] = row
     return results
 
@@ -577,14 +599,16 @@ def main(argv=None) -> int:
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
-          f"{'diam up':>9}{'sign in':>9}{'search':>8}"
+          f"{'diam up':>9}{'sign in':>9}{'search':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
           "   (median; scored witness lists, sampled lower ends, member samples, diameter upper ends, "
-          "sign-sum contains and searches)")
+          "sign-sum contains and searches; the oracle's set and vector parses and verdict bytes)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
+        parses = "".join(f"{row.get(key, '-'):>{w}}" for key, w in
+                         (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
               f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}{row['diameter_upper_calls']:>9}"
-              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}")
+              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{parses}")
     if args.out:
         report = {
             "units": {
@@ -598,7 +622,8 @@ def main(argv=None) -> int:
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "
                        "sample_members_calls, diameter_upper_calls, sign_sum_contains and sign_sum_searches "
-                       "per request",
+                       "per request; oracle_set_parses, oracle_vector_parses and verdict_bytes per oracle "
+                       "replay of the report",
             },
             "batch": BATCH,
             "repeats": REPEATS,

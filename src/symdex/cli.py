@@ -4,7 +4,10 @@ Reports are deterministic: the same request (including its seed) gives
 byte-identical output. Every report embeds a ``replay`` section listing
 membership checks and exact scalar comparisons that re-verify its
 certificates; the ``oracle`` command re-runs those checks and nothing
-else.
+else. A report embeds its decoded input under ``request.input``; an
+``oracle`` verdict embeds ``{"sha256": ...}`` there instead, the hex
+digest of the report file's bytes, so it names the report it checked
+without writing it out again.
 
 Exit codes: 0 success (including stalled / not-achievable outcomes),
 1 invariant violation, 2 invalid input, 3 budget exhaustion.
@@ -13,6 +16,7 @@ Exit codes: 0 success (including stalled / not-achievable outcomes),
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -72,13 +76,21 @@ def decimal_string(value: Fraction, digits: int) -> str:
 # replay checks
 
 
-def check_entry(entry: dict) -> bool:
-    """Re-verify one replay entry with membership and exact arithmetic."""
+def check_entry(entry: dict, parsed: dict[str, sets.SetExpr]) -> bool:
+    """Re-verify one replay entry with membership and exact arithmetic.
+
+    ``parsed`` maps the compact sorted JSON of each ``contains`` set seen
+    so far in this replay to its ``SetExpr``, so each distinct set is
+    parsed once.
+    """
     if not isinstance(entry, dict):
         raise InvalidInput("a replay entry must be a JSON object")
     kind = entry["kind"]
     if kind == "contains":
-        expr = sets.set_from_json(entry["set"])
+        key = json.dumps(entry["set"], sort_keys=True, separators=(",", ":"))
+        expr = parsed.get(key)
+        if expr is None:
+            expr = parsed[key] = sets.set_from_json(entry["set"])
         v = SparseVec.from_json(entry["vector"])
         expected = entry.get("expected", True)
         if not isinstance(expected, bool):
@@ -119,11 +131,8 @@ def verify_replay(report: dict) -> list[int]:
     entries = report.get("replay", [])
     if not isinstance(entries, list):
         raise InvalidInput("a report's replay must be a list")
-    failures = []
-    for pos, entry in enumerate(entries):
-        if not check_entry(entry):
-            failures.append(pos)
-    return failures
+    parsed: dict[str, sets.SetExpr] = {}
+    return [pos for pos, entry in enumerate(entries) if not check_entry(entry, parsed)]
 
 
 def _contains_entry(expr, v: SparseVec, expected: bool = True) -> dict:
@@ -155,12 +164,19 @@ def _free_direction_replay(expr, witnesses, d, kind: NormKind, lower: Fraction) 
 # input parsing
 
 
-def _load_json(path: str):
+def _read_input(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            return handle.read()
     except FileNotFoundError:
         raise InvalidInput(f"input file not found: {path}") from None
+
+
+def _decode_json(data: bytes):
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"input is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not valid JSON: {exc}") from None
     except RecursionError:
@@ -516,7 +532,8 @@ PARSER = build_parser()
 def run(args) -> int:
     handler = HANDLERS[args.command]
     try:
-        obj = _load_json(args.infile)
+        data = _read_input(args.infile)
+        obj = _decode_json(data)
         result, replay, outcome = handler(args, obj)
     except (InvalidInput, KeyError, UnboundedDiameter) as exc:
         # UnboundedDiameter: the request asks for a quantity the model says is infinite
@@ -533,7 +550,7 @@ def run(args) -> int:
         "version": __version__,
         "command": args.command,
         "request": {
-            "input": obj,
+            "input": {"sha256": hashlib.sha256(data).hexdigest()} if args.command == "oracle" else obj,
             "parameters": {
                 "n": args.n,
                 "epsilon": args.epsilon,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvalidInput
@@ -44,18 +43,29 @@ def as_scalar(value: ScalarLike) -> Fraction:
     would build a denominator with 10^8 digits, so one input scalar could
     run a request without bound.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    # strings first: Fraction is an ABC, so isinstance(value, Fraction) is slow for a str
     if isinstance(value, str):
         text = value.strip()
+        if text.isascii():
+            # [-]digits[/digits]: what reports write, parsed without Fraction's regex
+            num, slash, den = text.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+                try:
+                    q = int(den) if slash else 1
+                    if q:
+                        return Fraction(int(num), q)
+                except ValueError:  # past int's digit limit; Fraction(text) rejects it too
+                    pass
         if "e" in text or "E" in text:
             raise InvalidInput(f"not a rational (exponent notation is not accepted): {value!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"not a rational: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
     raise InvalidInput(f"not a rational: {value!r}")
 
 
@@ -118,11 +128,13 @@ class SparseVec:
         for coord, value in pairs:
             if not isinstance(coord, int) or isinstance(coord, bool) or coord < 1:
                 raise InvalidInput(f"coordinate must be a positive integer, got {coord!r}")
-            q = data.get(coord, _ZERO_SCALAR) + as_scalar(value)
-            if q == 0:
-                data.pop(coord, None)
-            else:
+            q = as_scalar(value)
+            if coord in data:
+                q += data[coord]
+            if q:
                 data[coord] = q
+            else:
+                data.pop(coord, None)
         self._entries = data
         self._items = tuple(sorted(data.items()))
         self._hash = None
@@ -217,7 +229,7 @@ class SparseVec:
                 coord = int(key)
             except (TypeError, ValueError):
                 raise InvalidInput(f"bad coordinate key {key!r}") from None
-            pairs.append((coord, as_scalar(value)))
+            pairs.append((coord, value))
         return cls(pairs)
 
     def __repr__(self) -> str:
@@ -280,9 +292,24 @@ def linear_combination(terms: Iterable[tuple[ScalarLike, SparseVec]]) -> SparseV
 
 def signed_sums(terms: Sequence[SparseVec]) -> Iterator[SparseVec]:
     """Every +-1 combination of the terms, in ``itertools.product((1, -1), ...)``
-    order over the sign patterns (reports list them in this order)."""
-    for signs in product((1, -1), repeat=len(terms)):
-        yield linear_combination(zip(signs, terms))
+    order over the sign patterns (reports list them in this order).
+
+    The patterns are the leaves of a binary tree walked depth first;
+    ``partial[j]`` holds the signed sum of the first j terms on the current
+    path, so each tree edge costs one ``+`` or ``-``."""
+    k = len(terms)
+    partial = [ZERO]
+    for t in terms:
+        partial.append(partial[-1] + t)
+    yield partial[k]
+    for n in range(1, 1 << k):
+        # from pattern n - 1 to n, term j flips from + to - and the later
+        # terms reset to +, where bit k-1-j is the lowest set bit of n
+        j = k - (n & -n).bit_length()
+        partial[j + 1] = partial[j] - terms[j]
+        for i in range(j + 1, k):
+            partial[i + 1] = partial[i] + terms[i]
+        yield partial[k]
 
 
 def norm(v: SparseVec, kind: NormKind) -> Fraction:

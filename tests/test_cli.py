@@ -1,10 +1,11 @@
 import argparse
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from symdex import cli
+from symdex import cli, sets
 from symdex.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -400,6 +401,48 @@ def test_oracle_contains_entry_needs_a_boolean_expected(tmp_path, expected, code
     assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == code
 
 
+def test_oracle_parses_each_distinct_set_once(tmp_path, monkeypatch):
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    report, verdict = tmp_path / "report.json", tmp_path / "verdict.json"
+    assert main(["tree", "--in", infile, "--out", str(report), "--epsilon", "1", "--depth", "5"]) == EXIT_OK
+    replay = json.loads(report.read_text())["replay"]
+    contains = [entry["set"] for entry in replay if entry["kind"] == "contains"]
+    distinct = {json.dumps(obj, sort_keys=True) for obj in contains}
+    assert len(contains) == 31 and len(distinct) == 1
+    parses = []
+    parse = sets.set_from_json
+    monkeypatch.setattr(sets, "set_from_json", lambda obj: parses.append(obj) or parse(obj))
+    assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"checked": len(replay), "failed": []}
+    assert len(parses) == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "bad_set",
+    [{"type": "frobnicate"}, nested_set(MAX_SET_DEPTH + 1)],
+    ids=["unknown_type", "too_deep"],
+)
+def test_oracle_rejects_a_malformed_set_after_a_cached_one(tmp_path, capsys, bad_set):
+    good = {"kind": "contains", "set": PLAIN_BOX, "vector": {"1": "1"}, "expected": True}
+    bad = {**good, "set": bad_set}
+    report = write(tmp_path / "report.json", {"replay": [good, bad, good]})
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", report, "--out", str(verdict)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("symdex: invalid input:")
+    assert "Traceback" not in err
+    assert not verdict.exists()
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    infile = tmp_path / "latin1.json"
+    infile.write_bytes(b'{"type": "box", "default_radius": "1", "overrides": {}, "label": "\xe9"}')
+    out = tmp_path / "out.json"
+    assert main(["delta", "--in", str(infile), "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the request pipeline
 
@@ -412,12 +455,14 @@ def test_request_reads_its_input_once(tmp_path, monkeypatch, command):
     series = write(tmp_path / "series.json", GEOMETRIC)
     inputs = {"delta": infile, "series": series, "oracle": str(report)}
     reads = []
-    load = cli._load_json
-    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    read = cli._read_input
+    monkeypatch.setattr(cli, "_read_input", lambda path: reads.append(path) or read(path))
     out = tmp_path / "out.json"
     assert main([command, "--in", inputs[command], "--out", str(out), "--epsilon", "1/8"]) == EXIT_OK
     assert reads == [inputs[command]]
-    assert json.loads(out.read_text())["request"]["input"] == load(inputs[command])
+    data = read(inputs[command])
+    expected = {"sha256": hashlib.sha256(data).hexdigest()} if command == "oracle" else json.loads(data)
+    assert json.loads(out.read_text())["request"]["input"] == expected
 
 
 def test_request_builds_no_parser(tmp_path, monkeypatch):

@@ -87,40 +87,40 @@ DEMO_DIGESTS = {
     "tail_canonical.json": "60e85727f8ad2ee601274a36f013107967606c0df1b1243a4a1e3289308ef674",
     "extreme.json": "898f4394def54e6b7c4ddf9e75cc48c4068e200308e05a79428942fa4c2bd10d",
     "one_sided.json": "53f2a1efc726998d4a5b71df1be0666693a66e939c4d57dd4693883d73efa845",
-    "verdict_delta_curve.json": "0697e0ea8196a3e2fe03f8b7db1c053c7038e18616f0bb288c4d91805db09e9a",
-    "verdict_extraction.json": "d5e9d67feb7b71baad5f3b61c83691bd5a908bc4939e8d6f5287891cdb5b388f",
-    "verdict_refined.json": "ca0232d78951481e1cd437d343c17bd3354bafe3ac55b449b5e8a3132170607c",
-    "verdict_tree.json": "be41e5cc84097df13d1c1bbd54651450ddad74fda624dcbede2b123ec827c364",
-    "verdict_tail_geometric.json": "8222836a4235d8a2571dcabc3b201bc79b47ff5fe9f18930d0e147d8c6bcc5ca",
-    "verdict_tail_canonical.json": "8f80495ee8374c2f23ef683a260dd161f64f6335941457984975f533a8bb7445",
-    "verdict_extreme.json": "7e7db37bbd6177afa4128262fe63ef7639d90296630df6f43d51e3c619fa42c9",
-    "verdict_one_sided.json": "ca8414f020811c5e966069c75986a7e0f1426f284287a4b5ef80618ba334033d",
+    "verdict_delta_curve.json": "e4e4866f9b8b8d528e3e367deb5617f76db3ae668919bcdba4b6d2e43a76e3ff",
+    "verdict_extraction.json": "b725a73476472949c64aacda730ed8bb5ba2ff5fc1d869ea9215e2971860e26e",
+    "verdict_refined.json": "479e6061841d6ee254365f2aa459563aee22111a8ec32f9be9fe94b6e780bc4d",
+    "verdict_tree.json": "a6500074e932efa2079b0913f04b1eb1d8ea9d304286d55ddfd893d5cf6fd908",
+    "verdict_tail_geometric.json": "f3d0a769f3e5b95566789f16b880b16b52555da1db2c1e1242252b3d7ce9780d",
+    "verdict_tail_canonical.json": "0d26e0343c0722c15b1285d8c558644e608907eaf32b16066e42851d6e48643e",
+    "verdict_extreme.json": "c69a6583c4a29f0518779184c93da5bc16f8ddbbf70e2e14c5db77037ec14555",
+    "verdict_one_sided.json": "a0799fbaea9626c2c0ffbf0676cd5c073cc47852aea0ff75b3e097e05d59a9a9",
 }
 
 VARIANT_DIGESTS = {
     "translate": (
         "99530809c6b247526c6f5e188aa59d6607ce1321d6ec3fcfc45242ad04568a1c",
-        "01b314c458de6808c475b51054ca3dc0f96ab77b7cb260692f5a58d68bf6a162",
+        "a23476c66cada2086ad978779e52d8d700d2fa635d9c91f8289e770a83690d68",
     ),
     "negate": (
         "1ade18f7afe83124928cadf2b6de6524211ef5a779e09a62aa79a613cc642f71",
-        "aac89583e656c4ee1706dd7672693b2b97828dbc66329e7a8e2dfcf1553ee6ef",
+        "7431f29d7f625cbfc76a0faa72d8bed135d02fb058ec0a23951d1c953ef2d975",
     ),
     "intersect": (
         "acdfa7b0d11922e7057b8f50e804d9e0d8658eb3e2d905ff93a5c10f84ff3f95",
-        "b3728fd83a50632e36086cc7495551666bb9276ac254b3d2496748f9fd2f8c46",
+        "3a6180ad63435523025f8b1cec2d9c5dffd121ae661296d971fc33c3e2c2e18d",
     ),
     "intersect_point": (
         "2ff15e30ece23544b9061ee0ed9c836927fb7674a88121524cd63c0cfff5c44f",
-        "7ddc65924f3a14010ebe0ac84c9cfa237a47f3017cdd23033201a77977d4a065",
+        "ced3bf47515c2bf52493acfc34f158b5281ae2464e25dc02d7c85c6a46378918",
     ),
     "symmetrized": (
         "1f1fad4e762eca7640b415e5ae871e065f36e676ba1bc803a0784dedf5046900",
-        "a6d1e12fbfbcbb94295e065f13b188882dcac75c66344339db84404dab542c0b",
+        "1438aa3151edcca07a55bed77cea9025c04e83eeb3707b06950242755794fe4f",
     ),
     "abs_conv_hull": (
         "834116c5c937c18650e165e9d8e7faa620401e56f3963ae99bca05943bbb4c90",
-        "4e173ad451978aa3c72c210fd5d8e229b5c850764873efc120bc7db3782ebbaf",
+        "0dcc073bdb47adb4ea1157afa98b604537a9fab0d6b1c7e0975d00f31f9cb393",
     ),
 }
 
@@ -145,11 +145,11 @@ OVERLAP12_REQUESTS = {
 OVERLAP12_DIGESTS = {
     "series": (
         "f5d67f951f19c7499ad403e23d49e89089843d38db19a5efee6a057d3a4feb46",
-        "1c33b6c19be313b2c21e47cdbf6f6bcc2411b5cc0b9daca0bbf155462808a820",
+        "0e93259ea261218d0536fbb8ff133841c2c7db44b4e6362464b397d4fb56eb43",
     ),
     "delta": (
         "a54ccffbe9f741e3a37aa193d3145750b62ba8035cbf5560dec0d5d061e4e478",
-        "98dbf66d74ba20358739b663e73aa0da75ae260ffcbad62180aa49ac6d191701",
+        "4eae4df3745cae688c475cf230e62b8602ee3f6c253cb13238aae0892a3f5742",
     ),
 }
 
@@ -171,21 +171,21 @@ HULL_REQUESTS = {
 HULL_DIGESTS = {
     "delta_n2": (
         "814fb0930c083a6b060e20c35bf136ea711afc3b74a199d13b611553a2ee39c9",
-        "07be464d735022afeabc37ce5aa57bf23e7201ddd7a4d9f6b4e87e568f4fc0ca",
+        "84c62fff5e246badcb571d56863bdb9540672097dc826779e495410b7aff45e9",
     ),
     "extract_n3": (
         "02f85649cf52e7a825bafac1e938cc6fe9487189e7f4b362cb3a1df6d049241f",
-        "afee30b4d56ac9a3fedc12b2fdbadbf57592d9921028c6ffdd998ae1267dfbe2",
+        "83e56bf19bae0685ed9c5db1cc25506853de94f4daa145761970668830469838",
     ),
     "rank_deficient_delta_n2": (
         "0ba94ed94551547b162884925eea81f8761407d4273eaa2222e66d134b94d01d",
-        "4ce14d02bcb891cbabb9e2db5684a922e67e1f7e88806dda8f8604f7fd18db4e",
+        "4dbbcdf084536ec6b0d054af5d6c86c410b90aab3db6c4ca1e0e3660b1d48948",
     ),
 }
 
 SUBSET_EXTRACT_DIGESTS = (
     "705a6333b1c2fe11782deb79f9aaeb1265cd7c2b3782759eb775eb2ec70167bb",
-    "34053371bb5baeb4067d061464db7588e37ddebdd6f6db24c9a3ccba2b27098c",
+    "a2bae1149e001bae2fe25cbee51f42ec6c3784a77b765131f627e2308b880715",
 )
 
 

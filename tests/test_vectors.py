@@ -142,6 +142,34 @@ def test_as_scalar_rejects_exponent_notation(text):
     assert time.perf_counter() - start < 1.0
 
 
+# characters of integers, ratios, decimals, signs and exponents, with
+# whitespace and non-ASCII digits (Arabic-Indic one, fullwidth two)
+scalar_texts = st.one_of(
+    st.text(st.sampled_from("0123456789-+/._ eE\t\n\u0661\uff12"), max_size=8),
+    st.sampled_from(["1/0", "-0", "0/5", "-0/1", "007/014", "1/00", "-", "/", "--1", "1/-2", "\u0661/2"]),
+)
+
+
+@given(scalar_texts)
+def test_as_scalar_matches_fraction_on_strings(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None or "e" in text or "E" in text:
+        with pytest.raises(InvalidInput):
+            as_scalar(text)
+    else:
+        result = as_scalar(text)
+        assert result == expected and type(result) is F
+
+
+def test_from_json_accumulates_a_repeated_coordinate_to_zero():
+    v = SparseVec.from_json({"1": "1/2", "01": "-1/2"})
+    assert v == ZERO and v.is_zero
+    assert SparseVec.from_json({"2": "1/3", "02": "1/6"}) == SparseVec({2: F(1, 2)})
+
+
 # -- differential check of the arithmetic kernel ---------------------------
 #
 # Every result built by the trusted constructor must be indistinguishable
