@@ -19,13 +19,15 @@ pivot of ``exactlp._simplex`` outside it, and dual pivots are those of
 ``exactlp._dual_simplex``; the cells of a pivot are the rows x columns
 of the tableau it updates. These counts do not depend on the machine,
 and equal counts show the same Bland path. It also counts the hull
-membership LPs (calls of ``AbsConvHull.contains``) and the pivots that
-``delta_upper`` at N=1 under the sup norm, with exhaustive search over
-``default_pool``, makes over all LP_HULLS hulls, and the pivots, cells
-and scored witness lists (counted at ``_score`` as for the procedures
-below) of all requests of the ``hull_lp`` benchmark catalogue
-(``perfbench/hull_catalogue.json``), each on new hulls with an empty
-enumeration cache, in all and per hull shape.
+membership LPs (calls of ``exactlp.WarmLp.feasible``) and the pivots
+that ``delta_upper`` at N=1 under the sup norm, with exhaustive search
+over ``default_pool``, makes over all LP_HULLS hulls, and the pivots,
+cells, scored witness lists (counted at ``_score`` as for the procedures
+below), ``WarmLp.maximum`` and ``WarmLp.feasible`` calls and phase-1 runs
+(calls of ``exactlp._feasible_basis``) of all requests of the
+``hull_lp`` benchmark catalogue (``perfbench/hull_catalogue.json``),
+each on new hulls with an empty enumeration cache, in all and per hull
+shape.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -279,12 +281,13 @@ def add_pivots(total: list[int], counts: list[int]) -> None:
 
 
 def measure_catalogue() -> dict:
-    """Pivots, cells and scored witness lists of every request of the
-    hull_lp catalogue, each run as ``perfbench/workloads.py`` runs it, on
-    new hulls with an empty enumeration cache, in all and per hull shape
-    (the catalogue's ``shape``: coordinates, generators and norm)."""
+    """Pivots, cells, scored witness lists, warm LP calls and phase-1 runs
+    of every request of the hull_lp catalogue, each run as
+    ``perfbench/workloads.py`` runs it, on new hulls with an empty
+    enumeration cache, in all and per hull shape (the catalogue's
+    ``shape``: coordinates, generators and norm)."""
     import symdex
-    from symdex import exactlp, sets
+    from symdex import exactlp, indexes, sets
 
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
@@ -292,18 +295,24 @@ def measure_catalogue() -> dict:
     lib = types.SimpleNamespace(symdex=symdex)
     cache = getattr(sets, "_ENUM_CACHE", {})
     instances = json.loads(workloads.HULL_CATALOGUE.read_text())["instances"]
+    lp_calls = ("maximum_calls", "feasible_calls", "phase1_runs")
+
     def empty() -> dict:
-        return {"requests": 0, "scored_lists": 0, "counts": [0, 0, 0, 0]}
+        return {"requests": 0, "scored_lists": 0, **dict.fromkeys(lp_calls, 0), "counts": [0, 0, 0, 0]}
 
     total, shapes = empty(), {}
     for instance in instances:
         cache.clear()
         counts = lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance))
         cache.clear()
-        scored = scored_lists(lambda: workloads.hull_request(lib, instance))
+        scored, *calls = count_calls(lambda: workloads.hull_request(lib, instance), (indexes, "_score"),
+                                     (exactlp.WarmLp, "maximum"), (exactlp.WarmLp, "feasible"),
+                                     (exactlp, "_feasible_basis"))
         for row in (total, shapes.setdefault(instance["shape"], empty())):
             row["requests"] += 1
             row["scored_lists"] += scored
+            for name, count in zip(lp_calls, calls):
+                row[name] += count
             add_pivots(row["counts"], counts)
     for row in (total, *shapes.values()):
         counts = row.pop("counts")
@@ -357,7 +366,7 @@ def measure_lp() -> dict:
                 return symdex.delta_upper(symdex.AbsConvHull(hull.points), 1, strategy, symdex.NormKind.SUP)
 
             cache.clear()
-            search_lps += count_calls(search, (symdex.AbsConvHull, "contains"))[0]
+            search_lps += count_calls(search, (exactlp.WarmLp, "feasible"))[0]
             cache.clear()
             add_pivots(search_pivots, lp_pivots(exactlp, search))
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
@@ -586,11 +595,13 @@ def main(argv=None) -> int:
                                        "sup_functional_cells"))
               + f"{row['delta_upper_cells']:>16}")
     catalogue = measure_catalogue()
-    print(f"\n{'hull_lp shape':<14}{'requests':>10}{'lists':>8}{'pivots':>18}{'cells':>10}"
-          "   (scored witness lists, phase-1/phase-2/dual pivots and tableau cells over the catalogue)")
+    print(f"\n{'hull_lp shape':<14}{'requests':>10}{'lists':>8}{'pivots':>18}{'cells':>10}{'max':>7}{'feas':>7}"
+          f"{'ph-1':>7}   (scored witness lists, phase-1/phase-2/dual pivots, tableau cells, WarmLp.maximum "
+          "and WarmLp.feasible calls and phase-1 runs over the catalogue)")
     for name, row in [*catalogue["shapes"].items(), ("all", catalogue)]:
         print(f"{name:<14}{row['requests']:>10}{row['scored_lists']:>8}"
-              f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}")
+              f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}{row['maximum_calls']:>7}"
+              f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}")
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
           f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
@@ -617,7 +628,8 @@ def main(argv=None) -> int:
                       "[phase 1, phase 2, warm dual] and cells as the rows x columns those pivots update, "
                       "summed over lp_hulls hulls, as are delta_upper_contains_lps",
                 "catalogue": "scored witness lists, pivots as [phase 1, phase 2, warm dual] and the cells they "
-                             "update, summed over every request of perfbench/hull_catalogue.json and per shape",
+                             "update, WarmLp.maximum and WarmLp.feasible calls and phase-1 runs, summed over "
+                             "every request of perfbench/hull_catalogue.json and per shape",
                 "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
                               "over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "

@@ -1173,17 +1173,27 @@ class Symmetrized(SetExpr):
 class AbsConvHull(SetExpr):
     """Absolutely convex hull of finitely many points.
 
-    Its LPs have integer rows over ``_scale``, the lcm of the generators'
-    denominators. ``_lps`` keeps, per row layout, a warm LP that answers
-    membership and the values of symmetrized extents, and per witness
-    list a warm LP over the same rows that returns vertices, at most
-    HULL_LP_MEMO entries. It is private state, like ``SparseVec._hash``:
-    equal hulls built separately share nothing.
+    The hull answers three questions without an LP:
+
+    - 0, each generator p and each -p are members (``_signed``);
+    - Sym(A; {0}) = A, so without a vertex its diameter's upper end is
+      twice the largest generator norm (sup and sum norms);
+    - Sym(A; W) = {0} when W holds a +-generator w that a functional
+      exposes (:meth:`_exposed`) and every witness is a member: w + d
+      and w - d in A force d = 0.
+
+    Everything else is an LP with integer rows over ``_scale``, the lcm
+    of the generators' denominators. ``_lps`` keeps, per row layout, a
+    warm LP that answers membership and the values of symmetrized
+    extents, and per witness list a warm LP over the same rows that
+    returns vertices, at most HULL_LP_MEMO entries. It is private state,
+    like ``SparseVec._hash``: equal hulls built separately share nothing.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
     points: tuple[SparseVec, ...]
     _scale: int = field(init=False, repr=False, compare=False)
+    _signed: frozenset = field(init=False, repr=False, compare=False)
     _lps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -1192,6 +1202,7 @@ class AbsConvHull(SetExpr):
             raise InvalidInput("hull needs at least one generator")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_scale", lcm(*(v.denominator for p in pts for _, v in p.items())))
+        object.__setattr__(self, "_signed", frozenset((ZERO, *pts, *(-p for p in pts))))
 
     def to_json(self) -> dict:
         return {"type": self.tag, "points": [p.to_json() for p in self.points]}
@@ -1201,6 +1212,8 @@ class AbsConvHull(SetExpr):
         return cls(_json_vectors(obj, "points"))
 
     def contains(self, v: SparseVec) -> bool:
+        if v in self._signed:
+            return True
         coords = tuple(sorted(self.relevant_coords() | set(v.support)))
         return self._lp(coords, (0,)).feasible(self._rhs(coords, [v]))
 
@@ -1274,11 +1287,20 @@ class AbsConvHull(SetExpr):
         return _symmetric_pair_bound(top, arg, kind)
 
     def default_pool(self) -> tuple[SparseVec, ...]:
-        pool = {ZERO}
-        for p in self.points:
-            pool.add(p)
-            pool.add(-p)
-        return tuple(sorted(pool, key=lambda p: p.sort_key()))
+        return tuple(sorted(self._signed, key=lambda p: p.sort_key()))
+
+    def _exposed(self, w: SparseVec) -> bool:
+        """Whether a functional f among <w, .> and sign(w_i) e_i, i in the
+        support of ``w``, has |f(w)| > |f(q)| at every generator q other
+        than +-w. For a +-generator ``w`` this makes w the only point of
+        the hull where f is largest, an exposed point (when +-w are the
+        only generators, the hull is the segment from -w to w)."""
+        neg = -w
+        others = [q for q in self.points if q != w and q != neg]
+        square = dual_pair(w, w)
+        if all(square > abs(dual_pair(w, q)) for q in others):
+            return True
+        return any(all(abs(x) > abs(q.get(i)) for q in others) for i, x in w.items())
 
     def _symmetrized(
         self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], vertex: bool
@@ -1327,6 +1349,16 @@ class AbsConvHull(SetExpr):
         # polyhedral norms only: the max norm is a max of linear objectives
         if kind not in (NormKind.SUP, NormKind.SUM):
             return None
+        ws = sym.witnesses
+        if not vertex and ws == (ZERO,):  # Sym(A; {0}) = A: the LP's upper end
+            top = max(norm(p, kind) for p in self.points)
+            if top > 0:
+                return BoundPair(Fraction(0), double_length(top, kind))
+        # an exposed +-generator pins the set to {0} if the other witnesses
+        # are members; a non-member leaves it empty, which the LP reports
+        pin = next((w for w in ws if w in self._signed and self._exposed(w)), None)
+        if pin is not None and all(w == pin or contains(self, w) for w in ws):
+            return _symmetric_pair_bound(Fraction(0), ZERO, kind)
         coords = tuple(sorted(relevant_coords(sym)))
         if not coords:
             return _symmetric_pair_bound(Fraction(0), ZERO, kind)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from symdex import (
@@ -48,6 +48,7 @@ from symdex import (
     wuc_bound,
 )
 from symdex.bruteforce import brute_diameter, brute_symmetrized
+from symdex import exactlp
 from symdex.exactlp import INFEASIBLE
 from symdex import sets as sets_module
 from symdex.sets import (
@@ -515,6 +516,98 @@ def test_symmetrized_hull_diameter_matches_every_objective(hw, kind):
     best, arg = reference_hull_extent(hull, sorted(set(witnesses), key=lambda w: w.sort_key()), kind)
     assert bound.lower == bound.upper == 2 * best
     assert bound.lower_witness == {"pair": [arg.to_json(), (-arg).to_json()]}
+
+
+def count_hull_lps(monkeypatch) -> dict:
+    """Live counts of the warm LP calls ``maximum`` and ``feasible``."""
+    calls = {"maximum": 0, "feasible": 0}
+    for name in calls:
+        original = getattr(exactlp.WarmLp, name)
+
+        def counted(lp, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(lp, *args)
+
+        monkeypatch.setattr(exactlp.WarmLp, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.SUM])
+def test_hull_search_over_default_pool_solves_no_lp(monkeypatch, kind):
+    # (1/3, 1/3) is interior; the search scores {0} (Sym(A; {0}) = A) and
+    # then {-e1}, an exposed generator that scores 0
+    hull = AbsConvHull((unit(1), unit(2), SparseVec({1: F(1, 3), 2: F(1, 3)})))
+    calls = count_hull_lps(monkeypatch)
+    res = delta_upper(hull, 1, SearchStrategy.exhaustive(default_pool(hull)), kind)
+    assert res.bound.upper == 0 and res.upper_witnesses == (-unit(1),)
+    assert calls == {"maximum": 0, "feasible": 0}
+
+
+def test_hull_contains_its_signed_generators_without_lp(monkeypatch):
+    hull = AbsConvHull((unit(1) + unit(2), unit(1) - unit(2), SparseVec({1: F(1, 2)})))
+    calls = count_hull_lps(monkeypatch)
+    for v in default_pool(hull):
+        assert contains(hull, v)
+    assert calls == {"maximum": 0, "feasible": 0}
+    assert not contains(hull, unit(1).scale(2))  # anything else is an LP
+    assert calls["feasible"] == 1
+
+
+def test_hull_extent_closed_forms_keep_non_members_out():
+    # 2p is not a member, yet <2p, .> exposes it among the generators: the
+    # zero extent of an exposed point holds for +-generators only
+    p = SparseVec({1: 1, 2: F(1, 2)})
+    hull = AbsConvHull((p, unit(2)))
+    outside = p.scale(2)
+    assert not contains(hull, outside)
+    for ws in [(outside,), (p, outside)]:
+        sym = Symmetrized(hull, ws)  # built directly: no membership check
+        for kind in (NormKind.SUP, NormKind.SUM):
+            with pytest.raises(WitnessNotMember):
+                diameter(sym, kind)
+            with pytest.raises(WitnessNotMember):
+                diameter_upper(sym, kind)
+
+
+@st.composite
+def hulls_with_signed_witnesses(draw):
+    """A hull, sometimes with -p and 2p added for a generator p (so p is
+    not exposed), and witnesses drawn from 0, the +-generators and convex
+    combinations of the generators."""
+    hull, combos = draw(hulls_with_witnesses())
+    points = list(hull.points)
+    p = next(q for q in points if q)
+    if draw(st.booleans()):
+        points += [-p, p.scale(2)]
+    hull = AbsConvHull(tuple(points))
+    pool = st.sampled_from(list(default_pool(hull)) + combos)
+    return hull, draw(st.lists(pool, min_size=1, max_size=2))
+
+
+PAIRED = (SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: -1, 2: F(-1, 2)}), SparseVec({1: 2, 2: 1}), unit(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_with_signed_witnesses(), st.sampled_from([NormKind.SUP, NormKind.SUM]))
+@example((AbsConvHull(PAIRED), [PAIRED[0]]), NormKind.SUP)  # p, -p and 2p: p is not exposed
+@example((AbsConvHull(PAIRED), [ZERO]), NormKind.SUM)
+@example((AbsConvHull(PAIRED), [PAIRED[1], PAIRED[2]]), NormKind.SUM)
+def test_hull_closed_forms_match_the_dense_reference(hw, kind):
+    hull, witnesses = hw
+    for v in witnesses:
+        assert contains(hull, v) == reference_hull_contains(hull, v)
+    sym = symmetrize(hull, witnesses)
+    best, arg = reference_hull_extent(hull, sorted(set(witnesses), key=lambda w: w.sort_key()), kind)
+    pair = {"pair": [arg.to_json(), (-arg).to_json()]}
+    bound = diameter(sym, kind)
+    assert bound.lower == bound.upper == 2 * best
+    assert bound.lower_witness == pair
+    assert diameter_upper(sym, kind) == 2 * best
+    seedless = diameter(sym, kind, None)
+    if best > 0:
+        assert (seedless.lower, seedless.upper, seedless.lower_witness) == (0, 2 * best, None)
+    else:
+        assert seedless == bound
 
 
 @settings(max_examples=20, deadline=None)
