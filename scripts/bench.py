@@ -8,9 +8,9 @@ fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
 LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
 2-3 coordinates), the median time in microseconds of hull membership
 (``contains``), of the sup and sum ``diameter`` of a one-witness
-symmetrization and of ``sup_functional`` on it, each call on a new copy
-of the hull (a hull keeps warm LPs, and a ``hull_lp`` request builds its
-own), the rows x columns of the LP each hands to phase 1 (before phase 1
+symmetrization at a witness that is no +-generator and of
+``sup_functional`` on it, each call on a new copy of the hull (a hull
+keeps warm LPs, and a ``hull_lp`` request builds its own), the rows x columns of the LP each hands to phase 1 (before phase 1
 adds its artificial columns), and the phase-1, phase-2 and warm dual
 pivots each makes over all LP_HULLS hulls, with the tableau cells those
 pivots update. Pivots are counted by wrapping ``exactlp._pivot`` here:
@@ -31,16 +31,18 @@ shape.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
-``eps_strong_extreme`` at every point of a set (one figure per set) and
-of ``delta_curve`` to N=2 with exhaustive search, the number of
-``_segment_portion_distance`` calls the strong-extreme figures make, and
-the number of witness lists and of ``SparseVec`` subtractions the
-``delta_curve`` figures make, each over all PROC_SETS sets. Functions are
-counted by wrapping them here; witness lists are counted where the
-search scores them, as calls of ``indexes._score``, which ``rank``
-inside ``indexes._witness_search`` makes once per scored list, after
-its ``indexes._delta_of``: ``rank`` also sees the lists it skips once
-the best list scores 0.
+``eps_strong_extreme`` and of ``eps_extreme`` at every point of a set
+(one figure each per set) and of ``delta_curve`` to N=2 with exhaustive
+search, each call on a new copy of the set (a ``FinitePoints`` builds
+its integer table on first use and keeps it), the number of
+``_segment_portion_distance`` calls the strong-extreme figures make, the
+number of witness lists the ``delta_curve`` figures make, and the
+``SparseVec`` subtractions each of the three makes, each over all
+PROC_SETS sets. Functions are counted by wrapping them here; witness
+lists are counted where the search scores them, as calls of
+``indexes._score``, which ``rank`` inside ``indexes._witness_search``
+makes once per scored list, after its ``indexes._delta_of``: ``rank``
+also sees the lists it skips once the best list scores 0.
 
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
@@ -202,7 +204,9 @@ def measure(vectors) -> dict:
 
 def random_hull(symdex, rng: random.Random, k: int, c: int):
     """A hull of ``k`` distinct generators over coordinates 1..c, a member
-    of it (the witness), a probe inside it, one likely outside, and a
+    of it that is no +-generator (the witness: the hull scores a
+    +-generator by a closed form, so the LP figures would mix in calls
+    that solve no LP), a probe inside it, one likely outside, and a
     functional over the same coordinates."""
     def vec():
         return symdex.SparseVec({i: rng.choice(LP_ENTRIES) for i in range(1, c + 1)})
@@ -217,7 +221,11 @@ def random_hull(symdex, rng: random.Random, k: int, c: int):
         total = sum(abs(w) for w in weights) or 1
         return symdex.linear_combination(zip([scale * Fraction(w, total) for w in weights], hull.points))
 
-    return hull, combination(Fraction(1)), [combination(Fraction(1, 2)), combination(Fraction(3, 2))], vec()
+    signed = {q for p in hull.points for q in (p, -p)}
+    witness = combination(Fraction(1))
+    while witness in signed:
+        witness = combination(Fraction(1))
+    return hull, witness, [combination(Fraction(1, 2)), combination(Fraction(3, 2))], vec()
 
 
 def lp_tableaus(exactlp, call) -> list[list[int]]:
@@ -443,14 +451,21 @@ def measure_procedures() -> dict:
     for count in PROC_SIZES:
         for kind in symdex.NormKind:
             samples: dict[str, list[float]] = {}
-            segment_calls = lists = subs = 0
+            segment_calls = lists = 0
+            subs = dict.fromkeys(("strong_extreme", "extreme", "delta_curve"), 0)
             for _ in range(PROC_SETS):
                 points = random_finite_set(symdex, rng, count)
                 eps = rng.choice(PROC_EPSILONS)
                 pool = symdex.SearchStrategy.exhaustive(symdex.default_pool(points))
+
+                def at_every_point(procedure):
+                    fresh = symdex.FinitePoints(points.points)
+                    return [procedure(fresh, x, eps, kind) for x in fresh.points]
+
                 procedures = {
-                    "strong_extreme": lambda: [symdex.eps_strong_extreme(points, x, eps, kind) for x in points.points],
-                    "delta_curve": lambda: symdex.delta_curve(points, 2, pool, kind),
+                    "strong_extreme": lambda: at_every_point(symdex.eps_strong_extreme),
+                    "extreme": lambda: at_every_point(symdex.eps_extreme),
+                    "delta_curve": lambda: symdex.delta_curve(symdex.FinitePoints(points.points), 2, pool, kind),
                 }
                 for name, call in procedures.items():
                     ns = []
@@ -464,12 +479,13 @@ def measure_procedures() -> dict:
                     procedures["strong_extreme"], (extraction, "_segment_portion_distance"))[0]
                 cache.clear()
                 lists += scored_lists(procedures["delta_curve"])
-                cache.clear()
-                subs += count_calls(procedures["delta_curve"], (symdex.SparseVec, "__sub__"))[0]
+                for name, call in procedures.items():
+                    cache.clear()
+                    subs[name] += count_calls(call, (symdex.SparseVec, "__sub__"))[0]
             row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
             row["segment_calls"] = segment_calls
             row["scored_lists"] = lists
-            row["delta_curve_subs"] = subs
+            row.update((f"{name}_subs", count) for name, count in subs.items())
             results[f"{count}pts_{kind.value}"] = row
     return results
 
@@ -603,11 +619,13 @@ def main(argv=None) -> int:
               f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}{row['maximum_calls']:>7}"
               f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}")
     procedures = measure_procedures()
-    print(f"\n{'finite set':<14}{'strong':>10}{'curve':>10}{'segments':>10}{'lists':>8}{'subs':>8}"
-          f"   (median ms; segment scans, scored witness lists and curve subtractions over {PROC_SETS} sets)")
+    print(f"\n{'finite set':<14}{'strong':>10}{'extreme':>10}{'curve':>10}{'segments':>10}{'lists':>8}"
+          f"{'subs':>18}   (median ms; segment scans, scored witness lists and strong/extreme/curve "
+          f"subtractions over {PROC_SETS} sets)")
     for name, row in procedures.items():
-        print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
-              f"{row['segment_calls']:>10}{row['scored_lists']:>8}{row['delta_curve_subs']:>8}")
+        subs = "/".join(str(row[f"{key}_subs"]) for key in ("strong_extreme", "extreme", "delta_curve"))
+        print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
+              f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
           f"{'diam up':>9}{'sign in':>9}{'search':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
@@ -630,8 +648,8 @@ def main(argv=None) -> int:
                 "catalogue": "scored witness lists, pivots as [phase 1, phase 2, warm dual] and the cells they "
                              "update, WarmLp.maximum and WarmLp.feasible calls and phase-1 runs, summed over "
                              "every request of perfbench/hull_catalogue.json and per shape",
-                "procedures": "ms per call, median; segment_calls, scored_lists and delta_curve_subs summed "
-                              "over proc_sets sets",
+                "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists and "
+                              "the SparseVec subtractions *_subs summed over proc_sets sets",
                 "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "
                        "sample_members_calls, diameter_upper_calls, sign_sum_contains and sign_sum_searches "
                        "per request; oracle_set_parses, oracle_vector_parses and verdict_bytes per oracle "

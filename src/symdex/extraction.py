@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count
-from math import isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from math import isqrt
+from typing import Optional, Sequence
 
 from . import exactlp
 from .errors import (
@@ -59,6 +59,7 @@ from .vectors import (
     dual_pair,
     format_scalar,
     half_length,
+    int_norm,
     linear_combination,
     norm,
     unit,
@@ -742,15 +743,6 @@ def _scaled_cmp(v: _Scaled, w: _Scaled) -> int:
     return _value_cmp(*(Fraction(*u) if isinstance(u, tuple) else u for u in (v, w)))
 
 
-def _int_norm(v: Iterable[int], kind: NormKind) -> int:
-    """Norm of an integer vector in the carried convention."""
-    if kind is NormKind.SUP:
-        return max(map(abs, v), default=0)
-    if kind is NormKind.SUM:
-        return sum(map(abs, v))
-    return sum(t * t for t in v)
-
-
 def _scaled_surd(p: int, q: int, s: int) -> _Scaled:
     """p + (q/s)*sqrt(s) for integers p, q and s > 0, as a rational pair
     when it is rational."""
@@ -775,7 +767,7 @@ def _segment_portion_distance(
     c = [-v for v in d2]  # distance target: ||c - lambda*m||
     m = [u - v for u, v in zip(d1, d2)]
     if kind is NormKind.EUCLID:
-        a = _int_norm(m, kind)  # squared length
+        a = int_norm(m, kind)  # squared length
         ee = eps * eps
         if 4 * ee > a:
             return None
@@ -783,13 +775,13 @@ def _segment_portion_distance(
         # lambda* = b/a against the portion ends eps/|m| and 1 - eps/|m|
         above_lo = b > 0 and b * b >= ee * a
         below_hi = a - b > 0 and (a - b) ** 2 >= ee * a
-        c2 = _int_norm(c, kind)
+        c2 = int_norm(c, kind)
         if above_lo and below_hi:
             return c2 * a - b * b, a
         if not above_lo:
             return _scaled_surd(c2 + ee, -2 * b * eps, a)
         return _scaled_surd(c2 - 2 * b + a + ee, 2 * eps * (b - a), a)
-    length = _int_norm(m, kind)
+    length = int_norm(m, kind)
     if length < 2 * eps:
         return None
     cm = [(ci, mi) for ci, mi in zip(c, m) if ci or mi]
@@ -808,7 +800,7 @@ def _segment_portion_distance(
     best = None
     for p, q in lams:
         if eps * q <= p * length <= (length - eps) * q:
-            n = _int_norm([q * ci - p * mi for ci, mi in cm], kind)
+            n = int_norm([q * ci - p * mi for ci, mi in cm], kind)
             if best is None or n * best[1] < best[0] * q:
                 best = n, q
     return best
@@ -822,7 +814,7 @@ def _gap_bound(d1: tuple[int, ...], d2: tuple[int, ...], kind: NormKind) -> int:
     both share a sign, else 0. The gaps combine as the norm does (carried
     square under euclid).
     """
-    return _int_norm([min(abs(u), abs(v)) for u, v in zip(d1, d2) if u * v > 0], kind)
+    return int_norm([min(abs(u), abs(v)) for u, v in zip(d1, d2) if u * v > 0], kind)
 
 
 def eps_strong_extreme(
@@ -837,11 +829,12 @@ def eps_strong_extreme(
     the Euclidean minimum is irrational); (True, 1) when no pair has a
     middle portion at all.
 
-    The points and epsilon are scaled by the lcm L of their denominators
-    to integer tuples over one dense coordinate list, translated so x
-    sits at 0. The minimum is divided by L (L^2 under euclid) once at
-    the end, which gives an irrational one the same Q[sqrt(s)] form as a
-    scan in plain coordinates. A pair (x, a) has value exactly epsilon
+    The set's integer rows (:meth:`FinitePoints.scaled_rows`) and
+    epsilon are taken over the lcm L of their denominators, on one dense
+    coordinate list, and translated so x sits at 0. The minimum is
+    divided by L (L^2 under euclid) once at the end, which gives an
+    irrational one the same Q[sqrt(s)] form as a scan in plain
+    coordinates. A pair (x, a) has value exactly epsilon
     (carried) when its portion is nonempty: the portion end nearest x is
     epsilon away from it. Those pairs seed the minimum; any other pair
     is skipped when its coordinatewise gap bound already reaches the
@@ -854,19 +847,14 @@ def eps_strong_extreme(
         raise InvalidInput("strong extreme analysis needs a finite point set")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    coords = sorted({i for p in expr.points for i in p.support})
-    scale = lcm(eps.denominator, *(v.denominator for p in expr.points for _, v in p.items()))
-
-    def scaled(p: SparseVec) -> list[int]:
-        return [v.numerator * (scale // v.denominator) for v in map(p.get, coords)]
-
-    origin = scaled(x)
-    points = [tuple(u - o for u, o in zip(scaled(p), origin)) for p in expr.points if p != x]
+    scale, rows = expr.scaled_rows(eps.denominator)
+    origin = rows[expr.points.index(x)]
+    points = [tuple(u - o for u, o in zip(row, origin)) for row in rows if row != origin]
     e = eps.numerator * (scale // eps.denominator)
     best: Optional[_Scaled] = None
-    # _int_norm of a one-entry vector is the carried length of its entry
-    if any(_int_norm(d, kind) >= _int_norm((2 * e,), kind) for d in points):
-        best = _int_norm((e,), kind), 1
+    # int_norm of a one-entry vector is the carried length of its entry
+    if any(int_norm(d, kind) >= int_norm((2 * e,), kind) for d in points):
+        best = int_norm((e,), kind), 1
     # pairs keep their order, so of equal minima the first one found is
     # kept, as its Q[sqrt(s)] form fixes the bisected lower bound
     for d1, d2 in combinations(points, 2):
@@ -887,4 +875,4 @@ def eps_strong_extreme(
             _Surd(Fraction(best.a, square), best.b / scale, Fraction(best.s, square))
         )
     n, q = best
-    return True, Fraction(n, q * _int_norm((scale,), kind))
+    return True, Fraction(n, q * int_norm((scale,), kind))

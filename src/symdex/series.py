@@ -171,31 +171,23 @@ def brute_tail_sup(s: SeriesSpec, start: int, stop: int) -> Fraction:
     return max(norm(d, s.norm) for d in _tail_sums(s, start, stop))
 
 
-def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int | None = None) -> int | None:
+def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int) -> int:
     """Smallest M such that ``w`` is a signed subset sum of the first M terms.
 
     Every sign sum over indices beyond that M then recombines with the
     witness index-disjointly, which is what makes the tail argument sound
-    even when term supports overlap. None when ``w`` is not a sign sum of
-    the series at all. A sign sum of the first M terms is one of the
-    first M + 1 too, so membership is monotone in M and bisection finds
-    it with O(log horizon) membership searches. ``known``, when given, is
-    an M already known to hold (the index k of a prefix sum ``w``), and
-    only [1, known] is searched.
+    even when term supports overlap. ``known`` is an M already known to
+    hold (the index k of a prefix sum ``w``). A sign sum of the first M
+    terms is one of the first M + 1 too, so membership is monotone in M
+    and bisection over [1, known] finds the smallest with
+    O(log known) membership searches.
     """
     from . import sets
 
-    def member(m: int) -> bool:
-        return sets.contains(sets.SignSums(series=s, mode=SignMode.SUBSETS, horizon=m), w)
-
-    if known is None:
-        if not member(s.horizon):
-            return None
-        known = s.horizon
-    lo, hi = 1, known  # member(hi) holds
+    lo, hi = 1, known  # w is a sign sum of the first hi terms
     while lo < hi:
         mid = (lo + hi) // 2
-        if member(mid):
+        if sets.contains(sets.SignSums(series=s, mode=SignMode.SUBSETS, horizon=mid), w):
             hi = mid
         else:
             lo = mid + 1

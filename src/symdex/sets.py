@@ -54,6 +54,7 @@ from .vectors import (
     dual_pair,
     format_scalar,
     fresh_coordinate,
+    int_norm,
     linear_combination,
     norm,
     signed_sums,
@@ -226,6 +227,17 @@ class SetExpr(ABC):
         """Every member, or None when the set is not enumerable within
         ``budget`` (uncached; see :func:`enumerate_members`)."""
         return None
+
+    def one_witness_members(self, w: SparseVec, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        """S_w = {p - w : p and 2w - p in the set} in ``sort_key`` order:
+        the members of Sym(self; {w}) where that does not flatten, or None
+        when the set is not enumerable within ``budget``."""
+        base = enumerate_members(self, budget)
+        if base is None:
+            return None
+        pool = set(base)
+        twice = w + w
+        return tuple(sorted((p - w for p in base if twice - p in pool), key=SparseVec.sort_key))
 
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         """A likely member drawn from ``rng``, or None without a sampler."""
@@ -481,10 +493,68 @@ class Box(SetExpr):
         return sup_functional(f, self).upper
 
 
+class _IntTable:
+    """A list of points as integer rows: each point times ``scale``, the
+    lcm of the points' denominators, over ``columns``, the sorted support
+    coordinates with their row positions. ``rows`` keeps the list's
+    order, and ``index`` maps each row to its position in it."""
+
+    __slots__ = ("scale", "columns", "rows", "index")
+
+    def __init__(self, points: Sequence[SparseVec]):
+        coords = sorted({i for p in points for i in p.support})
+        self.scale = lcm(*(x.denominator for p in points for _, x in p.items()))
+        self.columns = {i: col for col, i in enumerate(coords)}
+        self.rows = tuple(map(self.row, points))
+        self.index = {row: k for k, row in enumerate(self.rows)}
+
+    def row(self, v: SparseVec) -> Optional[tuple[int, ...]]:
+        """``scale * v`` as an integer row over ``columns``, or None when
+        it is not one: ``v`` has a coordinate outside ``columns`` or a
+        denominator that does not divide ``scale``."""
+        out = [0] * len(self.columns)
+        scale, columns = self.scale, self.columns
+        for i, x in v.items():
+            col = columns.get(i)
+            if col is None or scale % x.denominator:
+                return None
+            out[col] = x.numerator * (scale // x.denominator)
+        return tuple(out)
+
+    def diameter(self, points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
+        """Exact diameter of ``points``, the list the rows stand for,
+        witnessed by its farthest pair (the first of equal pairs in
+        ``combinations`` order); a lone point witnesses zero paired with
+        itself. The integer maximum is divided by ``scale`` (its square
+        under euclid) once."""
+        best, pair = 0, (0, 0)
+        for (i, a), (j, b) in combinations(enumerate(self.rows), 2):
+            d = int_norm([u - v for u, v in zip(a, b)], kind)
+            if d > best:
+                best, pair = d, (i, j)
+        value = Fraction(best, int_norm((self.scale,), kind))
+        wit = {"pair": [points[k].to_json() for k in pair]} if points else None
+        return BoundPair(value, value, lower_witness=wit)
+
+
 @dataclass(frozen=True)
 class FinitePoints(SetExpr):
+    """A finite point set, its points distinct and in ``sort_key`` order.
+
+    ``_table`` is the set's integer table (:class:`_IntTable`): the lcm
+    L of the points' denominators, the sorted support coordinates, one
+    integer row per point (L times it, in ``points`` order) and a row ->
+    index dict. The pair diameter, the one-witness sets S_w and
+    :meth:`scaled_rows` build it on first use and read it; membership
+    and JSON never build it. It is private state, like
+    ``AbsConvHull._lps``: outside equality, hashing and JSON, so the
+    enumeration cache keys do not see it, and equal sets built
+    separately share nothing.
+    """
+
     tag: ClassVar[str] = "finite"
     points: tuple[SparseVec, ...]
+    _table: Optional[_IntTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(set(self.points), key=lambda p: p.sort_key()))
@@ -505,6 +575,35 @@ class FinitePoints(SetExpr):
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         return self.points
 
+    def _int_table(self) -> _IntTable:
+        table = self._table
+        if table is None:
+            table = _IntTable(self.points)
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def one_witness_members(self, w: SparseVec, budget: int) -> Optional[tuple[SparseVec, ...]]:
+        table = self._int_table()
+        # 2w = p + q for points p, q only if 2w is a row: else S_w is empty
+        twice = table.row(w + w)
+        if twice is None:
+            return ()
+        index = table.index
+        return tuple(sorted(
+            (p - w for p, row in zip(self.points, table.rows)
+             if tuple(t - u for t, u in zip(twice, row)) in index),
+            key=SparseVec.sort_key,
+        ))
+
+    def scaled_rows(self, denominator: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The lcm L of ``denominator`` and the points' denominators, and
+        the points times L as integer rows over their sorted support, in
+        ``points`` order."""
+        table = self._int_table()
+        scale = lcm(table.scale, denominator)
+        factor = scale // table.scale
+        return scale, tuple(tuple(factor * u for u in row) for row in table.rows)
+
     def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
         return self.points[rng.randrange(len(self.points))]
 
@@ -521,7 +620,7 @@ class FinitePoints(SetExpr):
         return {i for p in self.points for i in p.support}
 
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
-        return _pairwise_diameter(self.points, kind)
+        return self._int_table().diameter(self.points, kind)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         if not ws:
@@ -998,7 +1097,7 @@ class Intersect(SetExpr):
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None and len(members) <= 2048:
-            return _pairwise_diameter(members, kind)
+            return _IntTable(members).diameter(members, kind)
         uppers = []
         for p in self.parts:
             try:
@@ -1081,14 +1180,8 @@ class Symmetrized(SetExpr):
         flat = reduced(self)
         if flat != self:
             return enumerate_members(flat, budget)
-        if len(self.witnesses) == 1:  # S_w = {p - w : p and 2w - p in the base}
-            base = enumerate_members(self.base, budget)
-            if base is None:
-                return None
-            (w,) = self.witnesses
-            pool = set(base)
-            twice = w + w
-            return tuple(sorted((p - w for p in base if twice - p in pool), key=lambda d: d.sort_key()))
+        if len(self.witnesses) == 1:
+            return self.base.one_witness_members(self.witnesses[0], budget)
         # Sym(A; W) is the intersection of the cached one-witness sets S_w
         ones = []
         for w in self.witnesses:
@@ -1621,26 +1714,12 @@ def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> Boun
     return BoundPair(value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]})
 
 
-def _pairwise_diameter(points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
-    """Exact diameter of a finite point list, witnessed by its farthest
-    pair; a lone point witnesses zero paired with itself."""
-    best = Fraction(0)
-    wit = None
-    pts = list(points)
-    for a, b in combinations(pts, 2):
-        d = norm(a - b, kind)
-        if d > best:
-            best = d
-            wit = {"pair": [a.to_json(), b.to_json()]}
-    if wit is None and pts:
-        wit = {"pair": [pts[0].to_json(), pts[0].to_json()]}
-    return BoundPair(best, best, lower_witness=wit)
-
-
 def _sampled_lower(expr: SetExpr, kind: NormKind, seed: int) -> tuple[Fraction, object]:
     """Certified lower end of the diameter from seeded member samples and
-    its witness pair; a zero lower end carries no witness."""
-    found = _pairwise_diameter(sample_members(expr, random.Random(seed)), kind)
+    its witness pair, by the integer pair scan over the samples' own
+    scale; a zero lower end carries no witness."""
+    members = sample_members(expr, random.Random(seed))
+    found = _IntTable(members).diameter(members, kind)
     return found.lower, found.lower_witness if found.lower > 0 else None
 
 

@@ -321,6 +321,17 @@ def norm(v: SparseVec, kind: NormKind) -> Fraction:
     return sum((x * x for _, x in v._items), _ZERO_SCALAR)
 
 
+def int_norm(v: Iterable[int], kind: NormKind) -> int:
+    """Norm of an integer vector in the carried convention (Euclidean
+    squared): the norm of a rational vector scaled by L to integers,
+    times L (L^2 under euclid)."""
+    if kind is NormKind.SUP:
+        return max(map(abs, v), default=0)
+    if kind is NormKind.SUM:
+        return sum(map(abs, v))
+    return sum(t * t for t in v)
+
+
 def dual_pair(f: Functional, v: SparseVec) -> Fraction:
     """Exact pairing sum(f_i * v_i) over the common support."""
     a, b = (f, v) if len(f._items) <= len(v._items) else (v, f)

@@ -207,7 +207,10 @@ def test_cover_index_bisection_matches_linear_scan(s, data):
     ).map(lambda cs: linear_combination(zip(cs, s.terms)))
     # arbitrary short vectors are mostly not sign sums of the series
     w = data.draw(st.one_of(sign_sum, short_terms))
-    assert _witness_cover_index(s, w) == linear_cover_index(s, w)
+    if contains(SignSums(s, SignMode.SUBSETS, s.horizon), w):
+        assert _witness_cover_index(s, w, s.horizon) == linear_cover_index(s, w)
+    else:
+        assert linear_cover_index(s, w) is None
 
 
 short_series = st.lists(short_terms, min_size=1, max_size=6).map(
@@ -221,8 +224,8 @@ def test_cover_index_of_a_prefix_sum_matches_the_full_horizon_bisection(s):
     acc = ZERO
     for k, t in enumerate(s.terms, start=1):
         acc = acc + t
-        full = _witness_cover_index(s, acc)
-        assert full is not None and full <= k
+        full = _witness_cover_index(s, acc, s.horizon)
+        assert full <= k
         assert _witness_cover_index(s, acc, k) == full == linear_cover_index(s, acc)
 
 

@@ -38,6 +38,7 @@ from symdex import (
     diameter,
     diameter_upper,
     dual_pair,
+    eps_strong_extreme,
     free_direction,
     linear_combination,
     set_from_json,
@@ -1194,3 +1195,88 @@ def test_witness_members_is_none_where_the_symmetrization_flattens():
     for expr, w in [(AbsConvHull((unit(1), unit(2))), unit(1)), (overlap12, terms[0])]:
         assert enumerate_members(symmetrize(expr, [w])) is None
     assert enumerate_members(symmetrize(points, [ZERO])) == tuple(sorted(points.points, key=lambda p: p.sort_key()))
+
+
+# ---------------------------------------------------------------------------
+# the integer table of a finite point set
+
+
+lattice_points = st.dictionaries(
+    st.integers(1, 3), st.builds(F, st.integers(-4, 4), st.integers(1, 4)), max_size=3
+).map(SparseVec)
+lattice_sets = st.lists(lattice_points, max_size=7).map(lambda pts: FinitePoints((ZERO, *pts)))
+
+
+def fraction_pair_diameter(points, kind):
+    """The farthest pair of a point list by a scan over Fractions, the
+    first of equal pairs kept; a lone point is paired with itself."""
+    best, pair = F(0), (points[0], points[0])
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
+            d = norm(a - b, kind)
+            if d > best:
+                best, pair = d, (a, b)
+    return best, pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sets, st.data())
+def test_finite_point_table_matches_fraction_scans(points, data):
+    sets_module._ENUM_CACHE.clear()
+    before = (hash(points), set_to_json(points))
+    twin = FinitePoints(points.points)
+    pts = points.points
+    for kind in ALL_NORMS:
+        best, (a, b) = fraction_pair_diameter(pts, kind)
+        bound = diameter(points, kind)
+        assert (bound.lower, bound.upper) == (best, best)
+        assert bound.lower_witness == {"pair": [a.to_json(), b.to_json()]}
+    p, q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+    witnesses = [
+        p,
+        (p + q).scale(F(1, 2)),  # a midpoint: q - w is in S_w
+        p + unit(4, data.draw(st.sampled_from([F(1), F(-1, 2)]))),  # outside the support
+        p + unit(data.draw(st.integers(1, 3)), F(1, 7)),  # 7 divides no denominator of the set
+    ]
+    for w in witnesses:
+        want = reference_symmetrized_members(points, [w])
+        got = enumerate_members(Symmetrized(points, (w,)))
+        assert got == tuple(sorted(want, key=lambda d: d.sort_key()))
+    assert points._table is not None and twin._table is None
+    assert (hash(points), set_to_json(points)) == before == (hash(twin), set_to_json(twin))
+    assert points == twin == set_from_json(set_to_json(points))
+
+
+def count_subtractions(monkeypatch) -> list:
+    calls = []
+    sub = SparseVec.__sub__
+    monkeypatch.setattr(SparseVec, "__sub__", lambda a, b: calls.append(1) or sub(a, b))
+    return calls
+
+
+SIX_POINTS = (
+    ZERO,
+    SparseVec({1: F(1, 2)}),
+    SparseVec({1: F(1), 2: F(1, 3)}),
+    SparseVec({2: F(-1)}),
+    SparseVec({1: F(1, 2), 2: F(-1, 2)}),
+    SparseVec({1: F(3, 2), 2: F(1, 3)}),
+)
+
+
+@pytest.mark.parametrize("kind", ALL_NORMS)
+def test_finite_point_scans_subtract_no_sparse_vectors(monkeypatch, kind):
+    points = FinitePoints(SIX_POINTS)
+    want = [eps_strong_extreme(FinitePoints(SIX_POINTS), x, F(1, 4), kind) for x in SIX_POINTS]
+    calls = count_subtractions(monkeypatch)
+    diameter(points, kind)
+    assert [eps_strong_extreme(points, x, F(1, 4), kind) for x in SIX_POINTS] == want
+    assert len(calls) == 0
+    for w in (*SIX_POINTS, SparseVec({1: F(3, 4), 2: F(1, 6)})):
+        sets_module._ENUM_CACHE.clear()
+        del calls[:]
+        members = enumerate_members(Symmetrized(points, (w,)))
+        assert members and len(calls) == len(members)
+    parsed = set_from_json(set_to_json(points))
+    assert all(contains(parsed, p) for p in SIX_POINTS)
+    assert parsed._table is None  # membership, as oracle asks it, builds no table
