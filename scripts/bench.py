@@ -27,7 +27,14 @@ below), ``WarmLp.maximum`` and ``WarmLp.feasible`` calls and phase-1 runs
 (calls of ``exactlp._feasible_basis``) of all requests of the
 ``hull_lp`` benchmark catalogue (``perfbench/hull_catalogue.json``),
 each on new hulls with an empty enumeration cache, in all and per hull
-shape.
+shape, with the sets they build (calls of ``symmetrize_reduce`` on
+every set class, nested calls included).
+
+Finite lattice: the ``symmetrize_reduce`` calls and scored witness lists
+of FINITE_LATTICE_PASSES passes (24 requests each) of the
+``finite_lattice`` benchmark workload at seed FINITE_LATTICE_SEED, each
+request run as ``perfbench/workloads.py`` runs it with an empty
+enumeration cache.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -37,21 +44,23 @@ search, each call on a new copy of the set (a ``FinitePoints`` builds
 its integer table on first use and keeps it), the number of
 ``_segment_portion_distance`` calls the strong-extreme figures make, the
 number of witness lists the ``delta_curve`` figures make, and the
-``SparseVec`` subtractions each of the three makes, each over all
-PROC_SETS sets. Functions are counted by wrapping them here; witness
-lists are counted where the search scores them, as calls of
-``indexes._score``, which ``rank`` inside ``indexes._witness_search``
-makes once per scored list, after its ``indexes._delta_of``: ``rank``
-also sees the lists it skips once the best list scores 0.
+``SparseVec`` subtractions and ``symmetrize_reduce`` calls each of the
+three makes, each over all PROC_SETS sets. Functions are counted by
+wrapping them here; witness lists are counted where the search scores
+them, as calls of ``indexes._score``, which ``rank`` inside
+``indexes._witness_search`` makes once per scored list, after its
+``indexes._delta_of``: ``rank`` also sees the lists it skips once the
+best list scores 0.
 
 CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
 the witness lists the request scores (counted at ``_score`` as above),
-the sampled diameter lower ends it computes (calls of
-``sets._sampled_lower``, each up to 64 sampled membership searches), its
-member samples (calls of ``sets.sample_members``, counted through the
-names ``sets``, ``indexes`` and ``extraction`` call it by), its
+the sets it builds (``symmetrize_reduce`` calls, as above), the sampled
+diameter lower ends it computes (calls of ``sets._sampled_lower``, each
+up to 64 sampled membership searches), its member samples (calls of
+``sets.sample_members``, counted through the names ``sets``,
+``indexes`` and ``extraction`` call it by), its
 certified diameter upper ends (calls of ``diameter_upper``, counted
 through the names ``sets`` and ``extraction`` call it by), its sign-sum
 membership tests (calls of ``SignSums.contains``) and how many of them
@@ -111,6 +120,8 @@ PROC_DIM = 4  # coordinates of the random points
 PROC_SETS = 6  # random sets per (size, norm)
 PROC_REPEATS = 5  # timed calls per set and procedure figure
 PROC_EPSILONS = tuple(Fraction(x) for x in ("1/4", "1/2", "1"))  # drawn per set
+FINITE_LATTICE_SEED = 7919
+FINITE_LATTICE_PASSES = 8  # 192 requests
 DEMO = Path(__file__).resolve().parent / "run_demo.py"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -288,6 +299,14 @@ def add_pivots(total: list[int], counts: list[int]) -> None:
         total[index] += count
 
 
+def load_workloads():
+    """``perfbench/workloads.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def measure_catalogue() -> dict:
     """Pivots, cells, scored witness lists, warm LP calls and phase-1 runs
     of every request of the hull_lp catalogue, each run as
@@ -297,16 +316,15 @@ def measure_catalogue() -> dict:
     import symdex
     from symdex import exactlp, indexes, sets
 
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     lib = types.SimpleNamespace(symdex=symdex)
     cache = getattr(sets, "_ENUM_CACHE", {})
     instances = json.loads(workloads.HULL_CATALOGUE.read_text())["instances"]
     lp_calls = ("maximum_calls", "feasible_calls", "phase1_runs")
 
     def empty() -> dict:
-        return {"requests": 0, "scored_lists": 0, **dict.fromkeys(lp_calls, 0), "counts": [0, 0, 0, 0]}
+        return {"requests": 0, "scored_lists": 0, "symmetrize_reduce_calls": 0, **dict.fromkeys(lp_calls, 0),
+                "counts": [0, 0, 0, 0]}
 
     total, shapes = empty(), {}
     for instance in instances:
@@ -315,10 +333,11 @@ def measure_catalogue() -> dict:
         cache.clear()
         scored, *calls = count_calls(lambda: workloads.hull_request(lib, instance), (indexes, "_score"),
                                      (exactlp.WarmLp, "maximum"), (exactlp.WarmLp, "feasible"),
-                                     (exactlp, "_feasible_basis"))
+                                     (exactlp, "_feasible_basis"), *set_builds(sets))
         for row in (total, shapes.setdefault(instance["shape"], empty())):
             row["requests"] += 1
             row["scored_lists"] += scored
+            row["symmetrize_reduce_calls"] += sum(calls[len(lp_calls):])
             for name, count in zip(lp_calls, calls):
                 row[name] += count
             add_pivots(row["counts"], counts)
@@ -404,6 +423,7 @@ def count_calls(call, *targets) -> list[int]:
     ``(module, name)`` of ``targets`` (a class for a method or a
     classmethod), counted by wrapping them for the length of the call."""
     originals = [inspect.getattr_static(module, name) for module, name in targets]
+    own = [name in vars(module) for module, name in targets]  # else inherited
     calls = [0] * len(targets)
 
     def counting(index):
@@ -426,9 +446,20 @@ def count_calls(call, *targets) -> list[int]:
     try:
         call()
     finally:
-        for (module, name), original in zip(targets, originals):
-            setattr(module, name, original)
+        for (module, name), original, mine in zip(targets, originals, own):
+            if mine:
+                setattr(module, name, original)
+            else:
+                delattr(module, name)
     return calls
+
+
+def set_builds(sets) -> list[tuple]:
+    """``count_calls`` targets that count the sets built: the
+    ``symmetrize_reduce`` method of every set class (each wrapped on its
+    own class, so a call that reaches an inherited one via ``super`` is
+    counted once)."""
+    return [(cls, "symmetrize_reduce") for cls in sets._SET_TYPES.values()]
 
 
 def scored_lists(call) -> int:
@@ -453,6 +484,7 @@ def measure_procedures() -> dict:
             samples: dict[str, list[float]] = {}
             segment_calls = lists = 0
             subs = dict.fromkeys(("strong_extreme", "extreme", "delta_curve"), 0)
+            builds = dict.fromkeys(subs, 0)
             for _ in range(PROC_SETS):
                 points = random_finite_set(symdex, rng, count)
                 eps = rng.choice(PROC_EPSILONS)
@@ -481,13 +513,37 @@ def measure_procedures() -> dict:
                 lists += scored_lists(procedures["delta_curve"])
                 for name, call in procedures.items():
                     cache.clear()
-                    subs[name] += count_calls(call, (symdex.SparseVec, "__sub__"))[0]
+                    sub, *reduce_calls = count_calls(call, (symdex.SparseVec, "__sub__"), *set_builds(sets))
+                    subs[name] += sub
+                    builds[name] += sum(reduce_calls)
             row = {f"{name}_ms": round(statistics.median(ns) / 1e6, 3) for name, ns in samples.items()}
             row["segment_calls"] = segment_calls
             row["scored_lists"] = lists
             row.update((f"{name}_subs", count) for name, count in subs.items())
+            row.update((f"{name}_symmetrize_reduce", count) for name, count in builds.items())
             results[f"{count}pts_{kind.value}"] = row
     return results
+
+
+def measure_finite_lattice() -> dict:
+    """The requests, ``symmetrize_reduce`` calls and scored witness lists
+    of FINITE_LATTICE_PASSES passes of the finite_lattice workload at
+    FINITE_LATTICE_SEED, each request with an empty enumeration cache."""
+    import symdex
+    from symdex import indexes, sets
+
+    cache = getattr(sets, "_ENUM_CACHE", {})
+    workload = load_workloads().FiniteLattice(types.SimpleNamespace(symdex=symdex), FINITE_LATTICE_SEED, None)
+    row = {"seed": FINITE_LATTICE_SEED, "requests": 0, "symmetrize_reduce_calls": 0, "scored_lists": 0}
+    for index in range(FINITE_LATTICE_PASSES):
+        for request in workload.make_pass(index):
+            cache.clear()
+            scored, *reduce_calls = count_calls(lambda: workload.run(request), (indexes, "_score"),
+                                                *set_builds(sets))
+            row["requests"] += 1
+            row["scored_lists"] += scored
+            row["symmetrize_reduce_calls"] += sum(reduce_calls)
+    return row
 
 
 def sign_sum_searches(call) -> tuple[int, int]:
@@ -554,6 +610,8 @@ def measure_cli() -> dict:
             cache.clear()
             row["scored_lists"] = scored_lists(lambda: demo.main(request))
             cache.clear()
+            row["symmetrize_reduce_calls"] = sum(count_calls(lambda: demo.main(request), *set_builds(sets)))
+            cache.clear()
             lower, *counts = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
                                          *((module, "sample_members") for module in (sets, indexes, extraction)),
                                          *((module, "diameter_upper") for module in (sets, extraction)))
@@ -612,32 +670,37 @@ def main(argv=None) -> int:
               + f"{row['delta_upper_cells']:>16}")
     catalogue = measure_catalogue()
     print(f"\n{'hull_lp shape':<14}{'requests':>10}{'lists':>8}{'pivots':>18}{'cells':>10}{'max':>7}{'feas':>7}"
-          f"{'ph-1':>7}   (scored witness lists, phase-1/phase-2/dual pivots, tableau cells, WarmLp.maximum "
-          "and WarmLp.feasible calls and phase-1 runs over the catalogue)")
+          f"{'ph-1':>7}{'builds':>8}   (scored witness lists, phase-1/phase-2/dual pivots, tableau cells, "
+          "WarmLp.maximum and WarmLp.feasible calls, phase-1 runs and symmetrize_reduce calls over the catalogue)")
     for name, row in [*catalogue["shapes"].items(), ("all", catalogue)]:
         print(f"{name:<14}{row['requests']:>10}{row['scored_lists']:>8}"
               f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}{row['maximum_calls']:>7}"
-              f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}")
+              f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}{row['symmetrize_reduce_calls']:>8}")
+    lattice = measure_finite_lattice()
+    print(f"\nfinite_lattice seed {lattice['seed']}: {lattice['requests']} requests, "
+          f"{lattice['symmetrize_reduce_calls']} symmetrize_reduce calls, {lattice['scored_lists']} scored lists")
     procedures = measure_procedures()
     print(f"\n{'finite set':<14}{'strong':>10}{'extreme':>10}{'curve':>10}{'segments':>10}{'lists':>8}"
-          f"{'subs':>18}   (median ms; segment scans, scored witness lists and strong/extreme/curve "
-          f"subtractions over {PROC_SETS} sets)")
+          f"{'subs':>18}{'builds':>14}   (median ms; segment scans, scored witness lists and strong/extreme/curve "
+          f"subtractions and symmetrize_reduce calls over {PROC_SETS} sets)")
     for name, row in procedures.items():
-        subs = "/".join(str(row[f"{key}_subs"]) for key in ("strong_extreme", "extreme", "delta_curve"))
+        subs, builds = ("/".join(str(row[f"{key}_{suffix}"]) for key in ("strong_extreme", "extreme", "delta_curve"))
+                        for suffix in ("subs", "symmetrize_reduce"))
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
-              f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}")
+              f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}{builds:>14}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
-          f"{'diam up':>9}{'sign in':>9}{'search':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
+          f"{'diam up':>9}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
           "   (median; scored witness lists, sampled lower ends, member samples, diameter upper ends, "
-          "sign-sum contains and searches; the oracle's set and vector parses and verdict bytes)")
+          "sign-sum contains and searches, symmetrize_reduce calls; the oracle's set and vector parses "
+          "and verdict bytes)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         parses = "".join(f"{row.get(key, '-'):>{w}}" for key, w in
                          (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
               f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}{row['diameter_upper_calls']:>9}"
-              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{parses}")
+              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}")
     if args.out:
         report = {
             "units": {
@@ -646,14 +709,18 @@ def main(argv=None) -> int:
                       "[phase 1, phase 2, warm dual] and cells as the rows x columns those pivots update, "
                       "summed over lp_hulls hulls, as are delta_upper_contains_lps",
                 "catalogue": "scored witness lists, pivots as [phase 1, phase 2, warm dual] and the cells they "
-                             "update, WarmLp.maximum and WarmLp.feasible calls and phase-1 runs, summed over "
-                             "every request of perfbench/hull_catalogue.json and per shape",
-                "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists and "
-                              "the SparseVec subtractions *_subs summed over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; scored_lists, sampled_lower_calls, "
-                       "sample_members_calls, diameter_upper_calls, sign_sum_contains and sign_sum_searches "
-                       "per request; oracle_set_parses, oracle_vector_parses and verdict_bytes per oracle "
-                       "replay of the report",
+                             "update, WarmLp.maximum and WarmLp.feasible calls, phase-1 runs and "
+                             "symmetrize_reduce calls, summed over every request of "
+                             "perfbench/hull_catalogue.json and per shape",
+                "finite_lattice": "symmetrize_reduce calls and scored witness lists summed over the requests "
+                                  "of the finite_lattice workload's first passes at its seed",
+                "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists, "
+                              "the SparseVec subtractions *_subs and the symmetrize_reduce calls "
+                              "*_symmetrize_reduce summed over proc_sets sets",
+                "cli": "ms per call, median; report size in bytes; scored_lists, symmetrize_reduce_calls, "
+                       "sampled_lower_calls, sample_members_calls, diameter_upper_calls, sign_sum_contains and "
+                       "sign_sum_searches per request; oracle_set_parses, oracle_vector_parses and "
+                       "verdict_bytes per oracle replay of the report",
             },
             "batch": BATCH,
             "repeats": REPEATS,
@@ -669,6 +736,7 @@ def main(argv=None) -> int:
             "kernels": kernels,
             "lp": lp,
             "catalogue": catalogue,
+            "finite_lattice": lattice,
             "procedures": procedures,
             "cli": cli,
         }

@@ -47,8 +47,8 @@ def strategy_shootout(rounds: int = 30, seed: int = 7) -> None:
         values = {}
         for name, strategy in (
             ("exhaustive", SearchStrategy.exhaustive(points.points)),
-            ("greedy", SearchStrategy.greedy(points.points, restarts=2)),
-            ("beam", SearchStrategy.beam(points.points, width=3)),
+            ("greedy", SearchStrategy.greedy(points.points)),
+            ("beam", SearchStrategy.beam(points.points)),
         ):
             start = time.monotonic()
             values[name] = delta_upper(points, 2, strategy, NormKind.SUP).bound.upper

@@ -128,9 +128,9 @@ def verify_replay(report: dict) -> list[int]:
     """Indices of replay entries that fail re-verification."""
     if not isinstance(report, dict):
         raise InvalidInput("a report must be a JSON object")
-    entries = report.get("replay", [])
+    entries = report.get("replay")
     if not isinstance(entries, list):
-        raise InvalidInput("a report's replay must be a list")
+        raise InvalidInput("a report needs a replay list")
     parsed: dict[str, sets.SetExpr] = {}
     return [pos for pos, entry in enumerate(entries) if not check_entry(entry, parsed)]
 
@@ -405,8 +405,8 @@ def _run_extreme(args, obj):
     result = {"eps_extreme": flag, "epsilon": format_scalar(epsilon)}
     replay = [_contains_entry(expr, point)]
     result["symmetrized_diameter"] = bound.to_json()
-    if isinstance(sets.reduced(expr), sets.FinitePoints):
-        strong, delta = ext.eps_strong_extreme(sets.reduced(expr), point, epsilon, kind)
+    if isinstance(expr, sets.FinitePoints):
+        strong, delta = ext.eps_strong_extreme(expr, point, epsilon, kind)
         result["eps_strong_extreme"] = strong
         result["delta_witness"] = format_scalar(delta)
     return result, replay, "ok"
@@ -439,7 +439,7 @@ def _run_one_sided(args, obj):
 def _run_oracle(args, report):
     failures = verify_replay(report)
     result = {
-        "checked": len(report.get("replay", [])),
+        "checked": len(report["replay"]),
         "failed": failures,
     }
     return result, [], "ok" if not failures else "violation"
@@ -496,14 +496,20 @@ def _format_csv(report: dict, digits: int | None) -> str:
     return buffer.getvalue()
 
 
-def _decimal_digits(text: str) -> int:
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = -1
-    if not 0 <= digits <= MAX_DECIMAL:
-        raise argparse.ArgumentTypeError(f"expected an integer from 0 to {MAX_DECIMAL}, got {text!r}")
-    return digits
+def _int_type(low: int, high: float, expected: str):
+    """An argparse type for integers from ``low`` to ``high``; anything
+    else is an error that names ``expected``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,11 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--epsilon", default="1/10")
     parser.add_argument("--depth", type=int, default=3)
-    parser.add_argument("--strategy", choices=("exhaustive", "greedy", "beam"), default="exhaustive")
+    parser.add_argument("--strategy", choices=tuple(indexes.WIDTHS), default="exhaustive")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=200_000)
+    parser.add_argument("--budget", type=_int_type(1, float("inf"), "a positive integer"), default=200_000)
     parser.add_argument("--norm", choices=("sup", "sum", "euclid"), default=None)
-    parser.add_argument("--decimal", type=_decimal_digits, default=None)
+    parser.add_argument(
+        "--decimal", type=_int_type(0, MAX_DECIMAL, f"an integer from 0 to {MAX_DECIMAL}"), default=None
+    )
     return parser
 
 

@@ -40,7 +40,6 @@ from .sets import (
     diameter_upper,
     difference_set,
     free_direction,
-    reduced,
     sample_members,
     set_from_json,
     set_to_json,
@@ -345,9 +344,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0) -> dict:
         # condition (a): prev_x +- (this set) inside the previous set
         prev_expr = t.base_set if n == 1 else t.steps[n - 2].set_before
         shift = t.x0 if n == 1 else t.steps[n - 2].x
-        inner = reduced(step.set_before)
-        outer = reduced(prev_expr)
-        nested = inner.exact_shift_inclusion(shift, outer)
+        nested = step.set_before.exact_shift_inclusion(shift, prev_expr)
         if nested is not None:
             entry["nested"] = nested
             entry["nested_level"] = "exact"
@@ -361,7 +358,7 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0) -> dict:
             entry["nested_level"] = "sampled"
 
         # condition (d): the functional is small on the next set
-        cap = reduced(nxt).exact_abs_sup(step.f)
+        cap = nxt.exact_abs_sup(step.f)
         if cap is not None:
             entry["small_on_next"] = cap < t.eta
             entry["small_on_next_level"] = "exact"
@@ -561,7 +558,7 @@ def one_sided_sequence(
     out: list[SparseVec] = []
     threshold = as_length(eps, kind)
     for n in range(1, steps + 1):
-        d = reduced(expr).one_sided_direction(family, threshold, kind)
+        d = expr.one_sided_direction(family, threshold, kind)
         if d is None:
             raise SequenceStalled(n, out)
         for member in family:

@@ -28,12 +28,14 @@ from .sets import (
     diameter,
     enumerate_members,
     free_direction,
-    reduced,
     sample_members,
 )
 from .vectors import NormKind, SparseVec, half_length, norm
 
 ZERO_CERT = LowerCertificate("none", Fraction(0), Fraction(0), True)
+
+# lists a search keeps per round, by strategy kind (None keeps every list)
+WIDTHS = {"exhaustive": None, "greedy": 1, "beam": 4}
 
 
 @dataclass
@@ -58,34 +60,32 @@ class DeltaResult:
 class SearchStrategy:
     """Witness-list search plan over a finite member pool."""
 
-    kind: str  # "exhaustive" | "greedy" | "beam"
+    kind: str  # a key of WIDTHS
     pool: tuple[SparseVec, ...]
-    restarts: int = 1
-    width: int = 4
 
     @classmethod
     def exhaustive(cls, pool: Sequence[SparseVec]) -> "SearchStrategy":
         return cls("exhaustive", tuple(pool))
 
     @classmethod
-    def greedy(cls, pool: Sequence[SparseVec], restarts: int = 1) -> "SearchStrategy":
-        return cls("greedy", tuple(pool), restarts=restarts)
+    def greedy(cls, pool: Sequence[SparseVec]) -> "SearchStrategy":
+        return cls("greedy", tuple(pool))
 
     @classmethod
-    def beam(cls, pool: Sequence[SparseVec], width: int = 4) -> "SearchStrategy":
-        return cls("beam", tuple(pool), width=width)
+    def beam(cls, pool: Sequence[SparseVec]) -> "SearchStrategy":
+        return cls("beam", tuple(pool))
 
     @classmethod
-    def parse(cls, kind: str, pool: Sequence[SparseVec], restarts: int = 1, width: int = 4):
+    def parse(cls, kind: str, pool: Sequence[SparseVec]):
         kind = kind.strip().lower()
-        if kind not in ("exhaustive", "greedy", "beam"):
+        if kind not in WIDTHS:
             raise InvalidInput(f"unknown search strategy {kind!r}")
-        return cls(kind, tuple(pool), restarts=restarts, width=width)
+        return cls(kind, tuple(pool))
 
 
 def default_pool(expr: SetExpr) -> tuple[SparseVec, ...]:
     """A small deterministic witness pool of members of the set."""
-    return reduced(expr).default_pool()
+    return expr.default_pool()
 
 
 def delta0(expr: SetExpr, kind: NormKind, seed: Optional[int] = 0) -> BoundPair:
@@ -122,14 +122,14 @@ def _witness_search(
     """Yield, for n = 1..N, the best (bound, witness list) over every
     searched list of size at most n.
 
-    One beam loop grows the lists a round per size: ``exhaustive`` keeps
-    every list, ``beam`` the ``width`` best and ``greedy`` the best one
-    per restart, where restart r > 0 starts from the single pool point
-    r - 1, a size-1 list. A search to n scores every list a search to
-    n - 1 scores, so the work for size n + 1 starts only when the caller
-    asks for it. Lists rank by (score, witness key), a total order, so
-    the order of scoring cannot change the result. For N < 1 nothing
-    is searched and the pool is not checked.
+    One beam loop grows the lists a round per size, from the empty list,
+    and keeps the ``WIDTHS`` best of each round: every list for
+    ``exhaustive``, 4 for ``beam`` and 1 for ``greedy``. A search to n
+    scores every list a search to n - 1 scores, so the work for size
+    n + 1 starts only when the caller asks for it. Lists rank by (score,
+    witness key), a total order, so the order of scoring cannot change
+    the result. For N < 1 nothing is searched and the pool is not
+    checked.
 
     The search ends once its best list scores 0. A score is the upper
     end of a delta_0 bound, never below 0, and the witness key starts
@@ -159,15 +159,9 @@ def _witness_search(
     pool.sort(key=lambda p: p.sort_key())
     if not pool:
         raise InvalidInput("witness pool is empty")
-    if strategy.kind == "exhaustive":
-        width, starts = None, [()]
-    elif strategy.kind == "beam":
-        width, starts = max(1, strategy.width), [()]
-    elif strategy.kind == "greedy":
-        width = 1
-        starts = [()] + [(pool[(r - 1) % len(pool)],) for r in range(1, max(1, strategy.restarts))]
-    else:
+    if strategy.kind not in WIDTHS:
         raise InvalidInput(f"unknown strategy kind {strategy.kind!r}")
+    width = WIDTHS[strategy.kind]
 
     best = None  # (rank, bound, witnesses)
     completed = None  # the yielded list whose bound holds its sampled lower end
@@ -183,23 +177,19 @@ def _witness_search(
             best = (key, bound, ws)
         return key
 
-    beams = [[start] for start in starts]
+    states: list[tuple[SparseVec, ...]] = [()]
     for n in range(1, N + 1):
         if best is not None and best[0][0] == 0:  # final: every later list is longer
             yield best[1], best[2]
             continue
-        for b, states in enumerate(beams):
-            if states and len(states[0]) == n:  # a greedy restart's one-point start
-                rank(states[0])
-                continue
-            ranked = {}
-            for state in states:
-                for p in pool:
-                    if p not in state:
-                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
-                        if ws not in ranked:
-                            ranked[ws] = rank(ws)
-            beams[b] = sorted(ranked, key=ranked.__getitem__)[:width]
+        ranked = {}
+        for state in states:
+            for p in pool:
+                if p not in state:
+                    ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
+                    if ws not in ranked:
+                        ranked[ws] = rank(ws)
+        states = sorted(ranked, key=ranked.__getitem__)[:width]
         key, bound, ws = best
         if seed is not None and not bound.exact and ws != completed:
             bound = _delta_of(expr, ws, kind, seed)
@@ -244,7 +234,7 @@ def delta_lower(expr: SetExpr, N: int, kind: NormKind) -> DeltaResult:
     """
     if N < 0:
         raise InvalidInput("delta_lower needs N >= 0")
-    cert = reduced(expr).lower_certificate(kind)
+    cert = expr.lower_certificate(kind)
     return DeltaResult(
         N=N,
         bound=BoundPair(cert.value, None),
@@ -341,14 +331,13 @@ def separation_alpha_lower(expr: SetExpr, count: int, kind: NormKind) -> BoundPa
     """
     if count < 2:
         return BoundPair(Fraction(0), None)
-    flat = reduced(expr)
-    best_family = flat.separated_family(count)
+    best_family = expr.separated_family(count)
     if best_family is not None:
         best_s = min(norm(a - b, kind) for a, b in combinations(best_family, 2))
     else:
-        members = enumerate_members(flat, 4096)
+        members = enumerate_members(expr, 4096)
         if members is None:
-            members = tuple(sample_members(flat, random.Random(0), 32))
+            members = tuple(sample_members(expr, random.Random(0), 32))
         pts = list(members)
         if len(pts) < count:
             return BoundPair(Fraction(0), None)

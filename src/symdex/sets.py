@@ -11,15 +11,19 @@ points x -- are the central construction. Symmetrizing a box yields a
 box again (radii shrink by the witness coordinates), subset sign sums
 with disjoint term supports yield subset sign sums with the used terms
 zeroed, and nested symmetrizations flatten into a single witness list,
-so the common lineages stay in closed form.
+so the common lineages stay in closed form. Sets are flattened once,
+where they are built: :func:`symmetrize` and the JSON parser return the
+flattened form, and no operation flattens again. A ``Symmetrized`` node
+built directly is taken as written: operations on it stay certified,
+with only its own base's closed forms.
 
 Each variant is a subclass of :class:`SetExpr` that carries its own case
 of every operation as a method. The module functions (``contains``,
 ``diameter``, ``sup_functional``, ``free_direction``, ...) are the entry
 points. Where an operation has a public module function, methods reach
 sub-expressions through it, so nested calls are cached and observed the
-same way as top-level ones; ``diameter`` methods, which run on a set
-the module function has already reduced, call their parts' methods.
+same way as top-level ones; ``diameter`` methods call their parts'
+methods, as the module function adds nothing to them.
 """
 
 from __future__ import annotations
@@ -207,21 +211,17 @@ class SetExpr(ABC):
 
     @abstractmethod
     def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
-        """Certified diameter interval of this (already reduced) set; see
-        :func:`diameter` for ``seed``."""
+        """Certified diameter interval of this set; see :func:`diameter`
+        for ``seed``."""
 
     @abstractmethod
     def default_pool(self) -> tuple[SparseVec, ...]:
-        """A small deterministic witness pool of members (reduced set)."""
+        """A small deterministic witness pool of members."""
 
     def symmetrize_reduce(self, ws: list[SparseVec]) -> "SetExpr":
         """The symmetrization at the witnesses ``ws``, flattened where a
         closed form exists."""
         return Symmetrized(self, tuple(ws))
-
-    def reduced(self) -> "SetExpr":
-        """The set with every flattenable symmetrization flattened."""
-        return self
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         """Every member, or None when the set is not enumerable within
@@ -230,8 +230,8 @@ class SetExpr(ABC):
 
     def one_witness_members(self, w: SparseVec, budget: int) -> Optional[tuple[SparseVec, ...]]:
         """S_w = {p - w : p and 2w - p in the set} in ``sort_key`` order:
-        the members of Sym(self; {w}) where that does not flatten, or None
-        when the set is not enumerable within ``budget``."""
+        the members of Sym(self; {w}), or None when the set is not
+        enumerable within ``budget``."""
         base = enumerate_members(self, budget)
         if base is None:
             return None
@@ -248,8 +248,8 @@ class SetExpr(ABC):
         return Fraction(0)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
-        """Unchecked candidate for :func:`free_direction` on a reduced set;
-        None when the variant has no free-direction family."""
+        """Unchecked candidate for :func:`free_direction`; None when the
+        variant has no free-direction family."""
         return None
 
     def one_sided_direction(
@@ -260,7 +260,7 @@ class SetExpr(ABC):
         return None
 
     def lower_certificate(self, kind: NormKind) -> LowerCertificate:
-        """Lower certificate for every delta_N of this reduced set."""
+        """Lower certificate for every delta_N of this set."""
         return LowerCertificate("none", Fraction(0), Fraction(0), True)
 
     def separated_family(self, count: int) -> Optional[list[SparseVec]]:
@@ -268,11 +268,11 @@ class SetExpr(ABC):
         return None
 
     def coordinate_relaxation(self) -> "Box":
-        """See :func:`coordinate_relaxation` (reduced set)."""
+        """See :func:`coordinate_relaxation`."""
         raise InvalidInput("coordinate relaxation expects a symmetrized set")
 
     def difference_set(self) -> Optional["SetExpr"]:
-        """See :func:`difference_set` (reduced set)."""
+        """See :func:`difference_set`."""
         members = enumerate_members(self, 4096)
         if members is None:
             return None
@@ -953,9 +953,6 @@ class Translate(SetExpr):
     def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
         return self.base.symmetrize_reduce([w - self.by for w in ws])
 
-    def reduced(self) -> SetExpr:
-        return Translate(reduced(self.base), self.by)
-
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         base = enumerate_members(self.base, budget)
         if base is None:
@@ -1009,9 +1006,6 @@ class Negate(SetExpr):
 
     def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
         return self.base.symmetrize_reduce([-w for w in ws])
-
-    def reduced(self) -> SetExpr:
-        return Negate(reduced(self.base))
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         base = enumerate_members(self.base, budget)
@@ -1067,9 +1061,6 @@ class Intersect(SetExpr):
 
     def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
         return Intersect(tuple(p.symmetrize_reduce(ws) for p in self.parts))
-
-    def reduced(self) -> SetExpr:
-        return Intersect(tuple(reduced(p) for p in self.parts))
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         for part in self.parts:
@@ -1149,13 +1140,12 @@ class Symmetrized(SetExpr):
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Symmetrized":
+    def from_json(cls, obj: dict) -> SetExpr:
         base = set_from_json(obj["base"])
         witnesses = _json_vectors(obj, "witnesses")
-        for w in witnesses:
-            if not contains(base, w):
-                raise WitnessNotMember(f"witness {w!r} is not a member of the base set")
-        return cls(base, witnesses)
+        if not witnesses:
+            raise InvalidInput("symmetrized set needs at least one witness")
+        return symmetrize(base, witnesses)
 
     def contains(self, v: SparseVec) -> bool:
         return all(
@@ -1173,19 +1163,13 @@ class Symmetrized(SetExpr):
     def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
         return self.base.symmetrize_reduce(self._witness_sums(ws))
 
-    def reduced(self) -> SetExpr:
-        return reduced(self.base).symmetrize_reduce(list(self.witnesses))
-
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
-        flat = reduced(self)
-        if flat != self:
-            return enumerate_members(flat, budget)
         if len(self.witnesses) == 1:
             return self.base.one_witness_members(self.witnesses[0], budget)
         # Sym(A; W) is the intersection of the cached one-witness sets S_w
         ones = []
         for w in self.witnesses:
-            one = enumerate_members(Symmetrized(self.base, (w,)), budget)
+            one = enumerate_members(self.base.symmetrize_reduce([w]), budget)
             if one is None:
                 return None
             ones.append(one)
@@ -1197,9 +1181,6 @@ class Symmetrized(SetExpr):
         return None if cand is None else cand - self.witnesses[0]
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        flat = reduced(self)
-        if flat != self:  # the base flattens: use the flattened form
-            return sup_functional(f, flat)
         exact = self.base.symmetrized_sup(self, f)
         if exact is not None:
             return exact
@@ -1553,8 +1534,10 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
 
     Boxes (also translated/negated/nested symmetrized boxes) flatten to a
     closed-form box, and subset-mode sign sums with disjoint term supports
-    to sign sums with the used terms zeroed. An empty witness list returns
-    the set unchanged.
+    to sign sums with the used terms zeroed. The result is the set's
+    flattened form, which no operation flattens again (``set_from_json``
+    builds symmetrized JSON here too). An empty witness list returns the
+    set unchanged.
     """
     ws = sorted(set(witnesses), key=lambda w: w.sort_key())
     if not ws:
@@ -1565,20 +1548,15 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
     return expr.symmetrize_reduce(ws)
 
 
-def reduced(expr: SetExpr) -> SetExpr:
-    """Recursively flatten symmetrized nodes that have closed forms."""
-    return expr.reduced()
-
-
 # ---------------------------------------------------------------------------
 # enumeration and sampling
 
 # Least-recently-used enumerations, keyed by (expr, budget). The bound
 # keeps a long-lived process from holding every set it ever enumerated;
 # a single request reuses a few dozen entries, far below it. Only sets
-# that enumerate are kept: a None costs a size check or a reduction to
-# find again, and keeping it would keep its key's set (a hull with its
-# warm LPs, say) alive.
+# that enumerate are kept: a None costs a size check to find again, and
+# keeping it would keep its key's set (a hull with its warm LPs, say)
+# alive.
 ENUM_CACHE_SIZE = 512
 _ENUM_CACHE: OrderedDict[tuple, tuple[SparseVec, ...]] = OrderedDict()
 
@@ -1642,11 +1620,11 @@ def sup_functional(f: Functional, expr: SetExpr) -> BoundPair:
     samples no member.
 
     Exact (lower == upper) for boxes, finite sets, sign sums, hulls,
-    their translates/negations, and symmetrized sets that flatten to one
-    of these or whose base is a hull. Any other symmetrized set gets the
-    certified lower end 0 (zero is a member) under a relaxation upper
-    end, and an intersection gets the lower end None under the least
-    upper end of its parts.
+    their translates/negations, and symmetrized sets whose base is a hull
+    (a symmetrization that flattens is built as one of the others). Any
+    other symmetrized set gets the certified lower end 0 (zero is a
+    member) under a relaxation upper end, and an intersection gets the
+    lower end None under the least upper end of its parts.
     """
     return expr.sup_functional(f)
 
@@ -1672,7 +1650,7 @@ def coordinate_relaxation(expr: SetExpr) -> Box:
     coordinates; this is the workhorse upper bound for diameters of
     symmetrized sets without a closed form.
     """
-    return reduced(expr).coordinate_relaxation()
+    return expr.coordinate_relaxation()
 
 
 # ---------------------------------------------------------------------------
@@ -1696,7 +1674,7 @@ def diameter(
     its value but no attaining member: a positive value comes as the
     upper end over that certified zero.
     """
-    return reduced(expr).diameter(kind, seed, enum_budget)
+    return expr.diameter(kind, seed, enum_budget)
 
 
 def diameter_upper(
@@ -1739,7 +1717,7 @@ def free_direction(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind
     for w in ws:
         if not contains(expr, w):
             raise WitnessNotMember(f"witness {w!r} is not a member of the set")
-    d = reduced(expr).two_sided_direction(ws, kind)
+    d = expr.two_sided_direction(ws, kind)
     if d is None or d.is_zero:
         return None
     for w in ws:
@@ -1761,4 +1739,4 @@ def _canonical_sign(d: SparseVec) -> SparseVec:
 
 def difference_set(expr: SetExpr) -> Optional[SetExpr]:
     """Closed form of {a - b : a, b in the set}, where available."""
-    return reduced(expr).difference_set()
+    return expr.difference_set()

@@ -65,6 +65,17 @@ def test_decimal_out_of_range_exits_2(tmp_path, capsys, digits):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2(tmp_path, capsys, budget):
+    infile = write(tmp_path / "geometric.json", GEOMETRIC)
+    out = tmp_path / "series.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--in", infile, "--out", str(out), "--budget", budget])
+    assert exc.value.code == 2
+    assert f"argument --budget: expected a positive integer, got '{budget}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decimal_at_the_bound(tmp_path):
     infile = write(tmp_path / "box.json", THIRD_BOX)
     out = tmp_path / "delta.csv"
@@ -226,9 +237,35 @@ def test_invalid_input_exit_code(tmp_path):
     for n, obj in enumerate(malformed):
         infile = write(tmp_path / f"malformed{n}.json", obj)
         assert main(["delta", "--in", infile, "--out", str(out)]) == EXIT_INVALID
-    for n, report in enumerate([[1, 2], {"replay": 5}, {"replay": ["x"]}]):
+    # a report without a replay list is no report, even an empty object or a set
+    for n, report in enumerate([[1, 2], {"replay": 5}, {"replay": ["x"]}, {}, PLAIN_BOX]):
         infile = write(tmp_path / f"report{n}.json", report)
         assert main(["oracle", "--in", infile, "--out", str(out)]) == EXIT_INVALID
+    # an empty replay (a stalled tree, a refine that found nothing) checks nothing
+    infile = write(tmp_path / "empty_replay.json", {"replay": []})
+    assert main(["oracle", "--in", infile, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["result"]["checked"] == 0
+
+
+def test_symmetrized_box_input_reports_its_flattened_box(tmp_path):
+    # the parser builds a symmetrized box as the box it flattens to: the
+    # curve is the box's, and the replay entries name that box
+    raw = {"type": "symmetrized", "base": BOX_OVERRIDE, "witnesses": [{"1": "1"}, {"2": "1/2"}]}
+    flat = sets.set_to_json(sets.set_from_json(raw))
+    assert flat["type"] == "box"
+    reports = {}
+    for name, obj in (("raw", raw), ("flat", flat)):
+        infile = write(tmp_path / f"{name}_input.json", obj)
+        out = tmp_path / f"{name}.json"
+        assert main(["delta", "--in", infile, "--out", str(out), "--n", "2"]) == EXIT_OK
+        reports[name] = json.loads(out.read_text())
+        verdict = tmp_path / f"{name}_verdict.json"
+        assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK
+        assert json.loads(verdict.read_text())["result"]["failed"] == []
+    assert reports["raw"]["result"] == reports["flat"]["result"]
+    assert reports["raw"]["replay"] == reports["flat"]["replay"]
+    named = [entry["set"] for entry in reports["raw"]["replay"] if entry["kind"] == "contains"]
+    assert named and all(entry == flat for entry in named)
 
 
 def test_exponent_scalar_is_invalid_input(tmp_path):

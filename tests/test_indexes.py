@@ -200,8 +200,8 @@ def test_greedy_and_beam_never_beat_exhaustive():
         pool = pts.points
         for kind in ALL_NORMS:
             exact = delta_upper(pts, 2, SearchStrategy.exhaustive(pool), kind).bound.upper
-            greedy = delta_upper(pts, 2, SearchStrategy.greedy(pool, restarts=2), kind).bound.upper
-            beam = delta_upper(pts, 2, SearchStrategy.beam(pool, width=3), kind).bound.upper
+            greedy = delta_upper(pts, 2, SearchStrategy.greedy(pool), kind).bound.upper
+            beam = delta_upper(pts, 2, SearchStrategy.beam(pool), kind).bound.upper
             assert greedy >= exact and beam >= exact
 
 
@@ -210,17 +210,17 @@ def test_greedy_and_beam_never_beat_exhaustive_on_midpoint_pools():
         for kind in ALL_NORMS:
             for n in (1, 2, 3):
                 exact = delta_upper(expr, n, SearchStrategy.exhaustive(pool), kind).bound.upper
-                greedy = delta_upper(expr, n, SearchStrategy.greedy(pool, restarts=2), kind).bound.upper
-                beam = delta_upper(expr, n, SearchStrategy.beam(pool, width=3), kind).bound.upper
+                greedy = delta_upper(expr, n, SearchStrategy.greedy(pool), kind).bound.upper
+                beam = delta_upper(expr, n, SearchStrategy.beam(pool), kind).bound.upper
                 assert greedy >= exact and beam >= exact
                 # no pool point is extreme, so delta_1 is not pinned to zero
                 assert n > 1 or exact > 0
 
 
-def reference_greedy(expr, N, pool, restarts, kind):
-    """The greedy search as a loop of its own: each round adds the pool
-    point whose list scores lowest (ties to the smaller point), and
-    restart r > 0 starts from the list of pool point r - 1 alone."""
+def reference_greedy(expr, N, pool, kind):
+    """The greedy search as a loop of its own: from the empty list, each
+    round adds the pool point whose list scores lowest (ties to the
+    smaller point)."""
     pool = sorted(set(pool), key=lambda p: p.sort_key())
     best_bound, best_ws = None, ()
 
@@ -237,22 +237,18 @@ def reference_greedy(expr, N, pool, restarts, kind):
             best_ws = tuple(sorted(ws, key=lambda w: w.sort_key()))
         return score
 
-    for restart in range(max(1, restarts)):
-        current = []
-        if restart > 0:
-            current.append(pool[(restart - 1) % len(pool)])
-            consider(current)
-        while len(current) < N:
-            best_step = None
-            for p in pool:
-                if p in current:
-                    continue
-                key = (consider(current + [p]), p.sort_key())
-                if best_step is None or key < best_step[0]:
-                    best_step = (key, p)
-            if best_step is None:
-                break
-            current.append(best_step[1])
+    current = []
+    while len(current) < N:
+        best_step = None
+        for p in pool:
+            if p in current:
+                continue
+            key = (consider(current + [p]), p.sort_key())
+            if best_step is None or key < best_step[0]:
+                best_step = (key, p)
+        if best_step is None:
+            break
+        current.append(best_step[1])
     bound = BoundPair(F(0), best_bound.upper, upper_witness=best_bound.to_json())
     return indexes.DeltaResult(N=N, bound=bound, upper_witnesses=best_ws)
 
@@ -272,18 +268,17 @@ def midpoint_grid_sets(rng, count):
 def test_greedy_is_a_width_one_beam_per_restart():
     for expr, pool in midpoint_grid_sets(random.Random(3), 30):
         for kind in ALL_NORMS:
-            for restarts in (1, 2, 3):
-                for n in (1, 2, 3):
-                    got = delta_upper(expr, n, SearchStrategy.greedy(pool, restarts), kind)
-                    want = reference_greedy(expr, n, pool, restarts, kind)
-                    assert got == want
-                    assert got.to_json() == want.to_json()
+            for n in (1, 2, 3):
+                got = delta_upper(expr, n, SearchStrategy.greedy(pool), kind)
+                want = reference_greedy(expr, n, pool, kind)
+                assert got == want
+                assert got.to_json() == want.to_json()
 
 
 def reference_delta_upper(expr, N, strategy, kind, seed=0):
     """delta_upper as a search of its own for every N: exhaustive scores
     the combinations of at most N pool points; greedy and beam grow lists
-    from their starts for N rounds."""
+    from the empty list for N rounds, keeping the 1 and 4 best."""
     if N < 1:
         raise InvalidInput("delta_upper needs N >= 1")
     pool = []
@@ -318,33 +313,24 @@ def reference_delta_upper(expr, N, strategy, kind, seed=0):
             for ws in combinations(pool, size):
                 consider(ws)
     else:
-        if strategy.kind == "greedy":
-            width = 1
-            restarts = range(1, max(1, strategy.restarts))
-            starts = [()] + [(pool[(r - 1) % len(pool)],) for r in restarts]
-        else:
-            width = max(1, strategy.width)
-            starts = [()]
-        for start in starts:
-            if start:
-                consider(start)
-            states = [start]
-            for _ in range(N - len(start)):
-                scored = []
-                seen_states = set()
-                for state in states:
-                    for p in pool:
-                        if p in state:
-                            continue
-                        ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
-                        if ws in seen_states:
-                            continue
-                        seen_states.add(ws)
-                        scored.append((consider(ws), indexes._witness_key(ws), ws))
-                if not scored:
-                    break
-                scored.sort(key=lambda t: (t[0], t[1]))
-                states = [ws for _, _, ws in scored[:width]]
+        width = 1 if strategy.kind == "greedy" else 4
+        states = [()]
+        for _ in range(N):
+            scored = []
+            seen_states = set()
+            for state in states:
+                for p in pool:
+                    if p in state:
+                        continue
+                    ws = tuple(sorted(state + (p,), key=lambda w: w.sort_key()))
+                    if ws in seen_states:
+                        continue
+                    seen_states.add(ws)
+                    scored.append((consider(ws), indexes._witness_key(ws), ws))
+            if not scored:
+                break
+            scored.sort(key=lambda t: (t[0], t[1]))
+            states = [ws for _, _, ws in scored[:width]]
     bound = BoundPair(F(0), best_bound.upper, upper_witness=best_bound.to_json())
     return indexes.DeltaResult(N=N, bound=bound, upper_witnesses=best_ws)
 
@@ -410,10 +396,8 @@ def outcome(call):
 
 def all_strategies(pool):
     yield SearchStrategy.exhaustive(pool)
-    for restarts in (1, 2, 3):
-        yield SearchStrategy.greedy(pool, restarts)
-    for width in (1, 2, 3):
-        yield SearchStrategy.beam(pool, width)
+    yield SearchStrategy.greedy(pool)
+    yield SearchStrategy.beam(pool)
 
 
 DIFFERENTIAL_BOXES = [
@@ -490,8 +474,8 @@ def test_curve_scores_each_list_once(monkeypatch):
     delta_curve(DIFFERENTIAL_BOXES[1], 3, exhaustive(DIFFERENTIAL_BOXES[1]), NormKind.SUP)
     assert len(calls) == 7 + 21 + 35  # every list of at most 3 of the 7 pool points, once
     calls.clear()
-    delta_upper(box, 1, SearchStrategy.greedy(default_pool(box), restarts=2), NormKind.SUP)
-    assert len(calls) == 3 + 1  # restart 1 scores its one-point start
+    delta_upper(box, 1, SearchStrategy.greedy(default_pool(box)), NormKind.SUP)
+    assert len(calls) == 3  # round 1 scores each pool point once
 
 
 def test_zero_best_ends_the_search(monkeypatch):
@@ -507,16 +491,16 @@ def test_zero_best_ends_the_search(monkeypatch):
     assert [delta_of(hull, [p], NormKind.SUP, None).upper > 0 for p in pool] == [True, True, False, False]
     strategies = [
         SearchStrategy.exhaustive(pool),
-        SearchStrategy.greedy(pool, restarts=2),
-        SearchStrategy.beam(pool, width=2),
+        SearchStrategy.greedy(pool),
+        SearchStrategy.beam(pool),
     ]
     for strategy in strategies:
         scored.clear()
         ranked.clear()
         rows = delta_curve(hull, 3, strategy, NormKind.SUP)
         assert set(scored) == {(p,) for p in pool[:3]}  # no list of size 2 or 3
-        assert len(scored) == 3 + (strategy.kind == "greedy")  # restart 1 scores its start again
-        assert len(ranked) == len(pool) + (strategy.kind == "greedy")  # round 1 is the last round
+        assert len(scored) == 3
+        assert len(ranked) == len(pool)  # round 1 is the last round
         assert rows[1].bound.upper == 0
         assert rows[1].upper_witnesses == (pool[2],)
         for row in rows[2:]:
@@ -524,7 +508,7 @@ def test_zero_best_ends_the_search(monkeypatch):
             assert row.upper_witnesses == rows[1].upper_witnesses
         scored.clear()
         assert delta_upper(hull, 3, strategy, NormKind.SUP).upper_witnesses == (pool[2],)
-        assert len(scored) == 3 + (strategy.kind == "greedy")
+        assert len(scored) == 3
 
 
 def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):

@@ -16,6 +16,7 @@ from symdex import (
     DepthExceeded,
     FinitePoints,
     Intersect,
+    InvalidInput,
     Negate,
     NormKind,
     SearchStrategy,
@@ -57,7 +58,6 @@ from symdex.sets import (
     ENUM_CACHE_SIZE,
     _symmetric_pair_bound,
     enumerate_members,
-    reduced,
     sample_members,
 )
 from symdex.vectors import double_length, norm
@@ -803,7 +803,7 @@ leaf_sets = st.one_of(
 @st.composite
 def symmetrized_sets(draw, bases):
     base = draw(bases)
-    pool = list(reduced(base).default_pool()) or [ZERO]
+    pool = list(set_from_json(set_to_json(base)).default_pool()) or [ZERO]
     ws = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
     return Symmetrized(base, tuple(ws)) if all(contains(base, w) for w in ws) else base
 
@@ -859,13 +859,12 @@ functionals = st.dictionaries(
 def exact_sup_variant(expr):
     """Whether the sup_functional docstring calls the sup over ``expr``
     exact: boxes, finite sets, sign sums, hulls, their translates and
-    negations, and symmetrized sets that flatten to one of these or have
-    a hull base."""
+    negations, and symmetrized sets with a hull base (a symmetrized node
+    built directly is taken as written, even where it would flatten)."""
     if isinstance(expr, (Translate, Negate)):
         return exact_sup_variant(expr.base)
     if isinstance(expr, Symmetrized):
-        flat = reduced(expr)
-        return isinstance(expr.base, AbsConvHull) if flat == expr else exact_sup_variant(flat)
+        return isinstance(expr.base, AbsConvHull)
     return isinstance(expr, (Box, FinitePoints, SignSums, AbsConvHull))
 
 
@@ -920,7 +919,7 @@ def test_set_json_roundtrip():
         Translate(Box(F(1)), unit(2)),
         Negate(Box(F(1))),
         Intersect((Box(F(1)), Box(F(2)))),
-        Symmetrized(Box(F(1)), (unit(1),)),
+        Symmetrized(AbsConvHull((unit(1), unit(2))), (unit(1, F(1, 2)),)),
         AbsConvHull((unit(1), unit(2))),
     ]
     for expr in exprs:
@@ -936,6 +935,41 @@ def test_set_json_rejects_nonmember_witness():
     }
     with pytest.raises(WitnessNotMember):
         set_from_json(raw)
+    with pytest.raises(InvalidInput):
+        set_from_json({**raw, "witnesses": []})
+
+
+def test_set_json_builds_symmetrized_sets_flattened():
+    # symmetrized JSON parses to what symmetrize builds: the closed form
+    # where one exists, the node as written where none does
+    box = Box(F(1), ((1, F(2)),))
+    hull = AbsConvHull((unit(1), unit(2)))
+    sym_hull = Symmetrized(hull, (unit(1, F(1, 2)),))
+    flattening = [
+        (box, (unit(1), unit(2, F(1, 2)))),
+        # disjoint subset sign sums at term-sign witnesses
+        (SignSums(canonical_series(3), SignMode.SUBSETS, 3), (unit(1), unit(1) - unit(2))),
+        (Translate(box, unit(3)), (unit(3), unit(1))),
+        # nested witness lists merge into one over the hull
+        (sym_hull, (ZERO, unit(2, F(1, 4)))),
+    ]
+    for base, ws in flattening:
+        parsed = set_from_json(set_to_json(Symmetrized(base, ws)))
+        assert parsed == symmetrize(base, ws)
+        assert parsed != Symmetrized(base, ws)
+    assert isinstance(set_from_json(set_to_json(Symmetrized(box, (unit(1),)))), Box)
+    assert set_from_json(set_to_json(Symmetrized(sym_hull, (ZERO,)))).base == hull
+    overlapping = SeriesSpec((unit(1), unit(1) + unit(2), unit(3)), NormKind.SUP)
+    as_written = [
+        (SignSums(canonical_series(3), SignMode.PREFIXES, 3), unit(1)),
+        (SignSums(overlapping, SignMode.SUBSETS, 3), unit(1)),
+        (hull, unit(1, F(1, 2))),
+    ]
+    for base, w in as_written:
+        raw = Symmetrized(base, (w,))
+        parsed = set_from_json(set_to_json(raw))
+        assert isinstance(parsed, Symmetrized)
+        assert parsed == raw == symmetrize(base, [w])
 
 
 # JSON-like values whose objects carry each variant's own fields under
@@ -1106,8 +1140,8 @@ def test_sign_sum_symmetrization_falls_back_outside_subset_disjoint_case():
 
     subsets = SignSums(canonical_series(3), SignMode.SUBSETS, 3)
     # a non-member witness leaves the symmetrization empty: no flattening
-    assert isinstance(reduced(Symmetrized(subsets, (unit(1, 2),))), Symmetrized)
-    flat = reduced(Symmetrized(subsets, (unit(1), unit(1) - unit(2))))
+    assert isinstance(subsets.symmetrize_reduce([unit(1, 2)]), Symmetrized)
+    flat = set_from_json(set_to_json(Symmetrized(subsets, (unit(1), unit(1) - unit(2)))))
     zeroed = SeriesSpec((ZERO, ZERO, unit(3)), NormKind.SUP, "canonical")
     assert flat == SignSums(zeroed, SignMode.SUBSETS, 3)
     # the relaxation keeps its value through the flattening
@@ -1116,21 +1150,21 @@ def test_sign_sum_symmetrization_falls_back_outside_subset_disjoint_case():
     )
 
 
-def test_diameter_reduces_a_chain_once(monkeypatch):
+def test_diameter_walks_a_chain_once(monkeypatch):
     calls = []
     for cls in (Box, FinitePoints, SignSums, Translate, Negate, Intersect, Symmetrized, AbsConvHull):
-        real = cls.reduced
+        real = cls.diameter
 
-        def counting(self, _real=real):
+        def counting(self, *args, _real=real):
             calls.append(self)
-            return _real(self)
+            return _real(self, *args)
 
-        monkeypatch.setattr(cls, "reduced", counting)
+        monkeypatch.setattr(cls, "diameter", counting)
     expr = Box(F(0), ((1, F(1)),))
     for level in range(200):
         expr = Translate(expr, unit(1, F(1, 2))) if level % 2 == 0 else Negate(expr)
     assert diameter(expr, NormKind.SUP).upper == 2
-    assert len(calls) <= 201
+    assert len(calls) <= 201  # one per level
 
 
 # ---------------------------------------------------------------------------
