@@ -56,18 +56,22 @@ CLI: for every request of ``scripts/run_demo.py`` and of SCALED_REQUESTS,
 the median time in milliseconds of ``symdex.cli.main``, the median time
 of the ``oracle`` replay of its JSON report, the report size in bytes,
 the witness lists the request scores (counted at ``_score`` as above),
-the sets it builds (``symmetrize_reduce`` calls, as above), the sampled
-diameter lower ends it computes (calls of ``sets._sampled_lower``, each
-up to 64 sampled membership searches), its member samples (calls of
-``sets.sample_members``, counted through the names ``sets``,
-``indexes`` and ``extraction`` call it by), its
+the sets it builds (``symmetrize_reduce`` calls, as above), its member
+pools (calls of ``sets.sample_members``: the set's ``default_pool``
+members that pass ``contains``, which give the lower diameter ends
+without an exact form and the separation fallback; in an older checkout
+the seeded member sampler of that name, which also fed the sampled
+transcript checks), counted through the names ``sets``, ``indexes`` and
+``extraction`` call it by where a module has it, its
 certified diameter upper ends (calls of ``diameter_upper``, counted
 through the names ``sets`` and ``extraction`` call it by), its sign-sum
 membership tests (calls of ``SignSums.contains``) and how many of them
 run the bounded depth-first search (calls of ``SignSums._search``; in a
 checkout without that method, the ``contains`` calls for which
 ``SignSums.coefficients`` is None, as that version searched exactly
-then). For each JSON report it also times the ``oracle`` replay and
+then). For each ``extract`` request it also gives the median time of
+``extraction.validate_transcript`` within the request, over the same
+repeats. For each JSON report it also times the ``oracle`` replay and
 counts, for one replay, the set parses (calls of ``sets.set_from_json``,
 nested sets included), the vector parses (calls of
 ``SparseVec.from_json``) and the bytes of the verdict it writes.
@@ -151,9 +155,8 @@ SCALED_REQUESTS = [
     ("series_overlap12.json", ["series", "--in", "overlap12.json", "--epsilon", "1/8", "--seed", "11"]),
     ("delta_overlap12_n1.json", ["delta", "--in", "overlap12_subsets.json", "--n", "1", "--seed", "0"]),
     ("delta_overlap12_n2.json", ["delta", "--in", "overlap12_subsets.json", "--n", "2", "--seed", "0"]),
-    # stalls after its first step; its functional choice, near_sup check
-    # and sampled validation probes run on symmetrized sets without a
-    # closed form
+    # stalls after its first step; its functional choice and near_sup
+    # check run on symmetrized sets without a closed form
     ("extract_overlap12_n4.json",
      ["extract", "--in", "overlap12_subsets.json", "--epsilon", "1/10", "--n", "4", "--seed", "0"]),
 ]
@@ -582,13 +585,39 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
     return round(statistics.median(samples[1:]) / 1e6, 3)
 
 
+def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
+    """Median ms spent in ``module.<name>`` during ``call()`` over
+    ``repeats`` runs after one warm-up; ``before()`` runs ahead of each."""
+    original = getattr(module, name)
+    spent = [0]
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter_ns()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter_ns() - start
+
+    setattr(module, name, timed)
+    samples = []
+    try:
+        for _ in range(repeats + 1):
+            before()
+            spent[0] = 0
+            call()
+            samples.append(spent[0])
+    finally:
+        setattr(module, name, original)
+    return round(statistics.median(samples[1:]) / 1e6, 3)
+
+
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
-    "sampled_lower_calls", "sample_members_calls", "diameter_upper_calls",
-    "sign_sum_contains", "sign_sum_searches", "oracle_set_parses",
-    "oracle_vector_parses", "verdict_bytes"}} over the requests of
-    run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle replay,
-    so their rows have no oracle figures)."""
+    "pool_calls", "diameter_upper_calls", "sign_sum_contains",
+    "sign_sum_searches", "oracle_set_parses", "oracle_vector_parses",
+    "verdict_bytes"}, plus "validate_ms" for extract} over the requests
+    of run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle
+    replay, so their rows have no oracle figures)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
@@ -612,11 +641,15 @@ def measure_cli() -> dict:
             cache.clear()
             row["symmetrize_reduce_calls"] = sum(count_calls(lambda: demo.main(request), *set_builds(sets)))
             cache.clear()
-            lower, *counts = count_calls(lambda: demo.main(request), (sets, "_sampled_lower"),
-                                         *((module, "sample_members") for module in (sets, indexes, extraction)),
-                                         *((module, "diameter_upper") for module in (sets, extraction)))
-            row["sampled_lower_calls"], row["sample_members_calls"] = lower, sum(counts[:3])
-            row["diameter_upper_calls"] = sum(counts[3:])
+            pools = [(module, "sample_members") for module in (sets, indexes, extraction)
+                     if hasattr(module, "sample_members")]
+            counts = count_calls(lambda: demo.main(request), *pools,
+                                 *((module, "diameter_upper") for module in (sets, extraction)))
+            row["pool_calls"] = sum(counts[:len(pools)])
+            row["diameter_upper_calls"] = sum(counts[len(pools):])
+            if argv[0] == "extract":
+                row["validate_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear, extraction,
+                                                     "validate_transcript", repeats)
             cache.clear()
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
@@ -689,17 +722,18 @@ def main(argv=None) -> int:
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}{builds:>14}")
     cli = measure_cli()
-    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'bytes':>9}{'lists':>8}{'sampled':>9}{'samples':>9}"
+    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'valid ms':>10}{'bytes':>9}{'lists':>8}{'pools':>7}"
           f"{'diam up':>9}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
-          "   (median; scored witness lists, sampled lower ends, member samples, diameter upper ends, "
-          "sign-sum contains and searches, symmetrize_reduce calls; the oracle's set and vector parses "
+          "   (median; validate_transcript ms of extract; scored witness lists, member pools, diameter upper "
+          "ends, sign-sum contains and searches, symmetrize_reduce calls; the oracle's set and vector parses "
           "and verdict bytes)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
+        validate = f"{row['validate_ms']:>10.2f}" if "validate_ms" in row else f"{'-':>10}"
         parses = "".join(f"{row.get(key, '-'):>{w}}" for key, w in
                          (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
-        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['sampled_lower_calls']:>9}{row['sample_members_calls']:>9}{row['diameter_upper_calls']:>9}"
+        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{validate}{row['report_bytes']:>9}{row['scored_lists']:>8}"
+              f"{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}"
               f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}")
     if args.out:
         report = {
@@ -717,8 +751,9 @@ def main(argv=None) -> int:
                 "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists, "
                               "the SparseVec subtractions *_subs and the symmetrize_reduce calls "
                               "*_symmetrize_reduce summed over proc_sets sets",
-                "cli": "ms per call, median; report size in bytes; scored_lists, symmetrize_reduce_calls, "
-                       "sampled_lower_calls, sample_members_calls, diameter_upper_calls, sign_sum_contains and "
+                "cli": "ms per call, median, and validate_ms the median ms of validate_transcript within an "
+                       "extract request; report size in bytes; scored_lists, symmetrize_reduce_calls, "
+                       "pool_calls, diameter_upper_calls, sign_sum_contains and "
                        "sign_sum_searches per request; oracle_set_parses, oracle_vector_parses and "
                        "verdict_bytes per oracle replay of the report",
             },

@@ -1,16 +1,16 @@
 """Batch front end: parse set/series JSON, run a procedure, emit a report.
 
-Reports are deterministic: the same request (including its seed) gives
-byte-identical output. Every report embeds a ``replay`` section listing
-membership checks and exact scalar comparisons that re-verify its
-certificates; the ``oracle`` command re-runs those checks and nothing
-else. A report embeds its decoded input under ``request.input``; an
-``oracle`` verdict embeds ``{"sha256": ...}`` there instead, the hex
-digest of the report file's bytes, so it names the report it checked
-without writing it out again.
+Reports are deterministic: the same request gives byte-identical
+output, and ``--seed`` moves only ``extract``'s margin samples. Every
+report embeds a ``replay`` section listing membership checks and exact
+scalar comparisons that re-verify its certificates; the ``oracle``
+command re-runs those checks and nothing else. A report embeds its
+decoded input under ``request.input``; an ``oracle`` verdict embeds
+``{"sha256": ...}`` there instead, the hex digest of the report file's
+bytes, so it names the report it checked without writing it out again.
 
-Exit codes: 0 success (including stalled / not-achievable outcomes),
-1 invariant violation, 2 invalid input, 3 budget exhaustion.
+Exit codes: 0 success (including stalled, not-achievable and undecided
+outcomes), 1 invariant violation, 2 invalid input, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _strategy(args, expr) -> indexes.SearchStrategy:
 
 def _run_delta(args, obj):
     expr, kind, _ = _parse_set_input(obj, args.norm)
-    curve = indexes.delta_curve(expr, args.n, _strategy(args, expr), kind, seed=args.seed)
+    curve = indexes.delta_curve(expr, args.n, _strategy(args, expr), kind)
     replay: list[dict] = []
     rows = []
     for res in curve:
@@ -242,7 +242,7 @@ def _run_extract(args, obj):
     except ExtractionStalled as stall:
         transcript = stall.partial
         outcome = "stalled"
-    validation = ext.validate_transcript(transcript, seed=args.seed)
+    validation = ext.validate_transcript(transcript)
     if not validation["ok"]:
         raise SymdexError("transcript validation failed")
     rng = random.Random(args.seed)
@@ -300,7 +300,7 @@ def _run_refine(args, obj):
     except NotFound as miss:
         return {"outcome": "not_found", "best": miss.best}, [], "not_found"
     low = indexes.delta_lower(expr, 1, kind).lower_certificate
-    d0 = indexes.delta0(refined, kind, seed=args.seed)
+    d0 = indexes.delta0(refined, kind)
     replay = [
         {
             "kind": "scalar_le",
@@ -401,7 +401,7 @@ def _run_extreme(args, obj):
     if point is None:
         raise InvalidInput("extreme command needs an envelope with a 'point' field")
     epsilon = as_scalar(args.epsilon)
-    flag, bound = ext.extreme_diameter(expr, point, epsilon, kind, seed=args.seed)
+    flag, bound = ext.extreme_diameter(expr, point, epsilon, kind)
     result = {"eps_extreme": flag, "epsilon": format_scalar(epsilon)}
     replay = [_contains_entry(expr, point)]
     result["symmetrized_diameter"] = bound.to_json()
@@ -409,7 +409,7 @@ def _run_extreme(args, obj):
         strong, delta = ext.eps_strong_extreme(expr, point, epsilon, kind)
         result["eps_strong_extreme"] = strong
         result["delta_witness"] = format_scalar(delta)
-    return result, replay, "ok"
+    return result, replay, "ok" if flag is not None else "undecided"
 
 
 def _run_one_sided(args, obj):

@@ -40,7 +40,6 @@ from .sets import (
     diameter_upper,
     difference_set,
     free_direction,
-    sample_members,
     set_from_json,
     set_to_json,
     sup_functional,
@@ -65,7 +64,6 @@ from .vectors import (
 )
 
 MAX_TREE_DEPTH = 16  # a depth-d tree holds 2^d - 1 nodes
-PROBES = 8  # members sampled per step condition without a closed form
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +315,29 @@ STEP_FLAGS = (
 )
 
 
-def validate_transcript(t: ExtractionTranscript, seed: int = 0) -> dict:
-    """Re-check every transcript condition; exact where closed forms allow.
+def _symmetrizes_to(expr: SetExpr, x: SparseVec, target: SetExpr) -> bool:
+    """Whether ``target`` is Sym(expr; {x}) as :func:`symmetrize` builds it."""
+    try:
+        return symmetrize(expr, [x]) == target
+    except WitnessNotMember:
+        return False
 
-    Returns a report with per-step results and the verification level
-    achieved for the sampled conditions.
+
+def validate_transcript(t: ExtractionTranscript) -> dict:
+    """Re-check every transcript condition exactly.
+
+    With A_0 the base set, x_0 the start, A_n and x_n step n's set and
+    point, and A_{N+1} the final set: ``nested`` at step n holds when A_n
+    is Sym(A_{n-1}; {x_{n-1}}), so x_{n-1} +- A_n lies in A_{n-1}.
+    ``small_on_next`` holds when ``near_sup`` does and A_{n+1} is
+    Sym(A_n; {x_n}). That is the step lemma: every d in A_{n+1} has
+    x_n +- d in A_n, so |f_n(d)| <= sup f_n over A_n - f_n(x_n) < eta.
+    Both levels read "exact".
     """
-    rng = random.Random(seed)
+    lineage = [t.base_set] + [s.set_before for s in t.steps] + [t.final_set]
+    points = [t.x0] + t.points
+    # follows[k]: A_{k+1} is Sym(A_k; {x_k})
+    follows = [_symmetrizes_to(a, x, b) for a, x, b in zip(lineage, points, lineage[1:])]
     steps: list[dict] = []
 
     for n, step in enumerate(t.steps, start=1):
@@ -339,36 +353,12 @@ def validate_transcript(t: ExtractionTranscript, seed: int = 0) -> dict:
         entry["near_sup"] = sup is not None and value > sup - t.eta
         floor = delta_lower(t.base_set, 2 ** n, t.kind).lower_certificate.plain_value
         entry["above_index_floor"] = value > floor - 2 * t.eta
-
-        nxt = t.steps[n].set_before if n < len(t.steps) else t.final_set
-        # condition (a): prev_x +- (this set) inside the previous set
-        prev_expr = t.base_set if n == 1 else t.steps[n - 2].set_before
-        shift = t.x0 if n == 1 else t.steps[n - 2].x
-        nested = step.set_before.exact_shift_inclusion(shift, prev_expr)
-        if nested is not None:
-            entry["nested"] = nested
-            entry["nested_level"] = "exact"
-        else:
-            ok = True
-            for z in sample_members(step.set_before, rng, PROBES):
-                if not (contains(prev_expr, shift + z) and contains(prev_expr, shift - z)):
-                    ok = False
-                    break
-            entry["nested"] = ok
-            entry["nested_level"] = "sampled"
-
-        # condition (d): the functional is small on the next set
-        cap = nxt.exact_abs_sup(step.f)
-        if cap is not None:
-            entry["small_on_next"] = cap < t.eta
-            entry["small_on_next_level"] = "exact"
-        else:
-            entry["small_on_next"] = all(
-                abs(dual_pair(step.f, z)) < t.eta
-                for z in sample_members(nxt, rng, PROBES)
-            )
-            entry["small_on_next_level"] = "sampled"
-
+        # condition (a): x_{n-1} +- A_n inside A_{n-1}
+        entry["nested"] = follows[n - 1]
+        entry["nested_level"] = "exact"
+        # condition (d): f_n is small on A_{n+1}, by the step lemma
+        entry["small_on_next"] = entry["near_sup"] and follows[n]
+        entry["small_on_next_level"] = "exact"
         steps.append(entry)
     ok = all(entry[flag] for entry in steps for flag in STEP_FLAGS)
     return {"ok": ok, "steps": steps}
@@ -432,7 +422,7 @@ def refine_almost_isometric(
         raise InvalidInput("refinement needs a positive unconditional lower certificate")
     target = as_length(1 + eps, kind) * low.value
     best = None
-    for bound, ws in _witness_search(expr, N_max, strategy, kind, None):
+    for bound, ws in _witness_search(expr, N_max, strategy, kind, False):
         best = (bound.upper / low.value, ws)
         if bound.upper <= target:
             return symmetrize(expr, ws)
@@ -600,33 +590,34 @@ def _verify_sign_sums(expr: SetExpr, xs: list[SparseVec], kind: NormKind) -> Non
 # extreme points
 
 
-def eps_extreme(
-    expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind, seed: int = 0
-) -> bool:
-    """Whether the symmetrized set at x has diameter below 2*epsilon."""
-    return extreme_diameter(expr, x, epsilon, kind, seed)[0]
+def eps_extreme(expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind) -> bool:
+    """Whether the symmetrized set at x has diameter below 2*epsilon;
+    raises :class:`Inconclusive` when its diameter interval straddles
+    2*epsilon."""
+    flag, bound = extreme_diameter(expr, x, epsilon, kind)
+    if flag is None:
+        raise Inconclusive(f"diameter interval [{bound.lower}, {bound.upper}] straddles 2*epsilon")
+    return flag
 
 
 def extreme_diameter(
-    expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind, seed: int = 0
-) -> tuple[bool, BoundPair]:
-    """:func:`eps_extreme` together with the diameter interval that
-    decides it; raises :class:`Inconclusive` when the interval straddles
+    expr: SetExpr, x: SparseVec, epsilon: ScalarLike, kind: NormKind
+) -> tuple[Optional[bool], BoundPair]:
+    """:func:`eps_extreme`'s flag together with the diameter interval
+    that decides it; the flag is None when the interval straddles
     2*epsilon."""
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    bound = diameter(expr.symmetrize_reduce([x]), kind, seed=seed)
+    bound = diameter(expr.symmetrize_reduce([x]), kind)
     threshold = as_length(2 * eps, kind)
     if bound.upper is not None and bound.upper < threshold:
         return True, bound
     if bound.lower is not None and bound.lower >= threshold:
         return False, bound
-    raise Inconclusive(
-        f"diameter interval [{bound.lower}, {bound.upper}] straddles {threshold}"
-    )
+    return None, bound
 
 
 # -- exact arithmetic in Q[sqrt(s)] for the segment analysis ----------------

@@ -12,7 +12,6 @@ certified zero, distinguishable by its kind tag.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -88,17 +87,16 @@ def default_pool(expr: SetExpr) -> tuple[SparseVec, ...]:
     return expr.default_pool()
 
 
-def delta0(expr: SetExpr, kind: NormKind, seed: Optional[int] = 0) -> BoundPair:
-    """Half the diameter, exactness preserved; ``seed`` as in :func:`diameter`."""
-    return diameter(expr, kind, seed=seed).half(kind)
+def delta0(expr: SetExpr, kind: NormKind) -> BoundPair:
+    """Half the diameter, exactness preserved, lower end included."""
+    return diameter(expr, kind).half(kind)
 
 
-def _delta_of(
-    expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind, seed: Optional[int]
-) -> BoundPair:
-    """delta_0 of the symmetrization at a nonempty list of witnesses that
+def _delta_of(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind) -> BoundPair:
+    """The upper-end delta_0 bound (see :func:`diameter` without
+    ``lower``) of the symmetrization at a nonempty list of witnesses that
     the caller has checked are members."""
-    return delta0(expr.symmetrize_reduce(list(witnesses)), kind, seed=seed)
+    return diameter(expr.symmetrize_reduce(list(witnesses)), kind, False).half(kind)
 
 
 def _score(bound: BoundPair) -> Fraction:
@@ -117,7 +115,7 @@ def _witness_search(
     N: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: Optional[int],
+    lower: bool,
 ) -> Iterator[tuple[BoundPair, tuple[SparseVec, ...]]]:
     """Yield, for n = 1..N, the best (bound, witness list) over every
     searched list of size at most n.
@@ -138,11 +136,11 @@ def _witness_search(
     no later round runs, and every larger n yields the same row. A list
     that is skipped so cannot raise either.
 
-    Lists are scored by their upper ends, which sample nothing. A bound
-    that is not exact had a sampled lower end, or a hull's LP vertex,
-    skipped; the bound is computed again with ``seed`` for a yielded
-    list only, and never when ``seed`` is None (the bounds then are as
-    :func:`diameter` gives them without a seed).
+    Lists are scored by their upper ends (:func:`_delta_of`). A bound
+    that is not exact had a pool lower end, or a hull's LP vertex,
+    skipped; with ``lower`` the full bound is computed for a yielded
+    list only, and never without it (the bounds then are as
+    :func:`diameter` gives them without ``lower``).
 
     Every list is scored through :func:`_delta_of`. Sym(A; W) is the
     intersection of the one-witness sets S_p, p in W, and
@@ -164,14 +162,14 @@ def _witness_search(
     width = WIDTHS[strategy.kind]
 
     best = None  # (rank, bound, witnesses)
-    completed = None  # the yielded list whose bound holds its sampled lower end
+    completed = None  # the yielded list whose bound holds its lower end
 
     def rank(ws: tuple[SparseVec, ...]) -> tuple:
         nonlocal best
         order_key = _witness_key(ws)
         if best is not None and best[0][0] == 0 and order_key >= best[0][1]:
             return (Fraction(0), order_key)  # unscored: it cannot beat a zero best
-        bound = _delta_of(expr, ws, kind, None)
+        bound = _delta_of(expr, ws, kind)
         key = (_score(bound), order_key)
         if best is None or key < best[0]:
             best = (key, bound, ws)
@@ -191,8 +189,8 @@ def _witness_search(
                         ranked[ws] = rank(ws)
         states = sorted(ranked, key=ranked.__getitem__)[:width]
         key, bound, ws = best
-        if seed is not None and not bound.exact and ws != completed:
-            bound = _delta_of(expr, ws, kind, seed)
+        if lower and not bound.exact and ws != completed:
+            bound = delta0(expr.symmetrize_reduce(list(ws)), kind)
             best, completed = (key, bound, ws), ws
         yield bound, ws
 
@@ -202,7 +200,6 @@ def delta_upper(
     N: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: Optional[int] = 0,
 ) -> DeltaResult:
     """Best (smallest) certified delta_0 over searched witness lists.
 
@@ -210,11 +207,11 @@ def delta_upper(
     witness never shrinks the intersection further. Exhaustive search
     over the full point set of a finite set is exact. This is the last
     step of the search that :func:`delta_curve` reads step by step; the
-    embedded bound's lower end is sampled as in :func:`diameter`.
+    embedded bound carries its lower end as :func:`delta0` does.
     """
     if N < 1:
         raise InvalidInput("delta_upper needs N >= 1")
-    for bound, ws in _witness_search(expr, N, strategy, kind, seed):
+    for bound, ws in _witness_search(expr, N, strategy, kind, True):
         pass
     return DeltaResult(
         N=N,
@@ -267,7 +264,6 @@ def delta_curve(
     N_max: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    seed: int = 0,
 ) -> list[DeltaResult]:
     """Delta results for N = 0..N_max; upper bounds are non-increasing.
 
@@ -278,7 +274,7 @@ def delta_curve(
     """
     if N_max < 0:
         raise InvalidInput("N_max must be nonnegative")
-    base = delta0(expr, kind, seed=seed)
+    base = delta0(expr, kind)
     results = [
         DeltaResult(
             N=0,
@@ -292,7 +288,7 @@ def delta_curve(
     ]
     cert = delta_lower(expr, N_max, kind).lower_certificate
     lower_value = cert.unconditional_value
-    steps = _witness_search(expr, N_max, strategy, kind, seed)
+    steps = _witness_search(expr, N_max, strategy, kind, True)
     for n, (bound, ws) in enumerate(steps, start=1):
         if lower_value > bound.upper:
             raise SymdexError(
@@ -326,8 +322,9 @@ def separation_alpha_lower(expr: SetExpr, count: int, kind: NormKind) -> BoundPa
     positive default radius the fresh-coordinate walk extends to any
     count, which is what makes the value a genuine covering lower bound.
     May return zero when no construction family applies. Otherwise the
-    best family of the members (or of 32 seeded samples) is searched for
-    up to 20,000 families, and built farthest first beyond that.
+    best family of the members (or of the set's own pool members,
+    :func:`sample_members`) is searched for up to 20,000 families, and
+    built farthest first beyond that.
     """
     if count < 2:
         return BoundPair(Fraction(0), None)
@@ -337,7 +334,7 @@ def separation_alpha_lower(expr: SetExpr, count: int, kind: NormKind) -> BoundPa
     else:
         members = enumerate_members(expr, 4096)
         if members is None:
-            members = tuple(sample_members(expr, random.Random(0), 32))
+            members = sample_members(expr)
         pts = list(members)
         if len(pts) < count:
             return BoundPair(Fraction(0), None)

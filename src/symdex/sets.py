@@ -28,7 +28,6 @@ methods, as the module function adds nothing to them.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -210,9 +209,9 @@ class SetExpr(ABC):
         """Coordinates on which the set differs from its fresh behaviour."""
 
     @abstractmethod
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         """Certified diameter interval of this set; see :func:`diameter`
-        for ``seed``."""
+        for ``lower``."""
 
     @abstractmethod
     def default_pool(self) -> tuple[SparseVec, ...]:
@@ -238,10 +237,6 @@ class SetExpr(ABC):
         pool = set(base)
         twice = w + w
         return tuple(sorted((p - w for p in base if twice - p in pool), key=SparseVec.sort_key))
-
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        """A likely member drawn from ``rng``, or None without a sampler."""
-        return None
 
     def fresh_abs_sup(self) -> Fraction:
         """sup |v_i| at any coordinate i beyond every relevant support."""
@@ -277,15 +272,6 @@ class SetExpr(ABC):
         if members is None:
             return None
         return FinitePoints(tuple({a - b for a in members for b in members}))
-
-    def exact_shift_inclusion(self, shift: SparseVec, outer: "SetExpr") -> Optional[bool]:
-        """Whether shift +- (this set) lies inside ``outer``, where a closed
-        form decides it; None otherwise."""
-        return None
-
-    def exact_abs_sup(self, f: Functional) -> Optional[Fraction]:
-        """sup |f| over the set by a closed form, or None."""
-        return None
 
     def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind, vertex: bool) -> Optional[BoundPair]:
         """Exact diameter of ``sym`` (whose base is this set) by linear
@@ -384,17 +370,6 @@ class Box(SetExpr):
             return (ZERO,)
         return None
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        coords = [i for i, _ in self.overrides]
-        top = self.max_override_coord
-        coords.extend(range(top + 1, top + 4))
-        chosen = rng.sample(coords, k=min(len(coords), rng.randint(1, 3)))
-        entries = {}
-        for i in sorted(chosen):
-            r = self.radius(i)
-            entries[i] = r * Fraction(rng.randint(-4, 4), 4)
-        return SparseVec(entries)
-
     def sup_functional(self, f: Functional) -> BoundPair:
         value = sum((abs(x) * self.radius(i) for i, x in f.items()), Fraction(0))
         return BoundPair(value, value, upper_witness={"rule": "box"})
@@ -405,7 +380,7 @@ class Box(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for i, _ in self.overrides}
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         radii = [r for _, r in self.overrides]
         if kind is NormKind.SUP:
             top = max([self.default_radius] + radii)
@@ -477,20 +452,6 @@ class Box(SetExpr):
             2 * self.default_radius,
             tuple((i, 2 * r) for i, r in self.overrides),
         )
-
-    def exact_shift_inclusion(self, shift: SparseVec, outer: SetExpr) -> Optional[bool]:
-        # the closed form needs both sides to be boxes
-        if not isinstance(outer, Box):
-            return None
-        coords = {i for i, _ in self.overrides} | {i for i, _ in outer.overrides}
-        coords |= set(shift.support)
-        if self.default_radius > outer.default_radius:
-            return False
-        return all(abs(shift.get(i)) + self.radius(i) <= outer.radius(i) for i in coords)
-
-    def exact_abs_sup(self, f: Functional) -> Optional[Fraction]:
-        # a box is symmetric about zero, so sup |f| = sup f
-        return sup_functional(f, self).upper
 
 
 class _IntTable:
@@ -604,9 +565,6 @@ class FinitePoints(SetExpr):
         factor = scale // table.scale
         return scale, tuple(tuple(factor * u for u in row) for row in table.rows)
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        return self.points[rng.randrange(len(self.points))]
-
     def sup_functional(self, f: Functional) -> BoundPair:
         best = None
         arg = None
@@ -619,7 +577,7 @@ class FinitePoints(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for p in self.points for i in p.support}
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         return self._int_table().diameter(self.points, kind)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
@@ -810,15 +768,6 @@ class SignSums(SetExpr):
                 values.update(signed_sums(terms[:m]))
         return tuple(sorted(values, key=lambda p: p.sort_key()))
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        coeffs: list[int]
-        if self.mode is SignMode.SUBSETS:
-            coeffs = [rng.choice((-1, 0, 1)) for _ in self.terms]
-        else:
-            m = rng.randint(1, self.horizon)
-            coeffs = [rng.choice((-1, 1)) for _ in range(m)]
-        return linear_combination(zip(coeffs, self.terms))
-
     def sup_functional(self, f: Functional) -> BoundPair:
         # sum of |f(t_n)| over the terms f touches, one table lookup per entry of f
         pairs: dict[int, Fraction] = {}
@@ -832,7 +781,7 @@ class SignSums(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for i, entries in self.series.columns.items() if entries[0][0] < self.horizon}
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         terms = self.terms
         if kind is NormKind.SUP:
             column = self.series.column_sums(self.horizon)
@@ -959,10 +908,6 @@ class Translate(SetExpr):
             return None
         return tuple(sorted({p + self.by for p in base}, key=lambda p: p.sort_key()))
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        cand = self.base.sample_candidate(rng)
-        return None if cand is None else cand + self.by
-
     def sup_functional(self, f: Functional) -> BoundPair:
         inner = sup_functional(f, self.base)
         shift = dual_pair(f, self.by)
@@ -976,8 +921,8 @@ class Translate(SetExpr):
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base) | set(self.by.support)
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
-        return self.base.diameter(kind, seed, enum_budget)
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
+        return self.base.diameter(kind, lower, enum_budget)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         return self.base.two_sided_direction([w - self.by for w in ws], kind)
@@ -1013,10 +958,6 @@ class Negate(SetExpr):
             return None
         return tuple(sorted({-p for p in base}, key=lambda p: p.sort_key()))
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        cand = self.base.sample_candidate(rng)
-        return None if cand is None else -cand
-
     def sup_functional(self, f: Functional) -> BoundPair:
         return sup_functional(-f, self.base)
 
@@ -1026,8 +967,8 @@ class Negate(SetExpr):
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base)
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
-        return self.base.diameter(kind, seed, enum_budget)
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
+        return self.base.diameter(kind, lower, enum_budget)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         return self.base.two_sided_direction([-w for w in ws], kind)
@@ -1069,9 +1010,6 @@ class Intersect(SetExpr):
                 return tuple(p for p in base if contains(self, p))
         return None
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        return self.parts[0].sample_candidate(rng)
-
     def sup_functional(self, f: Functional) -> BoundPair:
         finite = [u for u in (sup_functional(f, p).upper for p in self.parts) if u is not None]
         return BoundPair(None, min(finite) if finite else None)
@@ -1085,22 +1023,22 @@ class Intersect(SetExpr):
             out |= relevant_coords(p)
         return out
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None and len(members) <= 2048:
             return _IntTable(members).diameter(members, kind)
         uppers = []
         for p in self.parts:
             try:
-                upper = p.diameter(kind, None, enum_budget).upper
+                upper = p.diameter(kind, False, enum_budget).upper
             except UnboundedDiameter:
                 continue
             if upper is not None:
                 uppers.append(upper)
         if not uppers:
             raise UnboundedDiameter("no part of the intersection is certified bounded")
-        lower, wit = (Fraction(0), None) if seed is None else _sampled_lower(self, kind, seed)
-        return BoundPair(lower, min(uppers), lower_witness=wit)
+        low, wit = _pool_lower(self, kind) if lower else (Fraction(0), None)
+        return BoundPair(low, min(uppers), lower_witness=wit)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         for part in self.parts:
@@ -1176,10 +1114,6 @@ class Symmetrized(SetExpr):
         common = set(ones[0]).intersection(*ones[1:])
         return tuple(d for d in ones[0] if d in common)
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        cand = self.base.sample_candidate(rng)
-        return None if cand is None else cand - self.witnesses[0]
-
     def sup_functional(self, f: Functional) -> BoundPair:
         exact = self.base.symmetrized_sup(self, f)
         if exact is not None:
@@ -1216,7 +1150,7 @@ class Symmetrized(SetExpr):
             overrides[i] = max(r, Fraction(0))
         return Box(default, tuple(overrides.items()))
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None:
             top = Fraction(0)
@@ -1226,14 +1160,14 @@ class Symmetrized(SetExpr):
                 if v > top:
                     top, arg = v, d
             return _symmetric_pair_bound(top, arg, kind)
-        extent = self.base.symmetrized_lp_extent(self, kind, seed is not None)
+        extent = self.base.symmetrized_lp_extent(self, kind, lower)
         if extent is not None:
             return extent
-        upper = coordinate_relaxation(self).diameter(kind, None, enum_budget).upper
-        lower, wit = (Fraction(0), None) if seed is None else _sampled_lower(self, kind, seed)
-        if upper is not None and lower > upper:
+        upper = coordinate_relaxation(self).diameter(kind, False, enum_budget).upper
+        low, wit = _pool_lower(self, kind) if lower else (Fraction(0), None)
+        if upper is not None and low > upper:
             raise SymdexError("symmetrized diameter certificates are inconsistent")
-        return BoundPair(lower, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
+        return BoundPair(low, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         merged = self._witness_sums(ws) if ws else list(self.witnesses)
@@ -1341,13 +1275,6 @@ class AbsConvHull(SetExpr):
             rhs.append(Fraction(scale))
         return rhs
 
-    def sample_candidate(self, rng: random.Random) -> Optional[SparseVec]:
-        weights = [rng.randint(-3, 3) for _ in self.points]
-        total = sum(abs(w) for w in weights)
-        if total == 0:
-            return ZERO
-        return linear_combination(zip([Fraction(w, total) for w in weights], self.points))
-
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
         return BoundPair(value, value, upper_witness={"rule": "generator_max"})
@@ -1355,7 +1282,7 @@ class AbsConvHull(SetExpr):
     def relevant_coords(self) -> set[int]:
         return {i for p in self.points for i in p.support}
 
-    def diameter(self, kind: NormKind, seed: Optional[int], enum_budget: int) -> BoundPair:
+    def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         top = max(norm(p, kind) for p in self.points)
         arg = max(self.points, key=lambda p: (norm(p, kind), p.sort_key()))
         return _symmetric_pair_bound(top, arg, kind)
@@ -1549,7 +1476,7 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and sampling
+# enumeration and the member pool
 
 # Least-recently-used enumerations, keyed by (expr, budget). The bound
 # keeps a long-lived process from holding every set it ever enumerated;
@@ -1584,31 +1511,11 @@ def _enumerate_members_raw(expr: SetExpr, budget: int) -> Optional[tuple[SparseV
     return expr.members(budget)
 
 
-def sample_members(expr: SetExpr, rng: random.Random, count: int = 16) -> list[SparseVec]:
-    """Deterministic member probes (given the caller's seeded rng)."""
-    found: list[SparseVec] = []
-    seen: set[SparseVec] = set()
-
-    def push(v: SparseVec) -> None:
-        if v not in seen and contains(expr, v):
-            seen.add(v)
-            found.append(v)
-
-    push(ZERO)
-    members = enumerate_members(expr, 4096)
-    if members is not None:
-        pool = list(members)
-        for _ in range(min(count, len(pool))):
-            push(pool[rng.randrange(len(pool))])
-        return found
-
-    for _ in range(count * 4):
-        if len(found) >= count:
-            break
-        cand = expr.sample_candidate(rng)
-        if cand is not None:
-            push(cand)
-    return found
+def sample_members(expr: SetExpr) -> list[SparseVec]:
+    """The members of the set's own witness pool: the ``default_pool``
+    entries that pass :func:`contains`, in pool order. Nothing is drawn
+    at random, so every caller gets the same members."""
+    return [p for p in expr.default_pool() if contains(expr, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -1660,29 +1567,29 @@ def coordinate_relaxation(expr: SetExpr) -> Box:
 def diameter(
     expr: SetExpr,
     kind: NormKind,
-    seed: Optional[int] = 0,
+    lower: bool = True,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> BoundPair:
     """Certified diameter interval (Euclidean values carried squared).
 
     Enumeration, an LP extent or a closed form gives an exact interval.
     Otherwise (symmetrized and intersected sets without one) the upper
-    end is a relaxation and the lower end comes from members sampled with
-    ``seed``; ``seed=None`` samples nothing and leaves that lower end at
-    the certified zero, without a witness. With ``seed=None`` the LP
-    extent of a hull's symmetrization is read off warm LPs, which give
-    its value but no attaining member: a positive value comes as the
-    upper end over that certified zero.
+    end is a relaxation, and with ``lower`` the lower end is the farthest
+    pair of :func:`sample_members`. Without ``lower`` that end is the
+    certified zero, without a witness, and the LP extent of a hull's
+    symmetrization is read off warm LPs, which give its value but no
+    attaining member: a positive value comes as the upper end over that
+    certified zero.
     """
-    return expr.diameter(kind, seed, enum_budget)
+    return expr.diameter(kind, lower, enum_budget)
 
 
 def diameter_upper(
     expr: SetExpr, kind: NormKind, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> Optional[Fraction]:
     """The certified upper end of :func:`diameter` alone (None when
-    unbounded above), without sampling a lower end."""
-    return diameter(expr, kind, None, enum_budget).upper
+    unbounded above), without computing a lower end."""
+    return diameter(expr, kind, False, enum_budget).upper
 
 
 def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> BoundPair:
@@ -1692,11 +1599,11 @@ def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> Boun
     return BoundPair(value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]})
 
 
-def _sampled_lower(expr: SetExpr, kind: NormKind, seed: int) -> tuple[Fraction, object]:
-    """Certified lower end of the diameter from seeded member samples and
-    its witness pair, by the integer pair scan over the samples' own
-    scale; a zero lower end carries no witness."""
-    members = sample_members(expr, random.Random(seed))
+def _pool_lower(expr: SetExpr, kind: NormKind) -> tuple[Fraction, object]:
+    """Certified lower end of the diameter and its witness pair, by the
+    integer pair scan over :func:`sample_members`; a zero lower end
+    carries no witness."""
+    members = sample_members(expr)
     found = _IntTable(members).diameter(members, kind)
     return found.lower, found.lower_witness if found.lower > 0 else None
 

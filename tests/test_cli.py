@@ -197,15 +197,32 @@ def test_extreme_command_computes_one_diameter(tmp_path, monkeypatch):
     envelope = {"set": hull, "norm": "euclid", "point": {"1": "1"}}
     infile = write(tmp_path / "extreme.json", envelope)
     out = tmp_path / "extreme_report.json"
-    # the interval from one relaxation and one sample straddles 2*epsilon
-    assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "1/2"]) == EXIT_VIOLATION
-    assert len(calls) == 1 and not out.exists()
+    # the interval from the relaxation and the pool straddles 2*epsilon
+    assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "1/2"]) == EXIT_OK
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert (report["outcome"], report["result"]["eps_extreme"]) == ("undecided", None)
     calls.clear()
     assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "2"]) == EXIT_OK
     assert len(calls) == 1
     report = json.loads(out.read_text())
     assert report["result"]["eps_extreme"] is True
     assert report["result"]["symmetrized_diameter"]["upper"] == "4"
+
+
+def test_extreme_reports_an_undecided_interval(tmp_path):
+    box = {"type": "box", "default_radius": "0", "overrides": {"1": "1", "2": "1"}}
+    shifted = {"type": "translate", "base": box, "by": {"2": "1/2"}}
+    envelope = {"set": {"type": "intersect", "parts": [box, shifted]}, "norm": "euclid", "point": {}}
+    infile = write(tmp_path / "extreme.json", envelope)
+    out = tmp_path / "extreme_report.json"
+    assert main(["extreme", "--in", infile, "--out", str(out), "--epsilon", "11/10"]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["outcome"], report["result"]["eps_extreme"]) == ("undecided", None)
+    # squared lengths: the pool pair +-e_1 and the relaxation, around (2 * 11/10)^2
+    bound = report["result"]["symmetrized_diameter"]
+    assert (bound["lower"], bound["upper"]) == ("4", "5")
+    assert verify_replay(report) == []
 
 
 def test_refine_report(tmp_path):

@@ -16,6 +16,9 @@ from symdex import (
     NotFound,
     SearchStrategy,
     SequenceStalled,
+    SeriesSpec,
+    SignMode,
+    SignSums,
     SparseVec,
     TreeStalled,
     ZERO,
@@ -25,20 +28,32 @@ from symdex import (
     delta0,
     diameter,
     dual_norm,
+    dual_pair,
+    enumerate_members,
     eps_extreme,
     eps_strong_extreme,
     extract_c0_sequence,
     norm,
     one_sided_sequence,
     refine_almost_isometric,
+    symmetrize,
     unit,
     validate_transcript,
     verify_basis_inequality,
 )
 from symdex import extraction
 from symdex.exactlp import OPTIMAL
+from symdex.extraction import TranscriptStep
 from symdex.bruteforce import brute_delta1_zero_witness
-from util import ALL_NORMS, as_dicts, dense_solve_lp, random_finite_points, segment_portion_distance
+from util import (
+    ALL_NORMS,
+    as_dicts,
+    dense_solve_lp,
+    finite_sets,
+    norm_kinds,
+    random_finite_points,
+    segment_portion_distance,
+)
 
 BOX = Box(F(1))
 
@@ -155,6 +170,113 @@ def test_transcript_json_roundtrip():
     assert again.points == t.points
     assert again.delta_lower_at_2N == t.delta_lower_at_2N
     assert validate_transcript(again)["ok"]
+
+
+def brute_members(expr):
+    """Every member of an enumerable set, or every corner of a box with
+    default radius 0: a box is the convex hull of its corners, so a
+    convex inclusion or a bound on |f| holds on it when it holds there."""
+    if isinstance(expr, Box):
+        radii = expr.overrides
+        return [
+            SparseVec({i: sign * r for (i, r), sign in zip(radii, signs)})
+            for signs in product((1, -1), repeat=len(radii))
+        ]
+    members = enumerate_members(expr)
+    assert members is not None
+    return members
+
+
+def brute_flags(t):
+    """(nested, small_on_next) per step, checked at every member of A_n
+    and A_{n+1}: x_{n-1} +- A_n inside A_{n-1}, and |f_n| < eta on A_{n+1}."""
+    lineage = [t.base_set] + [s.set_before for s in t.steps] + [t.final_set]
+    points = [t.x0] + t.points
+    flags = []
+    for n, step in enumerate(t.steps, start=1):
+        prev, x = lineage[n - 1], points[n - 1]
+        nested = all(contains(prev, x + z) and contains(prev, x - z) for z in brute_members(lineage[n]))
+        small = all(abs(dual_pair(step.f, z)) < t.eta for z in brute_members(lineage[n + 1]))
+        flags.append((nested, small))
+    return flags
+
+
+def box_transcript(box, epsilon, N, kind):
+    """Extraction by hand on a box with default radius 0, which has no
+    free direction: x_n = r e_i at the largest radius left (the least
+    such i) and f_n = e_i, so f_n(x_n) is the sup of f_n."""
+    steps, current = [], box
+    while len(steps) < N and current.overrides:
+        i, r = max(current.overrides, key=lambda ir: (ir[1], -ir[0]))
+        steps.append(TranscriptStep(x=unit(i, r), f=unit(i), set_before=current))
+        current = symmetrize(current, [unit(i, r)])
+    return ExtractionTranscript(box, kind, epsilon, epsilon / 3, ZERO, steps, F(0), current)
+
+
+sign_sum_sets = st.builds(
+    lambda terms, mode, kind: SignSums(SeriesSpec(tuple(terms), kind, "small"), mode, len(terms)),
+    st.lists(
+        st.dictionaries(st.integers(1, 6), st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=2)
+        .map(SparseVec),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(list(SignMode)),
+    norm_kinds,
+)
+# the members of small sign sums as finite sets: x0 +- d lie in them, so
+# extraction takes steps there
+lattice_sets = sign_sum_sets.map(lambda expr: FinitePoints(enumerate_members(expr)))
+zero_default_boxes = st.dictionaries(
+    st.integers(1, 5), st.fractions(min_value=0, max_value=2, max_denominator=4), max_size=4
+).map(lambda radii: Box(F(0), tuple(radii.items())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(finite_sets, lattice_sets, sign_sum_sets, zero_default_boxes), norm_kinds,
+       st.sampled_from([F(1, 10), F(1, 2), F(1)]))
+def test_exact_validation_matches_every_member(expr, kind, epsilon):
+    if isinstance(expr, Box):
+        t = box_transcript(expr, epsilon, 3, kind)
+    else:
+        try:
+            t = extract_c0_sequence(expr, epsilon, 3, kind)
+        except ExtractionStalled as stall:
+            t = stall.partial
+    steps = validate_transcript(t)["steps"]
+    for entry, (nested, small) in zip(steps, brute_flags(t), strict=True):
+        assert entry["nested_level"] == entry["small_on_next_level"] == "exact"
+        assert entry["nested"] == nested
+        # the step lemma: near_sup and A_{n+1} = Sym(A_n; {x_n}) give small
+        assert entry["small_on_next"] == (entry["near_sup"] and small)
+    if len(t.steps) >= 2:
+        # A_2 replaced by A_1: every exact flag still implies its brute one
+        t.steps[1].set_before = t.steps[0].set_before
+        steps, brute = validate_transcript(t)["steps"], brute_flags(t)
+        for entry, (nested, small) in zip(steps, brute):
+            assert nested or not entry["nested"]
+            assert small or not entry["small_on_next"]
+        assert steps[1]["nested"] is brute[1][0] is False
+
+
+def test_validation_rejects_a_repeated_step_set():
+    t = extract_c0_sequence(BOX, F(1, 10), 3, NormKind.SUP)
+    t.steps[1].set_before = t.steps[0].set_before
+    report = validate_transcript(t)
+    # A_2 is now the whole box: it is not Sym(A_1; {e_1}), and Sym(A_2;
+    # {e_2}) keeps e_1 free, so it is not A_3 either
+    assert [entry["nested"] for entry in report["steps"]] == [True, False, False]
+    assert [entry["small_on_next"] for entry in report["steps"]] == [False, False, True]
+    assert not report["ok"]
+
+
+def test_small_on_next_needs_near_sup():
+    # -e_1 is 0 on A_2, but the step lemma bounds it there only through
+    # near_sup, which fails: -e_1(x_1) = -1 is far below its sup 1
+    t = extract_c0_sequence(BOX, F(1, 10), 2, NormKind.SUP)
+    t.steps[0].f = -t.steps[0].f
+    first = validate_transcript(t)["steps"][0]
+    assert (first["near_sup"], first["nested"], first["small_on_next"]) == (False, True, False)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ VARIANT_INPUTS = {
             },
         ],
     },
-    # only the zero vector survives: the sampled lower witness is null
+    # only the zero vector survives: the pool lower witness is null
     "intersect_point": {
         "type": "intersect",
         "parts": [
@@ -107,8 +107,8 @@ VARIANT_DIGESTS = {
         "7431f29d7f625cbfc76a0faa72d8bed135d02fb058ec0a23951d1c953ef2d975",
     ),
     "intersect": (
-        "acdfa7b0d11922e7057b8f50e804d9e0d8658eb3e2d905ff93a5c10f84ff3f95",
-        "3a6180ad63435523025f8b1cec2d9c5dffd121ae661296d971fc33c3e2c2e18d",
+        "05f0107e589165c8ec4fe2ece94fbf00bf8cbadcfea2a12977d6287cbe53a1e5",
+        "066dcc37422d652145a7c5843e4efd65fa8edd8ec9b28c572ef4b0619fa5f2c7",
     ),
     "intersect_point": (
         "2ff15e30ece23544b9061ee0ed9c836927fb7674a88121524cd63c0cfff5c44f",
@@ -184,8 +184,8 @@ HULL_DIGESTS = {
 }
 
 SUBSET_EXTRACT_DIGESTS = (
-    "705a6333b1c2fe11782deb79f9aaeb1265cd7c2b3782759eb775eb2ec70167bb",
-    "a2bae1149e001bae2fe25cbee51f42ec6c3784a77b765131f627e2308b880715",
+    "865b997a5a74d1dd2c3c623590aa79fae17f0be96be084dee534967e6d260396",
+    "777ed16ecd29b75f026fbed8a973544347e3098eb21d65d8cd4dc87b1cbca1bb",
 )
 
 
@@ -243,6 +243,30 @@ def test_subset_sign_sum_extract_report_is_golden(tmp_path):
     assert main(argv + ["--out", str(report)]) == EXIT_OK
     assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
     assert (_sha256(report), _sha256(verdict)) == SUBSET_EXTRACT_DIGESTS
+
+
+def _without_seed(report: dict) -> dict:
+    """The report without what ``--seed`` may move: the seed itself and
+    ``extract``'s margin samples with their ``scalar_le`` replay entries."""
+    del report["request"]["parameters"]["seed"]
+    if report["command"] == "extract":
+        del report["result"]["margin_samples"]
+        report["replay"] = [e for e in report["replay"] if e["kind"] != "scalar_le"]
+    return report
+
+
+def test_reports_do_not_depend_on_the_seed(tmp_path):
+    requests = [(f"{name}.json", obj, ["delta", "--n", "1"]) for name, obj in VARIANT_INPUTS.items()]
+    requests.append(("subset_sums6.json", SUBSET_SUMS_6, ["extract", "--n", "4", "--epsilon", "1/10"]))
+    for name, obj, (command, *flags) in requests:
+        infile = tmp_path / name
+        infile.write_text(json.dumps(obj))
+        reports = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"{seed}_{name}"
+            assert main([command, "--in", str(infile), *flags, "--seed", seed, "--out", str(out)]) == EXIT_OK
+            reports.append(_without_seed(json.loads(out.read_text())))
+        assert reports[0] == reports[1], name
 
 
 def request_digests(root: pathlib.Path, requests: dict) -> dict:

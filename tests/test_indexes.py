@@ -116,7 +116,7 @@ def test_curve_monotone_uppers_random_sets():
     for _ in range(10):
         pts = random_finite_points(rng, max_points=6, dim=3)
         for kind in ALL_NORMS:
-            curve = delta_curve(pts, 3, exhaustive(pts), kind, seed=3)
+            curve = delta_curve(pts, 3, exhaustive(pts), kind)
             uppers = [r.bound.upper for r in curve]
             assert all(a >= b for a, b in zip(uppers, uppers[1:]))
             for r in curve:
@@ -226,7 +226,7 @@ def reference_greedy(expr, N, pool, kind):
 
     def consider(ws):
         nonlocal best_bound, best_ws
-        bound = indexes._delta_of(expr, ws, kind, 0)
+        bound = delta0(expr.symmetrize_reduce(list(ws)), kind)
         score = indexes._score(bound)
         if (
             best_bound is None
@@ -275,7 +275,7 @@ def test_greedy_is_a_width_one_beam_per_restart():
                 assert got.to_json() == want.to_json()
 
 
-def reference_delta_upper(expr, N, strategy, kind, seed=0):
+def reference_delta_upper(expr, N, strategy, kind):
     """delta_upper as a search of its own for every N: exhaustive scores
     the combinations of at most N pool points; greedy and beam grow lists
     from the empty list for N rounds, keeping the 1 and 4 best."""
@@ -297,7 +297,7 @@ def reference_delta_upper(expr, N, strategy, kind, seed=0):
 
     def consider(ws):
         nonlocal best_bound, best_ws
-        bound = indexes._delta_of(expr, ws, kind, seed)
+        bound = delta0(expr.symmetrize_reduce(list(ws)), kind)
         score = indexes._score(bound)
         if (
             best_bound is None
@@ -488,7 +488,7 @@ def test_zero_best_ends_the_search(monkeypatch):
     # zero and the inner member e_1 score above 0, the generator e_1 + e_2
     # first scores 0, and the generator 2e_1 after it is never scored
     pool = (ZERO, unit(1), SparseVec({1: 1, 2: 1}), unit(1, 2))
-    assert [delta_of(hull, [p], NormKind.SUP, None).upper > 0 for p in pool] == [True, True, False, False]
+    assert [delta_of(hull, [p], NormKind.SUP).upper > 0 for p in pool] == [True, True, False, False]
     strategies = [
         SearchStrategy.exhaustive(pool),
         SearchStrategy.greedy(pool),
@@ -513,8 +513,8 @@ def test_zero_best_ends_the_search(monkeypatch):
 
 def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):
     # x_n = e_n + e_{n+1}: 3^12 sign patterns exceed the enumeration
-    # budget, so every symmetrization takes the relaxation upper end and a
-    # sampled lower end
+    # budget, so every symmetrization takes the relaxation upper end and
+    # the pool lower end, which only a yielded row computes
     terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 13))
     expr = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap12"), SignMode.SUBSETS, 12)
     pool = [
@@ -524,21 +524,21 @@ def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):
     ]
     strategy = SearchStrategy.exhaustive(pool)
     want = [reference_delta_upper(expr, n, strategy, NormKind.SUP) for n in (1, 2)]
-    # the rows yield different lists, and row 1 prints a positive sampled end
+    # the rows yield different lists, each with an inexact bound
     assert want[0].upper_witnesses != want[1].upper_witnesses
-    assert want[0].bound.upper_witness["lower"] != "0"
+    assert all(up.bound.upper_witness["lower"] != up.bound.upper_witness["upper"] for up in want)
     calls = []
-    sampled = sets_module._sampled_lower
-    monkeypatch.setattr(sets_module, "_sampled_lower", lambda *args: calls.append(args) or sampled(*args))
+    pooled = sets_module.sample_members
+    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or pooled(*args))
     curve = delta_curve(expr, 2, strategy, NormKind.SUP)
-    assert len(calls) <= 2
+    assert len(calls) == 2  # one per yielded row; row 0 is a closed form
     for row, up in zip(curve[1:], want):
         assert row.upper_witnesses == up.upper_witnesses
         assert row.bound.upper == up.bound.upper
         assert row.bound.upper_witness == up.bound.upper_witness
     calls.clear()
     got = delta_upper(expr, 2, strategy, NormKind.SUP)
-    assert len(calls) <= 2
+    assert len(calls) == 2
     assert got == want[1]
     assert got.to_json() == want[1].to_json()
 

@@ -604,11 +604,11 @@ def test_hull_closed_forms_match_the_dense_reference(hw, kind):
     assert bound.lower == bound.upper == 2 * best
     assert bound.lower_witness == pair
     assert diameter_upper(sym, kind) == 2 * best
-    seedless = diameter(sym, kind, None)
+    upper_only = diameter(sym, kind, False)
     if best > 0:
-        assert (seedless.lower, seedless.upper, seedless.lower_witness) == (0, 2 * best, None)
+        assert (upper_only.lower, upper_only.upper, upper_only.lower_witness) == (0, 2 * best, None)
     else:
-        assert seedless == bound
+        assert upper_only == bound
 
 
 @settings(max_examples=20, deadline=None)
@@ -623,15 +623,15 @@ def test_hull_delta_report_does_not_depend_on_earlier_calls(hw, other, kind):
 
     fresh = report(AbsConvHull(hull.points))
     used = AbsConvHull(hull.points)
-    # unrelated calls first: memberships, then full, upper-only and
-    # unseeded diameters and sups of other symmetrizations
+    # unrelated calls first: memberships, then full and upper-only
+    # diameters and sups of other symmetrizations
     for v in other[1] + list(other[0].points) + witnesses:
         contains(used, v)
     for ws in ([-witnesses[0]], [witnesses[-1].scale(F(1, 2)), used.points[0].scale(F(1, 3))]):
         sym = symmetrize(used, ws)
         for k in ALL_NORMS:
             diameter(sym, k)
-            diameter(sym, k, None)
+            diameter(sym, k, False)
             diameter_upper(sym, k)
         sup_functional(unit(1), sym)
     assert report(used) == fresh
@@ -823,12 +823,12 @@ set_exprs = st.recursive(
 
 
 @settings(max_examples=100, deadline=None)
-@given(set_exprs, st.sampled_from([2, 8, DEFAULT_ENUM_BUDGET]), st.integers(0, 3))
-def test_diameter_upper_is_the_upper_end_of_diameter(expr, budget, seed):
+@given(set_exprs, st.sampled_from([2, 8, DEFAULT_ENUM_BUDGET]))
+def test_diameter_upper_is_the_upper_end_of_diameter(expr, budget):
     # budgets 2 and 8 leave the sign sums and their symmetrizations
-    # unenumerable, so their diameters take the relaxation and samples
+    # unenumerable, so their diameters take the relaxation and the pool
     for kind in ALL_NORMS:
-        full = outcome(lambda: diameter(expr, kind, seed, budget))
+        full = outcome(lambda: diameter(expr, kind, True, budget))
         upper = outcome(lambda: diameter_upper(expr, kind, budget))
         assert upper == (full if isinstance(full, str) else full.upper)
 
@@ -840,14 +840,14 @@ def test_diameter_upper_samples_no_member(monkeypatch):
     sym = Symmetrized(base, (series.terms[0],))
     both = Intersect((sym, Box(F(0), ((1, F(1, 2)), (2, F(1, 4))))))
     calls = []
-    sampled = sets_module._sampled_lower
-    monkeypatch.setattr(sets_module, "_sampled_lower", lambda *args: calls.append(args) or sampled(*args))
+    pooled = sets_module.sample_members
+    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or pooled(*args))
     for expr in (sym, both):
         for kind in ALL_NORMS:
             diameter_upper(expr, kind, 8)
     assert calls == []
-    full = diameter(both, NormKind.SUP, 0, 8)
-    assert len(calls) == 1  # the intersection's own lower end, not its parts'
+    full = diameter(both, NormKind.SUP, True, 8)
+    assert calls == [(both,)]  # the intersection's own lower end, not its parts'
     assert full.upper == diameter_upper(both, NormKind.SUP, 8)
 
 
@@ -889,8 +889,8 @@ def test_sup_functional_samples_no_member(monkeypatch):
     both = Intersect((sym, Box(F(0), ((1, F(1, 2)), (2, F(1, 4))))))
     f = SparseVec({1: F(1), 3: F(-1, 2)})
     calls = []
-    sampled = sets_module.sample_members
-    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or sampled(*args))
+    pooled = sets_module.sample_members
+    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or pooled(*args))
     bounds = [sup_functional(f, expr) for expr in (sym, both, Translate(sym, unit(5)), Negate(sym))]
     assert calls == []
     # the certified lower ends: zero is in every symmetrized set, and an
@@ -900,15 +900,20 @@ def test_sup_functional_samples_no_member(monkeypatch):
 
 
 def test_sample_members_are_members():
-    rng = random.Random(5)
+    boxes = Intersect((Box(F(0), ((1, F(1)), (2, F(2)))), Translate(Box(F(0), ((1, F(1)), (2, F(1)))), unit(2, F(1, 2)))))
     for expr in (
         Box(F(1), ((2, F(3)),)),
         SignSums(canonical_series(4), SignMode.SUBSETS, 4),
         AbsConvHull((unit(1), unit(2))),
         symmetrize(Box(F(1)), [unit(1)]),
+        boxes,
+        Symmetrized(SignSums(canonical_series(4), SignMode.PREFIXES, 4), (unit(1),)),
     ):
-        for v in sample_members(expr, rng, 8):
-            assert contains(expr, v)
+        members = sample_members(expr)
+        assert members == [p for p in expr.default_pool() if contains(expr, p)]
+        assert all(contains(expr, v) for v in members)
+    # the pool of the first box drops the members +-2 e_2 outside the second
+    assert sample_members(boxes) == [ZERO, unit(1, -1), unit(1)]
 
 
 def test_set_json_roundtrip():
