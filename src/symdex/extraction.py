@@ -11,10 +11,8 @@ checks and exact arithmetic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, count
 from math import isqrt
 from typing import Optional, Sequence
@@ -38,7 +36,6 @@ from .sets import (
     contains,
     diameter,
     diameter_upper,
-    difference_set,
     free_direction,
     set_from_json,
     set_to_json,
@@ -98,11 +95,6 @@ class ExtractionTranscript:
     @property
     def points(self) -> list[SparseVec]:
         return [s.x for s in self.steps]
-
-    @cached_property
-    def base_diameter_upper(self) -> Optional[Fraction]:
-        """Certified diameter upper end of the base set, computed once."""
-        return diameter_upper(self.base_set, self.kind)
 
     def to_json(self) -> dict:
         return {
@@ -372,13 +364,39 @@ def verify_basis_inequality(
     Returns (lower_margin, upper_margin); both nonnegative when the
     inequality holds. Negative margins are returned as they are, never
     clamped. Euclidean margins are in the squared convention.
+
+    The estimate is (floor - epsilon) * max|lambda| <= ||sum lambda_k x_k||
+    <= delta_0 * max|lambda|, with floor = ``delta_lower_at_2N`` and
+    delta_0 = diam(A_0)/2. It holds for every coefficient vector once
+    :func:`validate_transcript` returns ok and ``delta_lower_at_2N`` is
+    the floor that ``above_index_floor`` checks (as
+    :func:`extract_c0_sequence` sets it; :func:`delta_lower` does not
+    depend on its N). A_n, x_n and f_n are as in :func:`validate_transcript`.
+
+    Upper end: every A_k with k >= 1 is a symmetrization, so it is
+    symmetric. By ``member`` and ``nested``, induction down from x_N in
+    A_N puts every signed sum sum_{k>=m} +-x_k in A_m, so every
+    s = sum_{k>=1} +-x_k lies in A_1 = Sym(A_0; {x_0}). Then x_0 +- s lie
+    in A_0 and ||s|| <= diam(A_0)/2. A general lambda is max|lambda|
+    times a convex combination of such s, and the norm is convex.
+
+    Lower end: take m with |lambda_m| maximal. f_m kills x_k for k < m
+    (``orthogonal``). The signed sums of x_k, k > m, lie in A_{m+1}, where
+    |f_m| < eta (``small_on_next``), and sum_{k>m} lambda_k x_k is
+    |lambda_m| times a convex combination of them, so |f_m| of it is
+    below eta*|lambda_m|. With ||f_m|| = 1 (``unit_norm``),
+    f_m(x_m) > floor - 2*eta (``above_index_floor``) and epsilon = 3*eta,
+    ||sum lambda_k x_k|| >= |f_m(sum lambda_k x_k)|
+    > |lambda_m| * (floor - epsilon). Under euclid both ends hold for the
+    plain norm, the lower one also with floor - epsilon raised to 0, so
+    they hold squared.
     """
     lams = [as_scalar(c) for c in coefficients]
     if len(lams) > len(t.steps):
         raise InvalidInput("more coefficients than transcript steps")
     combo = linear_combination(zip(lams, (s.x for s in t.steps)))
     peak = max((abs(c) for c in lams), default=Fraction(0))
-    diam = t.base_diameter_upper
+    diam = diameter_upper(t.base_set, t.kind)
     if diam is None:
         raise InvalidInput("base set has no certified diameter upper bound")
     d0_upper = half_length(diam, t.kind)
@@ -422,7 +440,7 @@ def refine_almost_isometric(
         raise InvalidInput("refinement needs a positive unconditional lower certificate")
     target = as_length(1 + eps, kind) * low.value
     best = None
-    for bound, ws in _witness_search(expr, N_max, strategy, kind, False):
+    for bound, ws in _witness_search(expr, N_max, strategy, kind):
         best = (bound.upper / low.value, ws)
         if bound.upper <= target:
             return symmetrize(expr, ws)
@@ -532,9 +550,11 @@ def one_sided_sequence(
     """Vectors of norm >= epsilon whose sign sums stay in the difference set.
 
     Growth keeps a doubling family inside the set: each new vector
-    translates the whole family back into the set. All sign patterns
-    are verified against the difference set (exactly when it has a
-    closed form) for up to 16 steps, sampled beyond.
+    translates the whole family back into the set, and every translate
+    is checked to be a member. So the family {x_0 + sum_{k in S} x_k}
+    lies in the set, and each partial sign sum +-x_1 +- ... +-x_m, the
+    family member of its + terms minus that of its - terms, lies in the
+    difference set A - A; its norm is at most diam A.
     """
     eps = as_scalar(epsilon)
     if eps <= 0:
@@ -556,34 +576,7 @@ def one_sided_sequence(
                 raise SymdexError("one-sided direction failed its membership replay")
         out.append(d)
         family = sorted(set(family) | {m + d for m in family}, key=lambda v: v.sort_key())
-
-    _verify_sign_sums(expr, out, kind)
     return out
-
-
-def _verify_sign_sums(expr: SetExpr, xs: list[SparseVec], kind: NormKind) -> None:
-    diff = difference_set(expr)
-    cap = diameter_upper(expr, kind) if diff is None else None
-    # every partial sum +-x_1 +- ... +- x_m, each distinct one checked once
-    partials: set[SparseVec] = set()
-    if len(xs) <= 16:
-        level = {ZERO}
-        for x in xs:
-            level = {p + x for p in level} | {p - x for p in level}
-            partials |= level
-    else:
-        rng = random.Random(7)
-        for _ in range(4096):
-            running = ZERO
-            for x in xs:
-                running = running + x.scale(rng.choice((1, -1)))
-                partials.add(running)
-    for partial in partials:
-        if diff is not None:
-            if not contains(diff, partial):
-                raise SymdexError("a partial sign sum left the difference set")
-        elif cap is not None and norm(partial, kind) > cap:
-            raise SymdexError("a partial sign sum exceeded the diameter bound")
 
 
 # ---------------------------------------------------------------------------

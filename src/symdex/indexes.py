@@ -115,7 +115,6 @@ def _witness_search(
     N: int,
     strategy: SearchStrategy,
     kind: NormKind,
-    lower: bool,
 ) -> Iterator[tuple[BoundPair, tuple[SparseVec, ...]]]:
     """Yield, for n = 1..N, the best (bound, witness list) over every
     searched list of size at most n.
@@ -136,11 +135,9 @@ def _witness_search(
     no later round runs, and every larger n yields the same row. A list
     that is skipped so cannot raise either.
 
-    Lists are scored by their upper ends (:func:`_delta_of`). A bound
-    that is not exact had a pool lower end, or a hull's LP vertex,
-    skipped; with ``lower`` the full bound is computed for a yielded
-    list only, and never without it (the bounds then are as
-    :func:`diameter` gives them without ``lower``).
+    Lists are scored by their upper ends (:func:`_delta_of`), and the
+    yielded bounds are those: a bound that is not exact had a pool lower
+    end, or a hull's LP vertex, skipped (:func:`_with_lower` adds it).
 
     Every list is scored through :func:`_delta_of`. Sym(A; W) is the
     intersection of the one-witness sets S_p, p in W, and
@@ -162,7 +159,6 @@ def _witness_search(
     width = WIDTHS[strategy.kind]
 
     best = None  # (rank, bound, witnesses)
-    completed = None  # the yielded list whose bound holds its lower end
 
     def rank(ws: tuple[SparseVec, ...]) -> tuple:
         nonlocal best
@@ -188,11 +184,13 @@ def _witness_search(
                     if ws not in ranked:
                         ranked[ws] = rank(ws)
         states = sorted(ranked, key=ranked.__getitem__)[:width]
-        key, bound, ws = best
-        if lower and not bound.exact and ws != completed:
-            bound = delta0(expr.symmetrize_reduce(list(ws)), kind)
-            best, completed = (key, bound, ws), ws
-        yield bound, ws
+        yield best[1], best[2]
+
+
+def _with_lower(expr: SetExpr, bound: BoundPair, ws: Sequence[SparseVec], kind: NormKind) -> BoundPair:
+    """A searched list's bound with its lower end, as :func:`delta0`
+    gives it; an exact bound already has it."""
+    return bound if bound.exact else delta0(expr.symmetrize_reduce(list(ws)), kind)
 
 
 def delta_upper(
@@ -211,8 +209,9 @@ def delta_upper(
     """
     if N < 1:
         raise InvalidInput("delta_upper needs N >= 1")
-    for bound, ws in _witness_search(expr, N, strategy, kind, True):
+    for bound, ws in _witness_search(expr, N, strategy, kind):
         pass
+    bound = _with_lower(expr, bound, ws, kind)
     return DeltaResult(
         N=N,
         bound=BoundPair(Fraction(0), bound.upper, upper_witness=bound.to_json()),
@@ -288,8 +287,12 @@ def delta_curve(
     ]
     cert = delta_lower(expr, N_max, kind).lower_certificate
     lower_value = cert.unconditional_value
-    steps = _witness_search(expr, N_max, strategy, kind, True)
+    steps = _witness_search(expr, N_max, strategy, kind)
+    completed = ((), None)  # the last row's list and its bound with the lower end
     for n, (bound, ws) in enumerate(steps, start=1):
+        if ws != completed[0]:  # a list the search replaces never comes back
+            completed = ws, _with_lower(expr, bound, ws, kind)
+        bound = completed[1]
         if lower_value > bound.upper:
             raise SymdexError(
                 f"delta sandwich violated at N={n}: lower {lower_value} > upper {bound.upper}"

@@ -755,6 +755,9 @@ class SignSums(SetExpr):
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         terms = self.terms
+        if self.mode is SignMode.SUBSETS:
+            # a zero term adds nothing to a subset sum
+            terms = tuple(t for t in terms if not t.is_zero)
         h = len(terms)
         count = 3 ** h if self.mode is SignMode.SUBSETS else 2 ** (h + 1) - 2
         if count > budget:

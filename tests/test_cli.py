@@ -106,30 +106,18 @@ def test_extract_report_and_determinism(tmp_path):
     assert main(argv + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
+    assert report["outcome"] == "ok"
     xs = [step["x"] for step in report["result"]["transcript"]["steps"]]
     assert xs == [{"1": "1"}, {"2": "1"}, {"3": "1"}, {"4": "1"}]
     assert verify_replay(report) == []
-
-
-def test_extract_computes_the_base_diameter_once(tmp_path, monkeypatch):
-    # the 32 margin samples of a request share one base diameter, counted
-    # through the names that sets and extraction call it by
-    from symdex import extraction, sets
-
-    calls = []
-    diameter_upper = sets.diameter_upper
-    for module in (sets, extraction):
-        monkeypatch.setattr(
-            module, "diameter_upper", lambda *args, **kw: calls.append(args) or diameter_upper(*args, **kw)
-        )
-    finite = {"type": "finite", "points": [{}, {"1": "1"}, {"2": "1"}]}
-    for name, obj, n, outcome in (("box", PLAIN_BOX, "4", "ok"), ("finite", finite, "2", "stalled")):
-        infile, out = write(tmp_path / f"{name}.json", obj), tmp_path / f"{name}_report.json"
-        calls.clear()
-        assert main(["extract", "--in", infile, "--out", str(out), "--epsilon", "1/10", "--n", n]) == EXIT_OK
-        report = json.loads(out.read_text())
-        assert report["outcome"] == outcome and len(report["result"]["margin_samples"]) == 32
-        assert len(calls) == 1
+    # a finite set stalls at its first step, and the partial transcript
+    # is still reported
+    finite = write(tmp_path / "finite.json", {"type": "finite", "points": [{}, {"1": "1"}, {"2": "1"}]})
+    assert main(["extract", "--in", finite, "--out", str(out1), "--epsilon", "1/10", "--n", "2"]) == EXIT_OK
+    report = json.loads(out1.read_text())
+    assert report["outcome"] == "stalled"
+    assert report["result"]["transcript"]["steps"] == []
+    assert verify_replay(report) == []
 
 
 def test_series_report_and_oracle(tmp_path):

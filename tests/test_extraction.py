@@ -44,6 +44,7 @@ from symdex import (
 from symdex import extraction
 from symdex.exactlp import OPTIMAL
 from symdex.extraction import TranscriptStep
+from symdex.sets import difference_set
 from symdex.bruteforce import brute_delta1_zero_witness
 from util import (
     ALL_NORMS,
@@ -234,8 +235,9 @@ zero_default_boxes = st.dictionaries(
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(finite_sets, lattice_sets, sign_sum_sets, zero_default_boxes), norm_kinds,
-       st.sampled_from([F(1, 10), F(1, 2), F(1)]))
-def test_exact_validation_matches_every_member(expr, kind, epsilon):
+       st.sampled_from([F(1, 10), F(1, 2), F(1)]),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=3, max_size=3))
+def test_exact_validation_matches_every_member(expr, kind, epsilon, coefficients):
     if isinstance(expr, Box):
         t = box_transcript(expr, epsilon, 3, kind)
     else:
@@ -243,12 +245,17 @@ def test_exact_validation_matches_every_member(expr, kind, epsilon):
             t = extract_c0_sequence(expr, epsilon, 3, kind)
         except ExtractionStalled as stall:
             t = stall.partial
-    steps = validate_transcript(t)["steps"]
+    validation = validate_transcript(t)
+    steps = validation["steps"]
     for entry, (nested, small) in zip(steps, brute_flags(t), strict=True):
         assert entry["nested_level"] == entry["small_on_next_level"] == "exact"
         assert entry["nested"] == nested
         # the step lemma: near_sup and A_{n+1} = Sym(A_n; {x_n}) give small
         assert entry["small_on_next"] == (entry["near_sup"] and small)
+    if validation["ok"]:
+        # the two-sided c0 estimate that a validating transcript implies
+        lower_margin, upper_margin = verify_basis_inequality(t, coefficients[: len(t.steps)])
+        assert lower_margin >= 0 and upper_margin >= 0
     if len(t.steps) >= 2:
         # A_2 replaced by A_1: every exact flag still implies its brute one
         t.steps[1].set_before = t.steps[0].set_before
@@ -378,20 +385,31 @@ def test_one_sided_box():
         assert norm(total, NormKind.SUP) <= diameter(BOX, NormKind.SUP).upper
 
 
-def test_verify_sign_sums_checks_each_partial_sum_once(monkeypatch):
-    checked = []
-    real = extraction.contains
-
-    def counting(expr, v):
-        checked.append(v)
-        return real(expr, v)
-
-    monkeypatch.setattr(extraction, "contains", counting)
-    xs = [unit(1), unit(2), unit(3), unit(4)]
-    extraction._verify_sign_sums(BOX, xs, NormKind.SUP)
-    assert len(checked) == len(set(checked))
-    # every partial sum +-x_1 +- ... +-x_m, m = 1..4
-    assert len(checked) == 2 + 4 + 8 + 16
+def test_partial_sign_sums_lie_in_the_difference_set():
+    # each partial sign sum is the family member x_0 + (its + terms) minus
+    # the one of its - terms, and one_sided_sequence checks every family
+    # member, so the sum lies in A - A; checked where A - A has a closed form
+    rng = random.Random(17)
+    boxes = []
+    for _ in range(10):
+        coords = rng.sample(range(1, 6), rng.randint(0, 3))
+        boxes.append(Box(F(rng.randint(1, 4), 2), tuple((i, F(rng.randint(0, 6), 2)) for i in coords)))
+    finite = [random_finite_points(rng, max_points=8, dim=3) for _ in range(40)]
+    for cases in (boxes, finite):
+        taken = 0
+        for expr, kind in product(cases, ALL_NORMS):
+            try:
+                xs = one_sided_sequence(expr, F(1, 2), 5, kind)
+            except SequenceStalled as stall:
+                xs = stall.partial
+            diff = difference_set(expr)
+            assert diff is not None
+            partials = {ZERO}
+            for x in xs:
+                partials = {p + x for p in partials} | {p - x for p in partials}
+                assert all(contains(diff, p) for p in partials)
+            taken += len(xs)
+        assert taken
 
 
 def test_one_sided_stalls_when_epsilon_too_big():

@@ -80,7 +80,7 @@ SUBSET_SUMS_6 = {
 DEMO_DIGESTS = {
     "delta_curve.csv": "0029e5bc865d8b2c1aff5d5e5f682c83ce8c2db832265419516e786e65c97e6d",
     "delta_curve.json": "7648fb7a1cb120a0f8b9a263f4b28d6c63536b82d638de4568e8b0e5bffb9f88",
-    "extraction.json": "9aed54a936105eacfe0f33332a48d7399c9eefafbc0c8eb2de4d64d9788fc7d7",
+    "extraction.json": "4f815a327d8c3f861bf78b611ae5c621f6ae25ad02be54ee48c456ece0ef5b6a",
     "refined.json": "048007628cae395eba5cc79676fcf47e89677ed800c55e127bdc58ffc1aedb67",
     "tree.json": "a1bde3efa8dbd0c4782cad04b305eea9830c473cf7d86b1bde604f985fca9028",
     "tail_geometric.json": "f6ba439d8bef68acdd9044e7374629d2b8b78444bf20e0e772a1197d27def858",
@@ -88,7 +88,7 @@ DEMO_DIGESTS = {
     "extreme.json": "898f4394def54e6b7c4ddf9e75cc48c4068e200308e05a79428942fa4c2bd10d",
     "one_sided.json": "53f2a1efc726998d4a5b71df1be0666693a66e939c4d57dd4693883d73efa845",
     "verdict_delta_curve.json": "e4e4866f9b8b8d528e3e367deb5617f76db3ae668919bcdba4b6d2e43a76e3ff",
-    "verdict_extraction.json": "b725a73476472949c64aacda730ed8bb5ba2ff5fc1d869ea9215e2971860e26e",
+    "verdict_extraction.json": "1e3e62b14afcb92a6f874ee3a429824e10844d22bd8efe4e9badf6e7821297d9",
     "verdict_refined.json": "479e6061841d6ee254365f2aa459563aee22111a8ec32f9be9fe94b6e780bc4d",
     "verdict_tree.json": "a6500074e932efa2079b0913f04b1eb1d8ea9d304286d55ddfd893d5cf6fd908",
     "verdict_tail_geometric.json": "f3d0a769f3e5b95566789f16b880b16b52555da1db2c1e1242252b3d7ce9780d",
@@ -174,8 +174,8 @@ HULL_DIGESTS = {
         "84c62fff5e246badcb571d56863bdb9540672097dc826779e495410b7aff45e9",
     ),
     "extract_n3": (
-        "02f85649cf52e7a825bafac1e938cc6fe9487189e7f4b362cb3a1df6d049241f",
-        "83e56bf19bae0685ed9c5db1cc25506853de94f4daa145761970668830469838",
+        "96d22ec494aa50c898e1a323735e4e8abd1a622a306c030ba02379b83a21425e",
+        "83ad825ea5241e39749e038f40f480308dbfb8da3b7d6bd0920337141e34b2b2",
     ),
     "rank_deficient_delta_n2": (
         "0ba94ed94551547b162884925eea81f8761407d4273eaa2222e66d134b94d01d",
@@ -184,8 +184,8 @@ HULL_DIGESTS = {
 }
 
 SUBSET_EXTRACT_DIGESTS = (
-    "865b997a5a74d1dd2c3c623590aa79fae17f0be96be084dee534967e6d260396",
-    "777ed16ecd29b75f026fbed8a973544347e3098eb21d65d8cd4dc87b1cbca1bb",
+    "529898493bdfff3ef0ecd9614fbedfab43b721da7a54fe2414c70d8fe44c3e45",
+    "85cc8c72208db32f12153824809f4f351fcd10f3f1ad93f418398f4f42b33f27",
 )
 
 
@@ -246,12 +246,8 @@ def test_subset_sign_sum_extract_report_is_golden(tmp_path):
 
 
 def _without_seed(report: dict) -> dict:
-    """The report without what ``--seed`` may move: the seed itself and
-    ``extract``'s margin samples with their ``scalar_le`` replay entries."""
+    """The report without the echoed seed, the only part ``--seed`` moves."""
     del report["request"]["parameters"]["seed"]
-    if report["command"] == "extract":
-        del report["result"]["margin_samples"]
-        report["replay"] = [e for e in report["replay"] if e["kind"] != "scalar_le"]
     return report
 
 

@@ -769,6 +769,13 @@ def test_enumerate_members_sign_sums():
     assert values == expected
     subsets = set(enumerate_members(SignSums(canonical_series(2), SignMode.SUBSETS, 2), 1000))
     assert subsets == expected | {ZERO, unit(2), -unit(2)}
+    # Sym(A; {e_1, ..., e_8}) zeroes the first 8 of 12 terms; its subset
+    # sums are sized over the 4 nonzero terms (3^4), not all 12 (3^12)
+    sym = symmetrize(SignSums(canonical_series(12), SignMode.SUBSETS, 12), [unit(n) for n in range(1, 9)])
+    tail = [unit(n) for n in range(9, 13)]
+    assert set(enumerate_members(sym, 4096)) == {
+        linear_combination(zip(signs, tail)) for signs in product((1, -1, 0), repeat=4)
+    }
 
 
 # ---------------------------------------------------------------------------
