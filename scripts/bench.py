@@ -3,7 +3,9 @@
 
 Kernels: for 4- and 16-entry vectors, the median time per call, in
 microseconds, of SparseVec add, sub, neg and scale, the first hash of a
-fresh result, ``norm`` (sup, sum, Euclidean) and ``dual_pair``.
+fresh result, ``norm`` (sup, sum, Euclidean), ``dual_pair``, and
+``to_json`` and ``from_json``: the report write path and the ``oracle``
+parse path.
 
 LP: for each hull shape of the ``hull_lp`` workload (2-4 generators over
 2-3 coordinates), the median time in microseconds of hull membership
@@ -40,9 +42,10 @@ Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
 ``eps_strong_extreme`` and of ``eps_extreme`` at every point of a set
 (one figure each per set) and of ``delta_curve`` to N=2 with exhaustive
-search, each call on a new copy of the set (a ``FinitePoints`` builds
-its integer table on first use and keeps it), the number of
-``_segment_portion_distance`` calls the strong-extreme figures make, the
+search, each call on a new copy of the set (in older checkouts a
+``FinitePoints`` builds an integer table on first use and keeps it),
+the number of ``_segment_portion_distance`` calls the strong-extreme
+figures make, the
 number of witness lists the ``delta_curve`` figures make, and the
 ``SparseVec`` subtractions and ``symmetrize_reduce`` calls each of the
 three makes, each over all PROC_SETS sets. Functions are counted by
@@ -183,6 +186,7 @@ def kernel_samples(vectors, size: int, rng: random.Random) -> dict:
     factors = [Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)) for _ in range(BATCH)]
     pairs = list(zip(left, right))
     norm, dual_pair, kinds = vectors.norm, vectors.dual_pair, vectors.NormKind
+    from_json, written = vectors.SparseVec.from_json, [a.to_json() for a in left]
 
     def first_hash() -> int:
         fresh = [v + vectors.ZERO for v in left]  # results not hashed yet
@@ -201,6 +205,8 @@ def kernel_samples(vectors, size: int, rng: random.Random) -> dict:
         "norm_sum": timed(lambda: [norm(a, kinds.SUM) for a in left]),
         "norm_euclid": timed(lambda: [norm(a, kinds.EUCLID) for a in left]),
         "dual_pair": timed(lambda: [dual_pair(a, b) for a, b in pairs]),
+        "to_json": timed(lambda: [a.to_json() for a in left]),
+        "from_json": timed(lambda: [from_json(obj) for obj in written]),
     }
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from math import isqrt
+from operator import sub
 from typing import Optional, Sequence
 
 from . import exactlp
@@ -54,10 +55,11 @@ from .vectors import (
     dual_pair,
     format_scalar,
     half_length,
-    int_norm,
+    integer_rows,
     linear_combination,
     norm,
     unit,
+    _int_norm,
 )
 
 MAX_TREE_DEPTH = 16  # a depth-d tree holds 2^d - 1 nodes
@@ -271,10 +273,10 @@ def extract_c0_sequence(
 
     current = symmetrize(expr, [start])
     steps: list[TranscriptStep] = []
+    # the index floor at every 2^n: delta_lower does not depend on its N
+    floor = expr.lower_certificate(kind).plain_value
 
     def partial() -> ExtractionTranscript:
-        n = len(steps)
-        floor = delta_lower(expr, 2 ** n, kind).lower_certificate if n else None
         return ExtractionTranscript(
             base_set=expr,
             kind=kind,
@@ -282,7 +284,7 @@ def extract_c0_sequence(
             eta=eta,
             x0=start,
             steps=steps,
-            delta_lower_at_2N=floor.plain_value if floor else Fraction(0),
+            delta_lower_at_2N=floor if steps else Fraction(0),
             final_set=current,
         )
 
@@ -290,7 +292,6 @@ def extract_c0_sequence(
         x_n = free_direction(current, [], kind)
         if x_n is None or x_n.is_zero:
             raise ExtractionStalled(n, partial(), "no free direction of positive norm")
-        floor = delta_lower(expr, 2 ** n, kind).lower_certificate.plain_value
         f_n = _choose_step_functional(
             [s.x for s in steps], current, x_n, eta, floor, kind
         )
@@ -324,12 +325,15 @@ def validate_transcript(t: ExtractionTranscript) -> dict:
     ``small_on_next`` holds when ``near_sup`` does and A_{n+1} is
     Sym(A_n; {x_n}). That is the step lemma: every d in A_{n+1} has
     x_n +- d in A_n, so |f_n(d)| <= sup f_n over A_n - f_n(x_n) < eta.
-    Both levels read "exact".
+    Both levels read "exact". ``ok`` also needs ``delta_lower_at_2N``,
+    which :func:`verify_basis_inequality` reads, within the index floor.
     """
     lineage = [t.base_set] + [s.set_before for s in t.steps] + [t.final_set]
     points = [t.x0] + t.points
     # follows[k]: A_{k+1} is Sym(A_k; {x_k})
     follows = [_symmetrizes_to(a, x, b) for a, x, b in zip(lineage, points, lineage[1:])]
+    # the index floor at every 2^n: delta_lower does not depend on its N
+    floor = t.base_set.lower_certificate(t.kind).plain_value
     steps: list[dict] = []
 
     for n, step in enumerate(t.steps, start=1):
@@ -343,7 +347,6 @@ def validate_transcript(t: ExtractionTranscript) -> dict:
         value = dual_pair(step.f, step.x)
         sup = sup_functional(step.f, step.set_before).upper
         entry["near_sup"] = sup is not None and value > sup - t.eta
-        floor = delta_lower(t.base_set, 2 ** n, t.kind).lower_certificate.plain_value
         entry["above_index_floor"] = value > floor - 2 * t.eta
         # condition (a): x_{n-1} +- A_n inside A_{n-1}
         entry["nested"] = follows[n - 1]
@@ -352,7 +355,7 @@ def validate_transcript(t: ExtractionTranscript) -> dict:
         entry["small_on_next"] = entry["near_sup"] and follows[n]
         entry["small_on_next_level"] = "exact"
         steps.append(entry)
-    ok = all(entry[flag] for entry in steps for flag in STEP_FLAGS)
+    ok = t.delta_lower_at_2N <= floor and all(entry[flag] for entry in steps for flag in STEP_FLAGS)
     return {"ok": ok, "steps": steps}
 
 
@@ -748,7 +751,7 @@ def _segment_portion_distance(
     c = [-v for v in d2]  # distance target: ||c - lambda*m||
     m = [u - v for u, v in zip(d1, d2)]
     if kind is NormKind.EUCLID:
-        a = int_norm(m, kind)  # squared length
+        a = _int_norm(m, kind)  # squared length
         ee = eps * eps
         if 4 * ee > a:
             return None
@@ -756,13 +759,13 @@ def _segment_portion_distance(
         # lambda* = b/a against the portion ends eps/|m| and 1 - eps/|m|
         above_lo = b > 0 and b * b >= ee * a
         below_hi = a - b > 0 and (a - b) ** 2 >= ee * a
-        c2 = int_norm(c, kind)
+        c2 = _int_norm(c, kind)
         if above_lo and below_hi:
             return c2 * a - b * b, a
         if not above_lo:
             return _scaled_surd(c2 + ee, -2 * b * eps, a)
         return _scaled_surd(c2 - 2 * b + a + ee, 2 * eps * (b - a), a)
-    length = int_norm(m, kind)
+    length = _int_norm(m, kind)
     if length < 2 * eps:
         return None
     cm = [(ci, mi) for ci, mi in zip(c, m) if ci or mi]
@@ -781,7 +784,7 @@ def _segment_portion_distance(
     best = None
     for p, q in lams:
         if eps * q <= p * length <= (length - eps) * q:
-            n = int_norm([q * ci - p * mi for ci, mi in cm], kind)
+            n = _int_norm([q * ci - p * mi for ci, mi in cm], kind)
             if best is None or n * best[1] < best[0] * q:
                 best = n, q
     return best
@@ -795,7 +798,7 @@ def _gap_bound(d1: tuple[int, ...], d2: tuple[int, ...], kind: NormKind) -> int:
     both share a sign, else 0. The gaps combine as the norm does (carried
     square under euclid).
     """
-    return int_norm([min(abs(u), abs(v)) for u, v in zip(d1, d2) if u * v > 0], kind)
+    return _int_norm([min(abs(u), abs(v)) for u, v in zip(d1, d2) if u * v > 0], kind)
 
 
 def eps_strong_extreme(
@@ -810,9 +813,9 @@ def eps_strong_extreme(
     the Euclidean minimum is irrational); (True, 1) when no pair has a
     middle portion at all.
 
-    The set's integer rows (:meth:`FinitePoints.scaled_rows`) and
-    epsilon are taken over the lcm L of their denominators, on one dense
-    coordinate list, and translated so x sits at 0. The minimum is
+    The points and epsilon are taken as integer rows over the lcm L of
+    their denominators (:func:`~symdex.vectors.integer_rows`), and
+    translated so x sits at 0. The minimum is
     divided by L (L^2 under euclid) once at the end, which gives an
     irrational one the same Q[sqrt(s)] form as a scan in plain
     coordinates. A pair (x, a) has value exactly epsilon
@@ -828,14 +831,14 @@ def eps_strong_extreme(
         raise InvalidInput("strong extreme analysis needs a finite point set")
     if not contains(expr, x):
         raise WitnessNotMember("the point is not a member of the set")
-    scale, rows = expr.scaled_rows(eps.denominator)
+    scale, rows = integer_rows(expr.points, denominator=eps.denominator)
     origin = rows[expr.points.index(x)]
-    points = [tuple(u - o for u, o in zip(row, origin)) for row in rows if row != origin]
-    e = eps.numerator * (scale // eps.denominator)
+    points = [tuple(map(sub, row, origin)) for row in rows if row != origin]
+    e = int(eps * scale)
     best: Optional[_Scaled] = None
-    # int_norm of a one-entry vector is the carried length of its entry
-    if any(int_norm(d, kind) >= int_norm((2 * e,), kind) for d in points):
-        best = int_norm((e,), kind), 1
+    # _int_norm of a one-entry vector is the carried length of its entry
+    if any(_int_norm(d, kind) >= _int_norm((2 * e,), kind) for d in points):
+        best = _int_norm((e,), kind), 1
     # pairs keep their order, so of equal minima the first one found is
     # kept, as its Q[sqrt(s)] form fixes the bisected lower bound
     for d1, d2 in combinations(points, 2):
@@ -856,4 +859,4 @@ def eps_strong_extreme(
             _Surd(Fraction(best.a, square), best.b / scale, Fraction(best.s, square))
         )
     n, q = best
-    return True, Fraction(n, q * int_norm((scale,), kind))
+    return True, Fraction(n, q * _int_norm((scale,), kind))

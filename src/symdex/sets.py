@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
+from operator import sub
 from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 from . import exactlp
@@ -57,11 +58,13 @@ from .vectors import (
     dual_pair,
     format_scalar,
     fresh_coordinate,
-    int_norm,
+    integer_rows,
     linear_combination,
     norm,
     signed_sums,
     unit,
+    _add_into,
+    _int_norm,
 )
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -354,14 +357,19 @@ class Box(SetExpr):
         return cls(as_scalar(obj["default_radius"]), tuple(overrides.items()))
 
     def contains(self, v: SparseVec) -> bool:
-        return all(abs(x) <= self.radius(i) for i, x in v.items())
+        # |v_i| <= r_i, cross-multiplied over v's denominator
+        den = v._den
+        for i, n in v._nums.items():
+            r = self.radius(i)
+            if abs(n) * r.denominator > r.numerator * den:
+                return False
+        return True
 
     def symmetrize_reduce(self, ws: list[SparseVec]) -> SetExpr:
         coords = sorted({i for w in ws for i in w.support})
         overrides = self.override_map()
         for i in coords:
-            base_r = self.radius(i)
-            shrunk = min(base_r - abs(w.get(i)) for w in ws)
+            shrunk = self.radius(i) - max(abs(w.get(i)) for w in ws)
             overrides[i] = max(shrunk, Fraction(0))
         return Box(self.default_radius, tuple(overrides.items()))
 
@@ -454,68 +462,17 @@ class Box(SetExpr):
         )
 
 
-class _IntTable:
-    """A list of points as integer rows: each point times ``scale``, the
-    lcm of the points' denominators, over ``columns``, the sorted support
-    coordinates with their row positions. ``rows`` keeps the list's
-    order, and ``index`` maps each row to its position in it."""
-
-    __slots__ = ("scale", "columns", "rows", "index")
-
-    def __init__(self, points: Sequence[SparseVec]):
-        coords = sorted({i for p in points for i in p.support})
-        self.scale = lcm(*(x.denominator for p in points for _, x in p.items()))
-        self.columns = {i: col for col, i in enumerate(coords)}
-        self.rows = tuple(map(self.row, points))
-        self.index = {row: k for k, row in enumerate(self.rows)}
-
-    def row(self, v: SparseVec) -> Optional[tuple[int, ...]]:
-        """``scale * v`` as an integer row over ``columns``, or None when
-        it is not one: ``v`` has a coordinate outside ``columns`` or a
-        denominator that does not divide ``scale``."""
-        out = [0] * len(self.columns)
-        scale, columns = self.scale, self.columns
-        for i, x in v.items():
-            col = columns.get(i)
-            if col is None or scale % x.denominator:
-                return None
-            out[col] = x.numerator * (scale // x.denominator)
-        return tuple(out)
-
-    def diameter(self, points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
-        """Exact diameter of ``points``, the list the rows stand for,
-        witnessed by its farthest pair (the first of equal pairs in
-        ``combinations`` order); a lone point witnesses zero paired with
-        itself. The integer maximum is divided by ``scale`` (its square
-        under euclid) once."""
-        best, pair = 0, (0, 0)
-        for (i, a), (j, b) in combinations(enumerate(self.rows), 2):
-            d = int_norm([u - v for u, v in zip(a, b)], kind)
-            if d > best:
-                best, pair = d, (i, j)
-        value = Fraction(best, int_norm((self.scale,), kind))
-        wit = {"pair": [points[k].to_json() for k in pair]} if points else None
-        return BoundPair(value, value, lower_witness=wit)
-
-
 @dataclass(frozen=True)
 class FinitePoints(SetExpr):
     """A finite point set, its points distinct and in ``sort_key`` order.
 
-    ``_table`` is the set's integer table (:class:`_IntTable`): the lcm
-    L of the points' denominators, the sorted support coordinates, one
-    integer row per point (L times it, in ``points`` order) and a row ->
-    index dict. The pair diameter, the one-witness sets S_w and
-    :meth:`scaled_rows` build it on first use and read it; membership
-    and JSON never build it. It is private state, like
-    ``AbsConvHull._lps``: outside equality, hashing and JSON, so the
-    enumeration cache keys do not see it, and equal sets built
-    separately share nothing.
+    The pair diameter and the one-witness sets S_w scan the points as
+    integer rows (:func:`~symdex.vectors.integer_rows`), built per call;
+    membership and JSON build none.
     """
 
     tag: ClassVar[str] = "finite"
     points: tuple[SparseVec, ...]
-    _table: Optional[_IntTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted(set(self.points), key=lambda p: p.sort_key()))
@@ -536,34 +493,15 @@ class FinitePoints(SetExpr):
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         return self.points
 
-    def _int_table(self) -> _IntTable:
-        table = self._table
-        if table is None:
-            table = _IntTable(self.points)
-            object.__setattr__(self, "_table", table)
-        return table
-
     def one_witness_members(self, w: SparseVec, budget: int) -> Optional[tuple[SparseVec, ...]]:
-        table = self._int_table()
-        # 2w = p + q for points p, q only if 2w is a row: else S_w is empty
-        twice = table.row(w + w)
-        if twice is None:
-            return ()
-        index = table.index
+        # p - w is in S_w when 2w - p is a point: a row lookup over one scale
+        *rows, twice = integer_rows((*self.points, w + w))[1]
+        index = set(rows)
         return tuple(sorted(
-            (p - w for p, row in zip(self.points, table.rows)
-             if tuple(t - u for t, u in zip(twice, row)) in index),
+            (p - w for p, row in zip(self.points, rows)
+             if tuple(map(sub, twice, row)) in index),
             key=SparseVec.sort_key,
         ))
-
-    def scaled_rows(self, denominator: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The lcm L of ``denominator`` and the points' denominators, and
-        the points times L as integer rows over their sorted support, in
-        ``points`` order."""
-        table = self._int_table()
-        scale = lcm(table.scale, denominator)
-        factor = scale // table.scale
-        return scale, tuple(tuple(factor * u for u in row) for row in table.rows)
 
     def sup_functional(self, f: Functional) -> BoundPair:
         best = None
@@ -578,7 +516,7 @@ class FinitePoints(SetExpr):
         return {i for p in self.points for i in p.support}
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
-        return self._int_table().diameter(self.points, kind)
+        return _pair_diameter(self.points, kind)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         if not ws:
@@ -670,20 +608,22 @@ class SignSums(SetExpr):
         """{0-based term index: +-1} when ``v`` is a signed sum of distinct
         whole terms within the horizon; None when it is not. Only for
         disjoint term supports, where each coordinate has one term entry."""
-        columns, horizon, signs = self.series.columns, self.horizon, {}
-        for i, x in v.items():
-            n, t = columns[i][0] if i in columns else (horizon, x)
-            # x == +-t on integers: both are Fractions in lowest terms
-            p, q = x.numerator, t.numerator
-            sign = 1 if p == q else -1 if p == -q else 0
-            if n >= horizon or not sign or x.denominator != t.denominator:
+        columns, horizon, terms, signs = self.series.columns, self.horizon, self.series.terms, {}
+        vd = v._den
+        for i, p in v._nums.items():
+            n = columns[i][0][0] if i in columns else horizon
+            if n >= horizon:
                 return None
-            if signs.setdefault(n, sign) != sign:
+            # v_i == +-t_i, cross-multiplied over the two denominators
+            t = terms[n]
+            q = t._nums[i] * vd
+            p *= t._den
+            sign = 1 if p == q else -1 if p == -q else 0
+            if not sign or signs.setdefault(n, sign) != sign:
                 return None
         # each coordinate of v lies in one touched term: v holds those terms
         # whole exactly when their supports add up to v's
-        terms = self.series.terms
-        if sum(len(terms[n].support) for n in signs) != len(v.support):
+        if sum(len(terms[n]._nums) for n in signs) != len(v._nums):
             return None
         return signs
 
@@ -701,39 +641,35 @@ class SignSums(SetExpr):
 
     def _search(self, v: SparseVec) -> bool:
         """Membership by depth-first search over term coefficients, for
-        overlapping supports; ``node_budget`` caps its nodes."""
+        overlapping supports; ``node_budget`` caps its nodes. ``v`` and
+        the terms are integer dicts over the lcm of their denominators."""
         terms = self.terms
         h = len(terms)
-        suffix: list[dict[int, Fraction]] = [dict() for _ in range(h + 1)]
+        scale = lcm(v._den, *(t._den for t in terms))
+        rows = [{i: (scale // t._den) * n for i, n in t._nums.items()} for t in terms]
+        suffix: list[dict[int, int]] = [dict() for _ in range(h + 1)]
         for n in range(h - 1, -1, -1):
             acc = dict(suffix[n + 1])
-            for i, x in terms[n].items():
-                acc[i] = acc.get(i, Fraction(0)) + abs(x)
+            for i, x in rows[n].items():
+                acc[i] = acc.get(i, 0) + abs(x)
             suffix[n] = acc
         budget = self.node_budget
         nodes = 0
 
-        def viable(residual: dict[int, Fraction], k: int) -> bool:
+        def viable(residual: dict[int, int], k: int) -> bool:
             bound = suffix[k]
-            return all(abs(x) <= bound.get(i, Fraction(0)) for i, x in residual.items())
+            return all(abs(x) <= bound.get(i, 0) for i, x in residual.items())
 
-        def step(residual: dict[int, Fraction], coeff: Fraction, term: SparseVec):
-            out = dict(residual)
-            for i, x in term.items():
-                q = out.get(i, Fraction(0)) - coeff * x
-                if q == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = q
-            return out
+        def step(residual: dict[int, int], coeff: int, row: dict[int, int]) -> dict[int, int]:
+            return _add_into(dict(residual), row, -coeff) if coeff else residual
 
         # Depth-first over term coefficients, on an explicit stack so the
         # depth is not limited by the interpreter's recursion limit. A
         # prefix sum needs at least one term; a subset sum may be empty.
         prefix_mode = self.mode is SignMode.PREFIXES
-        signs = (Fraction(1), Fraction(-1)) + (() if prefix_mode else (Fraction(0),))
-        stack: list[tuple[dict[int, Fraction], int, Iterator[Fraction]]] = []
-        residual, k = dict(v.items()), 0
+        signs = (1, -1) + (() if prefix_mode else (0,))
+        stack: list[tuple[dict[int, int], int, Iterator[int]]] = []
+        residual, k = {i: (scale // v._den) * n for i, n in v._nums.items()}, 0
         while True:
             nodes += 1
             if nodes > budget:
@@ -747,7 +683,7 @@ class SignSums(SetExpr):
                 parent, depth, untried = stack[-1]
                 c = next(untried, None)
                 if c is not None:
-                    residual, k = step(parent, c, terms[depth]), depth + 1
+                    residual, k = step(parent, c, rows[depth]), depth + 1
                     break
                 stack.pop()
             else:
@@ -772,13 +708,16 @@ class SignSums(SetExpr):
         return tuple(sorted(values, key=lambda p: p.sort_key()))
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        # sum of |f(t_n)| over the terms f touches, one table lookup per entry of f
-        pairs: dict[int, Fraction] = {}
-        for i, y in f.items():
-            for n, x in self.series.columns.get(i, ()):
+        # sum of |f(t_n)| over the terms f touches, one table lookup per
+        # entry of f; f(t_n) is pairs[n] over f's and t_n's denominators
+        terms, pairs = self.series.terms, {}
+        for i, y in f._nums.items():
+            for n, _ in self.series.columns.get(i, ()):
                 if n < self.horizon:
-                    pairs[n] = pairs.get(n, Fraction(0)) + y * x
-        value = sum((abs(p) for p in pairs.values()), Fraction(0))
+                    pairs[n] = pairs.get(n, 0) + y * terms[n]._nums[i]
+        scale = lcm(*(terms[n]._den for n in pairs))
+        total = sum(abs(p) * (scale // terms[n]._den) for n, p in pairs.items())
+        value = Fraction(total, f._den * scale)
         return BoundPair(value, value, upper_witness={"rule": "column_sums"})
 
     def relevant_coords(self) -> set[int]:
@@ -1029,7 +968,7 @@ class Intersect(SetExpr):
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None and len(members) <= 2048:
-            return _IntTable(members).diameter(members, kind)
+            return _pair_diameter(members, kind)
         uppers = []
         for p in self.parts:
             try:
@@ -1148,8 +1087,7 @@ class Symmetrized(SetExpr):
         default = self.base.fresh_abs_sup()
         overrides = {}
         for i in sorted(coords):
-            cap = _abs_coordinate_sup(self.base, i)
-            r = min(cap - abs(w.get(i)) for w in self.witnesses)
+            r = _abs_coordinate_sup(self.base, i) - max(abs(w.get(i)) for w in self.witnesses)
             overrides[i] = max(r, Fraction(0))
         return Box(default, tuple(overrides.items()))
 
@@ -1193,17 +1131,16 @@ class AbsConvHull(SetExpr):
       exposes (:meth:`_exposed`) and every witness is a member: w + d
       and w - d in A force d = 0.
 
-    Everything else is an LP with integer rows over ``_scale``, the lcm
-    of the generators' denominators. ``_lps`` keeps, per row layout, a
-    warm LP that answers membership and the values of symmetrized
-    extents, and per witness list a warm LP over the same rows that
-    returns vertices, at most HULL_LP_MEMO entries. It is private state,
-    like ``SparseVec._hash``: equal hulls built separately share nothing.
+    Everything else is an LP over integer rows. ``_lps`` keeps, per row
+    layout, a warm LP that answers membership and the values of
+    symmetrized extents, and per witness list a warm LP over the same
+    rows that returns vertices, at most HULL_LP_MEMO entries. It is
+    private state, like ``SparseVec._hash``: equal hulls built
+    separately share nothing.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
     points: tuple[SparseVec, ...]
-    _scale: int = field(init=False, repr=False, compare=False)
     _signed: frozenset = field(init=False, repr=False, compare=False)
     _lps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -1212,7 +1149,6 @@ class AbsConvHull(SetExpr):
         if not pts:
             raise InvalidInput("hull needs at least one generator")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_scale", lcm(*(v.denominator for p in pts for _, v in p.items())))
         object.__setattr__(self, "_signed", frozenset((ZERO, *pts, *(-p for p in pts))))
 
     def to_json(self) -> dict:
@@ -1245,38 +1181,37 @@ class AbsConvHull(SetExpr):
         Columns: the free vector ``d`` over ``coords`` when some ``sgn`` is
         nonzero, then a block per target of free generator weights and a
         slack. Rows: per target, one per coordinate, then the weights' l1
-        row (the weights' absolute values and the slack sum to one). All
-        over ``_scale``; :meth:`_rhs` gives the right-hand side.
+        row (the weights' absolute values and the slack sum to one).
+        :meth:`_rhs` gives the right-hand side. The weights are taken
+        over L, the scale of the generators' :func:`integer_rows`: a
+        weight column holds L times its generator, and L in the l1 row.
+        A positive column scale changes no pivot and no free value.
         """
 
         def build() -> exactlp.WarmLp:
-            scale = self._scale
+            scale, gens = integer_rows(self.points, coords)
             d_count = len(coords) if any(signs) else 0
             block = 2 * len(self.points) + 1
             rows: list[list[int]] = []
             for t, sgn in enumerate(signs):
                 before = [0] * (t * block)
                 after = [0] * ((len(signs) - t - 1) * block)
-                for pos, i in enumerate(coords):
+                for pos in range(len(coords)):
                     shift = [0] * (2 * d_count)
                     if sgn:
-                        shift[pos], shift[d_count + pos] = -sgn * scale, sgn * scale
-                    weights = [int(p.get(i) * scale) for p in self.points]
+                        shift[pos], shift[d_count + pos] = -sgn, sgn
+                    weights = [row[pos] for row in gens]
                     rows.append(shift + before + weights + [-a for a in weights] + [0] + after)
-                rows.append([0] * (2 * d_count) + before + [scale] * block + after)
+                rows.append([0] * (2 * d_count) + before + [scale] * (block - 1) + [1] + after)
             return exactlp.WarmLp(rows, 2 * d_count + len(signs) * block)
 
         return self._memo(("lp", coords, signs), build)
 
-    def _rhs(self, coords: tuple[int, ...], targets: Sequence[SparseVec]) -> list[Fraction]:
-        """The right-hand side of :meth:`_lp` for the target points, over
-        ``_scale``."""
-        scale = self._scale
-        rhs: list[Fraction] = []
-        for w in targets:
-            rhs.extend(scale * w.get(i) for i in coords)
-            rhs.append(Fraction(scale))
-        return rhs
+    @staticmethod
+    def _rhs(coords: tuple[int, ...], targets: Sequence[SparseVec]) -> list[Fraction]:
+        """The right-hand side of :meth:`_lp` for the target points: each
+        target's coordinates, then 1."""
+        return [x for w in targets for x in (*map(w.get, coords), 1)]
 
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
@@ -1602,12 +1537,26 @@ def _symmetric_pair_bound(top: Fraction, arg: SparseVec, kind: NormKind) -> Boun
     return BoundPair(value, value, lower_witness={"pair": [arg.to_json(), (-arg).to_json()]})
 
 
+def _pair_diameter(points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
+    """Exact diameter of ``points``, witnessed by its farthest pair (the
+    first of equal pairs in ``combinations`` order; a lone point is paired
+    with itself), by a scan of their integer rows over one scale."""
+    scale, rows = integer_rows(points)
+    best, pair = 0, (0, 0)
+    for (i, a), (j, b) in combinations(enumerate(rows), 2):
+        d = _int_norm(map(sub, a, b), kind)
+        if d > best:
+            best, pair = d, (i, j)
+    value = Fraction(best, _int_norm((scale,), kind))
+    wit = {"pair": [points[k].to_json() for k in pair]} if points else None
+    return BoundPair(value, value, lower_witness=wit)
+
+
 def _pool_lower(expr: SetExpr, kind: NormKind) -> tuple[Fraction, object]:
     """Certified lower end of the diameter and its witness pair, by the
     integer pair scan over :func:`sample_members`; a zero lower end
     carries no witness."""
-    members = sample_members(expr)
-    found = _IntTable(members).diameter(members, kind)
+    found = _pair_diameter(sample_members(expr), kind)
     return found.lower, found.lower_witness if found.lower > 0 else None
 
 
@@ -1637,14 +1586,12 @@ def free_direction(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind
 
 
 def _canonical_sign(d: SparseVec) -> SparseVec:
-    items = list(d.items())
-    if items and items[0][1] < 0:
-        return -d
-    return d
+    """``d`` or ``-d``, whichever has its first nonzero entry positive."""
+    return -d if d._nums and d._nums[min(d._nums)] < 0 else d
 
 
 # ---------------------------------------------------------------------------
-# difference sets (for sign-sum verification)
+# difference sets (for the one-sided sequence replay)
 
 
 def difference_set(expr: SetExpr) -> Optional[SetExpr]:

@@ -277,6 +277,18 @@ def test_validation_rejects_a_repeated_step_set():
     assert not report["ok"]
 
 
+def test_validation_rejects_a_raised_index_floor():
+    # the printed floor is what verify_basis_inequality reads: raised past
+    # the base set's certificate, it breaks the estimate the steps imply
+    t = extract_c0_sequence(Box(F(1)), F(1, 10), 3, NormKind.SUP)
+    assert validate_transcript(t)["ok"]
+    t.delta_lower_at_2N = F(5)
+    assert verify_basis_inequality(t, [1, 0, 0]) == (F(-39, 10), F(0))
+    report = validate_transcript(t)
+    assert all(entry[flag] for entry in report["steps"] for flag in extraction.STEP_FLAGS)
+    assert not report["ok"]
+
+
 def test_small_on_next_needs_near_sup():
     # -e_1 is 0 on A_2, but the step lemma bounds it there only through
     # near_sup, which fails: -e_1(x_1) = -1 is far below its sup 1

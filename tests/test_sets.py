@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -53,6 +54,7 @@ from symdex.bruteforce import brute_diameter, brute_symmetrized
 from symdex import exactlp
 from symdex.exactlp import INFEASIBLE
 from symdex import sets as sets_module
+from symdex.vectors import integer_rows
 from symdex.sets import (
     DEFAULT_ENUM_BUDGET,
     ENUM_CACHE_SIZE,
@@ -1244,7 +1246,7 @@ def test_witness_members_is_none_where_the_symmetrization_flattens():
 
 
 # ---------------------------------------------------------------------------
-# the integer table of a finite point set
+# the integer rows of a finite point set
 
 
 lattice_points = st.dictionaries(
@@ -1288,7 +1290,12 @@ def test_finite_point_table_matches_fraction_scans(points, data):
         want = reference_symmetrized_members(points, [w])
         got = enumerate_members(Symmetrized(points, (w,)))
         assert got == tuple(sorted(want, key=lambda d: d.sort_key()))
-    assert points._table is not None and twin._table is None
+    # the rows the scans read are the points times the lcm of their
+    # Fraction denominators, over the sorted union of their supports
+    scale, rows = integer_rows(pts)
+    coords = sorted({i for p in pts for i in p.support})
+    assert scale == math.lcm(*(x.denominator for p in pts for _, x in p.items()))
+    assert rows == [tuple(scale * p.get(i) for i in coords) for p in pts]
     assert (hash(points), set_to_json(points)) == before == (hash(twin), set_to_json(twin))
     assert points == twin == set_from_json(set_to_json(points))
 
@@ -1324,5 +1331,11 @@ def test_finite_point_scans_subtract_no_sparse_vectors(monkeypatch, kind):
         members = enumerate_members(Symmetrized(points, (w,)))
         assert members and len(calls) == len(members)
     parsed = set_from_json(set_to_json(points))
+    built = []
+    monkeypatch.setattr(
+        sets_module, "integer_rows", lambda *args, **kw: built.append(args) or integer_rows(*args, **kw)
+    )
     assert all(contains(parsed, p) for p in SIX_POINTS)
-    assert parsed._table is None  # membership, as oracle asks it, builds no table
+    assert not built  # membership, as oracle asks it, builds no rows
+    diameter(parsed, kind)
+    assert len(built) == 1  # the pair scan does

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +16,7 @@ from symdex import (
     as_scalar,
     dual_norm,
     dual_pair,
+    format_scalar,
     linear_combination,
     norm,
     unit,
@@ -173,7 +175,8 @@ def test_from_json_accumulates_a_repeated_coordinate_to_zero():
 # -- differential check of the arithmetic kernel ---------------------------
 #
 # Every result built by the trusted constructor must be indistinguishable
-# from the validating constructor applied to plain-dict arithmetic.
+# from the validating constructor applied to plain-dict arithmetic: the
+# same reduced fields, hash, Fraction view and JSON.
 
 raw_vecs = st.dictionaries(coords, small_fractions, max_size=5)
 
@@ -201,20 +204,35 @@ def reference(terms) -> SparseVec:
     return SparseVec(acc)
 
 
+def assert_fields(v: SparseVec) -> None:
+    """The class invariant: a positive int denominator and nonzero int
+    numerators at positive int coordinates, with no common factor."""
+    assert type(v._den) is int and v._den > 0
+    assert all(type(i) is int and i > 0 and type(n) is int and n != 0 for i, n in v._nums.items())
+    assert gcd(v._den, *v._nums.values()) == 1
+    assert v._den == 1 or v._nums
+
+
 def assert_same_vector(result: SparseVec, expected: SparseVec) -> None:
+    assert_fields(result)
     assert result == expected
-    assert hash(result) == hash(expected) == hash(tuple(sorted(dict(expected.items()).items())))
+    # every way of building an equal vector gives the same fields and hash
+    for twin in (expected, SparseVec(dict(expected.items())), SparseVec.from_json(expected.to_json())):
+        assert (result._den, result._nums) == (twin._den, twin._nums)
+        assert hash(result) == hash(twin)
     assert list(result.items()) == list(expected.items())
     assert result.sort_key() == expected.sort_key()
     assert result.support == expected.support
     assert result.max_support == expected.max_support
     assert result.is_zero == (not expected.support)
-    assert all(type(x) is F and x != 0 for x in result._entries.values())
-    assert list(result.items()) == sorted(result._entries.items())
+    assert all(type(x) is F and x != 0 for _, x in result.items())
+    assert list(result.items()) == sorted((i, F(n, result._den)) for i, n in result._nums.items())
+    # JSON keys in coordinate order, values as format_scalar writes them
+    assert list(result.to_json().items()) == [(str(i), format_scalar(x)) for i, x in result.items()]
 
 
 def snapshot(v: SparseVec):
-    return tuple(v.items()), dict(v._entries), hash(v)
+    return tuple(v.items()), v._den, dict(v._nums), hash(v)
 
 
 @given(cancelling_pairs(), small_fractions)
