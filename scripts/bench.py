@@ -30,7 +30,9 @@ below), ``WarmLp.maximum`` and ``WarmLp.feasible`` calls and phase-1 runs
 ``hull_lp`` benchmark catalogue (``perfbench/hull_catalogue.json``),
 each on new hulls with an empty enumeration cache, in all and per hull
 shape, with the sets they build (calls of ``symmetrize_reduce`` on
-every set class, nested calls included).
+every set class, nested calls included) and the ``Fraction``s built
+(calls of ``Fraction.__new__``, wrapped here for the length of a
+request; the request's input parsing included).
 
 Finite lattice: the ``symmetrize_reduce`` calls and scored witness lists
 of FINITE_LATTICE_PASSES passes (24 requests each) of the
@@ -317,11 +319,11 @@ def load_workloads():
 
 
 def measure_catalogue() -> dict:
-    """Pivots, cells, scored witness lists, warm LP calls and phase-1 runs
-    of every request of the hull_lp catalogue, each run as
-    ``perfbench/workloads.py`` runs it, on new hulls with an empty
-    enumeration cache, in all and per hull shape (the catalogue's
-    ``shape``: coordinates, generators and norm)."""
+    """Pivots, cells, scored witness lists, warm LP calls, phase-1 runs
+    and ``Fraction`` constructions of every request of the hull_lp
+    catalogue, each run as ``perfbench/workloads.py`` runs it, on new
+    hulls with an empty enumeration cache, in all and per hull shape
+    (the catalogue's ``shape``: coordinates, generators and norm)."""
     import symdex
     from symdex import exactlp, indexes, sets
 
@@ -332,20 +334,22 @@ def measure_catalogue() -> dict:
     lp_calls = ("maximum_calls", "feasible_calls", "phase1_runs")
 
     def empty() -> dict:
-        return {"requests": 0, "scored_lists": 0, "symmetrize_reduce_calls": 0, **dict.fromkeys(lp_calls, 0),
-                "counts": [0, 0, 0, 0]}
+        return {"requests": 0, "scored_lists": 0, "symmetrize_reduce_calls": 0, "fractions": 0,
+                **dict.fromkeys(lp_calls, 0), "counts": [0, 0, 0, 0]}
 
     total, shapes = empty(), {}
     for instance in instances:
         cache.clear()
         counts = lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance))
         cache.clear()
-        scored, *calls = count_calls(lambda: workloads.hull_request(lib, instance), (indexes, "_score"),
-                                     (exactlp.WarmLp, "maximum"), (exactlp.WarmLp, "feasible"),
-                                     (exactlp, "_feasible_basis"), *set_builds(sets))
+        scored, fractions, *calls = count_calls(
+            lambda: workloads.hull_request(lib, instance), (indexes, "_score"), (Fraction, "__new__"),
+            (exactlp.WarmLp, "maximum"), (exactlp.WarmLp, "feasible"), (exactlp, "_feasible_basis"),
+            *set_builds(sets))
         for row in (total, shapes.setdefault(instance["shape"], empty())):
             row["requests"] += 1
             row["scored_lists"] += scored
+            row["fractions"] += fractions
             row["symmetrize_reduce_calls"] += sum(calls[len(lp_calls):])
             for name, count in zip(lp_calls, calls):
                 row[name] += count
@@ -709,12 +713,14 @@ def main(argv=None) -> int:
               + f"{row['delta_upper_cells']:>16}")
     catalogue = measure_catalogue()
     print(f"\n{'hull_lp shape':<14}{'requests':>10}{'lists':>8}{'pivots':>18}{'cells':>10}{'max':>7}{'feas':>7}"
-          f"{'ph-1':>7}{'builds':>8}   (scored witness lists, phase-1/phase-2/dual pivots, tableau cells, "
-          "WarmLp.maximum and WarmLp.feasible calls, phase-1 runs and symmetrize_reduce calls over the catalogue)")
+          f"{'ph-1':>7}{'builds':>8}{'Fractions':>11}   (scored witness lists, phase-1/phase-2/dual pivots, "
+          "tableau cells, WarmLp.maximum and WarmLp.feasible calls, phase-1 runs, symmetrize_reduce calls and "
+          "Fraction constructions over the catalogue)")
     for name, row in [*catalogue["shapes"].items(), ("all", catalogue)]:
         print(f"{name:<14}{row['requests']:>10}{row['scored_lists']:>8}"
               f"{'/'.join(map(str, row['pivots'])):>18}{row['cells']:>10}{row['maximum_calls']:>7}"
-              f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}{row['symmetrize_reduce_calls']:>8}")
+              f"{row['feasible_calls']:>7}{row['phase1_runs']:>7}{row['symmetrize_reduce_calls']:>8}"
+              f"{row['fractions']:>11}")
     lattice = measure_finite_lattice()
     print(f"\nfinite_lattice seed {lattice['seed']}: {lattice['requests']} requests, "
           f"{lattice['symmetrize_reduce_calls']} symmetrize_reduce calls, {lattice['scored_lists']} scored lists")
@@ -749,9 +755,9 @@ def main(argv=None) -> int:
                       "[phase 1, phase 2, warm dual] and cells as the rows x columns those pivots update, "
                       "summed over lp_hulls hulls, as are delta_upper_contains_lps",
                 "catalogue": "scored witness lists, pivots as [phase 1, phase 2, warm dual] and the cells they "
-                             "update, WarmLp.maximum and WarmLp.feasible calls, phase-1 runs and "
-                             "symmetrize_reduce calls, summed over every request of "
-                             "perfbench/hull_catalogue.json and per shape",
+                             "update, WarmLp.maximum and WarmLp.feasible calls, phase-1 runs, "
+                             "symmetrize_reduce calls and Fraction constructions, summed over every request "
+                             "of perfbench/hull_catalogue.json and per shape",
                 "finite_lattice": "symmetrize_reduce calls and scored witness lists summed over the requests "
                                   "of the finite_lattice workload's first passes at its seed",
                 "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists, "

@@ -75,12 +75,13 @@ def decimal_string(value: Fraction, digits: int) -> str:
 # replay checks
 
 
-def check_entry(entry: dict, parsed: dict[str, sets.SetExpr]) -> bool:
+def check_entry(entry: dict, parsed: dict) -> bool:
     """Re-verify one replay entry with membership and exact arithmetic.
 
-    ``parsed`` maps the compact sorted JSON of each ``contains`` set seen
-    so far in this replay to its ``SetExpr``, so each distinct set is
-    parsed once.
+    ``parsed`` is the replay's parse table: it maps the compact sorted
+    JSON of each ``contains`` set seen so far to its ``SetExpr``, and the
+    items of each vector (:func:`_vector`) to its ``SparseVec``, so each
+    distinct set and vector is parsed once.
     """
     if not isinstance(entry, dict):
         raise InvalidInput("a replay entry must be a JSON object")
@@ -90,37 +91,43 @@ def check_entry(entry: dict, parsed: dict[str, sets.SetExpr]) -> bool:
         expr = parsed.get(key)
         if expr is None:
             expr = parsed[key] = sets.set_from_json(entry["set"])
-        v = SparseVec.from_json(entry["vector"])
+        v = _vector(entry["vector"], parsed)
         expected = entry.get("expected", True)
         if not isinstance(expected, bool):
             raise InvalidInput("a contains entry's expected value must be true or false")
         return sets.contains(expr, v) == expected
     if kind in ("norm_ge", "norm_le"):
-        v = SparseVec.from_json(entry["vector"])
+        v = _vector(entry["vector"], parsed)
         value = norm(v, NormKind.parse(entry["norm"]))
         threshold = as_scalar(entry["threshold"])
         return value >= threshold if kind == "norm_ge" else value <= threshold
     if kind == "dual_norm_eq":
-        f = SparseVec.from_json(entry["functional"])
+        f = _vector(entry["functional"], parsed)
         return dual_norm(f, NormKind.parse(entry["norm"])) == as_scalar(entry["value"])
-    if kind == "dual_pair_eq":
-        f = SparseVec.from_json(entry["functional"])
-        v = SparseVec.from_json(entry["vector"])
-        return dual_pair(f, v) == as_scalar(entry["value"])
-    if kind == "dual_pair_gt":
-        f = SparseVec.from_json(entry["functional"])
-        v = SparseVec.from_json(entry["vector"])
-        return dual_pair(f, v) > as_scalar(entry["value"])
+    if kind in ("dual_pair_eq", "dual_pair_gt"):
+        pair = dual_pair(_vector(entry["functional"], parsed), _vector(entry["vector"], parsed))
+        value = as_scalar(entry["value"])
+        return pair == value if kind == "dual_pair_eq" else pair > value
     if kind == "midpoint":
-        parent = SparseVec.from_json(entry["parent"])
-        left = SparseVec.from_json(entry["left"])
-        right = SparseVec.from_json(entry["right"])
+        parent, left, right = (_vector(entry[name], parsed) for name in ("parent", "left", "right"))
         return (left + right).scale(Fraction(1, 2)) == parent
     if kind == "scalar_le":
         return as_scalar(entry["left"]) <= as_scalar(entry["right"])
     if kind == "scalar_lt":
         return as_scalar(entry["left"]) < as_scalar(entry["right"])
     raise InvalidInput(f"unknown replay check kind {kind!r}")
+
+
+def _vector(obj, parsed: dict) -> SparseVec:
+    """``SparseVec.from_json(obj)``, kept in ``parsed`` under its items when every
+    entry is a string, as reports write them (``1`` and ``1.0`` would share a key)."""
+    if not isinstance(obj, dict) or not all(type(value) is str for value in obj.values()):
+        return SparseVec.from_json(obj)
+    key = tuple(obj.items())
+    v = parsed.get(key)
+    if v is None:
+        v = parsed[key] = SparseVec.from_json(obj)
+    return v
 
 
 def verify_replay(report: dict) -> list[int]:
@@ -130,7 +137,7 @@ def verify_replay(report: dict) -> list[int]:
     entries = report.get("replay")
     if not isinstance(entries, list):
         raise InvalidInput("a report needs a replay list")
-    parsed: dict[str, sets.SetExpr] = {}
+    parsed: dict = {}
     return [pos for pos, entry in enumerate(entries) if not check_entry(entry, parsed)]
 
 

@@ -3,13 +3,13 @@
 Problems here are tiny (hull memberships, unit-dual-ball functional
 searches), so a plain tableau with Bland's anti-cycling rule is plenty.
 
-The engine works on integer rows ``A`` and an integer right-hand side
-``b``. Its tableau is fraction-free: every pivot is a Bareiss (integer-
+The engine works on integers: rows ``A``, a right-hand side ``b`` and a
+cost. Its tableau is fraction-free: every pivot is a Bareiss (integer-
 preserving) step, so each row ``T`` stands for ``T / det`` with one
-common denominator ``det``, the basis determinant. Positive row and
-column scales change no Bland pivot, so every scale gives the same
-pivots and the same rational results. Only results become ``Fraction``s
-again; optima are exact.
+common denominator ``det``, the basis determinant. Positive scales of
+rows, columns, ``b`` or the cost change no Bland pivot, so ``b`` times
+L and the cost times M give the vertex times L and the optimum times
+L*M, as integers over ``det``. ``solve_lp`` is the one rational entry.
 
 Standard form: maximize c.x subject to A x = b, x >= 0.
 
@@ -29,8 +29,8 @@ starts from, but the vertex it ends at does. So ``maximum`` returns the
 vertex ``x`` only while every ``b`` the LP has been given equals the
 first: until then its pivots are those of a cold two-phase solve, and
 ``x`` is the Bland vertex. Once another ``b`` arrives, ``x`` is None
-for good. ``solve_lp`` scales ``Fraction`` rows ``[A | b]`` to integers
-and maximizes on a fresh ``WarmLp``.
+for good. ``solve_lp`` scales ``Fraction`` rows ``[A | b]`` and the
+objective to integers and maximizes on a fresh ``WarmLp``.
 
 A free (sign-unrestricted) vector enters a problem as ``u - w``:
 ``free_columns`` writes its coefficients and ``free_value`` reads it back.
@@ -53,22 +53,18 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LpResult:
+    """The optimum ``value`` and vertex ``x`` over ``den``: integers over
+    ``det`` from ``WarmLp.maximum``, ``Fraction``s over 1 from ``solve_lp``."""
     status: str
-    x: list[Fraction] | None
-    value: Fraction | None
+    x: list | None
+    value: int | Fraction | None
+    den: int = 1
 
 
 def _integers(values, scale: int) -> list[int]:
     """``scale * v`` for each rational ``v``; ``scale`` is a multiple of
     every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integers over the lcm of their denominators, and
-    that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return _integers(values, scale), scale
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
@@ -217,35 +213,29 @@ def _dual_simplex(state: _Basis, n: int, objective: bool) -> bool:
 
 class WarmLp:
     """``A x = b``, ``x >= 0`` over one integer matrix ``A`` with ``n``
-    columns, solved for one rational right-hand side ``b`` after another.
+    columns, solved for one integer right-hand side ``b`` after another.
 
     It keeps the last basis found feasible and, per objective, the last
     basis found optimal. A new ``b`` starts from that basis; only the
     first ``b`` runs phase 1. ``feasible`` is whether ``b`` is feasible,
-    and ``maximum`` the optimum value, with the vertex ``x`` only while
-    every ``b`` given so far equals the first.
+    and ``maximum`` the optimum value of an integer cost, with the vertex
+    ``x`` only while every ``b`` given so far equals the first.
     """
 
     def __init__(self, rows: list[list[int]], n: int):
         self.rows, self.n = rows, n
         self._feasible: Optional[_Basis] = None
-        # per objective: its optimal basis and the objective over integers
-        self._optimal: dict[tuple[Fraction, ...], tuple[_Basis, list[int], int]] = {}
-        self._first: Optional[tuple[list[int], int]] = None
+        self._optimal: dict[tuple[int, ...], _Basis] = {}  # per cost, its optimal basis
+        self._first: Optional[list[int]] = None
         self._vertex = True
 
-    def _given(self, rhs: Sequence[Fraction]) -> tuple[list[int], int]:
-        """``rhs`` over integers and its scale (``_scaled``, which is one
-        per rational vector); a ``rhs`` other than the first ends the
-        vertex answers."""
-        scaled = _scaled(rhs)
+    def _given(self, b: Sequence[int]) -> None:
+        """Note ``b``; a ``b`` other than the first ends the vertex answers."""
         if self._first is None:
-            self._first = scaled
-        elif self._vertex and scaled != self._first:
-            self._vertex = False
-        return scaled
+            self._first = list(b)
+        self._vertex = self._vertex and b == self._first
 
-    def _load(self, state: _Basis, b: list[int]) -> bool:
+    def _load(self, state: _Basis, b: Sequence[int]) -> bool:
         """Set ``det * B^-1 b`` as the right-hand side of ``state``; False
         when a redundant row's entry is not 0."""
         n, rows = self.n, len(state.basis)
@@ -256,9 +246,10 @@ class WarmLp:
                 return False
         return True
 
-    def feasible(self, rhs: Sequence[Fraction]) -> bool:
-        """Whether ``A x = rhs`` has a solution ``x >= 0``."""
-        return self._feasible_for(self._given(rhs)[0])
+    def feasible(self, b: list[int]) -> bool:
+        """Whether ``A x = b`` has a solution ``x >= 0``."""
+        self._given(b)
+        return self._feasible_for(b)
 
     def _feasible_for(self, b: list[int]) -> bool:
         state = self._feasible
@@ -276,44 +267,44 @@ class WarmLp:
             return True
         return self._load(state, b) and _dual_simplex(state, self.n, False)
 
-    def maximum(self, rhs: Sequence[Fraction], cost: Sequence[Fraction]) -> LpResult:
-        """The optimum of ``cost . x`` over ``A x = rhs``, ``x >= 0``, and
-        the vertex ``x`` while every right-hand side so far is ``rhs``."""
-        b, scale = self._given(rhs)
+    def maximum(self, b: list[int], cost: Sequence[int]) -> LpResult:
+        """The optimum of ``cost . x`` over ``A x = b``, ``x >= 0``, and
+        the vertex ``x`` while every right-hand side so far is ``b``,
+        as integer numerators over ``det``."""
+        self._given(b)
         key = tuple(cost)
-        found = self._optimal.get(key)
-        if found is None:
+        state = self._optimal.get(key)
+        if state is None:
             if not self._feasible_for(b):
                 return LpResult(INFEASIBLE, None, None)
-            c, cost_scale = _scaled(key)
             state = self._feasible.copy()
-            _with_reduced_costs(state.tableau, state.basis, c, state.det)
+            _with_reduced_costs(state.tableau, state.basis, key, state.det)
             det = _simplex(state.tableau, state.basis, self.n, state.det)
             if det is None:
                 return LpResult(UNBOUNDED, None, None)
             state.det = det
-            self._optimal[key] = state, c, cost_scale
+            self._optimal[key] = state
         else:
-            state, c, cost_scale = found
             if not self._load(state, b):
                 return LpResult(INFEASIBLE, None, None)
             state.tableau[-1][-1] = -sum(
-                c[col] * line[-1] for col, line in zip(state.basis, state.tableau) if col < self.n
+                key[col] * line[-1] for col, line in zip(state.basis, state.tableau) if col < self.n
             )
             if not _dual_simplex(state, self.n, True):
                 return LpResult(INFEASIBLE, None, None)
-        x, den = None, state.det * scale
+        x = None
         if self._vertex:
-            x = [Fraction(0)] * self.n
+            x = [0] * self.n
             for line, col in zip(state.tableau, state.basis):
                 if col < self.n:
-                    x[col] = Fraction(line[-1], den)
-        return LpResult(OPTIMAL, x, Fraction(-state.tableau[-1][-1], den * cost_scale))
+                    x[col] = line[-1]
+        return LpResult(OPTIMAL, x, -state.tableau[-1][-1], state.det)
 
 
 def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
     """Maximize ``objective . x`` subject to ``a_eq x = b_eq``, ``x >= 0``,
-    scaling ``[a_eq | b_eq]`` to integers by the lcm of its denominators."""
+    scaling ``[a_eq | b_eq]`` and ``objective`` to integers by the lcm of
+    their denominators; ``x`` and the optimum are ``Fraction``s."""
     n = len(objective)
     for row in a_eq:
         if len(row) != n:
@@ -321,16 +312,22 @@ def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[F
     if len(b_eq) != len(a_eq):
         raise InvalidInput("inconsistent LP right-hand side")
     scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
-    return WarmLp([_integers(row, scale) for row in a_eq], n).maximum(_integers(b_eq, scale), objective)
+    cost_scale = lcm(*(c.denominator for c in objective))
+    res = WarmLp([_integers(row, scale) for row in a_eq], n).maximum(
+        _integers(b_eq, scale), _integers(objective, cost_scale))
+    if res.status != OPTIMAL:
+        return res
+    return LpResult(OPTIMAL, [Fraction(v, res.den) for v in res.x], Fraction(res.value, res.den * cost_scale))
 
 
-def free_columns(coeffs: list[Fraction]) -> list[Fraction]:
+def free_columns(coeffs: list) -> list:
     """Columns of a free vector written ``u - w`` with ``u, w >= 0``: the
-    coefficients on ``u``, then their negatives on ``w``."""
+    coefficients (integers or rationals) on ``u``, then their negatives
+    on ``w``."""
     return list(coeffs) + [-c for c in coeffs]
 
 
-def free_value(x: list[Fraction], count: int) -> list[Fraction]:
+def free_value(x: list, count: int) -> list:
     """The free vector ``u - w`` of a point whose first ``2 * count``
-    columns are ``free_columns`` ones."""
+    columns are ``free_columns`` ones, over the point's denominator."""
     return [x[c] - x[count + c] for c in range(count)]

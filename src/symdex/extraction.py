@@ -18,8 +18,9 @@ from math import isqrt
 from operator import sub
 from typing import Optional, Sequence
 
-from . import exactlp
+from . import exactlp, sets
 from .errors import (
+    BudgetExceeded,
     ExtractionStalled,
     Inconclusive,
     InvalidInput,
@@ -268,10 +269,7 @@ def extract_c0_sequence(
         raise InvalidInput("extraction needs N >= 1")
     eta = eps / 3
     start = _default_start(expr) if x0 is None else x0
-    if not contains(expr, start):
-        raise WitnessNotMember("starting point is not a member of the set")
-
-    current = symmetrize(expr, [start])
+    current = symmetrize(expr, [start])  # raises WitnessNotMember for a non-member start
     steps: list[TranscriptStep] = []
     # the index floor at every 2^n: delta_lower does not depend on its N
     floor = expr.lower_certificate(kind).plain_value
@@ -499,7 +497,6 @@ def build_eps_tree(
     epsilon: ScalarLike,
     depth: int,
     kind: NormKind,
-    x0: Optional[SparseVec] = None,
 ) -> EpsTree:
     """Grow a dyadic tree of the given depth (levels) inside the set.
 
@@ -518,10 +515,7 @@ def build_eps_tree(
     total = 2 ** depth - 1
     internal = 2 ** (depth - 1) - 1
     arr: list[Optional[SparseVec]] = [None] * (total + 1)
-    root = _default_start(expr) if x0 is None else x0
-    if not contains(expr, root):
-        raise WitnessNotMember("tree root is not a member of the set")
-    arr[1] = root
+    arr[1] = _default_start(expr)
     threshold = as_length(eps, kind)
     for n in range(1, internal + 1):
         u = free_direction(expr, [arr[n]], kind)
@@ -548,7 +542,6 @@ def one_sided_sequence(
     epsilon: ScalarLike,
     steps: int,
     kind: NormKind,
-    x0: Optional[SparseVec] = None,
 ) -> list[SparseVec]:
     """Vectors of norm >= epsilon whose sign sums stay in the difference set.
 
@@ -557,20 +550,22 @@ def one_sided_sequence(
     is checked to be a member. So the family {x_0 + sum_{k in S} x_k}
     lies in the set, and each partial sign sum +-x_1 +- ... +-x_m, the
     family member of its + terms minus that of its - terms, lies in the
-    difference set A - A; its norm is at most diam A.
+    difference set A - A; its norm is at most diam A. Raises
+    :class:`BudgetExceeded` before a step whose family could pass
+    ``sets.DEFAULT_ENUM_BUDGET`` members.
     """
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
     if steps < 1:
         raise InvalidInput("steps must be at least 1")
-    start = _default_start(expr) if x0 is None else x0
-    if not contains(expr, start):
-        raise WitnessNotMember("starting point is not a member of the set")
-    family: list[SparseVec] = [start]
+    family: list[SparseVec] = [_default_start(expr)]
     out: list[SparseVec] = []
     threshold = as_length(eps, kind)
     for n in range(1, steps + 1):
+        if 2 * len(family) > sets.DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded(f"step {n} would grow the one-sided family past the enumeration budget "
+                                 f"of {sets.DEFAULT_ENUM_BUDGET} members")
         d = expr.one_sided_direction(family, threshold, kind)
         if d is None:
             raise SequenceStalled(n, out)

@@ -65,6 +65,7 @@ from .vectors import (
     unit,
     _add_into,
     _int_norm,
+    _reduced,
 )
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -1162,7 +1163,8 @@ class AbsConvHull(SetExpr):
         if v in self._signed:
             return True
         coords = tuple(sorted(self.relevant_coords() | set(v.support)))
-        return self._lp(coords, (0,)).feasible(self._rhs(coords, [v]))
+        scale, (row,) = integer_rows([v], coords)
+        return self._lp(coords, (0,)).feasible([*row, scale])
 
     def _memo(self, key: tuple, build):
         """The memo entry ``key``, built by ``build()`` when missing; the
@@ -1182,10 +1184,11 @@ class AbsConvHull(SetExpr):
         nonzero, then a block per target of free generator weights and a
         slack. Rows: per target, one per coordinate, then the weights' l1
         row (the weights' absolute values and the slack sum to one).
-        :meth:`_rhs` gives the right-hand side. The weights are taken
-        over L, the scale of the generators' :func:`integer_rows`: a
-        weight column holds L times its generator, and L in the l1 row.
-        A positive column scale changes no pivot and no free value.
+        The right-hand side is each target's :func:`integer_rows` row
+        over the lcm K of the targets' denominators, then K. The weights
+        are taken over L, the scale of the generators' rows: a weight
+        column holds L times its generator, and L in the l1 row. A
+        positive column scale changes no pivot and no free value.
         """
 
         def build() -> exactlp.WarmLp:
@@ -1206,12 +1209,6 @@ class AbsConvHull(SetExpr):
             return exactlp.WarmLp(rows, 2 * d_count + len(signs) * block)
 
         return self._memo(("lp", coords, signs), build)
-
-    @staticmethod
-    def _rhs(coords: tuple[int, ...], targets: Sequence[SparseVec]) -> list[Fraction]:
-        """The right-hand side of :meth:`_lp` for the target points: each
-        target's coordinates, then 1."""
-        return [x for w in targets for x in (*map(w.get, coords), 1)]
 
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
@@ -1243,33 +1240,33 @@ class AbsConvHull(SetExpr):
 
     def _symmetrized(
         self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], vertex: bool
-    ) -> tuple[exactlp.WarmLp, list[Fraction]]:
-        """The LP over the symmetrization at the witnesses and its
-        right-hand side; ``coords`` covers the generators and witnesses.
-        With ``vertex`` it is an LP over the same rows kept for this
-        witness list alone, so it is only ever given this right-hand side
-        and returns vertices."""
+    ) -> tuple[exactlp.WarmLp, list[int], int]:
+        """The LP over the symmetrization at the witnesses, its right-hand
+        side and that side's scale K (see :meth:`_lp`); ``coords`` covers
+        the generators and witnesses. With ``vertex`` it is an LP over the
+        same rows kept for this witness list alone, so it is only ever
+        given this right-hand side and returns vertices."""
         lp = layout = self._lp(coords, (1, -1) * len(witnesses))
         if vertex:
             lp = self._memo(("vertex", coords, witnesses), lambda: exactlp.WarmLp(layout.rows, layout.n))
-        return lp, self._rhs(coords, [w for w in witnesses for _ in (1, -1)])
+        scale, rows = integer_rows([w for w in witnesses for _ in (1, -1)], coords)
+        return lp, [x for row in rows for x in (*row, scale)], scale
 
     @staticmethod
-    def _symmetrized_max(
-        lp: exactlp.WarmLp, rhs: list[Fraction], objective: Sequence[Fraction]
-    ) -> exactlp.LpResult:
-        """Exact max of a linear objective (its coefficients on the
-        ``coords`` of :meth:`_symmetrized`) over the symmetrization."""
+    def _symmetrized_max(lp: exactlp.WarmLp, b: list[int], objective: Sequence[int]) -> exactlp.LpResult:
+        """Exact max over the symmetrization of an integer objective (its
+        coefficients on the ``coords`` of :meth:`_symmetrized`), on ``b``'s scale."""
         obj = exactlp.free_columns(list(objective))
-        res = lp.maximum(rhs, obj + [0] * (lp.n - len(obj)))
+        res = lp.maximum(b, obj + [0] * (lp.n - len(obj)))
         if res.status != exactlp.OPTIMAL:
             raise WitnessNotMember("hull symmetrization witnesses are not all members")
         return res
 
     @staticmethod
-    def _free_point(coords: tuple[int, ...], x: list[Fraction]) -> SparseVec:
-        """The member ``d`` of a vertex of :meth:`_symmetrized`."""
-        return SparseVec(dict(zip(coords, exactlp.free_value(x, len(coords)))))
+    def _free_point(coords: tuple[int, ...], res: exactlp.LpResult, scale: int) -> SparseVec:
+        """The member ``d`` of the vertex of ``res``, whose ``b`` has scale ``scale``."""
+        d = {i: n for i, n in zip(coords, exactlp.free_value(res.x, len(coords))) if n}
+        return SparseVec._canonical(*_reduced(res.den * scale, d))
 
     @staticmethod
     def _extent_objectives(coords: tuple[int, ...], kind: NormKind) -> Iterable[tuple[int, ...]]:
@@ -1302,22 +1299,24 @@ class AbsConvHull(SetExpr):
         if not coords:
             return _symmetric_pair_bound(Fraction(0), ZERO, kind)
         objectives = self._extent_objectives(coords, kind)
-        lp, rhs = self._symmetrized(sym.witnesses, coords, vertex)
+        lp, b, scale = self._symmetrized(sym.witnesses, coords, vertex)
         best, arg = Fraction(0), None
         for objective in objectives:
-            res = self._symmetrized_max(lp, rhs, objective)
-            if res.value > best:
-                best, arg = res.value, res.x
+            res = self._symmetrized_max(lp, b, objective)
+            value = Fraction(res.value, res.den * scale)
+            if value > best:
+                best, arg = value, res
         if best > 0 and not vertex:
             return BoundPair(Fraction(0), double_length(best, kind))
         # with no positive value the vertex is zero
-        return _symmetric_pair_bound(best, ZERO if arg is None else self._free_point(coords, arg), kind)
+        return _symmetric_pair_bound(best, ZERO if arg is None else self._free_point(coords, arg, scale), kind)
 
     def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
         coords = tuple(sorted(relevant_coords(sym) | set(f.support)))
-        res = self._symmetrized_max(*self._symmetrized(sym.witnesses, coords, True), [f.get(i) for i in coords])
-        arg = self._free_point(coords, res.x)
-        return BoundPair(res.value, res.value, lower_witness={"point": arg.to_json()})
+        lp, b, scale = self._symmetrized(sym.witnesses, coords, True)
+        res = self._symmetrized_max(lp, b, [f._nums.get(i, 0) for i in coords])
+        value = Fraction(res.value, res.den * scale * f._den)
+        return BoundPair(value, value, lower_witness={"point": self._free_point(coords, res, scale).to_json()})
 
 
 # ---------------------------------------------------------------------------

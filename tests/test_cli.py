@@ -17,6 +17,7 @@ from symdex.cli import (
 )
 from symdex.extraction import MAX_TREE_DEPTH
 from symdex.sets import MAX_SET_DEPTH
+from symdex.vectors import SparseVec
 
 BOX_OVERRIDE = {"type": "box", "default_radius": "1", "overrides": {"1": "2"}}
 PLAIN_BOX = {"type": "box", "default_radius": "1", "overrides": {}}
@@ -337,6 +338,18 @@ def test_budget_exit_code(tmp_path):
     assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_BUDGET
 
 
+def test_one_sided_family_past_the_enumeration_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # the family doubles per step: 1, 2, 4 members before steps 1-3, so
+    # step 3 would grow it to 8, past a budget of 4
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    out = tmp_path / "seq.json"
+    monkeypatch.setattr(sets, "DEFAULT_ENUM_BUDGET", 4)
+    assert main(["one_sided", "--in", infile, "--out", str(out), "--epsilon", "1", "--n", "2"]) == EXIT_OK
+    assert main(["one_sided", "--in", infile, "--out", str(out), "--epsilon", "1", "--n", "3"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("symdex: budget exhausted:") and "enumeration budget of 4" in err
+
+
 def test_decimal_string_rounding():
     assert decimal_string(F(1, 3), 4) == "0.3333"
     assert decimal_string(F(-1, 2), 1) == "-0.5"
@@ -457,6 +470,40 @@ def test_oracle_parses_each_distinct_set_once(tmp_path, monkeypatch):
     assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
     assert json.loads(verdict.read_text())["result"] == {"checked": len(replay), "failed": []}
     assert len(parses) == len(distinct)
+
+
+def test_oracle_parses_each_distinct_vector_once(tmp_path, monkeypatch):
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    report, verdict = tmp_path / "report.json", tmp_path / "verdict.json"
+    assert main(["tree", "--in", infile, "--out", str(report), "--epsilon", "1", "--depth", "5"]) == EXIT_OK
+    replay = json.loads(report.read_text())["replay"]
+    fields = [entry[name] for entry in replay for name in ("vector", "functional", "parent", "left", "right")
+              if name in entry]
+    distinct = {json.dumps(obj, sort_keys=True) for obj in fields}
+    assert len(fields) > len(distinct)
+    parses = []
+    parse = SparseVec.from_json
+    monkeypatch.setattr(SparseVec, "from_json", lambda obj: parses.append(obj) or parse(obj))
+    assert main(["oracle", "--in", str(report), "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"checked": len(replay), "failed": []}
+    assert len(parses) == len(distinct)
+
+
+@pytest.mark.parametrize(
+    "good_vector, bad_vector",
+    [({"1": "1"}, {"1": ["1"]}), ({"1": 1}, {"1": 1.0}), ({"1": "1"}, ["1"]), ({"1": "1"}, {"0": "1"})],
+    ids=["unhashable_value", "float_after_int", "not_an_object", "coordinate_0"],
+)
+def test_oracle_rejects_a_malformed_vector_after_a_cached_one(tmp_path, capsys, good_vector, bad_vector):
+    good = {"kind": "norm_ge", "vector": good_vector, "norm": "sup", "threshold": "1"}
+    bad = {**good, "vector": bad_vector}
+    report = write(tmp_path / "report.json", {"replay": [good, good, bad]})
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", report, "--out", str(verdict)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("symdex: invalid input:")
+    assert "Traceback" not in err
+    assert not verdict.exists()
 
 
 @pytest.mark.parametrize(

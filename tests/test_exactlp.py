@@ -122,11 +122,29 @@ def _outcome(res):
     return res.status, res.value, res.x
 
 
+def integers(values):
+    """Rationals over the lcm L of their denominators as integers, and L."""
+    scale = lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values], scale
+
+
+def rational(res, cost_scale=1):
+    """``_outcome`` of a ``WarmLp.maximum`` result in ``Fraction``s: ``x``
+    and the optimum over ``res.den``, the optimum also over the scale of
+    its integer cost. An optimum comes as integers over a positive ``den``."""
+    if res.status == OPTIMAL:
+        assert type(res.value) is int and type(res.den) is int and res.den > 0
+        assert res.x is None or all(type(v) is int for v in res.x)
+    x = None if res.x is None else [F(v, res.den) for v in res.x]
+    value = None if res.value is None else F(res.value, res.den * cost_scale)
+    return res.status, value, x
+
+
 def integer_lp(rows, rhs, n):
     """A ``WarmLp`` over ``rows`` scaled to integers as ``solve_lp``
     scales them (one lcm over ``[A | b]``), and the scaled ``rhs``."""
     scale = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
-    return WarmLp([[int(a * scale) for a in row] for row in rows], n), [b * scale for b in rhs]
+    return WarmLp([[int(a * scale) for a in row] for row in rows], n), [int(b * scale) for b in rhs]
 
 
 def feasible_start(rows, rhs, n):
@@ -179,7 +197,8 @@ def test_objectives_at_one_rhs_leave_the_start_unchanged(lp, data):
     state = warm._feasible
     snapshot = ([list(row) for row in state.tableau], list(state.basis), state.det)
     for objective in data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=5)):
-        assert _outcome(warm.maximum(b, objective)) == _outcome(solve_lp(objective, rows, rhs))
+        cost, cost_scale = integers(objective)
+        assert rational(warm.maximum(b, cost), cost_scale) == _outcome(solve_lp(objective, rows, rhs))
         assert (state.tableau, state.basis, state.det) == snapshot
 
 
@@ -214,26 +233,27 @@ def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
 @st.composite
 def warm_sequences(draw):
     """Integer rows (from ``lp_rows``: duplicate entries, redundant rows)
-    and a sequence of right-hand sides over them: ``A x`` for drawn
+    and a sequence of integer right-hand sides over them, each drawn
+    rational one times the lcm of its denominators: ``A x`` for drawn
     ``x >= 0`` (feasible), the same shifted on one row (infeasible when
     that row is redundant), arbitrary ones (often infeasible), and
     repeats of earlier ones."""
     n, rows, rhs = draw(lp_rows())
     scale = lcm(*(a.denominator for row in rows for a in row))
     rows = [[int(a * scale) for a in row] for row in rows]
-    sequence = [rhs]
+    sequence = [integers(rhs)[0]]
     for _ in range(draw(st.integers(1, 6))):
         how = draw(st.sampled_from(["point", "shifted", "any", "repeat"]))
         if how == "repeat":
             sequence.append(draw(st.sampled_from(sequence)))
         elif how == "any" or not rows:
-            sequence.append(draw(st.lists(entries, min_size=len(rows), max_size=len(rows))))
+            sequence.append(integers(draw(st.lists(entries, min_size=len(rows), max_size=len(rows))))[0])
         else:
             x = draw(st.lists(st.sampled_from([F(0), F(0), F(1), F(2), F(1, 3), F(5, 2)]), min_size=n, max_size=n))
             b = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
             if how == "shifted":
                 b[draw(st.integers(0, len(b) - 1))] += draw(st.sampled_from([F(1), F(-1, 2)]))
-            sequence.append(b)
+            sequence.append(integers(b)[0])
     return n, rows, sequence
 
 
@@ -254,11 +274,11 @@ def test_warm_solves_match_cold_and_dense_solves(lp, data):
             if cost is None:
                 assert warm.feasible(b) == feasible
                 continue
-            res = warm.maximum(b, cost)
+            status, value, x = rational(warm.maximum(b, cost))
             cold = solve_lp([F(c) for c in cost], frac_rows, b)
-            assert (res.status, res.value) == (cold.status, cold.value)
-            assert (res.status, res.value) == dense_solve_lp([F(c) for c in cost], frac_rows, b)[:2]
-            assert res.x == (None if moved else cold.x)
+            assert (status, value) == (cold.status, cold.value)
+            assert (status, value) == dense_solve_lp([F(c) for c in cost], frac_rows, b)[:2]
+            assert x == (None if moved else cold.x)
 
 
 def test_warm_solve_checks_a_redundant_row():
@@ -266,13 +286,13 @@ def test_warm_solve_checks_a_redundant_row():
     # and phase 1 keeps the row with its artificial basic
     rows = [[1, 1, 1], [2, 2, 2]]
     warm = WarmLp(rows, 3)
-    assert warm.feasible([F(1), F(2)])
-    assert not warm.feasible([F(1), F(3)])
-    assert warm.feasible([F(1, 2), F(1)])
-    assert warm.maximum([F(1), F(2)], (1, 0, 0)).value == 1
-    assert warm.maximum([F(1), F(5, 2)], (1, 0, 0)).status == INFEASIBLE
-    assert warm.maximum([F(3), F(6)], (1, 0, 0)).value == 3
-    assert not warm.feasible([F(-1), F(-2)])  # consistent, but x >= 0 fails
+    assert warm.feasible([1, 2])
+    assert not warm.feasible([1, 3])
+    assert warm.feasible([2, 4])
+    assert rational(warm.maximum([1, 2], (1, 0, 0)))[1] == 1
+    assert warm.maximum([2, 5], (1, 0, 0)).status == INFEASIBLE
+    assert rational(warm.maximum([3, 6], (1, 0, 0)))[1] == 3
+    assert not warm.feasible([-1, -2])  # consistent, but x >= 0 fails
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,6 +311,6 @@ def test_warm_lp_returns_vertices_for_its_first_rhs_only(lp, data):
         moved = moved or b != sequence[0]
         for cost in costs:
             status, value, x = dense_solve_lp([F(c) for c in cost], frac_rows, b)
-            res = warm.maximum(b, cost)
-            assert (res.status, res.value) == (status, value)
-            assert res.x == (None if moved else x)
+            res = rational(warm.maximum(b, cost))
+            assert res[:2] == (status, value)
+            assert res[2] == (None if moved else x)

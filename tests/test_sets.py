@@ -556,6 +556,25 @@ def test_hull_contains_its_signed_generators_without_lp(monkeypatch):
     assert calls["feasible"] == 1
 
 
+def test_hull_lps_take_and_give_integers(monkeypatch):
+    # membership and the sup vertex go from the targets' numerators to the
+    # LP and back to a SparseVec without a Fraction; the sup's optimum is one
+    hull = AbsConvHull((SparseVec({1: F(1, 2), 2: F(1, 3)}), SparseVec({1: F(-2, 3), 2: F(3, 4)})))
+    w = SparseVec({1: F(1, 6), 2: F(1, 3)})
+    sym = symmetrize(hull, [w])
+    f, v = SparseVec({1: F(2, 5), 2: F(-1, 7)}), SparseVec({1: F(1, 7), 2: F(1, 5)})
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+    assert contains(hull, v)
+    assert built == []
+    bound = hull.symmetrized_sup(sym, f)
+    assert len(built) == 1
+    monkeypatch.undo()
+    point = SparseVec.from_json(bound.lower_witness["point"])
+    assert contains(sym, point) and dual_pair(f, point) == bound.lower == bound.upper
+
+
 def test_hull_extent_closed_forms_keep_non_members_out():
     # 2p is not a member, yet <2p, .> exposes it among the generators: the
     # zero extent of an exposed point holds for +-generators only
