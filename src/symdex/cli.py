@@ -78,38 +78,32 @@ def decimal_string(value: Fraction, digits: int) -> str:
 def check_entry(entry: dict, parsed: dict) -> bool:
     """Re-verify one replay entry with membership and exact arithmetic.
 
-    ``parsed`` is the replay's parse table: it maps the compact sorted
-    JSON of each ``contains`` set seen so far to its ``SetExpr``, and the
-    items of each vector (:func:`_vector`) to its ``SparseVec``, so each
+    ``parsed`` is the replay's parse table (see :func:`_parse`), so each
     distinct set and vector is parsed once.
     """
     if not isinstance(entry, dict):
         raise InvalidInput("a replay entry must be a JSON object")
     kind = entry["kind"]
+    def vector(name: str) -> SparseVec:
+        return _parse(SparseVec.from_json, entry[name], parsed)
     if kind == "contains":
-        key = json.dumps(entry["set"], sort_keys=True, separators=(",", ":"))
-        expr = parsed.get(key)
-        if expr is None:
-            expr = parsed[key] = sets.set_from_json(entry["set"])
-        v = _vector(entry["vector"], parsed)
+        expr = _parse(sets.set_from_json, entry["set"], parsed)
         expected = entry.get("expected", True)
         if not isinstance(expected, bool):
             raise InvalidInput("a contains entry's expected value must be true or false")
-        return sets.contains(expr, v) == expected
+        return sets.contains(expr, vector("vector")) == expected
     if kind in ("norm_ge", "norm_le"):
-        v = _vector(entry["vector"], parsed)
-        value = norm(v, NormKind.parse(entry["norm"]))
+        value = norm(vector("vector"), NormKind.parse(entry["norm"]))
         threshold = as_scalar(entry["threshold"])
         return value >= threshold if kind == "norm_ge" else value <= threshold
     if kind == "dual_norm_eq":
-        f = _vector(entry["functional"], parsed)
-        return dual_norm(f, NormKind.parse(entry["norm"])) == as_scalar(entry["value"])
+        return dual_norm(vector("functional"), NormKind.parse(entry["norm"])) == as_scalar(entry["value"])
     if kind in ("dual_pair_eq", "dual_pair_gt"):
-        pair = dual_pair(_vector(entry["functional"], parsed), _vector(entry["vector"], parsed))
+        pair = dual_pair(vector("functional"), vector("vector"))
         value = as_scalar(entry["value"])
         return pair == value if kind == "dual_pair_eq" else pair > value
     if kind == "midpoint":
-        parent, left, right = (_vector(entry[name], parsed) for name in ("parent", "left", "right"))
+        parent, left, right = map(vector, ("parent", "left", "right"))
         return (left + right).scale(Fraction(1, 2)) == parent
     if kind == "scalar_le":
         return as_scalar(entry["left"]) <= as_scalar(entry["right"])
@@ -118,16 +112,14 @@ def check_entry(entry: dict, parsed: dict) -> bool:
     raise InvalidInput(f"unknown replay check kind {kind!r}")
 
 
-def _vector(obj, parsed: dict) -> SparseVec:
-    """``SparseVec.from_json(obj)``, kept in ``parsed`` under its items when every
-    entry is a string, as reports write them (``1`` and ``1.0`` would share a key)."""
-    if not isinstance(obj, dict) or not all(type(value) is str for value in obj.values()):
-        return SparseVec.from_json(obj)
-    key = tuple(obj.items())
-    v = parsed.get(key)
-    if v is None:
-        v = parsed[key] = SparseVec.from_json(obj)
-    return v
+def _parse(parse, obj, parsed: dict):
+    """``parse(obj)``, kept in ``parsed`` under ``parse`` and ``repr(obj)``, which tells
+    ``1``, ``1.0``, ``true`` and ``"1"`` apart; the same items reordered parse anew."""
+    key = (parse, repr(obj))
+    value = parsed.get(key)
+    if value is None:
+        value = parsed[key] = parse(obj)
+    return value
 
 
 def verify_replay(report: dict) -> list[int]:

@@ -38,6 +38,7 @@ A free (sign-unrestricted) vector enters a problem as ``u - w``:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -53,12 +54,15 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LpResult:
-    """The optimum ``value`` and vertex ``x`` over ``den``: integers over
-    ``det`` from ``WarmLp.maximum``, ``Fraction``s over 1 from ``solve_lp``."""
+    """The optimum ``value`` at the vertex ``x`` of ``solve_lp``."""
     status: str
-    x: list | None
-    value: int | Fraction | None
-    den: int = 1
+    x: list[Fraction] | None
+    value: Fraction | None
+
+
+# The optimum ``value`` and the vertex ``x`` of ``WarmLp.maximum`` as
+# integer numerators over ``den > 0``, the basis determinant.
+WarmResult = namedtuple("WarmResult", "status x value den", defaults=(1,))
 
 
 def _integers(values, scale: int) -> list[int]:
@@ -267,7 +271,7 @@ class WarmLp:
             return True
         return self._load(state, b) and _dual_simplex(state, self.n, False)
 
-    def maximum(self, b: list[int], cost: Sequence[int]) -> LpResult:
+    def maximum(self, b: list[int], cost: Sequence[int]) -> WarmResult:
         """The optimum of ``cost . x`` over ``A x = b``, ``x >= 0``, and
         the vertex ``x`` while every right-hand side so far is ``b``,
         as integer numerators over ``det``."""
@@ -276,29 +280,29 @@ class WarmLp:
         state = self._optimal.get(key)
         if state is None:
             if not self._feasible_for(b):
-                return LpResult(INFEASIBLE, None, None)
+                return WarmResult(INFEASIBLE, None, None)
             state = self._feasible.copy()
             _with_reduced_costs(state.tableau, state.basis, key, state.det)
             det = _simplex(state.tableau, state.basis, self.n, state.det)
             if det is None:
-                return LpResult(UNBOUNDED, None, None)
+                return WarmResult(UNBOUNDED, None, None)
             state.det = det
             self._optimal[key] = state
         else:
             if not self._load(state, b):
-                return LpResult(INFEASIBLE, None, None)
+                return WarmResult(INFEASIBLE, None, None)
             state.tableau[-1][-1] = -sum(
                 key[col] * line[-1] for col, line in zip(state.basis, state.tableau) if col < self.n
             )
             if not _dual_simplex(state, self.n, True):
-                return LpResult(INFEASIBLE, None, None)
+                return WarmResult(INFEASIBLE, None, None)
         x = None
         if self._vertex:
             x = [0] * self.n
             for line, col in zip(state.tableau, state.basis):
                 if col < self.n:
                     x[col] = line[-1]
-        return LpResult(OPTIMAL, x, -state.tableau[-1][-1], state.det)
+        return WarmResult(OPTIMAL, x, -state.tableau[-1][-1], state.det)
 
 
 def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
@@ -316,7 +320,7 @@ def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[F
     res = WarmLp([_integers(row, scale) for row in a_eq], n).maximum(
         _integers(b_eq, scale), _integers(objective, cost_scale))
     if res.status != OPTIMAL:
-        return res
+        return LpResult(res.status, None, None)
     return LpResult(OPTIMAL, [Fraction(v, res.den) for v in res.x], Fraction(res.value, res.den * cost_scale))
 
 

@@ -1253,7 +1253,7 @@ class AbsConvHull(SetExpr):
         return lp, [x for row in rows for x in (*row, scale)], scale
 
     @staticmethod
-    def _symmetrized_max(lp: exactlp.WarmLp, b: list[int], objective: Sequence[int]) -> exactlp.LpResult:
+    def _symmetrized_max(lp: exactlp.WarmLp, b: list[int], objective: Sequence[int]) -> exactlp.WarmResult:
         """Exact max over the symmetrization of an integer objective (its
         coefficients on the ``coords`` of :meth:`_symmetrized`), on ``b``'s scale."""
         obj = exactlp.free_columns(list(objective))
@@ -1263,7 +1263,7 @@ class AbsConvHull(SetExpr):
         return res
 
     @staticmethod
-    def _free_point(coords: tuple[int, ...], res: exactlp.LpResult, scale: int) -> SparseVec:
+    def _free_point(coords: tuple[int, ...], res: exactlp.WarmResult, scale: int) -> SparseVec:
         """The member ``d`` of the vertex of ``res``, whose ``b`` has scale ``scale``."""
         d = {i: n for i, n in zip(coords, exactlp.free_value(res.x, len(coords))) if n}
         return SparseVec._canonical(*_reduced(res.den * scale, d))

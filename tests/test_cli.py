@@ -523,6 +523,14 @@ def test_oracle_rejects_a_malformed_set_after_a_cached_one(tmp_path, capsys, bad
     assert not verdict.exists()
 
 
+def test_oracle_does_not_take_a_cached_set_for_a_vector(tmp_path, capsys):
+    contains = {"kind": "contains", "set": PLAIN_BOX, "vector": {"1": "1"}, "expected": True}
+    set_as_vector = {"kind": "norm_ge", "vector": PLAIN_BOX, "norm": "sup", "threshold": "1"}
+    report = write(tmp_path / "report.json", {"replay": [contains, set_as_vector]})
+    assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("symdex: invalid input:")
+
+
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     infile = tmp_path / "latin1.json"
     infile.write_bytes(b'{"type": "box", "default_radius": "1", "overrides": {}, "label": "\xe9"}')
