@@ -69,7 +69,9 @@ the seeded member sampler of that name, which also fed the sampled
 transcript checks), counted through the names ``sets``, ``indexes`` and
 ``extraction`` call it by where a module has it, its
 certified diameter upper ends (calls of ``diameter_upper``, counted
-through the names ``sets`` and ``extraction`` call it by), its sign-sum
+through the names ``sets`` and ``extraction`` call it by), its membership
+tests (calls of ``sets.contains``, counted through every name a
+``symdex`` module calls it by), its sign-sum
 membership tests (calls of ``SignSums.contains``) and how many of them
 run the bounded depth-first search (calls of ``SignSums._search``; in a
 checkout without that method, the ``contains`` calls for which
@@ -152,6 +154,7 @@ SCALED_INPUTS = {
                            "norm": "sup"},
     "overlap12.json": OVERLAP12,
     "overlap12_subsets.json": {"type": "sign_sums", "mode": "subsets", "horizon": 12, "series": OVERLAP12},
+    "diagonal_box.json": {"type": "box", "default_radius": "1", "overrides": {"1": "3", "2": "2", "3": "1/2"}},
 }
 SCALED_REQUESTS = [
     ("series_geometric15.json", ["series", "--in", "geometric15.json", "--epsilon", "1/256", "--seed", "0"]),
@@ -164,6 +167,12 @@ SCALED_REQUESTS = [
     # check run on symmetrized sets without a closed form
     ("extract_overlap12_n4.json",
      ["extract", "--in", "overlap12_subsets.json", "--epsilon", "1/10", "--n", "4", "--seed", "0"]),
+    # the cli_reports workload's tree_depth7, delta_json and delta_csv
+    ("tree_override7.json",
+     ["tree", "--in", "override_box.json", "--epsilon", "1", "--depth", "7", "--seed", "0"]),
+    ("delta_diagonal3.json", ["delta", "--in", "diagonal_box.json", "--n", "3", "--seed", "0"]),
+    ("delta_diagonal3.csv",
+     ["delta", "--in", "diagonal_box.json", "--format", "csv", "--n", "3", "--seed", "0"]),
 ]
 
 
@@ -559,6 +568,15 @@ def measure_finite_lattice() -> dict:
     return row
 
 
+def membership_tests(sets) -> list[tuple]:
+    """``count_calls`` targets that count the calls of ``sets.contains``:
+    that function under its name in every loaded ``symdex`` module, so a
+    call through ``from .sets import contains`` is counted too."""
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name == "symdex" or name.startswith("symdex.")]
+    return [(module, "contains") for module in modules if vars(module).get("contains") is sets.contains]
+
+
 def sign_sum_searches(call) -> tuple[int, int]:
     """The ``SignSums.contains`` calls ``call()`` makes, and how many of
     them run the bounded search (see the module docstring)."""
@@ -623,7 +641,7 @@ def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
 
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
-    "pool_calls", "diameter_upper_calls", "sign_sum_contains",
+    "pool_calls", "diameter_upper_calls", "contains_calls", "sign_sum_contains",
     "sign_sum_searches", "oracle_set_parses", "oracle_vector_parses",
     "verdict_bytes"}, plus "validate_ms" for extract} over the requests
     of run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle
@@ -660,6 +678,8 @@ def measure_cli() -> dict:
             if argv[0] == "extract":
                 row["validate_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear, extraction,
                                                      "validate_transcript", repeats)
+            cache.clear()
+            row["contains_calls"] = sum(count_calls(lambda: demo.main(request), *membership_tests(sets)))
             cache.clear()
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
             row["report_bytes"] = report.stat().st_size
@@ -735,17 +755,17 @@ def main(argv=None) -> int:
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}{builds:>14}")
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'valid ms':>10}{'bytes':>9}{'lists':>8}{'pools':>7}"
-          f"{'diam up':>9}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}{'verdict':>9}"
-          "   (median; validate_transcript ms of extract; scored witness lists, member pools, diameter upper "
-          "ends, sign-sum contains and searches, symmetrize_reduce calls; the oracle's set and vector parses "
-          "and verdict bytes)")
+          f"{'diam up':>9}{'contains':>10}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}"
+          f"{'verdict':>9}   (median; validate_transcript ms of extract; scored witness lists, member pools, "
+          "diameter upper ends, membership tests, sign-sum contains and searches, symmetrize_reduce calls; "
+          "the oracle's set and vector parses and verdict bytes)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         validate = f"{row['validate_ms']:>10.2f}" if "validate_ms" in row else f"{'-':>10}"
         parses = "".join(f"{row.get(key, '-'):>{w}}" for key, w in
                          (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{validate}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}"
+              f"{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}{row['contains_calls']:>10}"
               f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}")
     if args.out:
         report = {
@@ -765,7 +785,7 @@ def main(argv=None) -> int:
                               "*_symmetrize_reduce summed over proc_sets sets",
                 "cli": "ms per call, median, and validate_ms the median ms of validate_transcript within an "
                        "extract request; report size in bytes; scored_lists, symmetrize_reduce_calls, "
-                       "pool_calls, diameter_upper_calls, sign_sum_contains and "
+                       "pool_calls, diameter_upper_calls, contains_calls, sign_sum_contains and "
                        "sign_sum_searches per request; oracle_set_parses, oracle_vector_parses and "
                        "verdict_bytes per oracle replay of the report",
             },

@@ -342,11 +342,13 @@ def _run_series(args, obj):
         if miss.best is not None:
             result["best_diameter"] = format_scalar(miss.best[0])
         return result, replay, "not_achievable"
+    # the report replays the tail sign sums of the next 8 terms as norm_le entries
+    stop = min(tail.M + 8, series.horizon)
     result["tail"] = {
         "M": tail.M,
         "witnesses": [w.to_json() for w in tail.witnesses],
         "diameter_upper": format_scalar(tail.diameter_upper),
-        "replayed_patterns": tail.replayed_patterns,
+        "replayed_patterns": 2 ** (stop - tail.M),
     }
     expr = series_mod.sign_sum_set(series, series_mod.SignMode.SUBSETS)
     for w in tail.witnesses:
@@ -358,17 +360,15 @@ def _run_series(args, obj):
             "right": format_scalar(as_length(2 * epsilon, series.norm)),
         }
     )
-    if tail.M < series.horizon:
-        stop = min(tail.M + 8, series.horizon)
-        for total in signed_sums(series.terms[tail.M : stop]):
-            replay.append(
-                {
-                    "kind": "norm_le",
-                    "vector": total.to_json(),
-                    "norm": series.norm.value,
-                    "threshold": format_scalar(as_length(epsilon, series.norm)),
-                }
-            )
+    for total in signed_sums(series.terms[tail.M : stop]):
+        replay.append(
+            {
+                "kind": "norm_le",
+                "vector": total.to_json(),
+                "norm": series.norm.value,
+                "threshold": format_scalar(as_length(epsilon, series.norm)),
+            }
+        )
     return result, replay, "ok"
 
 

@@ -106,8 +106,6 @@ class TailBound:
     M: int
     witnesses: tuple[SparseVec, ...]
     diameter_upper: Fraction
-    replayed_patterns: int = 0
-    notes: dict = field(default_factory=dict)
 
 
 def wuc_bound(s: SeriesSpec, budget: int = 2 ** 20) -> Fraction:
@@ -153,22 +151,17 @@ def sign_sum_set(s: SeriesSpec, mode: SignMode):
     return sets.SignSums(series=s, mode=mode, horizon=s.horizon)
 
 
-def _tail_sums(s: SeriesSpec, start: int, stop: int) -> list[SparseVec]:
-    """Every sign sum over the inclusive series positions [start, stop]."""
-    if not (1 <= start <= stop <= s.horizon):
-        raise InvalidInput(f"bad tail window [{start}, {stop}] for horizon {s.horizon}")
-    if stop - start > 20:
-        raise BudgetExceeded("brute_tail_sup window wider than 20 terms")
-    return list(signed_sums(s.terms[start - 1 : stop]))
-
-
 def brute_tail_sup(s: SeriesSpec, start: int, stop: int) -> Fraction:
     """Exact max over all sign patterns of the norm of sums over [start, stop].
 
     Both indices are inclusive series positions. Deliberately a plain
     enumeration so it can cross-check the harness.
     """
-    return max(norm(d, s.norm) for d in _tail_sums(s, start, stop))
+    if not (1 <= start <= stop <= s.horizon):
+        raise InvalidInput(f"bad tail window [{start}, {stop}] for horizon {s.horizon}")
+    if stop - start > 20:
+        raise BudgetExceeded("brute_tail_sup window wider than 20 terms")
+    return max(norm(d, s.norm) for d in signed_sums(s.terms[start - 1 : stop]))
 
 
 def _witness_cover_index(s: SeriesSpec, w: SparseVec, known: int) -> int:
@@ -199,9 +192,11 @@ def unconditional_tail_bound(s: SeriesSpec, epsilon: ScalarLike, enum_budget: in
 
     Searches the prefix sums of the series, members of the subset-mode
     sign-sum set by construction, for a witness whose symmetrized set has
-    diameter below twice ``epsilon``; every sign sum over indices beyond
-    the witness's cover index then has norm at most ``epsilon``, which is
-    replayed by enumeration over the next 12 terms.
+    diameter below twice ``epsilon``. Every sign sum d over indices
+    beyond the witness's cover index then lies in that set, since w +- d
+    recombine index-disjointly into signed subset sums. The set is
+    symmetric, so d and -d are members, the norm of 2d is at most the
+    diameter, and d has norm below ``epsilon`` (README, "Tail bounds").
 
     Raises :class:`NotAchievable` (with the best attempt and a
     free-direction certificate when one exists) if no prefix sum works --
@@ -236,24 +231,7 @@ def unconditional_tail_bound(s: SeriesSpec, epsilon: ScalarLike, enum_budget: in
         if best is None or diam < best[0]:
             best = (diam, (w,))
         if diam is not None and diam < bound:
-            stop = min(m + 12, s.horizon)
-            tail = _tail_sums(s, m + 1, stop)
-            if max(norm(d, kind) for d in tail) > as_length(eps, kind):
-                raise NotAchievable(
-                    "tail replay exceeded epsilon despite small diameter", best=best
-                )
-            for d in tail:
-                if not sets.contains(sym, d):
-                    raise NotAchievable(
-                        "a tail sign sum left the symmetrized set", best=best
-                    )
-            return TailBound(
-                M=m,
-                witnesses=(w,),
-                diameter_upper=diam,
-                replayed_patterns=2 ** (stop - m),
-                notes={"mode": SignMode.SUBSETS.value, "tail_guarantee": "all_patterns"},
-            )
+            return TailBound(M=m, witnesses=(w,), diameter_upper=diam)
 
     cert = indexes.delta_lower(expr, 1, kind).lower_certificate
     raise NotAchievable(

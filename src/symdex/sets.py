@@ -42,7 +42,6 @@ from .errors import (
     BudgetExceeded,
     DepthExceeded,
     InvalidInput,
-    SymdexError,
     UnboundedDiameter,
     WitnessNotMember,
 )
@@ -247,7 +246,9 @@ class SetExpr(ABC):
         return Fraction(0)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
-        """Unchecked candidate for :func:`free_direction`; None when the
+        """The case of :func:`free_direction` for member witnesses ``ws``:
+        a direction d with w + d and w - d members at every witness, by a
+        membership test or by the variant's lemma, or None when the
         variant has no free-direction family."""
         return None
 
@@ -272,8 +273,8 @@ class SetExpr(ABC):
 
     def difference_set(self) -> Optional["SetExpr"]:
         """See :func:`difference_set`."""
-        members = enumerate_members(self, 4096)
-        if members is None:
+        members = enumerate_members(self, 64)
+        if members is None or len(members) > 64:
             return None
         return FinitePoints(tuple({a - b for a in members for b in members}))
 
@@ -980,8 +981,12 @@ class Intersect(SetExpr):
                 uppers.append(upper)
         if not uppers:
             raise UnboundedDiameter("no part of the intersection is certified bounded")
-        low, wit = _pool_lower(self, kind) if lower else (Fraction(0), None)
-        return BoundPair(low, min(uppers), lower_witness=wit)
+        if not lower:
+            return BoundPair(Fraction(0), min(uppers))
+        # the farthest pair of the pool members; a zero end has no witness
+        found = _pair_diameter(sample_members(self), kind)
+        wit = found.lower_witness if found.lower else None
+        return BoundPair(found.lower, min(uppers), lower_witness=wit)
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         for part in self.parts:
@@ -1105,11 +1110,9 @@ class Symmetrized(SetExpr):
         extent = self.base.symmetrized_lp_extent(self, kind, lower)
         if extent is not None:
             return extent
+        # the pool is {0}: the lower end is the certified 0, without a witness
         upper = coordinate_relaxation(self).diameter(kind, False, enum_budget).upper
-        low, wit = _pool_lower(self, kind) if lower else (Fraction(0), None)
-        if upper is not None and low > upper:
-            raise SymdexError("symmetrized diameter certificates are inconsistent")
-        return BoundPair(low, upper, lower_witness=wit, upper_witness={"rule": "relaxation"})
+        return BoundPair(Fraction(0), upper, upper_witness={"rule": "relaxation"})
 
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         merged = self._witness_sums(ws) if ws else list(self.witnesses)
@@ -1511,10 +1514,11 @@ def diameter(
 
     Enumeration, an LP extent or a closed form gives an exact interval.
     Otherwise (symmetrized and intersected sets without one) the upper
-    end is a relaxation, and with ``lower`` the lower end is the farthest
-    pair of :func:`sample_members`. Without ``lower`` that end is the
-    certified zero, without a witness, and the LP extent of a hull's
-    symmetrization is read off warm LPs, which give its value but no
+    end is a relaxation. The lower end of a symmetrized set is then the
+    certified zero, without a witness, and with ``lower`` that of an
+    intersection is the farthest pair of :func:`sample_members`. Without
+    ``lower`` every such end is the certified zero, and the LP extent of
+    a hull's symmetrization is read off warm LPs, which give its value but no
     attaining member: a positive value comes as the upper end over that
     certified zero.
     """
@@ -1551,14 +1555,6 @@ def _pair_diameter(points: Sequence[SparseVec], kind: NormKind) -> BoundPair:
     return BoundPair(value, value, lower_witness=wit)
 
 
-def _pool_lower(expr: SetExpr, kind: NormKind) -> tuple[Fraction, object]:
-    """Certified lower end of the diameter and its witness pair, by the
-    integer pair scan over :func:`sample_members`; a zero lower end
-    carries no witness."""
-    found = _pair_diameter(sample_members(expr), kind)
-    return found.lower, found.lower_witness if found.lower > 0 else None
-
-
 # ---------------------------------------------------------------------------
 # free directions
 
@@ -1568,20 +1564,16 @@ def free_direction(expr: SetExpr, witnesses: Sequence[SparseVec], kind: NormKind
 
     Returns the norm-largest candidate from the variant's deterministic
     family (canonical sign: first nonzero entry positive), or None when
-    no nonzero candidate passes. The result replays through membership
-    checks alone.
+    no nonzero candidate passes. Each variant's candidate has w +- d in
+    the set without a further test (README, "Free directions"), and the
+    result replays through membership checks alone.
     """
     ws = list(witnesses)
     for w in ws:
         if not contains(expr, w):
             raise WitnessNotMember(f"witness {w!r} is not a member of the set")
     d = expr.two_sided_direction(ws, kind)
-    if d is None or d.is_zero:
-        return None
-    for w in ws:
-        if not (contains(expr, w + d) and contains(expr, w - d)):
-            raise SymdexError("free direction failed its membership replay")
-    return d
+    return None if d is None or d.is_zero else d
 
 
 def _canonical_sign(d: SparseVec) -> SparseVec:
@@ -1594,5 +1586,7 @@ def _canonical_sign(d: SparseVec) -> SparseVec:
 
 
 def difference_set(expr: SetExpr) -> Optional[SetExpr]:
-    """Closed form of {a - b : a, b in the set}, where available."""
+    """{a - b : a, b in the set}: a closed form (boxes), or the finite
+    set of pairwise differences of at most 64 members (4,096 points);
+    None otherwise."""
     return expr.difference_set()

@@ -162,6 +162,20 @@ def test_tree_and_one_sided_reports(tmp_path):
     assert verify_replay(seq) == []
 
 
+def test_one_sided_on_many_members_replays_no_difference_set(tmp_path):
+    # 3^6 subset sign sums: past 64 members the report embeds no set of
+    # pairwise differences (15,625 points in each of 16 entries before)
+    subsets = {"type": "sign_sums", "mode": "subsets", "horizon": 6,
+               "series": {"norm": "sup", "label": "canonical6", "terms": [{str(n): "1"} for n in range(1, 7)]}}
+    infile = write(tmp_path / "subsets6.json", subsets)
+    out = tmp_path / "seq.json"
+    assert main(["one_sided", "--in", infile, "--out", str(out), "--epsilon", "1", "--n", "4"]) == EXIT_OK
+    assert out.stat().st_size < 4096
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"]["failed"] == []
+
+
 def test_extreme_command_with_envelope(tmp_path):
     envelope = {
         "set": {"type": "finite", "points": [{}, {"1": "1"}, {"2": "1"}]},

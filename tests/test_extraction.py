@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from symdex import (
@@ -399,8 +399,8 @@ def test_one_sided_box():
 
 def test_partial_sign_sums_lie_in_the_difference_set():
     # each partial sign sum is the family member x_0 + (its + terms) minus
-    # the one of its - terms, and one_sided_sequence checks every family
-    # member, so the sum lies in A - A; checked where A - A has a closed form
+    # the one of its - terms, and every family member lies in A, so the
+    # sum lies in A - A; checked where A - A has a closed form
     rng = random.Random(17)
     boxes = []
     for _ in range(10):
@@ -422,6 +422,41 @@ def test_partial_sign_sums_lie_in_the_difference_set():
                 assert all(contains(diff, p) for p in partials)
             taken += len(xs)
         assert taken
+
+
+def test_difference_set_takes_at_most_64_members():
+    line = [unit(1, k) for k in range(65)]
+    assert difference_set(FinitePoints(tuple(line))) is None
+    assert set(difference_set(FinitePoints(tuple(line[:64]))).points) == {unit(1, k) for k in range(-63, 64)}
+    subsets = SignSums(SeriesSpec(tuple(unit(n) for n in range(1, 7)), NormKind.SUP, "canonical6"), SignMode.SUBSETS, 6)
+    assert difference_set(subsets) is None  # 3^6 members
+
+
+positive_boxes = st.builds(
+    lambda r, radii: Box(r, tuple(sorted(radii.items()))),
+    st.sampled_from([F(1, 2), F(1)]),
+    st.dictionaries(st.integers(1, 4), st.fractions(min_value=0, max_value=2, max_denominator=4), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(positive_boxes, finite_sets, lattice_sets, sign_sum_sets), norm_kinds,
+       st.sampled_from([F(1, 4), F(1, 2), F(1)]))
+# from the start e_1, e_2 gives the prefix e_1 + e_2, and e_3 no prefix e_1 + e_3
+@example(SignSums(SeriesSpec(tuple(unit(n) for n in range(1, 5)), NormKind.SUP, "canonical"), SignMode.PREFIXES, 4),
+         NormKind.SUP, F(1, 2))
+def test_one_sided_families_stay_in_the_set(expr, kind, epsilon):
+    # one_sided_sequence tests no translate: each variant's direction must
+    # keep every family member's translate in the set (README, "One-sided
+    # families")
+    try:
+        xs = one_sided_sequence(expr, epsilon, 4, kind)
+    except SequenceStalled as stall:
+        xs = stall.partial
+    family = {extraction._default_start(expr)}
+    for x in xs:
+        family |= {m + x for m in family}
+        assert all(contains(expr, m) for m in family)
 
 
 def test_one_sided_stalls_when_epsilon_too_big():

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -38,7 +39,7 @@ from symdex import sets as sets_module
 from symdex.errors import InvalidInput, NotFound, WitnessNotMember
 from symdex.bruteforce import brute_delta_upper, brute_delta1_zero_witness
 from symdex.sets import BoundPair, LowerCertificate, _plain_lower, contains
-from symdex.vectors import as_length, as_scalar, format_scalar, linear_combination
+from symdex.vectors import as_length, as_scalar, format_scalar, half_length, linear_combination, norm
 from util import ALL_NORMS, as_dicts, random_finite_points, random_point
 
 TRIANGLE = FinitePoints((ZERO, unit(1), unit(2)))
@@ -153,6 +154,18 @@ def test_separation_examples():
     two = separation_alpha_lower(FinitePoints((ZERO, unit(1))), 2, NormKind.SUP)
     assert two.lower == F(1, 2)
     assert separation_alpha_lower(Box(F(1)), 1, NormKind.SUP).lower == 0
+
+
+def test_separation_builds_its_family_farthest_first_past_20000_families():
+    pts = FinitePoints(tuple(SparseVec({1: i, 2: (7 * i) % 11, 3: F(i * i % 5, 3)}) for i in range(30)))
+    assert math.comb(len(pts.points), 5) > 20_000
+    for kind in ALL_NORMS:
+        bound = separation_alpha_lower(pts, 5, kind)
+        family = [SparseVec.from_json(v) for v in bound.lower_witness["family"]]
+        assert len(set(family)) == 5 and all(contains(pts, v) for v in family)
+        separation = min(norm(a - b, kind) for a, b in combinations(family, 2))
+        assert F(bound.lower_witness["separation"]) == separation > 0
+        assert bound.lower == half_length(separation, kind)
 
 
 def test_separation_consistency_with_index_floor():
@@ -513,8 +526,8 @@ def test_zero_best_ends_the_search(monkeypatch):
 
 def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):
     # x_n = e_n + e_{n+1}: 3^12 sign patterns exceed the enumeration
-    # budget, so every symmetrization takes the relaxation upper end and
-    # the pool lower end, which only a yielded row computes
+    # budget, so every symmetrization takes the relaxation upper end, and
+    # only a yielded row asks for its lower end
     terms = tuple(SparseVec({n: F(1), n + 1: F(1)}) for n in range(1, 13))
     expr = SignSums(SeriesSpec(terms, NormKind.SUP, "overlap12"), SignMode.SUBSETS, 12)
     pool = [
@@ -528,8 +541,14 @@ def test_search_samples_lower_ends_of_yielded_rows_only(monkeypatch):
     assert want[0].upper_witnesses != want[1].upper_witnesses
     assert all(up.bound.upper_witness["lower"] != up.bound.upper_witness["upper"] for up in want)
     calls = []
-    pooled = sets_module.sample_members
-    monkeypatch.setattr(sets_module, "sample_members", lambda *args: calls.append(args) or pooled(*args))
+    measured = sets_module.Symmetrized.diameter
+
+    def counted(self, kind, lower, enum_budget):
+        if lower:
+            calls.append(self)
+        return measured(self, kind, lower, enum_budget)
+
+    monkeypatch.setattr(sets_module.Symmetrized, "diameter", counted)
     curve = delta_curve(expr, 2, strategy, NormKind.SUP)
     assert len(calls) == 2  # one per yielded row; row 0 is a closed form
     for row, up in zip(curve[1:], want):

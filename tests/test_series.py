@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from symdex import (
@@ -18,13 +18,14 @@ from symdex import (
     delta_lower,
     norm,
     sign_sum_set,
+    symmetrize,
     unconditional_tail_bound,
     unit,
     wuc_bound,
 )
 from symdex.series import _witness_cover_index
 from symdex.sets import enumerate_members
-from symdex.vectors import linear_combination
+from symdex.vectors import as_length, linear_combination, signed_sums
 
 
 def canonical(h, kind=NormKind.SUP):
@@ -154,7 +155,6 @@ def test_tail_bound_overlapping_supports():
     overlap = SeriesSpec(terms, NormKind.SUM, "overlap")
     tail = unconditional_tail_bound(overlap, F(1, 2))
     assert tail.M == 1
-    assert tail.notes["tail_guarantee"] == "all_patterns"
     assert brute_tail_sup(overlap, tail.M + 1, overlap.horizon) <= F(1, 2)
 
 
@@ -246,3 +246,40 @@ def test_tail_bound_symmetrizes_at_its_checked_prefix_sums(tmp_path, monkeypatch
     assert main(["series", "--in", str(infile), "--epsilon", "1/8", "--seed", "11", "--out", str(report)]) == 0
     assert len(searches) == 26
     assert hashlib.sha256(report.read_bytes()).hexdigest() == OVERLAP12_DIGESTS["series"][0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(short_terms, min_size=4, max_size=7))
+def test_wuc_sum_sign_vector_route_matches_the_pattern_enumeration(terms):
+    # over at most 3 coordinates and at least 4 terms, the sum norm takes
+    # the dual route: sign vectors of the coordinates
+    s = SeriesSpec(tuple(terms), NormKind.SUM, "overlap")
+    assume(not s.disjoint_supports())
+    assert wuc_bound(s) == max(norm(d, NormKind.SUM) for d in signed_sums(s.terms))
+
+
+tail_series = st.builds(
+    lambda terms, kind, shrink: SeriesSpec(
+        tuple(t.scale(F(1, 2 ** n)) if shrink else t for n, t in enumerate(terms, start=1)), kind, "short"
+    ),
+    st.lists(short_terms, min_size=2, max_size=7),
+    st.sampled_from(list(NormKind)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tail_series, st.sampled_from([F(1, 8), F(1, 2), F(1), F(2)]))
+def test_tail_sign_sums_lie_in_the_witness_symmetrization(s, epsilon):
+    # the tail bound replays no sign sum: past the cover index M of the
+    # witness w they lie in Sym(A; {w}), whose diameter is below 2*epsilon
+    # (README, "Tail bounds")
+    try:
+        tail = unconditional_tail_bound(s, epsilon)
+    except NotAchievable:
+        return
+    (w,) = tail.witnesses
+    sym = symmetrize(sign_sum_set(s, SignMode.SUBSETS), [w])
+    for d in signed_sums(s.terms[tail.M : min(tail.M + 12, s.horizon)]):
+        assert contains(sym, d)
+        assert norm(d, s.norm) <= as_length(epsilon, s.norm)

@@ -58,6 +58,7 @@ from symdex.vectors import integer_rows
 from symdex.sets import (
     DEFAULT_ENUM_BUDGET,
     ENUM_CACHE_SIZE,
+    HULL_LP_MEMO,
     _symmetric_pair_bound,
     enumerate_members,
     sample_members,
@@ -591,6 +592,27 @@ def test_hull_extent_closed_forms_keep_non_members_out():
                 diameter_upper(sym, kind)
 
 
+def test_hull_memo_evicts_its_oldest_layouts_and_rebuilds_them():
+    points = (SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: F(-1, 3), 2: 1}))
+    hull = AbsConvHull(points)
+    sym = Symmetrized(hull, (SparseVec({1: F(1, 4), 2: F(1, 4)}),))
+    fs = [SparseVec({1: 1}), SparseVec({1: F(1, 2), 2: -1}), SparseVec({2: F(2, 3)})]
+    sups = [sup_functional(f, sym) for f in fs]
+    first = set(hull._lps)
+    # each probe adds its own coordinate to the row layout
+    probes = [SparseVec({1: F(1, 3), k: F(1, 5)}) for k in range(3, HULL_LP_MEMO + 4)]
+    for v in probes:
+        assert contains(hull, v) == contains(AbsConvHull(points), v)
+    assert len(hull._lps) == HULL_LP_MEMO
+    assert first.isdisjoint(hull._lps)
+    inside = [SparseVec({1: F(1, 3)}), SparseVec({1: F(1, 2), 2: F(1, 2)}), SparseVec({2: F(3, 2)})]
+    for v in inside + probes[:3]:
+        assert contains(hull, v) == contains(AbsConvHull(points), v)
+    fresh = Symmetrized(AbsConvHull(points), sym.witnesses)
+    assert [sup_functional(f, sym) for f in fs] == [sup_functional(f, fresh) for f in fs] == sups
+    assert len(hull._lps) <= HULL_LP_MEMO
+
+
 @st.composite
 def hulls_with_signed_witnesses(draw):
     """A hull, sometimes with -p and 2p added for a generator p (so p is
@@ -836,29 +858,93 @@ def symmetrized_sets(draw, bases):
     return Symmetrized(base, tuple(ws)) if all(contains(base, w) for w in ws) else base
 
 
-set_exprs = st.recursive(
-    leaf_sets,
-    lambda inner: st.one_of(
-        st.builds(Translate, inner, small_terms),
-        st.builds(Negate, inner),
-        st.lists(inner, min_size=1, max_size=2).map(lambda parts: Intersect(tuple(parts))),
-        # a box is never enumerable: the intersection takes its parts' uppers
-        st.tuples(symmetrized_sets(inner), boxes).map(Intersect),
-        symmetrized_sets(inner),
-    ),
-    max_leaves=3,
-)
+def nested_sets(leaves):
+    """Translates, negations, intersections and symmetrizations of ``leaves``."""
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Translate, inner, small_terms),
+            st.builds(Negate, inner),
+            st.lists(inner, min_size=1, max_size=2).map(lambda parts: Intersect(tuple(parts))),
+            # a box is never enumerable: the intersection takes its parts' uppers
+            st.tuples(symmetrized_sets(inner), boxes).map(Intersect),
+            symmetrized_sets(inner),
+        ),
+        max_leaves=3,
+    )
+
+
+set_exprs = nested_sets(leaf_sets)
 
 
 @settings(max_examples=100, deadline=None)
 @given(set_exprs, st.sampled_from([2, 8, DEFAULT_ENUM_BUDGET]))
 def test_diameter_upper_is_the_upper_end_of_diameter(expr, budget):
     # budgets 2 and 8 leave the sign sums and their symmetrizations
-    # unenumerable, so their diameters take the relaxation and the pool
+    # unenumerable, so their diameters take the relaxation, and an
+    # intersection's lower end the pool
     for kind in ALL_NORMS:
         full = outcome(lambda: diameter(expr, kind, True, budget))
         upper = outcome(lambda: diameter_upper(expr, kind, budget))
         assert upper == (full if isinstance(full, str) else full.upper)
+
+
+# disjoint term supports: term n lives on coordinates 3n+1..3n+3
+disjoint_series = st.lists(small_terms, min_size=1, max_size=4).map(
+    lambda terms: SeriesSpec(
+        tuple(SparseVec({3 * n + i: x for i, x in t.items()}) for n, t in enumerate(terms)),
+        NormKind.SUP,
+        "disjoint",
+    )
+)
+# the grid q + a*x + b*y, a and b in {-1, 0, 1}: x and y are free at its centre
+finite_grids = st.builds(
+    lambda q, x, y: FinitePoints(tuple(q + x.scale(a) + y.scale(b) for a in (-1, 0, 1) for b in (-1, 0, 1))),
+    small_terms,
+    small_terms,
+    small_terms,
+)
+direction_leaves = st.one_of(
+    leaf_sets,
+    finite_grids,
+    st.builds(lambda s, mode: SignSums(s, mode, s.horizon), disjoint_series, st.sampled_from(list(SignMode))),
+)
+direction_sets = st.one_of(
+    direction_leaves,
+    st.builds(Translate, direction_leaves, small_terms),
+    st.builds(Negate, direction_leaves),
+    st.lists(direction_leaves, min_size=1, max_size=2).map(lambda parts: Intersect(tuple(parts))),
+    symmetrized_sets(direction_leaves),
+    nested_sets(direction_leaves),
+)
+
+
+# 0, e1, ..., 4 e1 and -e1, 0, ..., 3 e1: an end of the line is a witness
+# that a translate or negation must hand its base shifted
+LINE = FinitePoints(tuple(unit(1, k) for k in range(5)))
+SHIFTED_LINE = FinitePoints(tuple(unit(1, k) for k in range(-1, 4)))
+# the prefixes of e1, e2, 2 e3: at the witness e1 the largest free term
+# 2 e3 skips e2, and e1 + 2 e3 is no prefix
+GAP_PREFIXES = SignSums(SeriesSpec((unit(1), unit(2), unit(3, 2)), NormKind.SUP, "gap"), SignMode.PREFIXES, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(direction_sets, norm_kinds, st.lists(st.integers(0, 99), min_size=1, max_size=2))
+@example(Translate(LINE, unit(1)), NormKind.SUP, [1])
+@example(Negate(SHIFTED_LINE), NormKind.SUP, [1])
+@example(GAP_PREFIXES, NormKind.SUP, [0])
+def test_free_direction_keeps_every_witness_translate_a_member(expr, kind, picks):
+    # free_direction tests no translate: each variant's candidate must
+    # have w + d and w - d in the set (README, "Free directions")
+    pool = sample_members(expr)
+    if not pool:
+        return
+    ws = [pool[i % len(pool)] for i in picks]
+    d = free_direction(expr, ws, kind)
+    if d is not None:
+        assert not d.is_zero
+        for w in ws:
+            assert contains(expr, w + d) and contains(expr, w - d)
 
 
 def test_diameter_upper_samples_no_member(monkeypatch):
