@@ -72,53 +72,96 @@ def decimal_string(value: Fraction, digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# replay checks
+# replay entries
+
+
+def _read_flag(obj) -> bool:
+    if not isinstance(obj, bool):
+        raise InvalidInput(f"a replay flag must be true or false, not {obj!r}")
+    return obj
+
+
+# field type -> (write a value as JSON, read it back). Module functions are
+# looked up at call time, so a wrapper later set on the module is the one called.
+FIELD_TYPES = {
+    "set": (lambda expr: sets.set_to_json(expr), lambda obj: sets.set_from_json(obj)),
+    "vector": (lambda v: v.to_json(), lambda obj: SparseVec.from_json(obj)),
+    "norm": (lambda kind: kind.value, lambda obj: NormKind.parse(obj)),
+    "scalar": (lambda value: format_scalar(value), lambda obj: as_scalar(obj)),
+    "bool": (lambda flag: flag, _read_flag),
+}
+
+# Each replay entry kind, declared once: its fields in order as (name, type)
+# and its exact check over the parsed values. A bool field left out reads true.
+ENTRY_KINDS = {
+    "contains": (
+        (("set", "set"), ("vector", "vector"), ("expected", "bool")),
+        lambda expr, v, expected: sets.contains(expr, v) == expected,
+    ),
+    "norm_ge": (
+        (("vector", "vector"), ("norm", "norm"), ("threshold", "scalar")),
+        lambda v, kind, threshold: norm(v, kind) >= threshold,
+    ),
+    "norm_le": (
+        (("vector", "vector"), ("norm", "norm"), ("threshold", "scalar")),
+        lambda v, kind, threshold: norm(v, kind) <= threshold,
+    ),
+    "dual_norm_eq": (
+        (("functional", "vector"), ("norm", "norm"), ("value", "scalar")),
+        lambda f, kind, value: dual_norm(f, kind) == value,
+    ),
+    "dual_pair_eq": (
+        (("functional", "vector"), ("vector", "vector"), ("value", "scalar")),
+        lambda f, v, value: dual_pair(f, v) == value,
+    ),
+    "midpoint": (
+        (("parent", "vector"), ("left", "vector"), ("right", "vector")),
+        lambda parent, left, right: (left + right).scale(Fraction(1, 2)) == parent,
+    ),
+    "scalar_le": ((("left", "scalar"), ("right", "scalar")), lambda left, right: left <= right),
+    "scalar_lt": ((("left", "scalar"), ("right", "scalar")), lambda left, right: left < right),
+}
+
+
+def entry(kind: str, *values) -> dict:
+    """The replay entry of ``kind`` whose fields hold ``values``, in table order."""
+    out = {"kind": kind}
+    for (name, type_), value in zip(ENTRY_KINDS[kind][0], values, strict=True):
+        out[name] = FIELD_TYPES[type_][0](value)
+    return out
 
 
 def check_entry(entry: dict, parsed: dict) -> bool:
     """Re-verify one replay entry with membership and exact arithmetic.
 
     ``parsed`` is the replay's parse table (see :func:`_parse`), so each
-    distinct set and vector is parsed once.
+    distinct field value is parsed once.
     """
     if not isinstance(entry, dict):
         raise InvalidInput("a replay entry must be a JSON object")
-    kind = entry["kind"]
-    def vector(name: str) -> SparseVec:
-        return _parse(SparseVec.from_json, entry[name], parsed)
-    if kind == "contains":
-        expr = _parse(sets.set_from_json, entry["set"], parsed)
-        expected = entry.get("expected", True)
-        if not isinstance(expected, bool):
-            raise InvalidInput("a contains entry's expected value must be true or false")
-        return sets.contains(expr, vector("vector")) == expected
-    if kind in ("norm_ge", "norm_le"):
-        value = norm(vector("vector"), NormKind.parse(entry["norm"]))
-        threshold = as_scalar(entry["threshold"])
-        return value >= threshold if kind == "norm_ge" else value <= threshold
-    if kind == "dual_norm_eq":
-        return dual_norm(vector("functional"), NormKind.parse(entry["norm"])) == as_scalar(entry["value"])
-    if kind in ("dual_pair_eq", "dual_pair_gt"):
-        pair = dual_pair(vector("functional"), vector("vector"))
-        value = as_scalar(entry["value"])
-        return pair == value if kind == "dual_pair_eq" else pair > value
-    if kind == "midpoint":
-        parent, left, right = map(vector, ("parent", "left", "right"))
-        return (left + right).scale(Fraction(1, 2)) == parent
-    if kind == "scalar_le":
-        return as_scalar(entry["left"]) <= as_scalar(entry["right"])
-    if kind == "scalar_lt":
-        return as_scalar(entry["left"]) < as_scalar(entry["right"])
-    raise InvalidInput(f"unknown replay check kind {kind!r}")
+    kind = entry.get("kind")
+    spec = ENTRY_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise InvalidInput(f"unknown replay check kind {kind!r}")
+    fields, check = spec
+    values = []
+    for name, type_ in fields:
+        if name in entry:
+            values.append(_parse(type_, entry[name], parsed))
+        elif type_ == "bool":
+            values.append(True)
+        else:
+            raise InvalidInput(f"a {kind} entry needs a {name!r} field")
+    return check(*values)
 
 
-def _parse(parse, obj, parsed: dict):
-    """``parse(obj)``, kept in ``parsed`` under ``parse`` and ``repr(obj)``, which tells
-    ``1``, ``1.0``, ``true`` and ``"1"`` apart; the same items reordered parse anew."""
-    key = (parse, repr(obj))
+def _parse(type_: str, obj, parsed: dict):
+    """``obj`` read as a field of ``type_``, kept in ``parsed`` under ``type_`` and ``repr(obj)``,
+    which tells ``1``, ``1.0``, ``true`` and ``"1"`` apart; the same items reordered parse anew."""
+    key = (type_, repr(obj))
     value = parsed.get(key)
     if value is None:
-        value = parsed[key] = parse(obj)
+        value = parsed[key] = FIELD_TYPES[type_][1](obj)
     return value
 
 
@@ -130,32 +173,14 @@ def verify_replay(report: dict) -> list[int]:
     if not isinstance(entries, list):
         raise InvalidInput("a report needs a replay list")
     parsed: dict = {}
-    return [pos for pos, entry in enumerate(entries) if not check_entry(entry, parsed)]
-
-
-def _contains_entry(expr, v: SparseVec, expected: bool = True) -> dict:
-    return {
-        "kind": "contains",
-        "set": sets.set_to_json(expr),
-        "vector": v.to_json(),
-        "expected": expected,
-    }
+    return [pos for pos, item in enumerate(entries) if not check_entry(item, parsed)]
 
 
 def _free_direction_replay(expr, witnesses, d, kind: NormKind, lower: Fraction) -> list[dict]:
     entries = []
     for w in witnesses:
-        entries.append(_contains_entry(expr, w + d))
-        entries.append(_contains_entry(expr, w - d))
-    entries.append(
-        {
-            "kind": "norm_ge",
-            "vector": d.to_json(),
-            "norm": kind.value,
-            "threshold": format_scalar(lower),
-        }
-    )
-    return entries
+        entries += [entry("contains", expr, w + d, True), entry("contains", expr, w - d, True)]
+    return entries + [entry("norm_ge", d, kind, lower)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +234,14 @@ def _run_delta(args, obj):
     rows = []
     for res in curve:
         rows.append(res.to_json())
-        for w in res.upper_witnesses:
-            replay.append(_contains_entry(expr, w))
-        if res.N >= 1 and res.lower_certificate and res.lower_certificate.unconditional_value > 0:
-            d = indexes.challenge_lower(
-                res.lower_certificate, expr, list(res.upper_witnesses), kind
-            )
-            replay.extend(
-                _free_direction_replay(
-                    expr, list(res.upper_witnesses), d, kind, res.lower_certificate.value
-                )
-            )
+        replay += [entry("contains", expr, w, True) for w in res.upper_witnesses]
+        low = res.lower_certificate
+        if res.N >= 1 and low and low.unconditional_value > 0:
+            ws = list(res.upper_witnesses)
+            d = indexes.challenge_lower(low, expr, ws, kind)
+            replay += _free_direction_replay(expr, ws, d, kind, low.value)
         if res.bound.lower is not None and res.bound.upper is not None:
-            replay.append(
-                {
-                    "kind": "scalar_le",
-                    "left": format_scalar(res.bound.lower),
-                    "right": format_scalar(res.bound.upper),
-                }
-            )
+            replay.append(entry("scalar_le", res.bound.lower, res.bound.upper))
     return {"curve": rows, "norm": kind.value}, replay, "ok"
 
 
@@ -247,24 +261,9 @@ def _run_extract(args, obj):
     # coefficient vector (proved at verify_basis_inequality)
     replay = []
     for n, step in enumerate(transcript.steps, start=1):
-        replay.append(_contains_entry(step.set_before, step.x))
-        replay.append(
-            {
-                "kind": "dual_norm_eq",
-                "functional": step.f.to_json(),
-                "norm": kind.value,
-                "value": "1",
-            }
-        )
-        for k in range(n - 1):
-            replay.append(
-                {
-                    "kind": "dual_pair_eq",
-                    "functional": step.f.to_json(),
-                    "vector": transcript.steps[k].x.to_json(),
-                    "value": "0",
-                }
-            )
+        replay.append(entry("contains", step.set_before, step.x, True))
+        replay.append(entry("dual_norm_eq", step.f, kind, 1))
+        replay += [entry("dual_pair_eq", step.f, transcript.steps[k].x, 0) for k in range(n - 1)]
     return {"transcript": transcript.to_json(), "validation": validation}, replay, outcome
 
 
@@ -277,13 +276,7 @@ def _run_refine(args, obj):
         return {"outcome": "not_found", "best": miss.best}, [], "not_found"
     low = indexes.delta_lower(expr, 1, kind).lower_certificate
     d0 = indexes.delta0(refined, kind)
-    replay = [
-        {
-            "kind": "scalar_le",
-            "left": format_scalar(d0.upper),
-            "right": format_scalar(as_length(1 + epsilon, kind) * low.value),
-        }
-    ]
+    replay = [entry("scalar_le", d0.upper, as_length(1 + epsilon, kind) * low.value)]
     result = {
         "refined": sets.set_to_json(refined),
         "delta0": d0.to_json(),
@@ -300,25 +293,12 @@ def _run_tree(args, obj):
     except TreeStalled as stall:
         return {"outcome": "stalled", "node": stall.node}, [], "stalled"
     replay = []
+    sep = as_length(2 * epsilon, kind)
     for n in range(1, tree.internal_count + 1):
-        replay.append(
-            {
-                "kind": "midpoint",
-                "parent": tree.node(n).to_json(),
-                "left": tree.node(2 * n).to_json(),
-                "right": tree.node(2 * n + 1).to_json(),
-            }
-        )
-        replay.append(
-            {
-                "kind": "norm_ge",
-                "vector": (tree.node(2 * n + 1) - tree.node(2 * n)).to_json(),
-                "norm": kind.value,
-                "threshold": format_scalar(as_length(2 * epsilon, kind)),
-            }
-        )
-    for pos in range(len(tree.nodes)):
-        replay.append(_contains_entry(expr, tree.nodes[pos]))
+        left, right = tree.node(2 * n), tree.node(2 * n + 1)
+        replay.append(entry("midpoint", tree.node(n), left, right))
+        replay.append(entry("norm_ge", right - left, kind, sep))
+    replay += [entry("contains", expr, node, True) for node in tree.nodes]
     return {"tree": tree.to_json()}, replay, "ok"
 
 
@@ -336,9 +316,7 @@ def _run_series(args, obj):
             result["lower_certificate"] = miss.lower_certificate.to_json()
             expr = series_mod.sign_sum_set(series, series_mod.SignMode.SUBSETS)
             d = indexes.challenge_lower(miss.lower_certificate, expr, [], series.norm)
-            replay.extend(
-                _free_direction_replay(expr, [], d, series.norm, miss.lower_certificate.value)
-            )
+            replay += _free_direction_replay(expr, [], d, series.norm, miss.lower_certificate.value)
         if miss.best is not None:
             result["best_diameter"] = format_scalar(miss.best[0])
         return result, replay, "not_achievable"
@@ -351,24 +329,11 @@ def _run_series(args, obj):
         "replayed_patterns": 2 ** (stop - tail.M),
     }
     expr = series_mod.sign_sum_set(series, series_mod.SignMode.SUBSETS)
-    for w in tail.witnesses:
-        replay.append(_contains_entry(expr, w))
-    replay.append(
-        {
-            "kind": "scalar_lt",
-            "left": format_scalar(tail.diameter_upper),
-            "right": format_scalar(as_length(2 * epsilon, series.norm)),
-        }
-    )
+    replay += [entry("contains", expr, w, True) for w in tail.witnesses]
+    replay.append(entry("scalar_lt", tail.diameter_upper, as_length(2 * epsilon, series.norm)))
+    threshold = as_length(epsilon, series.norm)
     for total in signed_sums(series.terms[tail.M : stop]):
-        replay.append(
-            {
-                "kind": "norm_le",
-                "vector": total.to_json(),
-                "norm": series.norm.value,
-                "threshold": format_scalar(as_length(epsilon, series.norm)),
-            }
-        )
+        replay.append(entry("norm_le", total, series.norm, threshold))
     return result, replay, "ok"
 
 
@@ -379,7 +344,7 @@ def _run_extreme(args, obj):
     epsilon = as_scalar(args.epsilon)
     flag, bound = ext.extreme_diameter(expr, point, epsilon, kind)
     result = {"eps_extreme": flag, "epsilon": format_scalar(epsilon)}
-    replay = [_contains_entry(expr, point)]
+    replay = [entry("contains", expr, point, True)]
     result["symmetrized_diameter"] = bound.to_json()
     if isinstance(expr, sets.FinitePoints):
         strong, delta = ext.eps_strong_extreme(expr, point, epsilon, kind)
@@ -399,16 +364,11 @@ def _run_one_sided(args, obj):
             [],
             "stalled",
         )
-    replay = []
-    threshold = format_scalar(as_length(epsilon, kind))
-    for v in xs:
-        replay.append(
-            {"kind": "norm_ge", "vector": v.to_json(), "norm": kind.value, "threshold": threshold}
-        )
+    threshold = as_length(epsilon, kind)
+    replay = [entry("norm_ge", v, kind, threshold) for v in xs]
     diff = sets.difference_set(expr)
     if diff is not None and len(xs) <= 10:
-        for total in signed_sums(xs):
-            replay.append(_contains_entry(diff, total))
+        replay += [entry("contains", diff, total, True) for total in signed_sums(xs)]
     return {"sequence": [v.to_json() for v in xs]}, replay, "ok"
 
 

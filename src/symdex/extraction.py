@@ -435,6 +435,8 @@ def refine_almost_isometric(
     eps = as_scalar(epsilon)
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
+    if N_max < 0:
+        raise InvalidInput("N_max must be nonnegative")
     low = delta_lower(expr, 1, kind).lower_certificate
     if low.unconditional_value <= 0 or not low.uniform:
         raise InvalidInput("refinement needs a positive unconditional lower certificate")

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from symdex.cli import (
 )
 from symdex.extraction import MAX_TREE_DEPTH
 from symdex.sets import MAX_SET_DEPTH
-from symdex.vectors import SparseVec
+from symdex.vectors import NormKind, SparseVec
 
 BOX_OVERRIDE = {"type": "box", "default_radius": "1", "overrides": {"1": "2"}}
 PLAIN_BOX = {"type": "box", "default_radius": "1", "overrides": {}}
@@ -239,6 +240,17 @@ def test_refine_report(tmp_path):
         "overrides": {"1": "0"},
     }
     assert report["result"]["delta0"]["upper"] == "1"
+
+
+@pytest.mark.parametrize("n, code", [(-2, EXIT_INVALID), (0, EXIT_OK)])
+def test_refine_needs_a_nonnegative_list_size(tmp_path, capsys, n, code):
+    infile = write(tmp_path / "box.json", BOX_OVERRIDE)
+    out = tmp_path / "refined.json"
+    assert main(["refine", "--in", infile, "--out", str(out), "--n", str(n)]) == code
+    if code == EXIT_INVALID:
+        assert "N_max must be nonnegative" in capsys.readouterr().err
+    else:
+        assert json.loads(out.read_text())["outcome"] == "not_found"
 
 
 def test_invalid_input_exit_code(tmp_path):
@@ -468,6 +480,58 @@ def test_oracle_contains_entry_needs_a_boolean_expected(tmp_path, expected, code
     }
     report = write(tmp_path / "report.json", {"replay": [entry]})
     assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == code
+
+
+BOX = sets.set_from_json(PLAIN_BOX)
+E1, E2 = SparseVec.from_json({"1": "1"}), SparseVec.from_json({"1": "2"})
+SUP = NormKind.SUP
+# kind -> (values of a true entry, values of a false one), in table order
+ENTRY_SAMPLES = {
+    "contains": ((BOX, E1, True), (BOX, E1, False)),
+    "norm_ge": ((E1, SUP, 1), (E1, SUP, 2)),
+    "norm_le": ((E1, SUP, 1), (E1, SUP, F(1, 2))),
+    "dual_norm_eq": ((E1, SUP, 1), (E1, SUP, 2)),
+    "dual_pair_eq": ((E1, E2, 2), (E1, E2, 0)),
+    "midpoint": ((E1, SparseVec.from_json({}), E2), (E1, E1, E2)),
+    "scalar_le": ((1, 1), (2, 1)),
+    "scalar_lt": ((0, 1), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(cli.ENTRY_KINDS))
+def test_each_entry_kind_replays_a_true_entry_and_rejects_a_false_one(kind):
+    true, false = ENTRY_SAMPLES[kind]
+    report = json.loads(json.dumps({"replay": [cli.entry(kind, *true), cli.entry(kind, *false)]}))
+    assert verify_replay(report) == [1]
+
+
+@pytest.mark.parametrize(
+    "kind, name, type_",
+    [(kind, name, type_) for kind, (fields, _) in cli.ENTRY_KINDS.items() for name, type_ in fields],
+)
+def test_oracle_names_the_missing_field_of_an_entry(tmp_path, capsys, kind, name, type_):
+    item = cli.entry(kind, *ENTRY_SAMPLES[kind][0])
+    del item[name]
+    report = write(tmp_path / "report.json", {"replay": [item]})
+    code = main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")])
+    if type_ == "bool":
+        # a contains entry without expected means expected: true
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_INVALID
+        assert f"a {kind} entry needs a {name!r} field" in capsys.readouterr().err
+
+
+def test_oracle_rejects_the_unwritten_dual_pair_gt_kind(tmp_path, capsys):
+    item = {"kind": "dual_pair_gt", "functional": {"1": "1"}, "vector": {"1": "1"}, "value": "0"}
+    report = write(tmp_path / "report.json", {"replay": [item]})
+    assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == EXIT_INVALID
+    assert "unknown replay check kind 'dual_pair_gt'" in capsys.readouterr().err
+
+
+def test_readme_names_every_entry_kind():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [kind for kind in cli.ENTRY_KINDS if f"| `{kind}` |" not in readme] == []
 
 
 def test_oracle_parses_each_distinct_set_once(tmp_path, monkeypatch):
