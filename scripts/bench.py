@@ -76,9 +76,13 @@ membership tests (calls of ``SignSums.contains``) and how many of them
 run the bounded depth-first search (calls of ``SignSums._search``; in a
 checkout without that method, the ``contains`` calls for which
 ``SignSums.coefficients`` is None, as that version searched exactly
-then). For each ``extract`` request it also gives the median time of
-``extraction.validate_transcript`` within the request, over the same
-repeats. For each JSON report it also times the ``oracle`` replay and
+then), the nodes those searches visit (the ``nodes`` count of
+``SignSums._search``, read at each return through ``sys.setprofile``),
+and the relaxations of symmetrized sets without a closed form it takes
+(calls of ``Symmetrized.coordinate_relaxation``) with the median time
+spent in them where there are any. For each ``extract`` request it also
+gives the median time of ``extraction.validate_transcript`` within the
+request, over the same repeats. For each JSON report it also times the ``oracle`` replay and
 counts, for one replay, the set parses (calls of ``sets.set_from_json``,
 nested sets included), the vector parses (calls of
 ``SparseVec.from_json``) and the bytes of the verdict it writes.
@@ -146,6 +150,11 @@ OVERLAP12 = {
     "label": "overlap12",
     "terms": [{str(n): "1", str(n + 1): "1"} for n in range(1, 13)],
 }
+# the 64 points of the 0/1 cube in 6 coordinates
+CUBE6 = {"type": "finite", "points": [{str(i + 1): "1" for i in range(6) if mask >> i & 1} for mask in range(64)]}
+# x_k = e_1 + e_2/k, k = 1..300: all terms share both coordinates, so the
+# tail bound's symmetrized sets take the coordinate relaxation
+OVERLAP300 = {"norm": "sup", "label": "overlap300", "terms": [{"1": "1", "2": f"1/{k}"} for k in range(1, 301)]}
 SCALED_INPUTS = {
     "geometric15.json": GEOMETRIC15,
     "subset_sums12.json": {"set": {"type": "sign_sums", "mode": "subsets", "horizon": 12,
@@ -155,6 +164,8 @@ SCALED_INPUTS = {
     "overlap12.json": OVERLAP12,
     "overlap12_subsets.json": {"type": "sign_sums", "mode": "subsets", "horizon": 12, "series": OVERLAP12},
     "diagonal_box.json": {"type": "box", "default_radius": "1", "overrides": {"1": "3", "2": "2", "3": "1/2"}},
+    "cube6.json": CUBE6,
+    "overlap300.json": OVERLAP300,
 }
 SCALED_REQUESTS = [
     ("series_geometric15.json", ["series", "--in", "geometric15.json", "--epsilon", "1/256", "--seed", "0"]),
@@ -173,6 +184,10 @@ SCALED_REQUESTS = [
     ("delta_diagonal3.json", ["delta", "--in", "diagonal_box.json", "--n", "3", "--seed", "0"]),
     ("delta_diagonal3.csv",
      ["delta", "--in", "diagonal_box.json", "--format", "csv", "--n", "3", "--seed", "0"]),
+    # 2^6 family entries, each a copy of the 64-point set
+    ("one_sided_cube6.json", ["one_sided", "--in", "cube6.json", "--epsilon", "1", "--n", "6", "--seed", "0"]),
+    ("series_overlap300.json",
+     ["series", "--in", "overlap300.json", "--epsilon", "1/8", "--budget", "1000", "--seed", "0"]),
 ]
 
 
@@ -599,6 +614,29 @@ def sign_sum_searches(call) -> tuple[int, int]:
     return len(searched), sum(searched)
 
 
+def search_nodes(call) -> int:
+    """The nodes the sign-sum searches of ``call()`` visit: the ``nodes``
+    count of ``SignSums._search``, read as each search returns or raises
+    (0 in a checkout without that method)."""
+    from symdex.sets import SignSums
+
+    search = getattr(SignSums, "_search", None)
+    if search is None:
+        return 0
+    code, total = search.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            total[0] += frame.f_locals["nodes"]
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return total[0]
+
+
 def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
     """Median ms of ``call()`` over ``repeats`` runs after one warm-up;
     ``before()`` runs ahead of each, outside the timer."""
@@ -642,8 +680,10 @@ def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
 def measure_cli() -> dict:
     """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
     "pool_calls", "diameter_upper_calls", "contains_calls", "sign_sum_contains",
-    "sign_sum_searches", "oracle_set_parses", "oracle_vector_parses",
-    "verdict_bytes"}, plus "validate_ms" for extract} over the requests
+    "sign_sum_searches", "search_nodes", "relaxation_calls",
+    "oracle_set_parses", "oracle_vector_parses", "verdict_bytes"}, plus
+    "validate_ms" for extract and "relaxation_ms" where relaxation_calls
+    is positive} over the requests
     of run_demo.py and of SCALED_REQUESTS (CSV reports have no oracle
     replay, so their rows have no oracle figures)."""
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
@@ -682,6 +722,15 @@ def measure_cli() -> dict:
             row["contains_calls"] = sum(count_calls(lambda: demo.main(request), *membership_tests(sets)))
             cache.clear()
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
+            cache.clear()
+            row["search_nodes"] = search_nodes(lambda: demo.main(request))
+            cache.clear()
+            # the relaxations of symmetrized sets without a closed form
+            row["relaxation_calls"] = count_calls(lambda: demo.main(request),
+                                                  (sets.Symmetrized, "coordinate_relaxation"))[0]
+            if row["relaxation_calls"]:
+                row["relaxation_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear, sets.Symmetrized,
+                                                       "coordinate_relaxation", repeats)
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 verdict = work / f"verdict_{outname}"
@@ -756,9 +805,10 @@ def main(argv=None) -> int:
     cli = measure_cli()
     print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'valid ms':>10}{'bytes':>9}{'lists':>8}{'pools':>7}"
           f"{'diam up':>9}{'contains':>10}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}"
-          f"{'verdict':>9}   (median; validate_transcript ms of extract; scored witness lists, member pools, "
-          "diameter upper ends, membership tests, sign-sum contains and searches, symmetrize_reduce calls; "
-          "the oracle's set and vector parses and verdict bytes)")
+          f"{'verdict':>9}{'nodes':>9}{'relax':>7}{'relax ms':>10}   (median; validate_transcript ms of extract; "
+          "scored witness lists, member pools, diameter upper ends, membership tests, sign-sum contains and "
+          "searches, symmetrize_reduce calls; the oracle's set and vector parses and verdict bytes; sign-sum "
+          "search nodes, Symmetrized.coordinate_relaxation calls and median ms)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         validate = f"{row['validate_ms']:>10.2f}" if "validate_ms" in row else f"{'-':>10}"
@@ -766,7 +816,8 @@ def main(argv=None) -> int:
                          (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
         print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{validate}{row['report_bytes']:>9}{row['scored_lists']:>8}"
               f"{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}{row['contains_calls']:>10}"
-              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}")
+              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}"
+              f"{row['search_nodes']:>9}{row['relaxation_calls']:>7}{row.get('relaxation_ms', '-'):>10}")
     if args.out:
         report = {
             "units": {
@@ -786,8 +837,10 @@ def main(argv=None) -> int:
                 "cli": "ms per call, median, and validate_ms the median ms of validate_transcript within an "
                        "extract request; report size in bytes; scored_lists, symmetrize_reduce_calls, "
                        "pool_calls, diameter_upper_calls, contains_calls, sign_sum_contains and "
-                       "sign_sum_searches per request; oracle_set_parses, oracle_vector_parses and "
-                       "verdict_bytes per oracle replay of the report",
+                       "sign_sum_searches per request; search_nodes (the nodes of SignSums._search), "
+                       "relaxation_calls (of Symmetrized.coordinate_relaxation) and relaxation_ms (their "
+                       "median ms) per request; oracle_set_parses, oracle_vector_parses and verdict_bytes "
+                       "per oracle replay of the report",
             },
             "batch": BATCH,
             "repeats": REPEATS,

@@ -366,9 +366,16 @@ def _run_one_sided(args, obj):
         )
     threshold = as_length(epsilon, kind)
     replay = [entry("norm_ge", v, kind, threshold) for v in xs]
-    diff = sets.difference_set(expr)
-    if diff is not None and len(xs) <= 10:
-        replay += [entry("contains", diff, total, True) for total in signed_sums(xs)]
+    # each partial sign sum of xs is the difference of two members of the
+    # family x_0 + (sum of a subset of xs), replayed in the set itself
+    # (README, "One-sided families"); each entry copies the set, so only a
+    # box or a set of at most 64 members gets them, for at most 10 steps
+    members = () if isinstance(expr, sets.Box) else sets.enumerate_members(expr, 64)
+    if len(xs) <= 10 and members is not None and len(members) <= 64:
+        family = [ext.default_start(expr)]
+        for x in xs:
+            family += [m + x for m in family]
+        replay += [entry("contains", expr, m, True) for m in family]
     return {"sequence": [v.to_json() for v in xs]}, replay, "ok"
 
 

@@ -142,7 +142,9 @@ class ExtractionTranscript:
             raise InvalidInput(f"transcript JSON missing field {exc}") from None
 
 
-def _default_start(expr: SetExpr) -> SparseVec:
+def default_start(expr: SetExpr) -> SparseVec:
+    """The first point of a transcript, tree or one-sided family: zero when
+    it is a member, else the first member of the set's pool."""
     if contains(expr, ZERO):
         return ZERO
     pool = default_pool(expr)
@@ -267,7 +269,7 @@ def extract_c0_sequence(
     if N < 1:
         raise InvalidInput("extraction needs N >= 1")
     eta = eps / 3
-    start = _default_start(expr) if x0 is None else x0
+    start = default_start(expr) if x0 is None else x0
     current = symmetrize(expr, [start])  # raises WitnessNotMember for a non-member start
     steps: list[TranscriptStep] = []
     # the index floor at every 2^n: delta_lower does not depend on its N
@@ -516,7 +518,7 @@ def build_eps_tree(
     total = 2 ** depth - 1
     internal = 2 ** (depth - 1) - 1
     arr: list[Optional[SparseVec]] = [None] * (total + 1)
-    arr[1] = _default_start(expr)
+    arr[1] = default_start(expr)
     threshold = as_length(eps, kind)
     for n in range(1, internal + 1):
         u = free_direction(expr, [arr[n]], kind)
@@ -563,7 +565,7 @@ def one_sided_sequence(
         raise InvalidInput("epsilon must be positive")
     if steps < 1:
         raise InvalidInput("steps must be at least 1")
-    family: list[SparseVec] = [_default_start(expr)]
+    family: list[SparseVec] = [default_start(expr)]
     out: list[SparseVec] = []
     threshold = as_length(eps, kind)
     for n in range(1, steps + 1):

@@ -31,8 +31,6 @@ from .sets import (
 )
 from .vectors import NormKind, SparseVec, half_length, norm
 
-ZERO_CERT = LowerCertificate("none", Fraction(0), Fraction(0), True)
-
 # lists a search keeps per round, by strategy kind (None keeps every list)
 WIDTHS = {"exhaustive": None, "greedy": 1, "beam": 4}
 

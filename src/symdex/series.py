@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import BudgetExceeded, InvalidInput, NotAchievable
 from .vectors import (
@@ -66,11 +67,14 @@ class SeriesSpec:
         return self._disjoint
 
     def column_sums(self, horizon: int) -> dict[int, Fraction]:
-        """Sum of |x_n(i)| over the first ``horizon`` terms, per coordinate they touch."""
+        """Sum of |x_n(i)| over the first ``horizon`` terms, per coordinate
+        they touch, summed on integers over the lcm of the column's denominators."""
         sums = {}
         for i, entries in self.columns.items():
             if entries[0][0] < horizon:
-                sums[i] = sum((abs(x) for n, x in entries if n < horizon), Fraction(0))
+                xs = [x for n, x in entries if n < horizon]
+                scale = lcm(*(x.denominator for x in xs))
+                sums[i] = Fraction(sum(abs(x.numerator) * (scale // x.denominator) for x in xs), scale)
         return sums
 
     def to_json(self) -> dict:

@@ -241,10 +241,6 @@ class SetExpr(ABC):
         twice = w + w
         return tuple(sorted((p - w for p in base if twice - p in pool), key=SparseVec.sort_key))
 
-    def fresh_abs_sup(self) -> Fraction:
-        """sup |v_i| at any coordinate i beyond every relevant support."""
-        return Fraction(0)
-
     def two_sided_direction(self, ws: list[SparseVec], kind: NormKind) -> Optional[SparseVec]:
         """The case of :func:`free_direction` for member witnesses ``ws``:
         a direction d with w + d and w - d members at every witness, by a
@@ -267,16 +263,9 @@ class SetExpr(ABC):
         """``count`` members from a family that extends to any count, or None."""
         return None
 
+    @abstractmethod
     def coordinate_relaxation(self) -> "Box":
-        """See :func:`coordinate_relaxation`."""
-        raise InvalidInput("coordinate relaxation expects a symmetrized set")
-
-    def difference_set(self) -> Optional["SetExpr"]:
-        """See :func:`difference_set`."""
-        members = enumerate_members(self, 64)
-        if members is None or len(members) > 64:
-            return None
-        return FinitePoints(tuple({a - b for a in members for b in members}))
+        """The box of this set's closed form; see :func:`coordinate_relaxation`."""
 
     def symmetrized_lp_extent(self, sym: "Symmetrized", kind: NormKind, vertex: bool) -> Optional[BoundPair]:
         """Exact diameter of ``sym`` (whose base is this set) by linear
@@ -384,9 +373,6 @@ class Box(SetExpr):
         value = sum((abs(x) * self.radius(i) for i, x in f.items()), Fraction(0))
         return BoundPair(value, value, upper_witness={"rule": "box"})
 
-    def fresh_abs_sup(self) -> Fraction:
-        return self.default_radius
-
     def relevant_coords(self) -> set[int]:
         return {i for i, _ in self.overrides}
 
@@ -456,12 +442,6 @@ class Box(SetExpr):
 
     def coordinate_relaxation(self) -> "Box":
         return self
-
-    def difference_set(self) -> SetExpr:
-        return Box(
-            2 * self.default_radius,
-            tuple((i, 2 * r) for i, r in self.overrides),
-        )
 
 
 @dataclass(frozen=True)
@@ -557,6 +537,9 @@ class FinitePoints(SetExpr):
 
     def lower_certificate(self, kind: NormKind) -> LowerCertificate:
         return LowerCertificate("finite_extreme", Fraction(0), Fraction(0), True)
+
+    def coordinate_relaxation(self) -> "Box":
+        return _largest_entries(self.points)
 
 
 @dataclass(frozen=True)
@@ -823,8 +806,7 @@ class SignSums(SetExpr):
         return replace(self, series=replace(self.series, terms=terms))
 
     def coordinate_relaxation(self) -> "Box":
-        # the relaxation of a flattened symmetrization: column sums
-        return Box(Fraction(0), tuple(sorted(self.series.column_sums(self.horizon).items())))
+        return Box(Fraction(0), tuple(self.series.column_sums(self.horizon).items()))
 
 
 @dataclass(frozen=True)
@@ -859,11 +841,15 @@ class Translate(SetExpr):
         hi = None if inner.upper is None else inner.upper + shift
         return BoundPair(lo, hi, inner.lower_witness, inner.upper_witness)
 
-    def fresh_abs_sup(self) -> Fraction:
-        return self.base.fresh_abs_sup()
-
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base) | set(self.by.support)
+
+    def coordinate_relaxation(self) -> "Box":
+        box = coordinate_relaxation(self.base)
+        radii = box.override_map()
+        for i, x in self.by.items():
+            radii[i] = box.radius(i) + abs(x)
+        return Box(box.default_radius, tuple(radii.items()))
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, lower, enum_budget)
@@ -905,11 +891,11 @@ class Negate(SetExpr):
     def sup_functional(self, f: Functional) -> BoundPair:
         return sup_functional(-f, self.base)
 
-    def fresh_abs_sup(self) -> Fraction:
-        return self.base.fresh_abs_sup()
-
     def relevant_coords(self) -> set[int]:
         return relevant_coords(self.base)
+
+    def coordinate_relaxation(self) -> "Box":
+        return coordinate_relaxation(self.base)
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         return self.base.diameter(kind, lower, enum_budget)
@@ -958,14 +944,17 @@ class Intersect(SetExpr):
         finite = [u for u in (sup_functional(f, p).upper for p in self.parts) if u is not None]
         return BoundPair(None, min(finite) if finite else None)
 
-    def fresh_abs_sup(self) -> Fraction:
-        return min(p.fresh_abs_sup() for p in self.parts)
-
     def relevant_coords(self) -> set[int]:
         out: set[int] = set()
         for p in self.parts:
             out |= relevant_coords(p)
         return out
+
+    def coordinate_relaxation(self) -> "Box":
+        boxes = [coordinate_relaxation(p) for p in self.parts]
+        coords = {i for box in boxes for i, _ in box.overrides}
+        radii = tuple((i, min(box.radius(i) for box in boxes)) for i in coords)
+        return Box(min(box.default_radius for box in boxes), radii)
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
@@ -1079,9 +1068,6 @@ class Symmetrized(SetExpr):
                 cands.append(inf_base + val)
         return BoundPair(Fraction(0), min(cands, default=None))
 
-    def fresh_abs_sup(self) -> Fraction:
-        return self.base.fresh_abs_sup()
-
     def relevant_coords(self) -> set[int]:
         out = relevant_coords(self.base)
         for w in self.witnesses:
@@ -1089,13 +1075,7 @@ class Symmetrized(SetExpr):
         return out
 
     def coordinate_relaxation(self) -> "Box":
-        coords = relevant_coords(self)
-        default = self.base.fresh_abs_sup()
-        overrides = {}
-        for i in sorted(coords):
-            r = _abs_coordinate_sup(self.base, i) - max(abs(w.get(i)) for w in self.witnesses)
-            overrides[i] = max(r, Fraction(0))
-        return Box(default, tuple(overrides.items()))
+        return coordinate_relaxation(self.base).symmetrize_reduce(list(self.witnesses))
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
@@ -1219,6 +1199,9 @@ class AbsConvHull(SetExpr):
 
     def relevant_coords(self) -> set[int]:
         return {i for p in self.points for i in p.support}
+
+    def coordinate_relaxation(self) -> "Box":
+        return _largest_entries(self.points)
 
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         top = max(norm(p, kind) for p in self.points)
@@ -1476,28 +1459,29 @@ def sup_functional(f: Functional, expr: SetExpr) -> BoundPair:
     return expr.sup_functional(f)
 
 
-def _abs_coordinate_sup(expr: SetExpr, coord: int) -> Fraction:
-    """Upper bound (exact where possible) on sup |v_coord| over the set."""
-    plus = sup_functional(unit(coord), expr).upper
-    minus = sup_functional(-unit(coord), expr).upper
-    if plus is None or minus is None:
-        raise UnboundedDiameter(f"coordinate {coord} is unbounded")
-    return max(plus, minus)
-
-
 def relevant_coords(expr: SetExpr) -> set[int]:
     """Coordinates on which the expression differs from its fresh behaviour."""
     return expr.relevant_coords()
 
 
 def coordinate_relaxation(expr: SetExpr) -> Box:
-    """Smallest box certified to contain the (symmetrized) expression.
-
-    Radii come from the base's coordinatewise suprema minus the witness
-    coordinates; this is the workhorse upper bound for diameters of
-    symmetrized sets without a closed form.
+    """A box certified to contain the expression, read off its closed form:
+    the largest ``|p_i|`` of a finite set's or hull's points, the column
+    sums of sign sums, a box itself, and for translates, negations and
+    intersections their parts' boxes composed. A symmetrization shrinks
+    its base's box by ``Box.symmetrize_reduce``. This is the workhorse
+    upper bound for diameters of symmetrized sets without a closed form.
     """
     return expr.coordinate_relaxation()
+
+
+def _largest_entries(points: Iterable[SparseVec]) -> Box:
+    """The box whose radius at each coordinate is the largest ``|p_i|`` over ``points``."""
+    radii: dict[int, Fraction] = {}
+    for p in points:
+        for i, x in p.items():
+            radii[i] = max(radii.get(i, Fraction(0)), abs(x))
+    return Box(Fraction(0), tuple(radii.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -1580,13 +1564,3 @@ def _canonical_sign(d: SparseVec) -> SparseVec:
     """``d`` or ``-d``, whichever has its first nonzero entry positive."""
     return -d if d._nums and d._nums[min(d._nums)] < 0 else d
 
-
-# ---------------------------------------------------------------------------
-# difference sets (for the one-sided sequence replay)
-
-
-def difference_set(expr: SetExpr) -> Optional[SetExpr]:
-    """{a - b : a, b in the set}: a closed form (boxes), or the finite
-    set of pairwise differences of at most 64 members (4,096 points);
-    None otherwise."""
-    return expr.difference_set()

@@ -84,7 +84,8 @@ def _digit_ratio(text: str) -> Optional[tuple[int, int]]:
 
 def format_scalar(value: ScalarLike) -> str:
     """Render a rational as 'p/q' (or a plain integer string)."""
-    return str(as_scalar(value))
+    # an int or a Fraction prints as it is; a bool goes through as_scalar to print 1 or 0
+    return str(value) if type(value) in (int, Fraction) else str(as_scalar(value))
 
 
 class NormKind(Enum):

@@ -177,6 +177,59 @@ def test_one_sided_on_many_members_replays_no_difference_set(tmp_path):
     assert json.loads(verdict.read_text())["result"]["failed"] == []
 
 
+def one_sided_report(tmp_path, expr_json, n):
+    out = tmp_path / "seq.json"
+    infile = write(tmp_path / "set.json", expr_json)
+    assert main(["one_sided", "--in", infile, "--out", str(out), "--epsilon", "1", "--n", str(n)]) == EXIT_OK
+    return out
+
+
+def family_entries(report):
+    return [e for e in report["replay"] if e["kind"] == "contains"]
+
+
+def test_one_sided_family_entries_need_a_box_or_at_most_64_members(tmp_path):
+    # each family entry copies the set, so only boxes and sets of at most
+    # 64 members get them: 2^n entries, or none
+    for low, high, expected in ((-31, 32, 4), (-32, 32, 0)):
+        line = {"type": "finite", "points": [{"1": str(k)} if k else {} for k in range(low, high + 1)]}
+        report = json.loads(one_sided_report(tmp_path, line, 2).read_text())
+        assert len(report["result"]["sequence"]) == 2
+        assert len(family_entries(report)) == expected
+    subsets = {"type": "sign_sums", "mode": "subsets", "horizon": 6,
+               "series": {"norm": "sup", "label": "canonical6", "terms": [{str(n): "1"} for n in range(1, 7)]}}
+    report = json.loads(one_sided_report(tmp_path, subsets, 4).read_text())
+    assert len(report["result"]["sequence"]) == 4 and family_entries(report) == []
+
+
+def test_one_sided_family_replays_in_the_input_set(tmp_path):
+    # the 64 points of the 0/1 cube in 6 coordinates: the family entries name
+    # the input set itself, not a set of pairwise differences (5.3 MB before)
+    cube = {"type": "finite", "points": [
+        {str(i + 1): "1" for i in range(6) if mask >> i & 1} for mask in range(64)
+    ]}
+    out = one_sided_report(tmp_path, cube, 6)
+    assert out.stat().st_size < 1_000_000
+    report = json.loads(out.read_text())
+    entries = family_entries(report)
+    assert len(entries) == 2 ** 6
+    assert all(e["set"] == sets.set_to_json(sets.set_from_json(cube)) for e in entries)
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"checked": 70, "failed": []}
+
+
+def test_one_sided_family_with_a_non_member_fails_the_oracle(tmp_path):
+    out = one_sided_report(tmp_path, PLAIN_BOX, 4)
+    report = json.loads(out.read_text())
+    index = next(pos for pos, e in enumerate(report["replay"]) if e["kind"] == "contains" and e["vector"] != {})
+    report["replay"][index]["vector"] = {"1": "2"}
+    out.write_text(json.dumps(report))
+    verdict = tmp_path / "verdict.json"
+    assert main(["oracle", "--in", str(out), "--out", str(verdict)]) == EXIT_VIOLATION
+    assert json.loads(verdict.read_text())["result"]["failed"] == [index]
+
+
 def test_extreme_command_with_envelope(tmp_path):
     envelope = {
         "set": {"type": "finite", "points": [{}, {"1": "1"}, {"2": "1"}]},

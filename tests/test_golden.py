@@ -86,7 +86,7 @@ DEMO_DIGESTS = {
     "tail_geometric.json": "f6ba439d8bef68acdd9044e7374629d2b8b78444bf20e0e772a1197d27def858",
     "tail_canonical.json": "60e85727f8ad2ee601274a36f013107967606c0df1b1243a4a1e3289308ef674",
     "extreme.json": "898f4394def54e6b7c4ddf9e75cc48c4068e200308e05a79428942fa4c2bd10d",
-    "one_sided.json": "53f2a1efc726998d4a5b71df1be0666693a66e939c4d57dd4693883d73efa845",
+    "one_sided.json": "9e357ea1c08c00fca796461b44881215b34915da1b71e4723ce48ceaa5dea6ad",
     "verdict_delta_curve.json": "e4e4866f9b8b8d528e3e367deb5617f76db3ae668919bcdba4b6d2e43a76e3ff",
     "verdict_extraction.json": "1e3e62b14afcb92a6f874ee3a429824e10844d22bd8efe4e9badf6e7821297d9",
     "verdict_refined.json": "479e6061841d6ee254365f2aa459563aee22111a8ec32f9be9fe94b6e780bc4d",
@@ -94,7 +94,7 @@ DEMO_DIGESTS = {
     "verdict_tail_geometric.json": "f3d0a769f3e5b95566789f16b880b16b52555da1db2c1e1242252b3d7ce9780d",
     "verdict_tail_canonical.json": "0d26e0343c0722c15b1285d8c558644e608907eaf32b16066e42851d6e48643e",
     "verdict_extreme.json": "c69a6583c4a29f0518779184c93da5bc16f8ddbbf70e2e14c5db77037ec14555",
-    "verdict_one_sided.json": "a0799fbaea9626c2c0ffbf0676cd5c073cc47852aea0ff75b3e097e05d59a9a9",
+    "verdict_one_sided.json": "a1275a5aef795ab768be13581c22eb07474b59818ee77f59a9f675a3e017db59",
 }
 
 VARIANT_DIGESTS = {

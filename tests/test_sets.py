@@ -726,6 +726,17 @@ def test_relaxation_pins_saturated_coordinate():
     assert relax.radius(1) == 0
 
 
+def test_relaxation_composes_the_parts_boxes():
+    points = FinitePoints((unit(1, 2), unit(2, -3)))
+    box = Box(F(0), ((1, F(2)), (2, F(3))))
+    assert coordinate_relaxation(points) == coordinate_relaxation(AbsConvHull(points.points)) == box
+    assert coordinate_relaxation(Negate(points)) == box
+    shifted = Translate(points, unit(1, -1) + unit(3, 1))
+    assert coordinate_relaxation(shifted) == Box(F(0), ((1, F(3)), (2, F(3)), (3, F(1))))
+    both = Intersect((points, Box(F(1), ((2, F(1)),))))
+    assert coordinate_relaxation(both) == Box(F(0), ((1, F(1)), (2, F(1))))
+
+
 @given(finite_sets, st.data())
 def test_relaxation_soundness(points, data):
     w = points.points[data.draw(st.integers(0, len(points.points) - 1))]
@@ -887,6 +898,45 @@ def test_diameter_upper_is_the_upper_end_of_diameter(expr, budget):
         full = outcome(lambda: diameter(expr, kind, True, budget))
         upper = outcome(lambda: diameter_upper(expr, kind, budget))
         assert upper == (full if isinstance(full, str) else full.upper)
+
+
+leaf_finite = FinitePoints((unit(1), unit(1) + unit(2, 2), -unit(2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_exprs)
+@example(Symmetrized(Translate(leaf_finite, unit(1, -1)), (ZERO,)))
+@example(Symmetrized(Negate(leaf_finite), (-unit(2, -1),)))
+@example(Symmetrized(Intersect((leaf_finite, Box(F(1)))), (unit(1),)))
+def test_relaxation_holds_every_member(expr):
+    # each variant's closed-form box, and the base's box shrunk by the
+    # witnesses for a symmetrization built directly over any variant
+    relax = coordinate_relaxation(expr)
+    for v in enumerate_members(expr, 4096) or ():
+        assert contains(relax, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        finite_sets,
+        st.lists(small_terms.filter(lambda v: not v.is_zero), min_size=1, max_size=3).map(
+            lambda pts: AbsConvHull(tuple(pts))
+        ),
+        st.builds(SignSums, overlapping_series, st.sampled_from(list(SignMode)), st.integers(1, 2)),
+    ),
+    st.data(),
+)
+def test_symmetrized_relaxation_is_the_base_sup_formula(base, data):
+    # on these bases the shrunk box is max(sup e_i, sup -e_i) - max |w_i|,
+    # clamped at 0, at every coordinate the set or a witness touches
+    ws = data.draw(st.lists(st.sampled_from(list(base.default_pool())), min_size=1, max_size=2))
+    sym = Symmetrized(base, tuple(ws))
+    expected = {}
+    for i in sets_module.relevant_coords(sym):
+        top = max(sup_functional(unit(i), base).upper, sup_functional(-unit(i), base).upper)
+        expected[i] = max(top - max(abs(w.get(i)) for w in ws), F(0))
+    assert coordinate_relaxation(sym) == Box(F(0), tuple(expected.items()))
 
 
 # disjoint term supports: term n lives on coordinates 3n+1..3n+3

@@ -122,6 +122,13 @@ def test_as_length_squares_euclid():
         as_length(F(-1), NormKind.SUP)
 
 
+def test_format_scalar_writes_what_as_scalar_reads():
+    # ints and Fractions print as they are; bools and strings through as_scalar
+    for value in (0, -4, F(6, 3), F(-3, 7), True, False, "0.5", " 2/4 "):
+        assert format_scalar(value) == str(as_scalar(value))
+    assert (format_scalar(True), format_scalar(False)) == ("1", "0")
+
+
 def test_as_scalar_parses_strings():
     assert as_scalar("1/2") == F(1, 2)
     assert as_scalar("-3") == F(-3)
