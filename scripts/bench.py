@@ -82,7 +82,10 @@ and the relaxations of symmetrized sets without a closed form it takes
 (calls of ``Symmetrized.coordinate_relaxation``) with the median time
 spent in them where there are any. For each ``extract`` request it also
 gives the median time of ``extraction.validate_transcript`` within the
-request, over the same repeats. For each JSON report it also times the ``oracle`` replay and
+request, over the same repeats, and for every request the median time of
+turning the report into its text (``write_ms``): ``cli._json_report``
+for a JSON report, or ``json.dumps`` in a checkout without it, and
+``cli._format_csv`` for a CSV one. For each JSON report it also times the ``oracle`` replay and
 counts, for one replay, the set parses (calls of ``sets.set_from_json``,
 nested sets included), the vector parses (calls of
 ``SparseVec.from_json``) and the bytes of the verdict it writes.
@@ -677,8 +680,15 @@ def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
     return round(statistics.median(samples[1:]) / 1e6, 3)
 
 
+def report_writer(cli, outname: str) -> tuple:
+    """(module, name) of the function that turns the report ``outname`` into its text."""
+    if outname.endswith(".csv"):
+        return cli, "_format_csv"
+    return (cli, "_json_report") if hasattr(cli, "_json_report") else (json, "dumps")
+
+
 def measure_cli() -> dict:
-    """{report name: {"main_ms", "oracle_ms", "report_bytes", "scored_lists",
+    """{report name: {"main_ms", "write_ms", "oracle_ms", "report_bytes", "scored_lists",
     "pool_calls", "diameter_upper_calls", "contains_calls", "sign_sum_contains",
     "sign_sum_searches", "search_nodes", "relaxation_calls",
     "oracle_set_parses", "oracle_vector_parses", "verdict_bytes"}, plus
@@ -689,7 +699,7 @@ def measure_cli() -> dict:
     spec = importlib.util.spec_from_file_location("run_demo", DEMO)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)  # imports symdex.cli from the timed checkout
-    from symdex import extraction, indexes, sets
+    from symdex import cli, extraction, indexes, sets
     from symdex.vectors import SparseVec
 
     cache = getattr(sets, "_ENUM_CACHE", {})
@@ -704,6 +714,8 @@ def measure_cli() -> dict:
             report = work / outname
             request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report)]
             row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear, repeats)}
+            row["write_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear,
+                                              *report_writer(cli, outname), repeats)
             cache.clear()
             row["scored_lists"] = scored_lists(lambda: demo.main(request))
             cache.clear()
@@ -803,21 +815,23 @@ def main(argv=None) -> int:
         print(f"{name:<14}{row['strong_extreme_ms']:>10.3f}{row['extreme_ms']:>10.3f}{row['delta_curve_ms']:>10.3f}"
               f"{row['segment_calls']:>10}{row['scored_lists']:>8}{subs:>18}{builds:>14}")
     cli = measure_cli()
-    print(f"\n{'report':<26}{'main ms':>10}{'oracle ms':>11}{'valid ms':>10}{'bytes':>9}{'lists':>8}{'pools':>7}"
-          f"{'diam up':>9}{'contains':>10}{'sign in':>9}{'search':>8}{'builds':>8}{'sets':>6}{'vecs':>6}"
-          f"{'verdict':>9}{'nodes':>9}{'relax':>7}{'relax ms':>10}   (median; validate_transcript ms of extract; "
-          "scored witness lists, member pools, diameter upper ends, membership tests, sign-sum contains and "
-          "searches, symmetrize_reduce calls; the oracle's set and vector parses and verdict bytes; sign-sum "
-          "search nodes, Symmetrized.coordinate_relaxation calls and median ms)")
+    print(f"\n{'report':<26}{'main ms':>10}{'write ms':>10}{'oracle ms':>11}{'valid ms':>10}{'bytes':>9}"
+          f"{'lists':>8}{'pools':>7}{'diam up':>9}{'contains':>10}{'sign in':>9}{'search':>8}{'builds':>8}"
+          f"{'sets':>6}{'vecs':>6}{'verdict':>9}{'nodes':>9}{'relax':>7}{'relax ms':>10}   (median; report "
+          "writing ms; validate_transcript ms of extract; scored witness lists, member pools, diameter upper "
+          "ends, membership tests, sign-sum contains and searches, symmetrize_reduce calls; the oracle's set "
+          "and vector parses and verdict bytes; sign-sum search nodes, Symmetrized.coordinate_relaxation calls "
+          "and median ms)")
     for name, row in cli.items():
         oracle = f"{row['oracle_ms']:>11.2f}" if "oracle_ms" in row else f"{'-':>11}"
         validate = f"{row['validate_ms']:>10.2f}" if "validate_ms" in row else f"{'-':>10}"
         parses = "".join(f"{row.get(key, '-'):>{w}}" for key, w in
                          (("oracle_set_parses", 6), ("oracle_vector_parses", 6), ("verdict_bytes", 9)))
-        print(f"{name:<26}{row['main_ms']:>10.2f}{oracle}{validate}{row['report_bytes']:>9}{row['scored_lists']:>8}"
-              f"{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}{row['contains_calls']:>10}"
-              f"{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}{row['symmetrize_reduce_calls']:>8}{parses}"
-              f"{row['search_nodes']:>9}{row['relaxation_calls']:>7}{row.get('relaxation_ms', '-'):>10}")
+        print(f"{name:<26}{row['main_ms']:>10.2f}{row['write_ms']:>10.3f}{oracle}{validate}{row['report_bytes']:>9}"
+              f"{row['scored_lists']:>8}{row['pool_calls']:>7}{row['diameter_upper_calls']:>9}"
+              f"{row['contains_calls']:>10}{row['sign_sum_contains']:>9}{row['sign_sum_searches']:>8}"
+              f"{row['symmetrize_reduce_calls']:>8}{parses}{row['search_nodes']:>9}{row['relaxation_calls']:>7}"
+              f"{row.get('relaxation_ms', '-'):>10}")
     if args.out:
         report = {
             "units": {
@@ -834,13 +848,15 @@ def main(argv=None) -> int:
                 "procedures": "ms per call on a new copy of the set, median; segment_calls, scored_lists, "
                               "the SparseVec subtractions *_subs and the symmetrize_reduce calls "
                               "*_symmetrize_reduce summed over proc_sets sets",
-                "cli": "ms per call, median, and validate_ms the median ms of validate_transcript within an "
-                       "extract request; report size in bytes; scored_lists, symmetrize_reduce_calls, "
-                       "pool_calls, diameter_upper_calls, contains_calls, sign_sum_contains and "
-                       "sign_sum_searches per request; search_nodes (the nodes of SignSums._search), "
-                       "relaxation_calls (of Symmetrized.coordinate_relaxation) and relaxation_ms (their "
-                       "median ms) per request; oracle_set_parses, oracle_vector_parses and verdict_bytes "
-                       "per oracle replay of the report",
+                "cli": "ms per call, median; write_ms the median ms of turning the report into its text "
+                       "(cli._json_report, json.dumps before it, or cli._format_csv) and validate_ms the "
+                       "median ms of validate_transcript within an extract request; report size in bytes; "
+                       "scored_lists, symmetrize_reduce_calls, pool_calls, diameter_upper_calls, "
+                       "contains_calls, sign_sum_contains and sign_sum_searches per request; search_nodes "
+                       "(the nodes of SignSums._search), relaxation_calls (of "
+                       "Symmetrized.coordinate_relaxation) and relaxation_ms (their median ms) per request; "
+                       "oracle_set_parses, oracle_vector_parses and verdict_bytes per oracle replay of the "
+                       "report",
             },
             "batch": BATCH,
             "repeats": REPEATS,

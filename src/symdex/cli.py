@@ -8,9 +8,13 @@ command re-runs those checks and nothing else. A report embeds its
 decoded input under ``request.input``; an ``oracle`` verdict embeds
 ``{"sha256": ...}`` there instead, the hex digest of the report file's
 bytes, so it names the report it checked without writing it out again.
+A JSON report is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+newline, byte for byte, written by ``_json_report``.
 
 Exit codes: 0 success (including stalled, not-achievable and undecided
-outcomes), 1 invariant violation, 2 invalid input, 3 budget exhaustion.
+outcomes), 1 invariant violation, 2 invalid input (also ``--format csv``
+on any command but ``delta``, and an ``--out`` path that cannot be
+written), 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from . import extraction as ext
@@ -400,6 +405,47 @@ HANDLERS = {
 }
 
 
+# what JSON writes for a leaf whose repr differs from it
+_SPELLED = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_REPR_LEAVES = (int, float, bool, type(None))
+
+
+def _write_json(obj, pieces: list, newline: str) -> None:
+    """Append ``obj`` to ``pieces`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it
+    (dict keys are strings), ``newline`` starting each line after the first. One frame per
+    level and no more per leaf, so every report whose input the decoder accepts is written.
+    ``json.dumps`` itself writes ``indent=2`` with its slower pure-Python encoder."""
+    if obj.__class__ is str:
+        pieces.append(_quote(obj))
+    elif obj.__class__ in _REPR_LEAVES:
+        # not repr(obj), which counts as a level against the recursion limit
+        text = obj.__class__.__repr__(obj)
+        pieces.append(_SPELLED.get(text, text))
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            pieces.append(sep + inner + _quote(key) + ": ")
+            _write_json(obj[key], pieces, inner)
+            sep = ","
+        pieces.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            pieces.append(sep + inner)
+            _write_json(value, pieces, inner)
+            sep = ","
+        pieces.append(newline + "]" if obj else "[]")
+    else:
+        pieces.append(json.dumps(obj))
+
+
+def _json_report(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    pieces: list = []
+    _write_json(report, pieces, "\n")
+    return "".join(pieces) + "\n"
+
+
 def _write_atomic(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".symdex-")
@@ -417,9 +463,7 @@ def _format_csv(report: dict, digits: int | None) -> str:
     import csv
     import io
 
-    rows = report["result"].get("curve")
-    if rows is None:
-        raise InvalidInput("csv format is only available for the delta command")
+    rows = report["result"]["curve"]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["N", "lower", "upper", "witnesses"]
@@ -482,6 +526,9 @@ PARSER = build_parser()
 
 def run(args) -> int:
     handler = HANDLERS[args.command]
+    if args.format == "csv" and args.command != "delta":
+        print("symdex: invalid input: csv format is only available for the delta command", file=sys.stderr)
+        return EXIT_INVALID
     try:
         data = _read_input(args.infile)
         obj = _decode_json(data)
@@ -521,8 +568,12 @@ def run(args) -> int:
     if args.format == "csv":
         payload = _format_csv(report, args.decimal)
     else:
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _write_atomic(args.outfile, payload)
+        payload = _json_report(report)
+    try:
+        _write_atomic(args.outfile, payload)
+    except OSError as exc:
+        print(f"symdex: invalid input: cannot write {args.outfile}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(f"symdex {args.command}: {outcome} -> {args.outfile}")
     if outcome == "violation":
         return EXIT_VIOLATION

@@ -47,6 +47,8 @@ class SeriesSpec:
     # coordinate -> its nonzero term entries (0-based term index, value), by index
     columns: dict = field(init=False, repr=False, compare=False)
     _disjoint: bool = field(init=False, repr=False, compare=False)
+    # horizon -> its column_sums, shared by every caller
+    _column_sums: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.terms:
@@ -68,13 +70,16 @@ class SeriesSpec:
 
     def column_sums(self, horizon: int) -> dict[int, Fraction]:
         """Sum of |x_n(i)| over the first ``horizon`` terms, per coordinate
-        they touch, summed on integers over the lcm of the column's denominators."""
-        sums = {}
-        for i, entries in self.columns.items():
-            if entries[0][0] < horizon:
-                xs = [x for n, x in entries if n < horizon]
-                scale = lcm(*(x.denominator for x in xs))
-                sums[i] = Fraction(sum(abs(x.numerator) * (scale // x.denominator) for x in xs), scale)
+        they touch, summed on integers over the lcm of the column's denominators.
+        Computed once per horizon; callers must not modify the dict."""
+        sums = self._column_sums.get(horizon)
+        if sums is None:
+            sums = self._column_sums[horizon] = {}
+            for i, entries in self.columns.items():
+                if entries[0][0] < horizon:
+                    xs = [x for n, x in entries if n < horizon]
+                    scale = lcm(*(x.denominator for x in xs))
+                    sums[i] = Fraction(sum(abs(x.numerator) * (scale // x.denominator) for x in xs), scale)
         return sums
 
     def to_json(self) -> dict:

@@ -4,7 +4,9 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from symdex import cli, sets
 from symdex.cli import (
@@ -65,6 +67,32 @@ def test_decimal_out_of_range_exits_2(tmp_path, capsys, digits):
     assert exc.value.code == 2
     assert f"argument --decimal: expected an integer from 0 to 1000, got '{digits}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "oracle"])
+def test_csv_format_on_another_command_exits_2_before_the_input_is_read(tmp_path, capsys, monkeypatch, command):
+    reads = []
+    monkeypatch.setattr(cli, "_read_input", reads.append)
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    out = tmp_path / "out.csv"
+    assert main([command, "--in", infile, "--out", str(out), "--format", "csv", "--n", "2"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "symdex: invalid input: csv format is only available for the delta command\n"
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.json", "a_directory"])
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    infile = write(tmp_path / "box.json", PLAIN_BOX)
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / target
+    assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"symdex: invalid input: cannot write {out}: ")
+    assert err.count("\n") == 1
+    # os.replace onto a directory fails after the temporary file is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "box.json"]
+    assert list((tmp_path / "a_directory").iterdir()) == []
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -386,6 +414,56 @@ def test_nesting_limit(tmp_path):
     very_deep = tmp_path / "very_deep.json"
     very_deep.write_text('{"type": "negate", "base": ' * 1199 + leaf + "}" * 1199)
     assert main(["delta", "--in", str(very_deep), "--out", str(out), "--n", "1"]) == EXIT_INVALID
+
+
+def test_the_deepest_input_the_decoder_accepts_is_written(tmp_path, capsys):
+    # an echoed field nests as deep as the JSON decoder allows: the report,
+    # two levels deeper still, is written as json.dumps writes it
+    infile, out = tmp_path / "deep.json", tmp_path / "out.json"
+
+    def request(depth: int) -> int:
+        deep = '{"k": ' * depth + '[-0.0, 1e400, "\\u00e9", null]' + "}" * depth
+        infile.write_text('{"set": ' + json.dumps(PLAIN_BOX) + ', "extra": ' + deep + "}")
+        return main(["delta", "--in", str(infile), "--out", str(out), "--n", "1"])
+
+    good, bad = 100, 1100
+    assert request(good) == EXIT_OK and request(bad) == EXIT_INVALID
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if request(mid) == EXIT_OK:
+            good = mid
+        else:
+            bad = mid
+    assert good > 900
+    assert request(good) == EXIT_OK
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    capsys.readouterr()
+    assert request(good + 1) == EXIT_INVALID
+    assert capsys.readouterr().err == "symdex: invalid input: input JSON nests too deeply\n"
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+    | st.floats()
+    | st.text()
+    | st.text(st.sampled_from("\x00\x1f\x7f\\\"\u00e9\u2028\ud7ff\U0001f600\U0010ffff"))
+)
+json_trees = st.recursive(
+    json_leaves, lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4)
+)
+
+
+@given(json_trees)
+@example({"": [float("nan"), float("inf"), float("-inf"), -0.0, 10 ** 40, -(10 ** 40), {}, [], [{}], True, None]})
+@example({"\U0001f600\x00\u00e9": {"b": 1, "a": {"\n": "\t"}}})
+@example(("tuples", (1, [2.5]), ()))
+@example([])
+def test_the_report_writer_writes_what_json_dumps_writes(tree):
+    assert cli._json_report(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 64])

@@ -13,6 +13,9 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
+from symdex import cli
 from symdex.cli import EXIT_OK, main
 
 DEMO = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
@@ -187,6 +190,23 @@ SUBSET_EXTRACT_DIGESTS = (
     "529898493bdfff3ef0ecd9614fbedfab43b721da7a54fe2414c70d8fe44c3e45",
     "85cc8c72208db32f12153824809f4f351fcd10f3f1ad93f418398f4f42b33f27",
 )
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps(monkeypatch):
+    """Every report a golden test writes is ``json.dumps`` of the in-memory report."""
+    written = []
+    write = cli._json_report
+
+    def checked(report: dict) -> str:
+        text = write(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        written.append(report["command"])
+        return text
+
+    monkeypatch.setattr(cli, "_json_report", checked)
+    yield
+    assert written
 
 
 def _sha256(path: pathlib.Path) -> str:
