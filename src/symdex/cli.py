@@ -196,8 +196,8 @@ def _read_input(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
-    except FileNotFoundError:
-        raise InvalidInput(f"input file not found: {path}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _decode_json(data: bytes):

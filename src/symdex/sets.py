@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
-from operator import sub
-from typing import ClassVar, Iterable, Iterator, Optional, Sequence
+from operator import mul, sub
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exactlp
 from .errors import (
@@ -75,8 +75,9 @@ DEFAULT_NODE_BUDGET = 200_000
 # this keeps the stack well under Python's default limit of 1000 frames.
 MAX_SET_DEPTH = 200
 
-# Entries an AbsConvHull keeps of its warm LPs (one per row layout, and
-# one per witness list for vertices); a request uses a handful.
+# Entries an AbsConvHull keeps of its warm LPs (one per row layout for
+# values, and one per witness list and layout for vertices); a request
+# uses a handful.
 HULL_LP_MEMO = 64
 
 
@@ -1115,12 +1116,17 @@ class AbsConvHull(SetExpr):
       exposes (:meth:`_exposed`) and every witness is a member: w + d
       and w - d in A force d = 0.
 
-    Everything else is an LP over integer rows. ``_lps`` keeps, per row
-    layout, a warm LP that answers membership and the values of
-    symmetrized extents, and per witness list a warm LP over the same
-    rows that returns vertices, at most HULL_LP_MEMO entries. It is
-    private state, like ``SparseVec._hash``: equal hulls built
-    separately share nothing.
+    Everything else is an LP over integer rows (:meth:`_lp`). On a
+    symmetrization the free direction d is eliminated: w1 + d in A gives
+    d = sum l_i g_i - w1 with ||l||_1 <= 1, and each other target
+    w + s*d in A becomes s*sum l_i g_i - sum m_i g_i = s*w1 - w with
+    ||m||_1 <= 1. That LP gives the values of symmetrized extents and
+    sups and a maximiser for each sup; only the vertex that ``diameter``
+    prints as its pair keeps d as columns. ``_lps`` keeps, per row
+    layout, a warm LP that answers membership and those values, and per
+    witness list and layout a warm LP that returns vertices, at most
+    HULL_LP_MEMO entries. It is private state, like ``SparseVec._hash``:
+    equal hulls built separately share nothing.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
@@ -1159,39 +1165,56 @@ class AbsConvHull(SetExpr):
             found = self._lps[key] = build()
         return found
 
-    def _lp(self, coords: tuple[int, ...], signs: tuple[int, ...]) -> exactlp.WarmLp:
+    def _lp(
+        self, coords: tuple[int, ...], signs: tuple[int, ...], free: bool = False, witnesses: Optional[tuple] = None
+    ) -> exactlp.WarmLp:
         """The warm LP over the rows saying that ``w + sgn*d`` lies in the
-        hull for one target ``(sgn, w)`` per entry of ``signs``.
+        hull for one target ``(sgn, w)`` per entry of ``signs``, kept per
+        layout, or for the list ``witnesses`` alone when given (then it
+        only ever sees one right-hand side and returns vertices).
 
-        Columns: the free vector ``d`` over ``coords`` when some ``sgn`` is
-        nonzero, then a block per target of free generator weights and a
-        slack. Rows: per target, one per coordinate, then the weights' l1
-        row (the weights' absolute values and the slack sum to one).
-        The right-hand side is each target's :func:`integer_rows` row
-        over the lcm K of the targets' denominators, then K. The weights
-        are taken over L, the scale of the generators' rows: a weight
-        column holds L times its generator, and L in the l1 row. A
-        positive column scale changes no pivot and no free value.
+        Columns: a block per target of free generator weights and a
+        slack, after the free vector ``d`` over ``coords`` when ``free``.
+        Rows: per target, one per coordinate, then the weights' l1 row
+        (the weights' absolute values and the slack sum to one). The
+        right-hand side is each target's :func:`integer_rows` row over
+        the lcm K of the targets' denominators, then K. The weights are
+        taken over L, the scale of the generators' rows: a weight column
+        holds L times its generator, and L in the l1 row. A positive
+        column scale changes no pivot and no free value.
+
+        Without ``free``, a nonzero sign eliminates ``d``: the first
+        target (1, w1) keeps only its l1 row, and its weights l give
+        d = sum l_i g_i - w1. Every other target's coordinate rows hold
+        -sgn times l's columns where ``free`` has -sgn*d, and its
+        right-hand side is K(w - sgn*w1) (see :meth:`_eliminated`).
         """
 
         def build() -> exactlp.WarmLp:
             scale, gens = integer_rows(self.points, coords)
-            d_count = len(coords) if any(signs) else 0
-            block = 2 * len(self.points) + 1
+            k = len(self.points)
+            eliminate = any(signs) and not free
+            d_count = len(coords) if free else 0
+            block = 2 * k + 1
+            n = 2 * d_count + len(signs) * block
             rows: list[list[int]] = []
             for t, sgn in enumerate(signs):
-                before = [0] * (t * block)
-                after = [0] * ((len(signs) - t - 1) * block)
-                for pos in range(len(coords)):
-                    shift = [0] * (2 * d_count)
-                    if sgn:
-                        shift[pos], shift[d_count + pos] = -sgn, sgn
+                start = 2 * d_count + t * block
+                for pos in range(len(coords) if t or not eliminate else 0):
                     weights = [row[pos] for row in gens]
-                    rows.append(shift + before + weights + [-a for a in weights] + [0] + after)
-                rows.append([0] * (2 * d_count) + before + [scale] * (block - 1) + [1] + after)
-            return exactlp.WarmLp(rows, 2 * d_count + len(signs) * block)
+                    row = [0] * n
+                    if eliminate:
+                        row[:2 * k] = exactlp.free_columns([-sgn * a for a in weights])
+                    elif sgn:
+                        row[pos], row[d_count + pos] = -sgn, sgn
+                    row[start:start + 2 * k] = exactlp.free_columns(weights)
+                    rows.append(row)
+                row = [0] * n
+                row[start:start + block] = [scale] * (block - 1) + [1]
+                rows.append(row)
+            return exactlp.WarmLp(rows, n)
 
-        return self._memo(("lp", coords, signs), build)
+        return self._memo((coords, signs, free, witnesses), build)
 
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
@@ -1224,35 +1247,50 @@ class AbsConvHull(SetExpr):
             return True
         return any(all(abs(x) > abs(q.get(i)) for q in others) for i, x in w.items())
 
-    def _symmetrized(
-        self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], vertex: bool
-    ) -> tuple[exactlp.WarmLp, list[int], int]:
-        """The LP over the symmetrization at the witnesses, its right-hand
-        side and that side's scale K (see :meth:`_lp`); ``coords`` covers
-        the generators and witnesses. With ``vertex`` it is an LP over the
-        same rows kept for this witness list alone, so it is only ever
-        given this right-hand side and returns vertices."""
-        lp = layout = self._lp(coords, (1, -1) * len(witnesses))
-        if vertex:
-            lp = self._memo(("vertex", coords, witnesses), lambda: exactlp.WarmLp(layout.rows, layout.n))
-        scale, rows = integer_rows([w for w in witnesses for _ in (1, -1)], coords)
-        return lp, [x for row in rows for x in (*row, scale)], scale
+    def _symmetrized(self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...]) -> "_SymLp":
+        """The free-direction LP of the symmetrization at the witnesses,
+        kept for this witness list alone: it gives the vertex that
+        ``diameter`` prints. ``coords`` covers the generators and witnesses."""
+        lp = self._lp(coords, (1, -1) * len(witnesses), True, witnesses)
+        scale, rows = integer_rows(witnesses, coords)
+        units = [tuple(int(pos == c) for c in range(len(coords))) for pos in range(len(coords))]
+        return _SymLp(lp, [x for row in rows for _ in (1, -1) for x in (*row, scale)], scale, units,
+                      (0,) * len(coords))
+
+    def _eliminated(self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], point: bool) -> "_SymLp":
+        """The LP of the symmetrization at the witnesses with ``d``
+        eliminated (see :meth:`_lp`): per layout, for values only, or
+        with ``point`` for this witness list alone, for its vertices."""
+        lp = self._lp(coords, (1, -1) * len(witnesses), False, witnesses if point else None)
+        scale, rows = integer_rows(witnesses, coords)
+        first = rows[0]
+        b = [scale]
+        for sgn, row in [(sgn, row) for row in rows for sgn in (1, -1)][1:]:
+            b += [x - sgn * y for x, y in zip(row, first)]
+            b.append(scale)
+        return _SymLp(lp, b, scale, integer_rows(self.points, coords)[1], first)
 
     @staticmethod
-    def _symmetrized_max(lp: exactlp.WarmLp, b: list[int], objective: Sequence[int]) -> exactlp.WarmResult:
+    def _symmetrized_max(sym: "_SymLp", objective: Sequence[int]) -> tuple[exactlp.WarmResult, int]:
         """Exact max over the symmetrization of an integer objective (its
-        coefficients on the ``coords`` of :meth:`_symmetrized`), on ``b``'s scale."""
-        obj = exactlp.free_columns(list(objective))
-        res = lp.maximum(b, obj + [0] * (lp.n - len(obj)))
+        coefficients on the coordinates of ``sym``): the LP's result and
+        the max's numerator over ``res.den`` times K."""
+        obj = exactlp.free_columns([sum(map(mul, objective, head)) for head in sym.heads])
+        res = sym.lp.maximum(sym.b, obj + [0] * (sym.lp.n - len(obj)))
         if res.status != exactlp.OPTIMAL:
             raise WitnessNotMember("hull symmetrization witnesses are not all members")
-        return res
+        return res, res.value - res.den * sum(map(mul, objective, sym.offset))
 
     @staticmethod
-    def _free_point(coords: tuple[int, ...], res: exactlp.WarmResult, scale: int) -> SparseVec:
-        """The member ``d`` of the vertex of ``res``, whose ``b`` has scale ``scale``."""
-        d = {i: n for i, n in zip(coords, exactlp.free_value(res.x, len(coords))) if n}
-        return SparseVec._canonical(*_reduced(res.den * scale, d))
+    def _free_point(coords: tuple[int, ...], sym: "_SymLp", res: exactlp.WarmResult) -> SparseVec:
+        """The member ``d`` at the vertex of ``res``."""
+        weights = exactlp.free_value(res.x, len(sym.heads))
+        d = {}
+        for pos, i in enumerate(coords):
+            n = sum(x * head[pos] for x, head in zip(weights, sym.heads)) - res.den * sym.offset[pos]
+            if n:
+                d[i] = n
+        return SparseVec._canonical(*_reduced(res.den * sym.scale, d))
 
     @staticmethod
     def _extent_objectives(coords: tuple[int, ...], kind: NormKind) -> Iterable[tuple[int, ...]]:
@@ -1285,24 +1323,39 @@ class AbsConvHull(SetExpr):
         if not coords:
             return _symmetric_pair_bound(Fraction(0), ZERO, kind)
         objectives = self._extent_objectives(coords, kind)
-        lp, b, scale = self._symmetrized(sym.witnesses, coords, vertex)
+        lp = self._symmetrized(ws, coords) if vertex else self._eliminated(ws, coords, False)
         best, arg = Fraction(0), None
         for objective in objectives:
-            res = self._symmetrized_max(lp, b, objective)
-            value = Fraction(res.value, res.den * scale)
+            res, num = self._symmetrized_max(lp, objective)
+            value = Fraction(num, res.den * lp.scale)
             if value > best:
                 best, arg = value, res
         if best > 0 and not vertex:
             return BoundPair(Fraction(0), double_length(best, kind))
         # with no positive value the vertex is zero
-        return _symmetric_pair_bound(best, ZERO if arg is None else self._free_point(coords, arg, scale), kind)
+        return _symmetric_pair_bound(best, ZERO if arg is None else self._free_point(coords, lp, arg), kind)
 
     def symmetrized_sup(self, sym: Symmetrized, f: Functional) -> Optional[BoundPair]:
         coords = tuple(sorted(relevant_coords(sym) | set(f.support)))
-        lp, b, scale = self._symmetrized(sym.witnesses, coords, True)
-        res = self._symmetrized_max(lp, b, [f._nums.get(i, 0) for i in coords])
-        value = Fraction(res.value, res.den * scale * f._den)
-        return BoundPair(value, value, lower_witness={"point": self._free_point(coords, res, scale).to_json()})
+        lp = self._eliminated(sym.witnesses, coords, True)
+        res, num = self._symmetrized_max(lp, [f._nums.get(i, 0) for i in coords])
+        value = Fraction(num, res.den * lp.scale * f._den)
+        return BoundPair(value, value, lower_witness={"point": self._free_point(coords, lp, res).to_json()})
+
+
+class _SymLp(NamedTuple):
+    """A warm LP over a hull's symmetrization and its right-hand side
+    ``b`` over the scale K. Its leading columns are the free weights x
+    of the integer rows ``heads`` over the coordinates, with
+    sum x_j heads_j - ``offset`` = K d: unit rows and offset 0 for the
+    free direction, the generators' rows and K w1 once ``d`` is
+    eliminated."""
+
+    lp: exactlp.WarmLp
+    b: list[int]
+    scale: int
+    heads: list[tuple[int, ...]]
+    offset: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------

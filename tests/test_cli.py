@@ -95,6 +95,18 @@ def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, target):
     assert list((tmp_path / "a_directory").iterdir()) == []
 
 
+@pytest.mark.parametrize("source", ["a_directory", "missing.json"])
+def test_an_in_path_that_cannot_be_read_exits_2(tmp_path, capsys, source):
+    (tmp_path / "a_directory").mkdir()
+    infile = tmp_path / source
+    out = tmp_path / "out.json"
+    assert main(["delta", "--in", str(infile), "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"symdex: invalid input: cannot read {infile}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_exits_2(tmp_path, capsys, budget):
     infile = write(tmp_path / "geometric.json", GEOMETRIC)

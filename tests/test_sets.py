@@ -425,14 +425,18 @@ def test_symmetrized_hull_diameter_is_exact_zero_at_generator():
     assert bound.exact and bound.upper == 0
 
 
-def reference_hull_extent(hull, witnesses, kind):
+def reference_hull_extent(hull, witnesses, kind, functional=None):
     """Largest member norm of the hull's symmetrization and the first
     member attaining it: every sign objective (both halves) through the
-    dense reference simplex on the membership rows."""
+    dense reference simplex on the free-direction rows. Given a
+    ``functional``, its max alone (``kind`` is not read)."""
     coords = sorted(
         {i for p in hull.points for i in p.support} | {i for w in witnesses for i in w.support}
+        | set(functional.support if functional is not None else ())
     )
-    if kind is NormKind.SUP:
+    if functional is not None:
+        objectives = [{i: functional.get(i) for i in coords}]
+    elif kind is NormKind.SUP:
         objectives = [{i: s} for i in coords for s in (1, -1)]
     else:
         objectives = [dict(zip(coords, signs)) for signs in product((1, -1), repeat=len(coords))]
@@ -522,6 +526,20 @@ def test_symmetrized_hull_diameter_matches_every_objective(hw, kind):
     assert bound.lower_witness == {"pair": [arg.to_json(), (-arg).to_json()]}
 
 
+@settings(max_examples=25, deadline=None)
+@given(hulls_with_witnesses(), st.lists(hull_entries, min_size=4, max_size=4))
+def test_symmetrized_hull_sup_matches_the_free_direction_rows(hw, entries):
+    hull, witnesses = hw
+    # the fourth coordinate lies outside every generator's support
+    f = SparseVec({i + 1: x for i, x in enumerate(entries)})
+    sym = symmetrize(hull, witnesses)
+    bound = sup_functional(f, sym)
+    best, _ = reference_hull_extent(hull, sorted(set(witnesses), key=lambda w: w.sort_key()), None, f)
+    assert bound.lower == bound.upper == best
+    point = SparseVec.from_json(bound.lower_witness["point"])
+    assert contains(sym, point) and dual_pair(f, point) == best
+
+
 def count_hull_lps(monkeypatch) -> dict:
     """Live counts of the warm LP calls ``maximum`` and ``feasible``."""
     calls = {"maximum": 0, "feasible": 0}
@@ -590,6 +608,27 @@ def test_hull_extent_closed_forms_keep_non_members_out():
                 diameter(sym, kind)
             with pytest.raises(WitnessNotMember):
                 diameter_upper(sym, kind)
+        for f in (unit(1), SparseVec({1: -1, 2: F(1, 3)})):
+            with pytest.raises(WitnessNotMember):
+                sup_functional(f, sym)
+
+
+def test_hull_symmetrization_values_and_sups_solve_without_the_free_direction():
+    # one witness over c = 2 coordinates and k = 2 generators
+    hull = AbsConvHull((SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: F(-1, 3), 2: 1})))
+    sym = symmetrize(hull, [SparseVec({1: F(1, 4), 2: F(1, 4)})])
+    c, k = 2, 2
+    memberships = len(hull._lps)  # symmetrize checks the witness
+
+    def shapes():
+        return [(len(lp.rows), lp.n) for lp in list(hull._lps.values())[memberships:]]
+
+    sup_functional(unit(1), sym)
+    diameter_upper(sym, NormKind.SUP)
+    assert shapes() == [(c + 2, 2 * (2 * k + 1))] * 2
+    # only the vertex that diameter prints takes the free direction d
+    diameter(sym, NormKind.SUP)
+    assert shapes()[2:] == [(2 * c + 2, 2 * c + 2 * (2 * k + 1))]
 
 
 def test_hull_memo_evicts_its_oldest_layouts_and_rebuilds_them():
