@@ -583,11 +583,14 @@ class SignSums(SetExpr):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SignSums":
+        budget = _json_int(obj.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget")
+        if budget < 1:
+            raise InvalidInput(f"set JSON field 'node_budget' must be at least 1, got {budget}")
         return cls(
             series=SeriesSpec.from_json(obj["series"]),
             mode=SignMode.parse(obj["mode"]),
             horizon=_json_int(obj["horizon"], "horizon"),
-            node_budget=_json_int(obj.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget"),
+            node_budget=budget,
         )
 
     def term_signs(self, v: SparseVec) -> Optional[dict[int, int]]:
@@ -1121,12 +1124,12 @@ class AbsConvHull(SetExpr):
     d = sum l_i g_i - w1 with ||l||_1 <= 1, and each other target
     w + s*d in A becomes s*sum l_i g_i - sum m_i g_i = s*w1 - w with
     ||m||_1 <= 1. That LP gives the values of symmetrized extents and
-    sups and a maximiser for each sup; only the vertex that ``diameter``
-    prints as its pair keeps d as columns. ``_lps`` keeps, per row
-    layout, a warm LP that answers membership and those values, and per
-    witness list and layout a warm LP that returns vertices, at most
-    HULL_LP_MEMO entries. It is private state, like ``SparseVec._hash``:
-    equal hulls built separately share nothing.
+    sups, a maximiser for each sup and the vertex that ``diameter``
+    prints as its pair. ``_lps`` keeps, per row layout, a warm LP that
+    answers membership and those values, and per witness list a warm LP
+    that returns vertices, at most HULL_LP_MEMO entries. It is private
+    state, like ``SparseVec._hash``: equal hulls built separately share
+    nothing.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
@@ -1165,48 +1168,43 @@ class AbsConvHull(SetExpr):
             found = self._lps[key] = build()
         return found
 
-    def _lp(
-        self, coords: tuple[int, ...], signs: tuple[int, ...], free: bool = False, witnesses: Optional[tuple] = None
-    ) -> exactlp.WarmLp:
+    def _lp(self, coords: tuple[int, ...], signs: tuple[int, ...], witnesses: Optional[tuple] = None) -> exactlp.WarmLp:
         """The warm LP over the rows saying that ``w + sgn*d`` lies in the
         hull for one target ``(sgn, w)`` per entry of ``signs``, kept per
         layout, or for the list ``witnesses`` alone when given (then it
-        only ever sees one right-hand side and returns vertices).
+        only ever sees one right-hand side and returns vertices). The
+        layouts are membership (one target of sign 0) and the
+        symmetrization (signs 1, -1 per witness).
 
         Columns: a block per target of free generator weights and a
-        slack, after the free vector ``d`` over ``coords`` when ``free``.
-        Rows: per target, one per coordinate, then the weights' l1 row
-        (the weights' absolute values and the slack sum to one). The
-        right-hand side is each target's :func:`integer_rows` row over
-        the lcm K of the targets' denominators, then K. The weights are
-        taken over L, the scale of the generators' rows: a weight column
-        holds L times its generator, and L in the l1 row. A positive
-        column scale changes no pivot and no free value.
+        slack. Rows: per target, one per coordinate, then the weights'
+        l1 row (the weights' absolute values and the slack sum to one).
+        The right-hand side is each target's :func:`integer_rows` row
+        over the lcm K of the targets' denominators, then K. The weights
+        are taken over L, the scale of the generators' rows: a weight
+        column holds L times its generator, and L in the l1 row. A
+        positive column scale changes no pivot and no free value.
 
-        Without ``free``, a nonzero sign eliminates ``d``: the first
-        target (1, w1) keeps only its l1 row, and its weights l give
+        On a symmetrization ``d`` is eliminated: the first target
+        (1, w1) keeps only its l1 row, and its weights l give
         d = sum l_i g_i - w1. Every other target's coordinate rows hold
-        -sgn times l's columns where ``free`` has -sgn*d, and its
-        right-hand side is K(w - sgn*w1) (see :meth:`_eliminated`).
+        -sgn times l's columns, and its right-hand side is
+        K(w - sgn*w1) (see :meth:`_eliminated`).
         """
 
         def build() -> exactlp.WarmLp:
             scale, gens = integer_rows(self.points, coords)
             k = len(self.points)
-            eliminate = any(signs) and not free
-            d_count = len(coords) if free else 0
             block = 2 * k + 1
-            n = 2 * d_count + len(signs) * block
+            n = len(signs) * block
             rows: list[list[int]] = []
             for t, sgn in enumerate(signs):
-                start = 2 * d_count + t * block
-                for pos in range(len(coords) if t or not eliminate else 0):
+                start = t * block
+                for pos in range(len(coords) if t or not sgn else 0):
                     weights = [row[pos] for row in gens]
                     row = [0] * n
-                    if eliminate:
+                    if t:
                         row[:2 * k] = exactlp.free_columns([-sgn * a for a in weights])
-                    elif sgn:
-                        row[pos], row[d_count + pos] = -sgn, sgn
                     row[start:start + 2 * k] = exactlp.free_columns(weights)
                     rows.append(row)
                 row = [0] * n
@@ -1214,7 +1212,7 @@ class AbsConvHull(SetExpr):
                 rows.append(row)
             return exactlp.WarmLp(rows, n)
 
-        return self._memo((coords, signs, free, witnesses), build)
+        return self._memo((coords, signs, witnesses), build)
 
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
@@ -1247,21 +1245,11 @@ class AbsConvHull(SetExpr):
             return True
         return any(all(abs(x) > abs(q.get(i)) for q in others) for i, x in w.items())
 
-    def _symmetrized(self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...]) -> "_SymLp":
-        """The free-direction LP of the symmetrization at the witnesses,
-        kept for this witness list alone: it gives the vertex that
-        ``diameter`` prints. ``coords`` covers the generators and witnesses."""
-        lp = self._lp(coords, (1, -1) * len(witnesses), True, witnesses)
-        scale, rows = integer_rows(witnesses, coords)
-        units = [tuple(int(pos == c) for c in range(len(coords))) for pos in range(len(coords))]
-        return _SymLp(lp, [x for row in rows for _ in (1, -1) for x in (*row, scale)], scale, units,
-                      (0,) * len(coords))
-
     def _eliminated(self, witnesses: tuple[SparseVec, ...], coords: tuple[int, ...], point: bool) -> "_SymLp":
         """The LP of the symmetrization at the witnesses with ``d``
         eliminated (see :meth:`_lp`): per layout, for values only, or
         with ``point`` for this witness list alone, for its vertices."""
-        lp = self._lp(coords, (1, -1) * len(witnesses), False, witnesses if point else None)
+        lp = self._lp(coords, (1, -1) * len(witnesses), witnesses if point else None)
         scale, rows = integer_rows(witnesses, coords)
         first = rows[0]
         b = [scale]
@@ -1323,7 +1311,7 @@ class AbsConvHull(SetExpr):
         if not coords:
             return _symmetric_pair_bound(Fraction(0), ZERO, kind)
         objectives = self._extent_objectives(coords, kind)
-        lp = self._symmetrized(ws, coords) if vertex else self._eliminated(ws, coords, False)
+        lp = self._eliminated(ws, coords, vertex)
         best, arg = Fraction(0), None
         for objective in objectives:
             res, num = self._symmetrized_max(lp, objective)
@@ -1344,12 +1332,11 @@ class AbsConvHull(SetExpr):
 
 
 class _SymLp(NamedTuple):
-    """A warm LP over a hull's symmetrization and its right-hand side
-    ``b`` over the scale K. Its leading columns are the free weights x
-    of the integer rows ``heads`` over the coordinates, with
-    sum x_j heads_j - ``offset`` = K d: unit rows and offset 0 for the
-    free direction, the generators' rows and K w1 once ``d`` is
-    eliminated."""
+    """A warm LP over a hull's symmetrization with ``d`` eliminated and
+    its right-hand side ``b`` over the scale K. Its leading columns are
+    the free weights x of the generators' integer rows ``heads`` over
+    the coordinates, with sum x_j heads_j - ``offset`` = K d, where
+    ``offset`` is K w1."""
 
     lp: exactlp.WarmLp
     b: list[int]

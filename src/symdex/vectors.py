@@ -62,7 +62,7 @@ def as_scalar(value: ScalarLike) -> Fraction:
             raise InvalidInput(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no scalar
         return Fraction(value)
     raise InvalidInput(f"not a rational: {value!r}")
 
@@ -84,7 +84,9 @@ def _digit_ratio(text: str) -> Optional[tuple[int, int]]:
 
 def format_scalar(value: ScalarLike) -> str:
     """Render a rational as 'p/q' (or a plain integer string)."""
-    # an int or a Fraction prints as it is; a bool goes through as_scalar to print 1 or 0
+    # an int or a Fraction prints as it is, a bool as 1 or 0 (as_scalar reads no bool)
+    if type(value) is bool:
+        return str(int(value))
     return str(value) if type(value) in (int, Fraction) else str(as_scalar(value))
 
 

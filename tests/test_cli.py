@@ -393,6 +393,30 @@ def test_symmetrized_box_input_reports_its_flattened_box(tmp_path):
     assert named and all(entry == flat for entry in named)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "box", "default_radius": True},
+        {"type": "box", "default_radius": "1", "overrides": {"1": False}},
+        {"type": "finite", "points": [{"1": True}, {"2": "1"}]},
+    ],
+)
+def test_a_json_boolean_is_no_scalar(tmp_path, capsys, obj):
+    infile = write(tmp_path / "bool.json", obj)
+    out = tmp_path / "out.json"
+    assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    assert "not a rational: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("left, right", [(True, "1"), ("0", False), (False, True)])
+def test_oracle_scalar_entries_need_scalars_not_booleans(tmp_path, capsys, left, right):
+    for kind in ("scalar_le", "scalar_lt"):
+        report = write(tmp_path / "report.json", {"replay": [{"kind": kind, "left": left, "right": right}]})
+        assert main(["oracle", "--in", report, "--out", str(tmp_path / "verdict.json")]) == EXIT_INVALID
+        assert "not a rational: " in capsys.readouterr().err
+
+
 def test_exponent_scalar_is_invalid_input(tmp_path):
     out = tmp_path / "out.json"
     huge = {"type": "finite", "points": [{"1": "1e-100000000"}, {"2": "1"}]}
@@ -505,6 +529,22 @@ def test_budget_exit_code(tmp_path):
     infile = write(tmp_path / "signs.json", overlapping)
     out = tmp_path / "out.json"
     assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("budget", [0, -1, "0"])
+def test_a_sign_sum_node_budget_below_one_exits_2(tmp_path, capsys, budget):
+    overlapping = {
+        "type": "sign_sums",
+        "mode": "subsets",
+        "horizon": 3,
+        "node_budget": budget,
+        "series": {"norm": "sup", "label": "wide", "terms": [{"1": "1", str(n + 1): "1"} for n in range(1, 4)]},
+    }
+    infile = write(tmp_path / "signs.json", overlapping)
+    out = tmp_path / "out.json"
+    assert main(["delta", "--in", infile, "--out", str(out), "--n", "1"]) == EXIT_INVALID
+    assert "'node_budget' must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_one_sided_family_past_the_enumeration_budget_exits_3(tmp_path, capsys, monkeypatch):

@@ -123,10 +123,16 @@ def test_as_length_squares_euclid():
 
 
 def test_format_scalar_writes_what_as_scalar_reads():
-    # ints and Fractions print as they are; bools and strings through as_scalar
-    for value in (0, -4, F(6, 3), F(-3, 7), True, False, "0.5", " 2/4 "):
+    # ints and Fractions print as they are, strings through as_scalar
+    for value in (0, -4, F(6, 3), F(-3, 7), "0.5", " 2/4 "):
         assert format_scalar(value) == str(as_scalar(value))
+    # a bool prints as 1 or 0, but as_scalar reads none: JSON true is no scalar
     assert (format_scalar(True), format_scalar(False)) == ("1", "0")
+    for flag in (True, False):
+        with pytest.raises(InvalidInput, match="not a rational"):
+            as_scalar(flag)
+        with pytest.raises(InvalidInput, match="not a rational"):
+            SparseVec({1: flag})
 
 
 def test_as_scalar_parses_strings():
