@@ -6,10 +6,12 @@ searches), so a plain tableau with Bland's anti-cycling rule is plenty.
 The engine works on integers: rows ``A``, a right-hand side ``b`` and a
 cost. Its tableau is fraction-free: every pivot is a Bareiss (integer-
 preserving) step, so each row ``T`` stands for ``T / det`` with one
-common denominator ``det``, the basis determinant. Positive scales of
-rows, columns, ``b`` or the cost change no Bland pivot, so ``b`` times
-L and the cost times M give the vertex times L and the optimum times
-L*M, as integers over ``det``. ``solve_lp`` is the one rational entry.
+common denominator ``det``, the basis determinant. One positive scale
+of all rows and ``b`` together, a positive scale of one column (its
+entries and its cost), or one of the cost changes no Bland pivot, so
+``b`` times L and the cost times M give the vertex times L and the
+optimum times L*M, as integers over ``det``. A scale of a single row
+can move the vertex (the optimum stays): phase 1 sums the rows.
 
 Standard form: maximize c.x subject to A x = b, x >= 0.
 
@@ -29,8 +31,7 @@ starts from, but the vertex it ends at does. So ``maximum`` returns the
 vertex ``x`` only while every ``b`` the LP has been given equals the
 first: until then its pivots are those of a cold two-phase solve, and
 ``x`` is the Bland vertex. Once another ``b`` arrives, ``x`` is None
-for good. ``solve_lp`` scales ``Fraction`` rows ``[A | b]`` and the
-objective to integers and maximizes on a fresh ``WarmLp``.
+for good. ``solve_lp`` maximizes once on a fresh ``WarmLp``.
 
 A free (sign-unrestricted) vector enters a problem as ``u - w``:
 ``free_columns`` writes its coefficients and ``free_value`` reads it back.
@@ -39,9 +40,6 @@ A free (sign-unrestricted) vector enters a problem as ``u - w``:
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -52,23 +50,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LpResult:
-    """The optimum ``value`` at the vertex ``x`` of ``solve_lp``."""
-    status: str
-    x: list[Fraction] | None
-    value: Fraction | None
-
-
 # The optimum ``value`` and the vertex ``x`` of ``WarmLp.maximum`` as
 # integer numerators over ``den > 0``, the basis determinant.
 WarmResult = namedtuple("WarmResult", "status x value den", defaults=(1,))
-
-
-def _integers(values, scale: int) -> list[int]:
-    """``scale * v`` for each rational ``v``; ``scale`` is a multiple of
-    every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
@@ -305,23 +289,17 @@ class WarmLp:
         return WarmResult(OPTIMAL, x, -state.tableau[-1][-1], state.det)
 
 
-def solve_lp(objective: list[Fraction], a_eq: list[list[Fraction]], b_eq: list[Fraction]) -> LpResult:
-    """Maximize ``objective . x`` subject to ``a_eq x = b_eq``, ``x >= 0``,
-    scaling ``[a_eq | b_eq]`` and ``objective`` to integers by the lcm of
-    their denominators; ``x`` and the optimum are ``Fraction``s."""
+def solve_lp(objective: Sequence[int], a_eq: list[list[int]], b_eq: list[int]) -> WarmResult:
+    """Maximize ``objective . x`` subject to ``a_eq x = b_eq``, ``x >= 0``
+    over integers on a fresh ``WarmLp``: its Bland vertex ``x`` and the
+    optimum as integer numerators over ``den``."""
     n = len(objective)
     for row in a_eq:
         if len(row) != n:
             raise InvalidInput("inconsistent LP row width")
     if len(b_eq) != len(a_eq):
         raise InvalidInput("inconsistent LP right-hand side")
-    scale = lcm(*(a.denominator for row in a_eq for a in row), *(b.denominator for b in b_eq))
-    cost_scale = lcm(*(c.denominator for c in objective))
-    res = WarmLp([_integers(row, scale) for row in a_eq], n).maximum(
-        _integers(b_eq, scale), _integers(objective, cost_scale))
-    if res.status != OPTIMAL:
-        return LpResult(res.status, None, None)
-    return LpResult(OPTIMAL, [Fraction(v, res.den) for v in res.x], Fraction(res.value, res.den * cost_scale))
+    return WarmLp(a_eq, n).maximum(b_eq, objective)
 
 
 def free_columns(coeffs: list) -> list:

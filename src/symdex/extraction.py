@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import isqrt
+from math import gcd, isqrt
 from operator import sub
 from typing import Optional, Sequence
 
@@ -184,24 +184,20 @@ def _dual_ball_lp(
     if not coords:
         return None
     c = len(coords)
-    zero, one = Fraction(0), Fraction(1)
+    # one scale L for every row and b, as a single row's scale can move the vertex
+    scale, span_rows = integer_rows(span, coords)
     if kind is NormKind.SUP:
         # dual ball is the l1 ball: f = u - w, sum(u + w) + t = 1
         slack = 1
-        rows = [[one] * (2 * c + 1)]
+        rows = [[scale] * (2 * c + 1)]
     else:
         # dual ball is the sup ball: f = u - w with u_i + w_i + s_i = 1
         slack = c
-        rows = []
-        for p in range(c):
-            e = [one if q == p else zero for q in range(c)]
-            rows.append(e + e + e)
-    rhs = [one] * len(rows)
-    for v in span:
-        rows.append(exactlp.free_columns([v.get(i) for i in coords]) + [zero] * slack)
-        rhs.append(zero)
-    obj = exactlp.free_columns([objective.get(i) for i in coords]) + [zero] * slack
-    res = exactlp.solve_lp(obj, rows, rhs)
+        rows = [[scale if q == p else 0 for q in range(c)] * 3 for p in range(c)]
+    b = [scale] * len(rows) + [0] * len(span_rows)
+    rows += [exactlp.free_columns(row) + [0] * slack for row in span_rows]
+    _, (target,) = integer_rows([objective], coords)
+    res = exactlp.solve_lp(exactlp.free_columns(target) + [0] * slack, rows, b)
     if res.status != exactlp.OPTIMAL:
         return None
     f = SparseVec(dict(zip(coords, exactlp.free_value(res.x, c))))
@@ -614,131 +610,82 @@ def extreme_diameter(
     return None, bound
 
 
-# -- exact arithmetic in Q[sqrt(s)] for the segment analysis ----------------
+# -- exact values in Q[sqrt(s)] for the segment analysis --------------------
+#
+# A value is an integer tuple (a, b, s, d) read as (a + b*sqrt(s))/d, with
+# d > 0 and b = 0 unless s > 0 is not a square.
 
 
-@dataclass(frozen=True)
-class _Surd:
-    """Value a + b*sqrt(s) with rational a, b and positive rational s."""
-
-    a: Fraction
-    b: Fraction
-    s: Fraction
-
-
-_Value = Fraction | _Surd
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _root_sign(a: int, b: int, s: int) -> int:
+    """Sign of a + b*sqrt(s) for integers a, b and s >= 0, with b = 0
+    when s = 0."""
+    sa = (a > 0) - (a < 0)
+    if not b:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa * sb >= 0:
+        return sa or sb
+    t = a * a - b * b * s
+    return sa * ((t > 0) - (t < 0))
 
 
-def _surd_sign(a: Fraction, b: Fraction, s: Fraction) -> int:
-    if b == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs = a * a
-    rhs = b * b * s
-    if lhs == rhs:
-        return 0
-    return _sign(a) if lhs > rhs else _sign(b)
+def _cmp(v: tuple, w: tuple) -> int:
+    """Sign of v - w for values (a, b, s, d)."""
+    a, b, s, d = v
+    a2, b2, s2, d2 = w
+    # d*d2*(v - w) = a + b*sqrt(s) - b2*sqrt(s2)
+    a, b, b2 = a * d2 - a2 * d, b * d2, b2 * d
+    if s == s2:
+        return _root_sign(a, b - b2, s)
+    sa, sb = _root_sign(a, b, s), (b2 > 0) - (b2 < 0)
+    if sa != sb:
+        return sa or -sb
+    # both sides of a + b*sqrt(s) = b2*sqrt(s2) have sign sa: square them
+    return sa * _root_sign(a * a + b * b * s - b2 * b2 * s2, 2 * a * b, s)
 
 
-def _value_cmp_rational(v: _Value, r: Fraction) -> int:
-    if isinstance(v, Fraction):
-        return _sign(v - r)
-    return _surd_sign(v.a - r, v.b, v.s)
+def _surd(p: int, q: int, s: int) -> tuple:
+    """The value p + (q/s)*sqrt(s) for integers p, q and s > 0."""
+    r = isqrt(s)
+    if not q or r * r == s:
+        return p * s + q * r, 0, 0, s
+    return p * s, q, s, s
 
 
-def _value_cmp(v: _Value, w: _Value) -> int:
-    if isinstance(v, Fraction) and isinstance(w, Fraction):
-        return _sign(v - w)
-    if isinstance(v, Fraction):
-        return -_value_cmp_rational(w, v)
-    if isinstance(w, Fraction):
-        return _value_cmp_rational(v, w)
-    if v.s == w.s:
-        return _surd_sign(v.a - w.a, v.b - w.b, v.s)
-    # sign of (v.a - w.a + v.b sqrt(s1)) - w.b sqrt(s2), two squarings
-    sa = _surd_sign(v.a - w.a, v.b, v.s)
-    sb = _sign(w.b)
-    if sa == 0 and sb == 0:
-        return 0
-    if sa >= 0 and sb <= 0:
-        return 1
-    if sa <= 0 and sb >= 0:
-        return -1
-    u = v.a - w.a
-    asq_rat = u * u + v.b * v.b * v.s - w.b * w.b * w.s
-    asq_surd = 2 * u * v.b
-    c = _surd_sign(asq_rat, asq_surd, v.s)
-    return c if sa > 0 else -c
-
-
-def _sqrt_upper(s: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(s)."""
-    n, d = s.numerator, s.denominator
-    return Fraction(isqrt(n * d) + 1, d)
-
-
-def _value_lower_rational(v: _Value) -> Fraction:
-    """A certified rational lower bound of a nonnegative value, positive
-    when the value is: the bisection runs past 200 halvings until its
+def _value_lower_rational(v: tuple) -> Fraction:
+    """v itself when it is rational; else a certified rational lower
+    bound of v, 0 when v <= 0 and positive when v > 0: the bisection of
+    [0, (a + |b|*(isqrt(s) + 1))/d] runs past 200 halvings until its
     lower end leaves 0."""
-    if isinstance(v, Fraction):
-        return v
-    if _value_cmp_rational(v, Fraction(0)) <= 0:
+    a, b, s, d = v
+    if not b:
+        return Fraction(a, d)
+    if _root_sign(a, b, s) <= 0:
         return Fraction(0)
-    hi = v.a + abs(v.b) * _sqrt_upper(v.s)
-    lo = Fraction(0)
+    # [lo/den, hi/den] brackets v; den doubles at each halving
+    lo, hi, den = 0, a + abs(b) * (isqrt(s) + 1), d
     for step in count():
         if step >= 200 and lo > 0:
             break
-        mid = (lo + hi) / 2
-        if _value_cmp_rational(v, mid) > 0:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if _root_sign(a * den - mid * d, b * den, s) > 0:
             lo = mid
         else:
             hi = mid
-        if lo > 0 and (hi - lo) < Fraction(1, 10 ** 12):
+        if lo > 0 and (hi - lo) * 10 ** 12 < den:
             break
-    return lo
+    return Fraction(lo, den)
 
 
 # -- the pair scan on integer points over one scale -------------------------
 #
-# Scaled values are a rational pair (numerator, positive denominator) or a
-# _Surd with integer a and s; both are L (sup, sum) or L^2 (euclid) times
-# the plain value, and compare as the plain values do.
-
-_Scaled = tuple[int, int] | _Surd
-
-
-def _scaled_cmp(v: _Scaled, w: _Scaled) -> int:
-    """Sign of v - w; rational pairs compare by cross-multiplying."""
-    if isinstance(v, tuple) and isinstance(w, tuple):
-        return _sign(v[0] * w[1] - w[0] * v[1])
-    return _value_cmp(*(Fraction(*u) if isinstance(u, tuple) else u for u in (v, w)))
-
-
-def _scaled_surd(p: int, q: int, s: int) -> _Scaled:
-    """p + (q/s)*sqrt(s) for integers p, q and s > 0, as a rational pair
-    when it is rational."""
-    if q == 0:
-        return p, 1
-    r = isqrt(s)
-    if r * r == s:
-        return p * s + q * r, s
-    return _Surd(p, Fraction(q, s), s)
+# Scan values are L (sup, sum) or L^2 (euclid) times the plain value.
 
 
 def _segment_portion_distance(
     d1: tuple[int, ...], d2: tuple[int, ...], eps: int, kind: NormKind
-) -> Optional[_Scaled]:
+) -> Optional[tuple]:
     """Distance from 0 to the middle portion of the segment [d1, d2].
 
     The points and eps are integers over one scale. The middle portion
@@ -759,10 +706,10 @@ def _segment_portion_distance(
         below_hi = a - b > 0 and (a - b) ** 2 >= ee * a
         c2 = _int_norm(c, kind)
         if above_lo and below_hi:
-            return c2 * a - b * b, a
+            return c2 * a - b * b, 0, 0, a
         if not above_lo:
-            return _scaled_surd(c2 + ee, -2 * b * eps, a)
-        return _scaled_surd(c2 - 2 * b + a + ee, 2 * eps * (b - a), a)
+            return _surd(c2 + ee, -2 * b * eps, a)
+        return _surd(c2 - 2 * b + a + ee, 2 * eps * (b - a), a)
     length = _int_norm(m, kind)
     if length < 2 * eps:
         return None
@@ -783,8 +730,8 @@ def _segment_portion_distance(
     for p, q in lams:
         if eps * q <= p * length <= (length - eps) * q:
             n = _int_norm([q * ci - p * mi for ci, mi in cm], kind)
-            if best is None or n * best[1] < best[0] * q:
-                best = n, q
+            if best is None or n * best[3] < best[0] * q:
+                best = n, 0, 0, q
     return best
 
 
@@ -813,10 +760,10 @@ def eps_strong_extreme(
 
     The points and epsilon are taken as integer rows over the lcm L of
     their denominators (:func:`~symdex.vectors.integer_rows`), and
-    translated so x sits at 0. The minimum is
-    divided by L (L^2 under euclid) once at the end, which gives an
-    irrational one the same Q[sqrt(s)] form as a scan in plain
-    coordinates. A pair (x, a) has value exactly epsilon
+    translated so x sits at 0. The minimum is divided by L (L^2 under
+    euclid) once at the end and written over sqrt(n*m) for s/L^2 = n/m in
+    lowest terms, which brackets an irrational one as a scan in plain
+    coordinates would. A pair (x, a) has value exactly epsilon
     (carried) when its portion is nonempty: the portion end nearest x is
     epsilon away from it. Those pairs seed the minimum; any other pair
     is skipped when its coordinatewise gap bound already reaches the
@@ -833,28 +780,26 @@ def eps_strong_extreme(
     origin = rows[expr.points.index(x)]
     points = [tuple(map(sub, row, origin)) for row in rows if row != origin]
     e = int(eps * scale)
-    best: Optional[_Scaled] = None
+    best: Optional[tuple] = None
     # _int_norm of a one-entry vector is the carried length of its entry
     if any(_int_norm(d, kind) >= _int_norm((2 * e,), kind) for d in points):
-        best = _int_norm((e,), kind), 1
+        best = _int_norm((e,), kind), 0, 0, 1
     # pairs keep their order, so of equal minima the first one found is
     # kept, as its Q[sqrt(s)] form fixes the bisected lower bound
     for d1, d2 in combinations(points, 2):
-        if best is not None and _scaled_cmp(best, (_gap_bound(d1, d2, kind), 1)) <= 0:
+        if best is not None and _cmp(best, (_gap_bound(d1, d2, kind), 0, 0, 1)) <= 0:
             continue
         v = _segment_portion_distance(d1, d2, e, kind)
         if v is None:
             continue
-        if _scaled_cmp(v, (0, 1)) <= 0:
+        if _root_sign(*v[:3]) <= 0:
             return False, Fraction(0)
-        if best is None or _scaled_cmp(v, best) < 0:
+        if best is None or _cmp(v, best) < 0:
             best = v
     if best is None:
         return True, Fraction(1)
-    if isinstance(best, _Surd):
-        square = scale * scale
-        return True, _value_lower_rational(
-            _Surd(Fraction(best.a, square), best.b / scale, Fraction(best.s, square))
-        )
-    n, q = best
-    return True, Fraction(n, q * _int_norm((scale,), kind))
+    a, b, s, d = best
+    k = _int_norm((scale,), kind)  # L, or L^2 under euclid
+    # sqrt(s/k) = sqrt(n*m)/m for s/k = n/m in lowest terms
+    m = k // gcd(s, k)
+    return True, _value_lower_rational((a * m, b * scale, s * m * m // k, d * k * m))

@@ -12,6 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .errors import BudgetExceeded, InvalidInput, NotAchievable
 from .vectors import (
@@ -20,6 +21,7 @@ from .vectors import (
     SparseVec,
     as_length,
     as_scalar,
+    integer_rows,
     norm,
     signed_sums,
 )
@@ -139,15 +141,10 @@ def wuc_bound(s: SeriesSpec, budget: int = 2 ** 20) -> Fraction:
         # dual route: extreme points of the sup-ball are sign vectors
         if 2 ** len(coords) > budget:
             raise BudgetExceeded("wuc_bound sign-vector enumeration over budget")
-        best = Fraction(0)
-        for signs in product((Fraction(1), Fraction(-1)), repeat=len(coords)):
-            f = dict(zip(coords, signs))
-            total = Fraction(0)
-            for t in s.terms:
-                total += abs(sum((x * f[i] for i, x in t.items()), Fraction(0)))
-            if total > best:
-                best = total
-        return best
+        scale, rows = integer_rows(s.terms, coords)
+        best = max(sum(abs(sum(map(mul, row, signs))) for row in rows)
+                   for signs in product((1, -1), repeat=len(coords)))
+        return Fraction(best, scale)
     if 2 ** h > budget:
         raise BudgetExceeded("wuc_bound sign-pattern enumeration over budget")
     return max(norm(d, kind) for d in signed_sums(s.terms))

@@ -19,46 +19,41 @@ from util import dense_phase_one, dense_solve_lp
 
 def test_simple_optimum():
     # max x + y subject to x + y + s = 1
-    res = solve_lp([F(1), F(1), F(0)], [[F(1), F(1), F(1)]], [F(1)])
-    assert res.status == OPTIMAL
-    assert res.value == 1
+    status, value, _ = rational(solve_lp([1, 1, 0], [[1, 1, 1]], [1]))
+    assert status == OPTIMAL
+    assert value == 1
 
 
 def test_two_constraints():
     # max 3x + 2y ; x + y + s1 = 4 ; x + 3y + s2 = 6
-    res = solve_lp(
-        [F(3), F(2), F(0), F(0)],
-        [[F(1), F(1), F(1), F(0)], [F(1), F(3), F(0), F(1)]],
-        [F(4), F(6)],
-    )
-    assert res.status == OPTIMAL
-    assert res.value == 12  # vertex x=4, y=0
-    assert res.x[0] == 4 and res.x[1] == 0
+    status, value, x = rational(solve_lp([3, 2, 0, 0], [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6]))
+    assert status == OPTIMAL
+    assert value == 12  # vertex x=4, y=0
+    assert x[0] == 4 and x[1] == 0
 
 
 def test_infeasible():
     # x = -1 with x >= 0, after normalization: -x = 1 has no solution
-    res = solve_lp([F(0)], [[F(1)]], [F(-1)])
+    res = solve_lp([0], [[1]], [-1])
     assert res.status == INFEASIBLE
 
 
 def test_unbounded():
     # max x with only x - y = 0
-    res = solve_lp([F(1), F(0)], [[F(1), F(-1)]], [F(0)])
+    res = solve_lp([1, 0], [[1, -1]], [0])
     assert res.status == UNBOUNDED
 
 
 def test_degenerate_redundant_rows():
-    rows = [[F(1), F(1)], [F(2), F(2)]]
-    res = solve_lp([F(1), F(0)], rows, [F(1), F(2)])
-    assert res.status == OPTIMAL
-    assert res.value == 1
+    status, value, _ = rational(solve_lp([1, 0], [[1, 1], [2, 2]], [1, 2]))
+    assert status == OPTIMAL
+    assert value == 1
 
 
 def feasible_point(rows, rhs):
     """A nonnegative solution of ``rows x = rhs`` or None: the basic point
     of the phase-1 basis, read off as a zero objective's optimum."""
-    return solve_lp([F(0)] * (len(rows[0]) if rows else 0), rows, rhs).x
+    return solve([F(0)] * (len(rows[0]) if rows else 0), rows, rhs)[2]
 
 
 def test_feasible_point():
@@ -76,18 +71,32 @@ def test_free_columns_and_value():
 
 def test_free_vector_round_trip():
     # max d1 - d2 with d = u - w free in the box |d_i| <= 1 (u_i + w_i + s_i = 1)
-    obj = free_columns([F(1), F(-1)]) + [F(0), F(0)]
-    rows = [[F(1), F(0), F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1), F(0), F(1)]]
-    res = solve_lp(obj, rows, [F(1), F(1)])
-    assert res.value == 2
-    assert free_value(res.x, 2) == [F(1), F(-1)]
+    obj = free_columns([1, -1]) + [0, 0]
+    rows = [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]
+    _, value, x = rational(solve_lp(obj, rows, [1, 1]))
+    assert value == 2
+    assert free_value(x, 2) == [F(1), F(-1)]
 
 
 def test_exactness_with_awkward_fractions():
     # max x subject to (2/3)x + s = 5/7  ->  x = 15/14
-    res = solve_lp([F(1), F(0)], [[F(2, 3), F(1)]], [F(5, 7)])
-    assert res.status == OPTIMAL
-    assert res.value == F(15, 14)
+    status, value, _ = solve([F(1), F(0)], [[F(2, 3), F(1)]], [F(5, 7)])
+    assert status == OPTIMAL
+    assert value == F(15, 14)
+
+
+def test_a_single_row_scale_can_move_the_vertex():
+    # phase 1 sums the rows, so doubling row 0 alone ends at another
+    # vertex with the same optimum; one scale of all rows and b, a
+    # column's scale (its entries and cost) or the cost's scale moves no pivot
+    cost, rows, b = [-1, -1, 1], [[-1, -1, 1], [1, 2, 2]], [0, 2]
+    vertex = (OPTIMAL, 0, [0, F(1, 2), F(1, 2)])
+    assert rational(solve_lp(cost, rows, b)) == vertex
+    assert rational(solve_lp(cost, [[-2, -2, 2], rows[1]], b)) == (OPTIMAL, 0, [F(2, 3), 0, F(2, 3)])
+    assert rational(solve_lp(cost, [[3 * a for a in row] for row in rows], [3 * v for v in b])) == vertex
+    assert rational(solve_lp([5 * c for c in cost], rows, b), 5) == vertex
+    # column 1 times 2: its coordinate of the vertex halves
+    assert rational(solve_lp([-1, -2, 1], [[-1, -2, 1], [1, 4, 2]], b)) == (OPTIMAL, 0, [0, F(1, 4), F(1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +127,6 @@ def lp_rows(draw):
     return n, rows, rhs
 
 
-def _outcome(res):
-    return res.status, res.value, res.x
-
-
 def integers(values):
     """Rationals over the lcm L of their denominators as integers, and L."""
     scale = lcm(*(v.denominator for v in values))
@@ -129,9 +134,10 @@ def integers(values):
 
 
 def rational(res, cost_scale=1):
-    """``_outcome`` of a ``WarmLp.maximum`` result in ``Fraction``s: ``x``
-    and the optimum over ``res.den``, the optimum also over the scale of
-    its integer cost. An optimum comes as integers over a positive ``den``."""
+    """``(status, value, x)`` of a ``WarmLp`` result in ``Fraction``s:
+    ``x`` and the optimum over ``res.den``, the optimum also over the
+    scale of its integer cost. An optimum comes as integers over a
+    positive ``den``."""
     if res.status == OPTIMAL:
         assert type(res.value) is int and type(res.den) is int and res.den > 0
         assert res.x is None or all(type(v) is int for v in res.x)
@@ -140,9 +146,19 @@ def rational(res, cost_scale=1):
     return res.status, value, x
 
 
+def solve(objective, rows, rhs):
+    """``rational`` of ``solve_lp`` on rationals: ``[A | b]`` to integers
+    by the lcm of its denominators, the objective by the lcm of its own."""
+    n = len(objective)
+    scaled, _ = integers([*(a for row in rows for a in row), *rhs])
+    cost, cost_scale = integers(objective)
+    res = solve_lp(cost, [scaled[r * n:(r + 1) * n] for r in range(len(rows))], scaled[len(rows) * n:])
+    return rational(res, cost_scale)
+
+
 def integer_lp(rows, rhs, n):
-    """A ``WarmLp`` over ``rows`` scaled to integers as ``solve_lp``
-    scales them (one lcm over ``[A | b]``), and the scaled ``rhs``."""
+    """A ``WarmLp`` over ``rows`` scaled to integers as ``solve`` scales
+    them (one lcm over ``[A | b]``), and the scaled ``rhs``."""
     scale = lcm(*(a.denominator for row in rows for a in row), *(b.denominator for b in rhs))
     return WarmLp([[int(a * scale) for a in row] for row in rows], n), [int(b * scale) for b in rhs]
 
@@ -180,7 +196,7 @@ def assert_matches_dense_start(start, rows, rhs, n):
 def test_solve_lp_matches_dense_reference(lp, data):
     n, rows, rhs = lp
     objective = data.draw(st.lists(entries, min_size=n, max_size=n))
-    assert _outcome(solve_lp(objective, rows, rhs)) == dense_solve_lp(objective, rows, rhs)
+    assert solve(objective, rows, rhs) == dense_solve_lp(objective, rows, rhs)
     assert_matches_dense_start(feasible_start(rows, rhs, n), rows, rhs, n)
     if rows:
         assert feasible_point(rows, rhs) == dense_solve_lp([F(0)] * n, rows, rhs)[2]
@@ -192,13 +208,13 @@ def test_objectives_at_one_rhs_leave_the_start_unchanged(lp, data):
     n, rows, rhs = lp
     warm, b = integer_lp(rows, rhs, n)
     if not warm.feasible(b):
-        assert solve_lp([F(0)] * n, rows, rhs).status == INFEASIBLE
+        assert solve([F(0)] * n, rows, rhs)[0] == INFEASIBLE
         return
     state = warm._feasible
     snapshot = ([list(row) for row in state.tableau], list(state.basis), state.det)
     for objective in data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=5)):
         cost, cost_scale = integers(objective)
-        assert rational(warm.maximum(b, cost), cost_scale) == _outcome(solve_lp(objective, rows, rhs))
+        assert rational(warm.maximum(b, cost), cost_scale) == solve(objective, rows, rhs)
         assert (state.tableau, state.basis, state.det) == snapshot
 
 
@@ -223,7 +239,7 @@ def test_drive_out_negates_a_negative_pivot_row(monkeypatch):
     assert_matches_dense_start(start, rows, rhs, 3)
     objective = [F(0), F(1), F(1)]
     expected = (OPTIMAL, F(1), [F(0), F(0), F(1)])
-    assert _outcome(solve_lp(objective, rows, rhs)) == dense_solve_lp(objective, rows, rhs) == expected
+    assert solve(objective, rows, rhs) == dense_solve_lp(objective, rows, rhs) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +291,10 @@ def test_warm_solves_match_cold_and_dense_solves(lp, data):
                 assert warm.feasible(b) == feasible
                 continue
             status, value, x = rational(warm.maximum(b, cost))
-            cold = solve_lp([F(c) for c in cost], frac_rows, b)
-            assert (status, value) == (cold.status, cold.value)
+            cold = rational(solve_lp(cost, rows, b))
+            assert (status, value) == cold[:2]
             assert (status, value) == dense_solve_lp([F(c) for c in cost], frac_rows, b)[:2]
-            assert x == (None if moved else cold.x)
+            assert x == (None if moved else cold[2])
 
 
 def test_warm_solve_checks_a_redundant_row():

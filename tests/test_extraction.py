@@ -1,4 +1,6 @@
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import isqrt
@@ -54,6 +56,7 @@ from util import (
     norm_kinds,
     random_finite_points,
     segment_portion_distance,
+    value,
 )
 
 BOX = Box(F(1))
@@ -109,14 +112,17 @@ def reference_dual_ball_lp(span, objective, kind):
 
 
 def test_dual_ball_lp_matches_index_placed_columns():
+    # entries over the coprime denominators 2, 3, 5 and 7 give the rows
+    # different lcms, so a scale per row (not one for all) moves vertices
     rng = random.Random(8)
-    entries = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+    entries = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(-2, 3), F(2, 5), F(-3, 5),
+               F(1, 7), F(-5, 7)]
 
     def vec():
         return SparseVec({i: rng.choice(entries) for i in rng.sample(range(1, 5), rng.randint(0, 3))})
 
     found = 0
-    for _ in range(80):
+    for _ in range(2000):
         span = [vec() for _ in range(rng.randint(0, 3))]
         objective = vec()
         for kind in (NormKind.SUP, NormKind.SUM):
@@ -535,6 +541,86 @@ def test_eps_extreme_checks_membership_once(monkeypatch):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------------------------
+# exact values (a + b*sqrt(s))/d of the strong-extreme scan
+
+
+def decimal_value(v):
+    a, b, s, d = v
+    return (Decimal(a) + Decimal(b) * Decimal(s).sqrt()) / Decimal(d)
+
+
+@st.composite
+def scan_values(draw, s=None):
+    """A value tuple: b = 0 unless s > 0 is no square. Radicands come
+    from a small list (shared square classes: 2, 8, 18, 50) or anywhere."""
+    if s is None:
+        s = draw(st.sampled_from((0, 0, 1, 2, 3, 4, 5, 8, 12, 18, 50)) | st.integers(0, 10 ** 6))
+    r = isqrt(s)
+    b = 0 if r * r == s else draw(st.integers(-10 ** 6, 10 ** 6))
+    return draw(st.integers(-10 ** 12, 10 ** 12)), b, s, draw(st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=300)
+@given(scan_values(), st.integers(1, 10 ** 6), st.integers(1, 50))
+def test_value_cmp_is_zero_on_equal_forms(v, k, r):
+    a, b, s, d = v
+    assert extraction._cmp(v, v) == 0
+    assert extraction._cmp((k * a, k * b, s, k * d), v) == 0
+    if b:
+        # b*r*sqrt(s) = b*sqrt(s*r^2)
+        assert extraction._cmp((a, b * r, s, d), (a, b, s * r * r, d)) == 0
+
+
+@settings(max_examples=600)
+@given(scan_values(), st.data())
+def test_value_cmp_agrees_with_decimal_signs(v, data):
+    # w is drawn anywhere, over v's radicand, or as v nudged by a tiny step
+    a, b, s, d = v
+    w = data.draw(scan_values() | scan_values(s) | st.integers(-3, 3).map(
+        lambda t: (a * 10 ** 9 + t, b * 10 ** 9, s, d * 10 ** 9)))
+    got = extraction._cmp(v, w)
+    assert extraction._cmp(w, v) == -got
+    with localcontext() as ctx:
+        ctx.prec = 120
+        diff = decimal_value(v) - decimal_value(w)
+    if abs(diff) > Decimal("1e-100"):
+        assert got == (1 if diff > 0 else -1)
+
+
+def test_value_cmp_reaches_every_line():
+    codes = {extraction._cmp.__code__, extraction._root_sign.__code__}
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    cases = [
+        ((1, 0, 0, 2), (1, 0, 0, 3), 1),  # both rational: 1/2 > 1/3
+        ((3, -1, 2, 1), (0, 0, 2, 1), 1),  # one radicand, signs differ: 3 > sqrt(2)
+        ((1, -1, 2, 1), (0, 0, 0, 1), -1),  # a rational w: 1 < sqrt(2)
+        ((0, 1, 2, 1), (0, -1, 3, 1), 1),  # sqrt(2) > -sqrt(3)
+        ((0, 0, 0, 1), (0, 1, 3, 1), -1),  # a zero left side: 0 < sqrt(3)
+        ((0, 1, 2, 1), (0, 1, 3, 1), -1),  # both positive, squared: 2 < 3
+        ((0, 3, 2, 1), (0, 1, 18, 1), 0),  # 3*sqrt(2) = sqrt(18)
+    ]
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = [extraction._cmp(v, w) for v, w, _ in cases]
+    finally:
+        sys.settrace(old)
+    assert got == [want for _, _, want in cases]
+    body = {(code, line) for code in codes for _, _, line in code.co_lines()
+            if line is not None and line > code.co_firstlineno}
+    assert body <= seen
+
+
 def test_eps_strong_extreme_euclid_irrational_boundary():
     # the only nonempty middle portion sits at an irrational (squared)
     # distance 2 - (4/5)sqrt(5); the returned witness is a certified
@@ -558,9 +644,9 @@ def reference_eps_strong_extreme(expr, x, epsilon, kind):
         return True, F(1)
     best = values[0]
     for v in values[1:]:
-        if extraction._value_cmp(v, best) < 0:
+        if extraction._cmp(v, best) < 0:
             best = v
-    if extraction._value_cmp_rational(best, F(0)) <= 0:
+    if extraction._cmp(best, value(F(0))) <= 0:
         return False, F(0)
     return True, extraction._value_lower_rational(best)
 
@@ -644,7 +730,7 @@ def test_eps_strong_extreme_keeps_a_tiny_irrational_minimum_positive():
     exact = segment_portion_distance(ZERO, *ends, F(1), NormKind.EUCLID)
     assert flag
     assert 0 < delta
-    assert extraction._value_cmp_rational(exact, delta) >= 0
+    assert extraction._cmp(exact, value(delta)) >= 0
 
 
 def test_eps_strong_extreme_exits_on_a_segment_through_x(monkeypatch):

@@ -4,14 +4,13 @@ reference and the Fraction segment scan for the test suite."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional
 
 import hypothesis.strategies as st
 
 from symdex import FinitePoints, NormKind, SparseVec, dual_pair, norm
 from symdex.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED
-from symdex.extraction import _Surd, _Value
 from symdex.sets import DEFAULT_ENUM_BUDGET, enumerate_members
 
 ALL_NORMS = (NormKind.SUP, NormKind.SUM, NormKind.EUCLID)
@@ -161,24 +160,29 @@ def dense_solve_lp(objective, a_eq, b_eq):
     return OPTIMAL, value, x
 
 
-def _make_value(a: Fraction, b: Fraction, s: Fraction) -> _Value:
-    """a + b*sqrt(s), simplified to a rational when it is one."""
-    if b == 0:
-        return a
-    rn, rd = isqrt(s.numerator), isqrt(s.denominator)
-    if rn * rn == s.numerator and rd * rd == s.denominator:
-        return a + b * Fraction(rn, rd)
-    return _Surd(a, b, s)
+def value(a: Fraction, b: Fraction = Fraction(0), s: Fraction = Fraction(0)) -> tuple:
+    """a + b*sqrt(s) as the strong-extreme scan's integer tuple
+    ``(a', b', S, d)``, read as ``(a' + b'*sqrt(S))/d``: with s = n/m in
+    lowest terms, sqrt(s) = sqrt(S)/m for S = n*m, and ``b' = S = 0``
+    when the value is rational."""
+    a, b = Fraction(a), Fraction(b) / s.denominator
+    S = s.numerator * s.denominator
+    r = isqrt(S)
+    if not b or r * r == S:
+        a, b, S = a + b * r, Fraction(0), 0
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), S, d
 
 
 def segment_portion_distance(
     x: SparseVec, a1: SparseVec, a2: SparseVec, eps: Fraction, kind: NormKind
-) -> Optional[_Value]:
+) -> Optional[tuple]:
     """Distance from x to the middle portion of the segment [a1, a2].
 
     The middle portion keeps the points at distance >= eps from both
     endpoints; None when it is empty. The result is in the carried norm
-    convention; Euclidean boundary values live in Q[sqrt(s)].
+    convention, as a ``value`` tuple; Euclidean boundary values live in
+    Q[sqrt(s)].
     """
     m = a1 - a2
     if m.is_zero:
@@ -194,10 +198,10 @@ def segment_portion_distance(
         above_lo = lam_star > 0 and lam_star * lam_star * a_coef >= eps * eps
         below_hi = (1 - lam_star) > 0 and (1 - lam_star) ** 2 * a_coef >= eps * eps
         if above_lo and below_hi:
-            return c_coef - b_coef * b_coef / a_coef
+            return value(c_coef - b_coef * b_coef / a_coef)
         if not above_lo:
-            return _make_value(c_coef + eps * eps, -2 * b_coef * eps / a_coef, a_coef)
-        return _make_value(
+            return value(c_coef + eps * eps, -2 * b_coef * eps / a_coef, a_coef)
+        return value(
             c_coef - 2 * b_coef + a_coef + eps * eps,
             2 * eps * (b_coef - a_coef) / a_coef,
             a_coef,
@@ -224,4 +228,4 @@ def segment_portion_distance(
     # the norm is piecewise linear and convex in lambda: its minimum over
     # [lo, hi] is at an end or at a breakpoint inside, tried in any order
     candidates = {lo, hi}.union(lam for lam in breaks if lo <= lam <= hi)
-    return min(norm(c - m.scale(lam), kind) for lam in candidates)
+    return value(min(norm(c - m.scale(lam), kind) for lam in candidates))
