@@ -28,7 +28,7 @@ cells, scored witness lists (counted at ``_score`` as for the procedures
 below), ``WarmLp.maximum`` and ``WarmLp.feasible`` calls and phase-1 runs
 (calls of ``exactlp._feasible_basis``) of all requests of the
 ``hull_lp`` benchmark catalogue (``perfbench/hull_catalogue.json``),
-each on new hulls with an empty enumeration cache, in all and per hull
+each on new hulls, in all and per hull
 shape, with the sets they build (calls of ``symmetrize_reduce`` on
 every set class, nested calls included) and the ``Fraction``s built
 (calls of ``Fraction.__new__``, wrapped here for the length of a
@@ -37,8 +37,7 @@ request; the request's input parsing included).
 Finite lattice: the ``symmetrize_reduce`` calls and scored witness lists
 of FINITE_LATTICE_PASSES passes (24 requests each) of the
 ``finite_lattice`` benchmark workload at seed FINITE_LATTICE_SEED, each
-request run as ``perfbench/workloads.py`` runs it with an empty
-enumeration cache.
+request run as ``perfbench/workloads.py`` runs it, on its own new set.
 
 Procedures: for random finite sets of PROC_SIZES points over PROC_DIM
 coordinates under each norm, the median time in milliseconds of
@@ -100,9 +99,13 @@ calls on random operands, drawn with seed SEED, whose supports half
 overlap. Each LP figure is the median over LP_REPEATS calls on each of
 LP_HULLS random hulls per shape, drawn with seed SEED. Each procedure
 figure is the median over PROC_REPEATS calls on each of PROC_SETS random
-sets, drawn with seed SEED. Each LP, procedure and CLI call starts with
-an empty enumeration cache, as a fresh process has; each CLI figure is
-the median over CLI_REPEATS calls (SCALED_REPEATS for SCALED_REQUESTS).
+sets, drawn with seed SEED. Each LP, procedure and CLI call works on
+sets it builds itself, as a fresh process does, so no call reads the
+enumerations or warm LPs that another kept in a set's memo; each CLI
+figure is the median over CLI_REPEATS calls (SCALED_REPEATS for
+SCALED_REQUESTS). A checkout with the module-global enumeration cache
+``sets._ENUM_CACHE`` keeps equal sets warm across calls: time it with
+that checkout's own copy of this script, which empties the cache.
 """
 
 from __future__ import annotations
@@ -349,14 +352,13 @@ def measure_catalogue() -> dict:
     """Pivots, cells, scored witness lists, warm LP calls, phase-1 runs
     and ``Fraction`` constructions of every request of the hull_lp
     catalogue, each run as ``perfbench/workloads.py`` runs it, on new
-    hulls with an empty enumeration cache, in all and per hull shape
+    hulls, in all and per hull shape
     (the catalogue's ``shape``: coordinates, generators and norm)."""
     import symdex
     from symdex import exactlp, indexes, sets
 
     workloads = load_workloads()
     lib = types.SimpleNamespace(symdex=symdex)
-    cache = getattr(sets, "_ENUM_CACHE", {})
     instances = json.loads(workloads.HULL_CATALOGUE.read_text())["instances"]
     lp_calls = ("maximum_calls", "feasible_calls", "phase1_runs")
 
@@ -366,9 +368,7 @@ def measure_catalogue() -> dict:
 
     total, shapes = empty(), {}
     for instance in instances:
-        cache.clear()
         counts = lp_pivots(exactlp, lambda: workloads.hull_request(lib, instance))
-        cache.clear()
         scored, fractions, *calls = count_calls(
             lambda: workloads.hull_request(lib, instance), (indexes, "_score"), (Fraction, "__new__"),
             (exactlp.WarmLp, "maximum"), (exactlp.WarmLp, "feasible"), (exactlp, "_feasible_basis"),
@@ -390,9 +390,8 @@ def measure_catalogue() -> dict:
 def measure_lp() -> dict:
     """{"<k>gen_<c>coord": figures} for each (k, c) of LP_SHAPES."""
     import symdex
-    from symdex import exactlp, sets
+    from symdex import exactlp
 
-    cache = getattr(sets, "_ENUM_CACHE", {})
     rng = random.Random(SEED)
     results: dict[str, dict] = {}
     for k, c in LP_SHAPES:
@@ -420,30 +419,24 @@ def measure_lp() -> dict:
                 per_call = len(probes) if name == "contains" else 1
                 ns = []
                 for _ in range(LP_REPEATS + 1):
-                    cache.clear()
                     start = time.perf_counter_ns()
                     call()
                     ns.append((time.perf_counter_ns() - start) / per_call)
                 samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
-                cache.clear()
                 add_pivots(pivots.setdefault(name, [0, 0, 0, 0]), lp_pivots(exactlp, call))
             strategy = symdex.SearchStrategy.exhaustive(symdex.default_pool(hull))
 
             def search():
                 return symdex.delta_upper(symdex.AbsConvHull(hull.points), 1, strategy, symdex.NormKind.SUP)
 
-            cache.clear()
             search_lps += count_calls(search, (exactlp.WarmLp, "feasible"))[0]
-            cache.clear()
             add_pivots(search_pivots, lp_pivots(exactlp, search))
         row = {f"{name}_us": round(statistics.median(ns) / 1000, 1) for name, ns in samples.items()}
         for name, counts in [*pivots.items(), ("delta_upper", search_pivots)]:
             row[f"{name}_pivots"], row[f"{name}_cells"] = counts[:3], counts[3]
         row["delta_upper_contains_lps"] = search_lps
         # the tableau shape depends only on (k, c): read it off the last hull
-        cache.clear()
         row["contains_tableau"] = lp_tableaus(exactlp, calls["contains"])[0]
-        cache.clear()
         row["symmetrized_tableau"] = lp_tableaus(exactlp, calls["sup_functional"])[0]
         results[f"{k}gen_{c}coord"] = row
     return results
@@ -516,7 +509,6 @@ def measure_procedures() -> dict:
     import symdex
     from symdex import extraction, sets
 
-    cache = getattr(sets, "_ENUM_CACHE", {})
     rng = random.Random(SEED)
     results: dict[str, dict] = {}
     for count in PROC_SIZES:
@@ -542,17 +534,14 @@ def measure_procedures() -> dict:
                 for name, call in procedures.items():
                     ns = []
                     for _ in range(PROC_REPEATS + 1):
-                        cache.clear()
                         start = time.perf_counter_ns()
                         call()
                         ns.append(time.perf_counter_ns() - start)
                     samples.setdefault(name, []).extend(ns[1:])  # the first call warms up
                 segment_calls += count_calls(
                     procedures["strong_extreme"], (extraction, "_segment_portion_distance"))[0]
-                cache.clear()
                 lists += scored_lists(procedures["delta_curve"])
                 for name, call in procedures.items():
-                    cache.clear()
                     sub, *reduce_calls = count_calls(call, (symdex.SparseVec, "__sub__"), *set_builds(sets))
                     subs[name] += sub
                     builds[name] += sum(reduce_calls)
@@ -568,16 +557,14 @@ def measure_procedures() -> dict:
 def measure_finite_lattice() -> dict:
     """The requests, ``symmetrize_reduce`` calls and scored witness lists
     of FINITE_LATTICE_PASSES passes of the finite_lattice workload at
-    FINITE_LATTICE_SEED, each request with an empty enumeration cache."""
+    FINITE_LATTICE_SEED, each request on its own new set."""
     import symdex
     from symdex import indexes, sets
 
-    cache = getattr(sets, "_ENUM_CACHE", {})
     workload = load_workloads().FiniteLattice(types.SimpleNamespace(symdex=symdex), FINITE_LATTICE_SEED, None)
     row = {"seed": FINITE_LATTICE_SEED, "requests": 0, "symmetrize_reduce_calls": 0, "scored_lists": 0}
     for index in range(FINITE_LATTICE_PASSES):
         for request in workload.make_pass(index):
-            cache.clear()
             scored, *reduce_calls = count_calls(lambda: workload.run(request), (indexes, "_score"),
                                                 *set_builds(sets))
             row["requests"] += 1
@@ -640,12 +627,10 @@ def search_nodes(call) -> int:
     return total[0]
 
 
-def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
-    """Median ms of ``call()`` over ``repeats`` runs after one warm-up;
-    ``before()`` runs ahead of each, outside the timer."""
+def median_ms(call, repeats: int = CLI_REPEATS) -> float:
+    """Median ms of ``call()`` over ``repeats`` runs after one warm-up."""
     samples = []
     for _ in range(repeats + 1):
-        before()
         start = time.perf_counter_ns()
         code = call()
         samples.append(time.perf_counter_ns() - start)
@@ -654,9 +639,9 @@ def median_ms(call, before, repeats: int = CLI_REPEATS) -> float:
     return round(statistics.median(samples[1:]) / 1e6, 3)
 
 
-def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
+def median_inner_ms(call, module, name: str, repeats: int) -> float:
     """Median ms spent in ``module.<name>`` during ``call()`` over
-    ``repeats`` runs after one warm-up; ``before()`` runs ahead of each."""
+    ``repeats`` runs after one warm-up."""
     original = getattr(module, name)
     spent = [0]
 
@@ -671,7 +656,6 @@ def median_inner_ms(call, before, module, name: str, repeats: int) -> float:
     samples = []
     try:
         for _ in range(repeats + 1):
-            before()
             spent[0] = 0
             call()
             samples.append(spent[0])
@@ -702,7 +686,6 @@ def measure_cli() -> dict:
     from symdex import cli, extraction, indexes, sets
     from symdex.vectors import SparseVec
 
-    cache = getattr(sets, "_ENUM_CACHE", {})
     results: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         work = Path(tmp)
@@ -713,14 +696,11 @@ def measure_cli() -> dict:
         for outname, argv, repeats in requests:
             report = work / outname
             request = [argv[0], argv[1], str(work / argv[2]), *argv[3:], "--out", str(report)]
-            row = {"main_ms": median_ms(lambda: demo.main(request), cache.clear, repeats)}
-            row["write_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear,
+            row = {"main_ms": median_ms(lambda: demo.main(request), repeats)}
+            row["write_ms"] = median_inner_ms(lambda: demo.main(request),
                                               *report_writer(cli, outname), repeats)
-            cache.clear()
             row["scored_lists"] = scored_lists(lambda: demo.main(request))
-            cache.clear()
             row["symmetrize_reduce_calls"] = sum(count_calls(lambda: demo.main(request), *set_builds(sets)))
-            cache.clear()
             pools = [(module, "sample_members") for module in (sets, indexes, extraction)
                      if hasattr(module, "sample_members")]
             counts = count_calls(lambda: demo.main(request), *pools,
@@ -728,27 +708,22 @@ def measure_cli() -> dict:
             row["pool_calls"] = sum(counts[:len(pools)])
             row["diameter_upper_calls"] = sum(counts[len(pools):])
             if argv[0] == "extract":
-                row["validate_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear, extraction,
+                row["validate_ms"] = median_inner_ms(lambda: demo.main(request), extraction,
                                                      "validate_transcript", repeats)
-            cache.clear()
             row["contains_calls"] = sum(count_calls(lambda: demo.main(request), *membership_tests(sets)))
-            cache.clear()
             row["sign_sum_contains"], row["sign_sum_searches"] = sign_sum_searches(lambda: demo.main(request))
-            cache.clear()
             row["search_nodes"] = search_nodes(lambda: demo.main(request))
-            cache.clear()
             # the relaxations of symmetrized sets without a closed form
             row["relaxation_calls"] = count_calls(lambda: demo.main(request),
                                                   (sets.Symmetrized, "coordinate_relaxation"))[0]
             if row["relaxation_calls"]:
-                row["relaxation_ms"] = median_inner_ms(lambda: demo.main(request), cache.clear, sets.Symmetrized,
+                row["relaxation_ms"] = median_inner_ms(lambda: demo.main(request), sets.Symmetrized,
                                                        "coordinate_relaxation", repeats)
             row["report_bytes"] = report.stat().st_size
             if outname.endswith(".json"):
                 verdict = work / f"verdict_{outname}"
                 replay = ["oracle", "--in", str(report), "--out", str(verdict)]
-                row["oracle_ms"] = median_ms(lambda: demo.main(replay), cache.clear, repeats)
-                cache.clear()
+                row["oracle_ms"] = median_ms(lambda: demo.main(replay), repeats)
                 row["oracle_set_parses"], row["oracle_vector_parses"] = count_calls(
                     lambda: demo.main(replay), (sets, "set_from_json"), (SparseVec, "from_json"))
                 row["verdict_bytes"] = verdict.stat().st_size

@@ -139,9 +139,9 @@ def _witness_search(
 
     Every list is scored through :func:`_delta_of`. Sym(A; W) is the
     intersection of the one-witness sets S_p, p in W, and
-    :meth:`Symmetrized.members` takes each S_p from the enumeration
-    cache: it is built for the first scored list that holds p and shared
-    by every later list and caller at that point.
+    :meth:`Symmetrized.members` takes each S_p from the memo of A: it is
+    built for the first scored list that holds p and shared by every
+    later list and caller at that point.
     """
     if N < 1:
         return

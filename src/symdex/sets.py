@@ -21,7 +21,7 @@ Each variant is a subclass of :class:`SetExpr` that carries its own case
 of every operation as a method. The module functions (``contains``,
 ``diameter``, ``sup_functional``, ``free_direction``, ...) are the entry
 points. Where an operation has a public module function, methods reach
-sub-expressions through it, so nested calls are cached and observed the
+sub-expressions through it, so nested calls are memoized and observed the
 same way as top-level ones; ``diameter`` methods call their parts'
 methods, as the module function adds nothing to them.
 """
@@ -29,7 +29,6 @@ methods, as the module function adds nothing to them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -75,10 +74,9 @@ DEFAULT_NODE_BUDGET = 200_000
 # this keeps the stack well under Python's default limit of 1000 frames.
 MAX_SET_DEPTH = 200
 
-# Entries an AbsConvHull keeps of its warm LPs (one per row layout for
-# values, and one per witness list and layout for vertices); a request
-# uses a handful.
-HULL_LP_MEMO = 64
+# Entries a set keeps in its private memo (enumerations, one-witness
+# member sets and a hull's warm LPs); a request uses a few dozen.
+MEMO_SIZE = 512
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +224,21 @@ class SetExpr(ABC):
         closed form exists."""
         return Symmetrized(self, tuple(ws))
 
+    def _memo(self, key: tuple, build):
+        """The entry ``key`` of this set's memo, built by ``build()`` when
+        missing; past MEMO_SIZE entries the oldest goes. The memo lives on
+        the instance outside the dataclass fields, like
+        ``SparseVec._hash``: equal sets built separately share nothing."""
+        memo = vars(self).setdefault("_memo_entries", {})
+        if key not in memo:
+            memo[key] = build()
+            if len(memo) > MEMO_SIZE:
+                del memo[next(iter(memo))]
+        return memo[key]
+
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
         """Every member, or None when the set is not enumerable within
-        ``budget`` (uncached; see :func:`enumerate_members`)."""
+        ``budget`` (unmemoized; see :func:`enumerate_members`)."""
         return None
 
     def one_witness_members(self, w: SparseVec, budget: int) -> Optional[tuple[SparseVec, ...]]:
@@ -487,12 +497,8 @@ class FinitePoints(SetExpr):
         ))
 
     def sup_functional(self, f: Functional) -> BoundPair:
-        best = None
-        arg = None
-        for p in self.points:
-            v = dual_pair(f, p)
-            if best is None or v > best:
-                best, arg = v, p
+        arg = max(self.points, key=lambda p: dual_pair(f, p))
+        best = dual_pair(f, arg)
         return BoundPair(best, best, lower_witness={"point": arg.to_json()})
 
     def relevant_coords(self) -> set[int]:
@@ -1043,12 +1049,11 @@ class Symmetrized(SetExpr):
         return self.base.symmetrize_reduce(self._witness_sums(ws))
 
     def members(self, budget: int) -> Optional[tuple[SparseVec, ...]]:
-        if len(self.witnesses) == 1:
-            return self.base.one_witness_members(self.witnesses[0], budget)
-        # Sym(A; W) is the intersection of the cached one-witness sets S_w
+        # Sym(A; W) is the intersection of the one-witness sets S_w, kept
+        # in A's memo for every symmetrization of A to share
         ones = []
         for w in self.witnesses:
-            one = enumerate_members(self.base.symmetrize_reduce([w]), budget)
+            one = self.base._memo(("one_witness", w, budget), lambda: self.base.one_witness_members(w, budget))
             if one is None:
                 return None
             ones.append(one)
@@ -1084,13 +1089,8 @@ class Symmetrized(SetExpr):
     def diameter(self, kind: NormKind, lower: bool, enum_budget: int) -> BoundPair:
         members = enumerate_members(self, enum_budget)
         if members is not None:
-            top = Fraction(0)
-            arg = ZERO
-            for d in members:
-                v = norm(d, kind)
-                if v > top:
-                    top, arg = v, d
-            return _symmetric_pair_bound(top, arg, kind)
+            arg = max(members, key=lambda d: norm(d, kind), default=ZERO)
+            return _symmetric_pair_bound(norm(arg, kind), arg, kind)
         extent = self.base.symmetrized_lp_extent(self, kind, lower)
         if extent is not None:
             return extent
@@ -1125,17 +1125,14 @@ class AbsConvHull(SetExpr):
     w + s*d in A becomes s*sum l_i g_i - sum m_i g_i = s*w1 - w with
     ||m||_1 <= 1. That LP gives the values of symmetrized extents and
     sups, a maximiser for each sup and the vertex that ``diameter``
-    prints as its pair. ``_lps`` keeps, per row layout, a warm LP that
-    answers membership and those values, and per witness list a warm LP
-    that returns vertices, at most HULL_LP_MEMO entries. It is private
-    state, like ``SparseVec._hash``: equal hulls built separately share
-    nothing.
+    prints as its pair. The set's memo keeps, per row layout, a warm LP
+    that answers membership and those values, and per witness list a
+    warm LP that returns vertices.
     """
 
     tag: ClassVar[str] = "abs_conv_hull"
     points: tuple[SparseVec, ...]
     _signed: frozenset = field(init=False, repr=False, compare=False)
-    _lps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         pts = tuple(sorted(set(self.points), key=lambda p: p.sort_key()))
@@ -1157,16 +1154,6 @@ class AbsConvHull(SetExpr):
         coords = tuple(sorted(self.relevant_coords() | set(v.support)))
         scale, (row,) = integer_rows([v], coords)
         return self._lp(coords, (0,)).feasible([*row, scale])
-
-    def _memo(self, key: tuple, build):
-        """The memo entry ``key``, built by ``build()`` when missing; the
-        oldest entry goes when the memo is full."""
-        found = self._lps.get(key)
-        if found is None:
-            if len(self._lps) >= HULL_LP_MEMO:
-                del self._lps[next(iter(self._lps))]
-            found = self._lps[key] = build()
-        return found
 
     def _lp(self, coords: tuple[int, ...], signs: tuple[int, ...], witnesses: Optional[tuple] = None) -> exactlp.WarmLp:
         """The warm LP over the rows saying that ``w + sgn*d`` lies in the
@@ -1212,7 +1199,7 @@ class AbsConvHull(SetExpr):
                 rows.append(row)
             return exactlp.WarmLp(rows, n)
 
-        return self._memo((coords, signs, witnesses), build)
+        return self._memo(("lp", coords, signs, witnesses), build)
 
     def sup_functional(self, f: Functional) -> BoundPair:
         value = max(abs(dual_pair(f, p)) for p in self.points)
@@ -1441,36 +1428,18 @@ def symmetrize(expr: SetExpr, witnesses: Iterable[SparseVec]) -> SetExpr:
 # ---------------------------------------------------------------------------
 # enumeration and the member pool
 
-# Least-recently-used enumerations, keyed by (expr, budget). The bound
-# keeps a long-lived process from holding every set it ever enumerated;
-# a single request reuses a few dozen entries, far below it. Only sets
-# that enumerate are kept: a None costs a size check to find again, and
-# keeping it would keep its key's set (a hull with its warm LPs, say)
-# alive.
-ENUM_CACHE_SIZE = 512
-_ENUM_CACHE: OrderedDict[tuple, tuple[SparseVec, ...]] = OrderedDict()
-
-
 def enumerate_members(expr: SetExpr, budget: int = DEFAULT_ENUM_BUDGET) -> Optional[tuple[SparseVec, ...]]:
-    """All members of an enumerable expression, or None when it is not.
+    """All members of an enumerable expression, or None when it is not,
+    kept in the set's memo.
 
     Enumerability: finite point sets, sign sums within the budget, and
     translates / negations / intersections / symmetrizations thereof.
     """
-    key = (expr, budget)
-    if key in _ENUM_CACHE:
-        _ENUM_CACHE.move_to_end(key)
-        return _ENUM_CACHE[key]
-    result = _enumerate_members_raw(expr, budget)
-    if result is not None:
-        _ENUM_CACHE[key] = result
-        if len(_ENUM_CACHE) > ENUM_CACHE_SIZE:
-            _ENUM_CACHE.popitem(last=False)
-    return result
+    return expr._memo(("members", budget), lambda: _enumerate_members_raw(expr, budget))
 
 
 def _enumerate_members_raw(expr: SetExpr, budget: int) -> Optional[tuple[SparseVec, ...]]:
-    """The enumeration cache's miss path."""
+    """The memo's build step for :func:`enumerate_members`."""
     return expr.members(budget)
 
 

@@ -579,27 +579,25 @@ def test_sandwich_property():
 
 
 def test_search_and_eps_extreme_share_one_witness_member_sets(monkeypatch):
-    # each S_x is enumerated once per set, by the first caller that needs
-    # it, and read from the enumeration cache by every later one
-    enumerated = []
-    raw = sets_module._enumerate_members_raw
+    # each S_x is built once per set, by the first caller that needs it,
+    # and read from the set's memo by every later one
+    built = []
+    one = FinitePoints.one_witness_members
     monkeypatch.setattr(
-        sets_module, "_enumerate_members_raw", lambda expr, budget: enumerated.append(expr) or raw(expr, budget)
+        FinitePoints, "one_witness_members", lambda expr, w, budget: built.append((expr, w)) or one(expr, w, budget)
     )
     rng = random.Random(18)
     for _ in range(6):
         pts = random_finite_points(rng, max_points=6, dim=3)
-        sets_module._ENUM_CACHE.clear()
-        enumerated.clear()
+        built.clear()
         for kind in ALL_NORMS:
             delta_curve(pts, 2, SearchStrategy.exhaustive(default_pool(pts)), kind)
             if kind is ALL_NORMS[0]:
-                searched = [e for e in enumerated if isinstance(e, Symmetrized) and len(e.witnesses) == 1]
-                assert searched  # the search builds S_x through the cache
+                assert built  # the search builds S_x through the memo
             for x in pts.points:
                 eps_extreme(pts, x, F(1, 2), kind)
-        singles = [e for e in enumerated if isinstance(e, Symmetrized) and len(e.witnesses) == 1]
-        assert len(singles) == len(set(singles))
+        assert all(expr is pts for expr, _ in built)
+        assert len(built) == len({w for _, w in built})
 
 
 def test_search_scores_enumerable_lists_from_shared_member_sets():

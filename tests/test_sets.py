@@ -5,7 +5,7 @@ import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +40,7 @@ from symdex import (
     diameter,
     diameter_upper,
     dual_pair,
+    eps_extreme,
     eps_strong_extreme,
     free_direction,
     linear_combination,
@@ -57,8 +58,7 @@ from symdex import sets as sets_module
 from symdex.vectors import integer_rows
 from symdex.sets import (
     DEFAULT_ENUM_BUDGET,
-    ENUM_CACHE_SIZE,
-    HULL_LP_MEMO,
+    MEMO_SIZE,
     _symmetric_pair_bound,
     enumerate_members,
     sample_members,
@@ -624,10 +624,14 @@ def test_hull_symmetrization_values_and_sups_solve_without_the_free_direction():
     hull = AbsConvHull((SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: F(-1, 3), 2: 1})))
     sym = symmetrize(hull, [SparseVec({1: F(1, 4), 2: F(1, 4)})])
     c, k = 2, 2
-    memberships = len(hull._lps)  # symmetrize checks the witness
+
+    def lps():
+        return [lp for key, lp in memo_entries(hull).items() if key[0] == "lp"]
+
+    memberships = len(lps())  # symmetrize checks the witness
 
     def shapes():
-        return [(len(lp.rows), lp.n) for lp in list(hull._lps.values())[memberships:]]
+        return [(len(lp.rows), lp.n) for lp in lps()[memberships:]]
 
     sup_functional(unit(1), sym)
     diameter_upper(sym, NormKind.SUP)
@@ -637,25 +641,49 @@ def test_hull_symmetrization_values_and_sups_solve_without_the_free_direction():
     assert shapes() == [(c + 2, 2 * (2 * k + 1))] * 2
 
 
-def test_hull_memo_evicts_its_oldest_layouts_and_rebuilds_them():
+def memo_entries(expr) -> dict:
+    """The set's private memo, oldest entry first."""
+    return vars(expr).get("_memo_entries", {})
+
+
+def test_set_memo_is_bounded_and_drops_its_oldest_entries_first():
     points = (SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: F(-1, 3), 2: 1}))
     hull = AbsConvHull(points)
     sym = Symmetrized(hull, (SparseVec({1: F(1, 4), 2: F(1, 4)}),))
     fs = [SparseVec({1: 1}), SparseVec({1: F(1, 2), 2: -1}), SparseVec({2: F(2, 3)})]
     sups = [sup_functional(f, sym) for f in fs]
-    first = set(hull._lps)
-    # each probe adds its own coordinate to the row layout
-    probes = [SparseVec({1: F(1, 3), k: F(1, 5)}) for k in range(3, HULL_LP_MEMO + 4)]
+    first = list(memo_entries(hull))
+    assert first and all(key[0] == "lp" for key in first)
+    # each probe adds its own coordinate to the row layout, and each
+    # enumeration budget its own entry: None, as a hull does not enumerate
+    probes = [SparseVec({1: F(1, 3), k: F(1, 5)}) for k in range(3, 43)]
     for v in probes:
         assert contains(hull, v) == contains(AbsConvHull(points), v)
-    assert len(hull._lps) == HULL_LP_MEMO
-    assert first.isdisjoint(hull._lps)
+    budgets = count()
+    while len(memo_entries(hull)) < MEMO_SIZE:
+        assert enumerate_members(hull, next(budgets)) is None
+    full = list(memo_entries(hull))
+    added = []
+    for _ in range(len(first) + len(probes)):
+        budget = next(budgets)
+        enumerate_members(hull, budget)
+        added.append(("members", budget))
+        assert list(memo_entries(hull)) == full[len(added):] + added
+    assert set(first).isdisjoint(memo_entries(hull))
     inside = [SparseVec({1: F(1, 3)}), SparseVec({1: F(1, 2), 2: F(1, 2)}), SparseVec({2: F(3, 2)})]
     for v in inside + probes[:3]:
         assert contains(hull, v) == contains(AbsConvHull(points), v)
     fresh = Symmetrized(AbsConvHull(points), sym.witnesses)
     assert [sup_functional(f, sym) for f in fs] == [sup_functional(f, fresh) for f in fs] == sups
-    assert len(hull._lps) <= HULL_LP_MEMO
+    assert len(memo_entries(hull)) == MEMO_SIZE
+    # an evicted enumeration is rebuilt equal to a fresh set's
+    finite = FinitePoints((unit(1), unit(2, -1), SparseVec({1: F(1, 2), 2: F(1, 3)})))
+    first = enumerate_members(finite, 0)
+    for budget in range(1, MEMO_SIZE + 1):
+        enumerate_members(finite, budget)
+        assert len(memo_entries(finite)) <= MEMO_SIZE
+    assert ("members", 0) not in memo_entries(finite)
+    assert enumerate_members(finite, 0) == enumerate_members(FinitePoints(finite.points), 0) == first
 
 
 @st.composite
@@ -826,25 +854,6 @@ def test_free_direction_soundness(points, data, kind):
 # enumeration, sampling, JSON
 
 
-def test_enumeration_cache_is_bounded_and_least_recently_used():
-    cache = sets_module._ENUM_CACHE
-    cache.clear()
-    exprs = [FinitePoints((unit(1, k), unit(2, -k))) for k in range(1, ENUM_CACHE_SIZE + 41)]
-    first = [enumerate_members(expr, 10) for expr in exprs[:2]]
-    for expr in exprs[2:ENUM_CACHE_SIZE]:
-        enumerate_members(expr, 10)
-    assert len(cache) == ENUM_CACHE_SIZE
-    enumerate_members(exprs[0], 10)  # a hit makes it the most recent entry
-    for expr in exprs[ENUM_CACHE_SIZE:]:
-        enumerate_members(expr, 10)
-        assert len(cache) <= ENUM_CACHE_SIZE
-    assert (exprs[0], 10) in cache
-    assert (exprs[1], 10) not in cache
-    assert enumerate_members(exprs[1], 10) == first[1]
-    assert set(first[1]) == set(exprs[1].points)
-    cache.clear()
-
-
 def test_enumeration_cache_keeps_no_set_that_does_not_enumerate():
     hull = AbsConvHull((unit(1, 2), SparseVec({1: 1, 2: 1})))
     delta_upper(hull, 1, SearchStrategy.exhaustive(default_pool(hull)), NormKind.SUP)
@@ -852,6 +861,24 @@ def test_enumeration_cache_keeps_no_set_that_does_not_enumerate():
     del hull
     gc.collect()
     assert collected() is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FinitePoints((ZERO, unit(1), unit(2), unit(1) + unit(2), SparseVec({1: F(1, 2), 2: F(1, 2)}))),
+    lambda: symmetrize(FinitePoints((ZERO, unit(1), unit(1, 2), unit(2), unit(1, 2) - unit(2))), [unit(1)]),
+])
+def test_no_set_outlives_its_requests(build):
+    # the memos live on the sets: once the caller drops a set that the
+    # delta curve and eps_extreme enumerated, nothing holds it or its base
+    expr = build()
+    for kind in ALL_NORMS:
+        delta_curve(expr, 2, SearchStrategy.exhaustive(default_pool(expr)), kind)
+        for x in enumerate_members(expr):
+            eps_extreme(expr, x, F(1, 2), kind)
+    collected = [weakref.ref(expr), weakref.ref(getattr(expr, "base", expr))]
+    del expr
+    gc.collect()
+    assert [ref() for ref in collected] == [None, None]
 
 
 def test_enumerate_members_sign_sums():
@@ -1470,7 +1497,6 @@ def fraction_pair_diameter(points, kind):
 @settings(max_examples=200, deadline=None)
 @given(lattice_sets, st.data())
 def test_finite_point_table_matches_fraction_scans(points, data):
-    sets_module._ENUM_CACHE.clear()
     before = (hash(points), set_to_json(points))
     twin = FinitePoints(points.points)
     pts = points.points
@@ -1488,7 +1514,7 @@ def test_finite_point_table_matches_fraction_scans(points, data):
     ]
     for w in witnesses:
         want = reference_symmetrized_members(points, [w])
-        got = enumerate_members(Symmetrized(points, (w,)))
+        got = enumerate_members(Symmetrized(FinitePoints(pts), (w,)))  # a new set scans afresh
         assert got == tuple(sorted(want, key=lambda d: d.sort_key()))
     # the rows the scans read are the points times the lcm of their
     # Fraction denominators, over the sorted union of their supports
@@ -1526,9 +1552,9 @@ def test_finite_point_scans_subtract_no_sparse_vectors(monkeypatch, kind):
     assert [eps_strong_extreme(points, x, F(1, 4), kind) for x in SIX_POINTS] == want
     assert len(calls) == 0
     for w in (*SIX_POINTS, SparseVec({1: F(3, 4), 2: F(1, 6)})):
-        sets_module._ENUM_CACHE.clear()
+        sym = Symmetrized(FinitePoints(SIX_POINTS), (w,))  # a new set scans afresh
         del calls[:]
-        members = enumerate_members(Symmetrized(points, (w,)))
+        members = enumerate_members(sym)
         assert members and len(calls) == len(members)
     parsed = set_from_json(set_to_json(points))
     built = []
