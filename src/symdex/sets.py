@@ -75,7 +75,7 @@ DEFAULT_NODE_BUDGET = 200_000
 MAX_SET_DEPTH = 200
 
 # Entries a set keeps in its private memo (enumerations, one-witness
-# member sets and a hull's warm LPs); a request uses a few dozen.
+# member sets and a hull's warm LPs); a request uses far fewer.
 MEMO_SIZE = 512
 
 
