@@ -226,11 +226,14 @@ class SetExpr(ABC):
 
     def _memo(self, key: tuple, build):
         """The entry ``key`` of this set's memo, built by ``build()`` when
-        missing; past MEMO_SIZE entries the oldest goes. The memo lives on
-        the instance outside the dataclass fields, like
-        ``SparseVec._hash``: equal sets built separately share nothing."""
+        missing; a hit makes it the newest entry, and past MEMO_SIZE
+        entries the least recently used goes. The memo lives on the
+        instance outside the dataclass fields, like ``SparseVec._hash``:
+        equal sets built separately share nothing."""
         memo = vars(self).setdefault("_memo_entries", {})
-        if key not in memo:
+        if key in memo:
+            memo[key] = memo.pop(key)
+        else:
             memo[key] = build()
             if len(memo) > MEMO_SIZE:
                 del memo[next(iter(memo))]

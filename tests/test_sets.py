@@ -646,7 +646,7 @@ def memo_entries(expr) -> dict:
     return vars(expr).get("_memo_entries", {})
 
 
-def test_set_memo_is_bounded_and_drops_its_oldest_entries_first():
+def test_hull_memo_evicts_its_oldest_layouts_and_rebuilds_them():
     points = (SparseVec({1: 1, 2: F(1, 2)}), SparseVec({1: F(-1, 3), 2: 1}))
     hull = AbsConvHull(points)
     sym = Symmetrized(hull, (SparseVec({1: F(1, 4), 2: F(1, 4)}),))
@@ -676,14 +676,6 @@ def test_set_memo_is_bounded_and_drops_its_oldest_entries_first():
     fresh = Symmetrized(AbsConvHull(points), sym.witnesses)
     assert [sup_functional(f, sym) for f in fs] == [sup_functional(f, fresh) for f in fs] == sups
     assert len(memo_entries(hull)) == MEMO_SIZE
-    # an evicted enumeration is rebuilt equal to a fresh set's
-    finite = FinitePoints((unit(1), unit(2, -1), SparseVec({1: F(1, 2), 2: F(1, 3)})))
-    first = enumerate_members(finite, 0)
-    for budget in range(1, MEMO_SIZE + 1):
-        enumerate_members(finite, budget)
-        assert len(memo_entries(finite)) <= MEMO_SIZE
-    assert ("members", 0) not in memo_entries(finite)
-    assert enumerate_members(finite, 0) == enumerate_members(FinitePoints(finite.points), 0) == first
 
 
 @st.composite
@@ -852,6 +844,24 @@ def test_free_direction_soundness(points, data, kind):
 
 # ---------------------------------------------------------------------------
 # enumeration, sampling, JSON
+
+
+def test_enumeration_cache_is_bounded_and_least_recently_used():
+    finite = FinitePoints((unit(1), unit(2, -1), SparseVec({1: F(1, 2), 2: F(1, 3)})))
+    first = [enumerate_members(finite, budget) for budget in (0, 1)]
+    for budget in range(2, MEMO_SIZE):
+        enumerate_members(finite, budget)
+    assert len(memo_entries(finite)) == MEMO_SIZE
+    assert enumerate_members(finite, 0) is first[0]  # a hit makes it the newest entry
+    assert list(memo_entries(finite))[-1] == ("members", 0)
+    for budget in range(MEMO_SIZE, MEMO_SIZE + 40):
+        enumerate_members(finite, budget)
+        assert len(memo_entries(finite)) <= MEMO_SIZE
+    assert ("members", 0) in memo_entries(finite)
+    assert ("members", 1) not in memo_entries(finite)
+    # an evicted enumeration is rebuilt equal to a fresh set's
+    assert enumerate_members(finite, 1) == enumerate_members(FinitePoints(finite.points), 1) == first[1]
+    assert set(first[1]) == set(finite.points)
 
 
 def test_enumeration_cache_keeps_no_set_that_does_not_enumerate():
